@@ -10,7 +10,7 @@
 #         harness timing layer; anywhere else they threaten the
 #         bit-identical merge invariant.
 # Gate 3: no `&mut SensorFrame` outside the sensor-fault injection hook.
-#         The frame between World::sense_into and the driver is mutated
+#         The frame between World::capture_into and the driver is mutated
 #         in exactly one sanctioned place (runtime::inject, applied by
 #         runtime::simloop); a second mutation site would bypass the
 #         fault-onset bookkeeping and break seed-pure realizations.

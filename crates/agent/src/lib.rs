@@ -18,8 +18,9 @@
 //! Departure from the paper, documented in DESIGN.md: the vision planner
 //! uses deterministic matched filters instead of trained CNN weights (no
 //! training data exists in this environment), and consumes the center
-//! camera; the left/right cameras still feed the data distributor and the
-//! diversity studies.
+//! camera only. The closed loop therefore renders just that camera for
+//! the agent; the left/right cameras are rendered only for consumers that
+//! declare them, such as the Fig-5b diversity study.
 //!
 //! ## Example
 //!

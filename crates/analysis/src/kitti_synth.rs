@@ -12,7 +12,7 @@
 //! rather than ad-hoc randomness.
 
 use diverseav_runtime::{LoopObserver, PolicyDriver, SimLoop, TickContext};
-use diverseav_simworld::{long_route, Controls, Image, SensorConfig, Vec2, World};
+use diverseav_simworld::{long_route, CameraSet, Controls, Image, SensorConfig, Vec2, World};
 
 /// One frame of a synthetic real-world-like sequence.
 #[derive(Clone, Debug)]
@@ -137,6 +137,10 @@ pub fn generate_sequence(cfg: &SynthConfig) -> Vec<SynthFrame> {
                 objects_px,
                 objects_ego,
             });
+        }
+
+        fn cameras(&self) -> CameraSet {
+            CameraSet::CENTER
         }
     }
 

@@ -19,7 +19,7 @@ use diverseav_faultinj::{
     FaultModelKind, FaultSpec, GoldenCache, RunConfig,
 };
 use diverseav_runtime::{LoopObserver, PolicyDriver, SimLoop, TickContext};
-use diverseav_simworld::{Scenario, ScenarioKind, SensorConfig, TrajPoint, World};
+use diverseav_simworld::{CameraSet, Scenario, ScenarioKind, SensorConfig, TrajPoint, World};
 use std::fmt::Write as _;
 
 /// Rolling-window sizes swept in Fig 7 (paper: 3..40).
@@ -97,7 +97,7 @@ pub fn campaigns_for(
 /// The fifteen sensor-boundary campaigns (5 fault classes × 3 safety-
 /// critical scenarios) in a mode, with divergence streams recorded.
 ///
-/// Sensor faults corrupt frames between `World::sense_into` and the
+/// Sensor faults corrupt frames between `World::capture_into` and the
 /// driver, so the fabric-target axis is vacuous; the cells are pinned to
 /// `Profile::Gpu` purely to satisfy the campaign key (the injector never
 /// touches the fabric). Sharing `cache` with the register campaigns
@@ -226,6 +226,9 @@ pub fn fig5_report() -> String {
                 }
             }
             self.prev = Some(ctx.frame.cameras.clone());
+        }
+        fn cameras(&self) -> CameraSet {
+            CameraSet::ALL
         }
     }
     let mut camera_diffs = CameraDiffs::default();

@@ -8,7 +8,7 @@
 //! permanent} × {LeadSlowdown, GhostCutIn, FrontAccident}`, plus the
 //! sensor-boundary extension `sensor-<class>` campaigns (five
 //! [`diverseav_runtime::SensorFaultKind`] classes injected between
-//! `World::sense_into` and the driver). Golden runs double as the
+//! `World::capture_into` and the driver). Golden runs double as the
 //! NVBitFI-style profiling pass that sizes the transient fault-site
 //! space and enumerates the opcodes for permanent campaigns.
 //!

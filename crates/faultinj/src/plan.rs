@@ -20,7 +20,7 @@ pub enum FaultModelKind {
     /// Every dynamic instance of one opcode corrupted, per run.
     Permanent,
     /// One sensor-boundary fault of the given class per run, injected
-    /// between `World::sense_into` and the driver.
+    /// between `World::capture_into` and the driver.
     Sensor(SensorFaultKind),
 }
 

@@ -28,7 +28,7 @@ pub enum FaultSpec {
         /// The architectural fault model.
         model: FaultModel,
     },
-    /// A sensor-boundary fault injected between `World::sense_into` and
+    /// A sensor-boundary fault injected between `World::capture_into` and
     /// the driver.
     Sensor(SensorFault),
 }

@@ -156,11 +156,10 @@ impl Value {
 ///
 /// Returns a message with the byte offset of the first error.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
@@ -175,7 +174,8 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     if depth > MAX_DEPTH {
         return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
     }
@@ -192,13 +192,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Str
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -220,7 +220,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Str
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -232,7 +232,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Str
                 }
             }
         }
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
@@ -268,7 +268,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     text.parse::<f64>().map(Value::Num).map_err(|_| format!("invalid number at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
@@ -332,15 +333,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Copy a full UTF-8 scalar so multi-byte text survives.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid utf-8 at byte {pos}"))?;
-                let c = rest.chars().next().expect("non-empty rest");
+                // Copy the whole run up to the next quote or backslash as
+                // one slice. Both delimiters are ASCII, so the run ends on
+                // a character boundary and multi-byte text survives.
+                let start = *pos;
+                let run_len = bytes[start..].iter().position(|&b| matches!(b, b'"' | b'\\'));
+                *pos = run_len.map_or(bytes.len(), |n| start + n);
+                let run = text
+                    .get(start..*pos)
+                    .ok_or_else(|| format!("invalid utf-8 at byte {start}"))?;
                 if pending_surrogate.take().is_some() {
                     out.push('\u{FFFD}');
                 }
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
             }
         }
     }
@@ -429,6 +434,122 @@ mod tests {
         assert_eq!(parse(r#""😀""#).unwrap(), Value::Str("😀".into()));
         // Lone surrogate degrades to the replacement character.
         assert_eq!(parse(r#""\ud83dx""#).unwrap(), Value::Str("\u{FFFD}x".into()));
+    }
+
+    /// The string parser as it was before runs of plain text were copied
+    /// as one slice: it re-validated the rest of the input as UTF-8 for
+    /// every character. Kept as the oracle for the test below.
+    fn reference_parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+        if bytes.get(*pos) != Some(&b'"') {
+            return Err(format!("expected string at byte {pos}"));
+        }
+        *pos += 1;
+        let mut out = String::new();
+        let mut pending_surrogate: Option<u32> = None;
+        loop {
+            match bytes.get(*pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    *pos += 1;
+                    if pending_surrogate.is_some() {
+                        out.push('\u{FFFD}');
+                    }
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    let escape = *bytes.get(*pos).ok_or("unterminated escape")?;
+                    *pos += 1;
+                    let simple = match escape {
+                        b'"' => Some('"'),
+                        b'\\' => Some('\\'),
+                        b'/' => Some('/'),
+                        b'b' => Some('\u{8}'),
+                        b'f' => Some('\u{c}'),
+                        b'n' => Some('\n'),
+                        b'r' => Some('\r'),
+                        b't' => Some('\t'),
+                        b'u' => None,
+                        _ => return Err(format!("invalid escape at byte {}", *pos - 1)),
+                    };
+                    if let Some(c) = simple {
+                        if pending_surrogate.take().is_some() {
+                            out.push('\u{FFFD}');
+                        }
+                        out.push(c);
+                        continue;
+                    }
+                    let hex = bytes
+                        .get(*pos..*pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| format!("invalid \\u escape at byte {pos}"))?;
+                    *pos += 4;
+                    match (pending_surrogate.take(), hex) {
+                        (None, 0xD800..=0xDBFF) => pending_surrogate = Some(hex),
+                        (None, 0xDC00..=0xDFFF) => out.push('\u{FFFD}'),
+                        (None, c) => out.push(char::from_u32(c).unwrap_or('\u{FFFD}')),
+                        (Some(high), 0xDC00..=0xDFFF) => {
+                            let c = 0x10000 + ((high - 0xD800) << 10) + (hex - 0xDC00);
+                            out.push(char::from_u32(c).unwrap_or('\u{FFFD}'));
+                        }
+                        (Some(_), c) => {
+                            out.push('\u{FFFD}');
+                            match c {
+                                0xD800..=0xDBFF => pending_surrogate = Some(c),
+                                _ => out.push(char::from_u32(c).unwrap_or('\u{FFFD}')),
+                            }
+                        }
+                    }
+                }
+                Some(_) => {
+                    let rest = std::str::from_utf8(&bytes[*pos..])
+                        .map_err(|_| format!("invalid utf-8 at byte {pos}"))?;
+                    let c = rest.chars().next().expect("non-empty rest");
+                    if pending_surrogate.take().is_some() {
+                        out.push('\u{FFFD}');
+                    }
+                    out.push(c);
+                    *pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_multibyte_line_parses_as_before() {
+        // Plain runs of 1- to 4-byte characters between escapes, paired
+        // and lone surrogates, and surrogates followed by plain text.
+        let segment = r#"héllo ✓ 😀 plain\n\té😀\ud83dx\udc00\"\\\/ ünïcødé 𝄞 "#;
+        let mut line = String::from("\"");
+        for _ in 0..128 {
+            line.push_str(segment);
+        }
+        let closed = format!("{line}\"");
+        let check = |text: &str| {
+            let (mut new_pos, mut old_pos) = (0, 0);
+            let new = parse_string(text, &mut new_pos);
+            let old = reference_parse_string(text.as_bytes(), &mut old_pos);
+            assert_eq!(new.is_ok(), old.is_ok(), "Ok/Err differs on {text:?}");
+            if let (Ok(new), Ok(old)) = (&new, &old) {
+                assert_eq!(new, old);
+                assert_eq!(new_pos, old_pos);
+            }
+        };
+        check(&closed);
+        let v = parse(&closed).expect("long line parses");
+        assert_eq!(v.as_str().map(|s| s.chars().filter(|&c| c == '😀').count()), Some(256));
+        // Every truncation of a shorter line, closed and unclosed.
+        let short = &closed[..4 * segment.len()];
+        for (i, _) in short.char_indices().skip(1) {
+            check(&short[..i]);
+            check(&format!("{}\"", &short[..i]));
+        }
+        // Malformed escapes and surrogates at the end of a long run.
+        for tail in [r"\x", r"\u12", r"\u12é", r"\uZZZZ", r"\", r"\ud83d", r"\ud83dA"] {
+            check(&format!("{line}{tail}\""));
+            check(&format!("{line}{tail}"));
+        }
     }
 
     #[test]

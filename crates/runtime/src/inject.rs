@@ -8,7 +8,7 @@
 //! Autonomous Vehicles" (PAPERS.md), this module injects faults at the
 //! sensor/driver boundary: a [`FrameInjector`] installed on the
 //! [`SimLoop`](crate::SimLoop) mutates the reusable `SensorFrame` in
-//! place immediately after `World::sense_into`, before the driver ever
+//! place immediately after `World::capture_into`, before the driver ever
 //! sees it.
 //!
 //! Design invariants:
@@ -180,7 +180,9 @@ impl FrameInjector {
     }
 
     /// Corrupt `frame` in place according to the fault class. Pure
-    /// function of `(self.fault, frame)`; allocation-free.
+    /// function of `(self.fault, frame)`; allocation-free. Camera slots
+    /// the loop left empty (0×0, not rendered this tick) are skipped, and
+    /// each rendered camera is corrupted independently of the others.
     pub fn apply(&mut self, frame: &mut SensorFrame) {
         if frame.step < self.onset_step {
             return;
@@ -242,9 +244,9 @@ impl FrameInjector {
                     frame.imu.yaw_rate = if h & 2 == 0 { 4.0 } else { -4.0 };
                     frame.imu.accel = 30.0;
                     frame.gps[0] += 500.0;
-                    // Saturate a hashed horizontal band of every camera
-                    // to vehicle-blue: a hallucinated obstacle.
-                    for cam in &mut frame.cameras {
+                    // Saturate a hashed horizontal band of every rendered
+                    // camera to vehicle-blue: a hallucinated obstacle.
+                    for cam in frame.cameras.iter_mut().filter(|c| c.height() > 0) {
                         let h_px = cam.height();
                         let band = (h % h_px as u64) as usize;
                         let lo = band.min(h_px.saturating_sub(8));
@@ -414,6 +416,40 @@ mod tests {
         inj.apply(&mut odd);
         assert!(even.speed > 10.0, "even-parity frame biased up");
         assert!(odd.speed < 10.0, "odd-parity frame biased down");
+    }
+
+    #[test]
+    fn empty_camera_slots_are_skipped_without_changing_activation() {
+        // The loop's demand capture leaves unread cameras as 0×0 slots:
+        // `[empty, center, empty]` must corrupt the center camera exactly
+        // as a full frame does, and activate at the same onset.
+        let with_sides = |step, sides: usize| {
+            let mut f = frame_at(step);
+            f.cameras = vec![
+                diverseav_simworld::Image::new(sides, sides),
+                diverseav_simworld::Image::new(8, 6),
+                diverseav_simworld::Image::new(sides, sides),
+            ];
+            f
+        };
+        for kind in SensorFaultKind::ALL {
+            let fault = SensorFault { kind, seed: 4242 };
+            let mut full = FrameInjector::new(fault);
+            let mut sparse = FrameInjector::new(fault);
+            for step in 0..96 {
+                let mut f = with_sides(step, 8);
+                let mut s = with_sides(step, 0);
+                full.apply(&mut f);
+                sparse.apply(&mut s);
+                assert_eq!(s.cameras[1], f.cameras[1], "{kind} center camera at step {step}");
+                assert!(s.cameras[0].data().is_empty() && s.cameras[2].data().is_empty());
+                f.cameras = s.cameras.clone();
+                assert_eq!(s, f, "{kind} scalars at step {step}");
+                assert_eq!(sparse.activated(), full.activated(), "{kind} activation");
+            }
+            assert!(sparse.activated(), "{kind} never activated");
+            assert_eq!(sparse.onset_time(), full.onset_time(), "{kind} onset time");
+        }
     }
 
     #[test]

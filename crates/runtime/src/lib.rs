@@ -15,12 +15,17 @@
 //!   for training collection, perf accounting, telemetry, and tracing.
 //! - **Zero-allocation steady state** — the loop owns a reusable
 //!   [`SensorFrame`](diverseav_simworld::SensorFrame) and captures via
-//!   [`World::sense_into`](diverseav_simworld::World::sense_into), so a
-//!   steady-state tick performs no heap allocation (the campaign hot
+//!   [`World::capture_into`](diverseav_simworld::World::capture_into), so
+//!   a steady-state tick performs no heap allocation (the campaign hot
 //!   path the parallel engine fans out).
+//! - **Demand-driven sensing** — the capture renders only the cameras
+//!   the driver and observers declare they read
+//!   ([`LoopDriver::cameras`], [`LoopObserver::cameras`]); the agent
+//!   reads the center camera alone, so campaigns skip two of three
+//!   rasterizer passes with no change to any result.
 //! - **[`inject`]** — sensor-boundary fault injection: a seed-pure
 //!   [`FrameInjector`] installed on the loop corrupts the pooled frame
-//!   in place between `sense_into` and the driver (the broadened,
+//!   in place between the capture and the driver (the broadened,
 //!   component-agnostic fault model of ROADMAP item 5).
 //! - **[`registry`]** — the named scenario catalog carrying interned
 //!   `&'static str` scenario IDs end to end; a new workload is one

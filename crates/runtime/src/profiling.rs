@@ -11,8 +11,9 @@
 //! Two time sources (see [`diverseav_obs::profile`]):
 //!
 //! * **Modeled** (default) — per-phase latency is a linear cost model
-//!   over the tick's work: pixels rendered, lidar rays cast, dynamic
-//!   fabric instructions executed ([`TickWork`]), NPCs stepped. Every
+//!   over the tick's work: pixels of the configured three-camera suite,
+//!   lidar rays cast, dynamic fabric instructions executed
+//!   ([`TickWork`]), NPCs stepped. Every
 //!   input is a pure function of the run seed, so the histograms and
 //!   deadline tallies are bit-identical for any `DIVERSEAV_THREADS`.
 //!   The constants are calibrated against the interpreted fabric's
@@ -48,7 +49,7 @@ pub const DEADLINE_NS: u64 = 25_000_000;
 /// camera pixels per frame (3 × 64 × 48) so that one agent step per
 /// tick totals ≈ 16 ms and two (FD duplicate) ≈ 26 ms.
 mod cost {
-    /// Per camera pixel rendered.
+    /// Per camera pixel of the configured suite.
     pub const PIXEL: u64 = 540;
     /// Per lidar ray cast.
     pub const RAY: u64 = 1_500;
@@ -163,8 +164,14 @@ impl ProfilingObserver {
     /// the flight recorder ([`crate::FlightRecorder`]) records modeled
     /// latencies unconditionally — even under `DIVERSEAV_PROFILE=wall` —
     /// so incident artifacts never carry wall-clock values.
+    ///
+    /// The sense cost counts the pixels of the configured three-camera
+    /// suite, not the cameras the loop happened to render: the model
+    /// stands for the paper's platform, which captures every camera
+    /// each tick whatever the agent reads.
     pub fn modeled_phases(ctx: &TickContext<'_>) -> [u64; 4] {
-        let pixels: usize = ctx.frame.cameras.iter().map(|c| c.width() * c.height()).sum();
+        let cfg = ctx.world.sensor_config();
+        let pixels = cfg.cam_yaws.len() * cfg.width * cfg.height;
         let rays = ctx.frame.lidar.as_ref().map_or(0, |r| r.len());
         let TickWork { gpu_instr, cpu_instr, detector_observed, .. } = ctx.work;
         let sense = cost::SENSE_BASE + pixels as u64 * cost::PIXEL + rays as u64 * cost::RAY;

@@ -9,13 +9,18 @@
 //! the loop body.
 //!
 //! The loop owns a reusable [`SensorFrame`] buffer and captures frames
-//! with [`World::sense_into`], so the steady-state tick performs no heap
-//! allocation (verified by the `zero_alloc` integration test).
+//! with [`World::capture_into`], so the steady-state tick performs no heap
+//! allocation (verified by the `zero_alloc` integration test). Sensing is
+//! demand-driven: the loop renders only the cameras its driver and
+//! observers declare they read ([`LoopDriver::cameras`],
+//! [`LoopObserver::cameras`]); every other camera slot stays empty.
 
 use diverseav::{Ads, TickOutput, TickWork, VehState};
 use diverseav_agent::{AgentError, SensorimotorAgent};
 use diverseav_fabric::{Fabric, Profile, Trap};
-use diverseav_simworld::{Controls, RouteHint, SensorFrame, World, WorldStatus, TICK_HZ};
+use diverseav_simworld::{
+    CameraSet, Controls, RouteHint, SensorFrame, World, WorldStatus, TICK_HZ,
+};
 use std::time::Instant;
 
 /// The phases of one loop iteration, in execution order. Phase labels
@@ -23,7 +28,8 @@ use std::time::Instant;
 /// `METRICS_campaigns.json`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum LoopPhase {
-    /// Sensor capture: camera render + lidar sweep into the frame buffer.
+    /// Sensor capture: render of the demanded cameras + lidar sweep into
+    /// the frame buffer.
     Sense,
     /// The driver's control computation, excluding the detector check.
     Driver,
@@ -108,6 +114,13 @@ pub trait LoopDriver {
     fn last_tick_work(&self) -> TickWork {
         TickWork::default()
     }
+
+    /// The cameras [`LoopDriver::tick`] reads from the frame; the loop
+    /// leaves every other camera slot empty. Defaults to all three, which
+    /// is always correct; a driver that reads fewer declares them here.
+    fn cameras(&self) -> CameraSet {
+        CameraSet::ALL
+    }
 }
 
 impl<D: LoopDriver + ?Sized> LoopDriver for &mut D {
@@ -125,6 +138,10 @@ impl<D: LoopDriver + ?Sized> LoopDriver for &mut D {
     fn last_tick_work(&self) -> TickWork {
         (**self).last_tick_work()
     }
+
+    fn cameras(&self) -> CameraSet {
+        (**self).cameras()
+    }
 }
 
 impl LoopDriver for Ads {
@@ -141,6 +158,11 @@ impl LoopDriver for Ads {
 
     fn last_tick_work(&self) -> TickWork {
         Ads::last_tick_work(self)
+    }
+
+    /// Every agent's perception uploads the center camera only.
+    fn cameras(&self) -> CameraSet {
+        CameraSet::CENTER
     }
 }
 
@@ -165,6 +187,11 @@ impl<F: FnMut(&World) -> Controls> LoopDriver for PolicyDriver<F> {
             detector: None,
             fault_active: false,
         })
+    }
+
+    /// Actuation comes from ground truth, never from pixels.
+    fn cameras(&self) -> CameraSet {
+        CameraSet::NONE
     }
 }
 
@@ -228,6 +255,10 @@ impl LoopDriver for AgentDriver {
     fn last_tick_work(&self) -> TickWork {
         self.last_work
     }
+
+    fn cameras(&self) -> CameraSet {
+        CameraSet::CENTER
+    }
 }
 
 /// Everything an observer can see about one completed tick, before the
@@ -237,7 +268,9 @@ pub struct TickContext<'a> {
     pub t: f64,
     /// Vehicle state fed to the driver.
     pub state: VehState,
-    /// The sensor frame the driver consumed.
+    /// The sensor frame the driver consumed. Only the cameras declared by
+    /// the driver or some observer are rendered; the other slots are
+    /// empty.
     pub frame: &'a SensorFrame,
     /// The route hint fed to the driver.
     pub hint: RouteHint,
@@ -279,6 +312,14 @@ pub trait LoopObserver {
     /// duration — only when [`LoopObserver::wants_phase_timing`] returned
     /// true for *some* observer in the run.
     fn on_phase(&mut self, _phase: LoopPhase, _dur_ns: u64) {}
+
+    /// The cameras this observer reads from [`TickContext::frame`]. The
+    /// loop renders the union of the driver's and every observer's set;
+    /// an observer that reads pixels must declare them, since an
+    /// undeclared camera slot is an empty 0×0 image.
+    fn cameras(&self) -> CameraSet {
+        CameraSet::NONE
+    }
 }
 
 /// The canonical `sense → tick → step` loop: one [`World`], one
@@ -296,8 +337,8 @@ impl<D: LoopDriver> SimLoop<D> {
         SimLoop { world, driver, frame: SensorFrame::empty(), injector: None }
     }
 
-    /// Install a sensor-boundary fault injector: from now on every frame
-    /// captured by `sense_into` is passed through
+    /// Install a sensor-boundary fault injector: from now on every
+    /// captured frame is passed through
     /// [`FrameInjector::apply`](crate::FrameInjector::apply) before the
     /// driver sees it.
     pub fn set_injector(&mut self, injector: crate::FrameInjector) {
@@ -332,13 +373,14 @@ impl<D: LoopDriver> SimLoop<D> {
     ) -> Option<Termination> {
         let mut termination = None;
         let timing = observers.iter().any(|o| o.wants_phase_timing());
+        let cameras = observers.iter().fold(self.driver.cameras(), |set, o| set.union(o.cameras()));
         for _ in 0..max_ticks {
             if self.world.finished() {
                 termination = Some(Termination::Completed);
                 break;
             }
             let t0 = timing.then(Instant::now);
-            self.world.sense_into(&mut self.frame);
+            self.world.capture_into(&mut self.frame, cameras);
             if let Some(inj) = &mut self.injector {
                 // The one sanctioned sensor-fault mutation point: between
                 // capture and the driver (see crate::inject).
@@ -499,6 +541,38 @@ mod tests {
         sim.run_observed(&mut [&mut counting]);
         assert_eq!(counting.ticks, 40, "one on_tick per 40 Hz frame over 1 s");
         assert_eq!(counting.terminated, Some(Termination::Completed));
+    }
+
+    #[test]
+    fn loop_renders_the_union_of_declared_cameras() {
+        /// Records which camera slots held pixels, and the actuation.
+        struct Rendered {
+            declared: CameraSet,
+            seen: Vec<[bool; 3]>,
+            controls: Vec<Controls>,
+        }
+        impl LoopObserver for Rendered {
+            fn on_tick(&mut self, ctx: &TickContext<'_>) {
+                let cams = &ctx.frame.cameras;
+                self.seen.push([0, 1, 2].map(|c| !cams[c].data().is_empty()));
+                self.controls.push(ctx.out.controls);
+            }
+            fn cameras(&self) -> CameraSet {
+                self.declared
+            }
+        }
+        let run = |declared| {
+            let ads = Ads::new(AdsConfig::for_mode(AgentMode::RoundRobin, 25));
+            let mut rendered = Rendered { declared, seen: Vec::new(), controls: Vec::new() };
+            SimLoop::new(short_world(25), ads).run_observed(&mut [&mut rendered]);
+            rendered
+        };
+        let center = run(CameraSet::NONE);
+        assert_eq!(center.seen.len(), 40);
+        assert!(center.seen.iter().all(|s| *s == [false, true, false]), "Ads reads the center");
+        let all = run(CameraSet::ALL);
+        assert!(all.seen.iter().all(|s| *s == [true; 3]), "an observer may demand every camera");
+        assert_eq!(center.controls, all.controls, "the camera set never changes a run");
     }
 
     #[test]

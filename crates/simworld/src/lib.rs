@@ -37,8 +37,8 @@ pub use scenario::{
     front_accident, ghost_cut_in, lead_slowdown, long_route, Scenario, ScenarioKind,
 };
 pub use sensors::{
-    lidar_scan, lidar_scan_into, render_camera, render_camera_into, Image, ImuReading, RenderScene,
-    SensorConfig, SensorFrame,
+    lidar_scan, lidar_scan_into, render_camera, render_camera_into, CameraSet, Image, ImuReading,
+    RenderScene, SensorConfig, SensorFrame,
 };
 pub use track::{
     generate_lights, generate_long_route, LightPhase, Track, TrafficLight, LANE_WIDTH,

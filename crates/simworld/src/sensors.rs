@@ -170,6 +170,33 @@ impl SensorFrame {
     }
 }
 
+/// Which of the three camera slots `[left, center, right]` a capture
+/// renders (see [`World::capture_into`](crate::World::capture_into)).
+///
+/// A consumer declares the cameras it reads; the capture renders their
+/// union and leaves every other slot as an empty 0×0 [`Image`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct CameraSet(u8);
+
+impl CameraSet {
+    /// No camera: scalars (and LiDAR, when enabled) only.
+    pub const NONE: CameraSet = CameraSet(0b000);
+    /// The center camera, slot 1 — what the agent's perception reads.
+    pub const CENTER: CameraSet = CameraSet(0b010);
+    /// All three cameras: the full sensor suite.
+    pub const ALL: CameraSet = CameraSet(0b111);
+
+    /// The cameras in either set.
+    pub const fn union(self, other: CameraSet) -> CameraSet {
+        CameraSet(self.0 | other.0)
+    }
+
+    /// Whether camera slot `cam` is in the set.
+    pub const fn contains(self, cam: usize) -> bool {
+        cam < 3 && self.0 & (1 << cam) != 0
+    }
+}
+
 /// Sensor-suite configuration.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct SensorConfig {

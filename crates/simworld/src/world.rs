@@ -6,7 +6,8 @@ use crate::geometry::Vec2;
 use crate::npc::{next_stopping_light, GapAhead, Npc, NpcBehavior};
 use crate::scenario::Scenario;
 use crate::sensors::{
-    lidar_scan_into, render_camera_into, Image, ImuReading, RenderScene, SensorConfig, SensorFrame,
+    lidar_scan_into, render_camera_into, CameraSet, Image, ImuReading, RenderScene, SensorConfig,
+    SensorFrame,
 };
 use crate::vehicle::{Controls, Vehicle, VehicleState};
 use rand::rngs::StdRng;
@@ -214,13 +215,24 @@ impl World {
         frame
     }
 
-    /// [`World::sense`] into a caller-owned frame, reusing its buffers.
-    ///
-    /// Draws the same RNG sequence and produces a bit-identical frame;
-    /// after the first capture the steady state performs no heap
-    /// allocation, which is what the `SimLoop` frame-buffer pool relies
-    /// on for the campaign hot path.
+    /// [`World::sense`] into a caller-owned frame, reusing its buffers:
+    /// [`World::capture_into`] with all three cameras.
     pub fn sense_into(&mut self, frame: &mut SensorFrame) {
+        self.capture_into(frame, CameraSet::ALL);
+    }
+
+    /// Capture the sensor bundle into a caller-owned frame, rendering
+    /// only the cameras in `cameras`.
+    ///
+    /// The frame always holds three camera slots, so `cameras[1]` is the
+    /// center camera whatever the set; a slot outside the set is left as
+    /// an empty 0×0 [`Image`]. The RNG sequence is the same for every set
+    /// (one frame seed, then the GPS, IMU and speed noise), so each
+    /// rendered camera, the LiDAR scan and every scalar are bit-identical
+    /// to a full capture. After the first capture the steady state
+    /// performs no heap allocation, which is what the `SimLoop`
+    /// frame-buffer pool relies on for the campaign hot path.
+    pub fn capture_into(&mut self, frame: &mut SensorFrame, cameras: CameraSet) {
         let frame_seed: u64 = self.rng.gen();
         let scene = RenderScene {
             track: &self.scenario.track,
@@ -231,7 +243,11 @@ impl World {
         };
         frame.cameras.resize_with(3, || Image::new(0, 0));
         for (c, img) in frame.cameras.iter_mut().enumerate() {
-            render_camera_into(&self.sensor_cfg, &scene, c, img);
+            if cameras.contains(c) {
+                render_camera_into(&self.sensor_cfg, &scene, c, img);
+            } else {
+                img.reset(0, 0);
+            }
         }
         if self.sensor_cfg.enable_lidar {
             lidar_scan_into(&self.sensor_cfg, &scene, frame.lidar.get_or_insert_with(Vec::new));
@@ -458,6 +474,17 @@ mod tests {
         assert_ne!(f1.gps, f2.gps);
         assert!(f1.speed > 6.0 && f1.speed < 10.0);
         assert!(f1.lidar.is_none());
+    }
+
+    #[test]
+    fn camera_sets_union_and_contain_their_slots() {
+        // Capture behaviour per set is pinned against `sense` by the
+        // runtime crate's `sense_differential` test.
+        assert_eq!(CameraSet::NONE.union(CameraSet::CENTER), CameraSet::CENTER);
+        assert_eq!(CameraSet::CENTER.union(CameraSet::ALL), CameraSet::ALL);
+        assert!((0..3).all(|c| CameraSet::ALL.contains(c) && !CameraSet::NONE.contains(c)));
+        assert_eq!((0..3).filter(|&c| CameraSet::CENTER.contains(c)).collect::<Vec<_>>(), [1]);
+        assert!(!CameraSet::ALL.contains(3));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use diverseav_analysis::{generate_sequence, SynthConfig};
 use diverseav_analysis::{matched_shifts, percentile, pixel_bit_diffs, DiversityStats};
 use diverseav_runtime::{LoopObserver, PolicyDriver, SimLoop, TickContext};
-use diverseav_simworld::{lead_slowdown, Controls, Image, SensorConfig, World};
+use diverseav_simworld::{lead_slowdown, CameraSet, Controls, Image, SensorConfig, World};
 
 /// Accumulates per-pixel bit differences between consecutive center-camera
 /// frames as they stream through the loop.
@@ -26,6 +26,10 @@ impl LoopObserver for FrameDiffs {
             self.diffs.extend(pixel_bit_diffs(prev, cam));
         }
         self.prev = Some(cam.clone());
+    }
+
+    fn cameras(&self) -> CameraSet {
+        CameraSet::CENTER
     }
 }
 

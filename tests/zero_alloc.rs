@@ -8,7 +8,8 @@
 //! The whole binary runs under a counting wrapper around the system
 //! allocator; an observer samples the counter each tick and the test
 //! asserts the per-tick delta hits zero once buffers have grown to their
-//! steady-state sizes.
+//! steady-state sizes. The counter is per thread, so tests running
+//! concurrently in this binary never count each other's allocations.
 //!
 //! The flight recorder rides along on every observed run (the runner
 //! attaches it as a stock observer), so the end-to-end test gates its
@@ -22,21 +23,37 @@ use diverseav_obs::flight::{FlightRing, TickRecord, DEFAULT_RING_CAPACITY};
 use diverseav_runtime::{LoopObserver, TickContext};
 use diverseav_simworld::lead_slowdown;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapper that counts every allocation.
+/// System allocator wrapper that counts every allocation made by the
+/// calling thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation on the current thread. `try_with` tolerates
+/// allocations made while the thread's locals are being torn down.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the current thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -57,16 +74,13 @@ struct AllocSampler {
 
 impl AllocSampler {
     fn new(capacity: usize) -> Self {
-        AllocSampler {
-            last: ALLOCS.load(Ordering::Relaxed),
-            per_tick: Vec::with_capacity(capacity),
-        }
+        AllocSampler { last: allocs(), per_tick: Vec::with_capacity(capacity) }
     }
 }
 
 impl LoopObserver for AllocSampler {
     fn on_tick(&mut self, _ctx: &TickContext<'_>) {
-        let now = ALLOCS.load(Ordering::Relaxed);
+        let now = allocs();
         if self.per_tick.len() < self.per_tick.capacity() {
             self.per_tick.push(now - self.last);
         }
@@ -117,11 +131,11 @@ fn flight_ring_push_is_allocation_free_across_wraparound() {
         d_brake: 0.0,
         d_steer: -0.02,
     };
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for t in 0..4 * DEFAULT_RING_CAPACITY as u64 {
         ring.push(TickRecord { tick: t, ..template });
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "flight-ring pushes allocated {} time(s)", after - before);
     assert_eq!(ring.len(), DEFAULT_RING_CAPACITY);
     assert_eq!(ring.pushed(), 4 * DEFAULT_RING_CAPACITY as u64);
