@@ -13,13 +13,48 @@ use diverseav_bench::experiments::{gpu_campaigns, training, BEST_RW, BEST_TD};
 use diverseav_bench::perf;
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
-    detected_parallelism, is_safety_critical, par_map_indices, run_campaign,
-    run_campaign_with_traces, run_guided_campaign, summarize, summarize_guided, thread_count,
-    Campaign, CampaignScale, FaultModelKind, GuidedConfig,
+    detected_parallelism, execute_shard, guided_epoch_summary, is_safety_critical, merge_artifacts,
+    par_map_indices, parse_artifact, run_campaign, run_campaign_with_traces, summarize,
+    summarize_weighted, thread_count, Campaign, CampaignScale, FaultModelKind, GuidedShardSpec,
+    MergedCampaign, ShardArtifact, ShardConfig, ShardSpec,
 };
 use diverseav_obs::{journal, metrics};
 use diverseav_simworld::{ScenarioKind, SensorConfig};
+use std::fs;
 use std::time::Instant;
+
+/// Run a guided campaign as the single shard 0/1, one epoch at a time
+/// (each epoch planned against the merged summary of the ones before
+/// it), with its artifacts in a temporary directory. Returns the merged
+/// campaign.
+fn guided_campaign(campaign: Campaign, scale: CampaignScale, epochs: usize) -> MergedCampaign {
+    let dir = std::env::temp_dir().join(format!("diverseav-smoke-guided-{}", std::process::id()));
+    fs::create_dir_all(&dir).expect("create guided scratch directory");
+    let merge = |artifacts: &[ShardArtifact]| {
+        merge_artifacts(artifacts).expect("guided epochs merge").remove(0)
+    };
+    let mut artifacts = Vec::with_capacity(epochs);
+    for epoch in 0..epochs {
+        let prior = match epoch {
+            0 => None,
+            _ => Some(guided_epoch_summary(&merge(&artifacts)).expect("epoch summary")),
+        };
+        let cfg = ShardConfig {
+            campaign,
+            scale,
+            sensor: SensorConfig::default(),
+            spec: ShardSpec { index: 0, count: 1 },
+            batch_size: 64,
+            guided: Some(GuidedShardSpec { epochs, epoch, prior }),
+        };
+        let path = dir.join(format!("epoch{epoch}.jsonl"));
+        execute_shard(&cfg, &path).expect("guided epoch executes");
+        let text = fs::read_to_string(&path).expect("guided artifact readable");
+        artifacts.push(parse_artifact(&text).expect("guided artifact parses"));
+    }
+    fs::remove_dir_all(&dir).expect("remove guided scratch directory");
+    merge(&artifacts)
+}
 
 fn main() {
     let scale = CampaignScale {
@@ -109,16 +144,17 @@ fn main() {
     // see the budget-vs-variance table in EXPERIMENTS.md).
     let yscale = CampaignScale { n_transient: 24, ..scale };
     println!("\nguided-vs-uniform yield ({campaign}, matched budget) ...");
-    let critical_count = |runs: &[diverseav_faultinj::RunResult]| -> u64 {
-        runs.iter().filter(|r| is_safety_critical(r.incident.map(|k| k.label()))).count() as u64
-    };
     let yield_line = |label: &str, phase: &str, secs: f64, runs: usize, crit: u64| {
         println!("  {label:<28} {crit:>3} safety-critical / {runs} runs ({secs:.3} s)");
         perf::record_critical(format!("{campaign} [{label}]"), phase, secs, runs, 0, 0, crit);
     };
     let start = Instant::now();
     let uniform = run_campaign(campaign, &yscale, None, SensorConfig::default());
-    let ucrit = critical_count(&uniform.injected);
+    let ucrit = uniform
+        .injected
+        .iter()
+        .filter(|r| is_safety_critical(r.incident.map(|k| k.label())))
+        .count() as u64;
     yield_line(
         "uniform yield",
         "uniform",
@@ -127,13 +163,12 @@ fn main() {
         ucrit,
     );
     let start = Instant::now();
-    let guided =
-        run_guided_campaign(campaign, &yscale, SensorConfig::default(), GuidedConfig { epochs: 2 })
-            .expect("quick-scale guided campaign plans");
-    let gcrit = critical_count(&guided.injected);
+    let guided = guided_campaign(campaign, yscale, 2);
+    let gcrit =
+        guided.injected.iter().filter(|r| is_safety_critical(r.incident.as_deref())).count() as u64;
     let gsecs = start.elapsed().as_secs_f64();
     yield_line("guided yield (2 epochs)", "guided", gsecs, guided.injected.len(), gcrit);
-    let wrow = summarize_guided(&guided, BEST_TD);
+    let wrow = summarize_weighted(&guided, BEST_TD).expect("all epochs merged");
     println!(
         "  weighted Table-I estimates: active {:.2}, hang/crash {:.2}, accidents {:.2}, \
          traj-violations {:.2} (ESS {:.1} of {} runs)",

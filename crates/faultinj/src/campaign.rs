@@ -1,11 +1,13 @@
 //! The Campaign Manager (Fig 3): orchestrates golden runs, profiling, plan
-//! generation, injection runs, and Table-I summarization.
+//! generation, injection runs, and Table-I summarization. It also owns the
+//! run-set law every executor shares: each [`RunUnit`]'s seed and kind,
+//! the uniform plan, and each unit's [`RunConfig`].
 
 use crate::cache::{GoldenCache, GoldenKey, GoldenSet};
 use crate::exec::{par_map, par_map_indices};
 use crate::outcome::{classify, mean_trajectory, OutcomeClass};
 use crate::plan::{generate_plan, FaultModelKind, PlanConfig};
-use crate::runner::{run_experiment, run_record, RunConfig, RunResult};
+use crate::runner::{run_experiment, run_record, FaultSpec, RunConfig, RunResult};
 use diverseav::{AgentMode, DetectorConfig, DetectorModel, TrainSample};
 use diverseav_fabric::Profile;
 use diverseav_obs::{journal, metrics, trace};
@@ -13,12 +15,112 @@ use diverseav_simworld::{long_route, Scenario, ScenarioKind, SensorConfig, TrajP
 use std::fmt;
 use std::time::Instant;
 
-/// Seed of golden run `i`: `GOLDEN_SEED_BASE + i`. Shared with the shard
-/// executor so sharded and monolithic runs are the same pure functions.
+/// Seed of golden run `i`: `GOLDEN_SEED_BASE + i` (see `RunUnit::seed`).
 pub const GOLDEN_SEED_BASE: u64 = 1_000;
 
-/// Seed of injected run `i`: `INJECTED_SEED_BASE + i`.
+/// Seed of injected run `i`: `INJECTED_SEED_BASE + i` (see `RunUnit::seed`).
 pub const INJECTED_SEED_BASE: u64 = 2_000;
+
+/// One schedulable run of a campaign. Units order golden before
+/// injected, each by index: engine order.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum RunUnit {
+    /// Golden (fault-free) run `i`. Golden run 0 doubles as the
+    /// profiling pass that sizes the injection plan.
+    Golden(usize),
+    /// Injected run `i` (plan entry `i`; guided epochs own contiguous
+    /// ranges of the global index).
+    Injected(usize),
+}
+
+impl RunUnit {
+    /// The engine's seed law: golden `GOLDEN_SEED_BASE + i`, injected
+    /// `INJECTED_SEED_BASE + i`, whatever the thread count or shard cut.
+    pub(crate) fn seed(self) -> u64 {
+        match self {
+            RunUnit::Golden(i) => GOLDEN_SEED_BASE + i as u64,
+            RunUnit::Injected(i) => INJECTED_SEED_BASE + i as u64,
+        }
+    }
+
+    /// Kind label used by the journal, shard artifacts and sidecars.
+    pub(crate) fn kind(self) -> &'static str {
+        match self {
+            RunUnit::Golden(_) => "golden",
+            RunUnit::Injected(_) => "injected",
+        }
+    }
+
+    /// Engine index within its kind.
+    pub(crate) fn index(self) -> usize {
+        match self {
+            RunUnit::Golden(i) | RunUnit::Injected(i) => i,
+        }
+    }
+
+    /// Inverse of [`kind`](Self::kind): the unit a serialized
+    /// `(kind, index)` pair names, `None` for an unknown kind.
+    pub(crate) fn from_kind(kind: &str, index: usize) -> Option<RunUnit> {
+        match kind {
+            "golden" => Some(RunUnit::Golden(index)),
+            "injected" => Some(RunUnit::Injected(index)),
+            _ => None,
+        }
+    }
+}
+
+/// The full run set of a campaign, in engine order (golden-major).
+pub fn campaign_units(golden_runs: usize, injected_runs: usize) -> Vec<RunUnit> {
+    (0..golden_runs).map(RunUnit::Golden).chain((0..injected_runs).map(RunUnit::Injected)).collect()
+}
+
+/// One planned injected run: the fault, plus its stratum and
+/// Horvitz–Thompson weight when a guided planner drew it.
+pub(crate) struct PlannedRun {
+    pub(crate) spec: FaultSpec,
+    pub(crate) stratum: Option<u64>,
+    pub(crate) weight: Option<f64>,
+}
+
+/// The uniform injection plan of a campaign, drawn from its profiling
+/// run (golden run 0).
+pub(crate) fn uniform_plan(
+    profile_run: &RunResult,
+    campaign: &Campaign,
+    scale: &CampaignScale,
+) -> Vec<PlannedRun> {
+    let plan = generate_plan(
+        profile_run,
+        &PlanConfig {
+            kind: campaign.kind,
+            target: campaign.target,
+            n_transient: scale.n_transient,
+            repeats: scale.permanent_repeats,
+            seed: plan_seed(campaign),
+        },
+    );
+    plan.into_iter().map(|spec| PlannedRun { spec, stratum: None, weight: None }).collect()
+}
+
+/// The run configuration of one campaign unit: the campaign's scenario,
+/// agent mode and sensor, the unit's seed, and for injected units the
+/// fault, stratum and weight of its plan entry (`None` for golden units).
+pub(crate) fn unit_config(
+    scenario: &Scenario,
+    mode: AgentMode,
+    sensor: SensorConfig,
+    unit: RunUnit,
+    entry: Option<&PlannedRun>,
+) -> RunConfig {
+    let mut cfg = RunConfig::new(scenario.clone(), mode, unit.seed());
+    cfg.sensor = sensor;
+    if let Some(p) = entry {
+        cfg.fault = Some(p.spec);
+        cfg.stratum = p.stratum;
+        cfg.weight = p.weight;
+    }
+    cfg
+}
 
 /// Experiment scale: quick (CI-friendly) vs paper-scale counts.
 ///
@@ -160,8 +262,9 @@ pub fn run_campaign_with_traces(
 /// {transient, permanent} — request identical golden sets; the cache
 /// computes each distinct set once. Runs fan out on the deterministic
 /// [`par_map`](crate::exec::par_map) engine: every run is seeded
-/// explicitly (golden `1000 + i`, injected `2000 + i`), so results are
-/// bit-identical to sequential execution for any `DIVERSEAV_THREADS`.
+/// explicitly (golden `GOLDEN_SEED_BASE + i`, injected
+/// `INJECTED_SEED_BASE + i`), so results are bit-identical to sequential
+/// execution for any `DIVERSEAV_THREADS`.
 ///
 /// Detector-attached golden runs carry per-campaign alarm annotations
 /// and therefore always bypass the cache.
@@ -174,17 +277,17 @@ pub fn run_campaign_cached(
     cache: Option<&GoldenCache>,
 ) -> CampaignResult {
     let scenario = scenario_for(campaign.scenario, scale);
+    let run_unit = |unit: RunUnit, entry: Option<&PlannedRun>| {
+        let mut cfg = unit_config(&scenario, campaign.mode, sensor, unit, entry);
+        cfg.detector = detector.clone();
+        cfg.collect_training = collect_traces;
+        run_experiment(&cfg)
+    };
 
     // Golden runs (also the NVBitFI-style profiling pass).
     let run_golden_set = || {
-        let golden = par_map_indices(scale.golden_runs.max(1), |i| {
-            let mut cfg =
-                RunConfig::new(scenario.clone(), campaign.mode, GOLDEN_SEED_BASE + i as u64);
-            cfg.sensor = sensor;
-            cfg.detector = detector.clone();
-            cfg.collect_training = collect_traces;
-            run_experiment(&cfg)
-        });
+        let golden =
+            par_map_indices(scale.golden_runs.max(1), |i| run_unit(RunUnit::Golden(i), None));
         let trajectories: Vec<&[TrajPoint]> =
             golden.iter().map(|g| g.trajectory.as_slice()).collect();
         let baseline = mean_trajectory(&trajectories);
@@ -212,28 +315,12 @@ pub fn run_campaign_cached(
 
     // Injection plan from the first golden run's profile.
     let phase_start = Instant::now();
-    let plan = generate_plan(
-        &golden[0],
-        &PlanConfig {
-            kind: campaign.kind,
-            target: campaign.target,
-            n_transient: scale.n_transient,
-            repeats: scale.permanent_repeats,
-            seed: plan_seed(&campaign),
-        },
-    );
+    let plan = uniform_plan(&golden[0], &campaign, scale);
     metrics::phase_add("campaign.plan", phase_start.elapsed().as_secs_f64());
 
     let phase_start = Instant::now();
-    let injected: Vec<RunResult> = par_map_indices(plan.len(), |i| {
-        let mut cfg =
-            RunConfig::new(scenario.clone(), campaign.mode, INJECTED_SEED_BASE + i as u64);
-        cfg.sensor = sensor;
-        cfg.fault = Some(plan[i]);
-        cfg.detector = detector.clone();
-        cfg.collect_training = collect_traces;
-        run_experiment(&cfg)
-    });
+    let injected: Vec<RunResult> =
+        par_map_indices(plan.len(), |i| run_unit(RunUnit::Injected(i), Some(&plan[i])));
     metrics::phase_add("campaign.injected", phase_start.elapsed().as_secs_f64());
     metrics::counter_add("campaign.injected_runs", injected.len() as u64);
     metrics::counter_add("campaign.cells", 1);
@@ -247,11 +334,9 @@ pub fn run_campaign_cached(
     // any thread count.
     if trace::enabled() {
         let label = campaign.to_string();
-        for (i, r) in golden.iter().enumerate() {
-            journal::append_record(&run_record(&label, "golden", i, r));
-        }
-        for (i, r) in injected.iter().enumerate() {
-            journal::append_record(&run_record(&label, "injected", i, r));
+        let units = campaign_units(golden.len(), injected.len());
+        for (unit, r) in units.into_iter().zip(golden.iter().chain(&injected)) {
+            journal::append_record(&run_record(&label, unit.kind(), unit.index(), r));
         }
     }
 

@@ -30,18 +30,12 @@
 //! are therefore bit-identical for any `DIVERSEAV_THREADS` and any
 //! shard/kill/resume mix, exactly like uniform ones.
 
-use crate::campaign::plan_seed;
-use crate::campaign::{
-    scenario_for, splitmix64, Campaign, CampaignScale, GOLDEN_SEED_BASE, INJECTED_SEED_BASE,
-};
-use crate::exec::par_map_indices;
-use crate::outcome::{classify, mean_trajectory, OutcomeClass};
+use crate::campaign::{plan_seed, splitmix64, Campaign, CampaignScale};
 use crate::plan::{op_class, stratum_seed, FaultModelKind, OP_CLASS_LABELS};
-use crate::runner::{run_experiment, FaultSpec, RunConfig, RunResult};
+use crate::runner::{FaultSpec, RunResult};
 use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_obs::json::{self, Value};
 use diverseav_runtime::{SensorFault, SensorFaultKind};
-use diverseav_simworld::{SensorConfig, TrajPoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -734,121 +728,6 @@ pub struct WeightedRow {
     pub traj_violations: f64,
     /// Effective sample size of the weight set.
     pub ess: f64,
-}
-
-/// Everything a monolithic guided campaign produces.
-#[derive(Clone, Debug)]
-pub struct GuidedCampaignResult {
-    /// The campaign definition.
-    pub campaign: Campaign,
-    /// Epoch count.
-    pub epochs: usize,
-    /// Total injected-run budget.
-    pub budget: usize,
-    /// Runs per epoch.
-    pub epoch_runs: Vec<usize>,
-    /// Golden (fault-free) runs.
-    pub golden: Vec<RunResult>,
-    /// Injected runs in global index order (epochs are contiguous
-    /// ranges); each carries its stratum and weight.
-    pub injected: Vec<RunResult>,
-    /// Mean golden trajectory (the violation baseline).
-    pub baseline: Vec<TrajPoint>,
-    /// Cumulative epoch summaries; `summaries[e]` covers epochs `0..=e`.
-    pub summaries: Vec<EpochSummary>,
-}
-
-/// Run a guided campaign monolithically (the library counterpart of the
-/// `diverseav-shard --guided` / `diverseav-merge --weighted` CLI loop):
-/// golden runs, then per epoch a plan / execute / tally cycle. Seeds
-/// follow the uniform engine law exactly (golden `1000 + i`, injected
-/// `2000 + global index`), so a sharded guided campaign merges to
-/// bit-identical results.
-pub fn run_guided_campaign(
-    campaign: Campaign,
-    scale: &CampaignScale,
-    sensor: SensorConfig,
-    cfg: GuidedConfig,
-) -> Result<GuidedCampaignResult, String> {
-    let scenario = scenario_for(campaign.scenario, scale);
-    let golden: Vec<RunResult> = par_map_indices(scale.golden_runs.max(1), |i| {
-        let mut rc = RunConfig::new(scenario.clone(), campaign.mode, GOLDEN_SEED_BASE + i as u64);
-        rc.sensor = sensor;
-        run_experiment(&rc)
-    });
-    let trajectories: Vec<&[TrajPoint]> = golden.iter().map(|g| g.trajectory.as_slice()).collect();
-    let baseline = mean_trajectory(&trajectories);
-
-    let planner = GuidedPlanner::new(&golden[0], &campaign, scale, cfg)?;
-    let epoch_runs = planner.epoch_budgets();
-    let mut injected: Vec<RunResult> = Vec::with_capacity(planner.budget);
-    let mut summaries: Vec<EpochSummary> = Vec::new();
-    let mut counts: BTreeMap<u64, (u64, u64)> =
-        planner.strata.iter().map(|s| (s.code, (0, 0))).collect();
-    for epoch in 0..planner.epochs {
-        let prior = if epoch == 0 { None } else { summaries.last() };
-        let plan = planner.epoch_plan(epoch, prior)?;
-        let start = planner.epoch_start(epoch);
-        let runs: Vec<RunResult> = par_map_indices(plan.len(), |j| {
-            let mut rc = RunConfig::new(
-                scenario.clone(),
-                campaign.mode,
-                INJECTED_SEED_BASE + (start + j) as u64,
-            );
-            rc.sensor = sensor;
-            rc.fault = Some(plan[j].spec);
-            rc.stratum = Some(plan[j].stratum);
-            rc.weight = Some(plan[j].weight);
-            run_experiment(&rc)
-        });
-        for r in &runs {
-            let code = r.stratum.expect("guided runs carry their stratum");
-            let slot = counts.get_mut(&code).expect("stratum code from this planner");
-            slot.0 += 1;
-            slot.1 += u64::from(is_safety_critical(r.incident.map(|k| k.label())));
-        }
-        summaries.push(EpochSummary::from_counts(epoch + 1, &counts));
-        injected.extend(runs);
-    }
-    Ok(GuidedCampaignResult {
-        campaign,
-        epochs: planner.epochs,
-        budget: planner.budget,
-        epoch_runs,
-        golden,
-        injected,
-        baseline,
-        summaries,
-    })
-}
-
-/// Weighted Table-I row of a monolithic guided campaign: every injected
-/// run contributes `weight · 1[class]`, summed in global index order
-/// (the same order the shard merge uses, so the sums are bit-identical).
-pub fn summarize_guided(res: &GuidedCampaignResult, td: f64) -> WeightedRow {
-    let mut row = WeightedRow {
-        budget: res.budget,
-        runs: res.injected.len(),
-        active: 0.0,
-        hang_crash: 0.0,
-        accidents: 0.0,
-        traj_violations: 0.0,
-        ess: 0.0,
-    };
-    for r in &res.injected {
-        let w = r.weight.expect("guided runs carry their weight");
-        if r.fault_activated {
-            row.active += w;
-        }
-        match classify(r, &res.baseline, td) {
-            OutcomeClass::HangCrash => row.hang_crash += w,
-            OutcomeClass::Accident => row.accidents += w,
-            OutcomeClass::TrajViolation => row.traj_violations += w,
-            OutcomeClass::Benign => {}
-        }
-    }
-    row.ess = ess(res.injected.iter().map(|r| r.weight.unwrap_or(0.0)));
-    row
 }
 
 #[cfg(test)]

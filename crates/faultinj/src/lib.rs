@@ -45,18 +45,17 @@ pub mod shard;
 
 pub use cache::{sensor_fingerprint, GoldenCache, GoldenKey, GoldenSet};
 pub use campaign::{
-    collect_training_runs, plan_seed, run_campaign, run_campaign_cached, run_campaign_with_traces,
-    scenario_for, summarize, Campaign, CampaignResult, CampaignScale, TableRow, GOLDEN_SEED_BASE,
-    INJECTED_SEED_BASE,
+    campaign_units, collect_training_runs, plan_seed, run_campaign, run_campaign_cached,
+    run_campaign_with_traces, scenario_for, summarize, Campaign, CampaignResult, CampaignScale,
+    RunUnit, TableRow, GOLDEN_SEED_BASE, INJECTED_SEED_BASE,
 };
 pub use exec::{detected_parallelism, par_map, par_map_indices, par_map_with, thread_count};
 pub use export::{
     write_actuation_csv, write_divergence_csv, write_summary_csv, write_trajectory_csv,
 };
 pub use guided::{
-    adaptive_allocation, ess, is_safety_critical, pilot_allocation, run_guided_campaign,
-    run_weight, stratum_label, summarize_guided, uniform_budget, EpochSummary,
-    GuidedCampaignResult, GuidedConfig, GuidedPlanner, GuidedSpec, Stratum, StratumTally,
+    adaptive_allocation, ess, is_safety_critical, pilot_allocation, run_weight, stratum_label,
+    uniform_budget, EpochSummary, GuidedConfig, GuidedPlanner, GuidedSpec, Stratum, StratumTally,
     WeightedRow, CRITICAL_INCIDENTS,
 };
 pub use outcome::{
@@ -74,11 +73,10 @@ pub use runner::{
     Termination,
 };
 pub use shard::{
-    campaign_fingerprint, campaign_units, collect_incidents, execute_shard, execute_shard_limited,
+    campaign_fingerprint, collect_incidents, execute_shard, execute_shard_limited,
     guided_epoch_summary, guided_fingerprint, incident_sidecar_path, merge_artifacts,
-    parse_artifact, parse_incident_artifact, summarize_merged, summarize_weighted, training_units,
-    unit_shard, BatchMark, GuidedManifest, GuidedShardSpec, IncidentArtifact, IncidentManifest,
-    IncidentRecord, MergedCampaign, MergedGuided, MetricsSlice, RunUnit, ShardArtifact,
-    ShardConfig, ShardError, ShardManifest, ShardPerf, ShardRun, ShardSpec, ShardStatus,
-    SHARD_SCHEMA_VERSION,
+    parse_artifact, parse_incident_artifact, summarize_merged, summarize_weighted, unit_shard,
+    BatchMark, GuidedManifest, GuidedShardSpec, IncidentArtifact, IncidentManifest, IncidentRecord,
+    MergedCampaign, MergedGuided, MetricsSlice, ShardArtifact, ShardConfig, ShardError,
+    ShardManifest, ShardPerf, ShardRun, ShardSpec, ShardStatus, SHARD_SCHEMA_VERSION,
 };

@@ -5,6 +5,7 @@ use diverseav::{Ads, AdsConfig, AgentMode, DetectorConfig, DetectorModel, TrainS
 use diverseav_agent::AgentConfig;
 use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_obs::flight::TickRecord;
+use diverseav_obs::FaultSite;
 use diverseav_runtime::{
     FlightRecorder, FrameInjector, IncidentKind, LoopObserver, PerfObserver, ProfilingObserver,
     SensorFault, SimLoop, TrainingCollector,
@@ -34,6 +35,41 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
+    /// The injection site as the journal, shard artifacts and incident
+    /// sidecars record it. Sensor faults ride the same site schema: the
+    /// realization seed in `cycle`, the class label in `op` (onset time
+    /// is a pure function of the seed, so the site need not carry it).
+    pub(crate) fn site(&self) -> FaultSite {
+        match *self {
+            FaultSpec::Fabric { unit, profile, model } => {
+                let (model, cycle, op, mask) = match model {
+                    FaultModel::Transient { instr_index, mask } => {
+                        ("transient", Some(instr_index), None, mask)
+                    }
+                    FaultModel::Permanent { op, mask } => {
+                        ("permanent", None, Some(op.to_string()), mask)
+                    }
+                };
+                FaultSite {
+                    profile: profile.to_string(),
+                    unit,
+                    model: model.to_string(),
+                    mask,
+                    cycle,
+                    op,
+                }
+            }
+            FaultSpec::Sensor(sf) => FaultSite {
+                profile: "SENSOR".to_string(),
+                unit: 0,
+                model: "sensor".to_string(),
+                mask: 0,
+                cycle: Some(sf.seed),
+                op: Some(sf.kind.label().to_string()),
+            },
+        }
+    }
+
     /// The sensor fault, if this spec targets the sensor boundary.
     pub fn as_sensor(&self) -> Option<SensorFault> {
         match self {
@@ -201,36 +237,6 @@ pub fn run_record(
     index: usize,
     r: &RunResult,
 ) -> diverseav_obs::RunRecord {
-    let fault = r.fault.map(|f| match f {
-        FaultSpec::Fabric { unit, profile, model } => {
-            let (model, cycle, op, mask) = match model {
-                FaultModel::Transient { instr_index, mask } => {
-                    ("transient", Some(instr_index), None, mask)
-                }
-                FaultModel::Permanent { op, mask } => {
-                    ("permanent", None, Some(op.to_string()), mask)
-                }
-            };
-            diverseav_obs::FaultSite {
-                profile: profile.to_string(),
-                unit,
-                model: model.to_string(),
-                mask,
-                cycle,
-                op,
-            }
-        }
-        // Sensor faults ride the same site schema: the realization seed
-        // in `cycle`, the class label in `op`.
-        FaultSpec::Sensor(sf) => diverseav_obs::FaultSite {
-            profile: "SENSOR".to_string(),
-            unit: 0,
-            model: "sensor".to_string(),
-            mask: 0,
-            cycle: Some(sf.seed),
-            op: Some(sf.kind.label().to_string()),
-        },
-    });
     diverseav_obs::RunRecord {
         campaign: campaign.to_string(),
         kind,
@@ -245,7 +251,7 @@ pub fn run_record(
         fault_onset_time: r.fault_onset_time,
         min_cvip: r.min_cvip,
         div_peak: r.divergence_peak(),
-        fault,
+        fault: r.fault.map(|f| f.site()),
     }
 }
 

@@ -42,23 +42,21 @@
 
 use crate::cache::sensor_fingerprint;
 use crate::campaign::{
-    plan_seed, scenario_for, splitmix64, Campaign, CampaignScale, TableRow, GOLDEN_SEED_BASE,
-    INJECTED_SEED_BASE,
+    plan_seed, scenario_for, splitmix64, uniform_plan, unit_config, Campaign, CampaignScale,
+    PlannedRun, RunUnit, TableRow,
 };
 use crate::exec::{par_map, thread_count};
 use crate::guided::{
     ess, is_safety_critical, EpochSummary, GuidedConfig, GuidedPlanner, GuidedSpec, WeightedRow,
 };
 use crate::outcome::{classify_parts, mean_trajectory, OutcomeClass};
-use crate::plan::{generate_plan, PlanConfig};
-use crate::runner::{run_experiment, FaultSpec, RunConfig, RunResult};
-use diverseav_fabric::FaultModel;
+use crate::runner::{run_experiment, RunResult};
 use diverseav_obs::flight::{self, TickRecord};
 use diverseav_obs::json::{self, Value};
 use diverseav_obs::{metrics, profile, FaultSite, HistSnapshot, TimeSource};
 use diverseav_runtime::DeadlineStats;
 use diverseav_simworld::{Scenario, SensorConfig, TrajPoint, Vec2};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -104,31 +102,12 @@ impl From<std::io::Error> for ShardError {
     }
 }
 
-/// One schedulable run of a campaign.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum RunUnit {
-    /// Golden (fault-free) run `i`, seed `GOLDEN_SEED_BASE + i`.
-    Golden(usize),
-    /// Injected run `i` (plan entry `i`), seed `INJECTED_SEED_BASE + i`.
-    Injected(usize),
-    /// Training run `rep` of long route `route` (partition support for
-    /// detector-training campaigns; the campaign executor never
-    /// schedules these).
-    Training {
-        /// Long-route index (0..3).
-        route: u8,
-        /// Repetition within the route.
-        rep: usize,
-    },
-}
-
 /// Unique 64-bit code of a unit, fed into the partition hash. The tag
-/// byte keeps golden/injected/training spaces disjoint.
+/// byte keeps the golden and injected spaces disjoint.
 fn unit_code(unit: RunUnit) -> u64 {
     match unit {
         RunUnit::Golden(i) => (0x47 << 56) | i as u64,
         RunUnit::Injected(i) => (0x49 << 56) | i as u64,
-        RunUnit::Training { route, rep } => (0x54 << 56) | ((route as u64) << 32) | rep as u64,
     }
 }
 
@@ -137,19 +116,6 @@ fn unit_code(unit: RunUnit) -> u64 {
 /// same partition — and statistically balanced via SplitMix64.
 pub fn unit_shard(plan_seed: u64, unit: RunUnit, shard_count: usize) -> usize {
     (splitmix64(plan_seed ^ unit_code(unit)) % shard_count.max(1) as u64) as usize
-}
-
-/// The full run set of a campaign, in engine order (golden-major).
-pub fn campaign_units(golden_runs: usize, injected_runs: usize) -> Vec<RunUnit> {
-    (0..golden_runs).map(RunUnit::Golden).chain((0..injected_runs).map(RunUnit::Injected)).collect()
-}
-
-/// The run set of a training-collection campaign: 3 long routes ×
-/// `training_runs` repetitions, route-major.
-pub fn training_units(training_runs: usize) -> Vec<RunUnit> {
-    (0..3u8)
-        .flat_map(|route| (0..training_runs).map(move |rep| RunUnit::Training { route, rep }))
-        .collect()
 }
 
 /// Fingerprint of everything that determines a campaign's run set:
@@ -315,37 +281,6 @@ impl ShardRun {
     /// Flatten a live [`RunResult`] (same fault-site mapping as the
     /// run journal's [`run_record`](crate::runner::run_record)).
     pub fn from_result(kind: &str, index: usize, r: &RunResult) -> Self {
-        let fault = r.fault.map(|f| match f {
-            FaultSpec::Fabric { unit, profile, model } => {
-                let (model, cycle, op, mask) = match model {
-                    FaultModel::Transient { instr_index, mask } => {
-                        ("transient", Some(instr_index), None, mask)
-                    }
-                    FaultModel::Permanent { op, mask } => {
-                        ("permanent", None, Some(op.to_string()), mask)
-                    }
-                };
-                FaultSite {
-                    profile: profile.to_string(),
-                    unit,
-                    model: model.to_string(),
-                    mask,
-                    cycle,
-                    op,
-                }
-            }
-            // Sensor faults ride shard schema v1 unchanged: realization
-            // seed in `cycle`, class label in `op`. Onset time is a pure
-            // function of the seed, so the artifact need not carry it.
-            FaultSpec::Sensor(sf) => FaultSite {
-                profile: "SENSOR".to_string(),
-                unit: 0,
-                model: "sensor".to_string(),
-                mask: 0,
-                cycle: Some(sf.seed),
-                op: Some(sf.kind.label().to_string()),
-            },
-        });
         ShardRun {
             kind: kind.to_string(),
             index,
@@ -363,7 +298,7 @@ impl ShardRun {
             incident: r.incident.map(|k| k.label().to_string()),
             stratum: r.stratum,
             weight: r.weight,
-            fault,
+            fault: r.fault.map(|f| f.site()),
             trajectory: r.trajectory.clone(),
         }
     }
@@ -448,7 +383,7 @@ impl ShardRun {
                     profile: req_str(f, "profile")?,
                     unit: req_usize(f, "unit")?,
                     model: req_str(f, "model")?,
-                    mask: req_usize(f, "mask")? as u32,
+                    mask: req_u32(f, "mask")?,
                     cycle,
                     op,
                 })
@@ -487,7 +422,7 @@ impl ShardRun {
                 fault_activated: req_bool(v, "fault_activated")?,
                 fault_onset_time: opt_f64_bits_member(v, "fault_onset_time")?,
                 min_cvip: req_f64_bits(v, "min_cvip")?,
-                red_light_violations: req_usize(v, "red_light_violations")? as u32,
+                red_light_violations: req_u32(v, "red_light_violations")?,
                 ticks: req_u64_str(v, "ticks")?,
                 deadline_misses: req_u64_str(v, "deadline_misses")?,
                 incident: opt_str_member(v, "incident")?,
@@ -792,7 +727,7 @@ impl ShardManifest {
         if ty != "shard_manifest" {
             return Err(format!("not a shard manifest (type {ty:?})"));
         }
-        let schema_version = req_usize(v, "schema_version")? as u32;
+        let schema_version = req_u32(v, "schema_version")?;
         if schema_version != SHARD_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported shard schema version {schema_version} \
@@ -986,7 +921,7 @@ impl IncidentManifest {
         if ty != "incident_manifest" {
             return Err(format!("not an incident manifest (type {ty:?})"));
         }
-        let flight_schema_version = req_usize(v, "flight_schema_version")? as u32;
+        let flight_schema_version = req_u32(v, "flight_schema_version")?;
         if flight_schema_version != flight::FLIGHT_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported flight schema version {flight_schema_version} \
@@ -994,7 +929,7 @@ impl IncidentManifest {
                 flight::FLIGHT_SCHEMA_VERSION
             ));
         }
-        let shard_schema_version = req_usize(v, "shard_schema_version")? as u32;
+        let shard_schema_version = req_u32(v, "shard_schema_version")?;
         if shard_schema_version != SHARD_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported shard schema version {shard_schema_version} \
@@ -1040,14 +975,14 @@ impl IncidentRecord {
     /// Flatten a live [`RunResult`]'s incident, if it had one.
     pub fn from_result(kind: &str, index: usize, r: &RunResult) -> Option<IncidentRecord> {
         let incident = r.incident?;
-        let fault_class = r.fault.map(|f| match f {
-            FaultSpec::Fabric { model: FaultModel::Transient { .. }, .. } => {
-                "transient".to_string()
+        // A sensor site's class is its class label (`op`), a fabric
+        // site's its register fault model.
+        let fault_class = r.fault.map(|f| {
+            let site = f.site();
+            match site.op {
+                Some(class) if site.model == "sensor" => class,
+                _ => site.model,
             }
-            FaultSpec::Fabric { model: FaultModel::Permanent { .. }, .. } => {
-                "permanent".to_string()
-            }
-            FaultSpec::Sensor(sf) => sf.kind.label().to_string(),
         });
         Some(IncidentRecord {
             kind: kind.to_string(),
@@ -1169,21 +1104,6 @@ pub struct ShardStatus {
     pub complete: bool,
 }
 
-/// Build a run configuration exactly as the monolithic campaign path
-/// does (no detector, no trace collection — the sharded path covers
-/// fault-propagation campaigns).
-fn run_cfg(
-    cfg: &ShardConfig,
-    scenario: &Scenario,
-    seed: u64,
-    fault: Option<FaultSpec>,
-) -> RunConfig {
-    let mut rc = RunConfig::new(scenario.clone(), cfg.campaign.mode, seed);
-    rc.sensor = cfg.sensor;
-    rc.fault = fault;
-    rc
-}
-
 fn shard_manifest(
     cfg: &ShardConfig,
     scenario: &Scenario,
@@ -1217,14 +1137,6 @@ fn shard_manifest(
     }
 }
 
-/// One planned injected run of a shard: the fault, plus stratum/weight
-/// for guided campaigns.
-struct PlannedRun {
-    spec: FaultSpec,
-    stratum: Option<u64>,
-    weight: Option<f64>,
-}
-
 /// Execute one shard of a campaign, writing (or resuming) the artifact
 /// at `path`. See [`execute_shard_limited`] for the mechanics.
 pub fn execute_shard(cfg: &ShardConfig, path: &Path) -> Result<ShardStatus, ShardError> {
@@ -1249,13 +1161,16 @@ pub fn execute_shard_limited(
     let scenario = scenario_for(cfg.campaign.scenario, &cfg.scale);
     let golden_runs = cfg.scale.golden_runs.max(1);
     let seed = plan_seed(&cfg.campaign);
+    let run_unit = |unit: RunUnit, entry: Option<&PlannedRun>| {
+        run_experiment(&unit_config(&scenario, cfg.campaign.mode, cfg.sensor, unit, entry))
+    };
 
     // The profiling pass is golden run 0, re-run by every shard process
     // because it sizes the injection plan. Its metric contribution is
     // bracketed so it is charged exactly once — by the shard that owns
     // Golden(0), in the batch that commits it.
     let s0 = MetricsSlice::capture();
-    let profile_run = run_experiment(&run_cfg(cfg, &scenario, GOLDEN_SEED_BASE, None));
+    let profile_run = run_unit(RunUnit::Golden(0), None);
     let s1 = MetricsSlice::capture();
     let profiling_slice = s1.delta(&s0);
 
@@ -1266,49 +1181,22 @@ pub fn execute_shard_limited(
     let (plan, injected_base, campaign_injected, epoch_golden, guided_manifest) = match &cfg.guided
     {
         None => {
-            let uniform = generate_plan(
-                &profile_run,
-                &PlanConfig {
-                    kind: cfg.campaign.kind,
-                    target: cfg.campaign.target,
-                    n_transient: cfg.scale.n_transient,
-                    repeats: cfg.scale.permanent_repeats,
-                    seed,
-                },
-            );
-            let plan: Vec<PlannedRun> = uniform
-                .into_iter()
-                .map(|spec| PlannedRun { spec, stratum: None, weight: None })
-                .collect();
+            let plan = uniform_plan(&profile_run, &cfg.campaign, &cfg.scale);
             let n = plan.len();
             (plan, 0usize, n, golden_runs, None)
         }
         Some(g) => {
-            let mismatch = |msg: String| ShardError::Mismatch(msg);
-            if g.epoch >= g.epochs.max(1) {
-                return Err(mismatch(format!(
-                    "guided epoch {} out of range ({} epochs)",
-                    g.epoch, g.epochs
-                )));
-            }
-            match (&g.prior, g.epoch) {
-                (None, 0) | (Some(_), 1..) => {}
-                (Some(_), 0) => return Err(mismatch("guided epoch 0 takes no prior".into())),
-                (None, _) => {
-                    return Err(mismatch(format!(
-                        "guided epoch {} needs the merged prior-epoch summary",
-                        g.epoch
-                    )))
-                }
-            }
             let planner = GuidedPlanner::new(
                 &profile_run,
                 &cfg.campaign,
                 &cfg.scale,
                 GuidedConfig { epochs: g.epochs },
             )
-            .map_err(mismatch)?;
-            let epoch_plan = planner.epoch_plan(g.epoch, g.prior.as_ref()).map_err(mismatch)?;
+            .map_err(ShardError::Mismatch)?;
+            // The planner rejects an out-of-range epoch and a missing or
+            // superfluous prior.
+            let epoch_plan =
+                planner.epoch_plan(g.epoch, g.prior.as_ref()).map_err(ShardError::Mismatch)?;
             let start = planner.epoch_start(g.epoch);
             let gm = GuidedManifest {
                 epochs: planner.epochs,
@@ -1333,16 +1221,20 @@ pub fn execute_shard_limited(
             (plan, start, planner.budget, epoch_golden, Some(gm))
         }
     };
-    let units: Vec<RunUnit> = campaign_units(epoch_golden, plan.len())
-        .into_iter()
-        .map(|u| match u {
-            RunUnit::Injected(j) => RunUnit::Injected(injected_base + j),
-            other => other,
-        })
+    let units: Vec<RunUnit> = (0..epoch_golden)
+        .map(RunUnit::Golden)
+        .chain((injected_base..injected_base + plan.len()).map(RunUnit::Injected))
         .filter(|u| unit_shard(seed, *u, cfg.spec.count) == cfg.spec.index)
         .collect();
     let batch_size = cfg.batch_size.max(1);
     let total_batches = units.len().div_ceil(batch_size);
+    let status = |resumed_batches, executed_batches, complete| ShardStatus {
+        total_batches,
+        resumed_batches,
+        executed_batches,
+        assigned_runs: units.len(),
+        complete,
+    };
     let manifest = shard_manifest(
         cfg,
         &scenario,
@@ -1368,13 +1260,7 @@ pub fn execute_shard_limited(
                 )));
             }
             if art.complete {
-                return Ok(ShardStatus {
-                    total_batches,
-                    resumed_batches: art.batches.len(),
-                    executed_batches: 0,
-                    assigned_runs: units.len(),
-                    complete: true,
-                });
+                return Ok(status(art.batches.len(), 0, true));
             }
             done_batches = art.batches.len();
             cumulative = art.metrics();
@@ -1436,38 +1322,19 @@ pub fn execute_shard_limited(
     for (b, chunk) in units.chunks(batch_size).enumerate().skip(done_batches) {
         if let Some(cap) = max_new_batches {
             if executed >= cap {
-                return Ok(ShardStatus {
-                    total_batches,
-                    resumed_batches: done_batches,
-                    executed_batches: executed,
-                    assigned_runs: units.len(),
-                    complete: false,
-                });
+                return Ok(status(done_batches, executed, false));
             }
         }
         let wall = Instant::now();
         let before = MetricsSlice::capture();
-        let flatten = |kind: &str, i: usize, r: &RunResult| {
+        let flatten = |unit: RunUnit, r: &RunResult| {
+            let (kind, i) = (unit.kind(), unit.index());
             (ShardRun::from_result(kind, i, r), IncidentRecord::from_result(kind, i, r))
         };
-        let results: Vec<(ShardRun, Option<IncidentRecord>)> = par_map(chunk, |unit| match *unit {
-            RunUnit::Golden(0) => flatten("golden", 0, &profile_run),
-            RunUnit::Golden(i) => {
-                let r = run_experiment(&run_cfg(cfg, &scenario, GOLDEN_SEED_BASE + i as u64, None));
-                flatten("golden", i, &r)
-            }
-            RunUnit::Injected(i) => {
-                let entry = &plan[i - injected_base];
-                let mut rc =
-                    run_cfg(cfg, &scenario, INJECTED_SEED_BASE + i as u64, Some(entry.spec));
-                rc.stratum = entry.stratum;
-                rc.weight = entry.weight;
-                let r = run_experiment(&rc);
-                flatten("injected", i, &r)
-            }
-            RunUnit::Training { .. } => {
-                panic!("training units are partition support only; campaigns never run them")
-            }
+        let results: Vec<(ShardRun, Option<IncidentRecord>)> = par_map(chunk, |&unit| match unit {
+            RunUnit::Golden(0) => flatten(unit, &profile_run),
+            RunUnit::Golden(_) => flatten(unit, &run_unit(unit, None)),
+            RunUnit::Injected(i) => flatten(unit, &run_unit(unit, Some(&plan[i - injected_base]))),
         });
         let after = MetricsSlice::capture();
         let mut batch_delta = after.delta(&before);
@@ -1518,13 +1385,7 @@ pub fn execute_shard_limited(
     );
     file.write_all(footer.as_bytes())?;
     file.flush()?;
-    Ok(ShardStatus {
-        total_batches,
-        resumed_batches: done_batches,
-        executed_batches: executed,
-        assigned_runs: units.len(),
-        complete: true,
-    })
+    Ok(status(done_batches, executed, true))
 }
 
 /// Per-shard execution accounting surfaced by the merge (for the merged
@@ -1617,9 +1478,9 @@ pub fn merge_artifacts(artifacts: &[ShardArtifact]) -> Result<Vec<MergedCampaign
 }
 
 /// Cumulative per-stratum (runs, safety-critical) tallies of merged
-/// injected runs — the merge-side recomputation of what
-/// [`run_guided_campaign`](crate::guided::run_guided_campaign) tallies
-/// live. Requires every run's stratum to be set (validated upstream).
+/// injected runs: the prior the next epoch's planner consumes, and what
+/// the merge re-derives to check each epoch's recorded prior digest.
+/// Requires every run's stratum to be set (validated upstream).
 fn guided_tallies(injected: &[ShardRun]) -> BTreeMap<u64, (u64, u64)> {
     let mut counts: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
     for r in injected {
@@ -1657,12 +1518,20 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
             ));
         }
     }
+    // The planner gives every epoch at least one run.
+    if let Some((epochs, budget)) = guided_shape.filter(|&(epochs, budget)| epochs > budget) {
+        return Err(mismatch(format!("{epochs} guided epochs exceed the {budget}-run budget")));
+    }
+    // Declared counts (`shard_count`, `epochs`, run counts) are trusted
+    // only as far as the artifacts back them: coverage lives in ordered
+    // sets and maps filled from what is supplied, never in storage sized
+    // by a manifest field.
     let n = first.shard_count;
     let epochs_total = first.guided.as_ref().map(|g| g.epochs).unwrap_or(1);
     let epoch_tag =
         |e: usize| if first.guided.is_some() { format!("epoch {e}: ") } else { String::new() };
-    let mut seen: Vec<Vec<bool>> = vec![vec![false; n]; epochs_total];
-    let mut per_epoch: Vec<Option<GuidedManifest>> = vec![None; epochs_total];
+    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let mut per_epoch: BTreeMap<usize, GuidedManifest> = BTreeMap::new();
     for a in group {
         let m = &a.manifest;
         let e = m.guided.as_ref().map(|g| g.epoch).unwrap_or(0);
@@ -1673,13 +1542,12 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
         if i >= n {
             return Err(mismatch(format!("shard index {i} out of range for {n} shards")));
         }
-        if seen[e][i] {
+        if !seen.insert((e, i)) {
             return Err(mismatch(format!(
                 "{}shard {i}/{n} supplied more than once (overlap)",
                 epoch_tag(e)
             )));
         }
-        seen[e][i] = true;
         if !a.complete {
             return Err(mismatch(format!(
                 "{}shard {i}/{n} is incomplete (no shard_done footer); resume it before \
@@ -1688,8 +1556,10 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
             )));
         }
         if let Some(g) = &m.guided {
-            match &per_epoch[e] {
-                None => per_epoch[e] = Some(*g),
+            match per_epoch.get(&e) {
+                None => {
+                    per_epoch.insert(e, *g);
+                }
                 Some(p) if p == g => {}
                 Some(_) => {
                     return Err(mismatch(format!(
@@ -1700,38 +1570,33 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
             }
         }
     }
+    // The first shard of epoch `e` not supplied. The search stops at the
+    // first gap, so it never walks past the artifacts in hand.
+    let missing = |e: usize| (0..n).find(|&i| !seen.contains(&(e, i)));
     // Guided campaigns may merge a *contiguous prefix* of their epochs
     // (the driving loop merges after every epoch to produce the next
     // prior); any covered epoch must be fully covered, and no epoch may
     // be covered beyond a gap.
     let mut done = 0usize;
-    while done < epochs_total && seen[done].iter().all(|&s| s) {
+    while done < epochs_total && missing(done).is_none() {
         done += 1;
     }
-    for (e, shard_seen) in seen.iter().enumerate().skip(done) {
-        if !shard_seen.iter().any(|&s| s) {
-            continue;
-        }
-        if e == done {
-            let missing = shard_seen.iter().position(|s| !s).expect("epoch not fully covered");
-            return Err(mismatch(format!("{}shard {missing}/{n} is missing", epoch_tag(e))));
-        }
-        return Err(mismatch(format!(
-            "epoch {e} artifacts present but epoch {done} is missing (guided epochs merge \
-             as a contiguous prefix)"
-        )));
-    }
-    if done == 0 {
-        let missing = seen[0].iter().position(|s| !s).expect("group is non-empty");
-        return Err(mismatch(format!("{}shard {missing}/{n} is missing", epoch_tag(0))));
+    if let Some(&(e, _)) = seen.range((done, 0)..).next() {
+        return Err(match missing(e) {
+            Some(i) if e == done => mismatch(format!("{}shard {i}/{n} is missing", epoch_tag(e))),
+            _ => mismatch(format!(
+                "epoch {e} artifacts present but epoch {done} is missing (guided epochs merge \
+                 as a contiguous prefix)"
+            )),
+        });
     }
 
     // Validate the epoch chain and derive the merged injected length.
     let mut merged_guided: Option<MergedGuided> = None;
     let mut injected_len = first.injected_runs;
     if first.guided.is_some() {
-        let pe: Vec<GuidedManifest> =
-            (0..done).map(|e| per_epoch[e].expect("covered epochs carry manifests")).collect();
+        // Exactly the covered epochs `0..done`: any later one was refused.
+        let pe: Vec<GuidedManifest> = per_epoch.values().copied().collect();
         if pe[0].budget != first.injected_runs {
             return Err(mismatch(format!(
                 "guided budget {} disagrees with the campaign's injected_runs {}",
@@ -1747,7 +1612,7 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
                     g.epoch_start
                 )));
             }
-            start += g.epoch_runs;
+            start = start.saturating_add(g.epoch_runs);
         }
         if start > first.injected_runs || (done == epochs_total && start != first.injected_runs) {
             return Err(mismatch(format!(
@@ -1765,18 +1630,16 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
         });
     }
 
-    let mut golden: Vec<Option<ShardRun>> = vec![None; first.golden_runs];
-    let mut injected: Vec<Option<ShardRun>> = vec![None; injected_len];
+    let mut golden: BTreeMap<usize, ShardRun> = BTreeMap::new();
+    let mut injected: BTreeMap<usize, ShardRun> = BTreeMap::new();
     for a in group {
         let am = &a.manifest;
         let a_epoch = am.guided.as_ref().map(|g| g.epoch).unwrap_or(0);
-        let a_range = am.guided.as_ref().map(|g| (g.epoch_start, g.epoch_start + g.epoch_runs));
+        let a_range =
+            am.guided.as_ref().map(|g| (g.epoch_start, g.epoch_start.saturating_add(g.epoch_runs)));
         for r in &a.runs {
-            let unit = match r.kind.as_str() {
-                "golden" => RunUnit::Golden(r.index),
-                "injected" => RunUnit::Injected(r.index),
-                other => return Err(mismatch(format!("unknown run kind {other:?}"))),
-            };
+            let unit = RunUnit::from_kind(&r.kind, r.index)
+                .ok_or_else(|| mismatch(format!("unknown run kind {:?}", r.kind)))?;
             let home = unit_shard(first.plan_seed, unit, n);
             if home != a.manifest.shard_index {
                 return Err(mismatch(format!(
@@ -1802,8 +1665,8 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
             // and a stratum; everything else must carry neither — a
             // weight on a uniform or golden run means the artifact was
             // cut from a different planner than its manifest claims.
-            match (&first.guided, r.kind.as_str()) {
-                (Some(_), "injected") => {
+            match (&first.guided, unit) {
+                (Some(_), RunUnit::Injected(_)) => {
                     if r.stratum.is_none() {
                         return Err(mismatch(format!(
                             "guided injected run {} carries no stratum",
@@ -1826,45 +1689,47 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
                     }
                 }
             }
-            let (slot, base) = match unit {
-                RunUnit::Golden(i) => (golden.get_mut(i), GOLDEN_SEED_BASE),
-                RunUnit::Injected(i) => (injected.get_mut(i), INJECTED_SEED_BASE),
-                RunUnit::Training { .. } => unreachable!("campaign runs only"),
+            let (slots, declared) = match unit {
+                RunUnit::Golden(_) => (&mut golden, first.golden_runs),
+                RunUnit::Injected(_) => (&mut injected, injected_len),
             };
-            let Some(slot) = slot else {
+            if r.index >= declared {
                 return Err(mismatch(format!(
                     "{} run {} exceeds the campaign's declared run count",
                     r.kind, r.index
                 )));
-            };
-            if r.seed != base + r.index as u64 {
+            }
+            if r.seed != unit.seed() {
                 return Err(mismatch(format!(
                     "{} run {} carries seed {} (engine law says {})",
                     r.kind,
                     r.index,
                     r.seed,
-                    base + r.index as u64
+                    unit.seed()
                 )));
             }
-            if slot.is_some() {
+            if slots.insert(r.index, r.clone()).is_some() {
                 return Err(mismatch(format!(
                     "{} run {} appears twice (overlapping shards)",
                     r.kind, r.index
                 )));
             }
-            *slot = Some(r.clone());
         }
     }
-    let fill = |runs: Vec<Option<ShardRun>>, kind: &str| -> Result<Vec<ShardRun>, ShardError> {
-        runs.into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.ok_or_else(|| mismatch(format!("{kind} run {i} is missing (coverage gap)")))
-            })
-            .collect()
+    // Indices are unique and below the declared count, so a map holding
+    // `declared` runs covers it exactly; otherwise name the first gap.
+    let fill = |runs: BTreeMap<usize, ShardRun>,
+                declared: usize,
+                kind: &str|
+     -> Result<Vec<ShardRun>, ShardError> {
+        if runs.len() != declared {
+            let gap = runs.keys().zip(0..).find(|(k, i)| *k != i).map_or(runs.len(), |(_, i)| i);
+            return Err(mismatch(format!("{kind} run {gap} is missing (coverage gap)")));
+        }
+        Ok(runs.into_values().collect())
     };
-    let golden = fill(golden, "golden")?;
-    let injected = fill(injected, "injected")?;
+    let golden = fill(golden, first.golden_runs, "golden")?;
+    let injected = fill(injected, injected_len, "injected")?;
 
     // Close the guided epoch protocol against the merged evidence: each
     // epoch's recorded prior digest must equal the digest of the merged
@@ -1872,8 +1737,7 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
     // and each epoch's weights must sum to its run count (the weight law
     // `Σ_s n_s · (N_e p_s / n_s) = N_e` holds exactly up to rounding).
     if let Some(mg) = &merged_guided {
-        for e in 0..mg.epochs_done {
-            let g = per_epoch[e].expect("covered epochs carry manifests");
+        for (&e, g) in &per_epoch {
             let expect = if e == 0 {
                 0
             } else {
@@ -2085,29 +1949,24 @@ pub fn collect_incidents(
         )));
     }
 
-    // Expected payloads, from the merged run lines. Rank 0 = golden,
-    // 1 = injected, so the BTreeMap key order is engine order.
-    let mut expected: BTreeMap<(u8, usize), &str> = BTreeMap::new();
-    for (rank, runs) in [(0u8, &merged.golden), (1u8, &merged.injected)] {
-        for r in runs.iter() {
-            if let Some(label) = &r.incident {
-                expected.insert((rank, r.index), label.as_str());
-            }
+    // Expected payloads, from the merged run lines (whose kinds the merge
+    // validated). Units order golden before injected, so the BTreeMap key
+    // order is engine order.
+    let mut expected: BTreeMap<RunUnit, &str> = BTreeMap::new();
+    for r in merged.golden.iter().chain(&merged.injected) {
+        if let (Some(label), Some(unit)) = (&r.incident, RunUnit::from_kind(&r.kind, r.index)) {
+            expected.insert(unit, label.as_str());
         }
     }
-    let mut out: BTreeMap<(u8, usize), IncidentRecord> = BTreeMap::new();
+    let mut out: BTreeMap<RunUnit, IncidentRecord> = BTreeMap::new();
     for a in sidecars {
         for (_, rec) in &a.records {
-            let (rank, unit, base) = match rec.kind.as_str() {
-                "golden" => (0u8, RunUnit::Golden(rec.index), GOLDEN_SEED_BASE),
-                "injected" => (1u8, RunUnit::Injected(rec.index), INJECTED_SEED_BASE),
-                other => {
-                    return Err(ShardError::Mismatch(format!(
-                        "campaign {:?}: unknown incident run kind {other:?}",
-                        m.campaign
-                    )))
-                }
-            };
+            let unit = RunUnit::from_kind(&rec.kind, rec.index).ok_or_else(|| {
+                ShardError::Mismatch(format!(
+                    "campaign {:?}: unknown incident run kind {:?}",
+                    m.campaign, rec.kind
+                ))
+            })?;
             let home = unit_shard(m.plan_seed, unit, n);
             if home != a.manifest.shard_index {
                 return Err(ShardError::Mismatch(format!(
@@ -2116,7 +1975,7 @@ pub fn collect_incidents(
                     m.campaign, rec.kind, rec.index, a.manifest.shard_index
                 )));
             }
-            if rec.seed != base + rec.index as u64 {
+            if rec.seed != unit.seed() {
                 return Err(ShardError::Mismatch(format!(
                     "campaign {:?}: incident of {} run {} carries seed {} \
                      (engine law says {})",
@@ -2124,10 +1983,10 @@ pub fn collect_incidents(
                     rec.kind,
                     rec.index,
                     rec.seed,
-                    base + rec.index as u64
+                    unit.seed()
                 )));
             }
-            match expected.remove(&(rank, rec.index)) {
+            match expected.remove(&unit) {
                 Some(label) if label == rec.incident => {}
                 Some(label) => {
                     return Err(ShardError::Mismatch(format!(
@@ -2144,15 +2003,16 @@ pub fn collect_incidents(
                     )))
                 }
             }
-            out.insert((rank, rec.index), rec.clone());
+            out.insert(unit, rec.clone());
         }
     }
-    if let Some(((rank, index), label)) = expected.into_iter().next() {
-        let kind = if rank == 0 { "golden" } else { "injected" };
+    if let Some((unit, label)) = expected.into_iter().next() {
         return Err(ShardError::Mismatch(format!(
-            "campaign {:?}: {kind} run {index} is a {label:?} incident but no sidecar \
+            "campaign {:?}: {} run {} is a {label:?} incident but no sidecar \
              carries its payload",
-            m.campaign
+            m.campaign,
+            unit.kind(),
+            unit.index()
         )));
     }
     Ok(out.into_values().collect())
@@ -2176,7 +2036,17 @@ fn req_usize(v: &Value, key: &str) -> Result<usize, String> {
     if n.is_nan() || n < 0.0 || n.fract() != 0.0 {
         return Err(format!("member {key:?} must be a non-negative integer"));
     }
+    // `usize::MAX as f64` rounds up to 2^64, the first value `as` would
+    // saturate instead of converting.
+    if n >= usize::MAX as f64 {
+        return Err(format!("member {key:?} out of range: {n}"));
+    }
     Ok(n as usize)
+}
+
+fn req_u32(v: &Value, key: &str) -> Result<u32, String> {
+    let n = req_usize(v, key)?;
+    u32::try_from(n).map_err(|_| format!("member {key:?} out of u32 range: {n}"))
 }
 
 fn req_bool(v: &Value, key: &str) -> Result<bool, String> {
@@ -2226,6 +2096,7 @@ fn opt_hex64_member(v: &Value, key: &str) -> Result<Option<u64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{campaign_units, GOLDEN_SEED_BASE, INJECTED_SEED_BASE};
     use diverseav::AgentMode;
     use diverseav_fabric::Profile;
     use diverseav_simworld::ScenarioKind;
@@ -2252,20 +2123,11 @@ mod tests {
             (0..3).map(|k| units.iter().filter(|u| unit_shard(42, **u, 3) == k).count()).sum();
         assert_eq!(total, units.len(), "shards partition the unit set");
         assert_eq!(unit_shard(42, RunUnit::Golden(1), 1), 0, "1-shard runs own everything");
-        assert_eq!(training_units(2).len(), 6, "3 routes x reps");
     }
 
     #[test]
     fn unit_codes_keep_kinds_disjoint() {
         assert_ne!(unit_code(RunUnit::Golden(5)), unit_code(RunUnit::Injected(5)));
-        assert_ne!(
-            unit_code(RunUnit::Injected(3)),
-            unit_code(RunUnit::Training { route: 0, rep: 3 })
-        );
-        assert_ne!(
-            unit_code(RunUnit::Training { route: 1, rep: 0 }),
-            unit_code(RunUnit::Training { route: 0, rep: 1 })
-        );
     }
 
     #[test]
@@ -2367,6 +2229,9 @@ mod tests {
         );
         let v = json::parse(&bumped).expect("still JSON");
         assert!(ShardManifest::parse(&v).is_err(), "future versions must be refused");
+        let v = with_u32_overflow(&m.render(), "schema_version", SHARD_SCHEMA_VERSION);
+        let err = ShardManifest::parse(&v).expect_err("2^32 + 4 is not version 4");
+        assert!(err.contains("out of u32 range"), "{err}");
     }
 
     #[test]
@@ -2420,10 +2285,10 @@ mod tests {
             assigned_runs: assigned,
             guided: None,
         };
-        let run = |kind: &str, index: usize, base: u64| ShardRun {
-            kind: kind.to_string(),
-            index,
-            seed: base + index as u64,
+        let run = |unit: RunUnit| ShardRun {
+            kind: unit.kind().to_string(),
+            index: unit.index(),
+            seed: unit.seed(),
             outcome: "completed".to_string(),
             end_time: 2.0,
             collision_time: None,
@@ -2442,12 +2307,7 @@ mod tests {
         };
         let mut shards: Vec<Vec<ShardRun>> = vec![Vec::new(); n];
         for u in campaign_units(golden_runs, injected_runs) {
-            let (kind, index, base) = match u {
-                RunUnit::Golden(i) => ("golden", i, GOLDEN_SEED_BASE),
-                RunUnit::Injected(i) => ("injected", i, INJECTED_SEED_BASE),
-                RunUnit::Training { .. } => unreachable!(),
-            };
-            shards[unit_shard(plan_seed, u, n)].push(run(kind, index, base));
+            shards[unit_shard(plan_seed, u, n)].push(run(u));
         }
         shards
             .into_iter()
@@ -2543,6 +2403,14 @@ mod tests {
             &format!("\"flight_schema_version\": {}", flight::FLIGHT_SCHEMA_VERSION + 1),
         );
         assert!(parse_incident_artifact(&bumped).is_err(), "future versions must be refused");
+        for (key, value) in [
+            ("flight_schema_version", flight::FLIGHT_SCHEMA_VERSION),
+            ("shard_schema_version", SHARD_SCHEMA_VERSION),
+        ] {
+            let v = with_u32_overflow(&m.render(), key, value);
+            let err = IncidentManifest::parse(&v).expect_err("out-of-range version refused");
+            assert!(err.contains("out of u32 range"), "{key}: {err}");
+        }
     }
 
     #[test]
@@ -2647,10 +2515,8 @@ mod tests {
         assert!(err.to_string().contains("seed"), "{err}");
     }
 
-    #[test]
-    fn parse_artifact_truncates_torn_tails() {
-        let arts = synthetic_artifacts(1);
-        let a = &arts[0];
+    /// Render an artifact's manifest and its runs as one committed batch.
+    fn render_committed(a: &ShardArtifact) -> String {
         let mut text = format!("{}\n", a.manifest.render());
         for r in &a.runs {
             text.push_str(&r.render_line(0));
@@ -2661,6 +2527,87 @@ mod tests {
              \"threads\": 1, {}}}\n",
             MetricsSlice::default().render_fields()
         ));
+        text
+    }
+
+    const SHARD_DONE: &str = "{\"type\": \"shard_done\", \"batches\": 1, \"runs\": 4}\n";
+
+    /// Replace manifest member `from` with `to` in every rendered
+    /// artifact, then parse and merge the forged set.
+    fn merge_forged(arts: &[ShardArtifact], from: &str, to: &str) -> ShardError {
+        let forged: Vec<ShardArtifact> = arts
+            .iter()
+            .map(|a| {
+                let text = render_committed(a) + SHARD_DONE;
+                assert!(text.contains(from), "{from:?} not in the manifest");
+                parse_artifact(&text.replacen(from, to, 1)).expect("forged artifact parses")
+            })
+            .collect();
+        assert!(merge_artifacts(arts).is_ok(), "the honest set must merge");
+        merge_artifacts(&forged).expect_err("forged run counts must be refused")
+    }
+
+    #[test]
+    fn merge_refuses_forged_golden_runs() {
+        let err =
+            merge_forged(&synthetic_artifacts(2), "\"golden_runs\": 2", "\"golden_runs\": 1e18");
+        assert!(matches!(err, ShardError::Mismatch(_)), "{err}");
+        assert!(err.to_string().contains("golden run 2 is missing"), "{err}");
+    }
+
+    #[test]
+    fn merge_refuses_forged_shard_count() {
+        let err =
+            merge_forged(&synthetic_artifacts(1), "\"shard_count\": 1", "\"shard_count\": 1e18");
+        assert!(matches!(err, ShardError::Mismatch(_)), "{err}");
+        assert!(err.to_string().contains("shard 1/1000000000000000000 is missing"), "{err}");
+    }
+
+    #[test]
+    fn merge_refuses_forged_guided_epochs() {
+        // An honest pilot-epoch prefix of a 2-epoch guided campaign.
+        let mut arts = synthetic_artifacts(1);
+        arts[0].manifest.guided = Some(GuidedManifest {
+            epochs: 2,
+            epoch: 0,
+            budget: 2,
+            epoch_start: 0,
+            epoch_runs: 2,
+            prior_digest: 0,
+        });
+        for r in arts[0].runs.iter_mut().filter(|r| r.kind == "injected") {
+            r.stratum = Some(0x7100);
+            r.weight = Some(1.0);
+        }
+        let err = merge_forged(&arts, "\"epochs\": 2", "\"epochs\": 1e18");
+        assert!(matches!(err, ShardError::Mismatch(_)), "{err}");
+        assert!(err.to_string().contains("epochs exceed"), "{err}");
+    }
+
+    /// Parse `line` with member `key` set to 2^32 + 4, which `as u32`
+    /// would have read as 4.
+    fn with_u32_overflow(line: &str, key: &str, value: u32) -> Value {
+        let from = format!("\"{key}\": {value}");
+        assert!(line.contains(&from), "{from:?} not in {line}");
+        let forged = line.replacen(&from, &format!("\"{key}\": 4294967300"), 1);
+        json::parse(&forged).expect("forged line is JSON")
+    }
+
+    #[test]
+    fn run_line_refuses_out_of_range_u32_members() {
+        let line = sample_run().render_line(0);
+        for (key, value) in [("mask", 1 << 7), ("red_light_violations", 1)] {
+            let v = with_u32_overflow(&line, key, value);
+            let err = ShardRun::parse(&v).expect_err("value beyond u32 refused");
+            assert!(err.contains(&format!("\"{key}\" out of u32 range")), "{err}");
+        }
+    }
+
+    #[test]
+    fn parse_artifact_truncates_torn_tails() {
+        let arts = synthetic_artifacts(1);
+        let a = &arts[0];
+        let text = render_committed(a);
         let committed = parse_artifact(&text).expect("committed prefix parses");
         assert_eq!(committed.runs.len(), a.runs.len());
         assert_eq!(committed.batches.len(), 1);
@@ -2681,9 +2628,7 @@ mod tests {
         );
 
         // Completed artifact round-trips.
-        let mut done = text.clone();
-        done.push_str("{\"type\": \"shard_done\", \"batches\": 1, \"runs\": 4}\n");
-        let parsed = parse_artifact(&done).expect("completed artifact parses");
+        let parsed = parse_artifact(&(text + SHARD_DONE)).expect("completed artifact parses");
         assert!(parsed.complete);
     }
 }

@@ -8,7 +8,7 @@
 //! execution order, or which machine asks — and the per-shard filters
 //! must reassemble the full run set with no gaps and no overlaps.
 
-use diverseav_faultinj::{campaign_units, training_units, unit_shard, RunUnit};
+use diverseav_faultinj::{campaign_units, unit_shard, RunUnit};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -53,23 +53,6 @@ proptest! {
         }
         prop_assert_eq!(total, units.len(), "partition misses units");
         prop_assert_eq!(units.len(), n_golden + n_injected);
-    }
-
-    /// The same exactly-once property holds for the training-run units
-    /// that feed detector calibration.
-    #[test]
-    fn training_partitions_cover_exactly_once(
-        seed in any::<u64>(),
-        reps in 1usize..10,
-        n_shards in 1usize..9,
-    ) {
-        let units = training_units(reps);
-        prop_assert_eq!(units.len(), 3 * reps, "three routes, `reps` runs each");
-        let mut total = 0usize;
-        for shard in 0..n_shards {
-            total += units.iter().filter(|u| unit_shard(seed, **u, n_shards) == shard).count();
-        }
-        prop_assert_eq!(total, units.len());
     }
 
     /// Different campaigns (different plan seeds) shuffle the assignment:
