@@ -9,8 +9,8 @@
 //! hand-rolling the `sense → step` loop.
 
 use diverseav::{TickOutput, VehState};
-use diverseav_agent::{AgentConfig, AgentError, SensorimotorAgent};
-use diverseav_fabric::{Fabric, FaultModel, Op, Profile};
+use diverseav_agent::{AgentConfig, AgentError, GpuLayout, SensorimotorAgent};
+use diverseav_fabric::{Fabric, FaultModel, LockstepCounters, Op, Profile, KERNEL_TILE};
 use diverseav_runtime::{AgentDriver, LoopDriver, LoopObserver, SimLoop, Termination, TickContext};
 use diverseav_simworld::{
     front_accident, ghost_cut_in, lead_slowdown, long_route, RouteHint, Scenario, SensorConfig,
@@ -110,6 +110,30 @@ fn perception_estimates_lead_distance() {
         "distance estimate {:.1} m for a lead 25 m ahead",
         dbg.distance
     );
+}
+
+#[test]
+fn golden_step_commits_every_lockstep_tile() {
+    // The agent's kernels are written so the lockstep engine never falls
+    // back on a fault-free step: each multi-thread launch commits all of
+    // its tiles, with no abort and no scalar replay.
+    let mut world = World::new(lead_slowdown(), SensorConfig::default(), 21);
+    let frame = world.sense();
+    let cfg = AgentConfig::default();
+    let mut agent = SensorimotorAgent::new(cfg, 8);
+    let (mut gpu, mut cpu) = (Fabric::new(Profile::Gpu), Fabric::new(Profile::Cpu));
+    agent.step(&frame, world.route_hint(), 0.025, &mut gpu, &mut cpu).expect("fault-free step");
+
+    let l = GpuLayout::new(cfg.img_w, cfg.img_h);
+    let tiles = |n: usize| n.div_ceil(KERNEL_TILE) as u64;
+    let expected = tiles(l.w * l.h) + tiles(l.w2 * l.h2) + tiles(l.h2) + tiles(l.w);
+    let c = gpu.lockstep_counters();
+    assert_eq!(
+        c,
+        LockstepCounters { tiles_committed: expected, ..LockstepCounters::default() },
+        "a golden step must commit every tile in lockstep"
+    );
+    assert_eq!(cpu.lockstep_counters(), LockstepCounters::default(), "the CPU runs scalar only");
 }
 
 #[test]

@@ -55,4 +55,4 @@ pub use fault::{FaultModel, FaultState};
 pub use isa::{bits_to_f32, f32_to_bits, Instr, Op, Reg, ALL_OPS, NUM_REGS};
 pub use program::{Label, Program, ProgramBuilder};
 pub use stats::ExecStats;
-pub use vm::{Context, Fabric, Profile, Trap, LANES};
+pub use vm::{Context, Fabric, LockstepCounters, Profile, Trap, KERNEL_TILE};

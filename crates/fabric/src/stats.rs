@@ -53,13 +53,14 @@ impl ExecStats {
         self.per_op[op.index()] += 1;
     }
 
-    /// Record `n` executions of one opcode at once — the lockstep batch
-    /// engine amortizes one decode over all active lanes and accounts the
-    /// whole mask here. Equivalent to `n` calls to [`record`](Self::record).
+    /// Fold per-opcode counts gathered outside these counters — a
+    /// committed lockstep tile's — into them with one elementwise add.
     #[inline]
-    pub(crate) fn record_n(&mut self, op: Op, n: u64) {
-        self.total += n;
-        self.per_op[op.index()] += n;
+    pub(crate) fn add_op_counts(&mut self, counts: &[u64; ALL_OPS.len()]) {
+        for (a, &n) in self.per_op.iter_mut().zip(counts) {
+            *a += n;
+        }
+        self.total += counts.iter().sum::<u64>();
     }
 
     /// Record one program run / kernel launch.

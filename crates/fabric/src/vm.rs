@@ -2,11 +2,12 @@
 //! (GPU-profile) execution with trap semantics and fault injection.
 
 use crate::fault::{FaultModel, FaultState};
-use crate::isa::{bits_to_f32, f32_to_bits, Op, Reg, ALL_OPS, NUM_REGS};
+use crate::isa::{bits_to_f32, f32_to_bits, Instr, Op, Reg, ALL_OPS, NUM_REGS};
 use crate::program::Program;
 use crate::stats::ExecStats;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Which processing element a fabric models.
 ///
@@ -190,87 +191,93 @@ pub struct Fabric {
     fault: Option<FaultState>,
     dyn_counter: u64,
     scratch: LockstepScratch,
+    counters: LockstepCounters,
 }
 
-/// Default lane width of the lockstep kernel engine.
+/// Tile width of the lockstep kernel engine behind
+/// [`Fabric::run_kernel`].
 ///
-/// Sixteen lanes amortize one fetch/decode over sixteen threads while the
-/// per-lane state (a lane-major `[[u32; LANES]; NUM_REGS]` register file,
-/// 4 KiB at this width) still fits comfortably in L1, and the value loops
-/// map onto full vector registers.
-pub const LANES: usize = 16;
+/// A tile is the unit of lockstep execution, conflict tracking and
+/// rollback: one fetch/decode per step drives every lane of the tile, so a
+/// wider tile spreads the per-step and per-tile bookkeeping over more
+/// threads, while an abort replays only its own tile on the scalar
+/// interpreter. The value was picked by measuring the agent's kernels
+/// (`fabric.*.lockstep_us` in `perfbench`); at this width a tile's register
+/// rows (named registers × tile width words) stay well inside L2.
+pub const KERNEL_TILE: usize = 256;
 
-/// Store-owner map entries pack the owning lane into 8 bits, so lane
-/// widths must stay below this bound.
-const MAX_LANE_WIDTH: usize = u8::MAX as usize;
+/// Silent-fallback counters of the lockstep kernel engine, accumulated
+/// since the fabric was created.
+///
+/// They describe how the engine ran, never what it computed: every tile
+/// the engine gives up on is replayed bit-identically on the scalar
+/// interpreter, so these counters are kept out of [`ExecStats`] and out of
+/// every deterministic artifact.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct LockstepCounters {
+    /// Tiles whose lockstep execution committed.
+    pub tiles_committed: u64,
+    /// Tiles aborted on a (conservatively detected) cross-lane memory
+    /// conflict.
+    pub conflict_aborts: u64,
+    /// Tiles aborted because a lane would trap or exhaust the watchdog.
+    pub trap_aborts: u64,
+    /// Threads replayed on the scalar interpreter after an abort.
+    pub threads_replayed: u64,
+    /// Tiles re-run to realize a transient fault on its exact lane.
+    pub transient_reruns: u64,
+}
 
-/// Per-fabric scratch for lockstep batches: an epoch-tagged store-owner map
-/// over context memory, a load-interval summary, an undo log for store
-/// rollback, and the batch's deferred instruction accounting. All buffers
-/// retain capacity across batches so steady-state kernel launches stay
-/// allocation-free.
+/// Memory-ordering state of one lockstep tile: an epoch-tagged store-owner
+/// map over context memory, two load-interval summaries, and an undo log
+/// for rollback. All buffers keep their capacity across tiles, so
+/// steady-state kernel launches stay allocation-free.
 ///
 /// Loads are deliberately *not* tracked per word. They only record two
-/// address intervals for the batch — `[load_lo, load_hi]` for lane-varying
+/// address intervals for the tile — `[load_lo, load_hi]` for lane-varying
 /// loads and `[uload_lo, uload_hi]` for uniform broadcast loads — and a
 /// store landing inside either interval aborts to the exact scalar path
 /// instead of consulting a per-word load map. That is strictly more
-/// conservative than precise tracking — every previously-detected conflict
-/// still aborts, some same-lane or disjoint-word cases now abort too — and
-/// aborting is always semantics-preserving (rollback + scalar replay). In
-/// exchange the dominant operation of real kernels, the load, costs no map
-/// traffic at all. Two intervals instead of one because real layouts put
-/// uniform constants (parameter blocks, LUTs) at the far end of memory,
-/// past the output planes: one interval would span the outputs and force
-/// every store to abort. Kernels that genuinely read and write the same
-/// region in one program (the agent's 1-thread planning kernel with its
-/// history buffer) simply run scalar.
-#[derive(Clone, Debug)]
-struct LockstepScratch {
-    /// Current batch epoch; a map entry is valid only if its epoch matches.
-    epoch: u32,
-    /// Store-owner map: per word, `epoch << 8 | lane` packed into one entry
-    /// so an ownership probe is a single load.
-    store_map: Vec<u64>,
+/// conservative than precise tracking, and aborting is always
+/// semantics-preserving (rollback + scalar replay). In exchange the
+/// dominant operation of real kernels, the load, costs no map traffic at
+/// all. Two intervals instead of one because real layouts put uniform
+/// constants (parameter blocks, LUTs) at the far end of memory, past the
+/// output planes: one interval would span the outputs and force every
+/// store to abort. Kernels that genuinely read and write the same region in
+/// one program (the agent's 1-thread planning kernel with its history
+/// buffer) simply run scalar.
+#[derive(Clone, Debug, Default)]
+struct TileLog {
+    /// Current tile epoch (never 0); an owner entry is live only if its
+    /// upper 16 bits match.
+    epoch: u16,
+    /// Store-owner map: per word, `epoch << 16 | lane` packed into one
+    /// entry so an ownership probe is a single load.
+    owner: Vec<u32>,
     /// Lowest / highest word address covered by lane-varying loads this
-    /// batch (`lo > hi` when empty).
+    /// tile (`lo > hi` when empty).
     load_lo: usize,
     load_hi: usize,
     /// Lowest / highest word address covered by uniform broadcast loads
-    /// this batch (`lo > hi` when empty).
+    /// this tile (`lo > hi` when empty).
     uload_lo: usize,
     uload_hi: usize,
-    /// `(addr, previous value)` for every store in the current batch, in
-    /// execution order; popped in reverse to roll a batch back.
+    /// `(addr, len)` of every store run this tile, in execution order;
+    /// popped in reverse to roll the tile back.
     undo: Vec<(u32, u32)>,
-    /// Lane-executions per opcode in the current batch; folded into
-    /// [`ExecStats`] and the dynamic-instruction counter only on commit.
-    op_counts: [u64; ALL_OPS.len()],
+    /// The words each undo run overwrote, concatenated in run order.
+    undo_words: Vec<u32>,
 }
 
-impl Default for LockstepScratch {
-    fn default() -> Self {
-        LockstepScratch {
-            epoch: 0,
-            store_map: Vec::new(),
-            load_lo: usize::MAX,
-            load_hi: 0,
-            uload_lo: usize::MAX,
-            uload_hi: 0,
-            undo: Vec::new(),
-            op_counts: [0; ALL_OPS.len()],
-        }
-    }
-}
-
-impl LockstepScratch {
-    /// Open a new batch epoch over a context of `words` memory words.
-    fn begin_batch(&mut self, words: usize) {
-        if self.store_map.len() < words {
-            self.store_map.resize(words, 0);
+impl TileLog {
+    /// Open a new tile epoch over a context of `words` memory words.
+    fn begin(&mut self, words: usize) {
+        if self.owner.len() < words {
+            self.owner.resize(words, 0);
         }
         self.undo.clear();
-        self.op_counts = [0; ALL_OPS.len()];
+        self.undo_words.clear();
         self.load_lo = usize::MAX;
         self.load_hi = 0;
         self.uload_lo = usize::MAX;
@@ -279,67 +286,187 @@ impl LockstepScratch {
             Some(e) => e,
             None => {
                 // Epoch wrap: stale entries could alias the new epoch, so
-                // clear the map once every 2^32 batches.
-                self.store_map.fill(0);
+                // clear the map once every 2^16 tiles.
+                self.owner.fill(0);
                 1
             }
         };
     }
 
-    /// Widen the batch's lane-varying load interval to cover `[lo, hi]`.
+    /// Whether any store landed this tile (otherwise the owner map holds
+    /// no live entries and loads need no probe).
+    #[inline]
+    fn stored(&self) -> bool {
+        !self.undo.is_empty()
+    }
+
+    /// Whether `entry` is live this tile and owned by a lane other than
+    /// `lane`.
+    #[inline]
+    fn foreign(&self, entry: u32, lane: usize) -> bool {
+        entry >> 16 == self.epoch as u32 && entry & 0xFFFF != lane as u32
+    }
+
+    /// Whether any lane stored to `addr` this tile.
+    #[inline]
+    fn owned(&self, addr: usize) -> bool {
+        self.owner[addr] >> 16 == self.epoch as u32
+    }
+
+    /// Whether lane `l` of a run load at `start + l` reads a word another
+    /// lane stored this tile, for any of `len` lanes.
+    fn run_conflicts(&self, start: usize, len: usize) -> bool {
+        if !self.stored() {
+            return false;
+        }
+        let mut conflict = false;
+        for (l, &e) in self.owner[start..start + len].iter().enumerate() {
+            conflict |= self.foreign(e, l);
+        }
+        conflict
+    }
+
+    /// Widen the tile's lane-varying load interval to cover `[lo, hi]`.
     #[inline]
     fn note_load_range(&mut self, lo: usize, hi: usize) {
-        if lo < self.load_lo {
-            self.load_lo = lo;
-        }
-        if hi > self.load_hi {
-            self.load_hi = hi;
-        }
+        self.load_lo = self.load_lo.min(lo);
+        self.load_hi = self.load_hi.max(hi);
     }
 
-    /// Widen the batch's uniform-load interval to cover `addr`.
+    /// Widen the tile's uniform-load interval to cover `addr`.
     #[inline]
     fn note_uniform_load(&mut self, addr: usize) {
-        if addr < self.uload_lo {
-            self.uload_lo = addr;
-        }
-        if addr > self.uload_hi {
-            self.uload_hi = addr;
-        }
+        self.uload_lo = self.uload_lo.min(addr);
+        self.uload_hi = self.uload_hi.max(addr);
     }
 
-    /// Whether a load of `addr` by `lane` conflicts with another lane's
-    /// earlier store this batch.
+    /// Whether `[lo, hi]` overlaps either load interval of this tile.
     #[inline]
-    fn load_conflicts(&self, addr: usize, lane: u8) -> bool {
-        let s = self.store_map[addr];
-        s >> 8 == self.epoch as u64 && s & 0xFF != lane as u64
+    fn overlaps_loads(&self, lo: usize, hi: usize) -> bool {
+        (lo <= self.load_hi && self.load_lo <= hi) || (lo <= self.uload_hi && self.uload_lo <= hi)
     }
 
-    /// Record a store to `addr` by `lane`; returns `false` on a conflict
-    /// with any earlier load this batch (conservative interval check) or
-    /// with another lane's earlier store.
+    /// Store `val` to `mem[addr]` for `lane`, logging the old word.
+    ///
+    /// # Errors
+    ///
+    /// [`Abort::Trap`] if `addr` is out of bounds, [`Abort::Conflict`] if
+    /// any load this tile may have read the word or another lane stored to
+    /// it.
     #[inline]
-    fn note_store(&mut self, addr: usize, lane: u8) -> bool {
-        if (self.load_lo <= addr && addr <= self.load_hi)
-            || (self.uload_lo <= addr && addr <= self.uload_hi)
-        {
-            return false;
+    fn store(&mut self, mem: &mut [u32], addr: usize, lane: usize, val: u32) -> Result<(), Abort> {
+        if addr >= mem.len() {
+            // Scalar path raises OutOfBounds { addr }.
+            return Err(Abort::Trap);
         }
-        let s = self.store_map[addr];
-        if s >> 8 == self.epoch as u64 && s & 0xFF != lane as u64 {
-            return false;
+        if self.overlaps_loads(addr, addr) || self.foreign(self.owner[addr], lane) {
+            return Err(Abort::Conflict);
         }
-        self.store_map[addr] = (self.epoch as u64) << 8 | lane as u64;
-        true
+        self.owner[addr] = (self.epoch as u32) << 16 | lane as u32;
+        self.undo.push((addr as u32, 1));
+        self.undo_words.push(mem[addr]);
+        mem[addr] = val;
+        Ok(())
+    }
+
+    /// Store lane `l`'s `vals[l]` to `mem[start + l]` for every lane: one
+    /// interval test, one owner-map pass, one undo extend, one slice copy.
+    /// The caller guarantees the run is in bounds.
+    ///
+    /// # Errors
+    ///
+    /// [`Abort::Conflict`] exactly when a per-lane [`store`](Self::store)
+    /// of any lane would conflict.
+    fn store_run(&mut self, mem: &mut [u32], start: usize, vals: &[u32]) -> Result<(), Abort> {
+        let end = start + vals.len();
+        if self.overlaps_loads(start, end - 1) {
+            return Err(Abort::Conflict);
+        }
+        let live = self.epoch as u32;
+        let tag = live << 16;
+        let mut conflict = false;
+        for (l, e) in self.owner[start..end].iter_mut().enumerate() {
+            conflict |= *e >> 16 == live && *e & 0xFFFF != l as u32;
+            *e = tag | l as u32;
+        }
+        if conflict {
+            return Err(Abort::Conflict);
+        }
+        self.undo.push((start as u32, vals.len() as u32));
+        self.undo_words.extend_from_slice(&mem[start..end]);
+        mem[start..end].copy_from_slice(vals);
+        Ok(())
+    }
+
+    /// Undo every store of the current tile, newest first.
+    fn rollback(&mut self, mem: &mut [u32]) {
+        while let Some((addr, len)) = self.undo.pop() {
+            let (addr, len) = (addr as usize, len as usize);
+            let from = self.undo_words.len() - len;
+            mem[addr..addr + len].copy_from_slice(&self.undo_words[from..]);
+            self.undo_words.truncate(from);
+        }
     }
 }
 
-/// Fault realization mode for one lockstep batch.
+/// Slot marker for a register the bound program never names.
+const UNNAMED: u8 = u8::MAX;
+
+/// Per-fabric scratch of the lockstep tile engine: the memory-ordering log,
+/// a dense register file holding one row per register the program names,
+/// per-lane divergence state, and the tile's deferred instruction
+/// accounting. Every buffer keeps its capacity across tiles and launches.
+#[derive(Clone, Debug)]
+struct LockstepScratch {
+    log: TileLog,
+    /// Lane-executions per opcode in the current tile; folded into
+    /// [`ExecStats`] and the dynamic-instruction counter only on commit.
+    op_counts: [u64; ALL_OPS.len()],
+    /// Dense slot of each register the bound program names (`UNNAMED`
+    /// otherwise).
+    slot: [u8; NUM_REGS],
+    /// Number of named registers of the bound program.
+    nslots: usize,
+    /// Register rows, `rows[slot][lane]`; every row (and `spare`) has the
+    /// same length, the widest tile bound so far, so that swapping rows
+    /// never leaves a short one behind.
+    rows: Vec<Vec<u32>>,
+    /// Value row of the current step. A converged write swaps it with the
+    /// destination row instead of copying.
+    spare: Vec<u32>,
+    /// Per-lane program counters, instruction counts, liveness and step
+    /// mask — materialized only once a tile diverges.
+    pc: Vec<u32>,
+    executed: Vec<u64>,
+    live: Vec<bool>,
+    active: Vec<bool>,
+    /// Per-lane addresses of a scattered load.
+    addrs: Vec<u32>,
+}
+
+impl Default for LockstepScratch {
+    fn default() -> Self {
+        LockstepScratch {
+            log: TileLog::default(),
+            op_counts: [0; ALL_OPS.len()],
+            slot: [UNNAMED; NUM_REGS],
+            nslots: 0,
+            rows: Vec::new(),
+            spare: Vec::new(),
+            pc: Vec::new(),
+            executed: Vec::new(),
+            live: Vec::new(),
+            active: Vec::new(),
+            addrs: Vec::new(),
+        }
+    }
+}
+
+/// Fault realization mode for one lockstep tile.
 #[derive(Copy, Clone, Debug)]
 enum LaneFault {
-    /// No polling this batch: either no fault is armed, a transient fault
-    /// targets a dynamic index outside this batch, or this is the probe
+    /// No polling this tile: either no fault is armed, a transient fault
+    /// targets a dynamic index outside this tile, or this is the probe
     /// pass of a transient fault whose index may land here.
     Inert,
     /// Permanent fault: every active lane executing the target opcode is
@@ -355,22 +482,534 @@ enum LaneFault {
     Transient { lane: usize, local_index: u64, fire_index: u64 },
 }
 
-/// Outcome of one lockstep batch.
-enum BatchExit<const L: usize> {
-    /// Every lane ran to completion without traps or cross-lane conflicts.
-    /// Memory effects are applied; instruction accounting is parked in the
-    /// scratch op log until the caller commits it.
-    Clean {
-        /// Instructions executed per lane (lane order = thread order).
-        per_lane: [u64; L],
-        /// Total instructions executed, i.e. the dynamic-counter advance.
-        dyn_add: u64,
-    },
-    /// A trap or a cross-lane memory conflict: the caller rolls back and
-    /// re-runs the remaining threads on the scalar reference path, which
-    /// reproduces the exact partial state and trap the paper's
-    /// thread-major model requires.
-    Abort,
+/// Why a lockstep tile gave up. Either way the caller rolls the tile back
+/// and replays it on the scalar reference path, which reproduces the exact
+/// partial state and trap the paper's thread-major model requires.
+#[derive(Copy, Clone, Debug)]
+enum Abort {
+    /// A cross-lane memory conflict (conservatively detected).
+    Conflict,
+    /// A lane would trap or exhaust its watchdog budget.
+    Trap,
+}
+
+/// Instructions executed per lane by a finished tile.
+#[derive(Copy, Clone, Debug)]
+enum LaneCounts {
+    /// The tile never diverged: every lane executed this many.
+    Converged(u64),
+    /// The tile diverged: per-lane counts are in `LockstepScratch::executed`.
+    Diverged,
+}
+
+/// A tile that ran to completion without traps or cross-lane conflicts.
+/// Memory effects are applied; instruction accounting is parked in the
+/// scratch op counts until the caller commits it.
+#[derive(Copy, Clone, Debug)]
+struct TileDone {
+    /// Total instructions executed, i.e. the dynamic-counter advance.
+    dyn_add: u64,
+    /// Instructions each lane executed.
+    lanes: LaneCounts,
+}
+
+/// Address pattern of one tile-wide memory step: lane `l` accesses
+/// `a[l] + imm`.
+enum Pattern {
+    /// Every lane addresses this word (possibly out of bounds).
+    Uniform(u32),
+    /// Lane `l` addresses `start + l`, every lane in bounds.
+    Run(usize),
+    /// Anything else, including runs that leave memory.
+    Scattered,
+}
+
+impl Pattern {
+    /// Classify a tile's address row against `words` words of memory.
+    #[inline]
+    fn of(a: &[u32], imm: u32, words: usize) -> Self {
+        let a0 = a[0];
+        let (mut uniform, mut run) = (true, true);
+        for (l, &x) in a.iter().enumerate() {
+            uniform &= x == a0;
+            run &= x == a0.wrapping_add(l as u32);
+        }
+        let start = a0.wrapping_add(imm);
+        // A run must not wrap the 32-bit address space: lane `l` addresses
+        // `start + l` only while that sum fits.
+        let fits = start.checked_add(a.len() as u32 - 1).is_some();
+        if uniform {
+            Pattern::Uniform(start)
+        } else if run && fits && start as usize + a.len() <= words {
+            Pattern::Run(start as usize)
+        } else {
+            Pattern::Scattered
+        }
+    }
+}
+
+/// Compute the value row of a register-writing ALU op (every opcode but
+/// loads, stores, branches and halt) for lanes `0..val.len()` of a tile
+/// whose first thread is `t0`.
+#[inline(always)]
+fn alu_row(op: Op, a: &[u32], b: &[u32], c: &[u32], imm: u32, t0: u32, val: &mut [u32]) {
+    #[inline(always)]
+    fn map1(val: &mut [u32], a: &[u32], f: impl Fn(u32) -> u32) {
+        for (v, &x) in val.iter_mut().zip(a) {
+            *v = f(x);
+        }
+    }
+    #[inline(always)]
+    fn map2(val: &mut [u32], a: &[u32], b: &[u32], f: impl Fn(u32, u32) -> u32) {
+        for ((v, &x), &y) in val.iter_mut().zip(a).zip(b) {
+            *v = f(x, y);
+        }
+    }
+    #[inline(always)]
+    fn fmap2(val: &mut [u32], a: &[u32], b: &[u32], f: impl Fn(f32, f32) -> u32) {
+        map2(val, a, b, |x, y| f(bits_to_f32(x), bits_to_f32(y)));
+    }
+
+    match op {
+        Op::FAdd => fmap2(val, a, b, |x, y| f32_to_bits(x + y)),
+        Op::FSub => fmap2(val, a, b, |x, y| f32_to_bits(x - y)),
+        Op::FMul => fmap2(val, a, b, |x, y| f32_to_bits(x * y)),
+        Op::FDiv => fmap2(val, a, b, |x, y| f32_to_bits(x / y)),
+        Op::FMin => fmap2(val, a, b, |x, y| f32_to_bits(x.min(y))),
+        Op::FMax => fmap2(val, a, b, |x, y| f32_to_bits(x.max(y))),
+        Op::FAbs => map1(val, a, |x| f32_to_bits(bits_to_f32(x).abs())),
+        Op::FNeg => map1(val, a, |x| f32_to_bits(-bits_to_f32(x))),
+        Op::FSqrt => map1(val, a, |x| f32_to_bits(bits_to_f32(x).sqrt())),
+        Op::FFma => {
+            for (((v, &x), &y), &z) in val.iter_mut().zip(a).zip(b).zip(c) {
+                *v = f32_to_bits(bits_to_f32(x).mul_add(bits_to_f32(y), bits_to_f32(z)));
+            }
+        }
+        Op::IAdd => map2(val, a, b, u32::wrapping_add),
+        Op::ISub => map2(val, a, b, u32::wrapping_sub),
+        Op::IMul => map2(val, a, b, u32::wrapping_mul),
+        Op::IAnd => map2(val, a, b, |x, y| x & y),
+        Op::IOr => map2(val, a, b, |x, y| x | y),
+        Op::IXor => map2(val, a, b, |x, y| x ^ y),
+        Op::IShl => map2(val, a, b, |x, y| x << (y & 31)),
+        Op::IShr => map2(val, a, b, |x, y| x >> (y & 31)),
+        Op::FLt => fmap2(val, a, b, |x, y| (x < y) as u32),
+        Op::FLe => fmap2(val, a, b, |x, y| (x <= y) as u32),
+        Op::ILt => map2(val, a, b, |x, y| (x < y) as u32),
+        Op::IEq => map2(val, a, b, |x, y| (x == y) as u32),
+        Op::Sel => {
+            for (((v, &x), &y), &z) in val.iter_mut().zip(a).zip(b).zip(c) {
+                *v = if x != 0 { y } else { z };
+            }
+        }
+        Op::Mov => val.copy_from_slice(a),
+        Op::LdImm => val.fill(imm),
+        Op::F2I => map1(val, a, |x| bits_to_f32(x) as u32),
+        Op::I2F => map1(val, a, |x| f32_to_bits(x as f32)),
+        Op::Tid => {
+            for (l, v) in val.iter_mut().enumerate() {
+                *v = t0 + l as u32;
+            }
+        }
+        Op::Ld | Op::St | Op::Jmp | Op::Jz | Op::Jnz | Op::Halt => {
+            unreachable!("{op} has no ALU value row")
+        }
+    }
+}
+
+/// XOR the armed fault into a step's value row. A permanent fault corrupts
+/// every active lane's write of its opcode (as it corrupts every scalar
+/// dynamic instance); a transient pass corrupts only the one lane-local
+/// write the scalar stream indexes. `local(l)` is lane `l`'s zero-based
+/// index of the executing instruction.
+#[inline(always)]
+fn realize_fault(
+    fault: &mut Option<FaultState>,
+    mode: LaneFault,
+    op: Op,
+    val: &mut [u32],
+    active: impl Fn(usize) -> bool,
+    local: impl Fn(usize) -> u64,
+) {
+    let Some(f) = fault.as_mut() else { return };
+    match mode {
+        LaneFault::Inert => {}
+        LaneFault::Permanent { op: target } => {
+            if op == target {
+                for (l, v) in val.iter_mut().enumerate() {
+                    if active(l) {
+                        // Permanent polling ignores the dynamic index.
+                        if let Some(m) = f.poll(0, op) {
+                            *v ^= m;
+                        }
+                    }
+                }
+            }
+        }
+        LaneFault::Transient { lane, local_index, fire_index } => {
+            if lane < val.len() && active(lane) && local(lane) == local_index {
+                if let Some(m) = f.poll(fire_index, op) {
+                    val[lane] ^= m;
+                }
+            }
+        }
+    }
+}
+
+/// Row slots of `ins`'s destination and three sources under `slot`.
+#[inline(always)]
+fn row_slots(slot: &[u8; NUM_REGS], ins: &Instr) -> [usize; 4] {
+    [ins.dst, ins.a, ins.b, ins.c].map(|r| slot[r.idx()] as usize)
+}
+
+impl LockstepScratch {
+    /// Give every register `prog` names a dense row, sized for tiles of up
+    /// to `width` lanes.
+    fn bind(&mut self, prog: &Program, width: usize) {
+        self.slot = [UNNAMED; NUM_REGS];
+        let mut n = 0u8;
+        for ins in prog.instrs() {
+            for r in [ins.dst, ins.a, ins.b, ins.c] {
+                let s = &mut self.slot[r.idx()];
+                if *s == UNNAMED {
+                    *s = n;
+                    n += 1;
+                }
+            }
+        }
+        self.nslots = n as usize;
+        let row_len = self.spare.len().max(width);
+        if self.rows.len() < self.nslots {
+            self.rows.resize_with(self.nslots, Vec::new);
+        }
+        for row in self.rows.iter_mut().chain(std::iter::once(&mut self.spare)) {
+            row.resize(row_len, 0);
+        }
+        self.pc.resize(row_len, 0);
+        self.executed.resize(row_len, 0);
+        self.live.resize(row_len, false);
+        self.active.resize(row_len, false);
+        self.addrs.resize(row_len, 0);
+    }
+
+    /// Execute threads `t0..t0 + w` (`2 ≤ w ≤` the bound width) of the
+    /// bound program `prog` as one lockstep tile.
+    ///
+    /// One instruction is fetched and decoded per step and applied across
+    /// the tile's lanes. While no conditional branch has split them, the
+    /// lanes share one program counter (the converged fast path: one fetch,
+    /// one budget compare, one accounting add per step, unmasked value
+    /// rows, and contiguous loads and stores as slice copies). After a
+    /// split, each step executes the smallest program counter among live
+    /// lanes under an active mask, so lanes that branched apart rejoin at
+    /// the earliest common point. Cross-lane memory conflicts, traps, and
+    /// watchdog exhaustion abort the tile.
+    #[allow(clippy::too_many_arguments)]
+    fn exec_tile(
+        &mut self,
+        fault: &mut Option<FaultState>,
+        prog: &Program,
+        mem: &mut [u32],
+        t0: u32,
+        w: usize,
+        args: &[(Reg, u32)],
+        budget: u64,
+        mode: LaneFault,
+    ) -> Result<TileDone, Abort> {
+        self.log.begin(mem.len());
+        self.op_counts = [0; ALL_OPS.len()];
+        for row in &mut self.rows[..self.nslots] {
+            row[..w].fill(0);
+        }
+        for &(r, v) in args {
+            let s = self.slot[r.idx()];
+            if s != UNNAMED {
+                self.rows[s as usize][..w].fill(v);
+            }
+        }
+        let instrs = prog.instrs();
+        let plen = instrs.len();
+        let nw = w as u64;
+        let mut dyn_add = 0u64;
+
+        // --- Converged fast path -----------------------------------------
+        let mut cpc = 0usize;
+        let mut cexec = 0u64;
+        'fast: loop {
+            let Some(&ins) = instrs.get(cpc) else {
+                // Falling off the end is an implicit halt with no budget
+                // check, exactly as in the scalar interpreter.
+                return Ok(TileDone { dyn_add, lanes: LaneCounts::Converged(cexec) });
+            };
+            if cexec >= budget {
+                // The scalar path raises Watchdog here.
+                return Err(Abort::Trap);
+            }
+            cexec += 1;
+            self.op_counts[ins.op.index()] += nw;
+            dyn_add += nw;
+
+            let [sd, sa, sb, sc] = row_slots(&self.slot, &ins);
+            let a = &self.rows[sa][..w];
+            let val = &mut self.spare[..w];
+            match ins.op {
+                Op::Ld => match Pattern::of(a, ins.imm, mem.len()) {
+                    Pattern::Uniform(addr) => {
+                        // Every lane reads the same word (shared weights,
+                        // uniform tables): one bounds check, one conflict
+                        // probe, one broadcast. Any same-tile store to the
+                        // word aborts — with ≥ 2 lanes reading it that is
+                        // a guaranteed cross-lane conflict.
+                        let idx = addr as usize;
+                        let Some(&word) = mem.get(idx) else {
+                            // Scalar path raises OutOfBounds { addr }.
+                            return Err(Abort::Trap);
+                        };
+                        if self.log.stored() && self.log.owned(idx) {
+                            return Err(Abort::Conflict);
+                        }
+                        self.log.note_uniform_load(idx);
+                        val.fill(word);
+                    }
+                    Pattern::Run(start) => {
+                        if self.log.run_conflicts(start, w) {
+                            return Err(Abort::Conflict);
+                        }
+                        self.log.note_load_range(start, start + w - 1);
+                        val.copy_from_slice(&mem[start..start + w]);
+                    }
+                    Pattern::Scattered => {
+                        // Hoisted bounds check: one max over the lane
+                        // addresses replaces a branch per lane. An abort
+                        // on any out-of-range lane replays scalar, which
+                        // raises the exact per-lane OutOfBounds trap.
+                        let addrs = &mut self.addrs[..w];
+                        let (mut lo, mut hi) = (u32::MAX, 0u32);
+                        for (ad, &x) in addrs.iter_mut().zip(a) {
+                            *ad = x.wrapping_add(ins.imm);
+                            lo = lo.min(*ad);
+                            hi = hi.max(*ad);
+                        }
+                        if hi as usize >= mem.len() {
+                            return Err(Abort::Trap);
+                        }
+                        self.log.note_load_range(lo as usize, hi as usize);
+                        if self.log.stored() {
+                            for (l, (v, &ad)) in val.iter_mut().zip(addrs.iter()).enumerate() {
+                                let idx = ad as usize;
+                                if self.log.foreign(self.log.owner[idx], l) {
+                                    return Err(Abort::Conflict);
+                                }
+                                *v = mem[idx];
+                            }
+                        } else {
+                            for (v, &ad) in val.iter_mut().zip(addrs.iter()) {
+                                *v = mem[ad as usize];
+                            }
+                        }
+                    }
+                },
+                Op::St => {
+                    let b = &self.rows[sb][..w];
+                    match Pattern::of(a, ins.imm, mem.len()) {
+                        Pattern::Run(start) => self.log.store_run(mem, start, b)?,
+                        Pattern::Uniform(_) | Pattern::Scattered => {
+                            for (l, (&x, &v)) in a.iter().zip(b).enumerate() {
+                                self.log.store(mem, x.wrapping_add(ins.imm) as usize, l, v)?;
+                            }
+                        }
+                    }
+                    cpc += 1;
+                    continue 'fast;
+                }
+                Op::Jmp => {
+                    if ins.imm as usize > plen {
+                        // Scalar path raises InvalidTarget.
+                        return Err(Abort::Trap);
+                    }
+                    cpc = ins.imm as usize;
+                    continue 'fast;
+                }
+                Op::Jz | Op::Jnz => {
+                    let want_zero = ins.op == Op::Jz;
+                    let first = (a[0] == 0) == want_zero;
+                    let mut split = false;
+                    for &x in &a[1..] {
+                        split |= ((x == 0) == want_zero) != first;
+                    }
+                    if !split {
+                        if first {
+                            if ins.imm as usize > plen {
+                                // Scalar path raises InvalidTarget.
+                                return Err(Abort::Trap);
+                            }
+                            cpc = ins.imm as usize;
+                        } else {
+                            cpc += 1;
+                        }
+                        continue 'fast;
+                    }
+                    // Lanes split here (so some lane takes the branch):
+                    // materialize per-lane state and fall through to the
+                    // masked min-pc loop for the rest of the tile.
+                    if ins.imm as usize > plen {
+                        return Err(Abort::Trap);
+                    }
+                    for (p, &x) in self.pc[..w].iter_mut().zip(a) {
+                        *p = if (x == 0) == want_zero { ins.imm } else { cpc as u32 + 1 };
+                    }
+                    self.executed[..w].fill(cexec);
+                    self.live[..w].fill(true);
+                    break 'fast;
+                }
+                Op::Halt => {
+                    return Ok(TileDone { dyn_add, lanes: LaneCounts::Converged(cexec) });
+                }
+                op => alu_row(op, a, &self.rows[sb][..w], &self.rows[sc][..w], ins.imm, t0, val),
+            }
+            realize_fault(fault, mode, ins.op, val, |_| true, |_| cexec - 1);
+            std::mem::swap(&mut self.rows[sd], &mut self.spare);
+            cpc += 1;
+        }
+
+        // --- Divergent path: masked min-pc reconvergence ------------------
+        loop {
+            let (pc, live) = (&mut self.pc[..w], &mut self.live[..w]);
+            let mut pc_cur = u32::MAX;
+            for (&p, &on) in pc.iter().zip(live.iter()) {
+                if on && p < pc_cur {
+                    pc_cur = p;
+                }
+            }
+            if pc_cur == u32::MAX {
+                return Ok(TileDone { dyn_add, lanes: LaneCounts::Diverged });
+            }
+            if pc_cur as usize >= plen {
+                // Falling off the end is an implicit halt with no budget
+                // check, exactly as in the scalar interpreter.
+                for (&p, on) in pc.iter().zip(live.iter_mut()) {
+                    if p == pc_cur {
+                        *on = false;
+                    }
+                }
+                continue;
+            }
+            let ins = instrs[pc_cur as usize];
+            let (active, executed) = (&mut self.active[..w], &mut self.executed[..w]);
+            let mut n_active = 0u64;
+            let mut exhausted = false;
+            for (((on, &p), &lv), &e) in
+                active.iter_mut().zip(pc.iter()).zip(live.iter()).zip(executed.iter())
+            {
+                *on = lv && p == pc_cur;
+                n_active += *on as u64;
+                exhausted |= *on && e >= budget;
+            }
+            if exhausted {
+                // The scalar path raises Watchdog here.
+                return Err(Abort::Trap);
+            }
+            for (e, &on) in executed.iter_mut().zip(active.iter()) {
+                *e += on as u64;
+            }
+            self.op_counts[ins.op.index()] += n_active;
+            dyn_add += n_active;
+
+            let [sd, sa, sb, sc] = row_slots(&self.slot, &ins);
+            let a = &self.rows[sa][..w];
+            let val = &mut self.spare[..w];
+            let next = pc_cur + 1;
+            match ins.op {
+                Op::Ld => {
+                    for (l, (v, &x)) in val.iter_mut().zip(a).enumerate() {
+                        if active[l] {
+                            let idx = x.wrapping_add(ins.imm) as usize;
+                            let Some(&word) = mem.get(idx) else {
+                                // Scalar path raises OutOfBounds { addr }.
+                                return Err(Abort::Trap);
+                            };
+                            if self.log.stored() && self.log.foreign(self.log.owner[idx], l) {
+                                return Err(Abort::Conflict);
+                            }
+                            self.log.note_load_range(idx, idx);
+                            *v = word;
+                        }
+                    }
+                }
+                Op::St => {
+                    let b = &self.rows[sb][..w];
+                    for (l, ((&x, &v), p)) in a.iter().zip(b).zip(pc.iter_mut()).enumerate() {
+                        if active[l] {
+                            self.log.store(mem, x.wrapping_add(ins.imm) as usize, l, v)?;
+                            *p = next;
+                        }
+                    }
+                    continue;
+                }
+                Op::Jmp | Op::Jz | Op::Jnz => {
+                    for ((p, &x), &on) in pc.iter_mut().zip(a).zip(active.iter()) {
+                        if on {
+                            let taken = match ins.op {
+                                Op::Jmp => true,
+                                Op::Jz => x == 0,
+                                _ => x != 0,
+                            };
+                            if taken {
+                                if ins.imm as usize > plen {
+                                    // Scalar path raises InvalidTarget.
+                                    return Err(Abort::Trap);
+                                }
+                                *p = ins.imm;
+                            } else {
+                                *p = next;
+                            }
+                        }
+                    }
+                    continue;
+                }
+                Op::Halt => {
+                    for (lv, &on) in live.iter_mut().zip(active.iter()) {
+                        if on {
+                            *lv = false;
+                        }
+                    }
+                    continue;
+                }
+                // Value rows are computed over every lane — inactive lanes
+                // produce garbage that the masked writeback discards — so
+                // the loops stay branch-free.
+                op => alu_row(op, a, &self.rows[sb][..w], &self.rows[sc][..w], ins.imm, t0, val),
+            }
+            realize_fault(fault, mode, ins.op, val, |l| active[l], |l| executed[l] - 1);
+            for (((d, &v), p), &on) in
+                self.rows[sd][..w].iter_mut().zip(val.iter()).zip(pc.iter_mut()).zip(active.iter())
+            {
+                if on {
+                    *d = v;
+                    *p = next;
+                }
+            }
+        }
+    }
+
+    /// Locate the lane and lane-local instruction index of the tile's
+    /// `local`-th lane-execution in thread order, from the probe's per-lane
+    /// counts. Lanes before the faulted one are unaffected by the fault,
+    /// and the faulted lane executes identically up to the injection
+    /// point, so the probe's prefix sums are valid.
+    fn locate(&self, lanes: LaneCounts, mut local: u64) -> (usize, u64) {
+        match lanes {
+            LaneCounts::Converged(n) => ((local / n) as usize, local % n),
+            LaneCounts::Diverged => {
+                let mut lane = 0;
+                while local >= self.executed[lane] {
+                    local -= self.executed[lane];
+                    lane += 1;
+                }
+                (lane, local)
+            }
+        }
+    }
 }
 
 impl Fabric {
@@ -382,6 +1021,7 @@ impl Fabric {
             fault: None,
             dyn_counter: 0,
             scratch: LockstepScratch::default(),
+            counters: LockstepCounters::default(),
         }
     }
 
@@ -395,6 +1035,13 @@ impl Fabric {
         &self.stats
     }
 
+    /// How the lockstep kernel engine ran since this fabric was created:
+    /// tiles committed and aborted, threads replayed on the scalar
+    /// interpreter, transient re-runs. Not reset by
+    /// [`reset_for_run`](Self::reset_for_run), and no part of any result.
+    pub fn lockstep_counters(&self) -> LockstepCounters {
+        self.counters
+    }
     /// Total dynamic instructions executed since the last
     /// [`reset_for_run`](Self::reset_for_run) — the transient fault-site
     /// space for plan generation.
@@ -459,11 +1106,12 @@ impl Fabric {
     /// memory and observe each other in thread order (the fabric models a
     /// time-multiplexed processor, not a parallel machine).
     ///
-    /// Execution is lockstep-batched over [`LANES`] threads at a time — one
-    /// fetch/decode per batch step instead of one per thread — and is
+    /// Execution runs in lockstep tiles of [`KERNEL_TILE`] threads — one
+    /// fetch/decode per tile step instead of one per thread — and is
     /// bit-identical to [`run_kernel_reference`](Self::run_kernel_reference):
-    /// batches whose lanes touch overlapping memory, trap, or exhaust the
-    /// watchdog are rolled back and replayed on the scalar path.
+    /// a tile whose lanes touch overlapping memory, trap, or exhaust the
+    /// watchdog is rolled back and replayed on the scalar path, and the
+    /// next tile runs in lockstep again.
     ///
     /// Returns the total number of instructions executed.
     ///
@@ -479,7 +1127,7 @@ impl Fabric {
         args: &[(Reg, u32)],
         budget_per_thread: u64,
     ) -> Result<u64, Trap> {
-        self.run_kernel_lockstep::<LANES>(prog, ctx, n_threads, args, budget_per_thread)
+        self.run_kernel_tiled(prog, ctx, n_threads, args, budget_per_thread, KERNEL_TILE)
     }
 
     /// Thread-major scalar kernel launch — the semantic reference for
@@ -488,7 +1136,7 @@ impl Fabric {
     /// Runs every thread to completion through the scalar interpreter in
     /// thread order. The lockstep engine must match this path bit for bit
     /// (registers, memory, traps, statistics, dynamic-instruction counter,
-    /// and fault activations); `lockstep_differential.rs` and the batch
+    /// and fault activations); `lockstep_differential.rs` and the tile
     /// rollback path both rely on it staying exactly as the paper's
     /// time-multiplexed model specifies.
     pub fn run_kernel_reference(
@@ -500,817 +1148,132 @@ impl Fabric {
         budget_per_thread: u64,
     ) -> Result<u64, Trap> {
         self.stats.record_launch();
-        self.finish_scalar(prog, ctx, 0, n_threads, args, budget_per_thread, 0)
+        self.exec_threads(prog, &mut ctx.mem, 0..n_threads, args, budget_per_thread)
     }
 
-    /// Lockstep kernel launch with an explicit lane width `L`.
+    /// Lockstep kernel launch in tiles of `tile` threads.
     ///
-    /// [`run_kernel`](Self::run_kernel) uses `L = LANES`; the differential
-    /// tests sweep `L ∈ {1, 4, 8}`. `L = 1` degenerates to the scalar path.
+    /// [`run_kernel`](Self::run_kernel) uses `tile = KERNEL_TILE`; the
+    /// differential tests sweep other widths. `tile = 1` degenerates to the
+    /// scalar path.
     ///
     /// # Errors
     ///
     /// Returns a [`Trap`] exactly when the reference path would.
-    pub fn run_kernel_lockstep<const L: usize>(
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= tile <= 65536` (store-owner entries tag lanes
+    /// with 16 bits).
+    pub fn run_kernel_tiled(
         &mut self,
         prog: &Program,
         ctx: &mut Context,
         n_threads: u32,
         args: &[(Reg, u32)],
         budget_per_thread: u64,
+        tile: usize,
     ) -> Result<u64, Trap> {
-        assert!(L >= 1 && L < MAX_LANE_WIDTH, "unsupported lane width {L}");
+        assert!((1..=1 << 16).contains(&tile), "unsupported tile width {tile}");
         self.stats.record_launch();
+        let tile = tile as u32;
+        if tile >= 2 && n_threads >= 2 {
+            self.scratch.bind(prog, n_threads.min(tile) as usize);
+        }
         let mut total = 0u64;
         let mut t0 = 0u32;
         while t0 < n_threads {
-            let width = (n_threads - t0).min(L as u32) as usize;
-            if width < 2 {
-                // Single-thread batches (tails, 1-thread kernels) take the
+            let w = (n_threads - t0).min(tile);
+            total += if w < 2 {
+                // One-thread tiles (tails, one-thread kernels) take the
                 // scalar path directly: it is the reference semantics, and
                 // faults poll live against the true dynamic index.
-                let mut regs = [0u32; NUM_REGS];
-                for &(r, v) in args {
-                    regs[r.idx()] = v;
-                }
-                total += self.exec(prog, &mut regs, &mut ctx.mem, t0, budget_per_thread)?;
-                t0 += 1;
-                continue;
-            }
-
-            let batch_base = self.dyn_counter;
-            let snap_fault = self.fault;
-            let armed = self.fault.map(|f| f.model());
-            // A transient fault whose dynamic index might land in this batch
-            // cannot be applied while lanes interleave: the scalar index of
-            // each write is only known once per-lane instruction counts are.
-            // Run such batches as an unfaulted probe first, then re-run with
-            // the injection pinned to the exact lane and local instruction.
-            let (mode, probing) = match armed {
-                None => (LaneFault::Inert, false),
-                Some(FaultModel::Permanent { op, .. }) => (LaneFault::Permanent { op }, false),
-                Some(FaultModel::Transient { instr_index, .. }) => {
-                    (LaneFault::Inert, instr_index >= batch_base)
-                }
+                self.exec_threads(prog, &mut ctx.mem, t0..t0 + w, args, budget_per_thread)?
+            } else {
+                self.run_tile(prog, &mut ctx.mem, t0, w as usize, args, budget_per_thread)?
             };
-
-            match self.exec_batch::<L>(prog, &mut ctx.mem, t0, width, args, budget_per_thread, mode)
-            {
-                BatchExit::Abort => {
-                    self.rollback_mem(&mut ctx.mem);
-                    self.fault = snap_fault;
-                    return self.finish_scalar(
-                        prog,
-                        ctx,
-                        t0,
-                        n_threads,
-                        args,
-                        budget_per_thread,
-                        total,
-                    );
-                }
-                BatchExit::Clean { per_lane, dyn_add } => {
-                    let refire = match armed {
-                        Some(FaultModel::Transient { instr_index, .. }) => {
-                            probing && instr_index < batch_base + dyn_add
-                        }
-                        _ => false,
-                    };
-                    if !refire {
-                        self.commit_batch(dyn_add);
-                        total += dyn_add;
-                    } else {
-                        let Some(FaultModel::Transient { instr_index, .. }) = armed else {
-                            unreachable!("refire implies an armed transient fault")
-                        };
-                        // The probe found the target index inside this batch.
-                        // Locate the faulted lane from the probe's per-lane
-                        // counts: in thread order, lanes before it are
-                        // unaffected by the fault, and the faulted lane
-                        // executes identically up to the injection point, so
-                        // the prefix sums are valid.
-                        self.rollback_mem(&mut ctx.mem);
-                        let mut local = instr_index - batch_base;
-                        let mut lane = 0usize;
-                        while lane < L && local >= per_lane[lane] {
-                            local -= per_lane[lane];
-                            lane += 1;
-                        }
-                        let mode = LaneFault::Transient {
-                            lane,
-                            local_index: local,
-                            fire_index: instr_index,
-                        };
-                        match self.exec_batch::<L>(
-                            prog,
-                            &mut ctx.mem,
-                            t0,
-                            width,
-                            args,
-                            budget_per_thread,
-                            mode,
-                        ) {
-                            BatchExit::Abort => {
-                                self.rollback_mem(&mut ctx.mem);
-                                self.fault = snap_fault;
-                                return self.finish_scalar(
-                                    prog,
-                                    ctx,
-                                    t0,
-                                    n_threads,
-                                    args,
-                                    budget_per_thread,
-                                    total,
-                                );
-                            }
-                            BatchExit::Clean { dyn_add, .. } => {
-                                self.commit_batch(dyn_add);
-                                total += dyn_add;
-                            }
-                        }
-                    }
-                }
-            }
-            t0 += width as u32;
+            t0 += w;
         }
         Ok(total)
     }
 
-    /// Fold the current batch's per-op counts into the statistics and
-    /// advance the dynamic-instruction counter. Called exactly once per
-    /// committed batch; aborted batches leave both untouched.
-    fn commit_batch(&mut self, dyn_add: u64) {
-        for &op in ALL_OPS {
-            let n = self.scratch.op_counts[op.index()];
-            if n > 0 {
-                self.stats.record_n(op, n);
-            }
-        }
-        self.dyn_counter += dyn_add;
-    }
-
-    /// Undo every store of the current batch, newest first.
-    fn rollback_mem(&mut self, mem: &mut [u32]) {
-        while let Some((addr, old)) = self.scratch.undo.pop() {
-            mem[addr as usize] = old;
-        }
-    }
-
-    /// Run threads `t0..n_threads` through the scalar interpreter in thread
-    /// order, accumulating onto `total` — the tail of every rollback and
-    /// the whole of [`run_kernel_reference`](Self::run_kernel_reference).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_scalar(
-        &mut self,
-        prog: &Program,
-        ctx: &mut Context,
-        t0: u32,
-        n_threads: u32,
-        args: &[(Reg, u32)],
-        budget_per_thread: u64,
-        mut total: u64,
-    ) -> Result<u64, Trap> {
-        for t in t0..n_threads {
-            let mut regs = [0u32; NUM_REGS];
-            for &(r, v) in args {
-                regs[r.idx()] = v;
-            }
-            total += self.exec(prog, &mut regs, &mut ctx.mem, t, budget_per_thread)?;
-        }
-        Ok(total)
-    }
-
-    /// Execute one batch of `width` threads (`t0..t0+width`) in lockstep.
-    ///
-    /// One instruction is fetched and decoded per step and applied across
-    /// all active lanes of a lane-major register file. Divergence is
-    /// handled by a min-pc reconvergence mask: each step executes the
-    /// smallest program counter among live lanes, so lanes that branched
-    /// apart rejoin at the earliest common point. Cross-lane memory
-    /// conflicts, traps, and watchdog exhaustion abort the batch — the
-    /// caller rolls back and replays on the scalar path, which keeps the
-    /// committed fast path bit-identical to thread-major execution.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_batch<const L: usize>(
+    /// Run threads `t0..t0 + w` as one lockstep tile and commit it, or roll
+    /// it back and replay it on the scalar interpreter.
+    fn run_tile(
         &mut self,
         prog: &Program,
         mem: &mut [u32],
         t0: u32,
-        width: usize,
+        w: usize,
         args: &[(Reg, u32)],
         budget: u64,
-        mode: LaneFault,
-    ) -> BatchExit<L> {
-        /// What a batch step does after its value vector is computed.
-        enum Step {
-            /// Masked register writeback, then advance pc.
-            Write,
-            /// Advance pc only (stores).
-            Advance,
-            /// Control flow already updated pc / liveness (branches, halt).
-            Control,
-        }
-
-        self.scratch.begin_batch(mem.len());
-        let instrs = prog.instrs();
-        let plen = instrs.len();
-
-        // Lane-major register file: regs[r][lane].
-        let mut regs = [[0u32; L]; NUM_REGS];
-        for &(r, v) in args {
-            regs[r.idx()] = [v; L];
-        }
-        let mut pc = [0u32; L];
-        let mut executed = [0u64; L];
-        let mut live = [false; L];
-        live[..width].fill(true);
-        let mut dyn_add = 0u64;
-
-        // --- Converged fast path -----------------------------------------
-        //
-        // Until a conditional branch splits them, lanes `0..width` march
-        // through a single shared pc: one fetch, one budget compare, one
-        // accounting add per step, value loops over all `L` lanes with an
-        // unconditional writeback (dead lanes `width..L` hold garbage no one
-        // reads). This is the steady state for the agent's straight-line and
-        // uniform-loop kernels; only genuinely divergent batches pay for the
-        // masked min-pc machinery below.
-        let mut cpc = 0usize;
-        let mut cexec = 0u64;
-        let nw = width as u64;
-        'fast: loop {
-            if cpc >= plen {
-                // Falling off the end is an implicit halt with no budget
-                // check, exactly as in the scalar interpreter.
-                let mut per_lane = [0u64; L];
-                per_lane[..width].fill(cexec);
-                return BatchExit::Clean { per_lane, dyn_add };
+    ) -> Result<u64, Trap> {
+        let base = self.dyn_counter;
+        let snap_fault = self.fault;
+        // A transient fault whose dynamic index might land in this tile
+        // cannot be applied while lanes interleave: the scalar index of
+        // each write is only known once per-lane instruction counts are.
+        // Run such tiles as an unfaulted probe first, then re-run with the
+        // injection pinned to the exact lane and local instruction.
+        let (mode, probe) = match snap_fault.map(|f| f.model()) {
+            None => (LaneFault::Inert, None),
+            Some(FaultModel::Permanent { op, .. }) => (LaneFault::Permanent { op }, None),
+            Some(FaultModel::Transient { instr_index, .. }) => {
+                (LaneFault::Inert, (instr_index >= base).then_some(instr_index))
             }
-            let ins = instrs[cpc];
-            if cexec >= budget {
-                // The scalar path raises Watchdog here.
-                return BatchExit::Abort;
-            }
-            cexec += 1;
-            self.scratch.op_counts[ins.op.index()] += nw;
-            dyn_add += nw;
-
-            let ai = ins.a.idx();
-            let bi = ins.b.idx();
-            let mut val = [0u32; L];
-
-            macro_rules! fop2 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = f32_to_bits($f(bits_to_f32(a[l]), bits_to_f32(b[l])));
-                    }
-                }};
-            }
-            macro_rules! fop1 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = f32_to_bits($f(bits_to_f32(a[l])));
-                    }
-                }};
-            }
-            macro_rules! iop2 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = $f(a[l], b[l]);
-                    }
-                }};
-            }
-
-            match ins.op {
-                Op::FAdd => fop2!(|x: f32, y: f32| x + y),
-                Op::FSub => fop2!(|x: f32, y: f32| x - y),
-                Op::FMul => fop2!(|x: f32, y: f32| x * y),
-                Op::FDiv => fop2!(|x: f32, y: f32| x / y),
-                Op::FMin => fop2!(|x: f32, y: f32| x.min(y)),
-                Op::FMax => fop2!(|x: f32, y: f32| x.max(y)),
-                Op::FAbs => fop1!(|x: f32| x.abs()),
-                Op::FNeg => fop1!(|x: f32| -x),
-                Op::FSqrt => fop1!(|x: f32| x.sqrt()),
-                Op::FFma => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    let c = regs[ins.c.idx()];
-                    for l in 0..L {
-                        val[l] = f32_to_bits(
-                            bits_to_f32(a[l]).mul_add(bits_to_f32(b[l]), bits_to_f32(c[l])),
-                        );
-                    }
-                }
-                Op::IAdd => iop2!(|x: u32, y: u32| x.wrapping_add(y)),
-                Op::ISub => iop2!(|x: u32, y: u32| x.wrapping_sub(y)),
-                Op::IMul => iop2!(|x: u32, y: u32| x.wrapping_mul(y)),
-                Op::IAnd => iop2!(|x: u32, y: u32| x & y),
-                Op::IOr => iop2!(|x: u32, y: u32| x | y),
-                Op::IXor => iop2!(|x: u32, y: u32| x ^ y),
-                Op::IShl => iop2!(|x: u32, y: u32| x << (y & 31)),
-                Op::IShr => iop2!(|x: u32, y: u32| x >> (y & 31)),
-                Op::FLt => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = (bits_to_f32(a[l]) < bits_to_f32(b[l])) as u32;
-                    }
-                }
-                Op::FLe => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = (bits_to_f32(a[l]) <= bits_to_f32(b[l])) as u32;
-                    }
-                }
-                Op::ILt => iop2!(|x: u32, y: u32| (x < y) as u32),
-                Op::IEq => iop2!(|x: u32, y: u32| (x == y) as u32),
-                Op::Sel => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    let c = regs[ins.c.idx()];
-                    for l in 0..L {
-                        val[l] = if a[l] != 0 { b[l] } else { c[l] };
-                    }
-                }
-                Op::Mov => val = regs[ai],
-                Op::LdImm => val = [ins.imm; L],
-                Op::Ld => {
-                    let a = regs[ai];
-                    let mut uniform = true;
-                    for &w in a.iter().take(width).skip(1) {
-                        uniform &= w == a[0];
-                    }
-                    if uniform {
-                        // Every lane reads the same word (shared weights,
-                        // uniform tables): one bounds check, one conflict
-                        // probe, one broadcast. Any same-batch store to the
-                        // word aborts — with ≥ 2 lanes reading it is a
-                        // guaranteed cross-lane conflict, with one lane it
-                        // is merely conservative.
-                        let addr = a[0].wrapping_add(ins.imm);
-                        let idx = addr as usize;
-                        let Some(&w) = mem.get(idx) else {
-                            // Scalar path raises OutOfBounds { addr }.
-                            return BatchExit::Abort;
-                        };
-                        let s = &mut self.scratch;
-                        if !s.undo.is_empty() && s.store_map[idx] >> 8 == s.epoch as u64 {
-                            return BatchExit::Abort;
-                        }
-                        s.note_uniform_load(idx);
-                        val = [w; L];
-                    } else {
-                        // Hoisted bounds check: one max over the lane
-                        // addresses replaces a branch per lane. An abort on
-                        // any out-of-range lane replays scalar, which raises
-                        // the exact per-lane OutOfBounds trap.
-                        let mut addrs = [0u32; L];
-                        let mut maxa = 0u32;
-                        let mut mina = u32::MAX;
-                        for l in 0..L {
-                            addrs[l] = a[l].wrapping_add(ins.imm);
-                        }
-                        for &ad in addrs.iter().take(width) {
-                            maxa = maxa.max(ad);
-                            mina = mina.min(ad);
-                        }
-                        if maxa as usize >= mem.len() {
-                            return BatchExit::Abort;
-                        }
-                        self.scratch.note_load_range(mina as usize, maxa as usize);
-                        if self.scratch.undo.is_empty() {
-                            // No stores in this batch yet, so the store map
-                            // holds no live entries: the loads cannot
-                            // conflict and cost no probe at all.
-                            for (l, v) in val.iter_mut().enumerate().take(width) {
-                                *v = mem[addrs[l] as usize];
-                            }
-                        } else {
-                            for (l, v) in val.iter_mut().enumerate().take(width) {
-                                let idx = addrs[l] as usize;
-                                if self.scratch.load_conflicts(idx, l as u8) {
-                                    return BatchExit::Abort;
-                                }
-                                *v = mem[idx];
-                            }
-                        }
-                    }
-                }
-                Op::St => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..width {
-                        let addr = a[l].wrapping_add(ins.imm);
-                        let idx = addr as usize;
-                        if idx >= mem.len() {
-                            // Scalar path raises OutOfBounds { addr }.
-                            return BatchExit::Abort;
-                        }
-                        if !self.scratch.note_store(idx, l as u8) {
-                            return BatchExit::Abort;
-                        }
-                        self.scratch.undo.push((addr, mem[idx]));
-                        mem[idx] = b[l];
-                    }
-                    cpc += 1;
-                    continue 'fast;
-                }
-                Op::Jmp => {
-                    if ins.imm as usize > plen {
-                        // Scalar path raises InvalidTarget.
-                        return BatchExit::Abort;
-                    }
-                    cpc = ins.imm as usize;
-                    continue 'fast;
-                }
-                Op::Jz | Op::Jnz => {
-                    let a = regs[ai];
-                    let want_zero = ins.op == Op::Jz;
-                    let first = (a[0] == 0) == want_zero;
-                    let mut split = false;
-                    for &w in a.iter().take(width).skip(1) {
-                        split |= ((w == 0) == want_zero) != first;
-                    }
-                    if !split {
-                        if first {
-                            if ins.imm as usize > plen {
-                                // Scalar path raises InvalidTarget.
-                                return BatchExit::Abort;
-                            }
-                            cpc = ins.imm as usize;
-                        } else {
-                            cpc += 1;
-                        }
-                        continue 'fast;
-                    }
-                    // Lanes split here: materialize per-lane pcs and fall
-                    // through to the masked min-pc loop for the rest of the
-                    // batch.
-                    for l in 0..width {
-                        if (a[l] == 0) == want_zero {
-                            if ins.imm as usize > plen {
-                                return BatchExit::Abort;
-                            }
-                            pc[l] = ins.imm;
-                        } else {
-                            pc[l] = cpc as u32 + 1;
-                        }
-                    }
-                    executed[..width].fill(cexec);
-                    break 'fast;
-                }
-                Op::F2I => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = bits_to_f32(a[l]) as u32;
-                    }
-                }
-                Op::I2F => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = f32_to_bits(a[l] as f32);
-                    }
-                }
-                Op::Tid => {
-                    for (l, v) in val.iter_mut().enumerate() {
-                        *v = t0 + l as u32;
-                    }
-                }
-                Op::Halt => {
-                    let mut per_lane = [0u64; L];
-                    per_lane[..width].fill(cexec);
-                    return BatchExit::Clean { per_lane, dyn_add };
-                }
-            }
-
-            // Fault realization with the implicit all-active mask: the
-            // permanent poll corrupts every lane's matching write (as every
-            // scalar dynamic instance would be), the transient pass fires on
-            // the one lane-local write the scalar stream indexes.
-            match mode {
-                LaneFault::Inert => {}
-                LaneFault::Permanent { op } => {
-                    if op == ins.op {
-                        for v in val.iter_mut().take(width) {
-                            if let Some(f) = self.fault.as_mut() {
-                                // Permanent polling ignores the dynamic index.
-                                if let Some(m) = f.poll(0, ins.op) {
-                                    *v ^= m;
-                                }
-                            }
-                        }
-                    }
-                }
-                LaneFault::Transient { lane, local_index, fire_index } => {
-                    if lane < width && cexec - 1 == local_index {
-                        if let Some(f) = self.fault.as_mut() {
-                            if let Some(m) = f.poll(fire_index, ins.op) {
-                                val[lane] ^= m;
-                            }
-                        }
-                    }
-                }
-            }
-            regs[ins.dst.idx()] = val;
-            cpc += 1;
-        }
-
-        loop {
-            // Reconvergence point: the minimum pc among live lanes.
-            let mut pc_cur = u32::MAX;
-            for l in 0..L {
-                if live[l] && pc[l] < pc_cur {
-                    pc_cur = pc[l];
-                }
-            }
-            if pc_cur == u32::MAX {
-                break;
-            }
-            if pc_cur as usize >= plen {
-                // Falling off the end is an implicit halt with no budget
-                // check, exactly as in the scalar interpreter.
-                for l in 0..L {
-                    if live[l] && pc[l] == pc_cur {
-                        live[l] = false;
-                    }
-                }
-                continue;
-            }
-            let ins = instrs[pc_cur as usize];
-
-            let mut active = [false; L];
-            let mut n_active = 0u64;
-            for l in 0..L {
-                let on = live[l] && pc[l] == pc_cur;
-                active[l] = on;
-                n_active += on as u64;
-            }
-            for l in 0..L {
-                if active[l] && executed[l] >= budget {
-                    // The scalar path raises Watchdog here.
-                    return BatchExit::Abort;
-                }
-            }
-            for l in 0..L {
-                executed[l] += active[l] as u64;
-            }
-            self.scratch.op_counts[ins.op.index()] += n_active;
-            dyn_add += n_active;
-
-            let ai = ins.a.idx();
-            let bi = ins.b.idx();
-            let next = pc_cur + 1;
-            let mut val = [0u32; L];
-
-            // Value vectors are computed branch-free over all L lanes —
-            // inactive lanes produce garbage that the masked writeback
-            // discards — so the per-lane loops autovectorize.
-            macro_rules! fop2 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = f32_to_bits($f(bits_to_f32(a[l]), bits_to_f32(b[l])));
-                    }
-                    Step::Write
-                }};
-            }
-            macro_rules! fop1 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = f32_to_bits($f(bits_to_f32(a[l])));
-                    }
-                    Step::Write
-                }};
-            }
-            macro_rules! iop2 {
-                ($f:expr) => {{
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = $f(a[l], b[l]);
-                    }
-                    Step::Write
-                }};
-            }
-
-            let step = match ins.op {
-                Op::FAdd => fop2!(|x: f32, y: f32| x + y),
-                Op::FSub => fop2!(|x: f32, y: f32| x - y),
-                Op::FMul => fop2!(|x: f32, y: f32| x * y),
-                Op::FDiv => fop2!(|x: f32, y: f32| x / y),
-                Op::FMin => fop2!(|x: f32, y: f32| x.min(y)),
-                Op::FMax => fop2!(|x: f32, y: f32| x.max(y)),
-                Op::FAbs => fop1!(|x: f32| x.abs()),
-                Op::FNeg => fop1!(|x: f32| -x),
-                Op::FSqrt => fop1!(|x: f32| x.sqrt()),
-                Op::FFma => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    let c = regs[ins.c.idx()];
-                    for l in 0..L {
-                        val[l] = f32_to_bits(
-                            bits_to_f32(a[l]).mul_add(bits_to_f32(b[l]), bits_to_f32(c[l])),
-                        );
-                    }
-                    Step::Write
-                }
-                Op::IAdd => iop2!(|x: u32, y: u32| x.wrapping_add(y)),
-                Op::ISub => iop2!(|x: u32, y: u32| x.wrapping_sub(y)),
-                Op::IMul => iop2!(|x: u32, y: u32| x.wrapping_mul(y)),
-                Op::IAnd => iop2!(|x: u32, y: u32| x & y),
-                Op::IOr => iop2!(|x: u32, y: u32| x | y),
-                Op::IXor => iop2!(|x: u32, y: u32| x ^ y),
-                Op::IShl => iop2!(|x: u32, y: u32| x << (y & 31)),
-                Op::IShr => iop2!(|x: u32, y: u32| x >> (y & 31)),
-                Op::FLt => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = (bits_to_f32(a[l]) < bits_to_f32(b[l])) as u32;
-                    }
-                    Step::Write
-                }
-                Op::FLe => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        val[l] = (bits_to_f32(a[l]) <= bits_to_f32(b[l])) as u32;
-                    }
-                    Step::Write
-                }
-                Op::ILt => iop2!(|x: u32, y: u32| (x < y) as u32),
-                Op::IEq => iop2!(|x: u32, y: u32| (x == y) as u32),
-                Op::Sel => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    let c = regs[ins.c.idx()];
-                    for l in 0..L {
-                        val[l] = if a[l] != 0 { b[l] } else { c[l] };
-                    }
-                    Step::Write
-                }
-                Op::Mov => {
-                    val = regs[ai];
-                    Step::Write
-                }
-                Op::LdImm => {
-                    val = [ins.imm; L];
-                    Step::Write
-                }
-                Op::Ld => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        if active[l] {
-                            let addr = a[l].wrapping_add(ins.imm);
-                            let idx = addr as usize;
-                            let Some(&w) = mem.get(idx) else {
-                                // Scalar path raises OutOfBounds { addr }.
-                                return BatchExit::Abort;
-                            };
-                            if !self.scratch.undo.is_empty()
-                                && self.scratch.load_conflicts(idx, l as u8)
-                            {
-                                return BatchExit::Abort;
-                            }
-                            self.scratch.note_load_range(idx, idx);
-                            val[l] = w;
-                        }
-                    }
-                    Step::Write
-                }
-                Op::St => {
-                    let a = regs[ai];
-                    let b = regs[bi];
-                    for l in 0..L {
-                        if active[l] {
-                            let addr = a[l].wrapping_add(ins.imm);
-                            let idx = addr as usize;
-                            if idx >= mem.len() {
-                                // Scalar path raises OutOfBounds { addr }.
-                                return BatchExit::Abort;
-                            }
-                            if !self.scratch.note_store(idx, l as u8) {
-                                return BatchExit::Abort;
-                            }
-                            self.scratch.undo.push((addr, mem[idx]));
-                            mem[idx] = b[l];
-                        }
-                    }
-                    Step::Advance
-                }
-                Op::Jmp | Op::Jz | Op::Jnz => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        if active[l] {
-                            let taken = match ins.op {
-                                Op::Jmp => true,
-                                Op::Jz => a[l] == 0,
-                                _ => a[l] != 0,
-                            };
-                            if taken {
-                                if ins.imm as usize > plen {
-                                    // Scalar path raises InvalidTarget.
-                                    return BatchExit::Abort;
-                                }
-                                pc[l] = ins.imm;
-                            } else {
-                                pc[l] = next;
-                            }
-                        }
-                    }
-                    Step::Control
-                }
-                Op::F2I => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = bits_to_f32(a[l]) as u32;
-                    }
-                    Step::Write
-                }
-                Op::I2F => {
-                    let a = regs[ai];
-                    for l in 0..L {
-                        val[l] = f32_to_bits(a[l] as f32);
-                    }
-                    Step::Write
-                }
-                Op::Tid => {
-                    for (l, v) in val.iter_mut().enumerate() {
-                        *v = t0 + l as u32;
-                    }
-                    Step::Write
-                }
-                Op::Halt => {
-                    for l in 0..L {
-                        if active[l] {
-                            live[l] = false;
-                        }
-                    }
-                    Step::Control
-                }
-            };
-
-            match step {
-                Step::Write => {
-                    // Fault realization is lane-exact: a permanent fault
-                    // corrupts every active lane's matching write (as every
-                    // scalar dynamic instance would be corrupted), while a
-                    // transient pass corrupts exactly the one lane-local
-                    // write the scalar stream indexes.
-                    match mode {
-                        LaneFault::Inert => {}
-                        LaneFault::Permanent { op } => {
-                            if op == ins.op {
-                                for l in 0..L {
-                                    if active[l] {
-                                        if let Some(f) = self.fault.as_mut() {
-                                            // Permanent polling ignores the
-                                            // dynamic index.
-                                            if let Some(m) = f.poll(0, ins.op) {
-                                                val[l] ^= m;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        LaneFault::Transient { lane, local_index, fire_index } => {
-                            if active[lane] && executed[lane] - 1 == local_index {
-                                if let Some(f) = self.fault.as_mut() {
-                                    if let Some(m) = f.poll(fire_index, ins.op) {
-                                        val[lane] ^= m;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let di = ins.dst.idx();
-                    for l in 0..L {
-                        if active[l] {
-                            regs[di][l] = val[l];
-                            pc[l] = next;
-                        }
-                    }
-                }
-                Step::Advance => {
-                    for l in 0..L {
-                        if active[l] {
-                            pc[l] = next;
-                        }
-                    }
-                }
-                Step::Control => {}
+        };
+        let scratch = &mut self.scratch;
+        let mut exit = scratch.exec_tile(&mut self.fault, prog, mem, t0, w, args, budget, mode);
+        if let (Ok(done), Some(index)) = (exit, probe) {
+            if index < base + done.dyn_add {
+                scratch.log.rollback(mem);
+                let (lane, local_index) = scratch.locate(done.lanes, index - base);
+                let mode = LaneFault::Transient { lane, local_index, fire_index: index };
+                self.counters.transient_reruns += 1;
+                exit = scratch.exec_tile(&mut self.fault, prog, mem, t0, w, args, budget, mode);
             }
         }
-        BatchExit::Clean { per_lane: executed, dyn_add }
+        match exit {
+            Ok(done) => {
+                self.stats.add_op_counts(&scratch.op_counts);
+                self.dyn_counter += done.dyn_add;
+                self.counters.tiles_committed += 1;
+                Ok(done.dyn_add)
+            }
+            Err(abort) => {
+                scratch.log.rollback(mem);
+                self.fault = snap_fault;
+                match abort {
+                    Abort::Conflict => self.counters.conflict_aborts += 1,
+                    Abort::Trap => self.counters.trap_aborts += 1,
+                }
+                self.counters.threads_replayed += w as u64;
+                self.exec_threads(prog, mem, t0..t0 + w as u32, args, budget)
+            }
+        }
+    }
+
+    /// Run `threads` through the scalar interpreter in thread order, each
+    /// from a zeroed register file with `args` preloaded — a replayed or
+    /// one-thread tile, and the whole of
+    /// [`run_kernel_reference`](Self::run_kernel_reference).
+    fn exec_threads(
+        &mut self,
+        prog: &Program,
+        mem: &mut [u32],
+        threads: Range<u32>,
+        args: &[(Reg, u32)],
+        budget: u64,
+    ) -> Result<u64, Trap> {
+        let mut total = 0u64;
+        for t in threads {
+            let mut regs = [0u32; NUM_REGS];
+            for &(r, v) in args {
+                regs[r.idx()] = v;
+            }
+            total += self.exec(prog, &mut regs, mem, t, budget)?;
+        }
+        Ok(total)
     }
 
     #[inline(always)]
@@ -1802,7 +1765,7 @@ mod tests {
     }
 
     /// tid-dependent loop: lanes iterate different trip counts, so the
-    /// batch diverges and must reconverge at the loop exit.
+    /// tile diverges and must reconverge at the loop exit.
     fn divergent_loop_program() -> Program {
         let mut b = ProgramBuilder::new();
         b.tid(r(0)); // counter = tid
@@ -1839,7 +1802,7 @@ mod tests {
     #[test]
     fn lockstep_conflicting_stores_fall_back_to_scalar_order() {
         // Every thread stores its tid to the SAME word: thread-major order
-        // means the last thread wins. The batch conflicts and must roll
+        // means the last thread wins. The tile conflicts and must roll
         // back to the scalar path to preserve that.
         let mut b = ProgramBuilder::new();
         b.tid(r(0));
@@ -1857,7 +1820,7 @@ mod tests {
     #[test]
     fn lockstep_read_after_write_chain_matches_reference() {
         // Thread t reads the word thread t-1 wrote (cross-lane RAW): the
-        // lockstep batch must detect the conflict and replay scalar.
+        // lockstep tile must detect the conflict and replay scalar.
         let mut b = ProgramBuilder::new();
         b.tid(r(0));
         b.ld(r(1), r(0), 0); // mem[tid] (written by thread tid-1... races)
@@ -1925,21 +1888,74 @@ mod tests {
     }
 
     #[test]
+    fn lockstep_fallbacks_replay_only_their_tile_and_are_counted() {
+        // Thread 1 stores to thread 0's word; every other thread owns its
+        // word. At width 4 only the first of three tiles conflicts: it
+        // replays on the scalar path and the later tiles still commit.
+        let mut b = ProgramBuilder::new();
+        b.tid(r(0));
+        b.ldimm_i(r(1), 1);
+        b.ieq(r(2), r(0), r(1));
+        b.isub(r(3), r(0), r(1));
+        b.sel(r(4), r(2), r(3), r(0));
+        b.st(r(4), r(0), 32);
+        b.halt();
+        let prog = b.build();
+        let mut f_ref = Fabric::new(Profile::Gpu);
+        let mut ctx_ref = f_ref.new_context(64);
+        f_ref.run_kernel_reference(&prog, &mut ctx_ref, 12, &[], 100).unwrap();
+        let mut f = Fabric::new(Profile::Gpu);
+        let mut ctx = f.new_context(64);
+        f.run_kernel_tiled(&prog, &mut ctx, 12, &[], 100, 4).unwrap();
+        assert_eq!(ctx, ctx_ref);
+        let expected = LockstepCounters {
+            tiles_committed: 2,
+            conflict_aborts: 1,
+            threads_replayed: 4,
+            ..LockstepCounters::default()
+        };
+        assert_eq!(f.lockstep_counters(), expected);
+
+        // A transient fault inside the last tile (on thread 11's unused
+        // `isub`) re-runs that tile once.
+        let dyn_total = f_ref.dyn_instr_count();
+        f.inject(FaultModel::Transient { instr_index: 2 * dyn_total - 4, mask: 1 });
+        f.run_kernel_tiled(&prog, &mut ctx, 12, &[], 100, 4).unwrap();
+        assert_eq!(f.fault_state().unwrap().activations(), 1);
+        let expected = LockstepCounters {
+            tiles_committed: 4,
+            conflict_aborts: 2,
+            threads_replayed: 8,
+            transient_reruns: 1,
+            ..LockstepCounters::default()
+        };
+        assert_eq!(f.lockstep_counters(), expected);
+
+        // In 40 words the last tile's first store is out of bounds: that
+        // tile aborts as a trap and its replay raises the exact trap.
+        let mut small = f.new_context(40);
+        let trap = f.run_kernel_tiled(&prog, &mut small, 12, &[], 100, 4).unwrap_err();
+        assert_eq!(trap, Trap::OutOfBounds { addr: 40 });
+        let expected = LockstepCounters {
+            tiles_committed: 5,
+            conflict_aborts: 3,
+            trap_aborts: 1,
+            threads_replayed: 16,
+            transient_reruns: 1,
+        };
+        assert_eq!(f.lockstep_counters(), expected);
+    }
+
+    #[test]
     fn lockstep_explicit_widths_match() {
         let prog = divergent_loop_program();
         let mut f_ref = Fabric::new(Profile::Gpu);
         let mut ctx_ref = f_ref.new_context(64);
         f_ref.run_kernel_reference(&prog, &mut ctx_ref, 11, &[], 10_000).unwrap();
-        for width in [1usize, 4, 8, 16] {
+        for width in [1usize, 4, 8, 16, KERNEL_TILE] {
             let mut f = Fabric::new(Profile::Gpu);
             let mut ctx = f.new_context(64);
-            match width {
-                1 => f.run_kernel_lockstep::<1>(&prog, &mut ctx, 11, &[], 10_000),
-                4 => f.run_kernel_lockstep::<4>(&prog, &mut ctx, 11, &[], 10_000),
-                8 => f.run_kernel_lockstep::<8>(&prog, &mut ctx, 11, &[], 10_000),
-                _ => f.run_kernel_lockstep::<16>(&prog, &mut ctx, 11, &[], 10_000),
-            }
-            .unwrap();
+            f.run_kernel_tiled(&prog, &mut ctx, 11, &[], 10_000, width).unwrap();
             assert_eq!(ctx, ctx_ref, "width {width} diverged");
             assert_eq!(f.stats(), f_ref.stats(), "width {width} stats diverged");
         }

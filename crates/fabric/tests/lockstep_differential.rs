@@ -4,15 +4,34 @@
 //! watchdog traps, out-of-bounds accesses, and injected transient/permanent
 //! faults — must produce identical registers, memory, traps, [`ExecStats`],
 //! dynamic-instruction counts, and fault activations under the thread-major
-//! reference path (`run_kernel_reference`) and the lockstep path for lane
-//! widths {1, 4, 8, 16}. This is the property the whole refactor rests on:
-//! the batched interpreter is an *optimization*, never a semantic change.
+//! reference path (`run_kernel_reference`) and the lockstep path for tile
+//! widths {1, 4, 8, 16, `KERNEL_TILE`}, with thread counts that cross
+//! several tile boundaries. This is the property the whole engine rests
+//! on: the tiled interpreter is an *optimization*, never a semantic change.
 
-use diverseav_fabric::{Fabric, FaultModel, Profile, Program, ProgramBuilder, Reg, ALL_OPS};
+use diverseav_fabric::{
+    Fabric, FaultModel, Op, Profile, Program, ProgramBuilder, Reg, ALL_OPS, KERNEL_TILE,
+};
 use proptest::prelude::*;
 
-/// Words of context memory for every generated kernel.
+/// Words of context memory for the random and divergence generators.
 const MEM_WORDS: usize = 64;
+
+/// Tile widths every property sweeps; the last is the production width.
+const WIDTHS: [usize; 5] = [1, 4, 8, 16, KERNEL_TILE];
+
+/// Upper end of the wide thread-count range: several production tiles.
+const WIDE: u32 = 3 * KERNEL_TILE as u32 + 24;
+
+/// Pick a small thread count (partial and one-thread tiles at every
+/// width) or a wide one (several production tiles).
+fn threads((small, wide, use_wide): (u32, u32, bool)) -> u32 {
+    if use_wide {
+        wide
+    } else {
+        small
+    }
+}
 
 /// One generated instruction: an opcode selector plus raw operand fields.
 /// `imm` doubles as the branch-target selector so branches can land on any
@@ -67,10 +86,13 @@ fn prefill(mem: &mut [u32]) {
     }
 }
 
-/// Run the kernel through the reference path and one lockstep width and
-/// assert every observable is bit-identical.
-fn assert_equivalent<const L: usize>(
+/// Run the kernel through the reference path and one lockstep `width`
+/// over `mem_words` words of prefilled memory and assert every observable
+/// is bit-identical.
+fn assert_equivalent(
+    width: usize,
     prog: &Program,
+    mem_words: usize,
     n_threads: u32,
     budget: u64,
     fault: Option<FaultModel>,
@@ -81,28 +103,28 @@ fn assert_equivalent<const L: usize>(
         f_ref.inject(m);
         f_ls.inject(m);
     }
-    let mut c_ref = f_ref.new_context(MEM_WORDS);
-    let mut c_ls = f_ls.new_context(MEM_WORDS);
+    let mut c_ref = f_ref.new_context(mem_words);
+    let mut c_ls = f_ls.new_context(mem_words);
     prefill(&mut c_ref.mem);
     prefill(&mut c_ls.mem);
 
     let r_ref = f_ref.run_kernel_reference(prog, &mut c_ref, n_threads, &[], budget);
-    let r_ls = f_ls.run_kernel_lockstep::<L>(prog, &mut c_ls, n_threads, &[], budget);
+    let r_ls = f_ls.run_kernel_tiled(prog, &mut c_ls, n_threads, &[], budget, width);
 
-    prop_assert_eq!(r_ref, r_ls, "executed count / trap diverged at width {}", L);
-    prop_assert_eq!(&c_ref, &c_ls, "memory or registers diverged at width {}", L);
-    prop_assert_eq!(f_ref.stats(), f_ls.stats(), "ExecStats diverged at width {}", L);
+    prop_assert_eq!(r_ref, r_ls, "executed count / trap diverged at width {}", width);
+    prop_assert_eq!(&c_ref, &c_ls, "memory or registers diverged at width {}", width);
+    prop_assert_eq!(f_ref.stats(), f_ls.stats(), "ExecStats diverged at width {}", width);
     prop_assert_eq!(
         f_ref.dyn_instr_count(),
         f_ls.dyn_instr_count(),
         "dynamic-instruction counter diverged at width {}",
-        L
+        width
     );
     prop_assert_eq!(
         f_ref.fault_state(),
         f_ls.fault_state(),
         "fault activations diverged at width {}",
-        L
+        width
     );
     Ok(())
 }
@@ -124,25 +146,25 @@ fn pick_fault(sel: u8, idx: u64, mask: u32) -> Option<FaultModel> {
 proptest! {
     /// Arbitrary kernels over arbitrary thread counts and watchdog budgets,
     /// with and without injected faults, are bit-identical across the
-    /// reference path and lockstep widths 1, 4, and 8.
+    /// reference path and every lockstep width.
     #[test]
     fn lockstep_matches_reference_for_random_kernels(
         descr in proptest::collection::vec(
             (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255, 0u32..4096),
             1..48,
         ),
-        n_threads in 1u32..24,
+        threads_sel in (1u32..24, 1..WIDE, any::<bool>()),
         budget in 1u64..220,
         fault_sel in 0u8..=255,
         fault_idx in 0u64..2048,
         fault_mask in any::<u32>(),
     ) {
+        let n_threads = threads(threads_sel);
         let prog = build_program(&descr);
         let fault = pick_fault(fault_sel, fault_idx, fault_mask);
-        assert_equivalent::<1>(&prog, n_threads, budget, fault)?;
-        assert_equivalent::<4>(&prog, n_threads, budget, fault)?;
-        assert_equivalent::<8>(&prog, n_threads, budget, fault)?;
-        assert_equivalent::<16>(&prog, n_threads, budget, fault)?;
+        for w in WIDTHS {
+            assert_equivalent(w, &prog, MEM_WORDS, n_threads, budget, fault)?;
+        }
     }
 
     /// Focused generator: guaranteed divergent loops (trip count = tid) with
@@ -150,10 +172,11 @@ proptest! {
     /// the worst case for lane-exact fault realization.
     #[test]
     fn lockstep_transient_sweep_on_divergent_loops(
-        n_threads in 2u32..17,
+        threads_sel in (2u32..24, 2..WIDE, any::<bool>()),
         idx in 0u64..600,
         mask in 1u32..=u32::MAX,
     ) {
+        let n_threads = threads(threads_sel);
         let mut b = ProgramBuilder::new();
         b.tid(Reg(0));
         b.ldimm_i(Reg(1), 1);
@@ -173,9 +196,9 @@ proptest! {
         b.halt();
         let prog = b.build();
         let fault = Some(FaultModel::Transient { instr_index: idx, mask });
-        assert_equivalent::<4>(&prog, n_threads, 4000, fault)?;
-        assert_equivalent::<8>(&prog, n_threads, 4000, fault)?;
-        assert_equivalent::<16>(&prog, n_threads, 4000, fault)?;
+        for w in WIDTHS {
+            assert_equivalent(w, &prog, MEM_WORDS, n_threads, 4000, fault)?;
+        }
     }
 
     /// Focused generator: lanes branch on tid parity to two *different*
@@ -186,10 +209,11 @@ proptest! {
     /// without store-conflict rollback gets wrong.
     #[test]
     fn lockstep_divergent_shared_stores_keep_thread_order(
-        n_threads in 2u32..24,
+        threads_sel in (2u32..24, 2..WIDE, any::<bool>()),
         slot in 0u32..4,
         pad in 0usize..4,
     ) {
+        let n_threads = threads(threads_sel);
         let mut b = ProgramBuilder::new();
         b.tid(Reg(0));
         b.ldimm_i(Reg(1), 1);
@@ -209,9 +233,9 @@ proptest! {
         b.st(Reg(4), Reg(0), 16);
         b.halt();
         let prog = b.build();
-        assert_equivalent::<4>(&prog, n_threads, 1000, None)?;
-        assert_equivalent::<8>(&prog, n_threads, 1000, None)?;
-        assert_equivalent::<16>(&prog, n_threads, 1000, None)?;
+        for w in WIDTHS {
+            assert_equivalent(w, &prog, MEM_WORDS, n_threads, 1000, None)?;
+        }
 
         // Thread-major ground truth: the last thread owns the word.
         let mut f = Fabric::new(Profile::Gpu);
@@ -220,4 +244,98 @@ proptest! {
         f.run_kernel(&prog, &mut ctx, n_threads, &[], 1000).unwrap();
         prop_assert_eq!(ctx.mem[16 + slot as usize], n_threads - 1);
     }
+}
+
+proptest! {
+    // Cheap enough to run 256 cases by default: several of the conflict
+    // checks it exercises need that many draws to be reached.
+    #![proptest_config(ProptestConfig {
+        cases: ProptestConfig::default().cases.max(256),
+        ..ProptestConfig::default()
+    })]
+
+    /// Affine kernels on memory wide enough for many production tiles:
+    /// loads and stores at `tid·s + imm` for strides 0, 1 and 2 (uniform,
+    /// contiguous and scattered patterns), load and store ranges that
+    /// overlap or not, a load after the store that may read another
+    /// lane's word, optionally two lanes storing one word and an
+    /// out-of-bounds last thread — each run fault-free, with a transient
+    /// fault anywhere in the launch, and with a permanent fault on one of
+    /// the kernel's opcodes.
+    #[test]
+    fn lockstep_matches_reference_for_affine_kernels(
+        threads_sel in (1u32..24, 1..WIDE, any::<bool>()),
+        strides in (0u32..3, 0u32..3),
+        imms in proptest::collection::vec((0u32..64, 0..AFFINE_WORDS as u32, any::<bool>()), 4),
+        dup_sel in any::<u32>(),
+        oob_last in any::<bool>(),
+        fault_idx in any::<u64>(),
+        fault_op in 0usize..AFFINE_OPS.len(),
+        mask in 1u32..=u32::MAX,
+    ) {
+        let n_threads = threads(threads_sel);
+        // A thread `dup` in 1..n stores to its predecessor's word, or none.
+        let dup = if dup_sel.is_multiple_of(2) { u32::MAX } else { 1 + dup_sel % n_threads.max(2) };
+        let oob = if oob_last { n_threads - 1 } else { u32::MAX };
+        let imm = |(near, far, use_far): (u32, u32, bool)| if use_far { far } else { near };
+        let [ld0, ld1, st0, st1] = [0, 1, 2, 3].map(|i| imm(imms[i]));
+        let prog = affine_program(strides, [ld0, ld1], [st0, st1], dup, oob);
+
+        let mut probe = Fabric::new(Profile::Gpu);
+        let mut ctx = probe.new_context(AFFINE_WORDS);
+        prefill(&mut ctx.mem);
+        let _ = probe.run_kernel_reference(&prog, &mut ctx, n_threads, &[], 100);
+        let instr_index = fault_idx % (probe.dyn_instr_count() + 1);
+        for fault in [
+            None,
+            Some(FaultModel::Transient { instr_index, mask }),
+            Some(FaultModel::Permanent { op: AFFINE_OPS[fault_op], mask }),
+        ] {
+            for w in WIDTHS {
+                assert_equivalent(w, &prog, AFFINE_WORDS, n_threads, 100, fault)?;
+            }
+        }
+    }
+}
+
+/// Words of memory for the affine generator: several production tiles of
+/// contiguous accesses fit, while far offsets and stride 2 run off the end.
+const AFFINE_WORDS: usize = 4 * KERNEL_TILE;
+
+/// The register-writing opcodes of [`affine_program`].
+const AFFINE_OPS: [Op; 8] =
+    [Op::Tid, Op::LdImm, Op::IMul, Op::IEq, Op::ISub, Op::Sel, Op::Ld, Op::IAdd];
+
+/// Thread `t` loads `t·s_ld + ld[0]`, stores that word plus `t` at
+/// `t·s_st + st[0]`, then loads `t·s_ld + ld[1]` and stores it at
+/// `t·s_st + st[1]`. Thread `dup` stores to thread `dup - 1`'s words and
+/// thread `oob` past the end of memory.
+fn affine_program(
+    (s_ld, s_st): (u32, u32),
+    ld: [u32; 2],
+    st: [u32; 2],
+    dup: u32,
+    oob: u32,
+) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.tid(Reg(0));
+    b.ldimm_i(Reg(1), s_ld);
+    b.imul(Reg(2), Reg(0), Reg(1)); // load base
+    b.ldimm_i(Reg(6), s_st);
+    b.imul(Reg(7), Reg(0), Reg(6)); // store base
+    b.ldimm_i(Reg(8), dup);
+    b.ieq(Reg(9), Reg(0), Reg(8));
+    b.isub(Reg(10), Reg(7), Reg(6));
+    b.sel(Reg(7), Reg(9), Reg(10), Reg(7));
+    b.ldimm_i(Reg(11), oob);
+    b.ieq(Reg(12), Reg(0), Reg(11));
+    b.ldimm_i(Reg(13), 2 * AFFINE_WORDS as u32);
+    b.sel(Reg(7), Reg(12), Reg(13), Reg(7));
+    b.ld(Reg(3), Reg(2), ld[0]);
+    b.iadd(Reg(5), Reg(3), Reg(0));
+    b.st(Reg(7), Reg(5), st[0]);
+    b.ld(Reg(14), Reg(2), ld[1]);
+    b.st(Reg(7), Reg(14), st[1]);
+    b.halt();
+    b.build()
 }
