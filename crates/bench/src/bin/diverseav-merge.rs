@@ -58,7 +58,35 @@ fn write(path: &str, text: &str) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-fn run() -> Result<ExitCode, String> {
+/// Why a merge stopped: exit 2 for a shard-set validation failure
+/// ([`ShardError::Mismatch`]), exit 1 for everything else.
+enum Failure {
+    Invalid(String),
+    Hard(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Hard(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Self {
+        Failure::Hard(e.to_string())
+    }
+}
+
+impl From<ShardError> for Failure {
+    fn from(e: ShardError) -> Self {
+        match e {
+            ShardError::Mismatch(_) => Failure::Invalid(e.to_string()),
+            _ => Failure::Hard(e.to_string()),
+        }
+    }
+}
+
+fn run() -> Result<(), Failure> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut td = 2.0f64;
     let mut table_path = None;
@@ -103,7 +131,7 @@ fn run() -> Result<ExitCode, String> {
                 );
             }
             other if other.starts_with("--") => {
-                return Err(format!("unknown argument: {other} (see the crate docs)"));
+                return Err(format!("unknown argument: {other} (see the crate docs)").into());
             }
             path => shards.push(path.to_string()),
         }
@@ -119,7 +147,7 @@ fn run() -> Result<ExitCode, String> {
         let stamped = merge::stamp_wall(&read(&bench_doc)?, &label, &phase, secs)?;
         write(&bench_doc, &stamped)?;
         eprintln!("stamped {label:?} ({secs} s, phase {phase:?}) into {bench_doc}");
-        return Ok(ExitCode::SUCCESS);
+        return Ok(());
     }
 
     if shards.is_empty() {
@@ -140,14 +168,7 @@ fn run() -> Result<ExitCode, String> {
             sidecars.entry(parsed.manifest.fingerprint).or_default().push(parsed);
         }
     }
-    let merged = match merge_artifacts(&artifacts) {
-        Ok(m) => m,
-        Err(e @ ShardError::Mismatch(_)) => {
-            eprintln!("diverseav-merge: {e}");
-            return Ok(ExitCode::from(2));
-        }
-        Err(e) => return Err(e.to_string()),
-    };
+    let merged = merge_artifacts(&artifacts)?;
 
     for m in &merged {
         eprintln!(
@@ -168,29 +189,21 @@ fn run() -> Result<ExitCode, String> {
     // way an inconsistent shard set is refused.
     let any_guided = merged.iter().any(|m| m.guided.is_some());
     if any_guided && !weighted && epoch_summary_path.is_none() {
-        eprintln!(
-            "diverseav-merge: guided shard artifacts need --weighted (full campaign) or \
-             --epoch-summary PATH (epoch prefix); the unweighted table would be biased"
-        );
-        return Ok(ExitCode::from(2));
+        return Err(Failure::Invalid(
+            "guided shard artifacts need --weighted (full campaign) or --epoch-summary PATH \
+             (epoch prefix); the unweighted table would be biased"
+                .into(),
+        ));
     }
 
     let table = if weighted {
-        match merge::weighted_table_text(&merged, td) {
-            Ok(t) => t,
-            Err(e @ ShardError::Mismatch(_)) => {
-                eprintln!("diverseav-merge: {e}");
-                return Ok(ExitCode::from(2));
-            }
-            Err(e) => return Err(e.to_string()),
-        }
+        merge::weighted_table_text(&merged, td)?
     } else if any_guided {
         // Epoch-prefix invocation (--epoch-summary without --weighted):
         // the unweighted table over a deliberately biased sample would
         // be the exact misreport the flag gate above refuses.
         if table_path.is_some() {
-            eprintln!("diverseav-merge: --table on guided artifacts needs --weighted");
-            return Ok(ExitCode::from(2));
+            return Err(Failure::Invalid("--table on guided artifacts needs --weighted".into()));
         }
         String::new()
     } else {
@@ -204,29 +217,13 @@ fn run() -> Result<ExitCode, String> {
     if let Some(path) = &epoch_summary_path {
         let mut doc = String::new();
         for m in &merged {
-            match guided_epoch_summary(m) {
-                Ok(s) => {
-                    doc.push_str(&s.render());
-                    doc.push('\n');
-                }
-                Err(e @ ShardError::Mismatch(_)) => {
-                    eprintln!("diverseav-merge: {e}");
-                    return Ok(ExitCode::from(2));
-                }
-                Err(e) => return Err(e.to_string()),
-            }
+            doc.push_str(&guided_epoch_summary(m)?.render());
+            doc.push('\n');
         }
         write(path, &doc)?;
     }
     if let Some(path) = &guided_report_path {
-        match merge::guided_report_doc(&merged, td) {
-            Ok(doc) => write(path, &doc)?,
-            Err(e @ ShardError::Mismatch(_)) => {
-                eprintln!("diverseav-merge: {e}");
-                return Ok(ExitCode::from(2));
-            }
-            Err(e) => return Err(e.to_string()),
-        }
+        write(path, &merge::guided_report_doc(&merged, td)?)?;
     }
     if let Some(path) = &bench_path {
         let threads = diverseav_faultinj::thread_count();
@@ -237,7 +234,7 @@ fn run() -> Result<ExitCode, String> {
         write(path, &merge::deterministic_doc(&merged, td))?;
     }
     if let Some(path) = &metrics_path {
-        write(path, &merge::metrics_doc(&merged))?;
+        write(path, &merge::metrics_doc(&merged)?)?;
     }
     if let Some(path) = &journal_path {
         write(path, &merge::journal_doc(&merged))?;
@@ -248,29 +245,22 @@ fn run() -> Result<ExitCode, String> {
         for m in &merged {
             let empty = Vec::new();
             let side = sidecars.get(&m.manifest.fingerprint).unwrap_or(&empty);
-            let collected = match collect_incidents(m, side) {
-                Ok(c) => c,
-                Err(e @ ShardError::Mismatch(_)) => {
-                    eprintln!("diverseav-merge: {e}");
-                    return Ok(ExitCode::from(2));
-                }
-                Err(e) => return Err(e.to_string()),
-            };
+            let collected = collect_incidents(m, side)?;
             total += collected.len();
             doc.push_str(&merge::incidents_doc(m, &collected));
         }
         write(path, &doc)?;
         eprintln!("collected {total} incident(s) into {path}");
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("diverseav-merge: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let (e, code) = match run() {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Failure::Invalid(e)) => (e, ExitCode::from(2)),
+        Err(Failure::Hard(e)) => (e, ExitCode::FAILURE),
+    };
+    eprintln!("diverseav-merge: {e}");
+    code
 }

@@ -14,9 +14,6 @@
 //! diverseav-tracecheck --baseline BENCH_baseline.json \
 //!                      --bench-diff BENCH_campaigns.json [--bench-diff-pct 20]
 //!
-//! # legacy two-positional form (baseline first)
-//! diverseav-tracecheck --bench-diff BENCH_baseline.json BENCH_campaigns.json
-//!
 //! # guided-campaign report: allocation table + ESS health, optional
 //! # weighted-estimate tolerance check against a committed fixture
 //! diverseav-tracecheck --guided GUIDED_report.json \
@@ -24,8 +21,8 @@
 //! ```
 //!
 //! `--bench-diff-pct N` sets the regression threshold in percent
-//! (default 20; `--threshold 0.20` is the equivalent fractional form).
-//! When the fresh bench document carries guided entries (phase
+//! (default 20). Both bench documents must be complete
+//! `BENCH_campaigns.json` renderings. When the fresh bench document carries guided entries (phase
 //! `"guided"` with `critical` counts), `--bench-diff` also prints a
 //! non-blocking `guided_speedup:` line comparing guided vs uniform
 //! safety-critical-outcomes-per-run-budget yield.
@@ -58,7 +55,7 @@ fn run() -> Result<ExitCode, String> {
     let mut metrics_path = None;
     let mut chrome_path = None;
     let mut baseline_path: Option<String> = None;
-    let mut bench_diff = None;
+    let mut bench_diff: Option<String> = None;
     let mut forensics_path = None;
     let mut guided_path = None;
     let mut expect_path = None;
@@ -74,22 +71,7 @@ fn run() -> Result<ExitCode, String> {
             "--metrics" => metrics_path = Some(next(&mut i, "--metrics")?),
             "--chrome" => chrome_path = Some(next(&mut i, "--chrome")?),
             "--baseline" => baseline_path = Some(next(&mut i, "--baseline")?),
-            "--bench-diff" => {
-                let first = next(&mut i, "--bench-diff")?;
-                // Legacy form passes baseline and fresh as two
-                // positionals; the explicit form passes the fresh doc
-                // only and names the baseline via --baseline.
-                let second = args.get(i + 1).filter(|a| !a.starts_with("--")).cloned();
-                if second.is_some() {
-                    i += 1;
-                }
-                bench_diff = Some((first, second));
-            }
-            "--threshold" => {
-                threshold = next(&mut i, "--threshold")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("--threshold: {e}"))?;
-            }
+            "--bench-diff" => bench_diff = Some(next(&mut i, "--bench-diff")?),
             "--bench-diff-pct" => {
                 threshold = next(&mut i, "--bench-diff-pct")?
                     .parse::<f64>()
@@ -104,21 +86,9 @@ fn run() -> Result<ExitCode, String> {
         i += 1;
     }
 
-    if let Some((first, second)) = bench_diff {
-        let (old_path, new_path) = match (baseline_path, second) {
-            (Some(_), Some(_)) => {
-                return Err("pass the baseline once: either --baseline PATH --bench-diff FRESH \
-                     or --bench-diff BASELINE FRESH"
-                    .into());
-            }
-            (Some(baseline), None) => (baseline, first),
-            (None, Some(fresh)) => (first, fresh),
-            (None, None) => {
-                return Err("--bench-diff needs a baseline: --baseline PATH --bench-diff FRESH \
-                     (or the legacy --bench-diff BASELINE FRESH form)"
-                    .into());
-            }
-        };
+    if let Some(new_path) = bench_diff {
+        let old_path = baseline_path
+            .ok_or("--bench-diff needs a baseline: --baseline PATH --bench-diff FRESH")?;
         let parse = |path: &str| -> Result<json::Value, String> {
             json::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))
         };
@@ -129,7 +99,7 @@ fn run() -> Result<ExitCode, String> {
             threshold,
         )?;
         // Informational yield comparison: never gates the exit code.
-        if let Some(line) = tracecheck::guided_speedup(&fresh) {
+        if let Some(line) = tracecheck::guided_speedup(&fresh)? {
             println!("{line}");
         }
         if warnings.is_empty() {
@@ -190,7 +160,7 @@ fn run() -> Result<ExitCode, String> {
 
     let Some(trace_path) = trace_path else {
         return Err("nothing to do: pass --trace PATH, --forensics PATH, --guided REPORT, \
-             or --bench-diff OLD NEW"
+             or --baseline OLD --bench-diff NEW"
             .into());
     };
     let trace = tracecheck::parse_trace(&read(&trace_path)?).map_err(|errs| {
@@ -211,7 +181,10 @@ fn run() -> Result<ExitCode, String> {
         let metrics =
             json::parse(&read(&metrics_path)?).map_err(|e| format!("{metrics_path}: {e}"))?;
         println!("\n== profiling ({metrics_path}) ==\n");
-        print!("{}", tracecheck::metrics_summary(&metrics));
+        print!(
+            "{}",
+            tracecheck::metrics_summary(&metrics).map_err(|e| format!("{metrics_path}: {e}"))?
+        );
     }
 
     if let Some(chrome_path) = chrome_path {

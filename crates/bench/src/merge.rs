@@ -11,7 +11,7 @@
 
 use crate::perf::{render_json_with, CampaignTiming};
 use diverseav_analysis::Table;
-use diverseav_faultinj::shard::{IncidentRecord, MergedCampaign, ShardError};
+use diverseav_faultinj::shard::{IncidentRecord, MergedCampaign, MetricsSlice, ShardError};
 use diverseav_faultinj::{stratum_label, summarize_merged, summarize_weighted};
 use diverseav_obs::json::{self, Value};
 use diverseav_obs::{metrics, MetricsSnapshot, RunRecord};
@@ -205,35 +205,19 @@ pub fn deterministic_doc(merged: &[MergedCampaign], td: f64) -> String {
 /// Render the merged `METRICS_campaigns.json`: the per-campaign metric
 /// slices folded into one registry snapshot (phases are wall-clock and
 /// therefore per-machine — a merge has none).
-pub fn metrics_doc(merged: &[MergedCampaign]) -> String {
-    let mut counters = BTreeMap::new();
-    let mut gauges = BTreeMap::new();
-    let mut hists = BTreeMap::new();
+///
+/// # Errors
+///
+/// [`ShardError::Mismatch`] when the fold overflows a counter or
+/// histogram (forged artifacts only).
+pub fn metrics_doc(merged: &[MergedCampaign]) -> Result<String, ShardError> {
+    let mut folded = MetricsSlice::default();
     for m in merged {
-        for (k, v) in &m.metrics.counters {
-            *counters.entry(k.clone()).or_insert(0u64) += v;
-        }
-        for (k, v) in &m.metrics.gauges {
-            let slot = gauges.entry(k.clone()).or_insert(*v);
-            if *v > *slot {
-                *slot = *v;
-            }
-        }
-        for (k, h) in &m.metrics.hists {
-            match hists.get_mut(k) {
-                None => {
-                    hists.insert(k.clone(), h.clone());
-                }
-                Some(mine) => {
-                    use diverseav_obs::HistSnapshot;
-                    let mine: &mut HistSnapshot = mine;
-                    mine.absorb(h);
-                }
-            }
-        }
+        folded.add(&m.metrics).map_err(ShardError::Mismatch)?;
     }
+    let MetricsSlice { counters, gauges, hists } = folded;
     let snap = MetricsSnapshot { counters, gauges, phases: BTreeMap::new(), hists };
-    metrics::render_json(&snap)
+    Ok(metrics::render_json(&snap))
 }
 
 /// Render a merged incident document for one campaign: a
@@ -341,39 +325,28 @@ pub fn bench_doc(merged: &[MergedCampaign], detected_cores: usize, threads: usiz
 
 /// Parse a `BENCH_campaigns.json` document back into its header values
 /// and timing entries (the inverse of [`crate::perf::render_json`], up
-/// to the renderer's 6-decimal rounding of `wall_secs`).
+/// to the renderer's 6-decimal rounding of `wall_secs`). Every member
+/// the entries carry must be present in its rendered encoding; the
+/// derived `runs_per_sec` / `ticks_per_sec` members are not read.
 pub fn parse_bench(doc: &Value) -> Result<(usize, usize, Vec<CampaignTiming>), String> {
-    let int = |v: &Value, key: &str| -> Result<usize, String> {
-        v.get(key)
-            .and_then(Value::as_f64)
-            .map(|n| n as usize)
-            .ok_or_else(|| format!("bench document missing numeric {key:?}"))
-    };
-    let cores = int(doc, "detected_cores")?;
-    let threads = int(doc, "threads")?;
-    let arr = doc
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("bench document has no \"entries\" array")?;
-    let mut entries = Vec::with_capacity(arr.len());
-    for e in arr {
-        let s = |key: &str| -> Result<String, String> {
-            e.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("bench entry missing string {key:?}"))
+    let cores = doc.req_usize("detected_cores")?;
+    let threads = doc.req_usize("threads")?;
+    let mut entries = Vec::new();
+    for e in doc.req_arr("entries")? {
+        let label = e.req_str("label")?;
+        let timing = || -> Result<CampaignTiming, String> {
+            Ok(CampaignTiming {
+                label: label.clone(),
+                phase: e.req_str("phase")?,
+                wall_secs: e.req_num("wall_secs")?,
+                runs: e.req_usize("runs")?,
+                ticks: e.req_u64("ticks")?,
+                deadline_misses: e.req_u64("deadline_misses")?,
+                critical: e.req_u64("critical")?,
+                threads: e.req_usize("threads")?,
+            })
         };
-        let f = |key: &str| e.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-        entries.push(CampaignTiming {
-            label: s("label")?,
-            phase: s("phase")?,
-            wall_secs: f("wall_secs"),
-            runs: f("runs") as usize,
-            ticks: f("ticks") as u64,
-            deadline_misses: f("deadline_misses") as u64,
-            critical: f("critical") as u64,
-            threads: f("threads") as usize,
-        });
+        entries.push(timing().map_err(|err| format!("bench entry {label:?}: {err}"))?);
     }
     Ok((cores, threads, entries))
 }

@@ -15,10 +15,10 @@
 //!
 //! Plus two cross-cutting checks:
 //!
-//! * [`bench_diff`] — the bench-regression check: diff a fresh
-//!   `BENCH_campaigns.json` against a committed baseline and flag
-//!   entries whose `ticks_per_sec` dropped by more than a threshold
-//!   (CLI: `--bench-diff-pct`, default 20 %).
+//! * [`bench_diff_checked`] — the bench-regression check: diff a fresh
+//!   `BENCH_campaigns.json` against a committed baseline (both read by
+//!   [`parse_bench`]) and flag entries whose `ticks_per_sec` dropped by
+//!   more than a threshold (CLI: `--bench-diff-pct`, default 20 %).
 //! * [`forensics_report`] — the flight-recorder post-mortem over an
 //!   incident artifact (a shard sidecar or a merged incident set):
 //!   per-incident score-vs-threshold sparklines with onset and alarm
@@ -41,42 +41,20 @@
 //! |      | warning gate CI can treat separately from hard failure) |
 //!
 //! Everything parses through [`diverseav_obs::json`] (no serde in the
-//! dependency closure) and is pure string → string, so the binary is a
-//! thin argument-parsing shell over testable functions.
+//! dependency closure) and its strict member vocabulary — run lines
+//! through [`RunRecord::parse`], incident lines through
+//! [`IncidentRecord::parse`] — and is pure string → string, so the
+//! binary is a thin argument-parsing shell over testable functions.
+//! Malformed input is an `Err`, never a default or a panic.
 
+use crate::merge::parse_bench;
+use crate::perf::CampaignTiming;
 use diverseav_faultinj::IncidentRecord;
 use diverseav_obs::flight::{FLAG_ALARM, FLAG_DETECTOR_OBSERVED, FLAG_FAULT_ACTIVE};
 use diverseav_obs::json::{self, Value};
+use diverseav_obs::{FaultSite, RunRecord};
 use diverseav_runtime::SILENT_SCORE_FLOOR;
 use std::collections::BTreeMap;
-
-/// One `"type": "run"` journal line, narrowed to the fields the reports
-/// consume.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunLine {
-    /// Campaign display label (the cell key).
-    pub campaign: String,
-    /// `"golden"` or `"injected"`.
-    pub kind: String,
-    /// Scenario name.
-    pub scenario: String,
-    /// Outcome label (`completed` / `collision` / `hang` / `crash`).
-    pub outcome: String,
-    /// Detector alarm time, if raised.
-    pub alarm_time: Option<f64>,
-    /// Collision time, if the ego collided.
-    pub collision_time: Option<f64>,
-    /// Whether the armed fault corrupted at least one register.
-    pub fault_activated: bool,
-    /// Simulation time of the first corrupted frame (sensor faults only).
-    pub fault_onset_time: Option<f64>,
-    /// Sensor-fault class label (`dropout`, `bias-drift`, …) from the
-    /// fault site's `op` field when `model == "sensor"`; `None` for
-    /// register faults and golden runs.
-    pub fault_class: Option<String>,
-    /// Peak rolling divergence per channel.
-    pub div_peak: [f64; 3],
-}
 
 /// One event inside a `"type": "span_events"` journal line.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,8 +63,22 @@ pub struct SpanEvent {
     pub event: String,
     /// Event name (span name or counter/gauge key).
     pub name: String,
-    /// `t_ns` for spans, `value` for counters/gauges.
+    /// `t_ns` for spans, `value` for counters/gauges (NaN for a gauge
+    /// whose non-finite value was written as `null`).
     pub value: f64,
+}
+
+impl SpanEvent {
+    fn parse(v: &Value) -> Result<SpanEvent, String> {
+        let event = v.req_str("event")?;
+        let value = match event.as_str() {
+            "span_begin" | "span_end" => v.req_u64("t_ns")? as f64,
+            "counter" => v.req_u64("value")? as f64,
+            "gauge" => v.opt_num_member("value")?.unwrap_or(f64::NAN),
+            other => return Err(format!("unknown span event {other:?}")),
+        };
+        Ok(SpanEvent { event, name: v.req_str("name")?, value })
+    }
 }
 
 /// One fan-out slot's worth of span events.
@@ -104,21 +96,15 @@ pub struct SpanGroup {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     /// All run lines, in journal order.
-    pub runs: Vec<RunLine>,
+    pub runs: Vec<RunRecord>,
     /// All span-event groups, in journal order.
     pub spans: Vec<SpanGroup>,
 }
 
-fn f64_field(v: &Value, key: &str) -> Option<f64> {
-    v.get(key).and_then(Value::as_f64)
-}
-
-fn str_field(v: &Value, key: &str) -> Option<String> {
-    v.get(key).and_then(Value::as_str).map(str::to_string)
-}
-
 /// Parse a JSONL trace journal. Returns the trace, or per-line parse
-/// errors (`line N: <reason>`) if any line is malformed.
+/// errors (`line N: <reason>`) if any line is malformed. Run lines are
+/// read by [`RunRecord::parse`], so a run line that `RunRecord::render`
+/// could not have written is an error.
 pub fn parse_trace(text: &str) -> Result<Trace, Vec<String>> {
     let mut trace = Trace::default();
     let mut errors = Vec::new();
@@ -126,74 +112,19 @@ pub fn parse_trace(text: &str) -> Result<Trace, Vec<String>> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = match json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                errors.push(format!("line {}: {e}", i + 1));
-                continue;
+        let parsed = json::parse(line).and_then(|v| match v.req_str("type")?.as_str() {
+            "run" => RunRecord::parse(&v).map(|r| trace.runs.push(r)),
+            "span_events" => {
+                let events: Result<_, _> =
+                    v.req_arr("events")?.iter().map(SpanEvent::parse).collect();
+                let (label, index) = (v.req_str("label")?, v.req_u64("index")?);
+                trace.spans.push(SpanGroup { label, index, events: events? });
+                Ok(())
             }
-        };
-        match v.get("type").and_then(Value::as_str) {
-            Some("run") => {
-                let div_peak = v
-                    .get("div_peak")
-                    .and_then(Value::as_arr)
-                    .map(|a| {
-                        let mut out = [0.0; 3];
-                        for (slot, item) in out.iter_mut().zip(a) {
-                            *slot = item.as_f64().unwrap_or(0.0);
-                        }
-                        out
-                    })
-                    .unwrap_or([0.0; 3]);
-                let fault_class = v.get("fault").and_then(|f| {
-                    if str_field(f, "model").as_deref() == Some("sensor") {
-                        str_field(f, "op")
-                    } else {
-                        None
-                    }
-                });
-                trace.runs.push(RunLine {
-                    campaign: str_field(&v, "campaign").unwrap_or_default(),
-                    kind: str_field(&v, "kind").unwrap_or_default(),
-                    scenario: str_field(&v, "scenario").unwrap_or_default(),
-                    outcome: str_field(&v, "outcome").unwrap_or_default(),
-                    alarm_time: f64_field(&v, "alarm_time"),
-                    collision_time: f64_field(&v, "collision_time"),
-                    fault_activated: v
-                        .get("fault_activated")
-                        .and_then(Value::as_bool)
-                        .unwrap_or(false),
-                    fault_onset_time: f64_field(&v, "fault_onset_time"),
-                    fault_class,
-                    div_peak,
-                });
-            }
-            Some("span_events") => {
-                let events = v
-                    .get("events")
-                    .and_then(Value::as_arr)
-                    .map(|a| {
-                        a.iter()
-                            .map(|e| SpanEvent {
-                                event: str_field(e, "event").unwrap_or_default(),
-                                name: str_field(e, "name").unwrap_or_default(),
-                                value: f64_field(e, "t_ns")
-                                    .or_else(|| f64_field(e, "value"))
-                                    .unwrap_or(0.0),
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                trace.spans.push(SpanGroup {
-                    label: str_field(&v, "label").unwrap_or_default(),
-                    index: f64_field(&v, "index").unwrap_or(0.0) as u64,
-                    events,
-                });
-            }
-            Some(_) | None => {
-                errors.push(format!("line {}: missing or unknown \"type\"", i + 1));
-            }
+            other => Err(format!("unknown type {other:?}")),
+        });
+        if let Err(e) = parsed {
+            errors.push(format!("line {}: {e}", i + 1));
         }
     }
     if errors.is_empty() {
@@ -219,7 +150,7 @@ struct CellStats {
 /// fault activation, and alarm coverage of accidents. Cells are sorted
 /// by label; golden runs are reported as their own `[golden]` row per
 /// campaign.
-pub fn cell_summary(runs: &[RunLine]) -> String {
+pub fn cell_summary(runs: &[RunRecord]) -> String {
     let mut cells: BTreeMap<String, CellStats> = BTreeMap::new();
     for r in runs {
         let key = if r.kind == "golden" {
@@ -322,7 +253,7 @@ fn distribution_block(title: &str, unit: &str, mut values: Vec<f64>) -> String {
 /// Render the Fig-9-style distributions: detection latency (alarm →
 /// collision lead time over runs that had both) and per-run peak
 /// divergence (max across channels, injected runs only).
-pub fn latency_report(runs: &[RunLine]) -> String {
+pub fn latency_report(runs: &[RunRecord]) -> String {
     let lead: Vec<f64> = runs
         .iter()
         .filter_map(|r| match (r.alarm_time, r.collision_time) {
@@ -349,11 +280,12 @@ pub fn latency_report(runs: &[RunLine]) -> String {
 /// activated but never alarmed are tallied as missed — a silent
 /// divergence the histogram cannot hide. Returns an explanatory stub
 /// when the journal holds no sensor-fault runs.
-pub fn sensor_latency_report(runs: &[RunLine]) -> String {
+pub fn sensor_latency_report(runs: &[RunRecord]) -> String {
     let mut by_class: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     let mut missed: BTreeMap<&str, u64> = BTreeMap::new();
     for r in runs {
-        let Some(class) = r.fault_class.as_deref() else { continue };
+        let sensor = r.fault.as_ref().filter(|f| f.model == "sensor");
+        let Some(class) = sensor.map(FaultSite::class) else { continue };
         match (r.alarm_time, r.fault_onset_time) {
             (Some(a), Some(o)) if a >= o => by_class.entry(class).or_default().push(a - o),
             (None, Some(_)) => *missed.entry(class).or_default() += 1,
@@ -432,87 +364,71 @@ pub fn chrome_trace(trace: &Trace) -> String {
 
 /// Render the profiling section of a parsed `METRICS_campaigns.json`
 /// document: per-phase tick-latency quantiles and the deadline tallies.
-pub fn metrics_summary(metrics: &Value) -> String {
-    let mut out = String::new();
-    if let Some(hists) = metrics.get("histograms").and_then(Value::as_obj) {
-        out.push_str("tick-phase latency histograms:\n");
-        let mut any = false;
-        for (name, h) in hists {
-            if !name.starts_with("tick.") {
-                continue;
-            }
-            any = true;
-            let ms = |key: &str| f64_field(h, key).unwrap_or(0.0) / 1e6;
-            out.push_str(&format!(
-                "  {name:<14} count {:>8}  p50 {:>8.3} ms  p90 {:>8.3} ms  p99 {:>8.3} ms  \
-                 max {:>8.3} ms\n",
-                f64_field(h, "count").unwrap_or(0.0),
-                ms("p50"),
-                ms("p90"),
-                ms("p99"),
-                ms("max"),
-            ));
-        }
-        if !any {
-            out.push_str("  (no tick.* histograms — profiling was off)\n");
-        }
-    }
-    if let Some(counters) = metrics.get("counters").and_then(Value::as_obj) {
-        let get = |k: &str| {
-            counters.iter().find(|(name, _)| name == k).and_then(|(_, v)| v.as_f64()).unwrap_or(0.0)
-        };
-        let dropped = get("journal.dropped");
-        if dropped > 0.0 {
-            out.push_str(&format!(
-                "\nWARNING: the run journal dropped {dropped} line(s) at its cap — the trace \
-                 this snapshot rode along with is TRUNCATED and every journal-derived report \
-                 is missing runs; raise DIVERSEAV_TRACE_CAP and re-run\n",
-            ));
-        }
-        let ticks = get("deadline.ticks");
-        if ticks > 0.0 {
-            out.push_str(&format!(
-                "\n40 Hz deadline (25 ms budget): {} / {} ticks over budget\n",
-                get("deadline.misses"),
-                ticks,
-            ));
-            for (name, v) in counters {
-                if let Some(scenario) =
-                    name.strip_prefix("deadline.").and_then(|s| s.strip_suffix(".misses"))
-                {
-                    let per = format!("deadline.{scenario}.ticks");
-                    out.push_str(&format!(
-                        "  {scenario:<24} {} / {} ticks missed\n",
-                        v.as_f64().unwrap_or(0.0),
-                        get(&per),
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The timing entries of a parsed `BENCH_campaigns.json` document,
-/// keyed on label: `(ticks_per_sec, wall_secs)` per entry.
+/// Counters absent from the document count as zero.
 ///
-/// A document without a non-empty `entries` array is an error, not an
-/// empty map — a truncated or wrong-file baseline must fail the diff
-/// loudly instead of silently comparing nothing.
-pub fn bench_entries(doc: &Value) -> Result<BTreeMap<String, (f64, f64)>, String> {
-    let arr = doc
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("bench document has no \"entries\" array — wrong or truncated file?")?;
-    if arr.is_empty() {
-        return Err("bench document has an empty \"entries\" array".to_string());
+/// # Errors
+///
+/// A document without the `counters` and `histograms` objects, or with
+/// a counter or histogram field that is not a non-negative integer.
+pub fn metrics_summary(metrics: &Value) -> Result<String, String> {
+    let mut out = String::from("tick-phase latency histograms:\n");
+    let mut any = false;
+    for (name, h) in metrics.req_obj("histograms")? {
+        if !name.starts_with("tick.") {
+            continue;
+        }
+        any = true;
+        let field = |key: &str| h.req_u64(key).map_err(|e| format!("histogram {name:?}: {e}"));
+        let ms = |key: &str| field(key).map(|ns| ns as f64 / 1e6);
+        out.push_str(&format!(
+            "  {name:<14} count {:>8}  p50 {:>8.3} ms  p90 {:>8.3} ms  p99 {:>8.3} ms  \
+             max {:>8.3} ms\n",
+            field("count")?,
+            ms("p50")?,
+            ms("p90")?,
+            ms("p99")?,
+            ms("max")?,
+        ));
     }
-    let mut out = BTreeMap::new();
-    for e in arr {
-        let label = str_field(e, "label").ok_or("bench entry without a \"label\"")?;
-        let tps = f64_field(e, "ticks_per_sec").unwrap_or(0.0);
-        let wall = f64_field(e, "wall_secs").unwrap_or(0.0);
-        out.insert(label, (tps, wall));
+    if !any {
+        out.push_str("  (no tick.* histograms — profiling was off)\n");
+    }
+    let counters = metrics.req_obj("counters")?;
+    let mut values = BTreeMap::new();
+    for (name, v) in counters {
+        values.insert(
+            name.as_str(),
+            json::parse_uint(v).map_err(|e| format!("counter {name:?}: {e}"))?,
+        );
+    }
+    let get = |k: &str| values.get(k).copied().unwrap_or(0);
+    let dropped = get("journal.dropped");
+    if dropped > 0 {
+        out.push_str(&format!(
+            "\nWARNING: the run journal dropped {dropped} line(s) at its cap — the trace \
+             this snapshot rode along with is TRUNCATED and every journal-derived report \
+             is missing runs; raise DIVERSEAV_TRACE_CAP and re-run\n",
+        ));
+    }
+    let ticks = get("deadline.ticks");
+    if ticks > 0 {
+        out.push_str(&format!(
+            "\n40 Hz deadline (25 ms budget): {} / {} ticks over budget\n",
+            get("deadline.misses"),
+            ticks,
+        ));
+        for (name, _) in counters {
+            if let Some(scenario) =
+                name.strip_prefix("deadline.").and_then(|s| s.strip_suffix(".misses"))
+            {
+                let per = format!("deadline.{scenario}.ticks");
+                out.push_str(&format!(
+                    "  {scenario:<24} {} / {} ticks missed\n",
+                    get(name),
+                    get(&per),
+                ));
+            }
+        }
     }
     Ok(out)
 }
@@ -525,19 +441,31 @@ pub fn bench_entries(doc: &Value) -> Result<BTreeMap<String, (f64, f64)>, String
 /// whose `wall_secs` *grew* by more than `threshold`. Entries present on
 /// only one side are ignored — labels carry thread counts and scale
 /// settings, so disjoint runs are expected; but zero overlapping labels
-/// is an error (the documents are not comparable at all).
+/// is an error (the documents are not comparable at all), and so is a
+/// document [`parse_bench`] rejects or one with no entries: a truncated
+/// or wrong-file baseline must fail the diff loudly instead of silently
+/// comparing nothing.
 pub fn bench_diff_checked(
     baseline: &Value,
     fresh: &Value,
     threshold: f64,
 ) -> Result<Vec<String>, String> {
-    let old = bench_entries(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let new = bench_entries(fresh).map_err(|e| format!("fresh: {e}"))?;
+    let entries = |doc: &Value| -> Result<BTreeMap<String, CampaignTiming>, String> {
+        let (_, _, entries) = parse_bench(doc)?;
+        if entries.is_empty() {
+            return Err("bench document has an empty \"entries\" array".to_string());
+        }
+        Ok(entries.into_iter().map(|e| (e.label.clone(), e)).collect())
+    };
+    let old = entries(baseline).map_err(|e| format!("baseline: {e}"))?;
+    let new = entries(fresh).map_err(|e| format!("fresh: {e}"))?;
     let mut warnings = Vec::new();
     let mut overlap = 0usize;
-    for (label, &(was, was_wall)) in &old {
-        let Some(&(now, now_wall)) = new.get(label) else { continue };
+    for (label, was_entry) in &old {
+        let Some(now_entry) = new.get(label) else { continue };
         overlap += 1;
+        let (was, now) = (was_entry.ticks_per_sec(), now_entry.ticks_per_sec());
+        let (was_wall, now_wall) = (was_entry.wall_secs, now_entry.wall_secs);
         if was > 0.0 && now < was * (1.0 - threshold) {
             warnings.push(format!(
                 "{label}: ticks_per_sec dropped {:.1} -> {:.1} ({:+.1} %)",
@@ -563,43 +491,31 @@ pub fn bench_diff_checked(
     Ok(warnings)
 }
 
-/// [`bench_diff_checked`] flattened for callers that treat unreadable
-/// documents as "nothing to report". New callers should prefer the
-/// checked variant so baseline problems fail loudly.
-pub fn bench_diff(baseline: &Value, fresh: &Value, threshold: f64) -> Vec<String> {
-    bench_diff_checked(baseline, fresh, threshold).unwrap_or_default()
-}
-
 /// The `guided_speedup` line for `--bench-diff`: guided vs uniform
 /// safety-critical-outcomes-per-run yield from a `BENCH_campaigns.json`
 /// document whose entries carry `critical` counts (phase `"guided"` vs
 /// phase `"uniform"`). Purely informational — the caller prints it and
-/// never fails on it. `None` when the document has no guided entries.
-pub fn guided_speedup(doc: &Value) -> Option<String> {
-    let arr = doc.get("entries").and_then(Value::as_arr)?;
+/// never fails on it. `Ok(None)` when the document has no guided entries;
+/// `Err` when [`parse_bench`] rejects it or its tallies overflow `u64`.
+pub fn guided_speedup(doc: &Value) -> Result<Option<String>, String> {
+    let (_, _, entries) = parse_bench(doc)?;
     let mut guided = (0u64, 0u64); // (critical, runs)
     let mut uniform = (0u64, 0u64);
-    for e in arr {
-        let phase = str_field(e, "phase").unwrap_or_default();
-        let critical = f64_field(e, "critical").unwrap_or(0.0) as u64;
-        let runs = f64_field(e, "runs").unwrap_or(0.0) as u64;
-        match phase.as_str() {
-            "guided" => {
-                guided.0 += critical;
-                guided.1 += runs;
-            }
-            "uniform" => {
-                uniform.0 += critical;
-                uniform.1 += runs;
-            }
-            _ => {}
-        }
+    for e in &entries {
+        let tally = match e.phase.as_str() {
+            "guided" => &mut guided,
+            "uniform" => &mut uniform,
+            _ => continue,
+        };
+        let overflow = || format!("bench entry {:?}: critical/run tallies overflow u64", e.label);
+        tally.0 = tally.0.checked_add(e.critical).ok_or_else(overflow)?;
+        tally.1 = tally.1.checked_add(e.runs as u64).ok_or_else(overflow)?;
     }
     if guided.1 == 0 {
-        return None;
+        return Ok(None);
     }
     let gy = guided.0 as f64 / guided.1 as f64;
-    Some(if uniform.1 == 0 || uniform.0 == 0 {
+    Ok(Some(if uniform.1 == 0 || uniform.0 == 0 {
         format!(
             "guided_speedup: n/a (guided {}/{} critical-per-run {:.4}; no uniform \
              critical outcomes to compare against)",
@@ -618,7 +534,7 @@ pub fn guided_speedup(doc: &Value) -> Option<String> {
             uniform.1,
             uy,
         )
-    })
+    }))
 }
 
 // -- guided campaign report --------------------------------------------------
@@ -628,70 +544,78 @@ pub fn guided_speedup(doc: &Value) -> Option<String> {
 /// weighted estimates and their variance bound is no longer meaningful.
 pub const ESS_COLLAPSE_FRACTION: f64 = 0.2;
 
+/// The weighted Table-I cells of a guided report campaign (and of an
+/// expectation fixture campaign).
+const WEIGHTED_CELLS: [&str; 4] = ["active", "hang_crash", "accidents", "traj_violations"];
+
 /// Render a guided campaign report (`diverseav-merge --guided-report`
 /// output) as the human-readable allocation table + ESS report, and
 /// collect ESS-collapse warnings. The caller prints the text always and
 /// treats a non-empty warning set as the exit-2 warning gate.
 pub fn guided_report_summary(doc: &Value) -> Result<(String, Vec<String>), String> {
-    if str_field(doc, "type").as_deref() != Some("guided_report") {
+    if doc.req_str("type")? != "guided_report" {
         return Err("not a guided report (\"type\" != \"guided_report\")".to_string());
     }
-    let campaigns =
-        doc.get("campaigns").and_then(Value::as_arr).ok_or("guided report has no campaigns")?;
+    let campaigns = doc.req_arr("campaigns")?;
     if campaigns.is_empty() {
         return Err("guided report has an empty campaign set".to_string());
     }
     let mut out = String::from("== guided campaign report ==\n");
     let mut warnings = Vec::new();
     for c in campaigns {
-        let label = str_field(c, "campaign").ok_or("campaign entry without a label")?;
-        let num = |key: &str| -> Result<f64, String> {
-            f64_field(c, key).ok_or_else(|| format!("campaign {label:?}: missing {key:?}"))
-        };
-        let (epochs, epochs_done) = (num("epochs")? as usize, num("epochs_done")? as usize);
-        let (budget, runs) = (num("budget")? as usize, num("runs")? as usize);
-        let ess = num("ess")?;
-        out.push_str(&format!(
-            "\ncampaign {label}\n  epochs {epochs_done}/{epochs}, budget {budget}, \
-             {runs} run(s) executed, ESS {ess:.1} ({:.0} % of runs)\n  weighted estimates: \
-             active {:.3}, hang/crash {:.3}, accidents {:.3}, traj-violations {:.3}\n",
-            if runs > 0 { 100.0 * ess / runs as f64 } else { 0.0 },
-            num("active")?,
-            num("hang_crash")?,
-            num("accidents")?,
-            num("traj_violations")?,
-        ));
-        let epoch_table =
-            c.get("epoch_table").and_then(Value::as_arr).ok_or("campaign without epoch_table")?;
-        for e in epoch_table {
-            let epoch = f64_field(e, "epoch").unwrap_or(-1.0) as i64;
-            let eruns = f64_field(e, "runs").unwrap_or(0.0) as u64;
-            out.push_str(&format!("  epoch {epoch} ({eruns} runs):\n"));
-            let alloc = e
-                .get("allocation")
-                .and_then(Value::as_arr)
-                .ok_or("epoch entry without allocation")?;
-            for s in alloc {
-                out.push_str(&format!(
-                    "    stratum {} {:<16} runs {:>4}  critical {:>4}  weight {:.4}\n",
-                    str_field(s, "stratum").unwrap_or_default(),
-                    str_field(s, "label").unwrap_or_default(),
-                    f64_field(s, "runs").unwrap_or(0.0) as u64,
-                    f64_field(s, "critical").unwrap_or(0.0) as u64,
-                    f64_field(s, "weight").unwrap_or(0.0),
-                ));
-            }
-        }
-        if runs > 0 && ess < ESS_COLLAPSE_FRACTION * runs as f64 {
-            warnings.push(format!(
-                "WARNING: campaign {label}: effective sample size collapsed — ESS {ess:.1} \
-                 is below {:.0} % of {runs} executed runs; a few heavy strata dominate the \
-                 weighted estimates and the Table-I cells are high-variance",
-                ESS_COLLAPSE_FRACTION * 100.0,
+        let label = c.req_str("campaign")?;
+        let warning = guided_campaign_summary(c, &label, &mut out)
+            .map_err(|e| format!("campaign {label:?}: {e}"))?;
+        warnings.extend(warning);
+    }
+    Ok((out, warnings))
+}
+
+/// One campaign of [`guided_report_summary`]: its text goes to `out`,
+/// its ESS-collapse warning (if any) is returned.
+fn guided_campaign_summary(
+    c: &Value,
+    label: &str,
+    out: &mut String,
+) -> Result<Option<String>, String> {
+    let (epochs, epochs_done) = (c.req_usize("epochs")?, c.req_usize("epochs_done")?);
+    let (budget, runs, ess) = (c.req_usize("budget")?, c.req_usize("runs")?, c.req_num("ess")?);
+    let mut cells = [0.0; 4];
+    for (cell, key) in cells.iter_mut().zip(WEIGHTED_CELLS) {
+        *cell = c.req_num(key)?;
+    }
+    out.push_str(&format!(
+        "\ncampaign {label}\n  epochs {epochs_done}/{epochs}, budget {budget}, \
+         {runs} run(s) executed, ESS {ess:.1} ({:.0} % of runs)\n  weighted estimates: \
+         active {:.3}, hang/crash {:.3}, accidents {:.3}, traj-violations {:.3}\n",
+        if runs > 0 { 100.0 * ess / runs as f64 } else { 0.0 },
+        cells[0],
+        cells[1],
+        cells[2],
+        cells[3],
+    ));
+    for e in c.req_arr("epoch_table")? {
+        let (epoch, eruns) = (e.req_usize("epoch")?, e.req_usize("runs")?);
+        out.push_str(&format!("  epoch {epoch} ({eruns} runs):\n"));
+        for s in e.req_arr("allocation")? {
+            out.push_str(&format!(
+                "    stratum {} {:<16} runs {:>4}  critical {:>4}  weight {:.4}\n",
+                s.req_str("stratum")?,
+                s.req_str("label")?,
+                s.req_u64("runs")?,
+                s.req_u64("critical")?,
+                s.req_num("weight")?,
             ));
         }
     }
-    Ok((out, warnings))
+    Ok((runs > 0 && ess < ESS_COLLAPSE_FRACTION * runs as f64).then(|| {
+        format!(
+            "WARNING: campaign {label}: effective sample size collapsed — ESS {ess:.1} \
+             is below {:.0} % of {runs} executed runs; a few heavy strata dominate the \
+             weighted estimates and the Table-I cells are high-variance",
+            ESS_COLLAPSE_FRACTION * 100.0,
+        )
+    }))
 }
 
 /// Check a guided report's weighted Table-I cells against a precomputed
@@ -702,29 +626,23 @@ pub fn guided_report_summary(doc: &Value) -> Result<(String, Vec<String>), Strin
 /// `tolerance` of the fixture value. Returns the violations (empty =
 /// all cells in tolerance).
 pub fn guided_expect_check(report: &Value, fixture: &Value) -> Result<Vec<String>, String> {
-    if str_field(fixture, "type").as_deref() != Some("guided_expected") {
+    if fixture.req_str("type")? != "guided_expected" {
         return Err("not a guided expectation fixture (\"type\" != \"guided_expected\")".into());
     }
-    let expected = fixture
-        .get("campaigns")
-        .and_then(Value::as_arr)
-        .ok_or("expectation fixture has no campaigns")?;
-    let actual =
-        report.get("campaigns").and_then(Value::as_arr).ok_or("guided report has no campaigns")?;
+    let actual = report.req_arr("campaigns").map_err(|e| format!("guided report: {e}"))?;
     let mut violations = Vec::new();
-    for e in expected {
-        let label = str_field(e, "campaign").ok_or("fixture campaign without a label")?;
-        let tolerance = f64_field(e, "tolerance")
-            .ok_or_else(|| format!("fixture campaign {label:?} without a tolerance"))?;
+    for e in fixture.req_arr("campaigns")? {
+        let label = e.req_str("campaign")?;
+        let tolerance =
+            e.req_num("tolerance").map_err(|err| format!("fixture campaign {label:?}: {err}"))?;
         let a = actual
             .iter()
-            .find(|c| str_field(c, "campaign").as_deref() == Some(&label))
+            .find(|c| c.req_str("campaign").as_deref() == Ok(label.as_str()))
             .ok_or_else(|| format!("campaign {label:?} expected by the fixture is missing"))?;
-        for cell in ["active", "hang_crash", "accidents", "traj_violations"] {
-            let want = f64_field(e, cell)
-                .ok_or_else(|| format!("fixture campaign {label:?} missing {cell:?}"))?;
-            let got = f64_field(a, cell)
-                .ok_or_else(|| format!("report campaign {label:?} missing {cell:?}"))?;
+        for cell in WEIGHTED_CELLS {
+            let want =
+                e.req_num(cell).map_err(|err| format!("fixture campaign {label:?}: {err}"))?;
+            let got = a.req_num(cell).map_err(|err| format!("report campaign {label:?}: {err}"))?;
             if (got - want).abs() > tolerance {
                 violations.push(format!(
                     "{label}: weighted {cell} = {got:.3} is outside {want:.3} +/- {tolerance} \
@@ -770,14 +688,13 @@ pub fn parse_incidents(text: &str) -> Result<Vec<IncidentRecord>, Vec<String>> {
                 continue;
             }
         };
-        match v.get("type").and_then(Value::as_str) {
-            Some("incident") => match IncidentRecord::parse(&v) {
-                Ok((_, rec)) => out.push(rec),
-                Err(e) => errors.push(format!("line {}: {e}", i + 1)),
-            },
-            Some("incident_manifest") | Some("merged_incidents") | Some("incidents_done") => {}
-            Some(other) => errors.push(format!("line {}: unknown type {other:?}", i + 1)),
-            None => errors.push(format!("line {}: missing \"type\"", i + 1)),
+        let parsed = v.req_str("type").and_then(|ty| match ty.as_str() {
+            "incident" => IncidentRecord::parse(&v).map(|(_, rec)| out.push(rec)),
+            "incident_manifest" | "merged_incidents" | "incidents_done" => Ok(()),
+            other => Err(format!("unknown type {other:?}")),
+        });
+        if let Err(e) = parsed {
+            errors.push(format!("line {}: {e}", i + 1));
         }
     }
     if errors.is_empty() {
@@ -837,7 +754,8 @@ fn incident_view(rec: &IncidentRecord) -> IncidentView {
 /// The score sparkline and its marker row (`o` onset, `!` alarm), both
 /// the same width.
 fn spark_rows(rec: &IncidentRecord, v: &IncidentView) -> (String, String) {
-    let span = (v.last_tick - v.first_tick + 1).max(1);
+    // Saturating: a hand-edited record set need not be tick-ordered.
+    let span = v.last_tick.saturating_sub(v.first_tick).saturating_add(1);
     let width = SPARK_WIDTH.min(span as usize).max(1);
     let bucket = |tick: u64| {
         (((tick.saturating_sub(v.first_tick)) as u128 * width as u128 / span as u128) as usize)
@@ -1024,42 +942,85 @@ pub fn forensics_report(incidents: &[IncidentRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::render_json_with;
 
-    const SAMPLE: &str = concat!(
-        "{\"type\": \"run\", \"campaign\": \"GPU-transient LSD\", \"kind\": \"golden\", ",
-        "\"index\": 0, \"seed\": 1, \"scenario\": \"lead_slowdown\", \"outcome\": \"completed\", ",
-        "\"end_time\": 36.0, \"collision_time\": null, \"alarm_time\": null, ",
-        "\"fault_activated\": false, \"min_cvip\": 8.0, \"div_peak\": [0.01, 0.0, 0.0], ",
-        "\"fault\": null}\n",
-        "{\"type\": \"run\", \"campaign\": \"GPU-transient LSD\", \"kind\": \"injected\", ",
-        "\"index\": 1, \"seed\": 2, \"scenario\": \"lead_slowdown\", \"outcome\": \"collision\", ",
-        "\"end_time\": 12.0, \"collision_time\": 12.0, \"alarm_time\": 9.5, ",
-        "\"fault_activated\": true, \"min_cvip\": 0.0, \"div_peak\": [0.5, 0.2, 0.1], ",
-        "\"fault\": {\"profile\": \"GPU\", \"unit\": 0, \"model\": \"transient\", ",
-        "\"mask\": 4, \"cycle\": 100, \"op\": null}}\n",
-        "{\"type\": \"run\", \"campaign\": \"GPU-sensor-dropout LSD\", \"kind\": \"injected\", ",
-        "\"index\": 2, \"seed\": 3, \"scenario\": \"lead_slowdown\", \"outcome\": \"completed\", ",
-        "\"end_time\": 36.0, \"collision_time\": null, \"alarm_time\": 1.25, ",
-        "\"fault_activated\": true, \"fault_onset_time\": 0.5, \"min_cvip\": 6.0, ",
-        "\"div_peak\": [0.4, 0.1, 0.0], ",
-        "\"fault\": {\"profile\": \"SENSOR\", \"unit\": 0, \"model\": \"sensor\", ",
-        "\"mask\": 0, \"cycle\": 77, \"op\": \"dropout\"}}\n",
-        "{\"type\": \"run\", \"campaign\": \"GPU-sensor-bias-drift LSD\", \"kind\": \"injected\", ",
-        "\"index\": 3, \"seed\": 4, \"scenario\": \"lead_slowdown\", \"outcome\": \"completed\", ",
-        "\"end_time\": 36.0, \"collision_time\": null, \"alarm_time\": null, ",
-        "\"fault_activated\": true, \"fault_onset_time\": 0.75, \"min_cvip\": 6.0, ",
-        "\"div_peak\": [0.1, 0.0, 0.0], ",
-        "\"fault\": {\"profile\": \"SENSOR\", \"unit\": 0, \"model\": \"sensor\", ",
-        "\"mask\": 0, \"cycle\": 78, \"op\": \"bias-drift\"}}\n",
-        "{\"type\": \"span_events\", \"label\": \"campaign\", \"index\": 0, \"events\": [",
-        "{\"event\": \"span_begin\", \"name\": \"item\", \"t_ns\": 1000}, ",
-        "{\"event\": \"counter\", \"name\": \"worker\", \"value\": 2}, ",
-        "{\"event\": \"span_end\", \"name\": \"item\", \"t_ns\": 51000}]}\n",
-    );
+    /// A journal of four run lines written by [`RunRecord::render`] (a
+    /// golden run, a register fault, two sensor faults) and one span line.
+    fn sample() -> String {
+        let golden = RunRecord {
+            campaign: "GPU-transient LSD".into(),
+            kind: "golden",
+            index: 0,
+            seed: 1,
+            scenario: "lead_slowdown".into(),
+            outcome: "completed".into(),
+            end_time: 36.0,
+            collision_time: None,
+            alarm_time: None,
+            fault_activated: false,
+            fault_onset_time: None,
+            min_cvip: 8.0,
+            div_peak: [0.01, 0.0, 0.0],
+            fault: None,
+        };
+        let site = |profile: &str, model: &str, mask, cycle, op: Option<&str>| FaultSite {
+            profile: profile.into(),
+            unit: 0,
+            model: model.into(),
+            mask,
+            cycle: Some(cycle),
+            op: op.map(str::to_string),
+        };
+        let sensor = |campaign: &str, index, onset, alarm, class| RunRecord {
+            campaign: campaign.into(),
+            kind: "injected",
+            index,
+            seed: index as u64 + 1,
+            alarm_time: alarm,
+            fault_activated: true,
+            fault_onset_time: Some(onset),
+            min_cvip: 6.0,
+            fault: Some(site("SENSOR", "sensor", 0, 75 + index as u64, Some(class))),
+            ..golden.clone()
+        };
+        let runs = [
+            golden.clone(),
+            RunRecord {
+                kind: "injected",
+                index: 1,
+                seed: 2,
+                outcome: "collision".into(),
+                end_time: 12.0,
+                collision_time: Some(12.0),
+                alarm_time: Some(9.5),
+                fault_activated: true,
+                min_cvip: 0.0,
+                div_peak: [0.5, 0.2, 0.1],
+                fault: Some(site("GPU", "transient", 4, 100, None)),
+                ..golden.clone()
+            },
+            RunRecord {
+                div_peak: [0.4, 0.1, 0.0],
+                ..sensor("GPU-sensor-dropout LSD", 2, 0.5, Some(1.25), "dropout")
+            },
+            RunRecord {
+                div_peak: [0.1, 0.0, 0.0],
+                ..sensor("GPU-sensor-bias-drift LSD", 3, 0.75, None, "bias-drift")
+            },
+        ];
+        let mut text: String = runs.iter().map(|r| r.render() + "\n").collect();
+        text.push_str(concat!(
+            "{\"type\": \"span_events\", \"label\": \"campaign\", \"index\": 0, \"events\": [",
+            "{\"event\": \"span_begin\", \"name\": \"item\", \"t_ns\": 1000}, ",
+            "{\"event\": \"counter\", \"name\": \"worker\", \"value\": 2}, ",
+            "{\"event\": \"span_end\", \"name\": \"item\", \"t_ns\": 51000}]}\n",
+        ));
+        text
+    }
 
     #[test]
     fn parses_runs_and_spans() {
-        let trace = parse_trace(SAMPLE).expect("sample parses");
+        let trace = parse_trace(&sample()).expect("sample parses");
         assert_eq!(trace.runs.len(), 4);
         assert_eq!(trace.spans.len(), 1);
         assert_eq!(trace.runs[1].alarm_time, Some(9.5));
@@ -1069,18 +1030,18 @@ mod tests {
 
     #[test]
     fn parses_sensor_fault_fields() {
-        let trace = parse_trace(SAMPLE).unwrap();
-        // Register fault: no class, no onset.
-        assert_eq!(trace.runs[1].fault_class, None);
+        let trace = parse_trace(&sample()).unwrap();
+        // Register fault: classed by its model, no onset.
+        assert_eq!(trace.runs[1].fault.as_ref().map(FaultSite::class), Some("transient"));
         assert_eq!(trace.runs[1].fault_onset_time, None);
         // Sensor fault: class from the site's op, onset carried through.
-        assert_eq!(trace.runs[2].fault_class.as_deref(), Some("dropout"));
+        assert_eq!(trace.runs[2].fault.as_ref().map(FaultSite::class), Some("dropout"));
         assert_eq!(trace.runs[2].fault_onset_time, Some(0.5));
     }
 
     #[test]
     fn sensor_latency_report_groups_by_class_and_flags_misses() {
-        let trace = parse_trace(SAMPLE).unwrap();
+        let trace = parse_trace(&sample()).unwrap();
         let report = sensor_latency_report(&trace.runs);
         assert!(report.contains("sensor fault [dropout]"), "{report}");
         assert!(report.contains("p50 0.750 s"), "1.25 - 0.5 latency: {report}");
@@ -1097,13 +1058,14 @@ mod tests {
     #[test]
     fn parse_errors_carry_line_numbers() {
         let errs = parse_trace("{\"type\": \"run\"}\nnot json\n").unwrap_err();
-        assert_eq!(errs.len(), 1, "first line is a (sparse) run: {errs:?}");
-        assert!(errs[0].starts_with("line 2:"), "{errs:?}");
+        assert_eq!(errs.len(), 2, "a sparse run line is an error too: {errs:?}");
+        assert!(errs[0].starts_with("line 1:"), "{errs:?}");
+        assert!(errs[1].starts_with("line 2:"), "{errs:?}");
     }
 
     #[test]
     fn cell_summary_counts_outcomes_and_alarms() {
-        let trace = parse_trace(SAMPLE).unwrap();
+        let trace = parse_trace(&sample()).unwrap();
         let summary = cell_summary(&trace.runs);
         assert!(summary.contains("GPU-transient LSD [golden]"));
         let injected_row = summary
@@ -1115,7 +1077,7 @@ mod tests {
 
     #[test]
     fn latency_report_measures_lead_time() {
-        let trace = parse_trace(SAMPLE).unwrap();
+        let trace = parse_trace(&sample()).unwrap();
         let report = latency_report(&trace.runs);
         assert!(report.contains("detection latency"));
         assert!(report.contains("p50 2.500 s"), "12.0 - 9.5 lead time: {report}");
@@ -1125,7 +1087,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_and_complete() {
-        let trace = parse_trace(SAMPLE).unwrap();
+        let trace = parse_trace(&sample()).unwrap();
         let doc = chrome_trace(&trace);
         let parsed = json::parse(&doc).expect("chrome trace is valid JSON");
         let events = parsed.get("traceEvents").and_then(Value::as_arr).expect("traceEvents");
@@ -1152,27 +1114,43 @@ mod tests {
             "\"buckets\": []}}}",
         ))
         .unwrap();
-        let summary = metrics_summary(&doc);
+        let summary = metrics_summary(&doc).expect("complete document");
         assert!(summary.contains("tick.total"));
         assert!(summary.contains("p50   16.000 ms"));
         assert!(summary.contains("3 / 80 ticks over budget"));
         assert!(summary.contains("lead_slowdown"));
+        // A histogram field that is not an integer is an error, not 0.
+        let bad = json::parse(
+            "{\"counters\": {}, \"histograms\": {\"tick.total\": {\"count\": \"80\"}}}",
+        )
+        .unwrap();
+        assert!(metrics_summary(&bad).is_err());
+    }
+
+    /// A bench document rendered the way `BENCH_campaigns.json` is, from
+    /// `(label, wall_secs, ticks)` entries.
+    fn bench(entries: &[(&str, f64, u64)]) -> Value {
+        let entries: Vec<CampaignTiming> = entries
+            .iter()
+            .map(|&(label, wall_secs, ticks)| CampaignTiming {
+                label: label.to_string(),
+                phase: "campaign".to_string(),
+                wall_secs,
+                runs: 1,
+                ticks,
+                deadline_misses: 0,
+                critical: 0,
+                threads: 1,
+            })
+            .collect();
+        json::parse(&render_json_with(1, 1, &entries)).expect("rendered bench parses")
     }
 
     #[test]
     fn bench_diff_flags_large_drops_only() {
-        let old = json::parse(
-            "{\"entries\": [{\"label\": \"a\", \"ticks_per_sec\": 100.0}, \
-             {\"label\": \"b\", \"ticks_per_sec\": 100.0}, \
-             {\"label\": \"gone\", \"ticks_per_sec\": 50.0}]}",
-        )
-        .unwrap();
-        let new = json::parse(
-            "{\"entries\": [{\"label\": \"a\", \"ticks_per_sec\": 75.0}, \
-             {\"label\": \"b\", \"ticks_per_sec\": 85.0}]}",
-        )
-        .unwrap();
-        let warnings = bench_diff(&old, &new, 0.20);
+        let old = bench(&[("a", 1.0, 100), ("b", 1.0, 100), ("gone", 1.0, 50)]);
+        let new = bench(&[("a", 1.0, 75), ("b", 1.0, 85)]);
+        let warnings = bench_diff_checked(&old, &new, 0.20).expect("comparable documents");
         assert_eq!(warnings.len(), 1, "{warnings:?}");
         assert!(warnings[0].starts_with("a:"), "{warnings:?}");
         assert!(warnings[0].contains("-25.0 %"), "{warnings:?}");
@@ -1180,12 +1158,10 @@ mod tests {
 
     #[test]
     fn bench_diff_checked_rejects_unusable_documents() {
-        let good =
-            json::parse("{\"entries\": [{\"label\": \"a\", \"ticks_per_sec\": 100.0}]}").unwrap();
+        let good = bench(&[("a", 1.0, 100)]);
         let no_entries = json::parse("{\"threads\": 4}").unwrap();
-        let empty = json::parse("{\"entries\": []}").unwrap();
-        let disjoint =
-            json::parse("{\"entries\": [{\"label\": \"z\", \"ticks_per_sec\": 1.0}]}").unwrap();
+        let empty = bench(&[]);
+        let disjoint = bench(&[("z", 1.0, 1)]);
         let err = bench_diff_checked(&no_entries, &good, 0.2).unwrap_err();
         assert!(err.starts_with("baseline:"), "{err}");
         let err = bench_diff_checked(&good, &empty, 0.2).unwrap_err();
@@ -1193,20 +1169,21 @@ mod tests {
         let err = bench_diff_checked(&good, &disjoint, 0.2).unwrap_err();
         assert!(err.contains("no overlapping"), "{err}");
         assert!(bench_diff_checked(&good, &good, 0.2).unwrap().is_empty());
+        // An entry missing a member is rejected, not read as zero.
+        let sparse = json::parse(
+            "{\"detected_cores\": 1, \"threads\": 1, \"entries\": [{\"label\": \"a\"}]}",
+        )
+        .unwrap();
+        let err = bench_diff_checked(&good, &sparse, 0.2).unwrap_err();
+        assert!(err.starts_with("fresh:") && err.contains("missing member"), "{err}");
+        assert!(guided_speedup(&sparse).is_err());
+        assert_eq!(guided_speedup(&good), Ok(None), "no guided entries");
     }
 
     #[test]
     fn bench_diff_checked_flags_wall_clock_growth() {
-        let old = json::parse(
-            "{\"entries\": [{\"label\": \"ci\", \"wall_secs\": 100.0, \
-             \"ticks_per_sec\": 0.0}]}",
-        )
-        .unwrap();
-        let slower = json::parse(
-            "{\"entries\": [{\"label\": \"ci\", \"wall_secs\": 130.0, \
-             \"ticks_per_sec\": 0.0}]}",
-        )
-        .unwrap();
+        let old = bench(&[("ci", 100.0, 0)]);
+        let slower = bench(&[("ci", 130.0, 0)]);
         let warnings = bench_diff_checked(&old, &slower, 0.20).unwrap();
         assert_eq!(warnings.len(), 1, "{warnings:?}");
         assert!(warnings[0].contains("wall_secs grew"), "{warnings:?}");
@@ -1319,19 +1296,30 @@ mod tests {
     }
 
     #[test]
+    fn forensics_survives_unordered_and_extreme_ticks() {
+        let mut rec = synthetic_incident(0, "dropout", 8, true);
+        rec.flight.swap(0, 60);
+        assert!(forensics_report(std::slice::from_ref(&rec)).contains("dropout"));
+        rec.flight[0].tick = 0;
+        rec.flight[60].tick = u64::MAX;
+        assert!(forensics_report(&[rec]).contains("dropout"));
+    }
+
+    #[test]
     fn journal_drop_warning_is_loud() {
         let dropped = json::parse(
-            "{\"type\": \"metrics\", \"counters\": {\"journal.dropped\": 2, \"deadline.ticks\": 0}}",
+            "{\"type\": \"metrics\", \"counters\": {\"journal.dropped\": 2, \"deadline.ticks\": 0}, \
+             \"histograms\": {}}",
         )
         .unwrap();
-        let out = metrics_summary(&dropped);
+        let out = metrics_summary(&dropped).expect("complete document");
         assert!(out.contains("WARNING"), "{out}");
         assert!(out.contains("dropped 2 line(s)"), "{out}");
         assert!(out.contains("DIVERSEAV_TRACE_CAP"), "{out}");
 
         let clean =
-            json::parse("{\"type\": \"metrics\", \"counters\": {\"journal.dropped\": 0}}").unwrap();
-        assert!(!metrics_summary(&clean).contains("WARNING"));
+            json::parse("{\"counters\": {\"journal.dropped\": 0}, \"histograms\": {}}").unwrap();
+        assert!(!metrics_summary(&clean).expect("complete document").contains("WARNING"));
     }
 
     /// End-to-end: force real drops through the journal's line cap and
@@ -1348,7 +1336,7 @@ mod tests {
         journal::set_capacity(1 << 20);
         let snap = json::parse(&metrics::render_json(&metrics::snapshot()))
             .expect("registry snapshot renders valid JSON");
-        let out = metrics_summary(&snap);
+        let out = metrics_summary(&snap).expect("registry snapshot is complete");
         assert!(out.contains("WARNING"), "forced drops must surface loudly:\n{out}");
         assert!(out.contains("TRUNCATED"), "{out}");
     }

@@ -134,7 +134,10 @@ fn killed_and_resumed_shards_merge_bit_identical_to_monolithic() {
     // Gate 3: every rendered report diffs clean between the two merges.
     assert_eq!(merge::table_text(&sharded, TD), merge::table_text(&mono, TD));
     assert_eq!(merge::deterministic_doc(&sharded, TD), merge::deterministic_doc(&mono, TD));
-    assert_eq!(merge::metrics_doc(&sharded), merge::metrics_doc(&mono));
+    assert_eq!(
+        merge::metrics_doc(&sharded).expect("metrics fold"),
+        merge::metrics_doc(&mono).expect("metrics fold")
+    );
     assert_eq!(merge::journal_doc(&sharded), merge::journal_doc(&mono));
 
     // Gate 4: the validator refuses bad shard sets loudly.

@@ -34,7 +34,7 @@ use crate::campaign::{plan_seed, splitmix64, Campaign, CampaignScale};
 use crate::plan::{op_class, stratum_seed, FaultModelKind, OP_CLASS_LABELS};
 use crate::runner::{FaultSpec, RunResult};
 use diverseav_fabric::{FaultModel, Op, Profile};
-use diverseav_obs::json::{self, Value};
+use diverseav_obs::json;
 use diverseav_runtime::{SensorFault, SensorFaultKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -175,30 +175,23 @@ impl EpochSummary {
     /// digest so a hand-edited prior cannot silently steer allocation.
     pub fn parse(text: &str) -> Result<EpochSummary, String> {
         let v = json::parse(text.trim()).map_err(|e| format!("epoch summary: {e}"))?;
-        let ty = v.get("type").and_then(Value::as_str).unwrap_or("");
+        let ty = v.req_str("type")?;
         if ty != "guided_epoch_summary" {
             return Err(format!("not a guided epoch summary (type {ty:?})"));
         }
-        let epochs_done =
-            v.get("epochs_done")
-                .and_then(Value::as_f64)
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .ok_or("epochs_done must be a non-negative integer")? as usize;
-        let digest = {
-            let s = v.get("digest").and_then(Value::as_str).ok_or("missing digest")?;
-            u64::from_str_radix(s, 16).map_err(|e| format!("bad digest: {e}"))?
-        };
-        let arr = v.get("tallies").and_then(Value::as_arr).ok_or("tallies must be an array")?;
-        let mut tallies = Vec::with_capacity(arr.len());
-        for t in arr {
-            let code = {
-                let s = t.get("stratum").and_then(Value::as_str).ok_or("missing stratum")?;
-                u64::from_str_radix(s, 16).map_err(|e| format!("bad stratum code: {e}"))?
-            };
-            let num = |key: &str| -> Result<u64, String> {
-                json::parse_u64_str(t.get(key).ok_or_else(|| format!("missing {key}"))?)
-            };
-            tallies.push(StratumTally { code, runs: num("runs")?, critical: num("critical")? });
+        let epochs_done = v.req_usize("epochs_done")?;
+        let digest = v.req_hex64("digest")?;
+        let mut tallies = Vec::new();
+        for t in v.req_arr("tallies")? {
+            let code = t.req_with("stratum", |s| {
+                let s = s.as_str().filter(|s| s.bytes().all(|b| b.is_ascii_hexdigit()));
+                u64::from_str_radix(s.ok_or("must be a hex string")?, 16).map_err(|e| e.to_string())
+            })?;
+            tallies.push(StratumTally {
+                code,
+                runs: t.req_u64_str("runs")?,
+                critical: t.req_u64_str("critical")?,
+            });
         }
         let out = EpochSummary { epochs_done, tallies };
         if out.digest() != digest {

@@ -367,29 +367,18 @@ impl ShardRun {
 
     /// Parse a line rendered by [`render_line`]; returns `(batch, run)`.
     pub fn parse(v: &Value) -> Result<(usize, ShardRun), String> {
-        let batch = req_usize(v, "batch")?;
-        let fault = match req(v, "fault")? {
-            Value::Null => None,
-            f => {
-                let cycle = match req(f, "cycle")? {
-                    Value::Null => None,
-                    c => Some(json::parse_u64_str(c)?),
-                };
-                let op = match req(f, "op")? {
-                    Value::Null => None,
-                    o => Some(o.as_str().ok_or("fault op must be a string")?.to_string()),
-                };
-                Some(FaultSite {
-                    profile: req_str(f, "profile")?,
-                    unit: req_usize(f, "unit")?,
-                    model: req_str(f, "model")?,
-                    mask: req_u32(f, "mask")?,
-                    cycle,
-                    op,
-                })
-            }
-        };
-        let traj_val = req(v, "trajectory")?.as_arr().ok_or("trajectory must be an array")?;
+        let batch = v.req_usize("batch")?;
+        let fault = v.opt_with("fault", |f| {
+            Ok(FaultSite {
+                profile: f.req_str("profile")?,
+                unit: f.req_usize("unit")?,
+                model: f.req_str("model")?,
+                mask: f.req_u32("mask")?,
+                cycle: f.opt_with("cycle", json::parse_u64_str)?,
+                op: f.opt_str_member("op")?,
+            })
+        })?;
+        let traj_val = v.req_arr("trajectory")?;
         let mut trajectory = Vec::with_capacity(traj_val.len());
         for p in traj_val {
             let s = p.as_str().ok_or("trajectory points must be strings")?;
@@ -412,22 +401,22 @@ impl ShardRun {
         Ok((
             batch,
             ShardRun {
-                kind: req_str(v, "kind")?,
-                index: req_usize(v, "index")?,
-                seed: req_usize(v, "seed")? as u64,
-                outcome: req_str(v, "outcome")?,
-                end_time: req_f64_bits(v, "end_time")?,
-                collision_time: opt_f64_bits_member(v, "collision_time")?,
-                alarm_time: opt_f64_bits_member(v, "alarm_time")?,
-                fault_activated: req_bool(v, "fault_activated")?,
-                fault_onset_time: opt_f64_bits_member(v, "fault_onset_time")?,
-                min_cvip: req_f64_bits(v, "min_cvip")?,
-                red_light_violations: req_u32(v, "red_light_violations")?,
-                ticks: req_u64_str(v, "ticks")?,
-                deadline_misses: req_u64_str(v, "deadline_misses")?,
-                incident: opt_str_member(v, "incident")?,
-                stratum: opt_hex64_member(v, "stratum")?,
-                weight: opt_f64_bits_member(v, "weight")?,
+                kind: v.req_str("kind")?,
+                index: v.req_usize("index")?,
+                seed: v.req_u64("seed")?,
+                outcome: v.req_str("outcome")?,
+                end_time: v.req_f64_bits("end_time")?,
+                collision_time: v.opt_f64_bits_member("collision_time")?,
+                alarm_time: v.opt_f64_bits_member("alarm_time")?,
+                fault_activated: v.req_bool("fault_activated")?,
+                fault_onset_time: v.opt_f64_bits_member("fault_onset_time")?,
+                min_cvip: v.req_f64_bits("min_cvip")?,
+                red_light_violations: v.req_u32("red_light_violations")?,
+                ticks: v.req_u64_str("ticks")?,
+                deadline_misses: v.req_u64_str("deadline_misses")?,
+                incident: v.opt_str_member("incident")?,
+                stratum: v.opt_hex64_member("stratum")?,
+                weight: v.opt_f64_bits_member("weight")?,
                 fault,
                 trajectory,
             },
@@ -513,9 +502,15 @@ impl MetricsSlice {
 
     /// Fold in another slice: counters add, gauges take the max,
     /// histograms absorb (bucket-wise add, max of maxima).
-    pub fn add(&mut self, other: &MetricsSlice) {
+    ///
+    /// # Errors
+    ///
+    /// A counter or histogram whose fold overflows `u64` — only forged
+    /// artifacts get there; `self` is then left partly folded.
+    pub fn add(&mut self, other: &MetricsSlice) -> Result<(), String> {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            let slot = self.counters.entry(k.clone()).or_insert(0);
+            *slot = slot.checked_add(*v).ok_or_else(|| format!("counter {k:?} overflows u64"))?;
         }
         for (k, v) in &other.gauges {
             let slot = self.gauges.entry(k.clone()).or_insert(*v);
@@ -525,12 +520,13 @@ impl MetricsSlice {
         }
         for (k, h) in &other.hists {
             match self.hists.get_mut(k) {
-                Some(mine) => mine.absorb(h),
+                Some(mine) => mine.absorb(h).map_err(|e| format!("histogram {k:?}: {e}"))?,
                 None => {
                     self.hists.insert(k.clone(), h.clone());
                 }
             }
         }
+        Ok(())
     }
 
     /// Render the three maps as JSON object members (losslessly: u64s as
@@ -575,23 +571,23 @@ impl MetricsSlice {
     /// Parse the members rendered by [`Self::render_fields`].
     fn parse_fields(v: &Value) -> Result<MetricsSlice, String> {
         let mut out = MetricsSlice::default();
-        for (k, val) in req(v, "counters")?.as_obj().ok_or("counters must be an object")? {
+        for (k, val) in v.req_obj("counters")? {
             out.counters.insert(k.clone(), json::parse_u64_str(val)?);
         }
-        for (k, val) in req(v, "gauges")?.as_obj().ok_or("gauges must be an object")? {
+        for (k, val) in v.req_obj("gauges")? {
             out.gauges.insert(k.clone(), json::parse_f64_bits(val)?);
         }
-        for (k, val) in req(v, "hists")?.as_obj().ok_or("hists must be an object")? {
-            let sum = req_u64_str(val, "sum")?;
-            let max = req_u64_str(val, "max")?;
-            let arr = req(val, "buckets")?.as_arr().ok_or("buckets must be an array")?;
-            let mut pairs = Vec::with_capacity(arr.len());
-            for p in arr {
-                let pair = p.as_arr().filter(|a| a.len() == 2);
-                let pair = pair.ok_or("bucket entries must be [index, count] pairs")?;
-                let i = pair[0].as_f64().ok_or("bucket index must be a number")?;
-                pairs.push((i as usize, json::parse_u64_str(&pair[1])?));
+        for (k, val) in v.req_obj("hists")? {
+            let mut pairs = Vec::new();
+            for p in val.req_arr("buckets")? {
+                let [i, c] = p.as_arr().unwrap_or_default() else {
+                    return Err("bucket entries must be [index, count] pairs".to_string());
+                };
+                let i = usize::try_from(json::parse_uint(i)?)
+                    .map_err(|_| "bucket index out of range".to_string())?;
+                pairs.push((i, json::parse_u64_str(c)?));
             }
+            let (sum, max) = (val.req_u64_str("sum")?, val.req_u64_str("max")?);
             out.hists.insert(k.clone(), HistSnapshot::from_sparse(&pairs, sum, max)?);
         }
         Ok(out)
@@ -680,12 +676,12 @@ impl GuidedManifest {
 
     fn parse(v: &Value) -> Result<GuidedManifest, String> {
         Ok(GuidedManifest {
-            epochs: req_usize(v, "epochs")?,
-            epoch: req_usize(v, "epoch")?,
-            budget: req_usize(v, "budget")?,
-            epoch_start: req_usize(v, "epoch_start")?,
-            epoch_runs: req_usize(v, "epoch_runs")?,
-            prior_digest: req_hex64(v, "prior_digest")?,
+            epochs: v.req_usize("epochs")?,
+            epoch: v.req_usize("epoch")?,
+            budget: v.req_usize("budget")?,
+            epoch_start: v.req_usize("epoch_start")?,
+            epoch_runs: v.req_usize("epoch_runs")?,
+            prior_digest: v.req_hex64("prior_digest")?,
         })
     }
 }
@@ -723,11 +719,11 @@ impl ShardManifest {
 
     /// Parse a manifest line; rejects wrong types and schema versions.
     pub fn parse(v: &Value) -> Result<ShardManifest, String> {
-        let ty = req_str(v, "type")?;
+        let ty = v.req_str("type")?;
         if ty != "shard_manifest" {
             return Err(format!("not a shard manifest (type {ty:?})"));
         }
-        let schema_version = req_u32(v, "schema_version")?;
+        let schema_version = v.req_u32("schema_version")?;
         if schema_version != SHARD_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported shard schema version {schema_version} \
@@ -736,25 +732,22 @@ impl ShardManifest {
         }
         Ok(ShardManifest {
             schema_version,
-            fingerprint: req_hex64(v, "fingerprint")?,
-            plan_seed: req_hex64(v, "plan_seed")?,
-            campaign: req_str(v, "campaign")?,
-            scenario: req_str(v, "scenario")?,
-            scenario_name: req_str(v, "scenario_name")?,
-            target: req_str(v, "target")?,
-            kind: req_str(v, "kind")?,
-            mode: req_str(v, "mode")?,
-            profile_source: req_str(v, "profile_source")?,
-            shard_index: req_usize(v, "shard_index")?,
-            shard_count: req_usize(v, "shard_count")?,
-            batch_size: req_usize(v, "batch_size")?,
-            golden_runs: req_usize(v, "golden_runs")?,
-            injected_runs: req_usize(v, "injected_runs")?,
-            assigned_runs: req_usize(v, "assigned_runs")?,
-            guided: match req(v, "guided")? {
-                Value::Null => None,
-                g => Some(GuidedManifest::parse(g)?),
-            },
+            fingerprint: v.req_hex64("fingerprint")?,
+            plan_seed: v.req_hex64("plan_seed")?,
+            campaign: v.req_str("campaign")?,
+            scenario: v.req_str("scenario")?,
+            scenario_name: v.req_str("scenario_name")?,
+            target: v.req_str("target")?,
+            kind: v.req_str("kind")?,
+            mode: v.req_str("mode")?,
+            profile_source: v.req_str("profile_source")?,
+            shard_index: v.req_usize("shard_index")?,
+            shard_count: v.req_usize("shard_count")?,
+            batch_size: v.req_usize("batch_size")?,
+            golden_runs: v.req_usize("golden_runs")?,
+            injected_runs: v.req_usize("injected_runs")?,
+            assigned_runs: v.req_usize("assigned_runs")?,
+            guided: v.opt_with("guided", GuidedManifest::parse)?,
         })
     }
 }
@@ -777,9 +770,9 @@ pub struct BatchMark {
 impl BatchMark {
     fn parse(v: &Value) -> Result<BatchMark, String> {
         Ok(BatchMark {
-            batch: req_usize(v, "batch")?,
-            wall_secs: req(v, "wall_secs")?.as_f64().unwrap_or(0.0),
-            threads: req_usize(v, "threads")?,
+            batch: v.req_usize("batch")?,
+            wall_secs: v.req_num("wall_secs")?,
+            threads: v.req_usize("threads")?,
             metrics: MetricsSlice::parse_fields(v)?,
         })
     }
@@ -829,8 +822,8 @@ pub fn parse_artifact(text: &str) -> Result<ShardArtifact, ShardError> {
     for line in lines {
         line_no += 1;
         let Ok(v) = json::parse(line) else { break };
-        let Some(ty) = v.get("type").and_then(Value::as_str) else { break };
-        match ty {
+        let Ok(ty) = v.req_str("type") else { break };
+        match ty.as_str() {
             "shard_run" => {
                 let Ok((batch, run)) = ShardRun::parse(&v) else { break };
                 if batch != batches.len() {
@@ -917,11 +910,11 @@ impl IncidentManifest {
 
     /// Parse a sidecar manifest line; rejects wrong types and versions.
     pub fn parse(v: &Value) -> Result<IncidentManifest, String> {
-        let ty = req_str(v, "type")?;
+        let ty = v.req_str("type")?;
         if ty != "incident_manifest" {
             return Err(format!("not an incident manifest (type {ty:?})"));
         }
-        let flight_schema_version = req_u32(v, "flight_schema_version")?;
+        let flight_schema_version = v.req_u32("flight_schema_version")?;
         if flight_schema_version != flight::FLIGHT_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported flight schema version {flight_schema_version} \
@@ -929,7 +922,7 @@ impl IncidentManifest {
                 flight::FLIGHT_SCHEMA_VERSION
             ));
         }
-        let shard_schema_version = req_u32(v, "shard_schema_version")?;
+        let shard_schema_version = v.req_u32("shard_schema_version")?;
         if shard_schema_version != SHARD_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported shard schema version {shard_schema_version} \
@@ -939,10 +932,10 @@ impl IncidentManifest {
         Ok(IncidentManifest {
             flight_schema_version,
             shard_schema_version,
-            fingerprint: req_hex64(v, "fingerprint")?,
-            plan_seed: req_hex64(v, "plan_seed")?,
-            shard_index: req_usize(v, "shard_index")?,
-            shard_count: req_usize(v, "shard_count")?,
+            fingerprint: v.req_hex64("fingerprint")?,
+            plan_seed: v.req_hex64("plan_seed")?,
+            shard_index: v.req_usize("shard_index")?,
+            shard_count: v.req_usize("shard_count")?,
         })
     }
 }
@@ -977,13 +970,7 @@ impl IncidentRecord {
         let incident = r.incident?;
         // A sensor site's class is its class label (`op`), a fabric
         // site's its register fault model.
-        let fault_class = r.fault.map(|f| {
-            let site = f.site();
-            match site.op {
-                Some(class) if site.model == "sensor" => class,
-                _ => site.model,
-            }
-        });
+        let fault_class = r.fault.map(|f| f.site().class().to_string());
         Some(IncidentRecord {
             kind: kind.to_string(),
             index,
@@ -1027,8 +1014,8 @@ impl IncidentRecord {
     /// [`Self::render_merged`]; returns `(batch, record)` with batch 0
     /// for merged lines.
     pub fn parse(v: &Value) -> Result<(usize, IncidentRecord), String> {
-        let batch = if v.get("batch").is_some() { req_usize(v, "batch")? } else { 0 };
-        let arr = req(v, "flight")?.as_arr().ok_or("flight must be an array")?;
+        let batch = if v.get("batch").is_some() { v.req_usize("batch")? } else { 0 };
+        let arr = v.req_arr("flight")?;
         let mut records = Vec::with_capacity(arr.len());
         for rv in arr {
             records.push(flight::parse_record(rv)?);
@@ -1036,13 +1023,13 @@ impl IncidentRecord {
         Ok((
             batch,
             IncidentRecord {
-                kind: req_str(v, "kind")?,
-                index: req_usize(v, "index")?,
-                seed: req_usize(v, "seed")? as u64,
-                incident: req_str(v, "incident")?,
-                fault_class: opt_str_member(v, "fault_class")?,
-                fault_onset_time: opt_f64_bits_member(v, "fault_onset_time")?,
-                alarm_time: opt_f64_bits_member(v, "alarm_time")?,
+                kind: v.req_str("kind")?,
+                index: v.req_usize("index")?,
+                seed: v.req_u64("seed")?,
+                incident: v.req_str("incident")?,
+                fault_class: v.opt_str_member("fault_class")?,
+                fault_onset_time: v.opt_f64_bits_member("fault_onset_time")?,
+                alarm_time: v.opt_f64_bits_member("alarm_time")?,
                 flight: records,
             },
         ))
@@ -1074,12 +1061,12 @@ pub fn parse_incident_artifact(text: &str) -> Result<IncidentArtifact, ShardErro
     let mut complete = false;
     for line in lines {
         let Ok(v) = json::parse(line) else { break };
-        match v.get("type").and_then(Value::as_str) {
-            Some("incident") => {
+        match v.req_str("type").as_deref() {
+            Ok("incident") => {
                 let Ok(pair) = IncidentRecord::parse(&v) else { break };
                 records.push(pair);
             }
-            Some("incidents_done") => {
+            Ok("incidents_done") => {
                 complete = true;
                 break;
             }
@@ -1339,9 +1326,9 @@ pub fn execute_shard_limited(
         let after = MetricsSlice::capture();
         let mut batch_delta = after.delta(&before);
         if chunk.contains(&RunUnit::Golden(0)) {
-            batch_delta.add(&profiling_slice);
+            batch_delta.add(&profiling_slice).map_err(ShardError::Mismatch)?;
         }
-        cumulative.add(&batch_delta);
+        cumulative.add(&batch_delta).map_err(ShardError::Mismatch)?;
 
         // Sidecar payloads land before the batch marker: a kill between
         // the two re-runs the batch and truncates the orphaned payloads,
@@ -1770,16 +1757,18 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
         (a.manifest.guided.as_ref().map(|g| g.epoch).unwrap_or(0), a.manifest.shard_index)
     });
     let mut metrics = MetricsSlice::default();
-    let mut deadline = DeadlineStats::default();
     let mut perf: BTreeMap<usize, ShardPerf> = BTreeMap::new();
+    // Campaign-wide run totals; every per-shard total is bounded by them.
+    let (mut ticks, mut misses) = (0u64, 0u64);
     for a in ordered {
-        let slice = a.metrics();
-        deadline.absorb(&DeadlineStats {
-            ticks: slice.counters.get("deadline.ticks").copied().unwrap_or(0),
-            misses: slice.counters.get("deadline.misses").copied().unwrap_or(0),
-            worst_ns: slice.gauges.get("deadline.worst_ns").copied().unwrap_or(0.0) as u64,
-        });
-        metrics.add(&slice);
+        metrics.add(&a.metrics()).map_err(mismatch)?;
+        for r in &a.runs {
+            ticks =
+                ticks.checked_add(r.ticks).ok_or_else(|| mismatch("ticks overflow u64".into()))?;
+            misses = misses
+                .checked_add(r.deadline_misses)
+                .ok_or_else(|| mismatch("deadline misses overflow u64".into()))?;
+        }
         let entry = perf.entry(a.manifest.shard_index).or_insert(ShardPerf {
             shard_index: a.manifest.shard_index,
             wall_secs: 0.0,
@@ -1797,6 +1786,11 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
         entry.deadline_misses += a.runs.iter().map(|r| r.deadline_misses).sum::<u64>();
     }
 
+    let deadline = DeadlineStats {
+        ticks: metrics.counters.get("deadline.ticks").copied().unwrap_or(0),
+        misses: metrics.counters.get("deadline.misses").copied().unwrap_or(0),
+        worst_ns: metrics.gauges.get("deadline.worst_ns").copied().unwrap_or(0.0) as u64,
+    };
     Ok(MergedCampaign {
         manifest: group
             .iter()
@@ -2018,81 +2012,6 @@ pub fn collect_incidents(
     Ok(out.into_values().collect())
 }
 
-// -- line-level parse helpers -----------------------------------------------
-
-fn req<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing member {key:?}"))
-}
-
-fn req_str(v: &Value, key: &str) -> Result<String, String> {
-    req(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("member {key:?} must be a string"))
-}
-
-fn req_usize(v: &Value, key: &str) -> Result<usize, String> {
-    let n = req(v, key)?.as_f64().ok_or_else(|| format!("member {key:?} must be a number"))?;
-    if n.is_nan() || n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("member {key:?} must be a non-negative integer"));
-    }
-    // `usize::MAX as f64` rounds up to 2^64, the first value `as` would
-    // saturate instead of converting.
-    if n >= usize::MAX as f64 {
-        return Err(format!("member {key:?} out of range: {n}"));
-    }
-    Ok(n as usize)
-}
-
-fn req_u32(v: &Value, key: &str) -> Result<u32, String> {
-    let n = req_usize(v, key)?;
-    u32::try_from(n).map_err(|_| format!("member {key:?} out of u32 range: {n}"))
-}
-
-fn req_bool(v: &Value, key: &str) -> Result<bool, String> {
-    req(v, key)?.as_bool().ok_or_else(|| format!("member {key:?} must be a boolean"))
-}
-
-fn req_u64_str(v: &Value, key: &str) -> Result<u64, String> {
-    json::parse_u64_str(req(v, key)?).map_err(|e| format!("member {key:?}: {e}"))
-}
-
-fn req_f64_bits(v: &Value, key: &str) -> Result<f64, String> {
-    json::parse_f64_bits(req(v, key)?).map_err(|e| format!("member {key:?}: {e}"))
-}
-
-fn opt_str_member(v: &Value, key: &str) -> Result<Option<String>, String> {
-    match req(v, key)? {
-        Value::Null => Ok(None),
-        other => other
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| format!("member {key:?} must be a string or null")),
-    }
-}
-
-fn opt_f64_bits_member(v: &Value, key: &str) -> Result<Option<f64>, String> {
-    match req(v, key)? {
-        Value::Null => Ok(None),
-        other => json::parse_f64_bits(other).map(Some).map_err(|e| format!("member {key:?}: {e}")),
-    }
-}
-
-fn req_hex64(v: &Value, key: &str) -> Result<u64, String> {
-    let s = req_str(v, key)?;
-    if s.len() != 16 {
-        return Err(format!("member {key:?} must be 16 hex digits"));
-    }
-    u64::from_str_radix(&s, 16).map_err(|e| format!("member {key:?}: {e}"))
-}
-
-fn opt_hex64_member(v: &Value, key: &str) -> Result<Option<u64>, String> {
-    match req(v, key)? {
-        Value::Null => Ok(None),
-        _ => req_hex64(v, key).map(Some),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2256,11 +2175,71 @@ mod tests {
         assert_eq!(back, d);
 
         let mut folded = MetricsSlice::default();
-        folded.add(&d);
-        folded.add(&d);
+        folded.add(&d).expect("no overflow");
+        folded.add(&d).expect("no overflow");
         assert_eq!(folded.counters.get("runtime.ticks"), Some(&102));
         assert_eq!(folded.gauges.get("deadline.worst_ns"), Some(&1.5e6));
         assert_eq!(folded.hists.get("tick.total").map(|h| h.count()), Some(8));
+    }
+
+    /// A shard artifact whose one batch marker carries `metrics`, with
+    /// every run's `ticks` set to `ticks`.
+    fn artifact_text(metrics: &str, ticks: u64) -> String {
+        let mut art = synthetic_artifacts(1).remove(0);
+        let mut text = format!("{}\n", art.manifest.render());
+        for r in &mut art.runs {
+            r.ticks = ticks;
+            text.push_str(&r.render_line(0));
+            text.push('\n');
+        }
+        text.push_str(&format!(
+            "{{\"type\": \"shard_batch\", \"batch\": 0, \"wall_secs\": 0.5, \
+             \"threads\": 1, {metrics}}}\n{{\"type\": \"shard_done\", \"batches\": 1, \
+             \"runs\": {}}}\n",
+            art.runs.len()
+        ));
+        text
+    }
+
+    #[test]
+    fn repeated_bucket_overflow_truncates_the_artifact() {
+        let ok = r#""counters": {}, "gauges": {}, "hists": {"tick.total": {"sum": "0", "max": "0", "buckets": [[3, "1"]]}}"#;
+        let art = parse_artifact(&artifact_text(ok, 10)).expect("artifact parses");
+        assert!(art.complete && art.batches.len() == 1);
+        // The same bucket twice, summing past u64::MAX: the marker is
+        // malformed, so the artifact ends before its batch.
+        let forged = ok.replace(r#"[[3, "1"]]"#, r#"[[3, "18446744073709551615"], [3, "1"]]"#);
+        let art = parse_artifact(&artifact_text(&forged, 10)).expect("manifest still parses");
+        assert!(art.batches.is_empty() && art.runs.is_empty() && !art.complete, "{art:?}");
+    }
+
+    #[test]
+    fn overflowing_folds_are_mismatches_not_panics() {
+        let mut huge = MetricsSlice::default();
+        huge.counters.insert("runtime.ticks".to_string(), u64::MAX);
+        let mut folded = huge.clone();
+        assert!(folded.add(&huge).is_err(), "counter fold overflows");
+
+        // Two shards whose metric slices each carry u64::MAX ticks.
+        let metrics = format!("{{{}}}", huge.render_fields());
+        let metrics = &metrics[1..metrics.len() - 1];
+        let mut arts = synthetic_artifacts(2);
+        for a in &mut arts {
+            a.batches[0].metrics = huge.clone();
+        }
+        let err = merge_artifacts(&arts).expect_err("metric fold overflows");
+        assert!(matches!(err, ShardError::Mismatch(_)), "{err}");
+        // The same through the artifact text, and through per-run ticks.
+        let one = parse_artifact(&artifact_text(metrics, 10)).expect("parses");
+        assert!(one.complete);
+        let mut arts = synthetic_artifacts(2);
+        for a in &mut arts {
+            for r in &mut a.runs {
+                r.ticks = u64::MAX / 2;
+            }
+        }
+        let err = merge_artifacts(&arts).expect_err("run ticks overflow");
+        assert!(matches!(err, ShardError::Mismatch(_)), "{err}");
     }
 
     fn synthetic_artifacts(n: usize) -> Vec<ShardArtifact> {

@@ -195,45 +195,38 @@ pub fn render_record(r: &TickRecord) -> String {
     )
 }
 
-fn member<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing member {key:?}"))
-}
-
 /// Parse a value rendered by [`render_record`], bit-exactly.
 ///
 /// # Errors
 ///
 /// Any missing member, wrong encoding, or out-of-range flag byte.
 pub fn parse_record(v: &Value) -> Result<TickRecord, String> {
-    let tick = json::parse_u64_str(member(v, "tick")?)?;
-    let flags_f = member(v, "flags")?.as_f64().ok_or("member \"flags\" must be a number")?;
-    if flags_f.fract() != 0.0 || !(0.0..=255.0).contains(&flags_f) {
-        return Err(format!("member \"flags\" out of byte range: {flags_f}"));
-    }
-    let phases = member(v, "phase_ns")?.as_arr().ok_or("member \"phase_ns\" must be an array")?;
+    let flags = v.req_u64("flags")?;
+    let flags =
+        u8::try_from(flags).map_err(|_| format!("member \"flags\" out of byte range: {flags}"))?;
+    let phases = v.req_arr("phase_ns")?;
     if phases.len() != 4 {
         return Err(format!("member \"phase_ns\" must hold 4 phases, got {}", phases.len()));
     }
     let mut phase_ns = [0u64; 4];
     for (slot, p) in phase_ns.iter_mut().zip(phases) {
-        *slot = json::parse_u64_str(p)?;
+        *slot = json::parse_u64_str(p).map_err(|e| format!("member \"phase_ns\": {e}"))?;
     }
-    let margin_s = member(v, "deadline_margin_ns")?
-        .as_str()
-        .ok_or("member \"deadline_margin_ns\" must be a decimal string")?;
-    let deadline_margin_ns =
-        margin_s.parse::<i64>().map_err(|e| format!("bad i64 string {margin_s:?}: {e}"))?;
+    let deadline_margin_ns = v.req_with("deadline_margin_ns", |m| {
+        let s = m.as_str().ok_or("must be a decimal string")?;
+        s.parse::<i64>().map_err(|e| format!("bad i64 string {s:?}: {e}"))
+    })?;
     Ok(TickRecord {
-        tick,
-        flags: flags_f as u8,
-        score: json::parse_f64_bits(member(v, "score")?)?,
-        slope: json::parse_f64_bits(member(v, "slope")?)?,
-        margin: json::parse_f64_bits(member(v, "margin")?)?,
+        tick: v.req_u64_str("tick")?,
+        flags,
+        score: v.req_f64_bits("score")?,
+        slope: v.req_f64_bits("slope")?,
+        margin: v.req_f64_bits("margin")?,
         phase_ns,
         deadline_margin_ns,
-        d_throttle: json::parse_f64_bits(member(v, "d_throttle")?)?,
-        d_brake: json::parse_f64_bits(member(v, "d_brake")?)?,
-        d_steer: json::parse_f64_bits(member(v, "d_steer")?)?,
+        d_throttle: v.req_f64_bits("d_throttle")?,
+        d_brake: v.req_f64_bits("d_brake")?,
+        d_steer: v.req_f64_bits("d_steer")?,
     })
 }
 

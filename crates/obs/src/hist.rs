@@ -183,15 +183,24 @@ impl HistSnapshot {
     /// [`Histogram::absorb`], for merging snapshots that were serialized
     /// and read back (shard artifacts). Commutative and associative, so
     /// the merged contents are independent of shard order.
-    pub fn absorb(&mut self, other: &HistSnapshot) {
+    ///
+    /// # Errors
+    ///
+    /// A bucket, the sum or the total count that would overflow `u64`
+    /// (only forged snapshots get there); `self` is then left partly
+    /// folded.
+    pub fn absorb(&mut self, other: &HistSnapshot) -> Result<(), String> {
+        let overflow = || "histogram fold overflows u64".to_string();
+        self.count().checked_add(other.count()).ok_or_else(overflow)?;
         if self.buckets.len() < other.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
         for (mine, &theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
+            *mine += theirs; // bounded by the total count checked above
         }
-        self.sum += other.sum;
+        self.sum = self.sum.checked_add(other.sum).ok_or_else(overflow)?;
         self.max = self.max.max(other.max);
+        Ok(())
     }
 
     /// The sparse `(index, count)` pairs of non-empty buckets, in
@@ -207,13 +216,16 @@ impl HistSnapshot {
     ///
     /// # Errors
     ///
-    /// Rejects bucket indices outside the fixed [`N_BUCKETS`] scale.
+    /// Rejects bucket indices outside the fixed [`N_BUCKETS`] scale and
+    /// counts whose total overflows `u64`.
     pub fn from_sparse(pairs: &[(usize, u64)], sum: u64, max: u64) -> Result<Self, String> {
         let mut buckets = vec![0u64; N_BUCKETS];
+        let mut total = 0u64;
         for &(i, c) in pairs {
             let slot =
                 buckets.get_mut(i).ok_or_else(|| format!("bucket index {i} >= {N_BUCKETS}"))?;
-            *slot += c;
+            total = total.checked_add(c).ok_or("bucket counts overflow u64")?;
+            *slot += c; // bounded by `total`
         }
         Ok(HistSnapshot { buckets, sum, max })
     }
@@ -352,12 +364,27 @@ mod tests {
             if v % 3 == 0 { &a } else { &b }.record(v * 13 + 7);
         }
         let mut sa = a.snapshot();
-        sa.absorb(&b.snapshot());
+        sa.absorb(&b.snapshot()).expect("no overflow");
         assert_eq!(sa, all.snapshot());
         // Absorbing into a default (empty-bucket) snapshot resizes it.
         let mut empty = HistSnapshot::default();
-        empty.absorb(&all.snapshot());
+        empty.absorb(&all.snapshot()).expect("no overflow");
         assert_eq!(empty, all.snapshot());
+    }
+
+    #[test]
+    fn overflowing_counts_are_errors_not_wraps() {
+        // A repeated bucket whose counts sum past u64::MAX.
+        let err = HistSnapshot::from_sparse(&[(3, u64::MAX), (3, 1)], 0, 0).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+        // Distinct buckets whose total count would overflow.
+        assert!(HistSnapshot::from_sparse(&[(3, u64::MAX), (4, 1)], 0, 0).is_err());
+        let full = HistSnapshot::from_sparse(&[(3, u64::MAX)], 0, 0).expect("fits");
+        let mut folded = full.clone();
+        assert!(folded.absorb(&full).is_err(), "bucket fold overflows");
+        let heavy = HistSnapshot::from_sparse(&[(1, 1)], u64::MAX, 1).expect("fits");
+        let mut folded = heavy.clone();
+        assert!(folded.absorb(&heavy).is_err(), "sum fold overflows");
     }
 
     #[test]

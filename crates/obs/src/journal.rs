@@ -10,7 +10,7 @@
 //! (`"type": "span_events"`) do carry timestamps and worker ids, which
 //! vary run to run by design.
 
-use crate::json;
+use crate::json::{self, Value};
 use crate::trace::Event;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -30,6 +30,30 @@ pub struct FaultSite {
     pub cycle: Option<u64>,
     /// Targeted opcode for permanent faults.
     pub op: Option<String>,
+}
+
+impl FaultSite {
+    /// The fault-class label: a sensor site's class (its `op`, e.g.
+    /// `"dropout"`), a register site's fault model (`"transient"` /
+    /// `"permanent"`).
+    pub fn class(&self) -> &str {
+        match &self.op {
+            Some(class) if self.model == "sensor" => class,
+            _ => &self.model,
+        }
+    }
+
+    fn parse(v: &Value) -> Result<FaultSite, String> {
+        v.req_keys(&["profile", "unit", "model", "mask", "cycle", "op"])?;
+        Ok(FaultSite {
+            profile: v.req_str("profile")?,
+            unit: v.req_usize("unit")?,
+            model: v.req_str("model")?,
+            mask: v.req_u32("mask")?,
+            cycle: v.opt_with("cycle", json::parse_uint)?,
+            op: v.opt_str_member("op")?,
+        })
+    }
 }
 
 /// Everything the journal records about one run.
@@ -67,6 +91,26 @@ pub struct RunRecord {
     /// Injection site (`None` for golden runs).
     pub fault: Option<FaultSite>,
 }
+
+/// Member names of a run line, in the order [`RunRecord::render`]
+/// writes them.
+const RUN_KEYS: [&str; 15] = [
+    "type",
+    "campaign",
+    "kind",
+    "index",
+    "seed",
+    "scenario",
+    "outcome",
+    "end_time",
+    "collision_time",
+    "alarm_time",
+    "fault_activated",
+    "fault_onset_time",
+    "min_cvip",
+    "div_peak",
+    "fault",
+];
 
 impl RunRecord {
     /// Render the record as one JSONL line (no trailing newline).
@@ -107,6 +151,56 @@ impl RunRecord {
             json::num(self.div_peak[2]),
             fault,
         )
+    }
+
+    /// Parse a `"type": "run"` line written by [`render`](Self::render).
+    ///
+    /// Strict: the line must carry exactly the members `render` writes,
+    /// in its order, each in its encoding — `kind` is `"golden"` or
+    /// `"injected"`, integers are non-negative and in range, and times
+    /// are finite decimals or `null`. A `null` where [`json::num`]
+    /// flattened a non-finite value reads back as `+inf` for `min_cvip`
+    /// (no NPC ever in view) and NaN for `end_time` and `div_peak`, so
+    /// rendering a parsed record reproduces its line byte for byte.
+    ///
+    /// One exception: a sensor site's `cycle` is the sensor fault's
+    /// `u64` seed, written as a bare JSON number and read back as `f64`,
+    /// so a seed above 2^53 parses rounded and does not round-trip.
+    pub fn parse(v: &Value) -> Result<RunRecord, String> {
+        v.req_keys(&RUN_KEYS)?;
+        let ty = v.req_str("type")?;
+        if ty != "run" {
+            return Err(format!("not a run line (type {ty:?})"));
+        }
+        let kind = match v.req_str("kind")?.as_str() {
+            "golden" => "golden",
+            "injected" => "injected",
+            other => return Err(format!("unknown run kind {other:?}")),
+        };
+        let peak = |p: &Value| {
+            json::parse_num(p)
+                .map(|p| p.unwrap_or(f64::NAN))
+                .map_err(|e| format!("member \"div_peak\": {e}"))
+        };
+        let [throttle, brake, steer] = v.req_arr("div_peak")? else {
+            return Err("member \"div_peak\" must hold 3 channels".to_string());
+        };
+        Ok(RunRecord {
+            campaign: v.req_str("campaign")?,
+            kind,
+            index: v.req_usize("index")?,
+            seed: v.req_u64("seed")?,
+            scenario: v.req_str("scenario")?,
+            outcome: v.req_str("outcome")?,
+            end_time: v.opt_num_member("end_time")?.unwrap_or(f64::NAN),
+            collision_time: v.opt_num_member("collision_time")?,
+            alarm_time: v.opt_num_member("alarm_time")?,
+            fault_activated: v.req_bool("fault_activated")?,
+            fault_onset_time: v.opt_num_member("fault_onset_time")?,
+            min_cvip: v.opt_num_member("min_cvip")?.unwrap_or(f64::INFINITY),
+            div_peak: [peak(throttle)?, peak(brake)?, peak(steer)?],
+            fault: v.opt_with("fault", FaultSite::parse)?,
+        })
     }
 }
 
@@ -330,6 +424,63 @@ mod tests {
         assert!(line.contains("\"label\": \"test.journal.slot\""));
         assert!(line.contains("\"span_begin\""));
         assert!(line.contains("\"value\": 1"));
+    }
+
+    #[test]
+    fn run_lines_parse_back_to_the_same_bytes() {
+        let mut golden = record();
+        golden.kind = "golden";
+        golden.fault = None;
+        golden.min_cvip = f64::INFINITY;
+        golden.end_time = f64::NAN;
+        golden.div_peak = [f64::NAN, -0.0, 1e300];
+        let mut sensor = record();
+        sensor.fault_onset_time = Some(0.75);
+        sensor.fault = Some(FaultSite {
+            profile: "SENSOR".into(),
+            unit: 0,
+            model: "sensor".into(),
+            mask: 0,
+            cycle: Some(1 << 53),
+            op: Some("bias-drift".into()),
+        });
+        for r in [record(), golden, sensor] {
+            let line = r.render();
+            let back =
+                RunRecord::parse(&json::parse(&line).unwrap()).expect("rendered line parses");
+            assert_eq!(back.render(), line);
+        }
+        let sensor_site = FaultSite {
+            model: "sensor".into(),
+            op: Some("dropout".into()),
+            ..record().fault.unwrap()
+        };
+        assert_eq!(sensor_site.class(), "dropout");
+        assert_eq!(record().fault.unwrap().class(), "transient");
+    }
+
+    #[test]
+    fn run_line_parse_rejects_anything_render_cannot_write() {
+        let line = record().render();
+        let onset = "\"fault_onset_time\": null, ";
+        for bad in [
+            "{\"type\": \"run\"}".to_string(),
+            line.replace(onset, ""),
+            line.replace("\"alarm_time\": 9.250000", "\"alarm_time\": 1e999"),
+            line.replace("\"kind\": \"injected\"", "\"kind\": \"other\""),
+            line.replace("\"index\": 3", "\"index\": 3.5"),
+            line.replace("\"seed\": 2003", "\"seed\": -1"),
+            line.replace("[0.500000, 0.250000, 0.125000]", "[0.5, 0.25]"),
+            line.replace("\"mask\": 2097152", "\"mask\": 4294967296"),
+            line.replace("\"cycle\": 123456", "\"cycle\": \"123456\""),
+            line.replace(onset, "").replace("\"index\"", &format!("{onset}\"index\"")),
+            line.replacen('}', ", \"extra\": 1}", 1),
+            line.replace("\"type\": \"run\"", "\"type\": \"span_events\""),
+        ] {
+            assert_ne!(bad, line, "every case must change the line");
+            let v = json::parse(&bad).expect("still JSON");
+            assert!(RunRecord::parse(&v).is_err(), "{bad} must be rejected");
+        }
     }
 
     #[test]

@@ -1,8 +1,17 @@
 //! Minimal hand-rolled JSON helpers (no serde in the dependency
-//! closure). The rendering half is shared by the metrics and journal
-//! writers and by `bench::perf`; the parsing half ([`parse`] / [`Value`])
-//! is what the `diverseav-tracecheck` CLI uses to read the JSONL run
-//! journal, `METRICS_campaigns.json`, and `BENCH_campaigns.json` back.
+//! closure).
+//!
+//! The rendering half ([`escape`], [`num`], [`f64_bits`], [`u64_str`], …)
+//! is shared by every artifact writer. The parsing half is [`parse`] plus
+//! the one member vocabulary every artifact reader uses: the `req_*`
+//! methods on [`Value`] read a member that must be present with exactly
+//! the encoding its writer uses, the `opt_*_member` methods read one that
+//! must be present and may be `null`, and the element forms
+//! ([`parse_uint`], [`parse_num`], [`parse_u64_str`], [`parse_f64_bits`],
+//! [`parse_hex64`]) decode array items the same way. A missing member, a
+//! wrong type, a fractional or out-of-range integer, a non-finite
+//! decimal or a malformed hex/decimal string is an `Err` naming the
+//! member — never a default, a saturated cast or a panic.
 
 /// Escape a string for inclusion inside a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -57,12 +66,20 @@ pub fn opt_f64_bits(v: Option<f64>) -> String {
 /// Parse a value rendered by [`f64_bits`].
 pub fn parse_f64_bits(v: &Value) -> Result<f64, String> {
     let s = v.as_str().ok_or("expected an f64 bit-pattern string")?;
-    if s.len() != 16 {
-        return Err(format!("bad f64 bit pattern {s:?}: want 16 hex digits"));
+    hex64(s).map(f64::from_bits).map_err(|e| format!("bad f64 bit pattern {s:?}: {e}"))
+}
+
+/// Parse a 64-bit code rendered as a quoted `{:016x}` string.
+pub fn parse_hex64(v: &Value) -> Result<u64, String> {
+    let s = v.as_str().ok_or("expected a 16-hex-digit string")?;
+    hex64(s).map_err(|e| format!("bad hex code {s:?}: {e}"))
+}
+
+fn hex64(s: &str) -> Result<u64, String> {
+    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err("want 16 hex digits".to_string());
     }
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("bad f64 bit pattern {s:?}: {e}"))
+    u64::from_str_radix(s, 16).map_err(|e| e.to_string())
 }
 
 /// Render a `u64` losslessly as a quoted decimal string: plain JSON
@@ -74,7 +91,38 @@ pub fn u64_str(v: u64) -> String {
 /// Parse a value rendered by [`u64_str`].
 pub fn parse_u64_str(v: &Value) -> Result<u64, String> {
     let s = v.as_str().ok_or("expected a u64 decimal string")?;
+    if !s.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(format!("bad u64 string {s:?}: want decimal digits"));
+    }
     s.parse::<u64>().map_err(|e| format!("bad u64 string {s:?}: {e}"))
+}
+
+/// Parse a bare JSON integer (a `{}`-rendered `u64`/`usize`): a
+/// non-negative integral number below 2^64. JSON numbers are read as
+/// `f64`, so integers above 2^53 arrive rounded.
+pub fn parse_uint(v: &Value) -> Result<u64, String> {
+    let n = v.as_f64().ok_or("expected a number")?;
+    if n.is_nan() || n < 0.0 || n.fract() != 0.0 {
+        return Err(format!("expected a non-negative integer, got {n}"));
+    }
+    // `u64::MAX as f64` rounds up to 2^64, the first value `as` would
+    // saturate instead of converting.
+    if n >= u64::MAX as f64 {
+        return Err(format!("out of range: {n}"));
+    }
+    Ok(n as u64)
+}
+
+/// Parse a value rendered by [`num`]: a finite decimal, or `null` (the
+/// rendering of every non-finite value) as `None`. A number that only
+/// parses as infinite (`1e999`) is an error: [`num`] never writes one.
+pub fn parse_num(v: &Value) -> Result<Option<f64>, String> {
+    match v {
+        Value::Null => Ok(None),
+        Value::Num(n) if n.is_finite() => Ok(Some(*n)),
+        Value::Num(n) => Err(format!("expected a finite decimal, got {n}")),
+        _ => Err("expected a number or null".to_string()),
+    }
 }
 
 /// A parsed JSON document.
@@ -146,6 +194,122 @@ impl Value {
             Value::Obj(members) => Some(members),
             _ => None,
         }
+    }
+
+    // -- the member vocabulary ----------------------------------------------
+
+    /// Require an object whose member names are exactly `keys`, in that
+    /// order — no missing, extra, duplicated or reordered member.
+    pub fn req_keys(&self, keys: &[&str]) -> Result<(), String> {
+        let members = self.as_obj().ok_or("expected an object")?;
+        if members.iter().map(|(k, _)| k.as_str()).eq(keys.iter().copied()) {
+            Ok(())
+        } else {
+            Err(format!("members must be exactly {keys:?}, in that order"))
+        }
+    }
+
+    /// A member that must be present (any value, `null` included).
+    pub fn req(&self, key: &str) -> Result<&Value, String> {
+        self.get(key).ok_or_else(|| format!("missing member {key:?}"))
+    }
+
+    /// A present member decoded by `read`; errors name the member.
+    pub fn req_with<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Value) -> Result<T, String>,
+    ) -> Result<T, String> {
+        read(self.req(key)?).map_err(|e| format!("member {key:?}: {e}"))
+    }
+
+    /// A present member that is `null` (`None`) or decoded by `read`.
+    pub fn opt_with<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Value) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.req(key)? {
+            Value::Null => Ok(None),
+            v => read(v).map(Some).map_err(|e| format!("member {key:?}: {e}")),
+        }
+    }
+
+    /// A string member.
+    pub fn req_str(&self, key: &str) -> Result<String, String> {
+        self.req_with(key, |v| v.as_str().map(str::to_string).ok_or("must be a string".into()))
+    }
+
+    /// A boolean member.
+    pub fn req_bool(&self, key: &str) -> Result<bool, String> {
+        self.req_with(key, |v| v.as_bool().ok_or("must be a boolean".into()))
+    }
+
+    /// An array member.
+    pub fn req_arr(&self, key: &str) -> Result<&[Value], String> {
+        self.req(key)?.as_arr().ok_or_else(|| format!("member {key:?} must be an array"))
+    }
+
+    /// An object member.
+    pub fn req_obj(&self, key: &str) -> Result<&[(String, Value)], String> {
+        self.req(key)?.as_obj().ok_or_else(|| format!("member {key:?} must be an object"))
+    }
+
+    /// A bare-integer `u64` member ([`parse_uint`]).
+    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
+        self.req_with(key, parse_uint)
+    }
+
+    /// A bare-integer `usize` member.
+    pub fn req_usize(&self, key: &str) -> Result<usize, String> {
+        let n = self.req_u64(key)?;
+        usize::try_from(n).map_err(|_| format!("member {key:?} out of usize range: {n}"))
+    }
+
+    /// A bare-integer `u32` member.
+    pub fn req_u32(&self, key: &str) -> Result<u32, String> {
+        let n = self.req_u64(key)?;
+        u32::try_from(n).map_err(|_| format!("member {key:?} out of u32 range: {n}"))
+    }
+
+    /// A finite-decimal member rendered by [`num`] that must not be `null`.
+    pub fn req_num(&self, key: &str) -> Result<f64, String> {
+        self.req_with(key, |v| parse_num(v)?.ok_or("must be a finite number, not null".into()))
+    }
+
+    /// A `u64` member rendered by [`u64_str`].
+    pub fn req_u64_str(&self, key: &str) -> Result<u64, String> {
+        self.req_with(key, parse_u64_str)
+    }
+
+    /// An `f64` member rendered by [`f64_bits`].
+    pub fn req_f64_bits(&self, key: &str) -> Result<f64, String> {
+        self.req_with(key, parse_f64_bits)
+    }
+
+    /// A 64-bit code member rendered as `"{:016x}"` ([`parse_hex64`]).
+    pub fn req_hex64(&self, key: &str) -> Result<u64, String> {
+        self.req_with(key, parse_hex64)
+    }
+
+    /// A member rendered by [`opt_str`].
+    pub fn opt_str_member(&self, key: &str) -> Result<Option<String>, String> {
+        self.opt_with(key, |v| v.as_str().map(str::to_string).ok_or("must be a string".into()))
+    }
+
+    /// A member rendered by [`opt_num`] (or [`num`]: `null` is `None`).
+    pub fn opt_num_member(&self, key: &str) -> Result<Option<f64>, String> {
+        self.req_with(key, parse_num)
+    }
+
+    /// A member rendered by [`opt_f64_bits`].
+    pub fn opt_f64_bits_member(&self, key: &str) -> Result<Option<f64>, String> {
+        self.opt_with(key, parse_f64_bits)
+    }
+
+    /// A 64-bit code member that may be `null`.
+    pub fn opt_hex64_member(&self, key: &str) -> Result<Option<u64>, String> {
+        self.opt_with(key, parse_hex64)
     }
 }
 
@@ -396,6 +560,54 @@ mod tests {
         assert!(parse_f64_bits(&Value::Str("00".into())).is_err(), "length checked");
         assert!(parse_u64_str(&Value::Str("-1".into())).is_err());
         assert!(parse_u64_str(&Value::Num(3.0)).is_err());
+    }
+
+    #[test]
+    fn member_vocabulary_reads_exact_encodings() {
+        let v = parse(concat!(
+            r#"{"s": "x", "b": true, "n": 7, "d": 2.5, "nul": null, "inf": 1e999, "#,
+            r#""u": "18446744073709551615", "h": "00000000000000ff", "f": "3ff8000000000000", "#,
+            r#""big": 18446744073709551616, "neg": -1, "frac": 1.5, "plus": "+5", "a": [1], "o": {}}"#,
+        ))
+        .unwrap();
+        assert_eq!(v.req_str("s").unwrap(), "x");
+        assert!(v.req_bool("b").unwrap());
+        assert_eq!((v.req_usize("n"), v.req_u32("n"), v.req_u64("n")), (Ok(7), Ok(7), Ok(7)));
+        assert_eq!(v.req_num("d"), Ok(2.5));
+        assert_eq!((v.opt_num_member("nul"), v.opt_num_member("d")), (Ok(None), Ok(Some(2.5))));
+        assert_eq!(v.req_u64_str("u"), Ok(u64::MAX));
+        assert_eq!(v.req_hex64("h"), Ok(0xff));
+        assert_eq!(v.opt_hex64_member("nul"), Ok(None));
+        assert_eq!(v.req_f64_bits("f"), Ok(1.5));
+        assert_eq!(v.opt_str_member("nul"), Ok(None));
+        assert_eq!(
+            (v.req_arr("a").map(<[Value]>::len), v.req_obj("o").map(<[_]>::len)),
+            (Ok(1), Ok(0))
+        );
+        // Missing, mistyped, fractional, negative, out-of-range and
+        // non-finite members are errors that name the member.
+        for err in [
+            v.req_str("missing").unwrap_err(),
+            v.req_str("n").unwrap_err(),
+            v.req_u64("big").unwrap_err(),
+            v.req_u64("neg").unwrap_err(),
+            v.req_u64("frac").unwrap_err(),
+            v.req_num("inf").unwrap_err(),
+            v.req_num("nul").unwrap_err(),
+            v.opt_num_member("inf").unwrap_err(),
+            v.req_u64_str("plus").unwrap_err(),
+            v.req_hex64("s").unwrap_err(),
+            v.req_arr("o").unwrap_err(),
+        ] {
+            assert!(err.contains("member \""), "{err}");
+        }
+        assert!(v.req_u32("u").is_err() && v.req_bool("nul").is_err());
+        assert!(parse_hex64(&Value::Str("+00000000000000f".into())).is_err(), "hex digits only");
+        assert!(v.req_keys(&["s", "b"]).is_err());
+        let keys = [
+            "s", "b", "n", "d", "nul", "inf", "u", "h", "f", "big", "neg", "frac", "plus", "a", "o",
+        ];
+        assert_eq!(v.req_keys(&keys), Ok(()));
     }
 
     #[test]
