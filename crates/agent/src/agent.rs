@@ -13,11 +13,23 @@ use crate::kernels::{
 };
 use crate::layout::{cpu, out, param, GpuLayout};
 use diverseav_fabric::{Context, Fabric, Profile, Program, Trap};
-use diverseav_simworld::{Controls, RouteHint, SensorFrame};
+use diverseav_simworld::{Controls, Image, RouteHint, SensorFrame};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::error::Error;
 use std::fmt;
+
+/// `(v as f32 / 255.0).to_bits()` for every byte `v`: a camera channel
+/// normalized to `[0, 1]`, as the fabric memory word the host uploads.
+static UNIT_BITS: [u32; 256] = {
+    let mut t = [0u32; 256];
+    let mut v = 0;
+    while v < 256 {
+        t[v] = (v as f32 / 255.0).to_bits();
+        v += 1;
+    }
+    t
+};
 
 /// Abnormal agent termination: a trap on one of the fabrics.
 ///
@@ -327,6 +339,33 @@ impl SensorimotorAgent {
         }
     }
 
+    /// Host side of a step: upload the center camera image as three
+    /// normalized float planes, in one pass over the interleaved bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image is not `img_w × img_h`, for example the empty
+    /// slot of a frame captured without the center camera. Uploading it
+    /// anyway would leave the previous frame's planes in place.
+    fn upload_image(&mut self, img: &Image) {
+        let l = self.layout;
+        assert_eq!(
+            (img.width(), img.height()),
+            (l.w, l.h),
+            "center camera image does not match the agent's {}x{} layout",
+            l.w,
+            l.h
+        );
+        // The planes are laid out r, g, b, one after another.
+        let (r, gb) = self.gpu_ctx.mem[l.img_r..].split_at_mut(l.img_g - l.img_r);
+        let (g, b) = gb.split_at_mut(l.img_b - l.img_g);
+        for (((px, r), g), b) in img.data().chunks_exact(3).zip(r).zip(g).zip(b) {
+            *r = UNIT_BITS[px[0] as usize];
+            *g = UNIT_BITS[px[1] as usize];
+            *b = UNIT_BITS[px[2] as usize];
+        }
+    }
+
     /// Process one sensor frame into actuation commands.
     ///
     /// `gpu` and `cpu` are the processing elements to execute on; passing
@@ -351,19 +390,7 @@ impl SensorimotorAgent {
         cpu_fab: &mut Fabric,
     ) -> Result<Controls, AgentError> {
         let l = self.layout;
-        // --- host: upload the center camera image (normalized floats) ---
-        let img = &frame.cameras[1];
-        debug_assert_eq!(img.width(), l.w);
-        debug_assert_eq!(img.height(), l.h);
-        for y in 0..l.h {
-            for x in 0..l.w {
-                let [r, g, b] = img.pixel(x, y);
-                let i = y * l.w + x;
-                self.gpu_ctx.write_f32(l.img_r + i, r as f32 / 255.0);
-                self.gpu_ctx.write_f32(l.img_g + i, g as f32 / 255.0);
-                self.gpu_ctx.write_f32(l.img_b + i, b as f32 / 255.0);
-            }
-        }
+        self.upload_image(&frame.cameras[1]);
         // Per-step compute jitter on the mask bias (nondeterminism model).
         let jitter: f64 = {
             let u1: f64 = self.jitter_rng.gen_range(1e-12..1.0);
@@ -452,5 +479,48 @@ impl SensorimotorAgent {
         self.last_controls = controls;
         self.steps += 1;
         Ok(controls)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use diverseav_simworld::{lead_slowdown, CameraSet, SensorConfig, World};
+
+    /// Every byte value uploads to exactly the word of its normalized
+    /// float, in the plane of its channel.
+    #[test]
+    fn upload_writes_the_normalized_word_of_every_byte() {
+        let mut agent = SensorimotorAgent::new(AgentConfig::default(), 1);
+        let l = agent.layout;
+        let mut img = Image::new(l.w, l.h);
+        // 3 is coprime to 256, so each channel sees every byte value.
+        for (i, v) in img.data_mut().iter_mut().enumerate() {
+            *v = (i % 256) as u8;
+        }
+        agent.upload_image(&img);
+        let mut seen = [[false; 256]; 3];
+        for (p, px) in img.data().chunks_exact(3).enumerate() {
+            for (ch, plane) in [l.img_r, l.img_g, l.img_b].into_iter().enumerate() {
+                let v = px[ch];
+                assert_eq!(agent.gpu_ctx.mem[plane + p], (v as f32 / 255.0).to_bits());
+                seen[ch][v as usize] = true;
+            }
+        }
+        assert!(seen.iter().all(|ch| ch.iter().all(|&s| s)), "some byte value not covered");
+    }
+
+    /// A frame without the center camera is refused, in release builds too.
+    #[test]
+    #[should_panic(expected = "center camera image does not match")]
+    fn step_refuses_a_frame_without_the_center_camera() {
+        let mut world = World::new(lead_slowdown(), SensorConfig::default(), 3);
+        let mut frame = SensorFrame::empty();
+        world.capture_into(&mut frame, CameraSet::NONE);
+        let hint = world.route_hint();
+        let mut agent = SensorimotorAgent::new(AgentConfig::default(), 1);
+        let mut gpu = Fabric::new(Profile::Gpu);
+        let mut cpu = Fabric::new(Profile::Cpu);
+        let _ = agent.step(&frame, hint, 1.0 / 40.0, &mut gpu, &mut cpu);
     }
 }

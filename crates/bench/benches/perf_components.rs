@@ -11,7 +11,8 @@ use diverseav_agent::{AgentConfig, SensorimotorAgent};
 use diverseav_fabric::{Fabric, Profile, ProgramBuilder, Reg};
 use diverseav_runtime::{PolicyDriver, SimLoop};
 use diverseav_simworld::{
-    lead_slowdown, lidar_scan_into, render_camera, Controls, RenderScene, SensorConfig, World,
+    lead_slowdown, lidar_scan_into, render_camera_into, Controls, Image, RenderScene, SensorConfig,
+    World,
 };
 
 /// Straight-line float pipeline for raw interpreter throughput.
@@ -67,11 +68,13 @@ fn kernel_launch(c: &mut Criterion) {
     group.finish();
 }
 
-/// One camera render of a populated scene.
+/// One camera render of a populated scene into a reused image (the
+/// allocation-free form the campaign hot path uses).
 fn camera_render(c: &mut Criterion) {
     let world = World::new(lead_slowdown(), SensorConfig::default(), 7);
     let cfg = SensorConfig::default();
     c.bench_function("sensors/render_camera_64x48", |bench| {
+        let mut img = Image::new(0, 0);
         bench.iter(|| {
             let scene = RenderScene {
                 track: &world.scenario().track,
@@ -80,7 +83,8 @@ fn camera_render(c: &mut Criterion) {
                 npcs: world.npcs(),
                 frame_seed: 1234,
             };
-            render_camera(&cfg, &scene, 1)
+            render_camera_into(&cfg, &scene, 1, &mut img);
+            img.data()[0]
         });
     });
 }

@@ -144,6 +144,42 @@ pub fn training(mode: AgentMode, scale: &CampaignScale) -> Vec<Vec<TrainSample>>
 // E1–E3: Fig 5 + §V-A — sensor data diversity and semantic consistency
 // ---------------------------------------------------------------------
 
+/// Fig 5b: per-pixel bit diversity between consecutive 40 Hz frames of
+/// all three simulator cameras, over 121 ticks of each test scenario
+/// driven by the ground-truth policy (EXPERIMENTS.md E1–E3 records p50 6
+/// and p90 10 bits of 24; the paper measures 5 / 9). This is the property
+/// the rasterizer's world texture and per-frame noise exist to provide.
+pub fn sim_camera_diversity() -> DiversityStats {
+    /// Accumulates bit diffs between consecutive frames of all 3 cameras.
+    #[derive(Default)]
+    struct CameraDiffs {
+        prev: Option<Vec<diverseav_simworld::Image>>,
+        diffs: Vec<u32>,
+    }
+    impl LoopObserver for CameraDiffs {
+        fn on_tick(&mut self, ctx: &TickContext<'_>) {
+            if let Some(prev) = &self.prev {
+                for (p, cur) in prev.iter().zip(&ctx.frame.cameras) {
+                    self.diffs.extend(pixel_bit_diffs(p, cur));
+                }
+            }
+            self.prev = Some(ctx.frame.cameras.clone());
+        }
+        fn cameras(&self) -> CameraSet {
+            CameraSet::ALL
+        }
+    }
+    let mut camera_diffs = CameraDiffs::default();
+    for kind in ScenarioKind::safety_critical() {
+        let scenario = Scenario::of_kind(kind);
+        let world = World::new(scenario, SensorConfig::default(), 0xF16);
+        let mut sim = SimLoop::new(world, PolicyDriver(ground_truth_controls));
+        camera_diffs.prev = None;
+        sim.run_for(121, &mut [&mut camera_diffs]);
+    }
+    DiversityStats::of(&camera_diffs.diffs)
+}
+
 /// Fig 5 + §V-A: bit diversity of real-world-like (synthetic KITTI) and
 /// simulator sensor streams, plus semantic-consistency statistics.
 pub fn fig5_report() -> String {
@@ -212,35 +248,7 @@ pub fn fig5_report() -> String {
     }
 
     // --- Fig 5b: simulator cameras at 40 Hz on the test scenarios ---
-    /// Accumulates bit diffs between consecutive frames of all 3 cameras.
-    #[derive(Default)]
-    struct CameraDiffs {
-        prev: Option<Vec<diverseav_simworld::Image>>,
-        diffs: Vec<u32>,
-    }
-    impl LoopObserver for CameraDiffs {
-        fn on_tick(&mut self, ctx: &TickContext<'_>) {
-            if let Some(prev) = &self.prev {
-                for (p, cur) in prev.iter().zip(&ctx.frame.cameras) {
-                    self.diffs.extend(pixel_bit_diffs(p, cur));
-                }
-            }
-            self.prev = Some(ctx.frame.cameras.clone());
-        }
-        fn cameras(&self) -> CameraSet {
-            CameraSet::ALL
-        }
-    }
-    let mut camera_diffs = CameraDiffs::default();
-    for kind in ScenarioKind::safety_critical() {
-        let scenario = Scenario::of_kind(kind);
-        let world = World::new(scenario, SensorConfig::default(), 0xF16);
-        let mut sim = SimLoop::new(world, PolicyDriver(ground_truth_controls));
-        camera_diffs.prev = None;
-        sim.run_for(121, &mut [&mut camera_diffs]);
-    }
-    let sim_diffs = camera_diffs.diffs;
-    let sim = DiversityStats::of(&sim_diffs);
+    let sim = sim_camera_diversity();
     let _ = writeln!(
         out,
         "Fig 5b — simulator camera (40 Hz, 3 cameras, test scenarios): \

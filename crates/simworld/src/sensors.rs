@@ -15,32 +15,97 @@
 //! 2. **Per-frame sensor noise** — every pixel channel receives a small
 //!    deterministic pseudo-noise term keyed by a per-frame seed, standing
 //!    in for shot/read noise of a real imager.
+//!
+//! Only the frame key changes from frame to frame. The half of the noise
+//! hash that depends on the pixel alone is computed once per resolution
+//! and kept in a table (see `KeyTable`), so the per-frame cost is one hash
+//! per channel byte.
 
 use crate::geometry::{Pose, Vec2};
 use crate::npc::Npc;
 use crate::track::{Track, LANE_WIDTH};
 use std::cell::RefCell;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Per-thread row buffers for [`render_camera_into`]. The rasterizer
-/// stages raw noise hashes (`4 * w` words, channel 3 is padding), the
-/// per-channel pixel noise derived from them, and unquantized channel
-/// values (`3 * w`) as flat rows, so the noise hashing, the hash→amplitude
-/// conversion, and the final quantize are stride-1 loops the
-/// autovectorizer runs wide.
-#[derive(Default)]
+/// The frame-invariant half of the pixel-noise hash for one resolution.
+///
+/// A pixel channel's sensor noise is `mix(noise_key ^ mix(k))` with the
+/// frame key `noise_key` and the pixel key `k = (px * 4 + ch) * 4096 + py`.
+/// The inner `mix(k)` never changes between frames, so `keys` holds it for
+/// every byte of a `w × h` image, laid out like the image bytes
+/// (`(py * w + px) * 3 + ch`): a frame costs one `mix` per channel byte.
+/// The key's stride of 4 per pixel leaves room for a fourth channel that
+/// is never drawn, so the table has no slot for it.
+struct KeyTable {
+    dims: (usize, usize),
+    keys: Vec<u64>,
+}
+
+impl KeyTable {
+    fn build(w: usize, h: usize) -> KeyTable {
+        let mut keys = Vec::with_capacity(3 * w * h);
+        for py in 0..h {
+            for px in 0..w {
+                for ch in 0..3 {
+                    keys.push(mix(((px * 4 + ch) * 4096 + py) as u64));
+                }
+            }
+        }
+        KeyTable { dims: (w, h), keys }
+    }
+}
+
+/// The key table most recently built on any thread. Threads rendering at
+/// the same resolution share it, so a campaign's worker threads hold one
+/// copy between them instead of one each (peak memory would otherwise
+/// grow with the worker count), and a new worker does not rebuild it.
+static LAST_KEYS: Mutex<Option<Arc<KeyTable>>> = Mutex::new(None);
+
+/// Per-thread state for [`render_camera_into`]: a handle on the key table
+/// of the thread's current resolution, taken or built only when the
+/// resolution changes, and two row buffers (`3 * w`) for the per-channel
+/// noise and the unquantized channel values, so hashing, adding and
+/// quantizing are stride-1 loops the autovectorizer runs wide.
 struct RenderScratch {
-    hashes: Vec<u64>,
+    keys: Option<Arc<KeyTable>>,
     noise: Vec<f64>,
     vals: Vec<f64>,
 }
 
+impl RenderScratch {
+    /// The key table and row buffers for a `w × h` image.
+    fn prepare(&mut self, w: usize, h: usize) -> (&[u64], &mut [f64], &mut [f64]) {
+        let table = match self.keys.take() {
+            Some(t) if t.dims == (w, h) => t,
+            _ => shared_keys(w, h),
+        };
+        let keys = &self.keys.insert(table).keys;
+        self.noise.resize(3 * w, 0.0);
+        self.vals.resize(3 * w, 0.0);
+        (keys, &mut self.noise[..3 * w], &mut self.vals[..3 * w])
+    }
+}
+
+/// The key table for `w × h`: the shared one if it has that resolution,
+/// else a new one, which becomes the shared one.
+fn shared_keys(w: usize, h: usize) -> Arc<KeyTable> {
+    // Every update stores a complete table, so a poisoned lock still
+    // guards a valid value.
+    let mut last = LAST_KEYS.lock().unwrap_or_else(PoisonError::into_inner);
+    match &*last {
+        Some(t) if t.dims == (w, h) => Arc::clone(t),
+        _ => Arc::clone(last.insert(Arc::new(KeyTable::build(w, h)))),
+    }
+}
+
 thread_local! {
     /// Scratch reused across renders and scans on this thread: the
-    /// rasterizer row buffers and the flattened NPC footprint segments of
-    /// one LiDAR scan. Both retain capacity between frames, so the
-    /// campaign hot path stays allocation-free in steady state.
+    /// rasterizer's key-table handle and row buffers, and the flattened
+    /// NPC footprint segments of one LiDAR scan. All of it is kept between
+    /// frames, so the campaign hot path stays allocation-free in steady
+    /// state.
     static RENDER_SCRATCH: RefCell<RenderScratch> = const {
-        RefCell::new(RenderScratch { hashes: Vec::new(), noise: Vec::new(), vals: Vec::new() })
+        RefCell::new(RenderScratch { keys: None, noise: Vec::new(), vals: Vec::new() })
     };
     static SEGMENTS: RefCell<Vec<(Vec2, Vec2)>> = const { RefCell::new(Vec::new()) };
 }
@@ -272,11 +337,25 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Map a hash to a signed amplitude in `[-1, 1]` (its top 53 bits, exact).
+#[inline]
+fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+}
+
 /// Hash two words into a signed amplitude in `[-1, 1]`.
 #[inline]
 fn hash_amp(a: u64, b: u64) -> f64 {
-    let h = mix(a ^ mix(b));
-    (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    unit(mix(a ^ mix(b)))
+}
+
+/// Fill `out` with the sensor noise of the frame key `noise_key` at the
+/// pixel keys `keys` (a slice of a `KeyTable`).
+#[inline]
+fn fill_noise(out: &mut [f64], keys: &[u64], noise_key: u64, amp: f64) {
+    for (n, &k) in out.iter_mut().zip(keys) {
+        *n = unit(mix(noise_key ^ k)) * amp;
+    }
 }
 
 /// Quantize a channel value to a byte: round half away from zero, clamp to
@@ -350,28 +429,13 @@ pub fn render_camera_into(
     let noise_key = scene.frame_seed ^ ((cam as u64) << 56);
     let noise_amp = cfg.pixel_noise * 2.0;
 
-    // --- ground & sky ---
     RENDER_SCRATCH.with(|cell| {
-        let s = &mut *cell.borrow_mut();
-        s.hashes.resize(4 * w, 0);
-        s.noise.resize(4 * w, 0.0);
-        s.vals.resize(3 * w, 0.0);
-        let RenderScratch { hashes, noise, vals } = s;
-        let (hash_row, noise_row, vals_row) =
-            (&mut hashes[..4 * w], &mut noise[..4 * w], &mut vals[..3 * w]);
+        let mut scratch = cell.borrow_mut();
+        let (keys, noise_row, vals_row) = scratch.prepare(w, h);
+
+        // --- ground & sky ---
         for py in 0..h {
-            // The noise key `(px * 4 + ch) * 4096 + py` is affine in
-            // `k = px * 4 + ch`, so hashing the whole row as one flat strip
-            // (the `ch = 3` slot is padding) turns the per-pixel hash
-            // chains into a single autovectorizable pass. Two passes —
-            // integer hashes, then hash→amplitude conversion — keep each
-            // loop body in one vector domain.
-            for (k, slot) in hash_row.iter_mut().enumerate() {
-                *slot = mix(noise_key ^ mix((k * 4096 + py) as u64));
-            }
-            for (slot, &hv) in noise_row.iter_mut().zip(hash_row.iter()) {
-                *slot = ((hv >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * noise_amp;
-            }
+            fill_noise(noise_row, &keys[py * w * 3..][..w * 3], noise_key, noise_amp);
             let row = &mut img.data[py * w * 3..][..w * 3];
             let yf = py as f64 + 0.5;
             if yf <= cy + 0.5 {
@@ -380,8 +444,7 @@ pub fn render_camera_into(
                 let base = [120.0 + 50.0 * t, 135.0 + 40.0 * t, 150.0 + 30.0 * t];
                 // Stage unquantized channel values flat, then quantize the
                 // whole row in one pass the vectorizer can chew through.
-                for (px, v3) in vals_row.chunks_exact_mut(3).enumerate() {
-                    let n = &noise_row[px * 4..px * 4 + 3];
+                for (v3, n) in vals_row.chunks_exact_mut(3).zip(noise_row.chunks_exact(3)) {
                     v3[0] = base[0] + n[0];
                     v3[1] = base[1] + n[1];
                     v3[2] = base[2] + n[2];
@@ -406,7 +469,12 @@ pub fn render_camera_into(
             let row_base = cam_pos + fwd * d;
             let ground_px_size = d / fx; // meters per pixel at this depth
             let mark_halfwidth = (0.09f64).max(ground_px_size * 0.5);
-            for (px, v3) in vals_row.chunks_exact_mut(3).enumerate() {
+            // Texture of the last 0.5 m cell: far rows map runs of
+            // neighbouring pixels to one cell, which then hashes once.
+            let mut last_cell: Option<(u64, u64, f64)> = None;
+            for (px, (v3, n)) in
+                vals_row.chunks_exact_mut(3).zip(noise_row.chunks_exact(3)).enumerate()
+            {
                 let l = -((px as f64 + 0.5) - cx) * d / fx;
                 let wp = row_base + left * l;
                 let rel = wp - c;
@@ -425,8 +493,14 @@ pub fn render_camera_into(
                 // World-anchored texture (0.5 m cells).
                 let cellx = (wp.x * 2.0).floor() as i64 as u64;
                 let celly = (wp.y * 2.0).floor() as i64 as u64;
-                let tex = hash_amp(cellx, celly) * cfg.texture_amp;
-                let n = &noise_row[px * 4..px * 4 + 3];
+                let tex = match last_cell {
+                    Some((x, y, tex)) if (x, y) == (cellx, celly) => tex,
+                    _ => {
+                        let tex = hash_amp(cellx, celly) * cfg.texture_amp;
+                        last_cell = Some((cellx, celly, tex));
+                        tex
+                    }
+                };
                 v3[0] = base[0] + tex + n[0];
                 v3[1] = base[1] + tex + n[1];
                 v3[2] = base[2] + tex + n[2];
@@ -435,117 +509,103 @@ pub fn render_camera_into(
                 *o = quantize(v);
             }
         }
-    });
 
-    // --- vehicles, far to near ---
-    // Allocation-free draw-order selection: repeatedly pick the deepest
-    // undrawn NPC (ties broken by original index), which reproduces the
-    // order of a stable descending sort without a scratch vector. Scenes
-    // beyond the bitmask width fall back to a sorted index list.
-    let n_npcs = scene.npcs.len();
-    let depth = |i: usize| {
-        let rel = scene.npcs[i].pose(scene.track).pos - cam_pos;
-        fwd.dot(rel)
-    };
-    let draw_npc = |i: usize, img: &mut Image| {
-        let npc = &scene.npcs[i];
-        let pose = npc.pose(scene.track);
-        let rel = pose.pos - cam_pos;
-        let f = fwd.dot(rel);
-        let l = left.dot(rel);
-        if !(1.5..=95.0).contains(&f) {
-            return;
-        }
-        let px_center = cx - fx * l / f;
-        let py_bottom = cy + fy * cfg.cam_height / f;
-        let width_px = fx * npc.width / f;
-        let height_px = fy * 1.45 / f;
-        let x0 = (px_center - width_px / 2.0).floor().max(0.0) as usize;
-        let x1 = (px_center + width_px / 2.0).ceil().min(w as f64) as usize;
-        let y1 = py_bottom.min(h as f64).max(0.0) as usize;
-        let y0 = (py_bottom - height_px).floor().max(0.0) as usize;
-        if x0 >= x1 || y0 >= y1 {
-            return;
-        }
-        // Vehicle paint: strongly blue signature, shaded by distance and
-        // paint variety (the perception kernel keys on blueness).
-        let fade = 1.0 / (1.0 + 0.006 * f);
-        let shade = npc.shade as f64 * 10.0;
-        let base =
-            [(38.0 + shade) * fade, (42.0 + shade) * fade, (205.0 + shade).min(235.0) * fade];
-        let span_w = (x1 - x0).max(1) as f64;
-        let span = x1 - x0;
-        // Texture anchored to the vehicle body (4×4 panels) so the pattern
-        // shifts with the projected box. The panel coordinates are the only
-        // inputs to the texture key, so all 16 hashes hoist out of the
-        // pixel loops.
-        let mut panel = [[0.0f64; 4]; 4];
-        for (u, col) in panel.iter_mut().enumerate() {
-            for (v, t) in col.iter_mut().enumerate() {
-                *t = hash_amp(0xCAFE ^ (i as u64) << 8, (u as u64) * 16 + v as u64) * 14.0;
+        // --- vehicles, far to near ---
+        // Allocation-free draw-order selection: repeatedly pick the deepest
+        // undrawn NPC (ties broken by original index), which reproduces the
+        // order of a stable descending sort without a scratch vector. Scenes
+        // beyond the bitmask width fall back to a sorted index list.
+        let n_npcs = scene.npcs.len();
+        let depth = |i: usize| {
+            let rel = scene.npcs[i].pose(scene.track).pos - cam_pos;
+            fwd.dot(rel)
+        };
+        let mut draw_npc = |i: usize| {
+            let npc = &scene.npcs[i];
+            let pose = npc.pose(scene.track);
+            let rel = pose.pos - cam_pos;
+            let f = fwd.dot(rel);
+            let l = left.dot(rel);
+            if !(1.5..=95.0).contains(&f) {
+                return;
             }
-        }
-        RENDER_SCRATCH.with(|cell| {
-            let s = &mut *cell.borrow_mut();
-            s.hashes.resize(4 * w, 0);
-            s.noise.resize(4 * w, 0.0);
-            s.vals.resize(3 * w, 0.0);
-            let RenderScratch { hashes, noise, vals } = s;
+            let px_center = cx - fx * l / f;
+            let py_bottom = cy + fy * cfg.cam_height / f;
+            let width_px = fx * npc.width / f;
+            let height_px = fy * 1.45 / f;
+            let x0 = (px_center - width_px / 2.0).floor().max(0.0) as usize;
+            let x1 = (px_center + width_px / 2.0).ceil().min(w as f64) as usize;
+            let y1 = py_bottom.min(h as f64).max(0.0) as usize;
+            let y0 = (py_bottom - height_px).floor().max(0.0) as usize;
+            if x0 >= x1 || y0 >= y1 {
+                return;
+            }
+            // Vehicle paint: strongly blue signature, shaded by distance and
+            // paint variety (the perception kernel keys on blueness).
+            let fade = 1.0 / (1.0 + 0.006 * f);
+            let shade = npc.shade as f64 * 10.0;
+            let base =
+                [(38.0 + shade) * fade, (42.0 + shade) * fade, (205.0 + shade).min(235.0) * fade];
+            let span_w = (x1 - x0).max(1) as f64;
+            let span = x1 - x0;
+            // Texture anchored to the vehicle body (4×4 panels) so the pattern
+            // shifts with the projected box. The panel coordinates are the only
+            // inputs to the texture key, so all 16 hashes hoist out of the
+            // pixel loops.
+            let mut panel = [[0.0f64; 4]; 4];
+            for (u, col) in panel.iter_mut().enumerate() {
+                for (v, t) in col.iter_mut().enumerate() {
+                    *t = hash_amp(0xCAFE ^ (i as u64) << 8, (u as u64) * 16 + v as u64) * 14.0;
+                }
+            }
+            let (noise_box, vals_box) = (&mut noise_row[..3 * span], &mut vals_row[..3 * span]);
             for py in y0..y1 {
                 let v = ((py as f64 - y0 as f64) / (y1 - y0).max(1) as f64 * 4.0) as usize;
-                // Same flat affine noise strip as the background pass
-                // (`n = hash * pixel_noise * 2.0` equals `hash *
-                // noise_amp`: scaling by 2 commutes with rounding), offset
-                // to the box columns, in the same two vector-domain passes.
-                let hash_box = &mut hashes[..4 * span];
-                let noise_box = &mut noise[..4 * span];
-                for (j, slot) in hash_box.iter_mut().enumerate() {
-                    *slot = mix(noise_key ^ mix(((x0 * 4 + j) * 4096 + py) as u64));
-                }
-                for (slot, &hv) in noise_box.iter_mut().zip(hash_box.iter()) {
-                    *slot = ((hv >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * noise_amp;
-                }
-                let vals_box = &mut vals[..3 * span];
-                for (dx, v3) in vals_box.chunks_exact_mut(3).enumerate() {
+                // The box repaints the background's pixels with the same
+                // per-pixel noise: the same key-table bytes, same frame key.
+                let at = (py * w + x0) * 3;
+                fill_noise(noise_box, &keys[at..][..3 * span], noise_key, noise_amp);
+                for (dx, (v3, n)) in
+                    vals_box.chunks_exact_mut(3).zip(noise_box.chunks_exact(3)).enumerate()
+                {
                     let px = x0 + dx;
                     let u = ((px as f64 - x0 as f64) / span_w * 4.0) as usize;
                     let tex = panel[u][v];
-                    let n = &noise_box[dx * 4..dx * 4 + 3];
                     v3[0] = (base[0] + tex) + n[0];
                     v3[1] = (base[1] + tex) + n[1];
                     v3[2] = (base[2] + tex) + n[2];
                 }
-                let row = &mut img.data[(py * w + x0) * 3..][..span * 3];
+                let row = &mut img.data[at..][..span * 3];
                 for (o, &vv) in row.iter_mut().zip(vals_box.iter()) {
                     *o = quantize(vv);
                 }
             }
-        });
-    };
-    if n_npcs <= 128 {
-        let mut drawn: u128 = 0;
-        for _ in 0..n_npcs {
-            let mut best: Option<(usize, f64)> = None;
-            for i in 0..n_npcs {
-                if drawn & (1u128 << i) != 0 {
-                    continue;
+        };
+        if n_npcs <= 128 {
+            let mut drawn: u128 = 0;
+            for _ in 0..n_npcs {
+                let mut best: Option<(usize, f64)> = None;
+                for i in 0..n_npcs {
+                    if drawn & (1u128 << i) != 0 {
+                        continue;
+                    }
+                    let d = depth(i);
+                    if best.is_none_or(|(_, bd)| d > bd) {
+                        best = Some((i, d));
+                    }
                 }
-                let d = depth(i);
-                if best.is_none_or(|(_, bd)| d > bd) {
-                    best = Some((i, d));
-                }
+                let (i, _) = best.expect("an undrawn NPC remains");
+                drawn |= 1u128 << i;
+                draw_npc(i);
             }
-            let (i, _) = best.expect("an undrawn NPC remains");
-            drawn |= 1u128 << i;
-            draw_npc(i, img);
+        } else {
+            let mut order: Vec<usize> = (0..n_npcs).collect();
+            order.sort_by(|&a, &b| depth(b).partial_cmp(&depth(a)).expect("finite depths"));
+            for i in order {
+                draw_npc(i);
+            }
         }
-    } else {
-        let mut order: Vec<usize> = (0..n_npcs).collect();
-        order.sort_by(|&a, &b| depth(b).partial_cmp(&depth(a)).expect("finite depths"));
-        for i in order {
-            draw_npc(i, img);
-        }
-    }
+    });
 }
 
 /// Whether track coordinates `(lat, along)` fall on a lane marking.
