@@ -1,21 +1,70 @@
-//! Fig 5b as an executable check: consecutive simulator camera frames
-//! differ in a paper-like number of bits per pixel.
+//! Fig 5 as an executable check: consecutive sensor frames differ in a
+//! paper-like number of bits per value, and simulator frames less so than
+//! real-world-like ones.
 //!
 //! The DiverseAV detector assumes two agents fed alternate frames see
 //! bit-level different inputs (§V-A). The rasterizer's world texture and
-//! per-frame sensor noise exist to provide that; this test pins the
-//! measured percentiles of EXPERIMENTS.md E1–E3 and keeps them within one
-//! bit of the paper's.
+//! per-frame sensor noise exist to provide that; these tests pin the
+//! measured percentiles of EXPERIMENTS.md E1–E3 for the simulator cameras
+//! (Fig 5b) and the synthetic-KITTI streams (Fig 5a), keep each within one
+//! bit of the paper's except for one named deviation, and check the
+//! paper's ordering between the two camera sources.
 
-use diverseav_bench::experiments::sim_camera_diversity;
+use diverseav_analysis::DiversityStats;
+use diverseav_bench::experiments::{sim_camera_diversity, synth_stream_diversity};
 
 /// The paper's Fig 5b simulator-camera percentiles (p50, p90), in bits of 24.
-const PAPER: (f64, f64) = (5.0, 9.0);
+const PAPER_SIM: (f64, f64) = (5.0, 9.0);
+/// The paper's Fig 5a KITTI percentiles (p50, p90): camera (of 24 bits),
+/// IMU+GPS and LiDAR (of 32).
+const PAPER_CAMERA: (f64, f64) = (8.0, 13.0);
+const PAPER_IMU_GPS: (f64, f64) = (11.0, 15.0);
+const PAPER_LIDAR: (f64, f64) = (14.0, 18.0);
+
+fn p50_p90(s: DiversityStats) -> (f64, f64) {
+    (s.p50, s.p90)
+}
+
+/// Asserts `measured` is within one bit of `paper` in both percentiles.
+fn within_one_bit(name: &str, measured: (f64, f64), paper: (f64, f64)) {
+    assert!((measured.0 - paper.0).abs() <= 1.0, "{name} p50 {} vs paper {}", measured.0, paper.0);
+    assert!((measured.1 - paper.1).abs() <= 1.0, "{name} p90 {} vs paper {}", measured.1, paper.1);
+}
 
 #[test]
 fn simulator_camera_bit_diversity_matches_the_recorded_and_paper_values() {
+    let sim = p50_p90(sim_camera_diversity());
+    assert_eq!(sim, (6.0, 10.0), "EXPERIMENTS.md E1–E3 records 6 / 10 bits");
+    within_one_bit("simulator camera", sim, PAPER_SIM);
+}
+
+/// Fig 5a. Two percentiles fall outside one bit of the paper's, so only
+/// the recorded values pin them. The LiDAR p50 (10 against 14 bits) is an
+/// **expected deviation**: the synthetic LiDAR is a 2-D scan of vehicle
+/// boxes, so 88 % of its returns hit nothing and read the 80 m maximum
+/// range plus ±0.03 m noise, which changes only low mantissa bits between
+/// frames; KITTI's rays hit ground and buildings at ranges that move with
+/// the car. The camera p90 (11 against 13) is two bits low.
+#[test]
+fn synthetic_kitti_stream_diversity_matches_the_recorded_values() {
+    let streams = synth_stream_diversity();
+    let camera = p50_p90(streams.camera);
+    let imu_gps = p50_p90(streams.imu_gps);
+    let lidar = p50_p90(streams.lidar);
+    assert_eq!(camera, (7.0, 11.0), "EXPERIMENTS.md E1–E3 records camera 7 / 11 bits");
+    assert_eq!(imu_gps, (12.0, 16.0), "EXPERIMENTS.md E1–E3 records IMU+GPS 12 / 16 bits");
+    assert_eq!(lidar, (10.0, 17.0), "EXPERIMENTS.md E1–E3 records LiDAR 10 / 17 bits");
+    within_one_bit("IMU+GPS", imu_gps, PAPER_IMU_GPS);
+    assert!((camera.0 - PAPER_CAMERA.0).abs() <= 1.0, "camera p50 {camera:?}");
+    assert!((lidar.1 - PAPER_LIDAR.1).abs() <= 1.0, "LiDAR p90 {lidar:?}");
+}
+
+/// The paper's ordering: simulator frames (game-engine renders) are less
+/// bit-diverse than real-world camera frames, in both percentiles.
+#[test]
+fn simulator_camera_is_less_diverse_than_the_real_world_like_camera() {
     let sim = sim_camera_diversity();
-    assert_eq!((sim.p50, sim.p90), (6.0, 10.0), "EXPERIMENTS.md E1–E3 records 6 / 10 bits");
-    assert!((sim.p50 - PAPER.0).abs() <= 1.0, "p50 {} vs paper {}", sim.p50, PAPER.0);
-    assert!((sim.p90 - PAPER.1).abs() <= 1.0, "p90 {} vs paper {}", sim.p90, PAPER.1);
+    let real = synth_stream_diversity().camera;
+    assert!(sim.p50 < real.p50, "p50: simulator {} vs real-world-like {}", sim.p50, real.p50);
+    assert!(sim.p90 < real.p90, "p90: simulator {} vs real-world-like {}", sim.p90, real.p90);
 }

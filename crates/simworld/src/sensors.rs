@@ -20,6 +20,14 @@
 //! hash that depends on the pixel alone is computed once per resolution
 //! and kept in a table (see `KeyTable`), so the per-frame cost is one hash
 //! per channel byte.
+//!
+//! Each ground row is drawn in stride-1 passes over row buffers (see
+//! `GroundRow`) rather than one branchy loop per pixel: the flat-ground
+//! projection, an exact float→cell-index conversion, the shading, and one
+//! fused noise-add-and-quantize pass shared with the sky rows and the
+//! vehicle boxes. Every pass performs the same IEEE-754 operations in the
+//! same order as a per-pixel loop would, so the bytes do not depend on
+//! how LLVM vectorizes them.
 
 use crate::geometry::{Pose, Vec2};
 use crate::npc::Npc;
@@ -63,18 +71,21 @@ static LAST_KEYS: Mutex<Option<Arc<KeyTable>>> = Mutex::new(None);
 
 /// Per-thread state for [`render_camera_into`]: a handle on the key table
 /// of the thread's current resolution, taken or built only when the
-/// resolution changes, and two row buffers (`3 * w`) for the per-channel
-/// noise and the unquantized channel values, so hashing, adding and
-/// quantizing are stride-1 loops the autovectorizer runs wide.
+/// resolution changes, two channel row buffers (`3 * w`) for the noise and
+/// the unquantized, noise-free channel values, and the per-pixel buffers
+/// of one ground row. The noise, geometry, cell-index and quantize passes
+/// over them are stride-1 loops the autovectorizer runs wide; at 64 px
+/// the buffers take about 6 KB.
 struct RenderScratch {
     keys: Option<Arc<KeyTable>>,
     noise: Vec<f64>,
     vals: Vec<f64>,
+    ground: GroundRow,
 }
 
 impl RenderScratch {
     /// The key table and row buffers for a `w × h` image.
-    fn prepare(&mut self, w: usize, h: usize) -> (&[u64], &mut [f64], &mut [f64]) {
+    fn prepare(&mut self, w: usize, h: usize) -> (&[u64], &mut [f64], &mut [f64], &mut GroundRow) {
         let table = match self.keys.take() {
             Some(t) if t.dims == (w, h) => t,
             _ => shared_keys(w, h),
@@ -82,7 +93,41 @@ impl RenderScratch {
         let keys = &self.keys.insert(table).keys;
         self.noise.resize(3 * w, 0.0);
         self.vals.resize(3 * w, 0.0);
-        (keys, &mut self.noise[..3 * w], &mut self.vals[..3 * w])
+        self.ground.resize(w);
+        (keys, &mut self.noise[..3 * w], &mut self.vals[..3 * w], &mut self.ground)
+    }
+}
+
+/// The per-pixel quantities of one ground row, one buffer each: track
+/// coordinates (`lat`, `along`), the floored doubled world coordinates
+/// (the 0.5 m texture cell, as f64), and the cells as hash words.
+struct GroundRow {
+    lat: Vec<f64>,
+    along: Vec<f64>,
+    floor_x: Vec<f64>,
+    floor_y: Vec<f64>,
+    cell_x: Vec<u64>,
+    cell_y: Vec<u64>,
+}
+
+impl GroundRow {
+    const fn new() -> GroundRow {
+        GroundRow {
+            lat: Vec::new(),
+            along: Vec::new(),
+            floor_x: Vec::new(),
+            floor_y: Vec::new(),
+            cell_x: Vec::new(),
+            cell_y: Vec::new(),
+        }
+    }
+
+    fn resize(&mut self, w: usize) {
+        for buf in [&mut self.lat, &mut self.along, &mut self.floor_x, &mut self.floor_y] {
+            buf.resize(w, 0.0);
+        }
+        self.cell_x.resize(w, 0);
+        self.cell_y.resize(w, 0);
     }
 }
 
@@ -105,7 +150,12 @@ thread_local! {
     /// frames, so the campaign hot path stays allocation-free in steady
     /// state.
     static RENDER_SCRATCH: RefCell<RenderScratch> = const {
-        RefCell::new(RenderScratch { keys: None, noise: Vec::new(), vals: Vec::new() })
+        RefCell::new(RenderScratch {
+            keys: None,
+            noise: Vec::new(),
+            vals: Vec::new(),
+            ground: GroundRow::new(),
+        })
     };
     static SEGMENTS: RefCell<Vec<(Vec2, Vec2)>> = const { RefCell::new(Vec::new()) };
 }
@@ -358,6 +408,11 @@ fn fill_noise(out: &mut [f64], keys: &[u64], noise_key: u64, amp: f64) {
     }
 }
 
+/// 1.5 · 2⁵²: adding it to an integer-valued `f` with `|f| < 2⁵¹` lands in
+/// `[2⁵², 2⁵³)`, where the spacing of doubles is exactly 1, so the sum is
+/// exact and its bit pattern is `MAGIC.to_bits() + f`.
+const MAGIC: f64 = 6_755_399_441_055_744.0;
+
 /// Quantize a channel value to a byte: round half away from zero, clamp to
 /// `[0, 255]`.
 ///
@@ -378,9 +433,9 @@ fn fill_noise(out: &mut [f64], keys: &[u64], noise_key: u64, amp: f64) {
 ///    way.
 /// 2. `max(0)`/`min(255)` clamp; `NaN.max(0.0)` is `0.0`, matching the
 ///    `NaN → 0` of the saturating cast.
-/// 3. The result is integer-valued in `[0, 255]`, so adding 2⁵² places it
-///    exactly in the low mantissa bits and the low byte of the bit pattern
-///    *is* the answer.
+/// 3. The result is integer-valued in `[0, 255]`, so adding [`MAGIC`]
+///    places it exactly in the low mantissa bits and the low byte of the
+///    bit pattern *is* the answer.
 #[inline]
 fn quantize(v: f64) -> u8 {
     let r = (v + 0.5).floor();
@@ -388,7 +443,40 @@ fn quantize(v: f64) -> u8 {
     // Not `clamp`: `NaN.max(0.0)` is 0.0 (step 2 above), `NaN.clamp` is NaN.
     #[allow(clippy::manual_clamp)]
     let r = r.max(0.0).min(255.0);
-    ((r + 6_755_399_441_055_744.0).to_bits() & 0xFF) as u8
+    ((r + MAGIC).to_bits() & 0xFF) as u8
+}
+
+/// Quantize `vals[i] + noise[i]` into `out[i]`: the last pass of every
+/// drawn row, sky, ground and vehicle box alike.
+#[inline]
+fn add_noise_quantize(out: &mut [u8], vals: &[f64], noise: &[f64]) {
+    for ((o, &v), &n) in out.iter_mut().zip(vals).zip(noise) {
+        *o = quantize(v + n);
+    }
+}
+
+/// Convert floored values to texture-cell hash words: `out[i] = floors[i]
+/// as i64 as u64`, bit-equal to the saturating cast for every input.
+///
+/// When every value of the row has `|f| < 2⁵¹` (false for NaN and ±∞) the
+/// conversion is the exact magic-number subtraction, which LLVM
+/// vectorizes; the saturating cast, with its NaN and range checks, keeps a
+/// loop scalar. Integer-valued `f` in that range, `-0.0` included, gives
+/// `(f + MAGIC).to_bits() - MAGIC.to_bits() = f`. Any other row takes the
+/// saturating cast itself.
+fn cell_words(floors: &[f64], out: &mut [u64]) {
+    const LIMIT: f64 = (1u64 << 51) as f64;
+    // `fold`, not `all`: a short-circuit would keep the test scalar.
+    if floors.iter().fold(true, |ok, &f| ok & (f.abs() < LIMIT)) {
+        let bias = MAGIC.to_bits() as i64;
+        for (o, &f) in out.iter_mut().zip(floors) {
+            *o = ((f + MAGIC).to_bits() as i64 - bias) as u64;
+        }
+    } else {
+        for (o, &f) in out.iter_mut().zip(floors) {
+            *o = f as i64 as u64;
+        }
+    }
 }
 
 /// Render one camera of the scene.
@@ -431,7 +519,11 @@ pub fn render_camera_into(
 
     RENDER_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
-        let (keys, noise_row, vals_row) = scratch.prepare(w, h);
+        let (keys, noise_row, vals_row, ground) = scratch.prepare(w, h);
+        let GroundRow { lat, along, floor_x, floor_y, cell_x, cell_y } = ground;
+        let (lat, along) = (&mut lat[..w], &mut along[..w]);
+        let (floor_x, floor_y) = (&mut floor_x[..w], &mut floor_y[..w]);
+        let (cell_x, cell_y) = (&mut cell_x[..w], &mut cell_y[..w]);
 
         // --- ground & sky ---
         for py in 0..h {
@@ -442,16 +534,10 @@ pub fn render_camera_into(
                 // Sky: vertical gradient, slightly blue-gray.
                 let t = yf / cy;
                 let base = [120.0 + 50.0 * t, 135.0 + 40.0 * t, 150.0 + 30.0 * t];
-                // Stage unquantized channel values flat, then quantize the
-                // whole row in one pass the vectorizer can chew through.
-                for (v3, n) in vals_row.chunks_exact_mut(3).zip(noise_row.chunks_exact(3)) {
-                    v3[0] = base[0] + n[0];
-                    v3[1] = base[1] + n[1];
-                    v3[2] = base[2] + n[2];
+                for v3 in vals_row.chunks_exact_mut(3) {
+                    v3.copy_from_slice(&base);
                 }
-                for (o, &v) in row.iter_mut().zip(vals_row.iter()) {
-                    *o = quantize(v);
-                }
+                add_noise_quantize(row, vals_row, noise_row);
                 continue;
             }
             // Ground row: view distance from the flat-ground projection.
@@ -465,49 +551,48 @@ pub fn render_camera_into(
             let nrm = tdir.perp();
             // Row invariants: every pixel of the row shares the same view
             // depth, so the forward offset, pixel footprint, and marking
-            // half-width hoist out of the pixel loop.
+            // half-width hoist out of the pixel loops.
             let row_base = cam_pos + fwd * d;
             let ground_px_size = d / fx; // meters per pixel at this depth
             let mark_halfwidth = (0.09f64).max(ground_px_size * 0.5);
-            // Texture of the last 0.5 m cell: far rows map runs of
-            // neighbouring pixels to one cell, which then hashes once.
-            let mut last_cell: Option<(u64, u64, f64)> = None;
-            for (px, (v3, n)) in
-                vals_row.chunks_exact_mut(3).zip(noise_row.chunks_exact(3)).enumerate()
-            {
-                let l = -((px as f64 + 0.5) - cx) * d / fx;
-                let wp = row_base + left * l;
-                let rel = wp - c;
-                let lat = nrm.dot(rel);
-                let along = row_s + tdir.dot(rel);
 
+            // Pass 1, geometry: each pixel's world point, its track
+            // coordinates, and its 0.5 m texture cell, floored but still
+            // f64. The operations are those of `Vec2` arithmetic, spelled
+            // out per component so no cast breaks the vector loop.
+            for px in 0..w {
+                let l = -((px as f64 + 0.5) - cx) * d / fx;
+                let (wx, wy) = (row_base.x + left.x * l, row_base.y + left.y * l);
+                let (rx, ry) = (wx - c.x, wy - c.y);
+                lat[px] = nrm.x * rx + nrm.y * ry;
+                along[px] = row_s + (tdir.x * rx + tdir.y * ry);
+                floor_x[px] = (wx * 2.0).floor();
+                floor_y[px] = (wy * 2.0).floor();
+            }
+            // Pass 2: the cells as hash words.
+            cell_words(floor_x, cell_x);
+            cell_words(floor_y, cell_y);
+            // Pass 3, shade: surface colour plus world-anchored texture.
+            // Hashing every pixel's cell costs less than caching runs of
+            // one cell: the cache's data-dependent branch mispredicts.
+            let cells = cell_x.iter().zip(cell_y.iter());
+            let track = lat.iter().zip(along.iter()).zip(cells);
+            for (v3, ((&lat, &along), (&ix, &iy))) in vals_row.chunks_exact_mut(3).zip(track) {
                 let on_road = (-LANE_WIDTH / 2.0 - 0.3..=1.5 * LANE_WIDTH + 0.3).contains(&lat);
-                let marking = marking_at(lat, along, mark_halfwidth);
-                let base: [f64; 3] = if marking {
+                let base: [f64; 3] = if marking_at(lat, along, mark_halfwidth) {
                     [205.0, 205.0, 198.0]
                 } else if on_road {
                     [56.0, 56.0, 59.0]
                 } else {
                     [76.0, 94.0, 52.0]
                 };
-                // World-anchored texture (0.5 m cells).
-                let cellx = (wp.x * 2.0).floor() as i64 as u64;
-                let celly = (wp.y * 2.0).floor() as i64 as u64;
-                let tex = match last_cell {
-                    Some((x, y, tex)) if (x, y) == (cellx, celly) => tex,
-                    _ => {
-                        let tex = hash_amp(cellx, celly) * cfg.texture_amp;
-                        last_cell = Some((cellx, celly, tex));
-                        tex
-                    }
-                };
-                v3[0] = base[0] + tex + n[0];
-                v3[1] = base[1] + tex + n[1];
-                v3[2] = base[2] + tex + n[2];
+                let tex = hash_amp(ix, iy) * cfg.texture_amp;
+                v3[0] = base[0] + tex;
+                v3[1] = base[1] + tex;
+                v3[2] = base[2] + tex;
             }
-            for (o, &v) in row.iter_mut().zip(vals_row.iter()) {
-                *o = quantize(v);
-            }
+            // Pass 4: `(base + tex) + noise`, quantized.
+            add_noise_quantize(row, vals_row, noise_row);
         }
 
         // --- vehicles, far to near ---
@@ -565,20 +650,15 @@ pub fn render_camera_into(
                 // per-pixel noise: the same key-table bytes, same frame key.
                 let at = (py * w + x0) * 3;
                 fill_noise(noise_box, &keys[at..][..3 * span], noise_key, noise_amp);
-                for (dx, (v3, n)) in
-                    vals_box.chunks_exact_mut(3).zip(noise_box.chunks_exact(3)).enumerate()
-                {
+                for (dx, v3) in vals_box.chunks_exact_mut(3).enumerate() {
                     let px = x0 + dx;
                     let u = ((px as f64 - x0 as f64) / span_w * 4.0) as usize;
                     let tex = panel[u][v];
-                    v3[0] = (base[0] + tex) + n[0];
-                    v3[1] = (base[1] + tex) + n[1];
-                    v3[2] = (base[2] + tex) + n[2];
+                    v3[0] = base[0] + tex;
+                    v3[1] = base[1] + tex;
+                    v3[2] = base[2] + tex;
                 }
-                let row = &mut img.data[at..][..span * 3];
-                for (o, &vv) in row.iter_mut().zip(vals_box.iter()) {
-                    *o = quantize(vv);
-                }
+                add_noise_quantize(&mut img.data[at..][..span * 3], vals_box, noise_box);
             }
         };
         if n_npcs <= 128 {
@@ -683,6 +763,7 @@ pub fn lidar_scan_into(cfg: &SensorConfig, scene: &RenderScene<'_>, out: &mut Ve
 mod tests {
     use super::*;
     use crate::npc::NpcBehavior;
+    use proptest::prelude::*;
 
     fn scene_with<'a>(track: &'a Track, npcs: &'a [Npc], seed: u64) -> RenderScene<'a> {
         RenderScene { track, ego: Pose::new(Vec2::ZERO, 0.0), ego_s: 0.0, npcs, frame_seed: seed }
@@ -882,6 +963,82 @@ mod tests {
         }
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0] {
             assert_eq!(quantize(v), naive(v), "edge case {v:?}");
+        }
+    }
+
+    /// Floors `values` and checks that [`cell_words`] converts the row
+    /// exactly as the saturating `f.floor() as i64 as u64` of each value.
+    fn check_cell_words(values: &[f64]) -> Result<(), String> {
+        let floors: Vec<f64> = values.iter().map(|v| v.floor()).collect();
+        let mut out = vec![0xDEAD; floors.len()];
+        cell_words(&floors, &mut out);
+        for (i, (&f, &o)) in floors.iter().zip(&out).enumerate() {
+            if o != f as i64 as u64 {
+                return Err(format!("pixel {i}: floor {f:?} gave {o:#x}, want {:#x}", f as i64));
+            }
+        }
+        Ok(())
+    }
+
+    /// The cell conversion's edge cases, one value per row and all in one
+    /// row: signed zeros and halves, the 2⁵¹ boundary of the magic-number
+    /// path, 2⁵² and 2⁶³, subnormals, infinities and NaN; and a row of
+    /// in-range values with one out-of-range value at each position in
+    /// turn, which must take the saturating cast for the whole row.
+    #[test]
+    fn cell_words_match_the_saturating_cast_at_the_edges() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut edges = vec![
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_0001),
+        ];
+        for v in [0.0, 0.5, two(51) - 1.0, two(51), two(52), two(63)] {
+            edges.extend([v, -v]);
+        }
+        edges.extend(edges.clone().iter().map(|v| -v));
+        for &v in &edges {
+            check_cell_words(&[v]).unwrap();
+        }
+        check_cell_words(&edges).unwrap();
+        let in_range: Vec<f64> = (0..64).map(|i| (i as f64 - 31.7) * 1.3e13).collect();
+        check_cell_words(&in_range).unwrap();
+        for out_of_range in [two(51), -two(51), two(63), f64::NAN, f64::NEG_INFINITY] {
+            for at in 0..in_range.len() {
+                let mut row = in_range.clone();
+                row[at] = out_of_range;
+                check_cell_words(&row).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        /// Rows of arbitrary f64 bit patterns, NaN payloads and infinities
+        /// included.
+        #[test]
+        fn cell_words_match_the_saturating_cast_on_any_bits(
+            bits in proptest::collection::vec(any::<u64>(), 1..80)
+        ) {
+            let row: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            check_cell_words(&row).map_err(TestCaseError)?;
+        }
+
+        /// Rows whose magnitudes mostly lie below 2⁵¹, so the magic-number
+        /// path runs, with exponents reaching past the boundary.
+        #[test]
+        fn cell_words_match_the_saturating_cast_near_the_boundary(
+            bits in proptest::collection::vec(any::<u64>(), 1..80),
+            exp_span in 1u64..54
+        ) {
+            // Keep sign and mantissa; the magnitude lands in [1, 2^exp_span).
+            let row: Vec<f64> = bits
+                .iter()
+                .map(|&b| f64::from_bits(b & 0x800F_FFFF_FFFF_FFFF | (1023 + b % exp_span) << 52))
+                .collect();
+            check_cell_words(&row).map_err(TestCaseError)?;
         }
     }
 }
