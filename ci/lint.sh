@@ -8,7 +8,9 @@
 # Gate 2: no `Instant::now` outside the files in ci/instant_allowlist.txt.
 #         Wall-clock reads belong to obs::profile's Wall mode and the
 #         harness timing layer; anywhere else they threaten the
-#         bit-identical merge invariant.
+#         bit-identical merge invariant. Every allowlist entry must name
+#         an existing file or directory, so a deleted or moved file
+#         cannot leave its exemption behind.
 # Gate 3: no `&mut SensorFrame` outside the sensor-fault injection hook.
 #         The frame between World::capture_into and the driver is mutated
 #         in exactly one sanctioned place (runtime::inject, applied by
@@ -50,6 +52,17 @@ while IFS= read -r line; do
     line="$(echo "$line" | tr -d '[:space:]')"
     [[ -n "$line" ]] && allowed+=("$line")
 done < ci/instant_allowlist.txt
+
+stale=""
+for prefix in "${allowed[@]}"; do
+    [[ -e "$prefix" ]] || stale+="  $prefix"$'\n'
+done
+if [[ -n "$stale" ]]; then
+    echo "lint: ci/instant_allowlist.txt entries that match no file or directory" >&2
+    echo "(remove them; an exemption must not outlive its file):" >&2
+    printf '%s' "$stale" >&2
+    fail=1
+fi
 
 instant_hits=""
 while IFS= read -r hit; do
@@ -115,4 +128,4 @@ fi
 if [[ $fail -ne 0 ]]; then
     exit 1
 fi
-echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner)"
+echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no stale allowlist entry, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner)"

@@ -1,13 +1,11 @@
 //! Criterion micro-benchmarks of the performance-critical components:
-//! fabric interpreter throughput, camera rasterization, full agent
-//! inference, world stepping, and detector updates.
+//! fabric interpreter throughput, camera rasterization, LiDAR sweeps, the
+//! ADS tick and world stepping. Full agent inference and detector updates
+//! are timed by the benchmark of record instead (`perfbench`'s
+//! `agent.step_us` and `core.observe_ns` probes).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use diverseav::{
-    Ads, AdsConfig, AgentMode, DetectorConfig, DetectorModel, Divergence, OnlineDetector,
-    TrainSample, VehState,
-};
-use diverseav_agent::{AgentConfig, SensorimotorAgent};
+use diverseav::{Ads, AdsConfig, AgentMode, VehState};
 use diverseav_fabric::{Fabric, Profile, ProgramBuilder, Reg};
 use diverseav_runtime::{PolicyDriver, SimLoop};
 use diverseav_simworld::{
@@ -110,19 +108,6 @@ fn lidar_sweep(c: &mut Criterion) {
     });
 }
 
-/// Full agent inference (GPU perception + CPU control on the fabric).
-fn agent_inference(c: &mut Criterion) {
-    let mut world = World::new(lead_slowdown(), SensorConfig::default(), 8);
-    let frame = world.sense();
-    let hint = world.route_hint();
-    c.bench_function("agent/full_inference_step", |bench| {
-        let mut agent = SensorimotorAgent::new(AgentConfig::default(), 1);
-        let mut gpu = Fabric::new(Profile::Gpu);
-        let mut cpu = Fabric::new(Profile::Cpu);
-        bench.iter(|| agent.step(&frame, hint, 0.025, &mut gpu, &mut cpu).expect("fault-free"));
-    });
-}
-
 /// One ADS tick in DiverseAV mode (sense excluded).
 fn ads_tick(c: &mut Criterion) {
     let mut world = World::new(lead_slowdown(), SensorConfig::default(), 9);
@@ -155,32 +140,9 @@ fn world_step(c: &mut Criterion) {
     });
 }
 
-/// Online detector observation (the runtime monitoring cost).
-fn detector_observe(c: &mut Criterion) {
-    let training: Vec<Vec<TrainSample>> = vec![(0..2000)
-        .map(|i| TrainSample {
-            t: i as f64 * 0.025,
-            state: VehState { v: (i % 9) as f64, a: 0.0, w: 0.0, alpha: 0.0 },
-            div: Divergence { throttle: 0.01, brake: 0.01, steer: 0.002 },
-        })
-        .collect()];
-    let cfg = DetectorConfig::default();
-    let model = DetectorModel::train(&training, &cfg);
-    c.bench_function("detector/observe", |bench| {
-        let mut det = OnlineDetector::new(model.clone(), cfg);
-        let state = VehState { v: 5.0, a: 0.2, w: 0.01, alpha: 0.0 };
-        let div = Divergence { throttle: 0.005, brake: 0.0, steer: 0.001 };
-        let mut t = 0.0;
-        bench.iter(|| {
-            t += 0.025;
-            det.observe(&state, div, t)
-        });
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = interpreter_throughput, kernel_launch, camera_render, lidar_sweep, agent_inference, ads_tick, world_step, detector_observe
+    targets = interpreter_throughput, kernel_launch, camera_render, lidar_sweep, ads_tick, world_step
 }
 criterion_main!(benches);

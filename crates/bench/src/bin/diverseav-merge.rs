@@ -1,17 +1,12 @@
-//! Merge shard artifacts into the monolithic campaign reports — or
-//! stamp a CI wall-clock entry into a bench document.
+//! Merge shard artifacts into the monolithic campaign reports.
 //!
 //! ```text
-//! # validate + merge shards into the Table-I / bench / metrics outputs
-//! diverseav-merge [--td 2.0] [--table PATH] [--bench PATH] \
+//! # validate + merge shards into the Table-I / metrics / journal outputs
+//! diverseav-merge [--td 2.0] [--table PATH] \
 //!                 [--deterministic PATH] [--metrics PATH] \
 //!                 [--journal PATH] [--incidents PATH] \
 //!                 [--weighted] [--epoch-summary PATH] \
 //!                 [--guided-report PATH] SHARD.jsonl...
-//!
-//! # append a wall-clock-only entry to a rendered bench document
-//! diverseav-merge --stamp-wall BENCH_campaigns.json \
-//!                 --label "ci checks threads=4" --secs 123 [--phase ci]
 //! ```
 //!
 //! The merge refuses to produce output from an inconsistent shard set:
@@ -90,7 +85,6 @@ fn run() -> Result<(), Failure> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut td = 2.0f64;
     let mut table_path = None;
-    let mut bench_path = None;
     let mut det_path = None;
     let mut metrics_path = None;
     let mut journal_path = None;
@@ -98,10 +92,6 @@ fn run() -> Result<(), Failure> {
     let mut weighted = false;
     let mut epoch_summary_path = None;
     let mut guided_report_path = None;
-    let mut stamp = None;
-    let mut label = None;
-    let mut phase = "ci".to_string();
-    let mut secs = None;
     let mut shards: Vec<String> = Vec::new();
     let mut i = 0;
     let next = |i: &mut usize, flag: &str| -> Result<String, String> {
@@ -114,7 +104,6 @@ fn run() -> Result<(), Failure> {
                 td = next(&mut i, "--td")?.parse::<f64>().map_err(|e| format!("--td: {e}"))?;
             }
             "--table" => table_path = Some(next(&mut i, "--table")?),
-            "--bench" => bench_path = Some(next(&mut i, "--bench")?),
             "--deterministic" => det_path = Some(next(&mut i, "--deterministic")?),
             "--metrics" => metrics_path = Some(next(&mut i, "--metrics")?),
             "--journal" => journal_path = Some(next(&mut i, "--journal")?),
@@ -122,32 +111,12 @@ fn run() -> Result<(), Failure> {
             "--weighted" => weighted = true,
             "--epoch-summary" => epoch_summary_path = Some(next(&mut i, "--epoch-summary")?),
             "--guided-report" => guided_report_path = Some(next(&mut i, "--guided-report")?),
-            "--stamp-wall" => stamp = Some(next(&mut i, "--stamp-wall")?),
-            "--label" => label = Some(next(&mut i, "--label")?),
-            "--phase" => phase = next(&mut i, "--phase")?,
-            "--secs" => {
-                secs = Some(
-                    next(&mut i, "--secs")?.parse::<f64>().map_err(|e| format!("--secs: {e}"))?,
-                );
-            }
             other if other.starts_with("--") => {
                 return Err(format!("unknown argument: {other} (see the crate docs)").into());
             }
             path => shards.push(path.to_string()),
         }
         i += 1;
-    }
-
-    if let Some(bench_doc) = stamp {
-        if !shards.is_empty() {
-            return Err("--stamp-wall takes no shard arguments".into());
-        }
-        let label = label.ok_or("--stamp-wall needs --label")?;
-        let secs = secs.ok_or("--stamp-wall needs --secs")?;
-        let stamped = merge::stamp_wall(&read(&bench_doc)?, &label, &phase, secs)?;
-        write(&bench_doc, &stamped)?;
-        eprintln!("stamped {label:?} ({secs} s, phase {phase:?}) into {bench_doc}");
-        return Ok(());
     }
 
     if shards.is_empty() {
@@ -174,7 +143,7 @@ fn run() -> Result<(), Failure> {
         eprintln!(
             "merged {}: {} shard(s), {} golden + {} injected run(s){}",
             m.manifest.campaign,
-            m.shards.len(),
+            m.manifest.shard_count,
             m.golden.len(),
             m.injected.len(),
             match &m.guided {
@@ -224,11 +193,6 @@ fn run() -> Result<(), Failure> {
     }
     if let Some(path) = &guided_report_path {
         write(path, &merge::guided_report_doc(&merged, td)?)?;
-    }
-    if let Some(path) = &bench_path {
-        let threads = diverseav_faultinj::thread_count();
-        let cores = diverseav_faultinj::detected_parallelism();
-        write(path, &merge::bench_doc(&merged, cores, threads))?;
     }
     if let Some(path) = &det_path {
         write(path, &merge::deterministic_doc(&merged, td))?;

@@ -1,5 +1,5 @@
 //! Trace-analysis CLI over the `DIVERSEAV_TRACE` journal, the metrics
-//! snapshot, and the bench timings.
+//! snapshot, incident artifacts and guided-campaign reports.
 //!
 //! ```text
 //! # analyze a traced run (summary + distributions, optional exports)
@@ -10,22 +10,11 @@
 //! # sidecar or a merged incident set); combines with --trace or alone
 //! diverseav-tracecheck --forensics INCIDENTS.jsonl
 //!
-//! # bench-regression check: flag >20 % ticks_per_sec drops
-//! diverseav-tracecheck --baseline BENCH_baseline.json \
-//!                      --bench-diff BENCH_campaigns.json [--bench-diff-pct 20]
-//!
 //! # guided-campaign report: allocation table + ESS health, optional
 //! # weighted-estimate tolerance check against a committed fixture
 //! diverseav-tracecheck --guided GUIDED_report.json \
 //!                      [--expect tests/fixtures/guided_expected_lsd.json]
 //! ```
-//!
-//! `--bench-diff-pct N` sets the regression threshold in percent
-//! (default 20). Both bench documents must be complete
-//! `BENCH_campaigns.json` renderings. When the fresh bench document carries guided entries (phase
-//! `"guided"` with `critical` counts), `--bench-diff` also prints a
-//! non-blocking `guided_speedup:` line comparing guided vs uniform
-//! safety-critical-outcomes-per-run-budget yield.
 //!
 //! `--guided` prints the per-epoch allocation table and effective
 //! sample size from a `diverseav-merge --guided-report` document, with
@@ -34,10 +23,8 @@
 //! weighted Table-I cell against the fixture's precomputed
 //! uniform-enumeration values ± tolerance; violations exit 2.
 //!
-//! Exit codes: 0 clean, 1 on unreadable/malformed/empty inputs —
-//! including a missing or unparsable baseline, which is a hard failure,
-//! never a silent pass — 2 when the bench diff found regressions, the
-//! guided ESS collapsed, or weighted estimates left the fixture
+//! Exit codes: 0 clean, 1 on unreadable/malformed/empty inputs, 2 when
+//! the guided ESS collapsed or weighted estimates left the fixture
 //! tolerance (so CI can treat it as a warning gate distinct from hard
 //! failure).
 
@@ -54,12 +41,9 @@ fn run() -> Result<ExitCode, String> {
     let mut trace_path = None;
     let mut metrics_path = None;
     let mut chrome_path = None;
-    let mut baseline_path: Option<String> = None;
-    let mut bench_diff: Option<String> = None;
     let mut forensics_path = None;
     let mut guided_path = None;
     let mut expect_path = None;
-    let mut threshold = 0.20;
     let mut i = 0;
     let next = |i: &mut usize, flag: &str| -> Result<String, String> {
         *i += 1;
@@ -70,53 +54,12 @@ fn run() -> Result<ExitCode, String> {
             "--trace" => trace_path = Some(next(&mut i, "--trace")?),
             "--metrics" => metrics_path = Some(next(&mut i, "--metrics")?),
             "--chrome" => chrome_path = Some(next(&mut i, "--chrome")?),
-            "--baseline" => baseline_path = Some(next(&mut i, "--baseline")?),
-            "--bench-diff" => bench_diff = Some(next(&mut i, "--bench-diff")?),
-            "--bench-diff-pct" => {
-                threshold = next(&mut i, "--bench-diff-pct")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("--bench-diff-pct: {e}"))?
-                    / 100.0;
-            }
             "--forensics" => forensics_path = Some(next(&mut i, "--forensics")?),
             "--guided" => guided_path = Some(next(&mut i, "--guided")?),
             "--expect" => expect_path = Some(next(&mut i, "--expect")?),
             other => return Err(format!("unknown argument: {other} (see the crate docs)")),
         }
         i += 1;
-    }
-
-    if let Some(new_path) = bench_diff {
-        let old_path = baseline_path
-            .ok_or("--bench-diff needs a baseline: --baseline PATH --bench-diff FRESH")?;
-        let parse = |path: &str| -> Result<json::Value, String> {
-            json::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))
-        };
-        let fresh = parse(&new_path)?;
-        let warnings = tracecheck::bench_diff_checked(
-            &parse(&old_path).map_err(|e| format!("baseline: {e}"))?,
-            &fresh,
-            threshold,
-        )?;
-        // Informational yield comparison: never gates the exit code.
-        if let Some(line) = tracecheck::guided_speedup(&fresh)? {
-            println!("{line}");
-        }
-        if warnings.is_empty() {
-            println!(
-                "bench diff: no entry dropped more than {:.0} % ticks_per_sec",
-                threshold * 100.0
-            );
-            return Ok(ExitCode::SUCCESS);
-        }
-        println!("bench diff: {} regression(s) beyond {:.0} %:", warnings.len(), threshold * 100.0);
-        for w in &warnings {
-            println!("  {w}");
-        }
-        return Ok(ExitCode::from(2));
-    }
-    if baseline_path.is_some() {
-        return Err("--baseline only makes sense together with --bench-diff".into());
     }
 
     if let Some(guided_path) = &guided_path {
@@ -159,9 +102,7 @@ fn run() -> Result<ExitCode, String> {
     }
 
     let Some(trace_path) = trace_path else {
-        return Err("nothing to do: pass --trace PATH, --forensics PATH, --guided REPORT, \
-             or --baseline OLD --bench-diff NEW"
-            .into());
+        return Err("nothing to do: pass --trace PATH, --forensics PATH or --guided REPORT".into());
     };
     let trace = tracecheck::parse_trace(&read(&trace_path)?).map_err(|errs| {
         format!("{} parse error(s) in {trace_path}:\n  {}", errs.len(), errs.join("\n  "))

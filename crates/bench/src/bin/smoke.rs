@@ -1,7 +1,7 @@
 //! End-to-end smoke run: a miniature version of the detector evaluation
 //! pipeline, for fast sanity checks during development — plus a
-//! sequential-vs-parallel timing comparison of one quick campaign,
-//! flushed to `BENCH_campaigns.json`.
+//! sequential-vs-parallel timing comparison of one quick campaign and a
+//! guided-vs-uniform yield comparison at a matched run budget.
 //!
 //! ```text
 //! cargo run --release -p diverseav-bench --bin smoke
@@ -10,7 +10,6 @@
 use diverseav::{AgentMode, DetectorConfig, DetectorModel};
 use diverseav_bench::evaluate_cell;
 use diverseav_bench::experiments::{gpu_campaigns, training, BEST_RW, BEST_TD};
-use diverseav_bench::perf;
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
     detected_parallelism, execute_shard, guided_epoch_summary, is_safety_critical, merge_artifacts,
@@ -107,15 +106,12 @@ fn main() {
     let time_with = |label: &str, threads: usize| -> f64 {
         std::env::set_var("DIVERSEAV_THREADS", threads.to_string());
         let ticks_before = metrics::counter_get("runtime.ticks");
-        let misses_before = metrics::counter_get("deadline.misses");
         let start = Instant::now();
         let result =
             run_campaign_with_traces(campaign, &scale, None, SensorConfig::default(), true);
         let secs = start.elapsed().as_secs_f64();
         let ticks = metrics::counter_get("runtime.ticks") - ticks_before;
-        let misses = metrics::counter_get("deadline.misses") - misses_before;
         let runs = result.golden.len() + result.injected.len();
-        perf::record(format!("smoke {campaign} [{label}]"), "smoke", secs, runs, ticks, misses);
         println!(
             "  {label:<28} {secs:>8.3} s  ({runs} runs, {:.1} runs/s, {:.0} ticks/s)",
             runs as f64 / secs,
@@ -135,18 +131,15 @@ fn main() {
     let b: Vec<usize> = (0..32).map(|i| i * 7 + 1).collect();
     assert_eq!(a, b, "engine must be order-identical to sequential");
 
-    // Guided-vs-uniform yield at a matched run budget: the `critical`
-    // counts recorded here are what `diverseav-tracecheck --bench-diff`
-    // turns into the non-blocking guided_speedup line. The budget is big
+    // Guided-vs-uniform yield at a matched run budget. The budget is big
     // enough for the pilot epoch to find signal, but a few dozen runs is
-    // still a high-variance estimate — treat the line as a diagnostic,
+    // still a high-variance estimate — treat the lines as a diagnostic,
     // not a benchmark (the stable guided win is variance, not raw yield;
     // see the budget-vs-variance table in EXPERIMENTS.md).
     let yscale = CampaignScale { n_transient: 24, ..scale };
     println!("\nguided-vs-uniform yield ({campaign}, matched budget) ...");
-    let yield_line = |label: &str, phase: &str, secs: f64, runs: usize, crit: u64| {
+    let yield_line = |label: &str, secs: f64, runs: usize, crit: u64| {
         println!("  {label:<28} {crit:>3} safety-critical / {runs} runs ({secs:.3} s)");
-        perf::record_critical(format!("{campaign} [{label}]"), phase, secs, runs, 0, 0, crit);
     };
     let start = Instant::now();
     let uniform = run_campaign(campaign, &yscale, None, SensorConfig::default());
@@ -155,19 +148,13 @@ fn main() {
         .iter()
         .filter(|r| is_safety_critical(r.incident.map(|k| k.label())))
         .count() as u64;
-    yield_line(
-        "uniform yield",
-        "uniform",
-        start.elapsed().as_secs_f64(),
-        uniform.injected.len(),
-        ucrit,
-    );
+    yield_line("uniform yield", start.elapsed().as_secs_f64(), uniform.injected.len(), ucrit);
     let start = Instant::now();
     let guided = guided_campaign(campaign, yscale, 2);
     let gcrit =
         guided.injected.iter().filter(|r| is_safety_critical(r.incident.as_deref())).count() as u64;
     let gsecs = start.elapsed().as_secs_f64();
-    yield_line("guided yield (2 epochs)", "guided", gsecs, guided.injected.len(), gcrit);
+    yield_line("guided yield (2 epochs)", gsecs, guided.injected.len(), gcrit);
     let wrow = summarize_weighted(&guided, BEST_TD).expect("all epochs merged");
     println!(
         "  weighted Table-I estimates: active {:.2}, hang/crash {:.2}, accidents {:.2}, \
@@ -188,13 +175,10 @@ fn main() {
         );
     }
 
-    perf::flush_json("BENCH_campaigns.json").expect("write BENCH_campaigns.json");
-    println!("\nwrote BENCH_campaigns.json ({} entries)", perf::snapshot().len());
-
     diverseav_bench::flush_metrics_json("METRICS_campaigns.json")
         .expect("write METRICS_campaigns.json");
     println!(
-        "wrote METRICS_campaigns.json (cache {} hits / {} misses; {} alarms; {} sdc outcomes)",
+        "\nwrote METRICS_campaigns.json (cache {} hits / {} misses; {} alarms; {} sdc outcomes)",
         metrics::counter_get("cache.hits"),
         metrics::counter_get("cache.misses"),
         metrics::counter_get("detector.alarms"),

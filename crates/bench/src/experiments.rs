@@ -63,9 +63,7 @@ pub fn cpu_campaigns(mode: AgentMode, scale: &CampaignScale) -> Vec<CampaignResu
 /// (`DIVERSEAV_THREADS`); a shared [`GoldenCache`] collapses the golden
 /// sets the cells have in common (per scenario: transient + permanent —
 /// and across targets when the caller shares one cache over the GPU and
-/// CPU calls, the full 4× of a Table-I (scenario, mode) cell). Each
-/// campaign's wall clock is recorded in the [`perf`](crate::perf)
-/// registry.
+/// CPU calls, the full 4× of a Table-I (scenario, mode) cell).
 pub fn campaigns_for(
     target: Profile,
     mode: AgentMode,
@@ -85,12 +83,7 @@ pub fn campaigns_for(
         .collect();
     par_map(&cells, |&campaign| {
         eprintln!("  running campaign {campaign} ...");
-        crate::perf::timed(
-            campaign.to_string(),
-            "campaign",
-            |r: &CampaignResult| r.golden.len() + r.injected.len(),
-            || run_campaign_cached(campaign, scale, None, SensorConfig::default(), true, cache),
-        )
+        run_campaign_cached(campaign, scale, None, SensorConfig::default(), true, cache)
     })
 }
 
@@ -120,24 +113,14 @@ pub fn sensor_campaigns(
         .collect();
     par_map(&cells, |&campaign| {
         eprintln!("  running campaign {campaign} ...");
-        crate::perf::timed(
-            campaign.to_string(),
-            "campaign",
-            |r: &CampaignResult| r.golden.len() + r.injected.len(),
-            || run_campaign_cached(campaign, scale, None, SensorConfig::default(), true, cache),
-        )
+        run_campaign_cached(campaign, scale, None, SensorConfig::default(), true, cache)
     })
 }
 
 /// Fault-free training streams for a mode (long routes, §III-D).
 pub fn training(mode: AgentMode, scale: &CampaignScale) -> Vec<Vec<TrainSample>> {
     eprintln!("  collecting {mode} training runs ...");
-    crate::perf::timed(
-        format!("training [{mode}]"),
-        "training",
-        |runs: &Vec<Vec<TrainSample>>| runs.len(),
-        || collect_training_runs(mode, scale, SensorConfig::default()),
-    )
+    collect_training_runs(mode, scale, SensorConfig::default())
 }
 
 // ---------------------------------------------------------------------

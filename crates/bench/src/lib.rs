@@ -10,10 +10,19 @@
 
 pub mod experiments;
 pub mod merge;
-pub mod perf;
 pub mod sweep;
 pub mod tracecheck;
 
-pub use merge::{deterministic_doc, journal_doc, metrics_doc, stamp_wall, table_text};
-pub use perf::{flush_json, flush_metrics_json, CampaignTiming};
+pub use merge::{deterministic_doc, journal_doc, metrics_doc, table_text};
 pub use sweep::{evaluate_cell, replay_campaign, sweep, CellEval, ReplayedCampaign, SweepResult};
+
+use diverseav_faultinj::{detected_parallelism, thread_count};
+use diverseav_obs::metrics;
+
+/// Flush the observability metrics registry (counters, gauges, phase
+/// wall-clocks) as the `METRICS_campaigns.json` artifact.
+pub fn flush_metrics_json(path: &str) -> std::io::Result<()> {
+    metrics::gauge_set("engine.detected_cores", detected_parallelism() as f64);
+    metrics::gauge_set("engine.threads", thread_count() as f64);
+    metrics::flush_json(path)
+}

@@ -6,14 +6,12 @@
 //! of how many shards it was cut into or on how many machines they ran.
 //! Everything here therefore consumes only campaign-invariant manifest
 //! fields plus the merged run set — never shard counts, batch sizes, or
-//! wall-clocks — except for the explicitly non-deterministic
-//! `BENCH_campaigns.json` timing view.
+//! wall-clocks.
 
-use crate::perf::{render_json_with, CampaignTiming};
 use diverseav_analysis::Table;
 use diverseav_faultinj::shard::{IncidentRecord, MergedCampaign, MetricsSlice, ShardError};
 use diverseav_faultinj::{stratum_label, summarize_merged, summarize_weighted};
-use diverseav_obs::json::{self, Value};
+use diverseav_obs::json;
 use diverseav_obs::{metrics, MetricsSnapshot, RunRecord};
 use std::collections::BTreeMap;
 
@@ -277,105 +275,12 @@ pub fn journal_doc(merged: &[MergedCampaign]) -> String {
     out
 }
 
-/// Render the merged `BENCH_campaigns.json`: one entry per shard (phase
-/// `"shard"`) plus one summed entry per campaign (phase `"campaign"`).
-/// Wall-clocks and thread counts come from wherever the shards ran, so
-/// this document is *not* part of the bit-identical merge gate.
-pub fn bench_doc(merged: &[MergedCampaign], detected_cores: usize, threads: usize) -> String {
-    let mut entries = Vec::new();
-    for m in merged {
-        let mut wall = 0.0;
-        let mut runs = 0usize;
-        let mut ticks = 0u64;
-        let mut misses = 0u64;
-        for s in &m.shards {
-            entries.push(CampaignTiming {
-                label: format!(
-                    "{} shard {}/{}",
-                    m.manifest.campaign,
-                    s.shard_index,
-                    m.shards.len()
-                ),
-                phase: "shard".to_string(),
-                wall_secs: s.wall_secs,
-                runs: s.runs,
-                ticks: s.ticks,
-                deadline_misses: s.deadline_misses,
-                critical: 0,
-                threads: s.threads,
-            });
-            wall += s.wall_secs;
-            runs += s.runs;
-            ticks += s.ticks;
-            misses += s.deadline_misses;
-        }
-        entries.push(CampaignTiming {
-            label: m.manifest.campaign.clone(),
-            phase: "campaign".to_string(),
-            wall_secs: wall,
-            runs,
-            ticks,
-            deadline_misses: misses,
-            critical: 0,
-            threads,
-        });
-    }
-    render_json_with(detected_cores, threads, &entries)
-}
-
-/// Parse a `BENCH_campaigns.json` document back into its header values
-/// and timing entries (the inverse of [`crate::perf::render_json`], up
-/// to the renderer's 6-decimal rounding of `wall_secs`). Every member
-/// the entries carry must be present in its rendered encoding; the
-/// derived `runs_per_sec` / `ticks_per_sec` members are not read.
-pub fn parse_bench(doc: &Value) -> Result<(usize, usize, Vec<CampaignTiming>), String> {
-    let cores = doc.req_usize("detected_cores")?;
-    let threads = doc.req_usize("threads")?;
-    let mut entries = Vec::new();
-    for e in doc.req_arr("entries")? {
-        let label = e.req_str("label")?;
-        let timing = || -> Result<CampaignTiming, String> {
-            Ok(CampaignTiming {
-                label: label.clone(),
-                phase: e.req_str("phase")?,
-                wall_secs: e.req_num("wall_secs")?,
-                runs: e.req_usize("runs")?,
-                ticks: e.req_u64("ticks")?,
-                deadline_misses: e.req_u64("deadline_misses")?,
-                critical: e.req_u64("critical")?,
-                threads: e.req_usize("threads")?,
-            })
-        };
-        entries.push(timing().map_err(|err| format!("bench entry {label:?}: {err}"))?);
-    }
-    Ok((cores, threads, entries))
-}
-
-/// Append a pure wall-clock entry (runs/ticks 0) to a rendered
-/// `BENCH_campaigns.json` document — how CI stamps its job wall-clock
-/// into the uploaded artifact so `--bench-diff` can flag CI-time
-/// regressions alongside engine-throughput ones.
-pub fn stamp_wall(doc_text: &str, label: &str, phase: &str, secs: f64) -> Result<String, String> {
-    let doc = json::parse(doc_text).map_err(|e| format!("bench document: {e}"))?;
-    let (cores, threads, mut entries) = parse_bench(&doc)?;
-    entries.push(CampaignTiming {
-        label: label.to_string(),
-        phase: phase.to_string(),
-        wall_secs: secs,
-        runs: 0,
-        ticks: 0,
-        deadline_misses: 0,
-        critical: 0,
-        threads,
-    });
-    Ok(render_json_with(cores, threads, &entries))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diverseav_faultinj::shard::{MetricsSlice, ShardManifest, ShardPerf, ShardRun};
+    use diverseav_faultinj::shard::{MetricsSlice, ShardManifest, ShardRun};
     use diverseav_faultinj::{GOLDEN_SEED_BASE, INJECTED_SEED_BASE, SHARD_SCHEMA_VERSION};
+    use diverseav_obs::json::Value;
     use diverseav_runtime::DeadlineStats;
     use diverseav_simworld::{TrajPoint, Vec2};
 
@@ -428,24 +333,6 @@ mod tests {
             baseline,
             metrics: MetricsSlice::default(),
             deadline: DeadlineStats { ticks: 160, misses: 2, worst_ns: 26_000_000 },
-            shards: vec![
-                ShardPerf {
-                    shard_index: 0,
-                    wall_secs: 1.0,
-                    threads: 2,
-                    runs: 1,
-                    ticks: 80,
-                    deadline_misses: 1,
-                },
-                ShardPerf {
-                    shard_index: 1,
-                    wall_secs: 2.0,
-                    threads: 4,
-                    runs: 1,
-                    ticks: 80,
-                    deadline_misses: 1,
-                },
-            ],
             guided: None,
         }
     }
@@ -551,24 +438,5 @@ mod tests {
         for line in &lines {
             json::parse(line).expect("every incident-doc line is valid JSON");
         }
-    }
-
-    #[test]
-    fn bench_doc_round_trips_and_stamps() {
-        let doc = bench_doc(&[merged_fixture()], 8, 4);
-        let v = json::parse(&doc).expect("bench doc parses");
-        let (cores, threads, entries) = parse_bench(&v).expect("bench doc reconstructs");
-        assert_eq!((cores, threads), (8, 4));
-        assert_eq!(entries.len(), 3, "2 shard entries + 1 campaign entry");
-        assert_eq!(entries[2].runs, 2);
-        assert_eq!(entries[2].ticks, 160);
-
-        let stamped = stamp_wall(&doc, "ci linux threads=4", "ci", 123.5).expect("stamps");
-        let v = json::parse(&stamped).expect("stamped doc parses");
-        let (_, _, entries) = parse_bench(&v).expect("stamped doc reconstructs");
-        assert_eq!(entries.len(), 4);
-        assert_eq!(entries[3].label, "ci linux threads=4");
-        assert!((entries[3].wall_secs - 123.5).abs() < 1e-6);
-        assert_eq!(entries[3].ticks, 0);
     }
 }

@@ -13,12 +13,12 @@
 //!   / Perfetto `"traceEvents"` format, complete `"X"` events, one track
 //!   per engine worker).
 //!
-//! Plus two cross-cutting checks:
+//! Plus two cross-cutting reports:
 //!
-//! * [`bench_diff_checked`] — the bench-regression check: diff a fresh
-//!   `BENCH_campaigns.json` against a committed baseline (both read by
-//!   [`parse_bench`]) and flag entries whose `ticks_per_sec` dropped by
-//!   more than a threshold (CLI: `--bench-diff-pct`, default 20 %).
+//! * [`guided_report_summary`] — the guided campaign's per-epoch
+//!   allocation table and effective-sample-size health, with
+//!   [`guided_expect_check`] holding its weighted Table-I cells against a
+//!   committed enumeration fixture.
 //! * [`forensics_report`] — the flight-recorder post-mortem over an
 //!   incident artifact (a shard sidecar or a merged incident set):
 //!   per-incident score-vs-threshold sparklines with onset and alarm
@@ -33,12 +33,11 @@
 //!
 //! | code | meaning |
 //! |------|---------|
-//! | 0    | all requested reports rendered, no regressions found |
-//! | 1    | unreadable / malformed / empty inputs — including a missing
-//! |      | or unparsable `--baseline`, which is a hard failure, never a
-//! |      | silent pass — or unknown arguments |
-//! | 2    | `--bench-diff` found regressions beyond the threshold (a
-//! |      | warning gate CI can treat separately from hard failure) |
+//! | 0    | all requested reports rendered, no guided warnings |
+//! | 1    | unreadable / malformed / empty inputs, or unknown arguments |
+//! | 2    | `--guided` found an ESS collapse, or `--expect` found a
+//! |      | weighted cell outside the fixture tolerance (a warning gate
+//! |      | CI can treat separately from hard failure) |
 //!
 //! Everything parses through [`diverseav_obs::json`] (no serde in the
 //! dependency closure) and its strict member vocabulary — run lines
@@ -47,8 +46,6 @@
 //! binary is a thin argument-parsing shell over testable functions.
 //! Malformed input is an `Err`, never a default or a panic.
 
-use crate::merge::parse_bench;
-use crate::perf::CampaignTiming;
 use diverseav_faultinj::IncidentRecord;
 use diverseav_obs::flight::{FLAG_ALARM, FLAG_DETECTOR_OBSERVED, FLAG_FAULT_ACTIVE};
 use diverseav_obs::json::{self, Value};
@@ -431,110 +428,6 @@ pub fn metrics_summary(metrics: &Value) -> Result<String, String> {
         }
     }
     Ok(out)
-}
-
-/// Compare two parsed `BENCH_campaigns.json` documents entry-by-entry
-/// (matched on `label`): one warning per entry whose `ticks_per_sec`
-/// dropped by more than `threshold` (0.20 = 20 %), and — for pure
-/// wall-clock entries (both sides `ticks_per_sec` 0, e.g. the CI
-/// job-time stamp `diverseav-merge --stamp-wall` appends) — per entry
-/// whose `wall_secs` *grew* by more than `threshold`. Entries present on
-/// only one side are ignored — labels carry thread counts and scale
-/// settings, so disjoint runs are expected; but zero overlapping labels
-/// is an error (the documents are not comparable at all), and so is a
-/// document [`parse_bench`] rejects or one with no entries: a truncated
-/// or wrong-file baseline must fail the diff loudly instead of silently
-/// comparing nothing.
-pub fn bench_diff_checked(
-    baseline: &Value,
-    fresh: &Value,
-    threshold: f64,
-) -> Result<Vec<String>, String> {
-    let entries = |doc: &Value| -> Result<BTreeMap<String, CampaignTiming>, String> {
-        let (_, _, entries) = parse_bench(doc)?;
-        if entries.is_empty() {
-            return Err("bench document has an empty \"entries\" array".to_string());
-        }
-        Ok(entries.into_iter().map(|e| (e.label.clone(), e)).collect())
-    };
-    let old = entries(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let new = entries(fresh).map_err(|e| format!("fresh: {e}"))?;
-    let mut warnings = Vec::new();
-    let mut overlap = 0usize;
-    for (label, was_entry) in &old {
-        let Some(now_entry) = new.get(label) else { continue };
-        overlap += 1;
-        let (was, now) = (was_entry.ticks_per_sec(), now_entry.ticks_per_sec());
-        let (was_wall, now_wall) = (was_entry.wall_secs, now_entry.wall_secs);
-        if was > 0.0 && now < was * (1.0 - threshold) {
-            warnings.push(format!(
-                "{label}: ticks_per_sec dropped {:.1} -> {:.1} ({:+.1} %)",
-                was,
-                now,
-                (now / was - 1.0) * 100.0,
-            ));
-        }
-        if was == 0.0 && now == 0.0 && was_wall > 0.0 && now_wall > was_wall * (1.0 + threshold) {
-            warnings.push(format!(
-                "{label}: wall_secs grew {:.1} -> {:.1} ({:+.1} %)",
-                was_wall,
-                now_wall,
-                (now_wall / was_wall - 1.0) * 100.0,
-            ));
-        }
-    }
-    if overlap == 0 {
-        return Err(
-            "no overlapping entry labels between baseline and fresh bench documents".to_string()
-        );
-    }
-    Ok(warnings)
-}
-
-/// The `guided_speedup` line for `--bench-diff`: guided vs uniform
-/// safety-critical-outcomes-per-run yield from a `BENCH_campaigns.json`
-/// document whose entries carry `critical` counts (phase `"guided"` vs
-/// phase `"uniform"`). Purely informational — the caller prints it and
-/// never fails on it. `Ok(None)` when the document has no guided entries;
-/// `Err` when [`parse_bench`] rejects it or its tallies overflow `u64`.
-pub fn guided_speedup(doc: &Value) -> Result<Option<String>, String> {
-    let (_, _, entries) = parse_bench(doc)?;
-    let mut guided = (0u64, 0u64); // (critical, runs)
-    let mut uniform = (0u64, 0u64);
-    for e in &entries {
-        let tally = match e.phase.as_str() {
-            "guided" => &mut guided,
-            "uniform" => &mut uniform,
-            _ => continue,
-        };
-        let overflow = || format!("bench entry {:?}: critical/run tallies overflow u64", e.label);
-        tally.0 = tally.0.checked_add(e.critical).ok_or_else(overflow)?;
-        tally.1 = tally.1.checked_add(e.runs as u64).ok_or_else(overflow)?;
-    }
-    if guided.1 == 0 {
-        return Ok(None);
-    }
-    let gy = guided.0 as f64 / guided.1 as f64;
-    Ok(Some(if uniform.1 == 0 || uniform.0 == 0 {
-        format!(
-            "guided_speedup: n/a (guided {}/{} critical-per-run {:.4}; no uniform \
-             critical outcomes to compare against)",
-            guided.0, guided.1, gy,
-        )
-    } else {
-        let uy = uniform.0 as f64 / uniform.1 as f64;
-        format!(
-            "guided_speedup: {:.2}x safety-critical outcomes per run budget \
-             (guided {}/{} = {:.4} vs uniform {}/{} = {:.4})",
-            gy / uy,
-            guided.0,
-            guided.1,
-            gy,
-            uniform.0,
-            uniform.1,
-            uy,
-        )
-    }))
 }
 
 // -- guided campaign report --------------------------------------------------
@@ -942,7 +835,6 @@ pub fn forensics_report(incidents: &[IncidentRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::render_json_with;
 
     /// A journal of four run lines written by [`RunRecord::render`] (a
     /// golden run, a register fault, two sensor faults) and one span line.
@@ -1125,70 +1017,6 @@ mod tests {
         )
         .unwrap();
         assert!(metrics_summary(&bad).is_err());
-    }
-
-    /// A bench document rendered the way `BENCH_campaigns.json` is, from
-    /// `(label, wall_secs, ticks)` entries.
-    fn bench(entries: &[(&str, f64, u64)]) -> Value {
-        let entries: Vec<CampaignTiming> = entries
-            .iter()
-            .map(|&(label, wall_secs, ticks)| CampaignTiming {
-                label: label.to_string(),
-                phase: "campaign".to_string(),
-                wall_secs,
-                runs: 1,
-                ticks,
-                deadline_misses: 0,
-                critical: 0,
-                threads: 1,
-            })
-            .collect();
-        json::parse(&render_json_with(1, 1, &entries)).expect("rendered bench parses")
-    }
-
-    #[test]
-    fn bench_diff_flags_large_drops_only() {
-        let old = bench(&[("a", 1.0, 100), ("b", 1.0, 100), ("gone", 1.0, 50)]);
-        let new = bench(&[("a", 1.0, 75), ("b", 1.0, 85)]);
-        let warnings = bench_diff_checked(&old, &new, 0.20).expect("comparable documents");
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].starts_with("a:"), "{warnings:?}");
-        assert!(warnings[0].contains("-25.0 %"), "{warnings:?}");
-    }
-
-    #[test]
-    fn bench_diff_checked_rejects_unusable_documents() {
-        let good = bench(&[("a", 1.0, 100)]);
-        let no_entries = json::parse("{\"threads\": 4}").unwrap();
-        let empty = bench(&[]);
-        let disjoint = bench(&[("z", 1.0, 1)]);
-        let err = bench_diff_checked(&no_entries, &good, 0.2).unwrap_err();
-        assert!(err.starts_with("baseline:"), "{err}");
-        let err = bench_diff_checked(&good, &empty, 0.2).unwrap_err();
-        assert!(err.starts_with("fresh:"), "{err}");
-        let err = bench_diff_checked(&good, &disjoint, 0.2).unwrap_err();
-        assert!(err.contains("no overlapping"), "{err}");
-        assert!(bench_diff_checked(&good, &good, 0.2).unwrap().is_empty());
-        // An entry missing a member is rejected, not read as zero.
-        let sparse = json::parse(
-            "{\"detected_cores\": 1, \"threads\": 1, \"entries\": [{\"label\": \"a\"}]}",
-        )
-        .unwrap();
-        let err = bench_diff_checked(&good, &sparse, 0.2).unwrap_err();
-        assert!(err.starts_with("fresh:") && err.contains("missing member"), "{err}");
-        assert!(guided_speedup(&sparse).is_err());
-        assert_eq!(guided_speedup(&good), Ok(None), "no guided entries");
-    }
-
-    #[test]
-    fn bench_diff_checked_flags_wall_clock_growth() {
-        let old = bench(&[("ci", 100.0, 0)]);
-        let slower = bench(&[("ci", 130.0, 0)]);
-        let warnings = bench_diff_checked(&old, &slower, 0.20).unwrap();
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("wall_secs grew"), "{warnings:?}");
-        // Within threshold: no warning.
-        assert!(bench_diff_checked(&old, &old, 0.20).unwrap().is_empty());
     }
 
     fn spark_record(tick: u64, flags: u8, score: f64) -> diverseav_obs::flight::TickRecord {

@@ -446,13 +446,16 @@ pub fn collect_training_runs(
     let jobs: Vec<(u8, usize)> =
         (0..3u8).flat_map(|route| (0..scale.training_runs).map(move |rep| (route, rep))).collect();
     metrics::counter_add("campaign.training_runs", jobs.len() as u64);
-    par_map(&jobs, |&(route, rep)| {
+    let phase_start = Instant::now();
+    let runs = par_map(&jobs, |&(route, rep)| {
         let scenario = long_route(route, scale.long_route_duration);
         let mut cfg = RunConfig::new(scenario, mode, 7_000 + route as u64 * 31 + rep as u64);
         cfg.sensor = sensor;
         cfg.collect_training = true;
         run_experiment(&cfg).training
-    })
+    });
+    metrics::phase_add("campaign.training", phase_start.elapsed().as_secs_f64());
+    runs
 }
 
 #[cfg(test)]

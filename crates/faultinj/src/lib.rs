@@ -78,5 +78,5 @@ pub use shard::{
     parse_artifact, parse_incident_artifact, summarize_merged, summarize_weighted, unit_shard,
     BatchMark, GuidedManifest, GuidedShardSpec, IncidentArtifact, IncidentManifest, IncidentRecord,
     MergedCampaign, MergedGuided, MetricsSlice, ShardArtifact, ShardConfig, ShardError,
-    ShardManifest, ShardPerf, ShardRun, ShardSpec, ShardStatus, SHARD_SCHEMA_VERSION,
+    ShardManifest, ShardRun, ShardSpec, ShardStatus, SHARD_SCHEMA_VERSION,
 };

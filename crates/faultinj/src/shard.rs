@@ -59,7 +59,7 @@ use diverseav_simworld::{Scenario, SensorConfig, TrajPoint, Vec2};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -1124,6 +1124,26 @@ fn shard_manifest(
     }
 }
 
+/// Byte length of the first `n` lines of `text`, counted as
+/// [`str::lines`] counts them.
+fn line_prefix_len(text: &str, n: usize) -> usize {
+    text.split_inclusive('\n').take(n).map(str::len).sum()
+}
+
+/// Cut the checkpoint file at `path` (whose content is `text`) in place to
+/// its committed first `keep` bytes and open it for appending. If the cut
+/// fell just before the prefix's last newline, that newline is restored.
+fn reopen_committed(path: &Path, text: &str, keep: usize) -> Result<fs::File, ShardError> {
+    let mut file = fs::OpenOptions::new().write(true).open(path)?;
+    file.set_len(keep as u64)?;
+    file.seek(SeekFrom::End(0))?;
+    if !text[..keep].ends_with('\n') {
+        file.write_all(b"\n")?;
+        file.flush()?;
+    }
+    Ok(file)
+}
+
 /// Execute one shard of a campaign, writing (or resuming) the artifact
 /// at `path`. See [`execute_shard_limited`] for the mechanics.
 pub fn execute_shard(cfg: &ShardConfig, path: &Path) -> Result<ShardStatus, ShardError> {
@@ -1136,9 +1156,12 @@ pub fn execute_shard(cfg: &ShardConfig, path: &Path) -> Result<ShardStatus, Shar
 ///
 /// If `path` holds a compatible checkpoint, committed batches are
 /// adopted verbatim and execution continues at the first uncommitted
-/// batch; a torn tail (killed mid-batch) is truncated. An artifact from
-/// a *different* configuration (any manifest field differs) is refused,
-/// never overwritten.
+/// batch; a torn tail (killed mid-batch) is cut off in place, and the
+/// committed bytes of the artifact and its incident sidecar are never
+/// rewritten, so a kill at any byte offset resumes to the same bytes. A
+/// torn manifest line (killed inside the very first write) restarts the
+/// shard. An artifact from a *different* configuration (any manifest
+/// field differs) is refused, never overwritten.
 pub fn execute_shard_limited(
     cfg: &ShardConfig,
     path: &Path,
@@ -1231,47 +1254,64 @@ pub fn execute_shard_limited(
         guided_manifest,
     );
 
-    // Resume from an existing checkpoint when one is present.
+    // Resume from an existing checkpoint when one is present. Committed
+    // bytes are never rewritten: each file is cut in place to its
+    // committed prefix and appended to, so a kill at any byte offset —
+    // including inside the resume itself — leaves a resumable pair.
+    let manifest_line = format!("{}\n", manifest.render());
     let mut done_batches = 0usize;
     let mut cumulative = MetricsSlice::default();
-    let mut prefix = format!("{}\n", manifest.render());
-    if path.exists() {
-        let text = fs::read_to_string(path)?;
-        if !text.trim().is_empty() {
-            let art = parse_artifact(&text)?;
-            if art.manifest != manifest {
-                return Err(ShardError::Mismatch(format!(
-                    "checkpoint at {} was written by a different shard configuration; \
-                     refusing to resume over it",
-                    path.display()
-                )));
-            }
-            if art.complete {
-                return Ok(status(art.batches.len(), 0, true));
-            }
-            done_batches = art.batches.len();
-            cumulative = art.metrics();
-            prefix = text.lines().take(art.committed_lines).fold(
-                String::with_capacity(text.len()),
-                |mut acc, l| {
-                    acc.push_str(l);
-                    acc.push('\n');
-                    acc
-                },
-            );
+    let text = match fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e.into()),
+    };
+    // A torn first write — any strict prefix of this shard's own manifest
+    // line — is a fresh start; any other unparsable text is refused.
+    let fresh = text.trim().is_empty()
+        || (text.len() < manifest_line.len() && manifest_line.starts_with(&text));
+    let mut file = if fresh {
+        let mut file = fs::File::create(path)?;
+        file.write_all(manifest_line.as_bytes())?;
+        file.flush()?;
+        file
+    } else {
+        let art = parse_artifact(&text)?;
+        if art.manifest != manifest {
+            return Err(ShardError::Mismatch(format!(
+                "checkpoint at {} was written by a different shard configuration; \
+                 refusing to resume over it",
+                path.display()
+            )));
         }
-    }
+        let committed = line_prefix_len(&text, art.committed_lines);
+        if art.complete {
+            if committed != text.len() || !text.ends_with('\n') {
+                reopen_committed(path, &text, committed)?;
+            }
+            return Ok(status(art.batches.len(), 0, true));
+        }
+        done_batches = art.batches.len();
+        cumulative = art.metrics();
+        reopen_committed(path, &text, committed)?
+    };
 
     // The incident sidecar resumes in lockstep with the main artifact:
-    // a committed batch's payloads are retained, anything later (a torn
-    // write, or lines from a batch that will re-run) is dropped. A shard
-    // with committed batches but no readable, matching sidecar cannot be
-    // resumed — its incident payloads are gone.
+    // its payload lines are batch-ordered and each batch's land before
+    // the batch's marker, so the records of committed batches form a
+    // byte prefix to keep; anything later (a torn write, or lines from a
+    // batch that will re-run) is cut. A shard with committed batches but
+    // no readable, matching sidecar cannot be resumed — its incident
+    // payloads are gone.
     let inc_path = incident_sidecar_path(path);
     let inc_manifest = IncidentManifest::for_shard(&manifest);
-    let mut inc_prefix = format!("{}\n", inc_manifest.render());
     let mut incident_count = 0usize;
-    if done_batches > 0 {
+    let mut inc_file = if done_batches == 0 {
+        let mut inc_file = fs::File::create(&inc_path)?;
+        inc_file.write_all(format!("{}\n", inc_manifest.render()).as_bytes())?;
+        inc_file.flush()?;
+        inc_file
+    } else {
         let text = fs::read_to_string(&inc_path).map_err(|e| {
             ShardError::Mismatch(format!(
                 "checkpoint at {} has committed batches but its incident sidecar {} is \
@@ -1288,21 +1328,9 @@ pub fn execute_shard_limited(
                 inc_path.display()
             )));
         }
-        for (b, rec) in &art.records {
-            if *b < done_batches {
-                inc_prefix.push_str(&rec.render_line(*b));
-                inc_prefix.push('\n');
-                incident_count += 1;
-            }
-        }
-    }
-
-    let mut file = fs::File::create(path)?;
-    file.write_all(prefix.as_bytes())?;
-    file.flush()?;
-    let mut inc_file = fs::File::create(&inc_path)?;
-    inc_file.write_all(inc_prefix.as_bytes())?;
-    inc_file.flush()?;
+        incident_count = art.records.iter().take_while(|(b, _)| *b < done_batches).count();
+        reopen_committed(&inc_path, &text, line_prefix_len(&text, 1 + incident_count))?
+    };
 
     let threads = thread_count();
     let mut executed = 0usize;
@@ -1375,25 +1403,6 @@ pub fn execute_shard_limited(
     Ok(status(done_batches, executed, true))
 }
 
-/// Per-shard execution accounting surfaced by the merge (for the merged
-/// `BENCH_campaigns.json`; excluded from all bit-exactness guarantees
-/// except `runs`, `ticks`, and `deadline_misses`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardPerf {
-    /// Which shard.
-    pub shard_index: usize,
-    /// Total wall-clock seconds over its batches.
-    pub wall_secs: f64,
-    /// Worker threads of its last batch.
-    pub threads: usize,
-    /// Runs it executed.
-    pub runs: usize,
-    /// Simulation ticks over its runs.
-    pub ticks: u64,
-    /// Deadline misses over its runs.
-    pub deadline_misses: u64,
-}
-
 /// Guided-campaign shape of a merged artifact set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MergedGuided {
@@ -1429,9 +1438,6 @@ pub struct MergedCampaign {
     pub metrics: MetricsSlice,
     /// Deadline accounting folded across shards.
     pub deadline: DeadlineStats,
-    /// Per-shard accounting, ordered by shard index (for guided
-    /// campaigns each entry folds the shard's epoch artifacts together).
-    pub shards: Vec<ShardPerf>,
     /// Guided-campaign shape (`None` for uniform enumeration).
     pub guided: Option<MergedGuided>,
 }
@@ -1757,8 +1763,8 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
         (a.manifest.guided.as_ref().map(|g| g.epoch).unwrap_or(0), a.manifest.shard_index)
     });
     let mut metrics = MetricsSlice::default();
-    let mut perf: BTreeMap<usize, ShardPerf> = BTreeMap::new();
-    // Campaign-wide run totals; every per-shard total is bounded by them.
+    // Campaign-wide run totals must fit in u64: a forged tick or miss
+    // count is a mismatch, never a wrapped sum.
     let (mut ticks, mut misses) = (0u64, 0u64);
     for a in ordered {
         metrics.add(&a.metrics()).map_err(mismatch)?;
@@ -1769,21 +1775,6 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
                 .checked_add(r.deadline_misses)
                 .ok_or_else(|| mismatch("deadline misses overflow u64".into()))?;
         }
-        let entry = perf.entry(a.manifest.shard_index).or_insert(ShardPerf {
-            shard_index: a.manifest.shard_index,
-            wall_secs: 0.0,
-            threads: 0,
-            runs: 0,
-            ticks: 0,
-            deadline_misses: 0,
-        });
-        entry.wall_secs += a.batches.iter().map(|b| b.wall_secs).sum::<f64>();
-        if let Some(b) = a.batches.last() {
-            entry.threads = b.threads;
-        }
-        entry.runs += a.runs.len();
-        entry.ticks += a.runs.iter().map(|r| r.ticks).sum::<u64>();
-        entry.deadline_misses += a.runs.iter().map(|r| r.deadline_misses).sum::<u64>();
     }
 
     let deadline = DeadlineStats {
@@ -1805,7 +1796,6 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
         baseline,
         metrics,
         deadline,
-        shards: perf.into_values().collect(),
         guided: merged_guided,
     })
 }

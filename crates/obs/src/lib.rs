@@ -13,7 +13,7 @@
 //!   the hot path and never perturbs the deterministic engine.
 //! * [`metrics`] — a process-global registry of named counters, gauges,
 //!   and per-phase wall-clock accumulators, flushed as the
-//!   `METRICS_campaigns.json` artifact next to `BENCH_campaigns.json`.
+//!   `METRICS_campaigns.json` artifact.
 //! * [`journal`] — a buffered per-run JSONL journal (injection site,
 //!   bit mask, cycle, outcome, alarm time, divergence peaks) behind the
 //!   `DIVERSEAV_TRACE` environment switch, bounded by a line cap

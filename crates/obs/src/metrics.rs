@@ -4,8 +4,8 @@
 //! Counters and phase accumulators are recorded at campaign granularity
 //! (once per campaign, fan-out, or cache request — never per simulation
 //! tick), so the always-on cost is a handful of mutex-protected map
-//! operations per campaign. Harness binaries flush the registry next to
-//! `BENCH_campaigns.json`; tests isolate themselves by asserting on
+//! operations per campaign. Harness binaries flush the registry as
+//! `METRICS_campaigns.json`; tests isolate themselves by asserting on
 //! uniquely named keys rather than clearing the shared registry.
 
 use crate::hist::{HistSnapshot, Histogram};
