@@ -19,10 +19,16 @@ pub use sweep::{evaluate_cell, replay_campaign, sweep, CellEval, ReplayedCampaig
 use diverseav_faultinj::{detected_parallelism, thread_count};
 use diverseav_obs::metrics;
 
-/// Flush the observability metrics registry (counters, gauges, phase
-/// wall-clocks) as the `METRICS_campaigns.json` artifact.
-pub fn flush_metrics_json(path: &str) -> std::io::Result<()> {
+/// Render the observability metrics registry (counters, gauges, phase
+/// wall-clocks) as the `METRICS_campaigns.json` document.
+pub fn metrics_json() -> String {
     metrics::gauge_set("engine.detected_cores", detected_parallelism() as f64);
     metrics::gauge_set("engine.threads", thread_count() as f64);
-    metrics::flush_json(path)
+    metrics::render_json(&metrics::snapshot())
+}
+
+/// Write [`metrics_json`] to `path` (the `METRICS_campaigns.json`
+/// artifact).
+pub fn flush_metrics_json(path: &str) -> std::io::Result<()> {
+    std::fs::write(path, metrics_json())
 }

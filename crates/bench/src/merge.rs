@@ -12,7 +12,7 @@ use diverseav_analysis::Table;
 use diverseav_faultinj::shard::{IncidentRecord, MergedCampaign, MetricsSlice, ShardError};
 use diverseav_faultinj::{stratum_label, summarize_merged, summarize_weighted};
 use diverseav_obs::json;
-use diverseav_obs::{metrics, MetricsSnapshot, RunRecord};
+use diverseav_obs::{metrics, MetricsSnapshot};
 use std::collections::BTreeMap;
 
 /// Render merged campaigns as the Table-I summary text.
@@ -245,32 +245,15 @@ pub fn incidents_doc(m: &MergedCampaign, incidents: &[IncidentRecord]) -> String
 
 /// Render the merged run journal (`DIVERSEAV_TRACE`-format JSONL):
 /// golden then injected runs per campaign, index-ordered — the same
-/// canonical order the traced monolithic path writes.
+/// canonical order and the same [`RunRecord`] lines the traced
+/// monolithic path writes.
+///
+/// [`RunRecord`]: diverseav_faultinj::RunRecord
 pub fn journal_doc(merged: &[MergedCampaign]) -> String {
     let mut out = String::new();
-    for m in merged {
-        for (kind, runs) in [("golden", &m.golden), ("injected", &m.injected)] {
-            for r in runs.iter() {
-                let rec = RunRecord {
-                    campaign: m.manifest.campaign.clone(),
-                    kind,
-                    index: r.index,
-                    seed: r.seed,
-                    scenario: m.manifest.scenario_name.clone(),
-                    outcome: r.outcome.clone(),
-                    end_time: r.end_time,
-                    collision_time: r.collision_time,
-                    alarm_time: r.alarm_time,
-                    fault_activated: r.fault_activated,
-                    fault_onset_time: r.fault_onset_time,
-                    min_cvip: r.min_cvip,
-                    div_peak: [0.0; 3],
-                    fault: r.fault.clone(),
-                };
-                out.push_str(&rec.render());
-                out.push('\n');
-            }
-        }
+    for r in merged.iter().flat_map(|m| m.golden.iter().chain(&m.injected)) {
+        out.push_str(&r.render_journal_line());
+        out.push('\n');
     }
     out
 }
@@ -304,8 +287,10 @@ mod tests {
             assigned_runs: 1,
             guided: None,
         };
-        let run = |kind: &str, index: usize, base: u64, collision: Option<f64>| ShardRun {
-            kind: kind.to_string(),
+        let run = |kind: &'static str, index: usize, base: u64, collision: Option<f64>| ShardRun {
+            campaign: "GPU-transient LSD [diverseav]".to_string(),
+            scenario: "lead_slowdown".to_string(),
+            kind,
             index,
             seed: base + index as u64,
             outcome: if collision.is_some() { "collision" } else { "completed" }.to_string(),
@@ -321,6 +306,7 @@ mod tests {
             incident: None,
             stratum: None,
             weight: None,
+            div_peak: [0.0; 3],
             fault: None,
             trajectory: vec![TrajPoint { t: 0.0, pos: Vec2 { x: 0.0, y: 0.0 } }],
         };

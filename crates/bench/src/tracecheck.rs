@@ -41,15 +41,16 @@
 //!
 //! Everything parses through [`diverseav_obs::json`] (no serde in the
 //! dependency closure) and its strict member vocabulary — run lines
-//! through [`RunRecord::parse`], incident lines through
+//! through [`RunRecord::parse_journal_line`] (the lossless run record the
+//! shard artifacts carry too, minus the trajectory), incident lines through
 //! [`IncidentRecord::parse`] — and is pure string → string, so the
 //! binary is a thin argument-parsing shell over testable functions.
 //! Malformed input is an `Err`, never a default or a panic.
 
-use diverseav_faultinj::IncidentRecord;
+use diverseav_faultinj::{IncidentRecord, RunRecord};
 use diverseav_obs::flight::{FLAG_ALARM, FLAG_DETECTOR_OBSERVED, FLAG_FAULT_ACTIVE};
 use diverseav_obs::json::{self, Value};
-use diverseav_obs::{FaultSite, RunRecord};
+use diverseav_obs::FaultSite;
 use diverseav_runtime::SILENT_SCORE_FLOOR;
 use std::collections::BTreeMap;
 
@@ -100,8 +101,8 @@ pub struct Trace {
 
 /// Parse a JSONL trace journal. Returns the trace, or per-line parse
 /// errors (`line N: <reason>`) if any line is malformed. Run lines are
-/// read by [`RunRecord::parse`], so a run line that `RunRecord::render`
-/// could not have written is an error.
+/// read by [`RunRecord::parse_journal_line`], so a run line that
+/// [`RunRecord::render_journal_line`] could not have written is an error.
 pub fn parse_trace(text: &str) -> Result<Trace, Vec<String>> {
     let mut trace = Trace::default();
     let mut errors = Vec::new();
@@ -110,7 +111,7 @@ pub fn parse_trace(text: &str) -> Result<Trace, Vec<String>> {
             continue;
         }
         let parsed = json::parse(line).and_then(|v| match v.req_str("type")?.as_str() {
-            "run" => RunRecord::parse(&v).map(|r| trace.runs.push(r)),
+            "run" => RunRecord::parse_journal_line(&v).map(|r| trace.runs.push(r)),
             "span_events" => {
                 let events: Result<_, _> =
                     v.req_arr("events")?.iter().map(SpanEvent::parse).collect();
@@ -836,15 +837,16 @@ pub fn forensics_report(incidents: &[IncidentRecord]) -> String {
 mod tests {
     use super::*;
 
-    /// A journal of four run lines written by [`RunRecord::render`] (a
+    /// A journal of four run lines written by
+    /// [`RunRecord::render_journal_line`] (a
     /// golden run, a register fault, two sensor faults) and one span line.
     fn sample() -> String {
         let golden = RunRecord {
             campaign: "GPU-transient LSD".into(),
+            scenario: "lead_slowdown".into(),
             kind: "golden",
             index: 0,
             seed: 1,
-            scenario: "lead_slowdown".into(),
             outcome: "completed".into(),
             end_time: 36.0,
             collision_time: None,
@@ -852,8 +854,15 @@ mod tests {
             fault_activated: false,
             fault_onset_time: None,
             min_cvip: 8.0,
+            red_light_violations: 0,
+            ticks: 1440,
+            deadline_misses: 0,
+            incident: None,
+            stratum: None,
+            weight: None,
             div_peak: [0.01, 0.0, 0.0],
             fault: None,
+            trajectory: Vec::new(),
         };
         let site = |profile: &str, model: &str, mask, cycle, op: Option<&str>| FaultSite {
             profile: profile.into(),
@@ -900,7 +909,7 @@ mod tests {
                 ..sensor("GPU-sensor-bias-drift LSD", 3, 0.75, None, "bias-drift")
             },
         ];
-        let mut text: String = runs.iter().map(|r| r.render() + "\n").collect();
+        let mut text: String = runs.iter().map(|r| r.render_journal_line() + "\n").collect();
         text.push_str(concat!(
             "{\"type\": \"span_events\", \"label\": \"campaign\", \"index\": 0, \"events\": [",
             "{\"event\": \"span_begin\", \"name\": \"item\", \"t_ns\": 1000}, ",

@@ -1,7 +1,7 @@
 //! No-panic gate for every on-disk reader: each artifact this repository
-//! writes and reads back — the committed `guided_expected` fixture and
-//! `METRICS_campaigns.json`, plus the shard artifacts, incident sidecars,
-//! journals, merged documents and guided documents a tiny real campaign
+//! writes and reads back — the committed `guided_expected` fixture, plus
+//! the shard artifacts, incident sidecars, journals, merged documents,
+//! guided documents and `METRICS_campaigns.json` a tiny real campaign
 //! writes inside this test — is mutated
 //! (byte flips, truncation, duplicated lines, reordered lines) and fed to
 //! every reader. Each reader must return `Ok` or `Err`; whatever parses
@@ -21,11 +21,11 @@ use diverseav_fabric::Profile;
 use diverseav_faultinj::{
     collect_incidents, execute_shard, guided_epoch_summary, incident_sidecar_path, merge_artifacts,
     parse_artifact, parse_incident_artifact, run_campaign_with_traces, summarize_merged, Campaign,
-    CampaignScale, EpochSummary, FaultModelKind, GuidedShardSpec, MergedCampaign, ShardConfig,
-    ShardError, ShardRun, ShardSpec,
+    CampaignScale, EpochSummary, FaultModelKind, GuidedShardSpec, MergedCampaign, RunRecord,
+    ShardConfig, ShardError, ShardSpec,
 };
+use diverseav_obs::journal;
 use diverseav_obs::json::{self, Value};
-use diverseav_obs::{journal, RunRecord};
 use diverseav_simworld::{ScenarioKind, SensorConfig};
 use proptest::prelude::*;
 use std::fs;
@@ -94,9 +94,8 @@ fn corpus() -> &'static Corpus {
     CORPUS.get_or_init(|| {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut docs: Vec<(String, String)> = Vec::new();
-        for name in ["tests/fixtures/guided_expected_lsd.json", "METRICS_campaigns.json"] {
-            docs.push((name.to_string(), fs::read_to_string(root.join(name)).expect(name)));
-        }
+        let name = "tests/fixtures/guided_expected_lsd.json";
+        docs.push((name.to_string(), fs::read_to_string(root.join(name)).expect(name)));
 
         // A uniform campaign in two shards, merged.
         let cfg = |index, guided: Option<GuidedShardSpec>| ShardConfig {
@@ -148,6 +147,9 @@ fn corpus() -> &'static Corpus {
         );
         std::env::remove_var("DIVERSEAV_TRACE");
         docs.push(("traced journal".into(), journal::snapshot()[before..].join("\n") + "\n"));
+        // The metrics document those campaigns leave, rendered as the
+        // `smoke` binary writes it.
+        docs.push(("METRICS_campaigns.json".into(), diverseav_bench::metrics_json()));
 
         let fixture = json::parse(&docs[0].1).expect("fixture parses");
         let report = json::parse(&report).expect("report parses");
@@ -160,7 +162,7 @@ fn corpus() -> &'static Corpus {
 fn read_everything(c: &Corpus, text: &str) {
     if let Ok(art) = parse_artifact(text) {
         for run in text.lines().filter_map(|l| json::parse(l).ok()) {
-            let _ = ShardRun::parse(&run);
+            let _ = RunRecord::parse_shard_line(&run, "", "");
         }
         if let Ok(merged) = merge_artifacts(&[art]) {
             let _ = summarize_merged(&merged[0], TD);
@@ -253,9 +255,8 @@ proptest! {
     }
 }
 
-/// Every run line of the real traced journal re-renders to itself. The
-/// one exception is a sensor site's `cycle` (a `u64` seed written as a
-/// bare JSON number), which cannot round-trip above 2^53.
+/// Every run line of the real traced and merged journals re-renders to
+/// itself.
 #[test]
 fn real_journal_run_lines_re_render_byte_for_byte() {
     let c = corpus();
@@ -265,9 +266,8 @@ fn real_journal_run_lines_re_render_byte_for_byte() {
         if v.req_str("type").as_deref() != Ok("run") {
             continue;
         }
-        let rec = RunRecord::parse(&v).expect("real run line parses");
-        let sensor = rec.fault.as_ref().is_some_and(|f| f.model == "sensor");
-        assert!(rec.render() == line || sensor, "{line}\n re-renders as\n{}", rec.render());
+        let rec = RunRecord::parse_journal_line(&v).expect("real run line parses");
+        assert_eq!(rec.render_journal_line(), line);
         runs += 1;
     }
     assert!(runs >= 16, "golden + injected lines of both journals: {runs}");

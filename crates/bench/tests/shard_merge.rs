@@ -1,6 +1,7 @@
 //! End-to-end shard equivalence: a campaign cut into shards — one of
 //! them killed mid-flight and resumed — must merge bit-identically to
-//! the monolithic `run_campaign_cached` path.
+//! the monolithic `run_campaign_cached` path, and the traced monolithic
+//! run's journal lines must equal the merged journal.
 //!
 //! This is deliberately the ONLY test in this binary: shard execution
 //! reads deltas out of the process-global metrics registry, and a
@@ -13,10 +14,12 @@ use diverseav::AgentMode;
 use diverseav_bench::merge;
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
-    execute_shard, execute_shard_limited, merge_artifacts, parse_artifact, run_campaign_cached,
-    summarize, summarize_merged, unit_shard, Campaign, CampaignScale, FaultModelKind, ShardConfig,
-    ShardRun, ShardSpec, SHARD_SCHEMA_VERSION,
+    execute_shard, execute_shard_limited, merge_artifacts, parse_artifact,
+    run_campaign_with_traces, run_record, summarize, summarize_merged, unit_shard, Campaign,
+    CampaignScale, FaultModelKind, RunResult, ShardConfig, ShardRun, ShardSpec,
+    SHARD_SCHEMA_VERSION,
 };
+use diverseav_obs::journal;
 use diverseav_simworld::{ScenarioKind, SensorConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -113,20 +116,25 @@ fn killed_and_resumed_shards_merge_bit_identical_to_monolithic() {
     assert_eq!(sharded[0].deadline.ticks, mono[0].deadline.ticks);
     assert_eq!(sharded[0].deadline.misses, mono[0].deadline.misses);
 
-    // Gate 2: both merges agree with the in-process monolithic path.
-    let live = run_campaign_cached(campaign, &scale, None, sensor, false, None);
-    let live_golden: Vec<ShardRun> = live
-        .golden
+    // Gate 2: both merges agree with the in-process monolithic path,
+    // traced: its journal's run lines are the 1-of-1 shard's merged
+    // journal, byte for byte.
+    std::env::set_var("DIVERSEAV_TRACE", "1");
+    let before = journal::len();
+    let live = run_campaign_with_traces(campaign, &scale, None, sensor, false);
+    std::env::remove_var("DIVERSEAV_TRACE");
+    let traced: String = journal::snapshot()[before..]
         .iter()
-        .enumerate()
-        .map(|(i, r)| ShardRun::from_result("golden", i, r))
+        .filter(|l| l.starts_with("{\"type\": \"run\""))
+        .map(|l| format!("{l}\n"))
         .collect();
-    let live_injected: Vec<ShardRun> = live
-        .injected
-        .iter()
-        .enumerate()
-        .map(|(i, r)| ShardRun::from_result("injected", i, r))
-        .collect();
+    assert_eq!(traced, merge::journal_doc(&mono), "traced journal == 1-shard merged journal");
+    let label = campaign.to_string();
+    let records = |kind, runs: &[RunResult]| -> Vec<ShardRun> {
+        runs.iter().enumerate().map(|(i, r)| run_record(&label, kind, i, r)).collect()
+    };
+    let (live_golden, live_injected) =
+        (records("golden", &live.golden), records("injected", &live.injected));
     assert_eq!(sharded[0].golden, live_golden);
     assert_eq!(sharded[0].injected, live_injected);
     assert_eq!(summarize_merged(&sharded[0], TD), summarize(&live, TD));

@@ -7,7 +7,8 @@ use crate::cache::{GoldenCache, GoldenKey, GoldenSet};
 use crate::exec::{par_map, par_map_indices};
 use crate::outcome::{classify, mean_trajectory, OutcomeClass};
 use crate::plan::{generate_plan, FaultModelKind, PlanConfig};
-use crate::runner::{run_experiment, run_record, FaultSpec, RunConfig, RunResult};
+use crate::record::run_record;
+use crate::runner::{run_experiment, FaultSpec, RunConfig, RunResult};
 use diverseav::{AgentMode, DetectorConfig, DetectorModel, TrainSample};
 use diverseav_fabric::Profile;
 use diverseav_obs::{journal, metrics, trace};
@@ -336,7 +337,9 @@ pub fn run_campaign_cached(
         let label = campaign.to_string();
         let units = campaign_units(golden.len(), injected.len());
         for (unit, r) in units.into_iter().zip(golden.iter().chain(&injected)) {
-            journal::append_record(&run_record(&label, unit.kind(), unit.index(), r));
+            journal::append_line(
+                run_record(&label, unit.kind(), unit.index(), r).render_journal_line(),
+            );
         }
     }
 

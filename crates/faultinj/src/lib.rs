@@ -40,6 +40,7 @@ pub mod export;
 pub mod guided;
 pub mod outcome;
 pub mod plan;
+pub mod record;
 pub mod runner;
 pub mod shard;
 
@@ -68,9 +69,9 @@ pub use plan::{
 // Sensor-fault realizations live in the runtime crate (the injector is a
 // `SimLoop` hook); re-exported here so campaign code has one import root.
 pub use diverseav_runtime::{IncidentKind, SensorFault, SensorFaultKind};
+pub use record::{run_record, RunRecord};
 pub use runner::{
-    run_experiment, run_experiment_observed, run_record, FaultSpec, RunConfig, RunResult,
-    Termination,
+    run_experiment, run_experiment_observed, FaultSpec, RunConfig, RunResult, Termination,
 };
 pub use shard::{
     campaign_fingerprint, collect_incidents, execute_shard, execute_shard_limited,

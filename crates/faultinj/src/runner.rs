@@ -225,36 +225,6 @@ impl RunResult {
     }
 }
 
-/// Flatten one run into a journal [`RunRecord`](diverseav_obs::RunRecord)
-/// for the `DIVERSEAV_TRACE` JSONL artifact.
-///
-/// Every field is a pure function of the run's inputs, so for a fixed
-/// campaign sequence the rendered lines are bit-identical across thread
-/// counts and across traced/untraced re-runs.
-pub fn run_record(
-    campaign: &str,
-    kind: &'static str,
-    index: usize,
-    r: &RunResult,
-) -> diverseav_obs::RunRecord {
-    diverseav_obs::RunRecord {
-        campaign: campaign.to_string(),
-        kind,
-        index,
-        seed: r.seed,
-        scenario: r.scenario.to_string(),
-        outcome: r.termination.label().to_string(),
-        end_time: r.end_time,
-        collision_time: r.collision_time,
-        alarm_time: r.alarm_time,
-        fault_activated: r.fault_activated,
-        fault_onset_time: r.fault_onset_time,
-        min_cvip: r.min_cvip,
-        div_peak: r.divergence_peak(),
-        fault: r.fault.map(|f| f.site()),
-    }
-}
-
 /// Execute one experiment.
 ///
 /// The detector alarm does *not* interrupt the run: as in the paper, the
@@ -356,6 +326,7 @@ pub fn run_experiment_observed(cfg: &RunConfig, extra: &mut [&mut dyn LoopObserv
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::run_record;
     use diverseav_agent::AgentError;
     use diverseav_fabric::Trap;
     use diverseav_simworld::lead_slowdown;
@@ -453,7 +424,7 @@ mod tests {
         let rec = run_record("GPU-transient LSD [diverseav]", "injected", 3, &r);
         assert_eq!((rec.kind, rec.index, rec.seed), ("injected", 3, 8));
         assert_eq!(rec.outcome, r.termination.label());
-        assert!(rec.render().contains("\"type\": \"run\""));
+        assert!(rec.render_journal_line().contains("\"type\": \"run\""));
         let site = rec.fault.expect("fault site recorded");
         assert_eq!((site.cycle, site.mask, site.op), (Some(42), 7, None));
         assert!(r.divergence_peak().iter().all(|&p| p >= 0.0));
@@ -496,7 +467,7 @@ mod tests {
         assert_eq!(site.op.as_deref(), Some("oscillation"));
         assert_eq!(site.cycle, Some(3));
         assert_eq!(rec.fault_onset_time, r.fault_onset_time);
-        assert!(rec.render().contains("\"fault_onset_time\""));
+        assert!(rec.render_journal_line().contains("\"fault_onset_time\""));
     }
 
     #[test]

@@ -50,12 +50,13 @@ use crate::guided::{
     ess, is_safety_critical, EpochSummary, GuidedConfig, GuidedPlanner, GuidedSpec, WeightedRow,
 };
 use crate::outcome::{classify_parts, mean_trajectory, OutcomeClass};
+use crate::record::{run_record, RunRecord};
 use crate::runner::{run_experiment, RunResult};
 use diverseav_obs::flight::{self, TickRecord};
 use diverseav_obs::json::{self, Value};
-use diverseav_obs::{metrics, profile, FaultSite, HistSnapshot, TimeSource};
+use diverseav_obs::{metrics, profile, HistSnapshot, TimeSource};
 use diverseav_runtime::DeadlineStats;
-use diverseav_simworld::{Scenario, SensorConfig, TrajPoint, Vec2};
+use diverseav_simworld::{Scenario, SensorConfig, TrajPoint};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
@@ -69,7 +70,9 @@ use std::time::Instant;
 /// v3 added `incident` to run lines and the incident sidecar.
 /// v4 added guided-campaign fields: `stratum`/`weight` on run lines and
 /// the `guided` manifest member (epoch protocol, see [`crate::guided`]).
-pub const SHARD_SCHEMA_VERSION: u32 = 4;
+/// v5 made run lines the shard framing of [`RunRecord`]: `div_peak`
+/// added, `seed` and a fault site's `cycle` written as decimal strings.
+pub const SHARD_SCHEMA_VERSION: u32 = 5;
 
 /// Everything that can go wrong sharding or merging.
 #[derive(Debug)]
@@ -230,199 +233,9 @@ pub struct ShardConfig {
     pub guided: Option<GuidedShardSpec>,
 }
 
-/// One run's results, flattened for the shard artifact. Every field a
-/// [`RunResult`] contributes to Table I, the journal, or the merged
-/// metrics — encoded losslessly so the merge is bit-exact.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardRun {
-    /// `"golden"` or `"injected"`.
-    pub kind: String,
-    /// Engine index within its kind.
-    pub index: usize,
-    /// The run seed (validated against the engine's seed law on merge).
-    pub seed: u64,
-    /// `Termination::label()` of the run.
-    pub outcome: String,
-    /// Simulation time reached.
-    pub end_time: f64,
-    /// Collision time, if the ego collided.
-    pub collision_time: Option<f64>,
-    /// Detector alarm time, if raised.
-    pub alarm_time: Option<f64>,
-    /// Whether the fault corrupted at least one register or frame.
-    pub fault_activated: bool,
-    /// First corrupted-frame time for sensor faults (`None` otherwise).
-    pub fault_onset_time: Option<f64>,
-    /// Minimum CVIP distance over the run.
-    pub min_cvip: f64,
-    /// Red lights crossed against a stop demand.
-    pub red_light_violations: u32,
-    /// Simulation ticks executed.
-    pub ticks: u64,
-    /// Ticks over the 25 ms control budget.
-    pub deadline_misses: u64,
-    /// [`IncidentKind`](diverseav_runtime::IncidentKind) label when the
-    /// run flushed its flight recording (`None` for unremarkable runs).
-    /// The payload itself lives in the incident sidecar.
-    pub incident: Option<String>,
-    /// Guided-campaign stratum code this run was drawn from (`None` for
-    /// uniform enumeration and golden runs).
-    pub stratum: Option<u64>,
-    /// Horvitz–Thompson importance weight (`None` for uniform
-    /// enumeration and golden runs).
-    pub weight: Option<f64>,
-    /// Injection site, if any.
-    pub fault: Option<FaultSite>,
-    /// Recorded ego trajectory.
-    pub trajectory: Vec<TrajPoint>,
-}
-
-impl ShardRun {
-    /// Flatten a live [`RunResult`] (same fault-site mapping as the
-    /// run journal's [`run_record`](crate::runner::run_record)).
-    pub fn from_result(kind: &str, index: usize, r: &RunResult) -> Self {
-        ShardRun {
-            kind: kind.to_string(),
-            index,
-            seed: r.seed,
-            outcome: r.termination.label().to_string(),
-            end_time: r.end_time,
-            collision_time: r.collision_time,
-            alarm_time: r.alarm_time,
-            fault_activated: r.fault_activated,
-            fault_onset_time: r.fault_onset_time,
-            min_cvip: r.min_cvip,
-            red_light_violations: r.red_light_violations,
-            ticks: r.ticks,
-            deadline_misses: r.deadline_misses,
-            incident: r.incident.map(|k| k.label().to_string()),
-            stratum: r.stratum,
-            weight: r.weight,
-            fault: r.fault.map(|f| f.site()),
-            trajectory: r.trajectory.clone(),
-        }
-    }
-
-    /// Render as one artifact line within batch `batch`.
-    pub fn render_line(&self, batch: usize) -> String {
-        let fault = match &self.fault {
-            None => "null".to_string(),
-            Some(f) => format!(
-                "{{\"profile\": \"{}\", \"unit\": {}, \"model\": \"{}\", \"mask\": {}, \
-                 \"cycle\": {}, \"op\": {}}}",
-                json::escape(&f.profile),
-                f.unit,
-                json::escape(&f.model),
-                f.mask,
-                f.cycle.map(json::u64_str).unwrap_or_else(|| "null".to_string()),
-                json::opt_str(f.op.as_deref()),
-            ),
-        };
-        let traj: Vec<String> = self
-            .trajectory
-            .iter()
-            .map(|p| {
-                format!(
-                    "\"{:016x}:{:016x}:{:016x}\"",
-                    p.t.to_bits(),
-                    p.pos.x.to_bits(),
-                    p.pos.y.to_bits()
-                )
-            })
-            .collect();
-        let mut s = String::with_capacity(256 + traj.len() * 56);
-        s.push_str(&format!(
-            "{{\"type\": \"shard_run\", \"batch\": {batch}, \"kind\": \"{}\", \
-             \"index\": {}, \"seed\": {}, \"outcome\": \"{}\", ",
-            json::escape(&self.kind),
-            self.index,
-            self.seed,
-            json::escape(&self.outcome),
-        ));
-        s.push_str(&format!(
-            "\"end_time\": {}, \"collision_time\": {}, \"alarm_time\": {}, \
-             \"fault_activated\": {}, \"fault_onset_time\": {}, \"min_cvip\": {}, \
-             \"red_light_violations\": {}, ",
-            json::f64_bits(self.end_time),
-            json::opt_f64_bits(self.collision_time),
-            json::opt_f64_bits(self.alarm_time),
-            self.fault_activated,
-            json::opt_f64_bits(self.fault_onset_time),
-            json::f64_bits(self.min_cvip),
-            self.red_light_violations,
-        ));
-        s.push_str(&format!(
-            "\"ticks\": {}, \"deadline_misses\": {}, \"incident\": {}, \
-             \"stratum\": {}, \"weight\": {}, \
-             \"fault\": {fault}, \"trajectory\": [{}]}}",
-            json::u64_str(self.ticks),
-            json::u64_str(self.deadline_misses),
-            json::opt_str(self.incident.as_deref()),
-            self.stratum.map(|c| format!("\"{c:016x}\"")).unwrap_or_else(|| "null".to_string()),
-            json::opt_f64_bits(self.weight),
-            traj.join(", "),
-        ));
-        s
-    }
-
-    /// Parse a line rendered by [`render_line`]; returns `(batch, run)`.
-    pub fn parse(v: &Value) -> Result<(usize, ShardRun), String> {
-        let batch = v.req_usize("batch")?;
-        let fault = v.opt_with("fault", |f| {
-            Ok(FaultSite {
-                profile: f.req_str("profile")?,
-                unit: f.req_usize("unit")?,
-                model: f.req_str("model")?,
-                mask: f.req_u32("mask")?,
-                cycle: f.opt_with("cycle", json::parse_u64_str)?,
-                op: f.opt_str_member("op")?,
-            })
-        })?;
-        let traj_val = v.req_arr("trajectory")?;
-        let mut trajectory = Vec::with_capacity(traj_val.len());
-        for p in traj_val {
-            let s = p.as_str().ok_or("trajectory points must be strings")?;
-            let mut parts = s.split(':');
-            let mut next_bits = || -> Result<f64, String> {
-                let part = parts.next().ok_or_else(|| format!("bad trajectory point {s:?}"))?;
-                if part.len() != 16 {
-                    return Err(format!("bad trajectory point {s:?}"));
-                }
-                u64::from_str_radix(part, 16)
-                    .map(f64::from_bits)
-                    .map_err(|e| format!("bad trajectory point {s:?}: {e}"))
-            };
-            let (t, x, y) = (next_bits()?, next_bits()?, next_bits()?);
-            if parts.next().is_some() {
-                return Err(format!("bad trajectory point {s:?}"));
-            }
-            trajectory.push(TrajPoint { t, pos: Vec2 { x, y } });
-        }
-        Ok((
-            batch,
-            ShardRun {
-                kind: v.req_str("kind")?,
-                index: v.req_usize("index")?,
-                seed: v.req_u64("seed")?,
-                outcome: v.req_str("outcome")?,
-                end_time: v.req_f64_bits("end_time")?,
-                collision_time: v.opt_f64_bits_member("collision_time")?,
-                alarm_time: v.opt_f64_bits_member("alarm_time")?,
-                fault_activated: v.req_bool("fault_activated")?,
-                fault_onset_time: v.opt_f64_bits_member("fault_onset_time")?,
-                min_cvip: v.req_f64_bits("min_cvip")?,
-                red_light_violations: v.req_u32("red_light_violations")?,
-                ticks: v.req_u64_str("ticks")?,
-                deadline_misses: v.req_u64_str("deadline_misses")?,
-                incident: v.opt_str_member("incident")?,
-                stratum: v.opt_hex64_member("stratum")?,
-                weight: v.opt_f64_bits_member("weight")?,
-                fault,
-                trajectory,
-            },
-        ))
-    }
-}
+/// The shard artifact's name for a [`RunRecord`]: one `shard_run` line
+/// ([`RunRecord::render_shard_line`]) per run.
+pub type ShardRun = RunRecord;
 
 /// Prefixes of the process-global metrics a shard is accountable for:
 /// everything the simulation runs themselves produce. Campaign-level
@@ -687,6 +500,16 @@ impl GuidedManifest {
 }
 
 impl ShardManifest {
+    /// The manifest with the members the profiling pass determines
+    /// zeroed: `injected_runs`, `assigned_runs` and the guided epoch plan
+    /// (`budget`, `epoch_start`, `epoch_runs`).
+    fn config_part(&self) -> ShardManifest {
+        let plan =
+            |g: GuidedManifest| GuidedManifest { budget: 0, epoch_start: 0, epoch_runs: 0, ..g };
+        let guided = self.guided.map(plan);
+        ShardManifest { injected_runs: 0, assigned_runs: 0, guided, ..self.clone() }
+    }
+
     /// Render as the artifact's first line.
     pub fn render(&self) -> String {
         format!(
@@ -813,6 +636,7 @@ pub fn parse_artifact(text: &str) -> Result<ShardArtifact, ShardError> {
     let first = lines.next().ok_or_else(|| ShardError::Parse("empty artifact".to_string()))?;
     let mv = json::parse(first).map_err(|e| ShardError::Parse(format!("manifest line: {e}")))?;
     let manifest = ShardManifest::parse(&mv).map_err(ShardError::Parse)?;
+    let (campaign, scenario) = (&manifest.campaign, &manifest.scenario_name);
     let mut runs = Vec::new();
     let mut pending: Vec<ShardRun> = Vec::new();
     let mut batches: Vec<BatchMark> = Vec::new();
@@ -825,7 +649,8 @@ pub fn parse_artifact(text: &str) -> Result<ShardArtifact, ShardError> {
         let Ok(ty) = v.req_str("type") else { break };
         match ty.as_str() {
             "shard_run" => {
-                let Ok((batch, run)) = ShardRun::parse(&v) else { break };
+                let parsed = RunRecord::parse_shard_line(&v, campaign, scenario);
+                let Ok((batch, run)) = parsed else { break };
                 if batch != batches.len() {
                     break;
                 }
@@ -1174,6 +999,36 @@ pub fn execute_shard_limited(
     let run_unit = |unit: RunUnit, entry: Option<&PlannedRun>| {
         run_experiment(&unit_config(&scenario, cfg.campaign.mode, cfg.sensor, unit, entry))
     };
+    let refuse = || {
+        ShardError::Mismatch(format!(
+            "checkpoint at {} was written by a different shard configuration; \
+             refusing to resume over it",
+            path.display()
+        ))
+    };
+
+    // Read the checkpoint before profiling: one whose manifest differs in
+    // a member the profiling pass does not determine is refused without
+    // paying for that simulation run.
+    let text = match fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e.into()),
+    };
+    let checkpoint = parse_artifact(&text);
+    if let Ok(art) = &checkpoint {
+        let guided = cfg.guided.as_ref().map(|g| GuidedManifest {
+            epochs: g.epochs.max(1),
+            epoch: g.epoch,
+            budget: 0,
+            epoch_start: 0,
+            epoch_runs: 0,
+            prior_digest: g.prior.as_ref().map(EpochSummary::digest).unwrap_or(0),
+        });
+        if art.manifest.config_part() != shard_manifest(cfg, &scenario, golden_runs, 0, 0, guided) {
+            return Err(refuse());
+        }
+    }
 
     // The profiling pass is golden run 0, re-run by every shard process
     // because it sizes the injection plan. Its metric contribution is
@@ -1261,11 +1116,6 @@ pub fn execute_shard_limited(
     let manifest_line = format!("{}\n", manifest.render());
     let mut done_batches = 0usize;
     let mut cumulative = MetricsSlice::default();
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e.into()),
-    };
     // A torn first write — any strict prefix of this shard's own manifest
     // line — is a fresh start; any other unparsable text is refused.
     let fresh = text.trim().is_empty()
@@ -1276,13 +1126,9 @@ pub fn execute_shard_limited(
         file.flush()?;
         file
     } else {
-        let art = parse_artifact(&text)?;
+        let art = checkpoint?;
         if art.manifest != manifest {
-            return Err(ShardError::Mismatch(format!(
-                "checkpoint at {} was written by a different shard configuration; \
-                 refusing to resume over it",
-                path.display()
-            )));
+            return Err(refuse());
         }
         let committed = line_prefix_len(&text, art.committed_lines);
         if art.complete {
@@ -1344,7 +1190,7 @@ pub fn execute_shard_limited(
         let before = MetricsSlice::capture();
         let flatten = |unit: RunUnit, r: &RunResult| {
             let (kind, i) = (unit.kind(), unit.index());
-            (ShardRun::from_result(kind, i, r), IncidentRecord::from_result(kind, i, r))
+            (run_record(&manifest.campaign, kind, i, r), IncidentRecord::from_result(kind, i, r))
         };
         let results: Vec<(ShardRun, Option<IncidentRecord>)> = par_map(chunk, |&unit| match unit {
             RunUnit::Golden(0) => flatten(unit, &profile_run),
@@ -1375,7 +1221,7 @@ pub fn execute_shard_limited(
         }
         let mut out = String::new();
         for (r, _) in &results {
-            out.push_str(&r.render_line(b));
+            out.push_str(&r.render_shard_line(b));
             out.push('\n');
         }
         out.push_str(&format!(
@@ -1631,7 +1477,7 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
         let a_range =
             am.guided.as_ref().map(|g| (g.epoch_start, g.epoch_start.saturating_add(g.epoch_runs)));
         for r in &a.runs {
-            let unit = RunUnit::from_kind(&r.kind, r.index)
+            let unit = RunUnit::from_kind(r.kind, r.index)
                 .ok_or_else(|| mismatch(format!("unknown run kind {:?}", r.kind)))?;
             let home = unit_shard(first.plan_seed, unit, n);
             if home != a.manifest.shard_index {
@@ -1800,6 +1646,33 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
     })
 }
 
+/// One Table-I classification pass over `runs`: each run adds
+/// `weight(run)` to `[active, hang_crash, accidents, traj_violations]`,
+/// in run order.
+fn table1_tally(
+    runs: &[RunRecord],
+    baseline: &[TrajPoint],
+    td: f64,
+    weight: impl Fn(&RunRecord) -> f64,
+) -> [f64; 4] {
+    let mut tally = [0.0; 4];
+    for r in runs {
+        let w = weight(r);
+        if r.fault_activated {
+            tally[0] += w;
+        }
+        let class =
+            classify_parts(&r.outcome, r.collision_time.is_some(), &r.trajectory, baseline, td);
+        match class {
+            OutcomeClass::HangCrash => tally[1] += w,
+            OutcomeClass::Accident => tally[2] += w,
+            OutcomeClass::TrajViolation => tally[3] += w,
+            OutcomeClass::Benign => {}
+        }
+    }
+    tally
+}
+
 /// Summarize a merged campaign into a Table-I row — the shard-side
 /// counterpart of [`summarize`](crate::campaign::summarize), classifying
 /// from the serialized run parts via
@@ -1807,21 +1680,16 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
 /// `summarize` it has *no* metric side effects: merged outcome counters
 /// come from the shard slices, not from re-tallying.
 pub fn summarize_merged(m: &MergedCampaign, td: f64) -> TableRow {
-    let mut row = TableRow { total: m.injected.len(), ..Default::default() };
-    for r in &m.injected {
-        if r.fault_activated {
-            row.active += 1;
-        }
-        let class =
-            classify_parts(&r.outcome, r.collision_time.is_some(), &r.trajectory, &m.baseline, td);
-        match class {
-            OutcomeClass::HangCrash => row.hang_crash += 1,
-            OutcomeClass::Accident => row.accidents += 1,
-            OutcomeClass::TrajViolation => row.traj_violations += 1,
-            OutcomeClass::Benign => {}
-        }
+    // Each run counts 1.0; sums of ones are exact far past any run count.
+    let [active, hang_crash, accidents, traj_violations] =
+        table1_tally(&m.injected, &m.baseline, td, |_| 1.0);
+    TableRow {
+        total: m.injected.len(),
+        active: active as usize,
+        hang_crash: hang_crash as usize,
+        accidents: accidents as usize,
+        traj_violations: traj_violations as usize,
     }
-    row
 }
 
 /// Horvitz–Thompson-weighted Table-I row for a merged *guided*
@@ -1844,24 +1712,18 @@ pub fn summarize_weighted(m: &MergedCampaign, td: f64) -> Result<WeightedRow, Sh
             m.manifest.campaign, g.epochs, g.epochs_done
         )));
     }
-    let mut row = WeightedRow { budget: m.injected.len(), ..Default::default() };
-    for r in &m.injected {
-        let w = r.weight.expect("guided merges validate weights");
-        row.runs += 1;
-        if r.fault_activated {
-            row.active += w;
-        }
-        let class =
-            classify_parts(&r.outcome, r.collision_time.is_some(), &r.trajectory, &m.baseline, td);
-        match class {
-            OutcomeClass::HangCrash => row.hang_crash += w,
-            OutcomeClass::Accident => row.accidents += w,
-            OutcomeClass::TrajViolation => row.traj_violations += w,
-            OutcomeClass::Benign => {}
-        }
-    }
-    row.ess = ess(m.injected.iter().map(|r| r.weight.expect("validated")));
-    Ok(row)
+    let weight = |r: &RunRecord| r.weight.expect("guided merges validate weights");
+    let [active, hang_crash, accidents, traj_violations] =
+        table1_tally(&m.injected, &m.baseline, td, weight);
+    Ok(WeightedRow {
+        budget: m.injected.len(),
+        runs: m.injected.len(),
+        active,
+        hang_crash,
+        accidents,
+        traj_violations,
+        ess: ess(m.injected.iter().map(weight)),
+    })
 }
 
 /// Cumulative per-stratum epoch summary of a merged guided prefix —
@@ -1938,7 +1800,7 @@ pub fn collect_incidents(
     // order is engine order.
     let mut expected: BTreeMap<RunUnit, &str> = BTreeMap::new();
     for r in merged.golden.iter().chain(&merged.injected) {
-        if let (Some(label), Some(unit)) = (&r.incident, RunUnit::from_kind(&r.kind, r.index)) {
+        if let (Some(label), Some(unit)) = (&r.incident, RunUnit::from_kind(r.kind, r.index)) {
             expected.insert(unit, label.as_str());
         }
     }
@@ -2008,7 +1870,8 @@ mod tests {
     use crate::campaign::{campaign_units, GOLDEN_SEED_BASE, INJECTED_SEED_BASE};
     use diverseav::AgentMode;
     use diverseav_fabric::Profile;
-    use diverseav_simworld::ScenarioKind;
+    use diverseav_obs::FaultSite;
+    use diverseav_simworld::{ScenarioKind, Vec2};
 
     fn campaign() -> Campaign {
         Campaign {
@@ -2055,7 +1918,9 @@ mod tests {
 
     fn sample_run() -> ShardRun {
         ShardRun {
-            kind: "injected".to_string(),
+            campaign: "GPU-transient LSD [diverseav]".to_string(),
+            scenario: "lead_slowdown".to_string(),
+            kind: "injected",
             index: 3,
             seed: INJECTED_SEED_BASE + 3,
             outcome: "crash".to_string(),
@@ -2071,6 +1936,7 @@ mod tests {
             incident: Some("crash".to_string()),
             stratum: Some(0x7100 | 0x23),
             weight: Some(3.75),
+            div_peak: [0.0; 3],
             fault: Some(FaultSite {
                 profile: "GPU".to_string(),
                 unit: 0,
@@ -2079,24 +1945,8 @@ mod tests {
                 cycle: Some(123_456),
                 op: None,
             }),
-            trajectory: vec![
-                TrajPoint { t: 0.0, pos: Vec2 { x: -0.0, y: 1.5 } },
-                TrajPoint { t: 0.025, pos: Vec2 { x: 0.3, y: 1.625 } },
-            ],
+            trajectory: vec![TrajPoint { t: 0.0, pos: Vec2 { x: -0.0, y: 1.5 } }],
         }
-    }
-
-    #[test]
-    fn shard_run_round_trips_bit_exactly() {
-        let run = sample_run();
-        let line = run.render_line(7);
-        let v = json::parse(&line).expect("run line parses");
-        let (batch, back) = ShardRun::parse(&v).expect("run reconstructs");
-        assert_eq!(batch, 7);
-        assert_eq!(back, run);
-        // -0.0 must survive (bit pattern, not value, equality).
-        assert_eq!(back.trajectory[0].pos.x.to_bits(), (-0.0f64).to_bits());
-        assert!(back.min_cvip.is_infinite());
     }
 
     #[test]
@@ -2179,7 +2029,7 @@ mod tests {
         let mut text = format!("{}\n", art.manifest.render());
         for r in &mut art.runs {
             r.ticks = ticks;
-            text.push_str(&r.render_line(0));
+            text.push_str(&r.render_shard_line(0));
             text.push('\n');
         }
         text.push_str(&format!(
@@ -2255,7 +2105,9 @@ mod tests {
             guided: None,
         };
         let run = |unit: RunUnit| ShardRun {
-            kind: unit.kind().to_string(),
+            campaign: "GPU-transient LSD [diverseav]".to_string(),
+            scenario: "lead_slowdown".to_string(),
+            kind: unit.kind(),
             index: unit.index(),
             seed: unit.seed(),
             outcome: "completed".to_string(),
@@ -2271,6 +2123,7 @@ mod tests {
             incident: None,
             stratum: None,
             weight: None,
+            div_peak: [0.0; 3],
             fault: None,
             trajectory: vec![TrajPoint { t: 0.0, pos: Vec2 { x: 0.0, y: 0.0 } }],
         };
@@ -2488,7 +2341,7 @@ mod tests {
     fn render_committed(a: &ShardArtifact) -> String {
         let mut text = format!("{}\n", a.manifest.render());
         for r in &a.runs {
-            text.push_str(&r.render_line(0));
+            text.push_str(&r.render_shard_line(0));
             text.push('\n');
         }
         text.push_str(&format!(
@@ -2564,10 +2417,11 @@ mod tests {
 
     #[test]
     fn run_line_refuses_out_of_range_u32_members() {
-        let line = sample_run().render_line(0);
+        let line = sample_run().render_shard_line(0);
         for (key, value) in [("mask", 1 << 7), ("red_light_violations", 1)] {
             let v = with_u32_overflow(&line, key, value);
-            let err = ShardRun::parse(&v).expect_err("value beyond u32 refused");
+            let err =
+                ShardRun::parse_shard_line(&v, "c", "s").expect_err("value beyond u32 refused");
             assert!(err.contains(&format!("\"{key}\" out of u32 range")), "{err}");
         }
     }
@@ -2584,7 +2438,7 @@ mod tests {
 
         // A torn tail: one uncommitted run line, then a half-written line.
         let mut torn = text.clone();
-        torn.push_str(&a.runs[0].render_line(1));
+        torn.push_str(&a.runs[0].render_shard_line(1));
         torn.push('\n');
         torn.push_str("{\"type\": \"shard_ru");
         let parsed = parse_artifact(&torn).expect("torn artifact still parses");

@@ -8,8 +8,8 @@
 use diverseav::AgentMode;
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
-    execute_shard, merge_artifacts, parse_artifact, run_campaign_with_traces, Campaign,
-    CampaignScale, FaultModelKind, SensorFault, SensorFaultKind, ShardConfig, ShardRun, ShardSpec,
+    execute_shard, merge_artifacts, parse_artifact, run_campaign_with_traces, run_record, Campaign,
+    CampaignScale, FaultModelKind, SensorFault, SensorFaultKind, ShardConfig, ShardSpec,
 };
 use diverseav_runtime::FrameInjector;
 use diverseav_simworld::{Image, ScenarioKind, SensorConfig, SensorFrame};
@@ -123,12 +123,13 @@ proptest! {
 /// lossless f64-bit encoding), so comparisons are bit-exact.
 fn render_runs(campaign: Campaign) -> Vec<String> {
     let r = run_campaign_with_traces(campaign, &tiny_scale(), None, SensorConfig::default(), false);
+    let label = campaign.to_string();
     let mut out = Vec::new();
     for (i, g) in r.golden.iter().enumerate() {
-        out.push(ShardRun::from_result("golden", i, g).render_line(0));
+        out.push(run_record(&label, "golden", i, g).render_shard_line(0));
     }
     for (i, g) in r.injected.iter().enumerate() {
-        out.push(ShardRun::from_result("injected", i, g).render_line(0));
+        out.push(run_record(&label, "injected", i, g).render_shard_line(0));
     }
     out
 }
@@ -178,12 +179,12 @@ fn sharded_and_monolithic_sensor_campaigns_agree_bit_for_bit() {
     assert_eq!(merged.len(), 1);
     let mut from_shards = Vec::new();
     for (i, g) in merged[0].golden.iter().enumerate() {
-        assert_eq!((g.kind.as_str(), g.index), ("golden", i));
-        from_shards.push(g.render_line(0));
+        assert_eq!((g.kind, g.index), ("golden", i));
+        from_shards.push(g.render_shard_line(0));
     }
     for (i, g) in merged[0].injected.iter().enumerate() {
-        assert_eq!((g.kind.as_str(), g.index), ("injected", i));
-        from_shards.push(g.render_line(0));
+        assert_eq!((g.kind, g.index), ("injected", i));
+        from_shards.push(g.render_shard_line(0));
     }
     assert_eq!(monolithic, from_shards, "shard/monolithic sensor runs diverge");
     std::fs::remove_dir_all(&dir).ok();

@@ -21,8 +21,9 @@ use diverseav::AgentMode;
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
     execute_shard, incident_sidecar_path, parse_artifact, Campaign, CampaignScale, FaultModelKind,
-    ShardConfig, ShardSpec,
+    GuidedShardSpec, ShardConfig, ShardError, ShardSpec,
 };
+use diverseav_obs::metrics;
 use diverseav_simworld::{ScenarioKind, SensorConfig};
 use proptest::prelude::*;
 use std::fs;
@@ -277,6 +278,46 @@ fn kills_at_every_class_and_line_boundary_resume_to_the_same_bytes() {
             }
         }
     }
+}
+
+/// A checkpoint from another configuration whose manifest differs in a
+/// member the profiling pass does not determine is refused before that
+/// pass: no simulation run starts, and the checkpoint is left untouched.
+#[test]
+fn foreign_checkpoints_are_refused_before_the_profiling_run() {
+    let _serial = serial();
+    let r = reference();
+    let path = scratch("foreign.jsonl");
+    let side = incident_sidecar_path(&path);
+    fs::write(&path, &r.artifact).expect("write checkpoint");
+    fs::write(&side, &r.sidecar).expect("write sidecar");
+    let experiments = || metrics::counter_get("runner.experiments");
+    let base = cfg();
+    let campaign = Campaign { target: Profile::Cpu, ..base.campaign };
+    let mut foreign = vec![("target", ShardConfig { campaign, ..cfg() })];
+    let scale = CampaignScale { golden_runs: 2, ..base.scale };
+    foreign.push(("scale (fingerprint)", ShardConfig { scale, ..cfg() }));
+    foreign.push(("shard index", ShardConfig { spec: ShardSpec { index: 1, count: 3 }, ..cfg() }));
+    foreign.push(("shard count", ShardConfig { spec: ShardSpec { index: 0, count: 4 }, ..cfg() }));
+    foreign.push(("batch size", ShardConfig { batch_size: 3, ..cfg() }));
+    let guided = GuidedShardSpec { epochs: 2, epoch: 0, prior: None };
+    foreign.push(("guided epochs", ShardConfig { guided: Some(guided), ..cfg() }));
+    for (what, foreign) in foreign {
+        let before = experiments();
+        match execute_shard(&foreign, &path) {
+            Err(ShardError::Mismatch(msg)) => assert!(msg.contains("refusing"), "{what}: {msg}"),
+            other => panic!("{what}: expected a refusal, got {other:?}"),
+        }
+        assert_eq!(experiments(), before, "{what}: refused without a simulation run");
+        assert_eq!(fs::read_to_string(&path).expect("checkpoint"), r.artifact, "{what}");
+    }
+    // The matching, complete checkpoint still costs its profiling run: the
+    // full manifest comparison needs the plan that run sizes.
+    let before = experiments();
+    assert!(execute_shard(&cfg(), &path).expect("complete checkpoint").complete);
+    assert_eq!(experiments(), before + 1);
+    let _ = fs::remove_file(&path);
+    let _ = fs::remove_file(&side);
 }
 
 proptest! {

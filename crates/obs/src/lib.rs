@@ -49,7 +49,7 @@ pub mod trace;
 
 pub use flight::{FlightRing, TickRecord};
 pub use hist::{HistSnapshot, Histogram};
-pub use journal::{FaultSite, RunRecord};
+pub use journal::FaultSite;
 pub use metrics::MetricsSnapshot;
 pub use profile::TimeSource;
 pub use trace::{Event, SlotJournal, SlotWriter};

@@ -180,11 +180,6 @@ pub fn render_json(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// Write the current registry as JSON to `path`.
-pub fn flush_json(path: &str) -> std::io::Result<()> {
-    std::fs::write(path, render_json(&snapshot()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,8 @@
 //! the pinned golden fixture bit-for-bit: identical `RunResult`s (hashed
 //! over their full `Debug` rendering, which prints every f64 with
 //! shortest-roundtrip precision), identical Table-I rows, identical
-//! violation baselines, and byte-identical run-journal lines, for any
+//! violation baselines, and run-journal lines that re-render to
+//! themselves and carry the pinned values (see [`pinned_view`]), for any
 //! `DIVERSEAV_THREADS`.
 //!
 //! The fixture was generated *before* the `SimLoop` runtime migration
@@ -17,9 +18,9 @@
 use diverseav::AgentMode;
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
-    run_campaign_cached, summarize, Campaign, CampaignScale, FaultModelKind, GoldenCache,
+    run_campaign_cached, summarize, Campaign, CampaignScale, FaultModelKind, GoldenCache, RunRecord,
 };
-use diverseav_obs::journal;
+use diverseav_obs::{journal, json};
 use diverseav_simworld::{ScenarioKind, SensorConfig};
 use std::fmt::Write as _;
 
@@ -96,9 +97,55 @@ fn render_cell() -> String {
         .skip(before)
         .filter(|l| l.starts_with("{\"type\": \"run\"") && l.contains(" LSD ["))
     {
-        writeln!(out, "journal {line}").unwrap();
+        writeln!(out, "journal {}", pinned_view(&line)).unwrap();
     }
     out
+}
+
+/// A run-journal line as the fixture pins it. The fixture predates the
+/// lossless journal: it holds the members the journal carried then, in
+/// their order, with times, `min_cvip` and `div_peak` at 6 decimals
+/// (`null` when non-finite) and `seed`/`cycle` as bare numbers. The line
+/// itself must parse and re-render to itself; the view then renders the
+/// parsed record the old way, so the fixture checks the same values.
+fn pinned_view(line: &str) -> String {
+    let r = RunRecord::parse_journal_line(&json::parse(line).expect("journal line is JSON"))
+        .expect("journal line parses");
+    assert_eq!(r.render_journal_line(), line, "journal line re-renders to itself");
+    let fault = r.fault.as_ref().map_or("null".to_string(), |f| {
+        format!(
+            "{{\"profile\": \"{}\", \"unit\": {}, \"model\": \"{}\", \"mask\": {}, \
+             \"cycle\": {}, \"op\": {}}}",
+            json::escape(&f.profile),
+            f.unit,
+            json::escape(&f.model),
+            f.mask,
+            f.cycle.map_or("null".to_string(), |c| c.to_string()),
+            json::opt_str(f.op.as_deref()),
+        )
+    });
+    format!(
+        "{{\"type\": \"run\", \"campaign\": \"{}\", \"kind\": \"{}\", \"index\": {}, \
+         \"seed\": {}, \"scenario\": \"{}\", \"outcome\": \"{}\", \"end_time\": {}, \
+         \"collision_time\": {}, \"alarm_time\": {}, \"fault_activated\": {}, \
+         \"fault_onset_time\": {}, \"min_cvip\": {}, \"div_peak\": [{}, {}, {}], \
+         \"fault\": {fault}}}",
+        json::escape(&r.campaign),
+        r.kind,
+        r.index,
+        r.seed,
+        json::escape(&r.scenario),
+        json::escape(&r.outcome),
+        json::num(r.end_time),
+        json::opt_num(r.collision_time),
+        json::opt_num(r.alarm_time),
+        r.fault_activated,
+        json::opt_num(r.fault_onset_time),
+        json::num(r.min_cvip),
+        json::num(r.div_peak[0]),
+        json::num(r.div_peak[1]),
+        json::num(r.div_peak[2]),
+    )
 }
 
 #[test]
