@@ -26,6 +26,12 @@
 #         summaries feed seeds and Horvitz-Thompson weights; one
 #         randomized-iteration-order map would silently break the
 #         bit-identical guided merge. BTreeMap/BTreeSet only.
+# Gate 6: one scorer. In non-test code under crates/*/src, only
+#         crates/faultinj/src/outcome.rs may name an `OutcomeClass::`
+#         variant or call `first_violation_time(`. Every Table-I row,
+#         weighted row, precision/recall, lead time and missed-hazard
+#         count is a view of its Verdict/Tally; a hand-written tally
+#         elsewhere could silently score runs differently.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -125,7 +131,23 @@ if [[ -n "$guided_hits" ]]; then
     fail=1
 fi
 
+# --- Gate 6: one scorer -------------------------------------------------
+# Scoped like Gate 1: awk stops at each file's first #[cfg(test)], so
+# tests may classify runs by hand to check the scorer.
+scorer_hits=$(find crates/*/src -name '*.rs' ! -path crates/faultinj/src/outcome.rs -print0 \
+    | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /OutcomeClass::|first_violation_time\(/ { print FILENAME ":" FNR ": " $0 }
+')
+if [[ -n "$scorer_hits" ]]; then
+    echo "lint: run scoring outside faultinj::outcome (tally Verdicts with" >&2
+    echo "outcome::Tally instead of matching OutcomeClass by hand):" >&2
+    echo "$scorer_hits" >&2
+    fail=1
+fi
+
 if [[ $fail -ne 0 ]]; then
     exit 1
 fi
-echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no stale allowlist entry, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner)"
+echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no stale allowlist entry, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner, no scoring outside the one scorer)"

@@ -15,8 +15,8 @@ use diverseav_analysis::{
 use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_faultinj::{
     collect_training_runs, max_traj_divergence, mean_trajectory, par_map, run_campaign_cached,
-    run_experiment, scenario_for, summarize, Campaign, CampaignResult, CampaignScale,
-    FaultModelKind, FaultSpec, GoldenCache, RunConfig,
+    run_experiment, summarize, Campaign, CampaignResult, CampaignScale, FaultModelKind, FaultSpec,
+    GoldenCache, RunConfig, TableRow,
 };
 use diverseav_runtime::{LoopObserver, PolicyDriver, SimLoop, TickContext};
 use diverseav_simworld::{CameraSet, Scenario, ScenarioKind, SensorConfig, TrajPoint, World};
@@ -48,12 +48,6 @@ pub fn scale() -> CampaignScale {
 pub fn gpu_campaigns(mode: AgentMode, scale: &CampaignScale) -> Vec<CampaignResult> {
     let cache = GoldenCache::new();
     campaigns_for(Profile::Gpu, mode, scale, Some(&cache))
-}
-
-/// The six CPU campaigns in a mode.
-pub fn cpu_campaigns(mode: AgentMode, scale: &CampaignScale) -> Vec<CampaignResult> {
-    let cache = GoldenCache::new();
-    campaigns_for(Profile::Cpu, mode, scale, Some(&cache))
 }
 
 /// The six campaigns ({transient, permanent} × 3 scenarios) of one
@@ -350,8 +344,11 @@ pub fn table1_report() -> String {
         "#Acc",
         "#TrajViol",
     ]);
-    for c in gpu.iter().chain(cpu.iter()).chain(sensor.iter()) {
-        let row = summarize(c, BEST_TD);
+    // One summary per campaign: `summarize` also adds to the global
+    // `outcome.*` counters, so the FIT estimate below reuses these rows.
+    let campaigns: Vec<&CampaignResult> = gpu.iter().chain(&cpu).chain(&sensor).collect();
+    let rows: Vec<TableRow> = campaigns.iter().map(|c| summarize(c, BEST_TD)).collect();
+    for (c, row) in campaigns.iter().zip(&rows) {
         // Sensor-fault rows are target-agnostic (the fault lands on the
         // frame, not a fabric): label them by the class alone.
         let fi_target = match c.campaign.kind {
@@ -374,6 +371,7 @@ pub fn table1_report() -> String {
     let training = training(AgentMode::RoundRobin, &scale);
     let cfg = DetectorConfig::default().with_rw(BEST_RW);
     let model = DetectorModel::train(&training, &cfg);
+    let gpu_count = gpu.len();
     let all: Vec<CampaignResult> = gpu.into_iter().chain(cpu).collect();
     let cell = evaluate_cell(&model, cfg, &all, BEST_TD);
     let _ = writeln!(
@@ -390,11 +388,7 @@ pub fn table1_report() -> String {
     let mut total = 0usize;
     let mut hc = 0usize;
     let mut safety = 0usize;
-    for c in &all {
-        if c.campaign.target != Profile::Gpu {
-            continue;
-        }
-        let row = summarize(c, BEST_TD);
+    for row in &rows[..gpu_count] {
         total += row.total;
         hc += row.hang_crash;
         safety += row.accidents + row.traj_violations;
@@ -674,15 +668,4 @@ fn fmt_cvip(v: f64) -> String {
     } else {
         "-".to_string()
     }
-}
-
-/// Run a scenario with the ground-truth driver to a finished world (used
-/// by diversity studies and tests).
-pub fn drive_ground_truth(kind: ScenarioKind, seed: u64) -> World {
-    let scale = scale();
-    let scenario = scenario_for(kind, &scale);
-    let world = World::new(scenario, SensorConfig::default(), seed);
-    let mut sim = SimLoop::new(world, PolicyDriver(ground_truth_controls));
-    sim.run();
-    sim.into_parts().0
 }

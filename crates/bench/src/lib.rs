@@ -14,7 +14,7 @@ pub mod sweep;
 pub mod tracecheck;
 
 pub use merge::{deterministic_doc, journal_doc, metrics_doc, table_text};
-pub use sweep::{evaluate_cell, replay_campaign, sweep, CellEval, ReplayedCampaign, SweepResult};
+pub use sweep::{evaluate_cell, sweep, CellEval, SweepResult};
 
 use diverseav_faultinj::{detected_parallelism, thread_count};
 use diverseav_obs::metrics;

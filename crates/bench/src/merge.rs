@@ -17,9 +17,11 @@ use std::collections::BTreeMap;
 
 /// Render merged campaigns as the Table-I summary text.
 ///
-/// Byte-identical to the monolithic `table1_report` table for the same
-/// campaigns (same headers, same row format, same column alignment);
-/// deliberately free of any shard-count or timing information so a
+/// Same columns, row format and counts as the monolithic `table1_report`
+/// table, with one difference in labels: every row's FI target is
+/// `<target>-<kind>`, so a sensor row reads `GPU-sensor-dropout` where
+/// `table1_report` prints the target-agnostic `sensor-dropout`.
+/// Deliberately free of any shard-count or timing information so a
 /// 4-shard merge and a 1-shard merge diff clean.
 pub fn table_text(merged: &[MergedCampaign], td: f64) -> String {
     let mut out = String::from("== Table I (merged): fault-injection campaign summary ==\n\n");

@@ -1,41 +1,17 @@
 //! Offline detector parameter sweeps (Fig 7): train one model per
 //! rolling-window size, replay every recorded divergence stream, and
-//! score precision/recall per (td, rw) cell.
+//! score each (td, rw) cell.
 //!
 //! Replaying recorded streams (rather than re-running campaigns per
 //! parameter point) is what makes the 13×5 sweep of the paper tractable;
 //! the online detector is deterministic given the stream, so replay is
-//! exact.
+//! exact. Replay only produces alarms: a cell's precision/recall (Fig 7,
+//! §VI-B, §VI-C), lead times (Fig 8) and missed hazards (§VI-A) are read
+//! from `faultinj::outcome`'s one scorer, the same [`Tally`] that scores
+//! Table I and online alarms.
 
 use diverseav::{DetectorConfig, DetectorModel, OnlineDetector, TrainSample};
-use diverseav_faultinj::{
-    classify, first_violation_time, CampaignResult, DetectionEval, OutcomeClass, RunResult,
-};
-
-/// Alarm decisions for one campaign's injected runs under one detector.
-#[derive(Clone, Debug, Default)]
-pub struct ReplayedCampaign {
-    /// Per injected run: replayed alarm time (index-aligned).
-    pub alarms: Vec<Option<f64>>,
-    /// Number of golden runs that (wrongly) alarmed.
-    pub golden_alarms: usize,
-}
-
-/// Replay one campaign under a trained detector.
-pub fn replay_campaign(
-    model: &DetectorModel,
-    cfg: DetectorConfig,
-    campaign: &CampaignResult,
-) -> ReplayedCampaign {
-    let alarms =
-        campaign.injected.iter().map(|r| OnlineDetector::replay(model, cfg, &r.training)).collect();
-    let golden_alarms = campaign
-        .golden
-        .iter()
-        .filter(|g| OnlineDetector::replay(model, cfg, &g.training).is_some())
-        .count();
-    ReplayedCampaign { alarms, golden_alarms }
-}
+use diverseav_faultinj::{CampaignResult, DetectionEval, RunResult, Tally};
 
 /// Scored evaluation of a (td, rw) cell over a set of campaigns.
 #[derive(Clone, Debug, Default)]
@@ -64,54 +40,29 @@ impl CellEval {
 }
 
 /// Evaluate one (model, cfg, td) combination over campaigns with recorded
-/// divergence streams.
+/// divergence streams: replay each campaign's streams, then score its
+/// injected runs under the replayed alarms with the one scorer
+/// ([`Tally`]) that `evaluate_detector` applies to online alarms.
 pub fn evaluate_cell(
     model: &DetectorModel,
     cfg: DetectorConfig,
     campaigns: &[CampaignResult],
     td: f64,
 ) -> CellEval {
-    let mut cell = CellEval::default();
+    let replay = |r: &RunResult| OnlineDetector::replay(model, cfg, &r.training);
+    let mut tally = Tally::default();
+    let mut golden_alarms = 0;
     for c in campaigns {
-        let replayed = replay_campaign(model, cfg, c);
-        cell.golden_alarms += replayed.golden_alarms;
-        cell.total_injected += c.injected.len();
-        for (run, alarm) in c.injected.iter().zip(replayed.alarms.iter()) {
-            if run.termination.is_hang_or_crash() {
-                continue;
-            }
-            let positive = matches!(
-                classify(run, &c.baseline, td),
-                OutcomeClass::Accident | OutcomeClass::TrajViolation
-            );
-            match (positive, alarm.is_some()) {
-                (true, true) => {
-                    cell.eval.tp += 1;
-                    if let Some(lead) = lead_time(run, &c.baseline, td, alarm.expect("alarmed")) {
-                        cell.lead_times.push(lead);
-                    }
-                }
-                (false, true) => cell.eval.fp += 1,
-                (true, false) => {
-                    cell.eval.fn_ += 1;
-                    cell.missed_hazards += 1;
-                }
-                (false, false) => cell.eval.tn += 1,
-            }
-        }
+        golden_alarms += c.golden.iter().filter(|g| replay(g).is_some()).count();
+        tally.add_results(&c.injected, c.injected.iter().map(replay), &c.baseline, td);
     }
-    cell
-}
-
-fn lead_time(
-    run: &RunResult,
-    baseline: &[diverseav_simworld::TrajPoint],
-    td: f64,
-    alarm: f64,
-) -> Option<f64> {
-    let violation =
-        run.collision_time.or_else(|| first_violation_time(&run.trajectory, baseline, td))?;
-    (violation > alarm).then_some(violation - alarm)
+    CellEval {
+        eval: tally.eval,
+        golden_alarms,
+        missed_hazards: tally.eval.fn_,
+        total_injected: tally.runs,
+        lead_times: tally.lead_times,
+    }
 }
 
 /// Full Fig-7 sweep result.

@@ -204,14 +204,22 @@ fn sorted_quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// A fixed-width ASCII histogram of a sample over `bins` equal bins.
+/// The histogram prints its bin edges to 3 decimals: values closer than
+/// this print alike.
+const PRINT_RESOLUTION: f64 = 1e-3;
+
+/// A fixed-width ASCII histogram of a sample over `bins` equal bins, no
+/// narrower than the printed precision. A sample whose whole range is
+/// narrower than that (values that print alike but differ in their last
+/// bits) is one bin, not bins whose edges all print the same.
 fn ascii_histogram(values: &[f64], bins: usize, unit: &str) -> String {
     if values.is_empty() {
         return String::from("  (no samples)\n");
     }
     let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
     let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let width = ((hi - lo) / bins as f64).max(f64::EPSILON);
+    let bins = if hi - lo < PRINT_RESOLUTION { 1 } else { bins };
+    let width = ((hi - lo) / bins as f64).max(PRINT_RESOLUTION);
     let mut counts = vec![0usize; bins];
     for &v in values {
         let b = (((v - lo) / width) as usize).min(bins - 1);
@@ -974,6 +982,32 @@ mod tests {
             .find(|l| l.starts_with("GPU-transient LSD ") && !l.contains("[golden]"))
             .expect("injected row");
         assert!(injected_row.contains("1/1"), "accident detected: {injected_row}");
+    }
+
+    /// Rows of a rendered histogram as `(printed bin, count)`.
+    fn histogram_rows(text: &str) -> Vec<(String, usize)> {
+        text.lines()
+            .map(|l| {
+                let bin = l[..l.find(')').expect("bin edge") + 1].trim().to_string();
+                (bin, l.rsplit(' ').next().expect("count").parse().expect("count"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn histogram_keeps_samples_that_print_alike_in_one_bin() {
+        // Onset→alarm latencies of 0.050 s that differ in their last bits.
+        let alike: Vec<f64> = (0..12).map(|i| f64::from_bits(0.05f64.to_bits() + i - 6)).collect();
+        assert!(alike.iter().all(|v| format!("{v:.3}") == "0.050"));
+        let rows = histogram_rows(&ascii_histogram(&alike, 8, "s"));
+        assert_eq!(rows, vec![("[    0.050,     0.051)".to_string(), 12)]);
+
+        let wide: Vec<f64> = (0..16).map(|i| i as f64 * 0.5).collect();
+        let rows = histogram_rows(&ascii_histogram(&wide, 8, "s"));
+        assert_eq!(rows.len(), 8);
+        assert!(rows.iter().all(|&(_, n)| n == 2), "{rows:?}");
+        let bins: std::collections::BTreeSet<&String> = rows.iter().map(|(b, _)| b).collect();
+        assert_eq!(bins.len(), 8, "every bin prints its own edges");
     }
 
     #[test]

@@ -97,18 +97,6 @@ impl Context {
         self.regs[r.idx()]
     }
 
-    /// Write a register as `f32`.
-    #[inline]
-    pub fn set_reg_f(&mut self, r: Reg, v: f32) {
-        self.regs[r.idx()] = f32_to_bits(v);
-    }
-
-    /// Write a register as raw `u32`.
-    #[inline]
-    pub fn set_reg_i(&mut self, r: Reg, v: u32) {
-        self.regs[r.idx()] = v;
-    }
-
     /// Read memory word `addr` as `f32`.
     ///
     /// # Panics

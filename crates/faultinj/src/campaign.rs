@@ -5,7 +5,7 @@
 
 use crate::cache::{GoldenCache, GoldenKey, GoldenSet};
 use crate::exec::{par_map, par_map_indices};
-use crate::outcome::{classify, mean_trajectory, OutcomeClass};
+use crate::outcome::{mean_trajectory, Tally};
 use crate::plan::{generate_plan, FaultModelKind, PlanConfig};
 use crate::record::run_record;
 use crate::runner::{run_experiment, FaultSpec, RunConfig, RunResult};
@@ -408,30 +408,16 @@ pub fn scenario_for(kind: ScenarioKind, scale: &CampaignScale) -> Scenario {
 /// accidents, trajectory violations, benign runs, and `outcome.sdc`
 /// (silent safety-critical corruptions = accidents + violations).
 pub fn summarize(result: &CampaignResult, td: f64) -> TableRow {
-    let mut row = TableRow { total: result.injected.len(), ..Default::default() };
-    let mut benign = 0u64;
-    let mut hangs = 0u64;
-    for r in &result.injected {
-        if r.fault_activated {
-            row.active += 1;
-        }
-        match classify(r, &result.baseline, td) {
-            OutcomeClass::HangCrash => {
-                row.hang_crash += 1;
-                if r.termination.is_hang() {
-                    hangs += 1;
-                }
-            }
-            OutcomeClass::Accident => row.accidents += 1,
-            OutcomeClass::TrajViolation => row.traj_violations += 1,
-            OutcomeClass::Benign => benign += 1,
-        }
-    }
-    metrics::counter_add("outcome.hang", hangs);
-    metrics::counter_add("outcome.crash", row.hang_crash as u64 - hangs);
+    let mut tally = Tally::default();
+    let alarms = result.injected.iter().map(|r| r.alarm_time);
+    tally.add_results(&result.injected, alarms, &result.baseline, td);
+    let row = tally.row();
+    let hangs = result.injected.iter().filter(|r| r.termination.is_hang()).count();
+    metrics::counter_add("outcome.hang", hangs as u64);
+    metrics::counter_add("outcome.crash", (row.hang_crash - hangs) as u64);
     metrics::counter_add("outcome.accident", row.accidents as u64);
     metrics::counter_add("outcome.traj_violation", row.traj_violations as u64);
-    metrics::counter_add("outcome.benign", benign);
+    metrics::counter_add("outcome.benign", tally.benign as u64);
     metrics::counter_add("outcome.sdc", (row.accidents + row.traj_violations) as u64);
     row
 }

@@ -36,7 +36,6 @@
 pub mod cache;
 pub mod campaign;
 pub mod exec;
-pub mod export;
 pub mod guided;
 pub mod outcome;
 pub mod plan;
@@ -51,17 +50,14 @@ pub use campaign::{
     RunUnit, TableRow, GOLDEN_SEED_BASE, INJECTED_SEED_BASE,
 };
 pub use exec::{detected_parallelism, par_map, par_map_indices, par_map_with, thread_count};
-pub use export::{
-    write_actuation_csv, write_divergence_csv, write_summary_csv, write_trajectory_csv,
-};
 pub use guided::{
     adaptive_allocation, ess, is_safety_critical, pilot_allocation, run_weight, stratum_label,
     uniform_budget, EpochSummary, GuidedConfig, GuidedPlanner, GuidedSpec, Stratum, StratumTally,
     WeightedRow, CRITICAL_INCIDENTS,
 };
 pub use outcome::{
-    classify, classify_parts, evaluate_detector, first_violation_time, lead_detection_time,
-    max_traj_divergence, mean_trajectory, missed_hazard_probability, DetectionEval, OutcomeClass,
+    classify, classify_parts, evaluate_detector, first_violation_time, max_traj_divergence,
+    mean_trajectory, DetectionEval, OutcomeClass, Tally,
 };
 pub use plan::{
     generate_plan, op_class, stratum_seed, FaultModelKind, PlanConfig, OP_CLASSES, OP_CLASS_LABELS,

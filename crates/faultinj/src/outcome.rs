@@ -1,7 +1,10 @@
-//! Run classification and detection-quality metrics: trajectory
-//! violations, Table-I outcome classes, precision/recall, and lead
-//! detection time.
+//! Run classification and the one scorer: trajectory violations,
+//! Table-I outcome classes, and the per-run [`Verdict`] whose [`Tally`]
+//! every Table-I row, weighted row, precision/recall, lead time and
+//! missed-hazard count is read from.
 
+use crate::campaign::TableRow;
+use crate::record::RunRecord;
 use crate::runner::RunResult;
 use diverseav_simworld::TrajPoint;
 
@@ -96,23 +99,24 @@ pub struct DetectionEval {
     pub tn: usize,
 }
 
+/// `n / d`, 1.0 when `d` is 0.
+fn ratio(n: usize, d: usize) -> f64 {
+    if d == 0 {
+        1.0
+    } else {
+        n as f64 / d as f64
+    }
+}
+
 impl DetectionEval {
     /// Precision = TP / (TP + FP); 1.0 when nothing was flagged.
     pub fn precision(&self) -> f64 {
-        if self.tp + self.fp == 0 {
-            1.0
-        } else {
-            self.tp as f64 / (self.tp + self.fp) as f64
-        }
+        ratio(self.tp, self.tp + self.fp)
     }
 
     /// Recall = TP / (TP + FN); 1.0 when nothing was positive.
     pub fn recall(&self) -> f64 {
-        if self.tp + self.fn_ == 0 {
-            1.0
-        } else {
-            self.tp as f64 / (self.tp + self.fn_) as f64
-        }
+        ratio(self.tp, self.tp + self.fn_)
     }
 
     /// F1 = harmonic mean of precision and recall.
@@ -127,60 +131,153 @@ impl DetectionEval {
     }
 }
 
-/// Evaluate the detector over fault-injected runs (§V-D).
-///
-/// Hang/crash runs are excluded: the platform detects those directly and
-/// triggers the fail-back system, so they never reach the statistical
-/// detector. Ground-truth positive = accident or trajectory violation.
+/// One run's verdict: the one decision that every Table-I row, weighted
+/// row, precision/recall, lead time and missed-hazard count tallies.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Verdict {
+    /// Table-I class ([`classify_parts`]' rule).
+    pub class: OutcomeClass,
+    /// Whether the fault corrupted at least one register or frame.
+    pub active: bool,
+    /// Whether the detector alarmed.
+    pub alarmed: bool,
+    /// Fig 8 lead time of a hazardous run: violation (the collision, or
+    /// the first crossing of `td`) minus alarm, when strictly positive.
+    pub lead_time: Option<f64>,
+}
+
+/// Score one run from its borrowed parts (outcome label, collision time,
+/// trajectory, fault activation), so live [`RunResult`]s and merged
+/// [`RunRecord`]s score alike, under the alarm of the detector scored.
+pub(crate) fn verdict(
+    outcome: &str,
+    collision_time: Option<f64>,
+    traj: &[TrajPoint],
+    fault_activated: bool,
+    alarm: Option<f64>,
+    baseline: &[TrajPoint],
+    td: f64,
+) -> Verdict {
+    let class = classify_parts(outcome, collision_time.is_some(), traj, baseline, td);
+    let hazard = matches!(class, OutcomeClass::Accident | OutcomeClass::TrajViolation);
+    let lead_time = alarm.filter(|_| hazard).and_then(|alarm| {
+        let violation = collision_time.or_else(|| first_violation_time(traj, baseline, td))?;
+        (violation > alarm).then_some(violation - alarm)
+    });
+    Verdict { class, active: fault_activated, alarmed: alarm.is_some(), lead_time }
+}
+
+/// The accumulator of [`Verdict`]s. Table-I members sum each run's weight
+/// (1.0, or its Horvitz–Thompson weight) in run order.
+#[derive(Clone, Debug, Default)]
+pub struct Tally {
+    /// Runs scored (§VI-A denominator).
+    pub runs: usize,
+    /// Runs with an activated fault.
+    pub active: f64,
+    /// Platform-detected hangs and crashes.
+    pub hang_crash: f64,
+    /// Accident runs.
+    pub accidents: f64,
+    /// Trajectory-violation runs.
+    pub traj_violations: f64,
+    /// Runs with no observable safety impact.
+    pub benign: f64,
+    /// Detector confusion counts (§V-D). Hang/crash runs are left out:
+    /// the platform detects those itself. Positive = accident or
+    /// trajectory violation, so `fn_` counts missed hazards (§VI-A).
+    pub eval: DetectionEval,
+    /// Lead times of the true positives that have one.
+    pub lead_times: Vec<f64>,
+}
+
+impl Tally {
+    /// Add one verdict weighing `weight`.
+    pub(crate) fn add(&mut self, v: Verdict, weight: f64) {
+        self.runs += 1;
+        if v.active {
+            self.active += weight;
+        }
+        *match v.class {
+            OutcomeClass::HangCrash => &mut self.hang_crash,
+            OutcomeClass::Accident => &mut self.accidents,
+            OutcomeClass::TrajViolation => &mut self.traj_violations,
+            OutcomeClass::Benign => &mut self.benign,
+        } += weight;
+        let e = &mut self.eval;
+        match (v.class, v.alarmed) {
+            (OutcomeClass::HangCrash, _) => {}
+            (OutcomeClass::Benign, true) => e.fp += 1,
+            (OutcomeClass::Benign, false) => e.tn += 1,
+            (_, true) => e.tp += 1,
+            (_, false) => e.fn_ += 1,
+        }
+        self.lead_times.extend(v.lead_time);
+    }
+
+    /// Add live runs, each weighing 1.0, under index-aligned `alarms`.
+    pub fn add_results(
+        &mut self,
+        runs: &[RunResult],
+        alarms: impl IntoIterator<Item = Option<f64>>,
+        baseline: &[TrajPoint],
+        td: f64,
+    ) {
+        for (r, alarm) in runs.iter().zip(alarms) {
+            let v = verdict(
+                r.termination.label(),
+                r.collision_time,
+                &r.trajectory,
+                r.fault_activated,
+                alarm,
+                baseline,
+                td,
+            );
+            self.add(v, 1.0);
+        }
+    }
+
+    /// Add merged records under their own alarms, each weighing `weight(r)`.
+    pub(crate) fn add_records(
+        &mut self,
+        runs: &[RunRecord],
+        weight: impl Fn(&RunRecord) -> f64,
+        baseline: &[TrajPoint],
+        td: f64,
+    ) {
+        for r in runs {
+            let v = verdict(
+                &r.outcome,
+                r.collision_time,
+                &r.trajectory,
+                r.fault_activated,
+                r.alarm_time,
+                baseline,
+                td,
+            );
+            self.add(v, weight(r));
+        }
+    }
+
+    /// The Table-I row of a tally of 1.0 weights (exact far past any
+    /// run count).
+    pub fn row(&self) -> TableRow {
+        TableRow {
+            active: self.active as usize,
+            hang_crash: self.hang_crash as usize,
+            total: self.runs,
+            accidents: self.accidents as usize,
+            traj_violations: self.traj_violations as usize,
+        }
+    }
+}
+
+/// Evaluate the detector over fault-injected runs under their online
+/// alarms (§V-D): the confusion counts of their [`Tally`].
 pub fn evaluate_detector(results: &[RunResult], baseline: &[TrajPoint], td: f64) -> DetectionEval {
-    let mut eval = DetectionEval::default();
-    for r in results {
-        if r.termination.is_hang_or_crash() {
-            continue;
-        }
-        let positive = matches!(
-            classify(r, baseline, td),
-            OutcomeClass::Accident | OutcomeClass::TrajViolation
-        );
-        let alarmed = r.alarm_time.is_some();
-        match (positive, alarmed) {
-            (true, true) => eval.tp += 1,
-            (false, true) => eval.fp += 1,
-            (true, false) => eval.fn_ += 1,
-            (false, false) => eval.tn += 1,
-        }
-    }
-    eval
-}
-
-/// Lead detection time for one run: violation time (collision, or first
-/// trajectory-threshold crossing) minus alarm time (Fig 8). `None` when
-/// the run has no alarm or no violation, or the alarm came after.
-pub fn lead_detection_time(result: &RunResult, baseline: &[TrajPoint], td: f64) -> Option<f64> {
-    let alarm = result.alarm_time?;
-    let violation =
-        result.collision_time.or_else(|| first_violation_time(&result.trajectory, baseline, td))?;
-    (violation > alarm).then_some(violation - alarm)
-}
-
-/// Probability that a fault evades detection *and* causes a safety hazard
-/// (§VI-A: missed safety hazards / total fault injections).
-pub fn missed_hazard_probability(results: &[RunResult], baseline: &[TrajPoint], td: f64) -> f64 {
-    if results.is_empty() {
-        return 0.0;
-    }
-    let missed = results
-        .iter()
-        .filter(|r| {
-            !r.termination.is_hang_or_crash()
-                && r.alarm_time.is_none()
-                && matches!(
-                    classify(r, baseline, td),
-                    OutcomeClass::Accident | OutcomeClass::TrajViolation
-                )
-        })
-        .count();
-    missed as f64 / results.len() as f64
+    let mut tally = Tally::default();
+    tally.add_results(results, results.iter().map(|r| r.alarm_time), baseline, td);
+    tally.eval
 }
 
 #[cfg(test)]
@@ -327,12 +424,23 @@ mod tests {
     #[test]
     fn lead_time_requires_alarm_before_violation() {
         let base = traj(&[(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)]);
+        let lead = |r: &RunResult| {
+            let label = r.termination.label();
+            verdict(label, r.collision_time, &r.trajectory, true, r.alarm_time, &base, 2.0)
+                .lead_time
+        };
         let r = result(base.clone(), Some(3.0), Some(1.2));
-        assert!((lead_detection_time(&r, &base, 2.0).expect("lead") - 1.8).abs() < 1e-12);
+        assert!((lead(&r).expect("lead") - 1.8).abs() < 1e-12);
         let late = result(base.clone(), Some(1.0), Some(2.0));
-        assert_eq!(lead_detection_time(&late, &base, 2.0), None);
+        assert_eq!(lead(&late), None);
         let no_alarm = result(base.clone(), Some(1.0), None);
-        assert_eq!(lead_detection_time(&no_alarm, &base, 2.0), None);
+        assert_eq!(lead(&no_alarm), None);
+        // Without a collision the violation is the first crossing of td.
+        let drift = result(traj(&[(0.0, 0.0, 0.0), (1.0, 1.0, 5.0)]), None, Some(0.25));
+        assert_eq!(lead(&drift), Some(0.75));
+        // A false alarm on a benign run has no lead time.
+        let benign = result(base.clone(), None, Some(0.5));
+        assert_eq!(lead(&benign), None);
     }
 
     #[test]
@@ -340,11 +448,29 @@ mod tests {
         let base = traj(&[(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)]);
         let results = vec![
             result(base.clone(), Some(0.5), None), // missed hazard
-            result(base.clone(), Some(0.5), Some(0.1)),
+            result(base.clone(), Some(0.5), Some(0.25)),
             result(base.clone(), None, None),
             result(base.clone(), None, None),
         ];
-        assert!((missed_hazard_probability(&results, &base, 2.0) - 0.25).abs() < 1e-12);
-        assert_eq!(missed_hazard_probability(&[], &base, 2.0), 0.0);
+        let mut tally = Tally::default();
+        tally.add_results(&results, results.iter().map(|r| r.alarm_time), &base, 2.0);
+        assert_eq!((tally.eval.fn_, tally.runs), (1, 4), "1 missed hazard in 4 injections");
+        assert_eq!(tally.lead_times, vec![0.25]);
+        assert_eq!(tally.row().accidents, 2);
+        assert_eq!(Tally::default().eval.fn_, 0);
+    }
+
+    #[test]
+    fn hang_crash_runs_count_in_table1_but_not_in_detection() {
+        let base = traj(&[(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)]);
+        let mut tally = Tally::default();
+        tally.add(
+            verdict("hang", None, &traj(&[(0.0, 0.0, 9.0)]), true, Some(0.1), &base, 2.0),
+            2.5,
+        );
+        assert_eq!(tally.hang_crash, 2.5);
+        assert_eq!(tally.active, 2.5);
+        assert_eq!(tally.eval, DetectionEval::default(), "left out of detection");
+        assert!(tally.lead_times.is_empty());
     }
 }

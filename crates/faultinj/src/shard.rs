@@ -49,7 +49,7 @@ use crate::exec::{par_map, thread_count};
 use crate::guided::{
     ess, is_safety_critical, EpochSummary, GuidedConfig, GuidedPlanner, GuidedSpec, WeightedRow,
 };
-use crate::outcome::{classify_parts, mean_trajectory, OutcomeClass};
+use crate::outcome::{mean_trajectory, Tally};
 use crate::record::{run_record, RunRecord};
 use crate::runner::{run_experiment, RunResult};
 use diverseav_obs::flight::{self, TickRecord};
@@ -1646,50 +1646,15 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
     })
 }
 
-/// One Table-I classification pass over `runs`: each run adds
-/// `weight(run)` to `[active, hang_crash, accidents, traj_violations]`,
-/// in run order.
-fn table1_tally(
-    runs: &[RunRecord],
-    baseline: &[TrajPoint],
-    td: f64,
-    weight: impl Fn(&RunRecord) -> f64,
-) -> [f64; 4] {
-    let mut tally = [0.0; 4];
-    for r in runs {
-        let w = weight(r);
-        if r.fault_activated {
-            tally[0] += w;
-        }
-        let class =
-            classify_parts(&r.outcome, r.collision_time.is_some(), &r.trajectory, baseline, td);
-        match class {
-            OutcomeClass::HangCrash => tally[1] += w,
-            OutcomeClass::Accident => tally[2] += w,
-            OutcomeClass::TrajViolation => tally[3] += w,
-            OutcomeClass::Benign => {}
-        }
-    }
-    tally
-}
-
-/// Summarize a merged campaign into a Table-I row — the shard-side
-/// counterpart of [`summarize`](crate::campaign::summarize), classifying
-/// from the serialized run parts via
-/// [`classify_parts`](crate::outcome::classify_parts). Unlike
-/// `summarize` it has *no* metric side effects: merged outcome counters
-/// come from the shard slices, not from re-tallying.
+/// Summarize a merged campaign into a Table-I row: the shard-side view
+/// of the one scorer ([`Tally`](crate::outcome::Tally)) that
+/// [`summarize`](crate::campaign::summarize) reads, each record weighing
+/// 1.0. Unlike `summarize` it has *no* metric side effects: merged
+/// outcome counters come from the shard slices, not from re-tallying.
 pub fn summarize_merged(m: &MergedCampaign, td: f64) -> TableRow {
-    // Each run counts 1.0; sums of ones are exact far past any run count.
-    let [active, hang_crash, accidents, traj_violations] =
-        table1_tally(&m.injected, &m.baseline, td, |_| 1.0);
-    TableRow {
-        total: m.injected.len(),
-        active: active as usize,
-        hang_crash: hang_crash as usize,
-        accidents: accidents as usize,
-        traj_violations: traj_violations as usize,
-    }
+    let mut tally = Tally::default();
+    tally.add_records(&m.injected, |_| 1.0, &m.baseline, td);
+    tally.row()
 }
 
 /// Horvitz–Thompson-weighted Table-I row for a merged *guided*
@@ -1713,15 +1678,15 @@ pub fn summarize_weighted(m: &MergedCampaign, td: f64) -> Result<WeightedRow, Sh
         )));
     }
     let weight = |r: &RunRecord| r.weight.expect("guided merges validate weights");
-    let [active, hang_crash, accidents, traj_violations] =
-        table1_tally(&m.injected, &m.baseline, td, weight);
+    let mut tally = Tally::default();
+    tally.add_records(&m.injected, weight, &m.baseline, td);
     Ok(WeightedRow {
-        budget: m.injected.len(),
-        runs: m.injected.len(),
-        active,
-        hang_crash,
-        accidents,
-        traj_violations,
+        budget: tally.runs,
+        runs: tally.runs,
+        active: tally.active,
+        hang_crash: tally.hang_crash,
+        accidents: tally.accidents,
+        traj_violations: tally.traj_violations,
         ess: ess(m.injected.iter().map(weight)),
     })
 }
@@ -2299,6 +2264,46 @@ mod tests {
         // Missing sidecar entirely.
         let err = collect_incidents(&merged[0], &sidecars[..1]).expect_err("missing sidecar");
         assert!(err.to_string().contains("missing"), "{err}");
+    }
+
+    #[test]
+    fn weighted_row_at_unit_weights_is_the_unweighted_row() {
+        let mut m = merge_artifacts(&synthetic_artifacts(1)).expect("merge").remove(0);
+        let base = m.injected[0].clone();
+        let far = vec![TrajPoint { t: 0.0, pos: Vec2 { x: 0.0, y: 9.0 } }];
+        let outcomes = ["completed", "collision", "hang", "crash", "completed", "completed"];
+        m.injected = outcomes
+            .iter()
+            .enumerate()
+            .map(|(i, &outcome)| RunRecord {
+                index: i,
+                outcome: outcome.to_string(),
+                collision_time: (outcome == "collision").then_some(1.0),
+                fault_activated: i % 2 == 0,
+                trajectory: if i == 4 { far.clone() } else { base.trajectory.clone() },
+                weight: Some(1.0),
+                ..base.clone()
+            })
+            .collect();
+        m.guided = Some(MergedGuided {
+            epochs: 1,
+            epochs_done: 1,
+            budget: outcomes.len(),
+            epoch_starts: vec![0],
+            epoch_runs: vec![outcomes.len()],
+        });
+        let row = summarize_merged(&m, 2.0);
+        assert_eq!((row.active, row.hang_crash, row.accidents, row.traj_violations), (3, 2, 1, 1));
+        let w = summarize_weighted(&m, 2.0).expect("all epochs merged");
+        assert_eq!((w.budget, w.runs), (row.total, row.total));
+        for (weighted, count) in [
+            (w.active, row.active),
+            (w.hang_crash, row.hang_crash),
+            (w.accidents, row.accidents),
+            (w.traj_violations, row.traj_violations),
+        ] {
+            assert_eq!(weighted.to_bits(), (count as f64).to_bits());
+        }
     }
 
     #[test]

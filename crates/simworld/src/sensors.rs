@@ -230,14 +230,6 @@ impl Image {
         self.data[i + 1] = rgb[1];
         self.data[i + 2] = rgb[2];
     }
-
-    /// Encode as a binary PPM (P6) image, viewable with any image tool —
-    /// handy for inspecting what the agent's cameras actually see.
-    pub fn to_ppm(&self) -> Vec<u8> {
-        let mut out = format!("P6\n{} {}\n255\n", self.w, self.h).into_bytes();
-        out.extend_from_slice(&self.data);
-        out
-    }
 }
 
 /// Inertial measurements for one frame.
@@ -776,14 +768,6 @@ mod tests {
         assert_eq!(img.pixel(2, 1), [1, 2, 3]);
         assert_eq!(img.pixel(0, 0), [0, 0, 0]);
         assert_eq!(img.data().len(), 4 * 3 * 3);
-    }
-
-    #[test]
-    fn ppm_encoding_has_header_and_payload() {
-        let img = Image::new(4, 3);
-        let ppm = img.to_ppm();
-        assert!(ppm.starts_with(b"P6\n4 3\n255\n"));
-        assert_eq!(ppm.len(), 11 + 4 * 3 * 3);
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //! pipeline over short scenarios.
 
 use diverseav::{AgentMode, DetectorConfig, DetectorModel, OnlineDetector};
+use diverseav_bench::evaluate_cell;
 use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_faultinj::{
-    classify, collect_training_runs, generate_plan, mean_trajectory, run_experiment, CampaignScale,
-    FaultModelKind, FaultSpec, OutcomeClass, PlanConfig, RunConfig, Termination,
+    classify, collect_training_runs, evaluate_detector, first_violation_time, generate_plan,
+    mean_trajectory, run_campaign_cached, run_experiment, Campaign, CampaignScale, FaultModelKind,
+    FaultSpec, OutcomeClass, PlanConfig, RunConfig, RunResult, Termination,
 };
 use diverseav_simworld::{lead_slowdown, Scenario, ScenarioKind, SensorConfig, TrajPoint};
 
@@ -154,6 +156,65 @@ fn replay_matches_online_detection() {
         let replayed = OnlineDetector::replay(&model, cfg, &r.training);
         assert_eq!(replayed, r.alarm_time, "offline replay must equal online alarm");
     }
+}
+
+#[test]
+fn one_scorer_serves_online_and_replayed_alarms() {
+    // A tiny detector-attached campaign with its divergence streams kept:
+    // the online alarms (`evaluate_detector`) and the replayed ones
+    // (`evaluate_cell`) must score identically, and a cell's lead times
+    // and missed hazards must equal a hand tally from `classify` and
+    // `first_violation_time`.
+    let training =
+        collect_training_runs(AgentMode::RoundRobin, &tiny_scale(), SensorConfig::default());
+    let cfg = DetectorConfig::default();
+    let model = DetectorModel::train(&training, &cfg);
+    let campaign = Campaign {
+        scenario: ScenarioKind::FrontAccident,
+        target: Profile::Gpu,
+        kind: FaultModelKind::Permanent,
+        mode: AgentMode::RoundRobin,
+    };
+    let detector = Some((model.clone(), cfg));
+    let c =
+        run_campaign_cached(campaign, &tiny_scale(), detector, SensorConfig::default(), true, None);
+    let td = 2.0;
+    let hand_tally = |alarm: &dyn Fn(&RunResult) -> Option<f64>| {
+        let (mut leads, mut missed) = (Vec::new(), 0);
+        for r in &c.injected {
+            let hazard = matches!(
+                classify(r, &c.baseline, td),
+                OutcomeClass::Accident | OutcomeClass::TrajViolation
+            );
+            match (hazard, alarm(r)) {
+                (true, Some(alarm)) => {
+                    let violation = r
+                        .collision_time
+                        .or_else(|| first_violation_time(&r.trajectory, &c.baseline, td));
+                    leads.extend(violation.filter(|&v| v > alarm).map(|v| v - alarm));
+                }
+                (true, None) => missed += 1,
+                _ => {}
+            }
+        }
+        (leads, missed)
+    };
+
+    let online = evaluate_detector(&c.injected, &c.baseline, td);
+    let cell = evaluate_cell(&model, cfg, std::slice::from_ref(&c), td);
+    assert_eq!(cell.eval, online, "replayed alarms must score like the online ones");
+    assert_eq!(cell.total_injected, c.injected.len());
+    let (leads, missed) = hand_tally(&|r| r.alarm_time);
+    assert!(!leads.is_empty(), "the campaign must exercise lead times");
+    assert_eq!((&cell.lead_times, cell.missed_hazards), (&leads, missed));
+
+    // A slower detector (a wider rolling window) misses hazards.
+    let slow = cfg.with_rw(40);
+    let slow_model = DetectorModel::train(&training, &slow);
+    let cell = evaluate_cell(&slow_model, slow, std::slice::from_ref(&c), td);
+    let (leads, missed) = hand_tally(&|r| OnlineDetector::replay(&slow_model, slow, &r.training));
+    assert!(missed > 0, "the slow detector must exercise missed hazards");
+    assert_eq!((&cell.lead_times, cell.missed_hazards), (&leads, missed));
 }
 
 #[test]
