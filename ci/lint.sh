@@ -32,6 +32,12 @@
 #         weighted row, precision/recall, lead time and missed-hazard
 #         count is a view of its Verdict/Tally; a hand-written tally
 #         elsewhere could silently score runs differently.
+# Gate 7: one cut. In non-test code under crates/*/src, only
+#         crates/faultinj/src/campaign.rs may call `generate_plan(` or
+#         `GuidedPlanner::new(` (the `fn generate_plan(` definition is
+#         exempt). campaign::Cut decides which units a campaign cut runs
+#         for both executors; a second planner call would be a second
+#         place deciding it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -147,7 +153,25 @@ if [[ -n "$scorer_hits" ]]; then
     fail=1
 fi
 
+# --- Gate 7: one cut ----------------------------------------------------
+# Scoped like Gates 1 and 6: awk stops at each file's first #[cfg(test)],
+# so tests may draw plans directly to check them.
+cut_hits=$(find crates/*/src -name '*.rs' ! -path crates/faultinj/src/campaign.rs -print0 \
+    | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /generate_plan\(|GuidedPlanner::new\(/ && !/fn generate_plan\(/ {
+        print FILENAME ":" FNR ": " $0
+    }
+')
+if [[ -n "$cut_hits" ]]; then
+    echo "lint: injection plan drawn outside faultinj::campaign (build a" >&2
+    echo "campaign::Cut instead of calling the planners directly):" >&2
+    echo "$cut_hits" >&2
+    fail=1
+fi
+
 if [[ $fail -ne 0 ]]; then
     exit 1
 fi
-echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no stale allowlist entry, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner, no scoring outside the one scorer)"
+echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no stale allowlist entry, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner, no scoring outside the one scorer, no plan drawn outside the one cut)"

@@ -13,9 +13,9 @@ use diverseav_bench::experiments::{gpu_campaigns, training, BEST_RW, BEST_TD};
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
     detected_parallelism, execute_shard, guided_epoch_summary, is_safety_critical, merge_artifacts,
-    par_map_indices, parse_artifact, run_campaign, run_campaign_with_traces, summarize,
-    summarize_weighted, thread_count, Campaign, CampaignScale, FaultModelKind, GuidedShardSpec,
-    MergedCampaign, ShardArtifact, ShardConfig, ShardSpec,
+    par_map_indices, parse_artifact, run_campaign_cached, summarize, summarize_weighted,
+    thread_count, Campaign, CampaignScale, FaultModelKind, GuidedShardSpec, MergedCampaign,
+    ShardArtifact, ShardConfig, ShardSpec,
 };
 use diverseav_obs::{journal, metrics};
 use diverseav_simworld::{ScenarioKind, SensorConfig};
@@ -108,7 +108,7 @@ fn main() {
         let ticks_before = metrics::counter_get("runtime.ticks");
         let start = Instant::now();
         let result =
-            run_campaign_with_traces(campaign, &scale, None, SensorConfig::default(), true);
+            run_campaign_cached(campaign, &scale, None, SensorConfig::default(), true, None);
         let secs = start.elapsed().as_secs_f64();
         let ticks = metrics::counter_get("runtime.ticks") - ticks_before;
         let runs = result.golden.len() + result.injected.len();
@@ -142,7 +142,8 @@ fn main() {
         println!("  {label:<28} {crit:>3} safety-critical / {runs} runs ({secs:.3} s)");
     };
     let start = Instant::now();
-    let uniform = run_campaign(campaign, &yscale, None, SensorConfig::default());
+    let uniform =
+        run_campaign_cached(campaign, &yscale, None, SensorConfig::default(), false, None);
     let ucrit = uniform
         .injected
         .iter()

@@ -43,63 +43,43 @@ pub fn scale() -> CampaignScale {
     CampaignScale::from_env()
 }
 
+/// The register fault models of Table I.
+const REGISTER_KINDS: [FaultModelKind; 2] = [FaultModelKind::Transient, FaultModelKind::Permanent];
+
 /// The six GPU campaigns ({transient, permanent} × 3 scenarios) in a mode,
 /// with divergence streams recorded for offline sweeps.
 pub fn gpu_campaigns(mode: AgentMode, scale: &CampaignScale) -> Vec<CampaignResult> {
     let cache = GoldenCache::new();
-    campaigns_for(Profile::Gpu, mode, scale, Some(&cache))
+    campaigns_for(&REGISTER_KINDS, Profile::Gpu, mode, scale, Some(&cache))
 }
 
-/// The six campaigns ({transient, permanent} × 3 scenarios) of one
-/// injection target in a mode, with divergence streams recorded.
+/// The campaigns of `kinds` × the three safety-critical scenarios
+/// (kind-major) on one injection target in a mode, with divergence
+/// streams recorded.
+///
+/// Sensor faults corrupt frames between `World::capture_into` and the
+/// driver, so for them the target axis is vacuous; their cells are
+/// pinned to `Profile::Gpu` purely to satisfy the campaign key (the
+/// injector never touches the fabric).
 ///
 /// Campaign cells fan out on the deterministic parallel engine
 /// (`DIVERSEAV_THREADS`); a shared [`GoldenCache`] collapses the golden
-/// sets the cells have in common (per scenario: transient + permanent —
-/// and across targets when the caller shares one cache over the GPU and
-/// CPU calls, the full 4× of a Table-I (scenario, mode) cell).
+/// sets the cells have in common (per scenario: every kind — and across
+/// targets when the caller shares one cache over several calls, the full
+/// 4× of a Table-I (scenario, mode) cell).
 pub fn campaigns_for(
+    kinds: &[FaultModelKind],
     target: Profile,
     mode: AgentMode,
     scale: &CampaignScale,
     cache: Option<&GoldenCache>,
 ) -> Vec<CampaignResult> {
-    let cells: Vec<Campaign> = [FaultModelKind::Transient, FaultModelKind::Permanent]
-        .into_iter()
-        .flat_map(|kind| {
+    let cells: Vec<Campaign> = kinds
+        .iter()
+        .flat_map(|&kind| {
             ScenarioKind::safety_critical().into_iter().map(move |scenario| Campaign {
                 scenario,
                 target,
-                kind,
-                mode,
-            })
-        })
-        .collect();
-    par_map(&cells, |&campaign| {
-        eprintln!("  running campaign {campaign} ...");
-        run_campaign_cached(campaign, scale, None, SensorConfig::default(), true, cache)
-    })
-}
-
-/// The fifteen sensor-boundary campaigns (5 fault classes × 3 safety-
-/// critical scenarios) in a mode, with divergence streams recorded.
-///
-/// Sensor faults corrupt frames between `World::capture_into` and the
-/// driver, so the fabric-target axis is vacuous; the cells are pinned to
-/// `Profile::Gpu` purely to satisfy the campaign key (the injector never
-/// touches the fabric). Sharing `cache` with the register campaigns
-/// collapses the golden sets they have in common.
-pub fn sensor_campaigns(
-    mode: AgentMode,
-    scale: &CampaignScale,
-    cache: Option<&GoldenCache>,
-) -> Vec<CampaignResult> {
-    let cells: Vec<Campaign> = FaultModelKind::SENSOR_KINDS
-        .into_iter()
-        .flat_map(|kind| {
-            ScenarioKind::safety_critical().into_iter().map(move |scenario| Campaign {
-                scenario,
-                target: Profile::Gpu,
                 kind,
                 mode,
             })
@@ -330,9 +310,11 @@ pub fn table1_report() -> String {
     // each (scenario, mode) cell — {GPU, CPU} × {transient, permanent} —
     // share a single golden set (~4× cut in golden work).
     let cache = GoldenCache::new();
-    let gpu = campaigns_for(Profile::Gpu, AgentMode::RoundRobin, &scale, Some(&cache));
-    let cpu = campaigns_for(Profile::Cpu, AgentMode::RoundRobin, &scale, Some(&cache));
-    let sensor = sensor_campaigns(AgentMode::RoundRobin, &scale, Some(&cache));
+    let dual = AgentMode::RoundRobin;
+    let gpu = campaigns_for(&REGISTER_KINDS, Profile::Gpu, dual, &scale, Some(&cache));
+    let cpu = campaigns_for(&REGISTER_KINDS, Profile::Cpu, dual, &scale, Some(&cache));
+    let sensors = &FaultModelKind::SENSOR_KINDS;
+    let sensor = campaigns_for(sensors, Profile::Gpu, dual, &scale, Some(&cache));
     eprintln!("  golden cache: {} misses, {} hits", cache.misses(), cache.hits());
     diverseav_obs::metrics::gauge_set("cache.entries", cache.len() as f64);
     let mut t = Table::new(vec![
@@ -580,8 +562,7 @@ pub fn compare_report() -> String {
          comparable to FD. Known deviation at quick scale (EXPERIMENTS.md, DESIGN.md §7):\n\
          our discretized pipeline masks most benign corruptions completely, so FD's\n\
          false-positive *count* stays low even though its FP *rate* on benign runs\n\
-         matches the paper's; the ordering tightens at DIVERSEAV_SCALE=paper where\n\
-         benign transients dominate the run mix."
+         matches the paper's."
     );
     out
 }

@@ -49,16 +49,40 @@ pub fn evaluate_cell(
     campaigns: &[CampaignResult],
     td: f64,
 ) -> CellEval {
+    score(campaigns, &replay(model, cfg, campaigns), td)
+}
+
+/// The alarms a detector raises on a campaign set's recorded streams.
+/// They depend on the model and `cfg` (hence `rw`) but not on `td`, so a
+/// sweep replays each stream once per window.
+struct Replayed {
+    /// Golden runs that alarmed.
+    golden_alarms: usize,
+    /// Per campaign, the alarm time of each injected run.
+    injected: Vec<Vec<Option<f64>>>,
+}
+
+fn replay(model: &DetectorModel, cfg: DetectorConfig, campaigns: &[CampaignResult]) -> Replayed {
     let replay = |r: &RunResult| OnlineDetector::replay(model, cfg, &r.training);
+    Replayed {
+        golden_alarms: campaigns
+            .iter()
+            .flat_map(|c| &c.golden)
+            .filter(|g| replay(g).is_some())
+            .count(),
+        injected: campaigns.iter().map(|c| c.injected.iter().map(replay).collect()).collect(),
+    }
+}
+
+/// Score `campaigns` at threshold `td` under their replayed alarms.
+fn score(campaigns: &[CampaignResult], alarms: &Replayed, td: f64) -> CellEval {
     let mut tally = Tally::default();
-    let mut golden_alarms = 0;
-    for c in campaigns {
-        golden_alarms += c.golden.iter().filter(|g| replay(g).is_some()).count();
-        tally.add_results(&c.injected, c.injected.iter().map(replay), &c.baseline, td);
+    for (c, injected) in campaigns.iter().zip(&alarms.injected) {
+        tally.add_results(&c.injected, injected.iter().copied(), &c.baseline, td);
     }
     CellEval {
         eval: tally.eval,
-        golden_alarms,
+        golden_alarms: alarms.golden_alarms,
         missed_hazards: tally.eval.fn_,
         total_injected: tally.runs,
         lead_times: tally.lead_times,
@@ -84,8 +108,9 @@ pub struct SweepResult {
 
 /// Sweep detector parameters over recorded campaigns.
 ///
-/// One model is trained per `rw` from the fault-free training streams;
-/// every cell replays all recorded runs. Rows fan out on the
+/// One model is trained per `rw` from the fault-free training streams,
+/// and every recorded run is replayed once under it; each `td` of the
+/// row then scores those alarms. Rows fan out on the
 /// deterministic parallel engine (`DIVERSEAV_THREADS`); best-cell
 /// selection stays a sequential fold in (rw, td) iteration order, so the
 /// tie-breaking is identical to the original nested loop for any thread
@@ -106,6 +131,7 @@ pub fn sweep(
     let rows = diverseav_faultinj::par_map(rws, |&rw| {
         let cfg = base_cfg.with_rw(rw);
         let model = DetectorModel::train(training, &cfg);
+        let alarms = replay(&model, cfg, campaigns);
         let mut row = SweepRow {
             precision: Vec::new(),
             recall: Vec::new(),
@@ -113,7 +139,7 @@ pub fn sweep(
             scores: Vec::new(),
         };
         for &td in tds {
-            let cell = evaluate_cell(&model, cfg, campaigns, td);
+            let cell = score(campaigns, &alarms, td);
             row.precision.push(cell.eval.precision());
             row.recall.push(cell.eval.recall());
             row.f1.push(cell.eval.f1());

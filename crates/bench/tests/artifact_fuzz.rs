@@ -20,7 +20,7 @@ use diverseav_bench::tracecheck::{
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
     collect_incidents, execute_shard, guided_epoch_summary, incident_sidecar_path, merge_artifacts,
-    parse_artifact, parse_incident_artifact, run_campaign_with_traces, summarize_merged, Campaign,
+    parse_artifact, parse_incident_artifact, run_campaign_cached, summarize_merged, Campaign,
     CampaignScale, EpochSummary, FaultModelKind, GuidedShardSpec, MergedCampaign, RunRecord,
     ShardConfig, ShardError, ShardSpec,
 };
@@ -138,12 +138,13 @@ fn corpus() -> &'static Corpus {
         // peaks plus the engine's span lines.
         std::env::set_var("DIVERSEAV_TRACE", "1");
         let before = journal::len();
-        let _ = run_campaign_with_traces(
+        let _ = run_campaign_cached(
             campaign(),
             &tiny_scale(),
             None,
             SensorConfig::default(),
             false,
+            None,
         );
         std::env::remove_var("DIVERSEAV_TRACE");
         docs.push(("traced journal".into(), journal::snapshot()[before..].join("\n") + "\n"));

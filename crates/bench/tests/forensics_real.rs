@@ -11,8 +11,8 @@ use diverseav_bench::experiments::BEST_RW;
 use diverseav_bench::tracecheck::{forensics_report, parse_incidents};
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
-    collect_training_runs, run_campaign, Campaign, CampaignScale, FaultModelKind, IncidentRecord,
-    SensorFaultKind,
+    collect_training_runs, run_campaign_cached, Campaign, CampaignScale, FaultModelKind,
+    IncidentRecord, SensorFaultKind,
 };
 use diverseav_obs::flight::FLIGHT_SCHEMA_VERSION;
 use diverseav_simworld::{ScenarioKind, SensorConfig};
@@ -51,11 +51,13 @@ fn forensics_decomposes_every_sensor_fault_class_on_a_real_campaign() {
             kind: FaultModelKind::Sensor(class),
             mode: AgentMode::RoundRobin,
         };
-        let r = run_campaign(
+        let r = run_campaign_cached(
             campaign,
             &tiny_scale(),
             Some(detector().clone()),
             SensorConfig::default(),
+            false,
+            None,
         );
         let before = incidents.len();
         for (kind, runs) in [("golden", &r.golden), ("injected", &r.injected)] {

@@ -14,10 +14,9 @@ use diverseav::AgentMode;
 use diverseav_bench::merge;
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
-    execute_shard, execute_shard_limited, merge_artifacts, parse_artifact,
-    run_campaign_with_traces, run_record, summarize, summarize_merged, unit_shard, Campaign,
-    CampaignScale, FaultModelKind, RunResult, ShardConfig, ShardRun, ShardSpec,
-    SHARD_SCHEMA_VERSION,
+    execute_shard, execute_shard_limited, merge_artifacts, parse_artifact, run_campaign_cached,
+    run_record, summarize, summarize_merged, unit_shard, Campaign, CampaignScale, FaultModelKind,
+    RunResult, ShardConfig, ShardRun, ShardSpec, SHARD_SCHEMA_VERSION,
 };
 use diverseav_obs::journal;
 use diverseav_simworld::{ScenarioKind, SensorConfig};
@@ -121,7 +120,7 @@ fn killed_and_resumed_shards_merge_bit_identical_to_monolithic() {
     // journal, byte for byte.
     std::env::set_var("DIVERSEAV_TRACE", "1");
     let before = journal::len();
-    let live = run_campaign_with_traces(campaign, &scale, None, sensor, false);
+    let live = run_campaign_cached(campaign, &scale, None, sensor, false, None);
     std::env::remove_var("DIVERSEAV_TRACE");
     let traced: String = journal::snapshot()[before..]
         .iter()

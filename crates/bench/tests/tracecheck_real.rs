@@ -8,7 +8,7 @@ use diverseav_bench::tracecheck::{
     cell_summary, chrome_trace, latency_report, metrics_summary, parse_trace,
 };
 use diverseav_fabric::Profile;
-use diverseav_faultinj::{run_campaign_with_traces, Campaign, CampaignScale, FaultModelKind};
+use diverseav_faultinj::{run_campaign_cached, Campaign, CampaignScale, FaultModelKind};
 use diverseav_obs::json::{self, Value};
 use diverseav_obs::{journal, metrics};
 use diverseav_simworld::{ScenarioKind, SensorConfig};
@@ -34,7 +34,7 @@ fn tracecheck_consumes_a_real_traced_campaign() {
         kind: FaultModelKind::Transient,
         mode: AgentMode::RoundRobin,
     };
-    let result = run_campaign_with_traces(campaign, &scale, None, SensorConfig::default(), true);
+    let result = run_campaign_cached(campaign, &scale, None, SensorConfig::default(), true, None);
     std::env::remove_var("DIVERSEAV_TRACE");
     assert_eq!(result.golden.len(), 2);
     assert_eq!(result.injected.len(), 6);

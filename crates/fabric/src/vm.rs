@@ -1047,11 +1047,6 @@ impl Fabric {
         self.fault = Some(FaultState::new(model));
     }
 
-    /// Remove any armed fault, returning its final state.
-    pub fn clear_fault(&mut self) -> Option<FaultState> {
-        self.fault.take()
-    }
-
     /// The armed fault's state, if any.
     pub fn fault_state(&self) -> Option<&FaultState> {
         self.fault.as_ref()

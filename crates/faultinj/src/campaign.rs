@@ -1,14 +1,18 @@
 //! The Campaign Manager (Fig 3): orchestrates golden runs, profiling, plan
 //! generation, injection runs, and Table-I summarization. It also owns the
-//! run-set law every executor shares: each [`RunUnit`]'s seed and kind,
-//! the uniform plan, and each unit's [`RunConfig`].
+//! run-set law: each [`RunUnit`]'s seed and kind, and the one `Cut`
+//! engine that decides which units a campaign cut runs — the uniform plan
+//! or a guided epoch's — and each unit's [`RunConfig`]. The in-memory
+//! executor and the shard executor are its two sinks.
 
 use crate::cache::{GoldenCache, GoldenKey, GoldenSet};
 use crate::exec::{par_map, par_map_indices};
+use crate::guided::{GuidedConfig, GuidedPlanner, GuidedSpec};
 use crate::outcome::{mean_trajectory, Tally};
 use crate::plan::{generate_plan, FaultModelKind, PlanConfig};
 use crate::record::run_record;
 use crate::runner::{run_experiment, FaultSpec, RunConfig, RunResult};
+use crate::shard::{unit_shard, GuidedShardSpec, ShardError, ShardSpec};
 use diverseav::{AgentMode, DetectorConfig, DetectorModel, TrainSample};
 use diverseav_fabric::Profile;
 use diverseav_obs::{journal, metrics, trace};
@@ -78,49 +82,117 @@ pub fn campaign_units(golden_runs: usize, injected_runs: usize) -> Vec<RunUnit> 
 /// One planned injected run: the fault, plus its stratum and
 /// Horvitz–Thompson weight when a guided planner drew it.
 pub(crate) struct PlannedRun {
-    pub(crate) spec: FaultSpec,
-    pub(crate) stratum: Option<u64>,
-    pub(crate) weight: Option<f64>,
+    spec: FaultSpec,
+    stratum: Option<u64>,
+    weight: Option<f64>,
 }
 
-/// The uniform injection plan of a campaign, drawn from its profiling
-/// run (golden run 0).
-pub(crate) fn uniform_plan(
-    profile_run: &RunResult,
-    campaign: &Campaign,
-    scale: &CampaignScale,
-) -> Vec<PlannedRun> {
-    let plan = generate_plan(
-        profile_run,
-        &PlanConfig {
-            kind: campaign.kind,
-            target: campaign.target,
-            n_transient: scale.n_transient,
-            repeats: scale.permanent_repeats,
-            seed: plan_seed(campaign),
-        },
-    );
-    plan.into_iter().map(|spec| PlannedRun { spec, stratum: None, weight: None }).collect()
-}
-
-/// The run configuration of one campaign unit: the campaign's scenario,
-/// agent mode and sensor, the unit's seed, and for injected units the
-/// fault, stratum and weight of its plan entry (`None` for golden units).
+/// The run configuration of a unit before its plan entry: the campaign's
+/// scenario, agent mode and sensor, and the unit's seed.
 pub(crate) fn unit_config(
     scenario: &Scenario,
     mode: AgentMode,
     sensor: SensorConfig,
     unit: RunUnit,
-    entry: Option<&PlannedRun>,
 ) -> RunConfig {
     let mut cfg = RunConfig::new(scenario.clone(), mode, unit.seed());
     cfg.sensor = sensor;
-    if let Some(p) = entry {
-        cfg.fault = Some(p.spec);
-        cfg.stratum = p.stratum;
-        cfg.weight = p.weight;
-    }
     cfg
+}
+
+/// One cut of a campaign — which units it runs, with which
+/// [`RunConfig`] — decided for both executors: [`run_campaign_cached`]
+/// runs the uniform 1-of-1 cut, [`execute_shard`](crate::shard::execute_shard)
+/// shard `k` of `n` of the uniform plan or of one guided epoch.
+pub(crate) struct Cut {
+    scenario: Scenario,
+    mode: AgentMode,
+    sensor: SensorConfig,
+    /// The plan of this cut's campaign or guided epoch.
+    pub(crate) plan: Vec<PlannedRun>,
+    /// Global injected index of `plan[0]` (a guided epoch's start).
+    pub(crate) injected_base: usize,
+    /// Injected runs in the whole campaign (a guided campaign's budget).
+    pub(crate) campaign_injected: usize,
+    /// The units this cut runs, in engine order.
+    pub(crate) units: Vec<RunUnit>,
+}
+
+impl Cut {
+    /// Plan cut `spec` of `campaign` from its profiling run (golden run
+    /// 0): the uniform plan, or epoch `guided.epoch` of a guided campaign.
+    /// Fails when the guided planner refuses the campaign, epoch or prior.
+    pub(crate) fn new(
+        campaign: &Campaign,
+        scale: &CampaignScale,
+        sensor: SensorConfig,
+        spec: ShardSpec,
+        guided: Option<&GuidedShardSpec>,
+        profile_run: &RunResult,
+    ) -> Result<Cut, ShardError> {
+        let seed = plan_seed(campaign);
+        let golden_runs = scale.golden_runs.max(1);
+        let (campaign_injected, plan, injected_base, epoch_golden) = match guided {
+            None => {
+                let cfg = PlanConfig {
+                    kind: campaign.kind,
+                    target: campaign.target,
+                    n_transient: scale.n_transient,
+                    repeats: scale.permanent_repeats,
+                    seed,
+                };
+                let plan: Vec<PlannedRun> = generate_plan(profile_run, &cfg)
+                    .into_iter()
+                    .map(|spec| PlannedRun { spec, stratum: None, weight: None })
+                    .collect();
+                (plan.len(), plan, 0, golden_runs)
+            }
+            Some(g) => {
+                let planner = GuidedPlanner::new(
+                    profile_run,
+                    campaign,
+                    scale,
+                    GuidedConfig { epochs: g.epochs },
+                )
+                .map_err(ShardError::Mismatch)?;
+                // The planner rejects an out-of-range epoch and a missing
+                // or superfluous prior.
+                let plan = planner
+                    .epoch_plan(g.epoch, g.prior.as_ref())
+                    .map_err(ShardError::Mismatch)?
+                    .into_iter()
+                    .map(|GuidedSpec { spec, stratum, weight }| PlannedRun {
+                        spec,
+                        stratum: Some(stratum),
+                        weight: Some(weight),
+                    })
+                    .collect();
+                // Golden runs belong to the pilot epoch only: later epochs
+                // reuse the merged epoch-0 baseline, so scheduling them
+                // again would double-count golden coverage in the merge.
+                let epoch_golden = if g.epoch == 0 { golden_runs } else { 0 };
+                (planner.budget, plan, planner.epoch_start(g.epoch), epoch_golden)
+            }
+        };
+        let units = (0..epoch_golden)
+            .map(RunUnit::Golden)
+            .chain((injected_base..injected_base + plan.len()).map(RunUnit::Injected))
+            .filter(|u| unit_shard(seed, *u, spec.count) == spec.index)
+            .collect();
+        let (scenario, mode) = (scenario_for(campaign.scenario, scale), campaign.mode);
+        Ok(Cut { scenario, mode, sensor, plan, injected_base, campaign_injected, units })
+    }
+
+    /// The run configuration of `unit`: [`unit_config`] plus, for an
+    /// injected unit, the fault, stratum and weight of its plan entry.
+    pub(crate) fn config(&self, unit: RunUnit) -> RunConfig {
+        let mut cfg = unit_config(&self.scenario, self.mode, self.sensor, unit);
+        if let RunUnit::Injected(i) = unit {
+            let p = &self.plan[i - self.injected_base];
+            (cfg.fault, cfg.stratum, cfg.weight) = (Some(p.spec), p.stratum, p.weight);
+        }
+        cfg
+    }
 }
 
 /// Experiment scale: quick (CI-friendly) vs paper-scale counts.
@@ -230,36 +302,17 @@ pub struct TableRow {
     pub traj_violations: usize,
 }
 
-/// Run one campaign end-to-end.
+/// Run one campaign end-to-end in memory: the uniform 1-of-1 cut of the
+/// engine the shard executor also runs.
 ///
 /// `detector` (with its config) is attached to every run so alarm times
 /// are recorded; pass `None` to run without detection (fault-propagation
-/// characterization only).
-pub fn run_campaign(
-    campaign: Campaign,
-    scale: &CampaignScale,
-    detector: Option<(DetectorModel, DetectorConfig)>,
-    sensor: SensorConfig,
-) -> CampaignResult {
-    run_campaign_with_traces(campaign, scale, detector, sensor, false)
-}
-
-/// [`run_campaign`] with optional divergence-stream recording on every
-/// run, enabling offline (td, rw) detector sweeps over the results.
-pub fn run_campaign_with_traces(
-    campaign: Campaign,
-    scale: &CampaignScale,
-    detector: Option<(DetectorModel, DetectorConfig)>,
-    sensor: SensorConfig,
-    collect_traces: bool,
-) -> CampaignResult {
-    run_campaign_cached(campaign, scale, detector, sensor, collect_traces, None)
-}
-
-/// [`run_campaign_with_traces`] with an optional [`GoldenCache`] shared
-/// across campaigns.
+/// characterization only). `collect_traces` records every run's
+/// divergence stream, enabling offline (td, rw) detector sweeps over the
+/// results.
 ///
-/// The four campaigns of a (scenario, mode) Table-I cell — {GPU, CPU} ×
+/// An optional [`GoldenCache`] is shared across campaigns: the four
+/// campaigns of a (scenario, mode) Table-I cell — {GPU, CPU} ×
 /// {transient, permanent} — request identical golden sets; the cache
 /// computes each distinct set once. Runs fan out on the deterministic
 /// [`par_map`](crate::exec::par_map) engine: every run is seeded
@@ -278,8 +331,7 @@ pub fn run_campaign_cached(
     cache: Option<&GoldenCache>,
 ) -> CampaignResult {
     let scenario = scenario_for(campaign.scenario, scale);
-    let run_unit = |unit: RunUnit, entry: Option<&PlannedRun>| {
-        let mut cfg = unit_config(&scenario, campaign.mode, sensor, unit, entry);
+    let run = |mut cfg: RunConfig| {
         cfg.detector = detector.clone();
         cfg.collect_training = collect_traces;
         run_experiment(&cfg)
@@ -287,8 +339,9 @@ pub fn run_campaign_cached(
 
     // Golden runs (also the NVBitFI-style profiling pass).
     let run_golden_set = || {
-        let golden =
-            par_map_indices(scale.golden_runs.max(1), |i| run_unit(RunUnit::Golden(i), None));
+        let golden = par_map_indices(scale.golden_runs.max(1), |i| {
+            run(unit_config(&scenario, campaign.mode, sensor, RunUnit::Golden(i)))
+        });
         let trajectories: Vec<&[TrajPoint]> =
             golden.iter().map(|g| g.trajectory.as_slice()).collect();
         let baseline = mean_trajectory(&trajectories);
@@ -316,12 +369,15 @@ pub fn run_campaign_cached(
 
     // Injection plan from the first golden run's profile.
     let phase_start = Instant::now();
-    let plan = uniform_plan(&golden[0], &campaign, scale);
+    let cut =
+        Cut::new(&campaign, scale, sensor, ShardSpec { index: 0, count: 1 }, None, &golden[0])
+            .expect("a uniform cut has no refusal path");
     metrics::phase_add("campaign.plan", phase_start.elapsed().as_secs_f64());
 
     let phase_start = Instant::now();
+    // The 1-of-1 cut holds every unit, the golden set first.
     let injected: Vec<RunResult> =
-        par_map_indices(plan.len(), |i| run_unit(RunUnit::Injected(i), Some(&plan[i])));
+        par_map(&cut.units[golden.len()..], |&unit| run(cut.config(unit)));
     metrics::phase_add("campaign.injected", phase_start.elapsed().as_secs_f64());
     metrics::counter_add("campaign.injected_runs", injected.len() as u64);
     metrics::counter_add("campaign.cells", 1);
@@ -335,8 +391,7 @@ pub fn run_campaign_cached(
     // any thread count.
     if trace::enabled() {
         let label = campaign.to_string();
-        let units = campaign_units(golden.len(), injected.len());
-        for (unit, r) in units.into_iter().zip(golden.iter().chain(&injected)) {
+        for (unit, r) in cut.units.iter().zip(golden.iter().chain(&injected)) {
             journal::append_line(
                 run_record(&label, unit.kind(), unit.index(), r).render_journal_line(),
             );

@@ -18,7 +18,7 @@
 //! use diverseav::AgentMode;
 //! use diverseav_fabric::Profile;
 //! use diverseav_faultinj::{
-//!     run_campaign, summarize, Campaign, CampaignScale, FaultModelKind,
+//!     run_campaign_cached, summarize, Campaign, CampaignScale, FaultModelKind,
 //! };
 //! use diverseav_simworld::{ScenarioKind, SensorConfig};
 //!
@@ -28,7 +28,8 @@
 //!     kind: FaultModelKind::Transient,
 //!     mode: AgentMode::RoundRobin,
 //! };
-//! let result = run_campaign(campaign, &CampaignScale::quick(), None, SensorConfig::default());
+//! let scale = CampaignScale::quick();
+//! let result = run_campaign_cached(campaign, &scale, None, SensorConfig::default(), false, None);
 //! let row = summarize(&result, 2.0);
 //! println!("{campaign}: {} active, {} hang/crash", row.active, row.hang_crash);
 //! ```
@@ -45,9 +46,9 @@ pub mod shard;
 
 pub use cache::{sensor_fingerprint, GoldenCache, GoldenKey, GoldenSet};
 pub use campaign::{
-    campaign_units, collect_training_runs, plan_seed, run_campaign, run_campaign_cached,
-    run_campaign_with_traces, scenario_for, summarize, Campaign, CampaignResult, CampaignScale,
-    RunUnit, TableRow, GOLDEN_SEED_BASE, INJECTED_SEED_BASE,
+    campaign_units, collect_training_runs, plan_seed, run_campaign_cached, scenario_for, summarize,
+    Campaign, CampaignResult, CampaignScale, RunUnit, TableRow, GOLDEN_SEED_BASE,
+    INJECTED_SEED_BASE,
 };
 pub use exec::{detected_parallelism, par_map, par_map_indices, par_map_with, thread_count};
 pub use guided::{

@@ -69,14 +69,6 @@ impl FaultSpec {
             },
         }
     }
-
-    /// The sensor fault, if this spec targets the sensor boundary.
-    pub fn as_sensor(&self) -> Option<SensorFault> {
-        match self {
-            FaultSpec::Sensor(sf) => Some(*sf),
-            FaultSpec::Fabric { .. } => None,
-        }
-    }
 }
 
 impl fmt::Display for FaultSpec {

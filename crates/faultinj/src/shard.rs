@@ -10,12 +10,18 @@
 //!   generator uses. The assignment depends only on (plan seed, unit,
 //!   shard count): every shard of a campaign computes the identical
 //!   partition independently, with no coordination.
-//! * **Shard executor** — [`execute_shard`] runs one shard's units in
-//!   deterministic batches and appends them to a versioned JSONL artifact.
-//!   Each batch commits atomically (runs first, then a batch marker with
-//!   cumulative metrics); an interrupted shard resumes at its last
-//!   committed batch, and the finished artifact is byte-identical to an
-//!   uninterrupted run.
+//! * **Shard executor** — [`execute_shard`] is the checkpointed sink of
+//!   the one cut engine, `campaign::Cut`, which plans the campaign (the
+//!   uniform plan or one guided epoch), keeps this shard's units and
+//!   configures each run; [`run_campaign_cached`] is its other sink, the
+//!   1-of-1 cut in memory. The executor adds only what is specific to a
+//!   shard: it runs the units in deterministic batches and appends them
+//!   to a versioned JSONL artifact and its incident sidecar. Each batch
+//!   commits atomically (runs first, then a batch marker with cumulative
+//!   metrics); an interrupted shard resumes at its last committed batch,
+//!   and the finished artifact is byte-identical to an uninterrupted run.
+//!   A checkpoint from another configuration is refused, before the
+//!   profiling run when the difference does not depend on it.
 //! * **Merger** — [`merge_artifacts`] validates a set of shard artifacts
 //!   (schema version, campaign fingerprint, exactly-once coverage, no
 //!   gaps, no overlap) and reassembles the campaign: run results in
@@ -42,13 +48,11 @@
 
 use crate::cache::sensor_fingerprint;
 use crate::campaign::{
-    plan_seed, scenario_for, splitmix64, uniform_plan, unit_config, Campaign, CampaignScale,
-    PlannedRun, RunUnit, TableRow,
+    plan_seed, scenario_for, splitmix64, unit_config, Campaign, CampaignScale, Cut, RunUnit,
+    TableRow,
 };
 use crate::exec::{par_map, thread_count};
-use crate::guided::{
-    ess, is_safety_critical, EpochSummary, GuidedConfig, GuidedPlanner, GuidedSpec, WeightedRow,
-};
+use crate::guided::{ess, is_safety_critical, EpochSummary, WeightedRow};
 use crate::outcome::{mean_trajectory, Tally};
 use crate::record::{run_record, RunRecord};
 use crate::runner::{run_experiment, RunResult};
@@ -261,23 +265,14 @@ pub struct MetricsSlice {
 impl MetricsSlice {
     /// Snapshot the shard-scope subset of the global registry.
     pub fn capture() -> Self {
+        fn scoped<V>(all: BTreeMap<String, V>, prefixes: &[&str]) -> BTreeMap<String, V> {
+            all.into_iter().filter(|(k, _)| prefixes.iter().any(|p| k.starts_with(p))).collect()
+        }
         let snap = metrics::snapshot();
         MetricsSlice {
-            counters: snap
-                .counters
-                .into_iter()
-                .filter(|(k, _)| COUNTER_PREFIXES.iter().any(|p| k.starts_with(p)))
-                .collect(),
-            gauges: snap
-                .gauges
-                .into_iter()
-                .filter(|(k, _)| GAUGE_PREFIXES.iter().any(|p| k.starts_with(p)))
-                .collect(),
-            hists: snap
-                .hists
-                .into_iter()
-                .filter(|(k, _)| HIST_PREFIXES.iter().any(|p| k.starts_with(p)))
-                .collect(),
+            counters: scoped(snap.counters, &COUNTER_PREFIXES),
+            gauges: scoped(snap.gauges, &GAUGE_PREFIXES),
+            hists: scoped(snap.hists, &HIST_PREFIXES),
         }
     }
 
@@ -916,14 +911,17 @@ pub struct ShardStatus {
     pub complete: bool,
 }
 
-fn shard_manifest(
-    cfg: &ShardConfig,
-    scenario: &Scenario,
-    golden_runs: usize,
-    injected_runs: usize,
-    assigned_runs: usize,
-    guided: Option<GuidedManifest>,
-) -> ShardManifest {
+/// The manifest of shard `cfg` cutting `cut`; without the cut, its
+/// [`config_part`](ShardManifest::config_part).
+fn shard_manifest(cfg: &ShardConfig, scenario: &Scenario, cut: Option<&Cut>) -> ShardManifest {
+    let guided = cfg.guided.as_ref().map(|g| GuidedManifest {
+        epochs: g.epochs.max(1),
+        epoch: g.epoch,
+        budget: cut.map_or(0, |c| c.campaign_injected),
+        epoch_start: cut.map_or(0, |c| c.injected_base),
+        epoch_runs: cut.map_or(0, |c| c.plan.len()),
+        prior_digest: g.prior.as_ref().map_or(0, EpochSummary::digest),
+    });
     let fingerprint = match &guided {
         Some(g) => guided_fingerprint(&cfg.campaign, &cfg.scale, &cfg.sensor, g.epochs),
         None => campaign_fingerprint(&cfg.campaign, &cfg.scale, &cfg.sensor),
@@ -942,9 +940,9 @@ fn shard_manifest(
         shard_index: cfg.spec.index,
         shard_count: cfg.spec.count,
         batch_size: cfg.batch_size.max(1),
-        golden_runs,
-        injected_runs,
-        assigned_runs,
+        golden_runs: cfg.scale.golden_runs.max(1),
+        injected_runs: cut.map_or(0, |c| c.campaign_injected),
+        assigned_runs: cut.map_or(0, |c| c.units.len()),
         guided,
     }
 }
@@ -994,11 +992,6 @@ pub fn execute_shard_limited(
 ) -> Result<ShardStatus, ShardError> {
     cfg.spec.validate()?;
     let scenario = scenario_for(cfg.campaign.scenario, &cfg.scale);
-    let golden_runs = cfg.scale.golden_runs.max(1);
-    let seed = plan_seed(&cfg.campaign);
-    let run_unit = |unit: RunUnit, entry: Option<&PlannedRun>| {
-        run_experiment(&unit_config(&scenario, cfg.campaign.mode, cfg.sensor, unit, entry))
-    };
     let refuse = || {
         ShardError::Mismatch(format!(
             "checkpoint at {} was written by a different shard configuration; \
@@ -1017,15 +1010,7 @@ pub fn execute_shard_limited(
     };
     let checkpoint = parse_artifact(&text);
     if let Ok(art) = &checkpoint {
-        let guided = cfg.guided.as_ref().map(|g| GuidedManifest {
-            epochs: g.epochs.max(1),
-            epoch: g.epoch,
-            budget: 0,
-            epoch_start: 0,
-            epoch_runs: 0,
-            prior_digest: g.prior.as_ref().map(EpochSummary::digest).unwrap_or(0),
-        });
-        if art.manifest.config_part() != shard_manifest(cfg, &scenario, golden_runs, 0, 0, guided) {
+        if art.manifest.config_part() != shard_manifest(cfg, &scenario, None) {
             return Err(refuse());
         }
     }
@@ -1035,62 +1020,20 @@ pub fn execute_shard_limited(
     // bracketed so it is charged exactly once — by the shard that owns
     // Golden(0), in the batch that commits it.
     let s0 = MetricsSlice::capture();
-    let profile_run = run_unit(RunUnit::Golden(0), None);
+    let profile_run =
+        run_experiment(&unit_config(&scenario, cfg.campaign.mode, cfg.sensor, RunUnit::Golden(0)));
     let s1 = MetricsSlice::capture();
     let profiling_slice = s1.delta(&s0);
 
-    // The injection plan: uniform enumeration, or one epoch of a guided
-    // campaign. Both are pure functions of (profiling run, campaign,
-    // scale) — plus, for guided epochs > 0, the prior summary — so every
-    // shard derives the identical plan independently.
-    let (plan, injected_base, campaign_injected, epoch_golden, guided_manifest) = match &cfg.guided
-    {
-        None => {
-            let plan = uniform_plan(&profile_run, &cfg.campaign, &cfg.scale);
-            let n = plan.len();
-            (plan, 0usize, n, golden_runs, None)
-        }
-        Some(g) => {
-            let planner = GuidedPlanner::new(
-                &profile_run,
-                &cfg.campaign,
-                &cfg.scale,
-                GuidedConfig { epochs: g.epochs },
-            )
-            .map_err(ShardError::Mismatch)?;
-            // The planner rejects an out-of-range epoch and a missing or
-            // superfluous prior.
-            let epoch_plan =
-                planner.epoch_plan(g.epoch, g.prior.as_ref()).map_err(ShardError::Mismatch)?;
-            let start = planner.epoch_start(g.epoch);
-            let gm = GuidedManifest {
-                epochs: planner.epochs,
-                epoch: g.epoch,
-                budget: planner.budget,
-                epoch_start: start,
-                epoch_runs: epoch_plan.len(),
-                prior_digest: g.prior.as_ref().map(EpochSummary::digest).unwrap_or(0),
-            };
-            let plan: Vec<PlannedRun> = epoch_plan
-                .into_iter()
-                .map(|GuidedSpec { spec, stratum, weight }| PlannedRun {
-                    spec,
-                    stratum: Some(stratum),
-                    weight: Some(weight),
-                })
-                .collect();
-            // Golden runs belong to the pilot epoch only: later epochs
-            // reuse the merged epoch-0 baseline, so scheduling them again
-            // would double-count golden coverage in the merge.
-            let epoch_golden = if g.epoch == 0 { golden_runs } else { 0 };
-            (plan, start, planner.budget, epoch_golden, Some(gm))
-        }
-    };
-    let units: Vec<RunUnit> = (0..epoch_golden)
-        .map(RunUnit::Golden)
-        .chain((injected_base..injected_base + plan.len()).map(RunUnit::Injected))
-        .filter(|u| unit_shard(seed, *u, cfg.spec.count) == cfg.spec.index)
-        .collect();
+    let cut = Cut::new(
+        &cfg.campaign,
+        &cfg.scale,
+        cfg.sensor,
+        cfg.spec,
+        cfg.guided.as_ref(),
+        &profile_run,
+    )?;
+    let units = &cut.units;
     let batch_size = cfg.batch_size.max(1);
     let total_batches = units.len().div_ceil(batch_size);
     let status = |resumed_batches, executed_batches, complete| ShardStatus {
@@ -1100,14 +1043,7 @@ pub fn execute_shard_limited(
         assigned_runs: units.len(),
         complete,
     };
-    let manifest = shard_manifest(
-        cfg,
-        &scenario,
-        golden_runs,
-        campaign_injected,
-        units.len(),
-        guided_manifest,
-    );
+    let manifest = shard_manifest(cfg, &scenario, Some(&cut));
 
     // Resume from an existing checkpoint when one is present. Committed
     // bytes are never rewritten: each file is cut in place to its
@@ -1194,8 +1130,7 @@ pub fn execute_shard_limited(
         };
         let results: Vec<(ShardRun, Option<IncidentRecord>)> = par_map(chunk, |&unit| match unit {
             RunUnit::Golden(0) => flatten(unit, &profile_run),
-            RunUnit::Golden(_) => flatten(unit, &run_unit(unit, None)),
-            RunUnit::Injected(i) => flatten(unit, &run_unit(unit, Some(&plan[i - injected_base]))),
+            _ => flatten(unit, &run_experiment(&cut.config(unit))),
         });
         let after = MetricsSlice::capture();
         let mut batch_delta = after.delta(&before);

@@ -10,7 +10,7 @@ use diverseav::{AgentMode, DetectorConfig, DetectorModel};
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
     collect_incidents, collect_training_runs, execute_shard, incident_sidecar_path,
-    merge_artifacts, parse_artifact, parse_incident_artifact, run_campaign_with_traces, Campaign,
+    merge_artifacts, parse_artifact, parse_incident_artifact, run_campaign_cached, Campaign,
     CampaignScale, FaultModelKind, IncidentRecord, SensorFaultKind, ShardConfig, ShardSpec,
 };
 use diverseav_simworld::{ScenarioKind, SensorConfig};
@@ -51,12 +51,13 @@ fn detector() -> (DetectorModel, DetectorConfig) {
 /// the lossless bit-hex line encoding, so comparisons are bit-exact
 /// (including NaN payloads, which `PartialEq` would mishandle).
 fn render_incident_lines(campaign: Campaign) -> Vec<String> {
-    let r = run_campaign_with_traces(
+    let r = run_campaign_cached(
         campaign,
         &tiny_scale(),
         Some(detector()),
         SensorConfig::default(),
         false,
+        None,
     );
     let mut out = Vec::new();
     for (kind, runs) in [("golden", &r.golden), ("injected", &r.injected)] {

@@ -8,7 +8,7 @@
 use diverseav::AgentMode;
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
-    execute_shard, merge_artifacts, parse_artifact, run_campaign_with_traces, run_record, Campaign,
+    execute_shard, merge_artifacts, parse_artifact, run_campaign_cached, run_record, Campaign,
     CampaignScale, FaultModelKind, SensorFault, SensorFaultKind, ShardConfig, ShardSpec,
 };
 use diverseav_runtime::FrameInjector;
@@ -122,7 +122,8 @@ proptest! {
 /// Render a campaign's observable payload as shard-run lines (the
 /// lossless f64-bit encoding), so comparisons are bit-exact.
 fn render_runs(campaign: Campaign) -> Vec<String> {
-    let r = run_campaign_with_traces(campaign, &tiny_scale(), None, SensorConfig::default(), false);
+    let r =
+        run_campaign_cached(campaign, &tiny_scale(), None, SensorConfig::default(), false, None);
     let label = campaign.to_string();
     let mut out = Vec::new();
     for (i, g) in r.golden.iter().enumerate() {

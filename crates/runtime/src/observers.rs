@@ -5,7 +5,6 @@ use crate::simloop::{LoopObserver, Termination, TickContext};
 use diverseav::TrainSample;
 use diverseav_obs::metrics;
 use diverseav_simworld::{Controls, World};
-use std::time::Instant;
 
 /// Records the divergence stream (detector training / offline sweeps)
 /// and the actuation + CVIP trace (Fig 2) — exactly what
@@ -44,42 +43,26 @@ impl LoopObserver for TrainingCollector {
     }
 }
 
-/// Counts ticks and wall time for throughput accounting.
+/// Counts ticks for throughput accounting.
 ///
 /// Per-tick work is a local increment; the process-global
 /// `runtime.ticks` metrics counter is bumped once at termination, so the
 /// hot loop takes no locks. Campaign-level reports derive a
 /// `ticks_per_sec` figure by sampling the counter around a timed phase.
+#[derive(Default)]
 pub struct PerfObserver {
     ticks: u64,
-    started: Instant,
 }
 
 impl PerfObserver {
-    /// Start the wall clock now.
+    /// A counter at zero.
     pub fn new() -> Self {
-        PerfObserver { ticks: 0, started: Instant::now() }
+        Self::default()
     }
 
     /// Ticks observed so far.
     pub fn ticks(&self) -> u64 {
         self.ticks
-    }
-
-    /// Observed throughput since construction (ticks per wall second).
-    pub fn ticks_per_sec(&self) -> f64 {
-        let secs = self.started.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            self.ticks as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-impl Default for PerfObserver {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

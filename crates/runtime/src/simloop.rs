@@ -466,11 +466,6 @@ impl<D: LoopDriver> SimLoop<D> {
         &self.driver
     }
 
-    /// The driver, mutably (e.g. to inject faults between runs).
-    pub fn driver_mut(&mut self) -> &mut D {
-        &mut self.driver
-    }
-
     /// Decompose into the world and driver for end-of-run accounting.
     pub fn into_parts(self) -> (World, D) {
         (self.world, self.driver)

@@ -9,7 +9,7 @@
 use diverseav::AgentMode;
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
-    run_campaign_with_traces, summarize, Campaign, CampaignScale, FaultModelKind, OutcomeClass,
+    run_campaign_cached, summarize, Campaign, CampaignScale, FaultModelKind, OutcomeClass,
 };
 use diverseav_simworld::{ScenarioKind, SensorConfig};
 
@@ -27,7 +27,7 @@ fn main() {
         mode: AgentMode::RoundRobin,
     };
     println!("running campaign: {campaign} (miniature scale)\n");
-    let result = run_campaign_with_traces(campaign, &scale, None, SensorConfig::default(), true);
+    let result = run_campaign_cached(campaign, &scale, None, SensorConfig::default(), true, None);
 
     println!("per-run outcomes:");
     for run in &result.injected {

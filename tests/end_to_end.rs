@@ -2,7 +2,7 @@
 //! pipeline over short scenarios.
 
 use diverseav::{AgentMode, DetectorConfig, DetectorModel, OnlineDetector};
-use diverseav_bench::evaluate_cell;
+use diverseav_bench::{evaluate_cell, sweep};
 use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_faultinj::{
     classify, collect_training_runs, evaluate_detector, first_violation_time, generate_plan,
@@ -215,6 +215,42 @@ fn one_scorer_serves_online_and_replayed_alarms() {
     let (leads, missed) = hand_tally(&|r| OnlineDetector::replay(&slow_model, slow, &r.training));
     assert!(missed > 0, "the slow detector must exercise missed hazards");
     assert_eq!((&cell.lead_times, cell.missed_hazards), (&leads, missed));
+}
+
+#[test]
+fn sweep_cells_equal_evaluate_cell() {
+    // The sweep replays each stream once per rolling window and scores
+    // every threshold from those alarms; each cell must equal a fresh
+    // `evaluate_cell` (which replays per cell) at its (rw, td). Small
+    // thresholds make td matter on this accident-heavy campaign.
+    let training =
+        collect_training_runs(AgentMode::RoundRobin, &tiny_scale(), SensorConfig::default());
+    let campaign = Campaign {
+        scenario: ScenarioKind::FrontAccident,
+        target: Profile::Gpu,
+        kind: FaultModelKind::Permanent,
+        mode: AgentMode::RoundRobin,
+    };
+    let campaigns =
+        [run_campaign_cached(campaign, &tiny_scale(), None, SensorConfig::default(), true, None)];
+    let (rws, tds) = ([3, 12, 40], [0.1, 0.3, 5.0]);
+    let base = DetectorConfig::default();
+    let result = sweep(&training, &campaigns, &rws, &tds, base);
+    for (i, &rw) in rws.iter().enumerate() {
+        let cfg = base.with_rw(rw);
+        let model = DetectorModel::train(&training, &cfg);
+        for (j, &td) in tds.iter().enumerate() {
+            let cell = evaluate_cell(&model, cfg, &campaigns, td);
+            let want =
+                [cell.eval.precision(), cell.eval.recall(), cell.eval.f1()].map(f64::to_bits);
+            let got = [result.precision[i][j], result.recall[i][j], result.f1[i][j]];
+            assert_eq!(got.map(f64::to_bits), want, "cell (rw {rw}, td {td})");
+        }
+    }
+    // The cells must differ along both axes, or a sweep that scored the
+    // wrong window or threshold could still pass.
+    assert_ne!(result.recall[0][0], result.recall[0][2], "td must matter");
+    assert_ne!(result.recall[0][2], result.recall[2][2], "rw must matter");
 }
 
 #[test]
