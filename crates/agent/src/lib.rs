@@ -42,6 +42,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod kernels;
 pub mod layout;

@@ -18,6 +18,8 @@
 //! assert!(stats.mean > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod diversity;
 pub mod fit;
 pub mod kitti_synth;

@@ -132,7 +132,7 @@ fn run() -> Result<ExitCode, String> {
         std::fs::write(&chrome_path, tracecheck::chrome_trace(&trace))
             .map_err(|e| format!("cannot write {chrome_path}: {e}"))?;
         println!(
-            "\nwrote {chrome_path} ({} span groups) — open in chrome://tracing or Perfetto",
+            "\nwrote {chrome_path} ({} spans) — open in chrome://tracing or Perfetto",
             trace.spans.len()
         );
     }

@@ -8,6 +8,8 @@
 //! the default (`quick`) shrinks run counts so a full `cargo bench`
 //! completes in minutes rather than the paper's 40 days.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod merge;
 pub mod sweep;

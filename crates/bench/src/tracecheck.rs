@@ -8,9 +8,9 @@
 //! * [`latency_report`] — detection-latency (alarm → collision) and
 //!   peak-divergence distributions (Fig 9 flavor) with exact quantiles
 //!   and ASCII histograms.
-//! * [`chrome_trace`] — the journal's `"type": "span_events"` lines
-//!   re-emitted as a Chrome trace-event JSON document (`chrome://tracing`
-//!   / Perfetto `"traceEvents"` format, complete `"X"` events, one track
+//! * [`chrome_trace`] — the journal's `"type": "span"` lines re-emitted
+//!   as a Chrome trace-event JSON document (`chrome://tracing` /
+//!   Perfetto `"traceEvents"` format, complete `"X"` events, one track
 //!   per engine worker).
 //!
 //! Plus two cross-cutting reports:
@@ -42,7 +42,8 @@
 //! Everything parses through [`diverseav_obs::json`] (no serde in the
 //! dependency closure) and its strict member vocabulary — run lines
 //! through [`RunRecord::parse_journal_line`] (the lossless run record the
-//! shard artifacts carry too, minus the trajectory), incident lines through
+//! shard artifacts carry too, minus the trajectory), span lines through
+//! [`Span::parse`], incident lines through
 //! [`IncidentRecord::parse`] — and is pure string → string, so the
 //! binary is a thin argument-parsing shell over testable functions.
 //! Malformed input is an `Err`, never a default or a panic.
@@ -50,53 +51,18 @@
 use diverseav_faultinj::{IncidentRecord, RunRecord};
 use diverseav_obs::flight::{FLAG_ALARM, FLAG_DETECTOR_OBSERVED, FLAG_FAULT_ACTIVE};
 use diverseav_obs::json::{self, Value};
+use diverseav_obs::trace::Span;
 use diverseav_obs::FaultSite;
 use diverseav_runtime::SILENT_SCORE_FLOOR;
 use std::collections::BTreeMap;
-
-/// One event inside a `"type": "span_events"` journal line.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SpanEvent {
-    /// `span_begin` / `span_end` / `counter` / `gauge`.
-    pub event: String,
-    /// Event name (span name or counter/gauge key).
-    pub name: String,
-    /// `t_ns` for spans, `value` for counters/gauges (NaN for a gauge
-    /// whose non-finite value was written as `null`).
-    pub value: f64,
-}
-
-impl SpanEvent {
-    fn parse(v: &Value) -> Result<SpanEvent, String> {
-        let event = v.req_str("event")?;
-        let value = match event.as_str() {
-            "span_begin" | "span_end" => v.req_u64("t_ns")? as f64,
-            "counter" => v.req_u64("value")? as f64,
-            "gauge" => v.opt_num_member("value")?.unwrap_or(f64::NAN),
-            other => return Err(format!("unknown span event {other:?}")),
-        };
-        Ok(SpanEvent { event, name: v.req_str("name")?, value })
-    }
-}
-
-/// One fan-out slot's worth of span events.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SpanGroup {
-    /// Fan-out label (e.g. the campaign phase).
-    pub label: String,
-    /// Slot index within the fan-out.
-    pub index: u64,
-    /// The slot's events, in recording order.
-    pub events: Vec<SpanEvent>,
-}
 
 /// A parsed trace journal.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     /// All run lines, in journal order.
     pub runs: Vec<RunRecord>,
-    /// All span-event groups, in journal order.
-    pub spans: Vec<SpanGroup>,
+    /// All engine spans, in journal order.
+    pub spans: Vec<Span>,
 }
 
 /// Parse a JSONL trace journal. Returns the trace, or per-line parse
@@ -112,13 +78,7 @@ pub fn parse_trace(text: &str) -> Result<Trace, Vec<String>> {
         }
         let parsed = json::parse(line).and_then(|v| match v.req_str("type")?.as_str() {
             "run" => RunRecord::parse_journal_line(&v).map(|r| trace.runs.push(r)),
-            "span_events" => {
-                let events: Result<_, _> =
-                    v.req_arr("events")?.iter().map(SpanEvent::parse).collect();
-                let (label, index) = (v.req_str("label")?, v.req_u64("index")?);
-                trace.spans.push(SpanGroup { label, index, events: events? });
-                Ok(())
-            }
+            "span" => Span::parse(&v).map(|s| trace.spans.push(s)),
             other => Err(format!("unknown type {other:?}")),
         });
         if let Err(e) = parsed {
@@ -318,46 +278,23 @@ pub fn sensor_latency_report(runs: &[RunRecord]) -> String {
     out
 }
 
-/// Re-emit the journal's span events as a Chrome trace-event JSON
-/// document (viewable in `chrome://tracing` or Perfetto).
-///
-/// Each slot's `span_begin`/`span_end` pairs become complete (`"X"`)
-/// events; the slot's `worker` counter (recorded by the engine when
-/// tracing is on) selects the `tid`, so the timeline shows one track per
-/// engine worker. Slot label and index ride along as event args.
+/// Re-emit the journal's engine spans as a Chrome trace-event JSON
+/// document (viewable in `chrome://tracing` or Perfetto): one complete
+/// (`"X"`) event per span on its worker's track (`tid`), with the item
+/// index as an event arg, plus one `thread_name` record per worker.
 pub fn chrome_trace(trace: &Trace) -> String {
     let mut events = Vec::new();
     let mut workers = std::collections::BTreeSet::new();
-    for group in &trace.spans {
-        let tid = group
-            .events
-            .iter()
-            .find(|e| e.event == "counter" && e.name == "worker")
-            .map(|e| e.value as u64)
-            .unwrap_or(0);
-        workers.insert(tid);
-        let mut open: Vec<(&str, f64)> = Vec::new();
-        for e in &group.events {
-            match e.event.as_str() {
-                "span_begin" => open.push((e.name.as_str(), e.value)),
-                "span_end" => {
-                    if let Some(pos) = open.iter().rposition(|(n, _)| *n == e.name) {
-                        let (name, begin_ns) = open.remove(pos);
-                        let ts_us = begin_ns / 1_000.0;
-                        let dur_us = (e.value - begin_ns).max(0.0) / 1_000.0;
-                        events.push(format!(
-                            "{{\"name\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {tid}, \
-                             \"ts\": {ts_us:.3}, \"dur\": {dur_us:.3}, \
-                             \"args\": {{\"label\": \"{}\", \"slot\": {}}}}}",
-                            json::escape(name),
-                            json::escape(&group.label),
-                            group.index,
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
+    for span in &trace.spans {
+        workers.insert(span.worker);
+        events.push(format!(
+            "{{\"name\": \"exec.par_map\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \
+             \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{\"index\": {}}}}}",
+            span.worker,
+            span.begin_ns as f64 / 1_000.0,
+            span.end_ns.saturating_sub(span.begin_ns) as f64 / 1_000.0,
+            span.index,
+        ));
     }
     for tid in workers {
         events.push(format!(
@@ -919,10 +856,8 @@ mod tests {
         ];
         let mut text: String = runs.iter().map(|r| r.render_journal_line() + "\n").collect();
         text.push_str(concat!(
-            "{\"type\": \"span_events\", \"label\": \"campaign\", \"index\": 0, \"events\": [",
-            "{\"event\": \"span_begin\", \"name\": \"item\", \"t_ns\": 1000}, ",
-            "{\"event\": \"counter\", \"name\": \"worker\", \"value\": 2}, ",
-            "{\"event\": \"span_end\", \"name\": \"item\", \"t_ns\": 51000}]}\n",
+            "{\"type\": \"span\", \"index\": 0, \"worker\": 2, ",
+            "\"begin_ns\": \"1000\", \"end_ns\": \"51000\"}\n",
         ));
         text
     }
@@ -934,7 +869,7 @@ mod tests {
         assert_eq!(trace.spans.len(), 1);
         assert_eq!(trace.runs[1].alarm_time, Some(9.5));
         assert_eq!(trace.runs[1].outcome, "collision");
-        assert_eq!(trace.spans[0].events.len(), 3);
+        assert_eq!(trace.spans[0], Span { index: 0, worker: 2, begin_ns: 1000, end_ns: 51000 });
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn tracecheck_consumes_a_real_traced_campaign() {
     let text = journal::snapshot().join("\n");
     let trace = parse_trace(&text).expect("the real journal parses without errors");
     assert_eq!(trace.runs.len(), 8, "2 golden + 6 injected run lines");
-    assert!(!trace.spans.is_empty(), "engine slot spans were journaled");
+    assert!(!trace.spans.is_empty(), "engine spans were journaled");
 
     // Per-cell summary: one [golden] row and one injected row for the
     // campaign label.
@@ -57,14 +57,15 @@ fn tracecheck_consumes_a_real_traced_campaign() {
     let report = latency_report(&trace.runs);
     assert!(report.contains("peak divergence"), "divergence block present:\n{report}");
 
-    // Chrome export: valid JSON, complete ("X") events from the real
-    // slot spans, one metadata record per worker.
+    // Chrome export: valid JSON, one complete ("X") event per real
+    // engine span, one metadata record per worker.
     let chrome = chrome_trace(&trace);
     let doc = json::parse(&chrome).expect("chrome export is valid JSON");
     let events = doc.get("traceEvents").and_then(Value::as_arr).expect("traceEvents array");
-    assert!(
-        events.iter().any(|e| e.get("ph").and_then(Value::as_str) == Some("X")),
-        "at least one complete span event"
+    assert_eq!(
+        events.iter().filter(|e| e.get("ph").and_then(Value::as_str) == Some("X")).count(),
+        trace.spans.len(),
+        "one complete event per span"
     );
     assert!(
         events.iter().any(|e| e.get("ph").and_then(Value::as_str) == Some("M")),

@@ -40,6 +40,8 @@
 //! assert_eq!(SimLoop::new(world, ads).run(), Termination::Completed);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod actuation;
 pub mod ads;
 pub mod detector;

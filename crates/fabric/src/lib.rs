@@ -43,6 +43,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod disasm;
 pub mod fault;
 pub mod isa;

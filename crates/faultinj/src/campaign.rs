@@ -315,7 +315,7 @@ pub struct TableRow {
 /// campaigns of a (scenario, mode) Table-I cell — {GPU, CPU} ×
 /// {transient, permanent} — request identical golden sets; the cache
 /// computes each distinct set once. Runs fan out on the deterministic
-/// [`par_map`](crate::exec::par_map) engine: every run is seeded
+/// [`par_map`] engine: every run is seeded
 /// explicitly (golden `GOLDEN_SEED_BASE + i`, injected
 /// `INJECTED_SEED_BASE + i`), so results are bit-identical to sequential
 /// execution for any `DIVERSEAV_THREADS`.

@@ -17,17 +17,17 @@
 //! No dependencies beyond `std`; panics in workers propagate to the
 //! caller when the scope joins.
 //!
-//! Observability: when `DIVERSEAV_TRACE` is on, each fan-out
-//! pre-allocates an index-ordered [`SlotJournal`] and workers write
-//! span begin/end plus a worker-id counter into the slot of the index
-//! they claimed — lock-free, because the atomic index counter already
-//! guarantees slot exclusivity. The journal is drained into the global
-//! JSONL sink in index order after the scope joins, so recording never
-//! adds hot-path synchronization and cannot perturb determinism (run
-//! content stays a pure function of index; only timestamps and worker
-//! ids vary between invocations).
+//! Observability: when `DIVERSEAV_TRACE` is on, the worker that runs
+//! an item records its [`Span`] (index, worker id, begin/end on the
+//! process-wide trace clock) and stores it beside the result, in the
+//! same index-order slot. After the join the spans are appended to the
+//! global JSONL sink in index order, so recording adds no hot-path
+//! synchronization and cannot perturb determinism (run content stays a
+//! pure function of index; only times and worker ids vary between
+//! invocations). With tracing off the engine reads no clock.
 
-use diverseav_obs::{journal, metrics, trace, SlotJournal};
+use diverseav_obs::trace::{self, Span};
+use diverseav_obs::{journal, metrics};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -66,74 +66,64 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    metrics::counter_add("exec.fan_outs", 1);
+    metrics::counter_add("exec.items", items.len() as u64);
+    fan_out(threads, items, f, trace::enabled())
+        .into_iter()
+        .map(|(result, span)| {
+            if let Some(span) = span {
+                journal::append_line(span.render());
+            }
+            result
+        })
+        .collect()
+}
+
+/// The engine behind [`par_map_with`]: each item's result in index
+/// order, beside its [`Span`] when `traced`.
+fn fan_out<T, R, F>(threads: usize, items: &[T], f: F, traced: bool) -> Vec<(R, Option<Span>)>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
     let n = items.len();
     let threads = threads.clamp(1, n.max(1));
-    metrics::counter_add("exec.fan_outs", 1);
-    metrics::counter_add("exec.items", n as u64);
-    let journal = trace::enabled().then(|| SlotJournal::with_slots(n));
+    let run = |index: usize, worker: usize| {
+        if !traced {
+            return (f(&items[index]), None);
+        }
+        let begin_ns = trace::now_ns();
+        let result = f(&items[index]);
+        (result, Some(Span { index, worker, begin_ns, end_ns: trace::now_ns() }))
+    };
     if threads == 1 {
-        let out = items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                if let Some(j) = &journal {
-                    let w = j.writer(i);
-                    w.span_begin("exec.item");
-                    w.counter("worker", 0);
-                    let r = f(item);
-                    w.span_end("exec.item");
-                    r
-                } else {
-                    f(item)
-                }
-            })
-            .collect();
-        drain_journal(journal);
-        return out;
+        return (0..n).map(|i| run(i, 0)).collect();
     }
 
     // Index-order result slots: workers race for *indices* (the atomic
     // counter), never for slots, so each slot mutex is uncontended.
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<_>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        let (next, slots, f, journal) = (&next, &slots, &f, journal.as_ref());
+        let (next, slots, run) = (&next, &slots, &run);
         for worker in 0..threads {
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                let writer = journal.map(|j| {
-                    let w = j.writer(i);
-                    w.span_begin("exec.item");
-                    w.counter("worker", worker as u64);
-                    w
-                });
-                let result = f(&items[i]);
-                if let Some(w) = writer {
-                    w.span_end("exec.item");
-                }
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
+                let done = run(i, worker);
+                *slots[i].lock().expect("result slot poisoned") = Some(done);
             });
         }
     });
-    drain_journal(journal);
     slots
         .into_iter()
         .map(|slot| {
             slot.into_inner().expect("result slot poisoned").expect("every index was claimed")
         })
         .collect()
-}
-
-/// Append a fan-out's slot events to the global JSONL sink, index-ordered.
-fn drain_journal(journal: Option<SlotJournal>) {
-    if let Some(j) = journal {
-        for (i, events) in j.drain().into_iter().enumerate() {
-            journal::append_slot_events("exec.par_map", i, &events);
-        }
-    }
 }
 
 /// Map `f` over `0..n` in parallel, preserving index order (convenience
@@ -190,23 +180,57 @@ mod tests {
         assert_eq!(par_map_with(200, &[1, 2, 3], |&x| x), vec![1, 2, 3]);
     }
 
+    /// The spans of one traced fan-out, checked to cover every index.
+    fn spans_of<R>(done: Vec<(R, Option<Span>)>) -> Vec<Span> {
+        let spans: Vec<Span> =
+            done.into_iter().map(|(_, span)| span.expect("every traced item has a span")).collect();
+        for (i, span) in spans.iter().enumerate() {
+            assert_eq!(span.index, i);
+            assert!(span.begin_ns <= span.end_ns, "{span:?}");
+        }
+        spans
+    }
+
     #[test]
     fn tracing_journals_every_item_without_changing_results() {
         let items: Vec<u64> = (0..9).collect();
         let expected: Vec<u64> = items.iter().map(|&x| x + 10).collect();
+        for threads in [1, 3] {
+            let untraced = fan_out(threads, &items, |&x| x + 10, false);
+            assert!(untraced.iter().all(|(_, span)| span.is_none()), "no spans when off");
+            let traced = fan_out(threads, &items, |&x| x + 10, true);
+            let results: Vec<u64> = traced.iter().map(|&(r, _)| r).collect();
+            assert_eq!(results, expected, "threads = {threads}");
+            for span in spans_of(traced) {
+                assert!(span.worker < threads, "{span:?}");
+                if threads == 1 {
+                    assert_eq!(span.worker, 0, "the sequential path is worker 0");
+                }
+            }
+        }
+
         std::env::set_var("DIVERSEAV_TRACE", "1");
         let before = journal::len();
-        let traced_seq = par_map_with(1, &items, |&x| x + 10);
-        let traced_par = par_map_with(3, &items, |&x| x + 10);
+        let traced = par_map_with(3, &items, |&x| x + 10);
         std::env::remove_var("DIVERSEAV_TRACE");
-        assert_eq!(traced_seq, expected);
-        assert_eq!(traced_par, expected);
-        let new_lines: Vec<String> = journal::snapshot()
+        assert_eq!(traced, expected);
+        let journaled = journal::snapshot()
             .split_off(before)
-            .into_iter()
-            .filter(|l| l.contains("exec.par_map"))
-            .collect();
-        assert!(new_lines.len() >= 2 * items.len(), "one span line per traced item");
-        assert!(new_lines[0].contains("\"span_begin\""));
+            .iter()
+            .filter_map(|l| Span::parse(&diverseav_obs::json::parse(l).ok()?).ok())
+            .count();
+        assert!(journaled >= items.len(), "one span line per traced item");
+    }
+
+    #[test]
+    fn fan_outs_share_one_trace_clock() {
+        let items: Vec<u64> = (0..6).collect();
+        let first = spans_of(fan_out(2, &items, |&x| x, true));
+        let first_end = first.iter().map(|s| s.end_ns).max().expect("spans");
+        let second = spans_of(fan_out(2, &items, |&x| x, true));
+        assert!(
+            second.iter().all(|s| s.begin_ns >= first_end),
+            "a later fan-out begins after the earlier one's last end: {second:?}"
+        );
     }
 }

@@ -34,6 +34,8 @@
 //! println!("{campaign}: {} active, {} hang/crash", row.active, row.hang_crash);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod campaign;
 pub mod exec;

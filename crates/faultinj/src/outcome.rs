@@ -1,5 +1,5 @@
 //! Run classification and the one scorer: trajectory violations,
-//! Table-I outcome classes, and the per-run [`Verdict`] whose [`Tally`]
+//! Table-I outcome classes, and the per-run `Verdict` whose [`Tally`]
 //! every Table-I row, weighted row, precision/recall, lead time and
 //! missed-hazard count is read from.
 
@@ -167,7 +167,7 @@ pub(crate) fn verdict(
     Verdict { class, active: fault_activated, alarmed: alarm.is_some(), lead_time }
 }
 
-/// The accumulator of [`Verdict`]s. Table-I members sum each run's weight
+/// The accumulator of `Verdict`s. Table-I members sum each run's weight
 /// (1.0, or its Horvitz–Thompson weight) in run order.
 #[derive(Clone, Debug, Default)]
 pub struct Tally {

@@ -34,8 +34,8 @@ impl FaultModelKind {
         FaultModelKind::Sensor(SensorFaultKind::Oscillation),
     ];
 
-    /// Short label used in reports and shard manifests ("transient",
-    /// "permanent", "sensor-<class>").
+    /// Short label used in reports and shard manifests (`"transient"`,
+    /// `"permanent"`, `"sensor-<class>"`).
     pub fn label(self) -> &'static str {
         match self {
             FaultModelKind::Transient => "transient",

@@ -370,7 +370,7 @@ mod tests {
             line.replace("\"cycle\": \"123456\"", "\"cycle\": 123456"),
             line.replace(onset, "").replace("\"index\"", &format!("{onset}\"index\"")),
             line.replacen('}', ", \"extra\": 1}", 1),
-            line.replace("\"type\": \"run\"", "\"type\": \"span_events\""),
+            line.replace("\"type\": \"run\"", "\"type\": \"span\""),
         ] {
             assert_ne!(bad, line, "every case must change the line");
             let v = json::parse(&bad).expect("still JSON");

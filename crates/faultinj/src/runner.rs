@@ -135,8 +135,8 @@ impl RunConfig {
 /// Everything recorded from one experimental run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunResult {
-    /// Scenario name (interned; scenario names come from the runtime
-    /// registry or `'static` constructors, never per-run strings).
+    /// Scenario name (interned; scenario names come from the `'static`
+    /// scenario constructors, never per-run strings).
     pub scenario: &'static str,
     /// Agent mode.
     pub mode: AgentMode,
@@ -172,7 +172,7 @@ pub struct RunResult {
     pub deadline_misses: u64,
     /// Why this run's flight recording was flushed (`None` for
     /// unremarkable runs; see
-    /// [`IncidentKind`](diverseav_runtime::IncidentKind)).
+    /// [`IncidentKind`]).
     pub incident: Option<IncidentKind>,
     /// The drained flight recording — the last
     /// [`DEFAULT_RING_CAPACITY`](diverseav_obs::flight::DEFAULT_RING_CAPACITY)

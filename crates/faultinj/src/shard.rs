@@ -1582,7 +1582,7 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
 }
 
 /// Summarize a merged campaign into a Table-I row: the shard-side view
-/// of the one scorer ([`Tally`](crate::outcome::Tally)) that
+/// of the one scorer ([`Tally`]) that
 /// [`summarize`](crate::campaign::summarize) reads, each record weighing
 /// 1.0. Unlike `summarize` it has *no* metric side effects: merged
 /// outcome counters come from the shard slices, not from re-tallying.

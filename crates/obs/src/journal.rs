@@ -11,11 +11,10 @@
 //! run lines are bit-identical for any `DIVERSEAV_THREADS` value
 //! (campaign code appends them from the engine's index-ordered results,
 //! never from worker completion order). Engine span lines
-//! (`"type": "span_events"`) do carry timestamps and worker ids, which
-//! vary run to run by design.
+//! (`"type": "span"`, [`crate::trace::Span`]) do carry timestamps and
+//! worker ids, which vary run to run by design.
 
 use crate::json::{self, Value};
-use crate::trace::Event;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -127,20 +126,6 @@ pub fn append_line(line: String) {
     crate::metrics::counter_add("journal.dropped", 1);
 }
 
-/// Append one fan-out slot's trace events as a single JSONL line.
-pub fn append_slot_events(label: &str, index: usize, events: &[Event]) {
-    if events.is_empty() {
-        return;
-    }
-    let body: Vec<String> = events.iter().map(|e| format!("{{{}}}", e.render_fields())).collect();
-    append_line(format!(
-        "{{\"type\": \"span_events\", \"label\": \"{}\", \"index\": {}, \"events\": [{}]}}",
-        json::escape(label),
-        index,
-        body.join(", "),
-    ));
-}
-
 /// Copy of all buffered lines, in append order.
 pub fn snapshot() -> Vec<String> {
     SINK.lock().expect("journal sink poisoned").clone()
@@ -181,10 +166,6 @@ pub fn flush_if_enabled() -> std::io::Result<Option<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the tests that append to (or bound) the shared sink,
-    /// so capacity experiments cannot drop a sibling test's lines.
-    static SINK_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn transient_site() -> FaultSite {
         FaultSite {
@@ -236,7 +217,6 @@ mod tests {
 
     #[test]
     fn capacity_bounds_the_sink_and_counts_drops() {
-        let _guard = SINK_TEST_LOCK.lock().expect("sink test lock");
         let base = len();
         set_capacity(base + 2);
         let dropped_before = crate::metrics::counter_get("journal.dropped");
@@ -252,27 +232,5 @@ mod tests {
         // Restore a roomy cap for the other tests in this process.
         set_capacity(DEFAULT_CAPACITY);
         assert_eq!(capacity(), DEFAULT_CAPACITY);
-    }
-
-    #[test]
-    fn slot_events_render_one_line() {
-        let _guard = SINK_TEST_LOCK.lock().expect("sink test lock");
-        let before = len();
-        append_slot_events(
-            "test.journal.slot",
-            2,
-            &[
-                Event::SpanBegin { name: "item", t_ns: 10 },
-                Event::Counter { name: "worker", value: 1 },
-                Event::SpanEnd { name: "item", t_ns: 20 },
-            ],
-        );
-        append_slot_events("test.journal.slot", 3, &[]);
-        let lines = snapshot();
-        assert_eq!(lines.len(), before + 1, "empty slots are skipped");
-        let line = &lines[before];
-        assert!(line.contains("\"label\": \"test.journal.slot\""));
-        assert!(line.contains("\"span_begin\""));
-        assert!(line.contains("\"value\": 1"));
     }
 }

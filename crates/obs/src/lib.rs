@@ -3,14 +3,13 @@
 //! Zero-dependency observability layer for the DiverseAV campaign
 //! engine: the substrate every perf PR is measured against.
 //!
-//! Three cooperating pieces, all `std`-only:
+//! Its pieces, all `std`-only:
 //!
-//! * [`trace`] — a lock-free per-worker event journal. A fan-out
-//!   allocates one slot per work item *before* spawning workers; each
-//!   worker writes span/counter/gauge events into the slot of the index
-//!   it claimed. Slots are index-ordered and claimed exactly once, so
-//!   enabling tracing never introduces cross-worker synchronization on
-//!   the hot path and never perturbs the deterministic engine.
+//! * [`trace`] — the engine's span record. With tracing on, each
+//!   `par_map` item's [`trace::Span`] (index, worker, begin/end on one
+//!   process-wide clock) rides in the item's own result slot and is
+//!   journaled in index order after the join, so tracing never adds
+//!   cross-worker synchronization and never perturbs the engine.
 //! * [`metrics`] — a process-global registry of named counters, gauges,
 //!   and per-phase wall-clock accumulators, flushed as the
 //!   `METRICS_campaigns.json` artifact.
@@ -31,6 +30,8 @@
 //!   trend state, modeled phase latencies, actuator deltas — no
 //!   timestamps) plus a lossless bit-hex JSONL codec for incident
 //!   artifacts.
+//! * [`json`] — the dependency-free JSON reader and the strict member
+//!   vocabulary every lossless codec above parses through.
 //!
 //! Determinism contract: observability is *read-only* with respect to
 //! campaign outcomes. Run results are pure functions of their explicit
@@ -38,6 +39,8 @@
 //! ids may vary between runs, recorded outcomes may not). The
 //! differential test in `tests/parallel.rs` asserts campaign outputs
 //! are bit-identical with tracing on and off at any thread count.
+
+#![forbid(unsafe_code)]
 
 pub mod flight;
 pub mod hist;
@@ -52,4 +55,3 @@ pub use hist::{HistSnapshot, Histogram};
 pub use journal::FaultSite;
 pub use metrics::MetricsSnapshot;
 pub use profile::TimeSource;
-pub use trace::{Event, SlotJournal, SlotWriter};

@@ -1,182 +1,74 @@
-//! Lock-free per-worker event tracing for the deterministic parallel
-//! engine.
+//! Engine span tracing for the deterministic parallel engine.
 //!
-//! A fan-out over `n` items pre-allocates a [`SlotJournal`] with `n`
-//! index-ordered slots. The engine guarantees each index is claimed by
-//! exactly one worker (a shared atomic counter hands out indices); the
-//! worker obtains the [`SlotWriter`] for its index and appends events
-//! without any cross-worker synchronization — each slot is touched by
-//! one thread only, which an atomic claim flag enforces at runtime.
+//! When `DIVERSEAV_TRACE` is on, `exec::par_map` records one [`Span`] per
+//! work item — which worker ran it, and when — and keeps it beside the
+//! item's result in the index-order slot the engine already owns. After
+//! the join the spans are appended to the run journal in index order, so
+//! recording adds no cross-worker synchronization and cannot perturb the
+//! engine's determinism contract (only times and worker ids vary).
 //!
-//! Because slots are addressed by *item index*, not completion order,
-//! the journal's layout is identical for any thread count; only
-//! timestamps and worker ids vary. Recording therefore cannot perturb
-//! the engine's determinism contract.
+//! Times are nanoseconds since one process-wide epoch ([`now_ns`]), so
+//! every fan-out of a process — golden, injected, nested — lies on one
+//! timeline.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::json::{self, Value};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// One trace event, timestamped in nanoseconds since the journal epoch.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
-    /// A named span opened.
-    SpanBegin {
-        /// Span name.
-        name: &'static str,
-        /// Nanoseconds since the journal epoch.
-        t_ns: u64,
-    },
-    /// A named span closed.
-    SpanEnd {
-        /// Span name.
-        name: &'static str,
-        /// Nanoseconds since the journal epoch.
-        t_ns: u64,
-    },
-    /// A named integer observation (e.g. the worker id that ran a slot).
-    Counter {
-        /// Counter name.
-        name: &'static str,
-        /// Observed value.
-        value: u64,
-    },
-    /// A named float observation.
-    Gauge {
-        /// Gauge name.
-        name: &'static str,
-        /// Observed value.
-        value: f64,
-    },
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+
+/// Nanoseconds since the process-wide trace epoch (set by the first call).
+pub fn now_ns() -> u64 {
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-impl Event {
-    /// Render the event as the fields of a JSON object (no braces), for
-    /// embedding into journal lines.
-    pub fn render_fields(&self) -> String {
-        match self {
-            Event::SpanBegin { name, t_ns } => {
-                format!("\"event\": \"span_begin\", \"name\": \"{name}\", \"t_ns\": {t_ns}")
-            }
-            Event::SpanEnd { name, t_ns } => {
-                format!("\"event\": \"span_end\", \"name\": \"{name}\", \"t_ns\": {t_ns}")
-            }
-            Event::Counter { name, value } => {
-                format!("\"event\": \"counter\", \"name\": \"{name}\", \"value\": {value}")
-            }
-            Event::Gauge { name, value } => {
-                format!(
-                    "\"event\": \"gauge\", \"name\": \"{name}\", \"value\": {}",
-                    crate::json::num(*value)
-                )
-            }
+/// One engine work item's execution: its index in the fan-out, the
+/// worker that ran it (0 on the sequential path), and its begin/end times
+/// in nanoseconds since the trace epoch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Span {
+    /// Item index within its fan-out.
+    pub index: usize,
+    /// Engine worker that ran the item.
+    pub worker: usize,
+    /// Start, in nanoseconds since the trace epoch.
+    pub begin_ns: u64,
+    /// End, in nanoseconds since the trace epoch.
+    pub end_ns: u64,
+}
+
+impl Span {
+    /// Render as one journal line, losslessly: both times as decimal
+    /// strings, as run lines carry their u64s.
+    pub fn render(&self) -> String {
+        format!(
+            "{{\"type\": \"span\", \"index\": {}, \"worker\": {}, \"begin_ns\": {}, \"end_ns\": {}}}",
+            self.index,
+            self.worker,
+            json::u64_str(self.begin_ns),
+            json::u64_str(self.end_ns),
+        )
+    }
+
+    /// Parse a line written by [`render`](Self::render): exactly its
+    /// members, in its order, each in its encoding, with
+    /// `begin_ns <= end_ns`.
+    pub fn parse(v: &Value) -> Result<Span, String> {
+        v.req_keys(&["type", "index", "worker", "begin_ns", "end_ns"])?;
+        let kind = v.req_str("type")?;
+        if kind != "span" {
+            return Err(format!("span line of type {kind:?}"));
         }
-    }
-}
-
-/// A slot: an event buffer owned by whichever worker claims its index.
-struct Slot {
-    claimed: AtomicBool,
-    events: UnsafeCell<Vec<Event>>,
-}
-
-/// Pre-allocated, index-ordered event storage for one fan-out.
-///
-/// See the module docs for the (lock-free) access discipline.
-pub struct SlotJournal {
-    epoch: Instant,
-    slots: Vec<Slot>,
-}
-
-// SAFETY: a slot's `events` buffer is only reachable through the
-// `SlotWriter` returned by `writer()`, and the atomic `claimed` flag
-// guarantees at most one writer ever exists per slot; `drain()` takes
-// `self` by value, so no writer can outlive the shared phase.
-unsafe impl Sync for SlotJournal {}
-
-impl SlotJournal {
-    /// A journal with `n` empty slots; the epoch for timestamps is now.
-    pub fn with_slots(n: usize) -> Self {
-        SlotJournal {
-            epoch: Instant::now(),
-            slots: (0..n)
-                .map(|_| Slot {
-                    claimed: AtomicBool::new(false),
-                    events: UnsafeCell::new(Vec::new()),
-                })
-                .collect(),
+        let span = Span {
+            index: v.req_usize("index")?,
+            worker: v.req_usize("worker")?,
+            begin_ns: v.req_u64_str("begin_ns")?,
+            end_ns: v.req_u64_str("end_ns")?,
+        };
+        if span.end_ns < span.begin_ns {
+            return Err(format!("span {} ends before it begins", span.index));
         }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the journal has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Claim slot `index` and return its writer.
-    ///
-    /// Panics if the slot was already claimed: the engine hands each
-    /// index to exactly one worker, so a second claim is a bug.
-    pub fn writer(&self, index: usize) -> SlotWriter<'_> {
-        let slot = &self.slots[index];
-        assert!(
-            !slot.claimed.swap(true, Ordering::AcqRel),
-            "trace slot {index} claimed twice (engine index discipline violated)"
-        );
-        SlotWriter { journal: self, index }
-    }
-
-    /// Consume the journal, returning each slot's events in index order.
-    pub fn drain(self) -> Vec<Vec<Event>> {
-        self.slots.into_iter().map(|s| s.events.into_inner()).collect()
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-}
-
-/// Exclusive event writer for one claimed slot.
-pub struct SlotWriter<'a> {
-    journal: &'a SlotJournal,
-    index: usize,
-}
-
-impl SlotWriter<'_> {
-    /// The slot index this writer owns.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    fn push(&self, e: Event) {
-        // SAFETY: the claim flag in `SlotJournal::writer` guarantees this
-        // writer is the only accessor of the slot's buffer.
-        unsafe { (*self.journal.slots[self.index].events.get()).push(e) }
-    }
-
-    /// Record a span opening now.
-    pub fn span_begin(&self, name: &'static str) {
-        self.push(Event::SpanBegin { name, t_ns: self.journal.now_ns() });
-    }
-
-    /// Record a span closing now.
-    pub fn span_end(&self, name: &'static str) {
-        self.push(Event::SpanEnd { name, t_ns: self.journal.now_ns() });
-    }
-
-    /// Record an integer observation.
-    pub fn counter(&self, name: &'static str, value: u64) {
-        self.push(Event::Counter { name, value });
-    }
-
-    /// Record a float observation.
-    pub fn gauge(&self, name: &'static str, value: f64) {
-        self.push(Event::Gauge { name, value });
+        Ok(span)
     }
 }
 
@@ -210,72 +102,39 @@ pub fn trace_path() -> Option<String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn slots_record_in_index_order_regardless_of_claim_order() {
-        let j = SlotJournal::with_slots(3);
-        // Claim out of order, as parallel workers would.
-        let w2 = j.writer(2);
-        let w0 = j.writer(0);
-        w2.counter("worker", 7);
-        w0.counter("worker", 1);
-        w0.span_begin("item");
-        let events = j.drain();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].len(), 2);
-        assert!(events[1].is_empty(), "unclaimed slot stays empty");
-        assert_eq!(events[2], vec![Event::Counter { name: "worker", value: 7 }]);
+    fn span() -> Span {
+        Span { index: 7, worker: 2, begin_ns: (1 << 53) + 1, end_ns: u64::MAX }
     }
 
     #[test]
-    #[should_panic(expected = "claimed twice")]
-    fn double_claim_panics() {
-        let j = SlotJournal::with_slots(1);
-        let _a = j.writer(0);
-        let _b = j.writer(0);
-    }
-
-    #[test]
-    fn concurrent_writers_do_not_interfere() {
-        let j = SlotJournal::with_slots(64);
-        std::thread::scope(|scope| {
-            for w in 0..4usize {
-                let j = &j;
-                scope.spawn(move || {
-                    for i in (w..64).step_by(4) {
-                        let writer = j.writer(i);
-                        writer.span_begin("item");
-                        writer.counter("worker", w as u64);
-                        writer.span_end("item");
-                    }
-                });
-            }
-        });
-        for (i, events) in j.drain().into_iter().enumerate() {
-            assert_eq!(events.len(), 3, "slot {i}");
-            assert!(matches!(events[0], Event::SpanBegin { name: "item", .. }));
+    fn spans_round_trip_losslessly() {
+        for s in [span(), Span { index: 0, worker: 0, begin_ns: 0, end_ns: 0 }] {
+            let text = s.render();
+            let back = Span::parse(&json::parse(&text).unwrap()).expect("rendered span parses");
+            assert_eq!(back, s);
+            assert_eq!(back.render(), text);
         }
+        assert_eq!(
+            span().render(),
+            "{\"type\": \"span\", \"index\": 7, \"worker\": 2, \
+             \"begin_ns\": \"9007199254740993\", \"end_ns\": \"18446744073709551615\"}"
+        );
     }
 
     #[test]
-    fn span_timestamps_are_monotonic() {
-        let j = SlotJournal::with_slots(1);
-        let w = j.writer(0);
-        w.span_begin("x");
-        w.span_end("x");
-        let events = j.drain().remove(0);
-        match (&events[0], &events[1]) {
-            (Event::SpanBegin { t_ns: b, .. }, Event::SpanEnd { t_ns: e, .. }) => {
-                assert!(e >= b)
-            }
-            other => panic!("unexpected events: {other:?}"),
+    fn parse_rejects_anything_render_cannot_write() {
+        let line = span().render();
+        for bad in [
+            line.replace("\"worker\": 2, ", ""),
+            line.replacen('}', ", \"extra\": 1}", 1),
+            line.replace("\"index\": 7, \"worker\": 2", "\"worker\": 2, \"index\": 7"),
+            line.replace("\"type\": \"span\"", "\"type\": \"run\""),
+            line.replace("\"begin_ns\": \"9007199254740993\"", "\"begin_ns\": 9007199254740993"),
+            Span { end_ns: 4, begin_ns: 5, ..span() }.render(),
+        ] {
+            assert_ne!(bad, line, "every case must change the line");
+            let v = json::parse(&bad).expect("still JSON");
+            assert!(Span::parse(&v).is_err(), "{bad} must be rejected");
         }
-    }
-
-    #[test]
-    fn event_fields_render_as_json_fragments() {
-        let e = Event::Gauge { name: "g", value: f64::NAN };
-        assert!(e.render_fields().contains("null"));
-        let e = Event::SpanBegin { name: "s", t_ns: 5 };
-        assert_eq!(e.render_fields(), "\"event\": \"span_begin\", \"name\": \"s\", \"t_ns\": 5");
     }
 }

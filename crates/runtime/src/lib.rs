@@ -6,7 +6,7 @@
 //! the simulator drives a [`SimLoop`] instead of re-implementing
 //! `sense → tick → step` by hand.
 //!
-//! Three coordinated pieces:
+//! Its pieces:
 //!
 //! - **[`SimLoop`]** — the single loop body, generic over a
 //!   [`LoopDriver`] (the full [`Ads`](diverseav::Ads) stack, a bare
@@ -27,9 +27,6 @@
 //!   [`FrameInjector`] installed on the loop corrupts the pooled frame
 //!   in place between the capture and the driver (the broadened,
 //!   component-agnostic fault model of ROADMAP item 5).
-//! - **[`registry`]** — the named scenario catalog carrying interned
-//!   `&'static str` scenario IDs end to end; a new workload is one
-//!   [`registry::register`] call.
 //! - **[`profiling`]** — per-phase tick latency histograms and 40 Hz
 //!   (25 ms) deadline accounting via [`ProfilingObserver`], deterministic
 //!   by default (modeled time source) and wall-clock on request
@@ -46,14 +43,12 @@ pub mod flight;
 pub mod inject;
 pub mod observers;
 pub mod profiling;
-pub mod registry;
 pub mod simloop;
 
 pub use flight::{FlightRecorder, IncidentKind, DEADLINE_BURST_TICKS, SILENT_SCORE_FLOOR};
 pub use inject::{FrameInjector, SensorFault, SensorFaultKind};
 pub use observers::{PerfObserver, TrainingCollector};
 pub use profiling::{DeadlineStats, ProfilingObserver, DEADLINE_NS};
-pub use registry::ScenarioEntry;
 pub use simloop::{
     AgentDriver, LoopDriver, LoopObserver, LoopPhase, PolicyDriver, SimLoop, Termination,
     TickContext,

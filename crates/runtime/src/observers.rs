@@ -1,4 +1,4 @@
-//! Stock [`LoopObserver`](crate::LoopObserver) implementations: the
+//! Stock [`LoopObserver`] implementations: the
 //! bookkeeping that used to be copy-pasted into every hand-rolled loop.
 
 use crate::simloop::{LoopObserver, Termination, TickContext};

@@ -23,6 +23,8 @@
 //! assert!(world.time() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod geometry;
 pub mod npc;
 pub mod scenario;

@@ -7,8 +7,8 @@
 //! ```
 
 use diverseav::{Ads, AdsConfig, AgentMode};
-use diverseav_runtime::{registry, LoopObserver, SimLoop, Termination, TickContext};
-use diverseav_simworld::{SensorConfig, World};
+use diverseav_runtime::{LoopObserver, SimLoop, Termination, TickContext};
+use diverseav_simworld::{Scenario, ScenarioKind, SensorConfig, World};
 
 /// Prints a 1 Hz telemetry line and tracks the peak inter-agent divergence.
 struct Telemetry {
@@ -37,9 +37,8 @@ impl LoopObserver for Telemetry {
 }
 
 fn main() {
-    // A world: the NHTSA-style lead-slowdown scenario at 40 Hz, looked up
-    // by its stable key in the scenario registry.
-    let scenario = registry::build("lead-slowdown").expect("built-in scenario");
+    // A world: the NHTSA-style lead-slowdown scenario at 40 Hz.
+    let scenario = Scenario::of_kind(ScenarioKind::LeadSlowdown);
     let world = World::new(scenario, SensorConfig::default(), 42);
 
     // A DiverseAV-enabled ADS: two agents time-multiplexed on one

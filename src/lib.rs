@@ -8,6 +8,8 @@
 //! [`diverseav_simworld`] (the world it drives in); see the repository
 //! README for the experiment harness.
 
+#![forbid(unsafe_code)]
+
 pub use diverseav;
 pub use diverseav_agent as agent;
 pub use diverseav_analysis as analysis;
