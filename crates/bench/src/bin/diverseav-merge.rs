@@ -16,9 +16,11 @@
 //!
 //! `--incidents PATH` additionally collects the per-shard flight-recorder
 //! sidecars (`SHARD.incidents.jsonl`, written next to each shard
-//! artifact) into one exactly-once merged incident document: every shard
-//! must present a complete sidecar, every incident label on a run line
-//! must have exactly one payload in the shard that owns the run, and any
+//! artifact) into one exactly-once merged incident document. A sidecar
+//! opens with its artifact's own manifest line, so every artifact given
+//! — every shard of every guided epoch — must present one complete
+//! sidecar with that manifest; every incident label on a run line must
+//! have exactly one payload in the artifact that owns the run, and any
 //! violation is the same exit-2 validation failure as a bad shard set.
 //!
 //! Guided campaigns (artifacts cut by `diverseav-shard --guided`) must

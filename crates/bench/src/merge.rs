@@ -315,6 +315,7 @@ mod tests {
         let golden = vec![run("golden", 0, GOLDEN_SEED_BASE, None)];
         let baseline = golden[0].trajectory.clone();
         MergedCampaign {
+            manifests: vec![manifest.clone()],
             manifest,
             injected: vec![run("injected", 0, INJECTED_SEED_BASE, Some(1.5))],
             golden,

@@ -20,7 +20,8 @@
 //!   [`guided_expect_check`] holding its weighted Table-I cells against a
 //!   committed enumeration fixture.
 //! * [`forensics_report`] — the flight-recorder post-mortem over an
-//!   incident artifact (a shard sidecar or a merged incident set):
+//!   incident artifact (a shard sidecar, which opens with its shard's
+//!   `shard_manifest` line, or a merged incident set):
 //!   per-incident score-vs-threshold sparklines with onset and alarm
 //!   markers, a per-fault-class onset → detectable → alarm latency
 //!   decomposition, and never-alarmed incidents ranked by how close the
@@ -510,7 +511,8 @@ const SPARK_WIDTH: usize = 64;
 const SPARK_RAMP: &[u8] = b" .:-=+*#%@";
 
 /// Parse an incidents JSONL document — a shard incident sidecar or a
-/// merged incident set. Manifest and footer lines are skipped; every
+/// merged incident set. Header lines (a sidecar's `shard_manifest`, a
+/// merged set's `merged_incidents`) and footer lines are skipped; every
 /// `"type": "incident"` line must reconstruct. Returns per-line errors
 /// (`line N: <reason>`) like [`parse_trace`].
 pub fn parse_incidents(text: &str) -> Result<Vec<IncidentRecord>, Vec<String>> {
@@ -529,7 +531,7 @@ pub fn parse_incidents(text: &str) -> Result<Vec<IncidentRecord>, Vec<String>> {
         };
         let parsed = v.req_str("type").and_then(|ty| match ty.as_str() {
             "incident" => IncidentRecord::parse(&v).map(|(_, rec)| out.push(rec)),
-            "incident_manifest" | "merged_incidents" | "incidents_done" => Ok(()),
+            "shard_manifest" | "merged_incidents" | "incidents_done" => Ok(()),
             other => Err(format!("unknown type {other:?}")),
         });
         if let Err(e) = parsed {
@@ -1058,6 +1060,9 @@ mod tests {
         let parsed = parse_incidents(&doc).expect("framing lines are skipped");
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].render_merged(), rec.render_merged());
+        let sidecar = doc.replace("merged_incidents", "shard_manifest");
+        let parsed = parse_incidents(&sidecar).expect("a sidecar's shard manifest is skipped");
+        assert_eq!(parsed.len(), 1);
 
         let errs = parse_incidents("{\"type\": \"mystery\"}\nnot json\n").unwrap_err();
         assert_eq!(errs.len(), 2, "{errs:?}");

@@ -36,13 +36,15 @@
 //! Runs that end in an *incident* (see
 //! [`IncidentKind`](diverseav_runtime::IncidentKind)) additionally flush
 //! their flight recording into an **incident sidecar** next to the shard
-//! artifact ([`incident_sidecar_path`]): one manifest line plus one
-//! [`IncidentRecord`] line per incident, committed at the same batch
-//! cadence as the main artifact (sidecar lines land *before* the batch
-//! marker, so a kill never commits a batch whose incident payloads are
-//! missing). The run line itself carries only the incident label; the
-//! merge validates sidecar payloads against those labels exactly-once
-//! via [`collect_incidents`].
+//! artifact ([`incident_sidecar_path`]): the artifact's own
+//! [`ShardManifest`] line, byte for byte, then one [`IncidentRecord`]
+//! line per incident, committed at the same batch cadence as the main
+//! artifact (sidecar lines land *before* the batch marker, so a kill
+//! never commits a batch whose incident payloads are missing). The run
+//! line itself carries only the incident label; [`collect_incidents`]
+//! pairs each merged artifact with the one sidecar whose manifest equals
+//! its own — exactly once over (epoch, shard) — and validates the
+//! payloads against those labels exactly once.
 //!
 //! [`run_campaign_cached`]: crate::campaign::run_campaign_cached
 
@@ -76,7 +78,15 @@ use std::time::Instant;
 /// the `guided` manifest member (epoch protocol, see [`crate::guided`]).
 /// v5 made run lines the shard framing of [`RunRecord`]: `div_peak`
 /// added, `seed` and a fault site's `cycle` written as decimal strings.
-pub const SHARD_SCHEMA_VERSION: u32 = 5;
+/// v6: the incident sidecar opens with the shard manifest.
+pub const SHARD_SCHEMA_VERSION: u32 = 6;
+
+// Sidecar payloads are flight records, so the flight encoding is part of
+// the shard schema: a flight-codec change must bump the shard schema too.
+const _: () = assert!(
+    flight::FLIGHT_SCHEMA_VERSION == 1,
+    "the flight codec changed: bump SHARD_SCHEMA_VERSION, then re-pin this assertion"
+);
 
 /// Everything that can go wrong sharding or merging.
 #[derive(Debug)]
@@ -505,6 +515,50 @@ impl ShardManifest {
         ShardManifest { injected_runs: 0, assigned_runs: 0, guided, ..self.clone() }
     }
 
+    /// The manifest with the members that tell one artifact of a
+    /// campaign from another zeroed: `shard_index`, `batch_size`,
+    /// `assigned_runs` and the guided epoch's own members (`epoch`,
+    /// `epoch_start`, `epoch_runs`, `prior_digest`). Every artifact of
+    /// one campaign has the same campaign part.
+    fn campaign_part(&self) -> ShardManifest {
+        let epoch = |g: GuidedManifest| GuidedManifest {
+            epoch: 0,
+            epoch_start: 0,
+            epoch_runs: 0,
+            prior_digest: 0,
+            ..g
+        };
+        let guided = self.guided.map(epoch);
+        ShardManifest { shard_index: 0, batch_size: 0, assigned_runs: 0, guided, ..self.clone() }
+    }
+
+    /// Whether the artifact with this manifest may hold `unit`: the one
+    /// ownership rule for run lines (the merge) and incident payloads
+    /// ([`collect_incidents`]). The owner is the partition shard
+    /// ([`unit_shard`]); golden runs belong to the pilot epoch only, and
+    /// an injected run to the artifact whose epoch range holds it.
+    fn owns(&self, unit: RunUnit) -> Result<(), String> {
+        let (kind, i) = (unit.kind(), unit.index());
+        let home = unit_shard(self.plan_seed, unit, self.shard_count);
+        if home != self.shard_index {
+            let at = self.shard_index;
+            return Err(format!(
+                "{kind} run {i} belongs to shard {home} but appears in shard {at}"
+            ));
+        }
+        let Some(g) = self.guided else { return Ok(()) };
+        let (lo, hi) = (g.epoch_start, g.epoch_start.saturating_add(g.epoch_runs));
+        match unit {
+            RunUnit::Golden(_) if g.epoch > 0 => {
+                Err(format!("golden run {i} scheduled outside the pilot epoch (epoch {})", g.epoch))
+            }
+            RunUnit::Injected(_) if i < lo || i >= hi => Err(format!(
+                "injected run {i} lies outside its artifact's epoch range [{lo}, {hi})"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Render as the artifact's first line.
     pub fn render(&self) -> String {
         format!(
@@ -681,85 +735,6 @@ pub fn incident_sidecar_path(artifact: &Path) -> PathBuf {
     artifact.with_extension("incidents.jsonl")
 }
 
-/// First line of an incident sidecar: which shard of which campaign the
-/// payloads belong to, under which record encoding.
-#[derive(Clone, Debug, PartialEq)]
-pub struct IncidentManifest {
-    /// Flight-record encoding version
-    /// ([`FLIGHT_SCHEMA_VERSION`](diverseav_obs::flight::FLIGHT_SCHEMA_VERSION)).
-    pub flight_schema_version: u32,
-    /// Shard artifact version the sidecar rides along with.
-    pub shard_schema_version: u32,
-    /// [`campaign_fingerprint`] of the campaign.
-    pub fingerprint: u64,
-    /// The campaign's injection-plan seed.
-    pub plan_seed: u64,
-    /// This shard's index.
-    pub shard_index: usize,
-    /// Total shard count.
-    pub shard_count: usize,
-}
-
-impl IncidentManifest {
-    /// The sidecar manifest matching a shard manifest.
-    pub fn for_shard(m: &ShardManifest) -> IncidentManifest {
-        IncidentManifest {
-            flight_schema_version: flight::FLIGHT_SCHEMA_VERSION,
-            shard_schema_version: m.schema_version,
-            fingerprint: m.fingerprint,
-            plan_seed: m.plan_seed,
-            shard_index: m.shard_index,
-            shard_count: m.shard_count,
-        }
-    }
-
-    /// Render as the sidecar's first line.
-    pub fn render(&self) -> String {
-        format!(
-            "{{\"type\": \"incident_manifest\", \"flight_schema_version\": {}, \
-             \"shard_schema_version\": {}, \"fingerprint\": \"{:016x}\", \
-             \"plan_seed\": \"{:016x}\", \"shard_index\": {}, \"shard_count\": {}}}",
-            self.flight_schema_version,
-            self.shard_schema_version,
-            self.fingerprint,
-            self.plan_seed,
-            self.shard_index,
-            self.shard_count,
-        )
-    }
-
-    /// Parse a sidecar manifest line; rejects wrong types and versions.
-    pub fn parse(v: &Value) -> Result<IncidentManifest, String> {
-        let ty = v.req_str("type")?;
-        if ty != "incident_manifest" {
-            return Err(format!("not an incident manifest (type {ty:?})"));
-        }
-        let flight_schema_version = v.req_u32("flight_schema_version")?;
-        if flight_schema_version != flight::FLIGHT_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported flight schema version {flight_schema_version} \
-                 (this build reads version {})",
-                flight::FLIGHT_SCHEMA_VERSION
-            ));
-        }
-        let shard_schema_version = v.req_u32("shard_schema_version")?;
-        if shard_schema_version != SHARD_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported shard schema version {shard_schema_version} \
-                 (this build reads version {SHARD_SCHEMA_VERSION})"
-            ));
-        }
-        Ok(IncidentManifest {
-            flight_schema_version,
-            shard_schema_version,
-            fingerprint: v.req_hex64("fingerprint")?,
-            plan_seed: v.req_hex64("plan_seed")?,
-            shard_index: v.req_usize("shard_index")?,
-            shard_count: v.req_usize("shard_count")?,
-        })
-    }
-}
-
 /// One incident's flushed flight recording, flattened for the sidecar:
 /// enough run identity to join it back to its shard-run line, the
 /// detection timeline inputs forensics needs, and the drained ring.
@@ -859,24 +834,26 @@ impl IncidentRecord {
 /// A parsed incident sidecar.
 #[derive(Clone, Debug, PartialEq)]
 pub struct IncidentArtifact {
-    /// The manifest line.
-    pub manifest: IncidentManifest,
+    /// The manifest line: its shard artifact's own manifest, which
+    /// [`collect_incidents`] and the resume path match in full.
+    pub manifest: ShardManifest,
     /// `(batch, record)` pairs in file order.
     pub records: Vec<(usize, IncidentRecord)>,
     /// Whether the `incidents_done` footer was present.
     pub complete: bool,
 }
 
-/// Parse an incident sidecar. Like [`parse_artifact`], the manifest must
-/// parse; after that the first malformed line — a torn write — truncates
-/// the file (the resume path drops records of uncommitted batches).
+/// Parse an incident sidecar. Like [`parse_artifact`], the shard
+/// manifest line must parse; after that the first malformed line — a
+/// torn write — truncates the file (the resume path drops records of
+/// uncommitted batches).
 pub fn parse_incident_artifact(text: &str) -> Result<IncidentArtifact, ShardError> {
     let mut lines = text.lines();
     let first =
         lines.next().ok_or_else(|| ShardError::Parse("empty incident sidecar".to_string()))?;
     let mv =
-        json::parse(first).map_err(|e| ShardError::Parse(format!("incident manifest: {e}")))?;
-    let manifest = IncidentManifest::parse(&mv).map_err(ShardError::Parse)?;
+        json::parse(first).map_err(|e| ShardError::Parse(format!("sidecar manifest line: {e}")))?;
+    let manifest = ShardManifest::parse(&mv).map_err(ShardError::Parse)?;
     let mut records = Vec::new();
     let mut complete = false;
     for line in lines {
@@ -1083,14 +1060,14 @@ pub fn execute_shard_limited(
     // the batch's marker, so the records of committed batches form a
     // byte prefix to keep; anything later (a torn write, or lines from a
     // batch that will re-run) is cut. A shard with committed batches but
-    // no readable, matching sidecar cannot be resumed — its incident
-    // payloads are gone.
+    // no readable sidecar whose manifest equals the artifact's in full
+    // (the guided epoch and its plan included) cannot be resumed — its
+    // incident payloads are gone.
     let inc_path = incident_sidecar_path(path);
-    let inc_manifest = IncidentManifest::for_shard(&manifest);
     let mut incident_count = 0usize;
     let mut inc_file = if done_batches == 0 {
         let mut inc_file = fs::File::create(&inc_path)?;
-        inc_file.write_all(format!("{}\n", inc_manifest.render()).as_bytes())?;
+        inc_file.write_all(manifest_line.as_bytes())?;
         inc_file.flush()?;
         inc_file
     } else {
@@ -1103,7 +1080,7 @@ pub fn execute_shard_limited(
             ))
         })?;
         let art = parse_incident_artifact(&text)?;
-        if art.manifest != inc_manifest {
+        if art.manifest != manifest {
             return Err(ShardError::Mismatch(format!(
                 "incident sidecar at {} was written by a different shard configuration; \
                  refusing to resume over it",
@@ -1207,6 +1184,9 @@ pub struct MergedCampaign {
     /// campaign-invariant fields are meaningful here; renderers must not
     /// consume `shard_index` / `assigned_runs` / `batch_size` from it.
     pub manifest: ShardManifest,
+    /// Every merged artifact's manifest, ordered by (epoch, shard): the
+    /// identities [`collect_incidents`] pairs the sidecars with.
+    pub manifests: Vec<ShardManifest>,
     /// Golden runs in engine order.
     pub golden: Vec<ShardRun>,
     /// Injected runs in engine order (for guided campaigns: global index
@@ -1270,29 +1250,14 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
     let first = &group[0].manifest;
     let mismatch =
         |msg: String| ShardError::Mismatch(format!("campaign {:?}: {msg}", first.campaign));
-    let guided_shape = first.guided.as_ref().map(|g| (g.epochs, g.budget));
-    for a in group {
-        let m = &a.manifest;
-        let same = m.schema_version == first.schema_version
-            && m.plan_seed == first.plan_seed
-            && m.campaign == first.campaign
-            && m.scenario == first.scenario
-            && m.scenario_name == first.scenario_name
-            && m.target == first.target
-            && m.kind == first.kind
-            && m.mode == first.mode
-            && m.profile_source == first.profile_source
-            && m.shard_count == first.shard_count
-            && m.golden_runs == first.golden_runs
-            && m.injected_runs == first.injected_runs
-            && m.guided.as_ref().map(|g| (g.epochs, g.budget)) == guided_shape;
-        if !same {
-            return Err(mismatch(
-                "shard manifests share a fingerprint but disagree on campaign fields".to_string(),
-            ));
-        }
+    let campaign = first.campaign_part();
+    if group.iter().any(|a| a.manifest.campaign_part() != campaign) {
+        return Err(mismatch(
+            "shard manifests share a fingerprint but disagree on campaign fields".to_string(),
+        ));
     }
     // The planner gives every epoch at least one run.
+    let guided_shape = first.guided.as_ref().map(|g| (g.epochs, g.budget));
     if let Some((epochs, budget)) = guided_shape.filter(|&(epochs, budget)| epochs > budget) {
         return Err(mismatch(format!("{epochs} guided epochs exceed the {budget}-run budget")));
     }
@@ -1407,34 +1372,10 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
     let mut golden: BTreeMap<usize, ShardRun> = BTreeMap::new();
     let mut injected: BTreeMap<usize, ShardRun> = BTreeMap::new();
     for a in group {
-        let am = &a.manifest;
-        let a_epoch = am.guided.as_ref().map(|g| g.epoch).unwrap_or(0);
-        let a_range =
-            am.guided.as_ref().map(|g| (g.epoch_start, g.epoch_start.saturating_add(g.epoch_runs)));
         for r in &a.runs {
             let unit = RunUnit::from_kind(r.kind, r.index)
                 .ok_or_else(|| mismatch(format!("unknown run kind {:?}", r.kind)))?;
-            let home = unit_shard(first.plan_seed, unit, n);
-            if home != a.manifest.shard_index {
-                return Err(mismatch(format!(
-                    "{} run {} belongs to shard {home} but appears in shard {}",
-                    r.kind, r.index, a.manifest.shard_index
-                )));
-            }
-            match (unit, a_epoch, a_range) {
-                (RunUnit::Golden(i), 1.., _) => {
-                    return Err(mismatch(format!(
-                        "golden run {i} scheduled outside the pilot epoch (epoch {a_epoch})"
-                    )))
-                }
-                (RunUnit::Injected(i), _, Some((lo, hi))) if i < lo || i >= hi => {
-                    return Err(mismatch(format!(
-                        "injected run {i} lies outside its artifact's epoch range \
-                         [{lo}, {hi})"
-                    )))
-                }
-                _ => {}
-            }
+            a.manifest.owns(unit).map_err(mismatch)?;
             // Guided injected runs must carry a positive finite weight
             // and a stratum; everything else must carry neither — a
             // weight on a uniform or golden run means the artifact was
@@ -1543,6 +1484,7 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
     ordered.sort_by_key(|a| {
         (a.manifest.guided.as_ref().map(|g| g.epoch).unwrap_or(0), a.manifest.shard_index)
     });
+    let manifests: Vec<ShardManifest> = ordered.iter().map(|a| a.manifest.clone()).collect();
     let mut metrics = MetricsSlice::default();
     // Campaign-wide run totals must fit in u64: a forged tick or miss
     // count is a mismatch, never a wrapped sum.
@@ -1564,14 +1506,9 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
         worst_ns: metrics.gauges.get("deadline.worst_ns").copied().unwrap_or(0.0) as u64,
     };
     Ok(MergedCampaign {
-        manifest: group
-            .iter()
-            .find(|a| {
-                a.manifest.shard_index == 0
-                    && a.manifest.guided.as_ref().map(|g| g.epoch).unwrap_or(0) == 0
-            })
-            .map(|a| a.manifest.clone())
-            .unwrap_or_else(|| first.clone()),
+        // Epoch 0 is always covered, so the first manifest is (0, 0)'s.
+        manifest: manifests[0].clone(),
+        manifests,
         golden,
         injected,
         baseline,
@@ -1643,56 +1580,46 @@ pub fn guided_epoch_summary(m: &MergedCampaign) -> Result<EpochSummary, ShardErr
 /// Validate a merged campaign's incident sidecars and assemble its
 /// incident set, in engine order (golden runs by index, then injected).
 ///
-/// The run lines are the source of truth: every merged run whose
-/// `incident` label is set must have exactly one sidecar payload with
-/// the same label, sitting in the shard that owns the run, under the
-/// engine's seed law — and nothing else. Any violation (missing payload,
-/// duplicate, label disagreement, payload for an unremarkable run,
-/// foreign fingerprint, incomplete or missing sidecar) is a
-/// [`ShardError::Mismatch`], so a merged incident set is exactly-once by
-/// construction.
+/// Each merged artifact needs exactly one complete sidecar whose
+/// manifest equals its own — shard, guided epoch and epoch plan
+/// included — so the sidecars of a guided campaign collect across all
+/// its epochs. The run lines are the source of truth: every merged run
+/// whose `incident` label is set must have exactly one sidecar payload
+/// with the same label, in a sidecar that owns the run (the merge's
+/// ownership rule), under the engine's seed law — and nothing else. Any
+/// violation (missing, duplicated or foreign sidecar, incomplete
+/// sidecar, missing payload, duplicate, label disagreement, payload for
+/// an unremarkable run) is a [`ShardError::Mismatch`], so a merged
+/// incident set is exactly-once by construction.
 pub fn collect_incidents(
     merged: &MergedCampaign,
     sidecars: &[IncidentArtifact],
 ) -> Result<Vec<IncidentRecord>, ShardError> {
     let m = &merged.manifest;
-    let n = m.shard_count;
-    let mut seen = vec![false; n];
-    for a in sidecars {
-        let im = &a.manifest;
-        if im.fingerprint != m.fingerprint || im.plan_seed != m.plan_seed {
-            return Err(ShardError::Mismatch(format!(
-                "campaign {:?}: incident sidecar carries fingerprint {:016x} \
-                 (campaign is {:016x})",
-                m.campaign, im.fingerprint, m.fingerprint
-            )));
+    let mismatch = |msg: String| ShardError::Mismatch(format!("campaign {:?}: {msg}", m.campaign));
+    let mut paired: Vec<&IncidentArtifact> = Vec::with_capacity(merged.manifests.len());
+    for sm in &merged.manifests {
+        let who = match &sm.guided {
+            Some(g) => format!("epoch {} shard {}/{}", g.epoch, sm.shard_index, sm.shard_count),
+            None => format!("shard {}/{}", sm.shard_index, sm.shard_count),
+        };
+        let mut own = sidecars.iter().filter(|a| a.manifest == *sm);
+        let a =
+            own.next().ok_or_else(|| mismatch(format!("incident sidecar for {who} is missing")))?;
+        if own.next().is_some() {
+            return Err(mismatch(format!("incident sidecar for {who} supplied more than once")));
         }
-        if im.shard_count != n || im.shard_index >= n {
-            return Err(ShardError::Mismatch(format!(
-                "campaign {:?}: incident sidecar claims shard {}/{} (campaign has {n})",
-                m.campaign, im.shard_index, im.shard_count
-            )));
-        }
-        if seen[im.shard_index] {
-            return Err(ShardError::Mismatch(format!(
-                "campaign {:?}: incident sidecar for shard {} supplied more than once",
-                m.campaign, im.shard_index
-            )));
-        }
-        seen[im.shard_index] = true;
         if !a.complete {
-            return Err(ShardError::Mismatch(format!(
-                "campaign {:?}: incident sidecar for shard {} is incomplete \
-                 (no incidents_done footer)",
-                m.campaign, im.shard_index
+            return Err(mismatch(format!(
+                "incident sidecar for {who} is incomplete (no incidents_done footer)"
             )));
         }
+        paired.push(a);
     }
-    if let Some(missing) = seen.iter().position(|s| !s) {
-        return Err(ShardError::Mismatch(format!(
-            "campaign {:?}: incident sidecar for shard {missing}/{n} is missing",
-            m.campaign
-        )));
+    if paired.len() != sidecars.len() {
+        return Err(mismatch(
+            "an incident sidecar's manifest matches no merged shard artifact".to_string(),
+        ));
     }
 
     // Expected payloads, from the merged run lines (whose kinds the merge
@@ -1705,27 +1632,14 @@ pub fn collect_incidents(
         }
     }
     let mut out: BTreeMap<RunUnit, IncidentRecord> = BTreeMap::new();
-    for a in sidecars {
+    for a in paired {
         for (_, rec) in &a.records {
-            let unit = RunUnit::from_kind(&rec.kind, rec.index).ok_or_else(|| {
-                ShardError::Mismatch(format!(
-                    "campaign {:?}: unknown incident run kind {:?}",
-                    m.campaign, rec.kind
-                ))
-            })?;
-            let home = unit_shard(m.plan_seed, unit, n);
-            if home != a.manifest.shard_index {
-                return Err(ShardError::Mismatch(format!(
-                    "campaign {:?}: incident of {} run {} belongs to shard {home} but \
-                     appears in shard {}",
-                    m.campaign, rec.kind, rec.index, a.manifest.shard_index
-                )));
-            }
+            let unit = RunUnit::from_kind(&rec.kind, rec.index)
+                .ok_or_else(|| mismatch(format!("unknown incident run kind {:?}", rec.kind)))?;
+            a.manifest.owns(unit).map_err(|e| mismatch(format!("incident of {e}")))?;
             if rec.seed != unit.seed() {
-                return Err(ShardError::Mismatch(format!(
-                    "campaign {:?}: incident of {} run {} carries seed {} \
-                     (engine law says {})",
-                    m.campaign,
+                return Err(mismatch(format!(
+                    "incident of {} run {} carries seed {} (engine law says {})",
                     rec.kind,
                     rec.index,
                     rec.seed,
@@ -1735,17 +1649,17 @@ pub fn collect_incidents(
             match expected.remove(&unit) {
                 Some(label) if label == rec.incident => {}
                 Some(label) => {
-                    return Err(ShardError::Mismatch(format!(
-                        "campaign {:?}: {} run {} is a {label:?} incident on its run line \
-                         but {:?} in the sidecar",
-                        m.campaign, rec.kind, rec.index, rec.incident
+                    return Err(mismatch(format!(
+                        "{} run {} is a {label:?} incident on its run line but {:?} in the \
+                         sidecar",
+                        rec.kind, rec.index, rec.incident
                     )))
                 }
                 None => {
-                    return Err(ShardError::Mismatch(format!(
-                        "campaign {:?}: sidecar payload for {} run {} has no matching \
-                         incident on its run line (duplicate or spurious)",
-                        m.campaign, rec.kind, rec.index
+                    return Err(mismatch(format!(
+                        "sidecar payload for {} run {} has no matching incident on its run \
+                         line (duplicate or spurious)",
+                        rec.kind, rec.index
                     )))
                 }
             }
@@ -1753,10 +1667,8 @@ pub fn collect_incidents(
         }
     }
     if let Some((unit, label)) = expected.into_iter().next() {
-        return Err(ShardError::Mismatch(format!(
-            "campaign {:?}: {} run {} is a {label:?} incident but no sidecar \
-             carries its payload",
-            m.campaign,
+        return Err(mismatch(format!(
+            "{} run {} is a {label:?} incident but no sidecar carries its payload",
             unit.kind(),
             unit.index()
         )));
@@ -2095,14 +2007,7 @@ mod tests {
 
     #[test]
     fn incident_sidecar_parses_and_rejects_other_versions() {
-        let m = IncidentManifest {
-            flight_schema_version: flight::FLIGHT_SCHEMA_VERSION,
-            shard_schema_version: SHARD_SCHEMA_VERSION,
-            fingerprint: 0xFACE,
-            plan_seed: 0x1234_5678,
-            shard_index: 1,
-            shard_count: 2,
-        };
+        let m = synthetic_artifacts(2).remove(1).manifest;
         let rec = sample_incident("golden", 0, GOLDEN_SEED_BASE, "hang");
         let text = format!(
             "{}\n{}\n{{\"type\": \"incidents_done\", \"incidents\": 1}}\n",
@@ -2120,19 +2025,12 @@ mod tests {
         assert_eq!(art.records.len(), 1);
         assert!(!art.complete);
 
+        // The header is a shard manifest, so the shard schema gates it.
         let bumped = text.replace(
-            &format!("\"flight_schema_version\": {}", flight::FLIGHT_SCHEMA_VERSION),
-            &format!("\"flight_schema_version\": {}", flight::FLIGHT_SCHEMA_VERSION + 1),
+            &format!("\"schema_version\": {SHARD_SCHEMA_VERSION}"),
+            &format!("\"schema_version\": {}", SHARD_SCHEMA_VERSION + 1),
         );
         assert!(parse_incident_artifact(&bumped).is_err(), "future versions must be refused");
-        for (key, value) in [
-            ("flight_schema_version", flight::FLIGHT_SCHEMA_VERSION),
-            ("shard_schema_version", SHARD_SCHEMA_VERSION),
-        ] {
-            let v = with_u32_overflow(&m.render(), key, value);
-            let err = IncidentManifest::parse(&v).expect_err("out-of-range version refused");
-            assert!(err.contains("out of u32 range"), "{key}: {err}");
-        }
     }
 
     #[test]
@@ -2150,7 +2048,7 @@ mod tests {
         let merged = merge_artifacts(&arts).expect("clean shards merge");
         let payload = sample_incident("injected", 1, INJECTED_SEED_BASE + 1, "deadline-burst");
         let sidecar = |i: usize, records: Vec<(usize, IncidentRecord)>| IncidentArtifact {
-            manifest: IncidentManifest::for_shard(&arts[i].manifest),
+            manifest: arts[i].manifest.clone(),
             records,
             complete: true,
         };
@@ -2199,6 +2097,17 @@ mod tests {
         // Missing sidecar entirely.
         let err = collect_incidents(&merged[0], &sidecars[..1]).expect_err("missing sidecar");
         assert!(err.to_string().contains("missing"), "{err}");
+
+        // A sidecar twice, and one from another shard layout.
+        let mut twice = sidecars.clone();
+        twice.push(sidecars[0].clone());
+        let err = collect_incidents(&merged[0], &twice).expect_err("duplicated sidecar");
+        assert!(err.to_string().contains("more than once"), "{err}");
+        let mut foreign = sidecars.clone();
+        foreign.push(sidecar(0, Vec::new()));
+        foreign[2].manifest.batch_size += 1;
+        let err = collect_incidents(&merged[0], &foreign).expect_err("foreign sidecar");
+        assert!(err.to_string().contains("matches no merged"), "{err}");
     }
 
     #[test]

@@ -2,18 +2,22 @@
 //! drained per-run flight rings) must be pure functions of the campaign
 //! seeds — bit-identical across `DIVERSEAV_THREADS` settings and across
 //! shard/monolithic execution — so incident artifacts can ride the shard
-//! partitioner and the exactly-once merge unchanged. The recorder
+//! partitioner and the exactly-once merge unchanged, across every epoch
+//! of a guided campaign too. The recorder
 //! carries no wall-clock state (lint Gate 4 enforces the absence of time
 //! sources at the source level; this test enforces it at the bit level).
 
 use diverseav::{AgentMode, DetectorConfig, DetectorModel};
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
-    collect_incidents, collect_training_runs, execute_shard, incident_sidecar_path,
-    merge_artifacts, parse_artifact, parse_incident_artifact, run_campaign_cached, Campaign,
-    CampaignScale, FaultModelKind, IncidentRecord, SensorFaultKind, ShardConfig, ShardSpec,
+    collect_incidents, collect_training_runs, execute_shard, guided_epoch_summary,
+    incident_sidecar_path, merge_artifacts, parse_artifact, parse_incident_artifact,
+    run_campaign_cached, Campaign, CampaignScale, FaultModelKind, GuidedShardSpec,
+    IncidentArtifact, IncidentRecord, MergedCampaign, SensorFaultKind, ShardConfig, ShardError,
+    ShardSpec,
 };
 use diverseav_simworld::{ScenarioKind, SensorConfig};
+use std::path::Path;
 use std::sync::Mutex;
 
 /// Serializes the tests that mutate `DIVERSEAV_THREADS` (process-global).
@@ -122,5 +126,88 @@ fn sharded_and_monolithic_incident_sets_agree_bit_for_bit() {
     let monolithic = collect(1, "mono");
     let sharded = collect(3, "split");
     assert_eq!(monolithic, sharded, "shard/monolithic incident payloads diverge");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Run a two-epoch guided campaign of permanent GPU faults on a short
+/// route in `count` shards, each epoch steered by the merged summary of
+/// the epochs before it, and return the merge of both epochs with every
+/// sidecar in (epoch, shard) order. Shards run without a detector, so a
+/// sensor-fault shard flushes no incident; permanent faults crash and
+/// hang in both epochs.
+fn guided_set(count: usize, dir: &Path, tag: &str) -> (MergedCampaign, Vec<IncidentArtifact>) {
+    let campaign = Campaign {
+        scenario: ScenarioKind::LongRoute(0),
+        target: Profile::Gpu,
+        kind: FaultModelKind::Permanent,
+        mode: AgentMode::RoundRobin,
+    };
+    let scale = CampaignScale { long_route_duration: 0.25, ..tiny_scale() };
+    let (mut artifacts, mut sidecars, mut prior, mut merged) = (Vec::new(), Vec::new(), None, None);
+    for epoch in 0..2 {
+        for index in 0..count {
+            let cfg = ShardConfig {
+                campaign,
+                scale,
+                sensor: SensorConfig::default(),
+                spec: ShardSpec { index, count },
+                batch_size: 2,
+                guided: Some(GuidedShardSpec { epochs: 2, epoch, prior: prior.clone() }),
+            };
+            let path = dir.join(format!("{tag}_e{epoch}s{index}.jsonl"));
+            execute_shard(&cfg, &path).expect("guided shard executes");
+            let text = std::fs::read_to_string(&path).expect("artifact readable");
+            artifacts.push(parse_artifact(&text).expect("artifact parses"));
+            let side = std::fs::read_to_string(incident_sidecar_path(&path)).expect("sidecar");
+            sidecars.push(parse_incident_artifact(&side).expect("sidecar parses"));
+        }
+        let m = merge_artifacts(&artifacts).expect("epoch prefix merges").remove(0);
+        prior = Some(guided_epoch_summary(&m).expect("epoch summary"));
+        merged = Some(m);
+    }
+    (merged.expect("two epochs merged"), sidecars)
+}
+
+#[test]
+fn guided_incident_sets_collect_across_epochs() {
+    let _guard = ENV_LOCK.lock().expect("env lock");
+    std::env::remove_var("DIVERSEAV_THREADS");
+    let dir = std::env::temp_dir().join(format!("flight_guided_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+
+    let render = |incidents: Vec<IncidentRecord>| {
+        incidents.iter().map(IncidentRecord::render_merged).collect::<Vec<String>>()
+    };
+    let (mono, mono_sidecars) = guided_set(1, &dir, "mono");
+    let (split, sidecars) = guided_set(3, &dir, "split");
+    let collected = collect_incidents(&split, &sidecars).expect("both epochs collect");
+    let epoch1 = split.guided.as_ref().expect("guided merge").epoch_starts[1];
+    assert!(
+        collected.iter().any(|r| r.kind == "injected" && r.index >= epoch1),
+        "no epoch-1 incident — the comparison would not cover epoch 1"
+    );
+    let mono_collected = collect_incidents(&mono, &mono_sidecars).expect("both epochs collect");
+    assert_eq!(render(mono_collected), render(collected), "guided incident sets diverge");
+
+    // Refusals. Sidecars come in (epoch, shard) order.
+    let refused =
+        |m: &MergedCampaign, set: Vec<IncidentArtifact>, what: &str| match collect_incidents(
+            m, &set,
+        ) {
+            Err(ShardError::Mismatch(msg)) => msg,
+            other => panic!("{what}: expected a mismatch, got {other:?}"),
+        };
+    let msg = refused(&split, sidecars[..5].to_vec(), "missing epoch-1 sidecar");
+    assert!(msg.contains("epoch 1 shard 2/3 is missing"), "{msg}");
+    let mut swapped = mono_sidecars.clone();
+    swapped[1] = mono_sidecars[0].clone();
+    refused(&mono, swapped, "epoch-0 sidecar in place of epoch 1's");
+    let mut swapped = sidecars.clone();
+    swapped[3] = sidecars[0].clone();
+    refused(&split, swapped, "epoch-0 sidecar in place of epoch 1's (3 shards)");
+    let mut twice = sidecars.clone();
+    twice.push(sidecars[4].clone());
+    let msg = refused(&split, twice, "duplicated sidecar");
+    assert!(msg.contains("epoch 1 shard 1/3 supplied more than once"), "{msg}");
     std::fs::remove_dir_all(&dir).ok();
 }

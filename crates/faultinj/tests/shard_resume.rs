@@ -20,8 +20,9 @@
 use diverseav::AgentMode;
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
-    execute_shard, incident_sidecar_path, parse_artifact, Campaign, CampaignScale, FaultModelKind,
-    GuidedShardSpec, ShardConfig, ShardError, ShardSpec,
+    execute_shard, execute_shard_limited, guided_epoch_summary, incident_sidecar_path,
+    merge_artifacts, parse_artifact, Campaign, CampaignScale, FaultModelKind, GuidedShardSpec,
+    ShardConfig, ShardError, ShardSpec,
 };
 use diverseav_obs::metrics;
 use diverseav_simworld::{ScenarioKind, SensorConfig};
@@ -124,6 +125,7 @@ fn reference() -> &'static Reference {
         let sidecar = fs::read_to_string(&side).expect("reference sidecar");
         let _ = fs::remove_file(&path);
         let _ = fs::remove_file(&side);
+        assert_eq!(sidecar.lines().next(), artifact.lines().next(), "one manifest line");
 
         let nl = newlines(&artifact);
         let lines: Vec<&str> = artifact.lines().collect();
@@ -318,6 +320,41 @@ fn foreign_checkpoints_are_refused_before_the_profiling_run() {
     assert_eq!(experiments(), before + 1);
     let _ = fs::remove_file(&path);
     let _ = fs::remove_file(&side);
+}
+
+/// A guided shard interrupted after one batch resumes only beside its own
+/// sidecar: the same shard's sidecar from the other epoch carries the
+/// same fingerprint, plan seed and shard index, and is refused all the
+/// same, because its manifest names another epoch.
+#[test]
+fn a_sidecar_from_another_epoch_is_refused_on_resume() {
+    let _serial = serial();
+    let epoch = |epoch, prior| ShardConfig {
+        spec: ShardSpec { index: 0, count: 1 },
+        guided: Some(GuidedShardSpec { epochs: 2, epoch, prior }),
+        ..cfg()
+    };
+    let pilot = scratch("epoch0.jsonl");
+    assert!(execute_shard(&epoch(0, None), &pilot).expect("pilot epoch").complete);
+    let art = parse_artifact(&fs::read_to_string(&pilot).expect("pilot")).expect("pilot parses");
+    let merged = merge_artifacts(&[art]).expect("pilot merges");
+    let prior = guided_epoch_summary(&merged[0]).expect("pilot summary");
+
+    let path = scratch("epoch1.jsonl");
+    let side = incident_sidecar_path(&path);
+    let cfg = epoch(1, Some(prior));
+    let first = execute_shard_limited(&cfg, &path, Some(1)).expect("first batch of epoch 1");
+    assert!(!first.complete && first.executed_batches == 1, "{first:?}");
+    let checkpoint = fs::read_to_string(&path).expect("checkpoint");
+    fs::copy(incident_sidecar_path(&pilot), &side).expect("swap in the pilot's sidecar");
+    match execute_shard(&cfg, &path) {
+        Err(ShardError::Mismatch(msg)) => assert!(msg.contains("refusing"), "{msg}"),
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    assert_eq!(fs::read_to_string(&path).expect("checkpoint"), checkpoint, "left as it was");
+    for p in [&pilot, &incident_sidecar_path(&pilot), &path, &side] {
+        let _ = fs::remove_file(p);
+    }
 }
 
 proptest! {
