@@ -148,16 +148,6 @@ pub const ALL_OPS: &[Op] = &[
 ];
 
 impl Op {
-    /// Whether this opcode writes a destination register.
-    ///
-    /// Only opcodes with a destination register are injectable under the
-    /// paper's fault model ("corrupt the destination register of the
-    /// executing opcode"); stores, branches, and `Halt` are not.
-    #[inline]
-    pub fn has_dst(self) -> bool {
-        !matches!(self, Op::St | Op::Jmp | Op::Jz | Op::Jnz | Op::Halt)
-    }
-
     /// Stable index of this opcode within [`ALL_OPS`].
     #[inline]
     pub fn index(self) -> usize {
@@ -256,18 +246,6 @@ mod tests {
         for (i, op) in ALL_OPS.iter().enumerate() {
             assert_eq!(op.index(), i, "index mismatch for {op}");
         }
-    }
-
-    #[test]
-    fn dst_writing_classification() {
-        assert!(Op::FAdd.has_dst());
-        assert!(Op::Ld.has_dst());
-        assert!(Op::Tid.has_dst());
-        assert!(!Op::St.has_dst());
-        assert!(!Op::Jmp.has_dst());
-        assert!(!Op::Jz.has_dst());
-        assert!(!Op::Jnz.has_dst());
-        assert!(!Op::Halt.has_dst());
     }
 
     #[test]

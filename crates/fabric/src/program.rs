@@ -209,10 +209,6 @@ impl ProgramBuilder {
     pub fn flt(&mut self, dst: Reg, a: Reg, b: Reg) {
         self.push(Op::FLt, dst, a, b, Reg(0), 0);
     }
-    /// `dst = (a <= b) as u32` (f32)
-    pub fn fle(&mut self, dst: Reg, a: Reg, b: Reg) {
-        self.push(Op::FLe, dst, a, b, Reg(0), 0);
-    }
     /// `dst = (a < b) as u32` (u32)
     pub fn ilt(&mut self, dst: Reg, a: Reg, b: Reg) {
         self.push(Op::ILt, dst, a, b, Reg(0), 0);

@@ -5,10 +5,10 @@ use diverseav::{Ads, AdsConfig, AgentMode, DetectorConfig, DetectorModel, TrainS
 use diverseav_agent::AgentConfig;
 use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_obs::flight::TickRecord;
-use diverseav_obs::FaultSite;
+use diverseav_obs::{profile, FaultSite};
 use diverseav_runtime::{
-    FlightRecorder, FrameInjector, IncidentKind, LoopObserver, PerfObserver, ProfilingObserver,
-    SensorFault, SimLoop, TrainingCollector,
+    FlightRecorder, FrameInjector, IncidentKind, LoopObserver, SensorFault, SimLoop,
+    TrainingCollector,
 };
 use diverseav_simworld::{Scenario, SensorConfig, TrajPoint, World, TICK_HZ};
 use std::fmt;
@@ -167,8 +167,9 @@ pub struct RunResult {
     /// `runtime.ticks` counter, carried per run so shard artifacts can
     /// account work without re-deriving it from the shared registry.
     pub ticks: u64,
-    /// Ticks whose modeled latency exceeded the 25 ms control budget
-    /// (0 when profiling is off; see `DIVERSEAV_PROFILE`).
+    /// Ticks whose latency exceeded the 25 ms control budget: modeled
+    /// latency by default, measured phases under
+    /// `DIVERSEAV_PROFILE=wall`.
     pub deadline_misses: u64,
     /// Why this run's flight recording was flushed (`None` for
     /// unremarkable runs; see
@@ -226,10 +227,11 @@ pub fn run_experiment(cfg: &RunConfig) -> RunResult {
     run_experiment_observed(cfg, &mut [])
 }
 
-/// [`run_experiment`] with caller-supplied [`LoopObserver`]s attached to
-/// the [`SimLoop`] alongside the built-in training collector (allocation
-/// probes, extra telemetry, ...). Observers see every tick but cannot
-/// change the run, so results stay bit-identical to [`run_experiment`].
+/// [`run_experiment`] with caller-supplied [`LoopObserver`]s (allocation
+/// probes, extra telemetry, ...) attached to the [`SimLoop`] after the
+/// built-in training collector and tick ledger ([`FlightRecorder`]).
+/// Observers see every tick but cannot change the run, so results stay
+/// bit-identical to [`run_experiment`].
 pub fn run_experiment_observed(cfg: &RunConfig, extra: &mut [&mut dyn LoopObserver]) -> RunResult {
     diverseav_obs::metrics::counter_add("runner.experiments", 1);
     let world = World::new(cfg.scenario.clone(), cfg.sensor, cfg.seed);
@@ -254,20 +256,14 @@ pub fn run_experiment_observed(cfg: &RunConfig, extra: &mut [&mut dyn LoopObserv
 
     let capacity = (cfg.scenario.duration * TICK_HZ) as usize + 2;
     let mut collector = TrainingCollector::new(cfg.collect_training, capacity);
-    let mut perf = PerfObserver::new();
-    let mut profiling = ProfilingObserver::new(cfg.scenario.name);
-    let mut flight = FlightRecorder::new();
+    let mut flight = FlightRecorder::new(cfg.scenario.name, profile::source());
     let mut sim = SimLoop::new(world, ads);
     if let Some(sf) = sensor_fault {
         sim.set_injector(FrameInjector::new(sf));
     }
     let termination = {
-        let mut observers: Vec<&mut dyn LoopObserver> = Vec::with_capacity(4 + extra.len());
+        let mut observers: Vec<&mut dyn LoopObserver> = Vec::with_capacity(2 + extra.len());
         observers.push(&mut collector);
-        observers.push(&mut perf);
-        if profiling.enabled() {
-            observers.push(&mut profiling);
-        }
         observers.push(&mut flight);
         for obs in extra.iter_mut() {
             observers.push(&mut **obs);
@@ -285,6 +281,7 @@ pub fn run_experiment_observed(cfg: &RunConfig, extra: &mut [&mut dyn LoopObserv
     // The black-box rule: unremarkable runs drop their recording, runs
     // that ended badly keep the drained window for the incident artifact.
     let incident = flight.classify(&termination, fault_activated);
+    let (ticks, deadline_misses) = (flight.ticks(), flight.stats().misses);
     let flight = if incident.is_some() { flight.drain() } else { Vec::new() };
     RunResult {
         scenario: cfg.scenario.name,
@@ -299,8 +296,8 @@ pub fn run_experiment_observed(cfg: &RunConfig, extra: &mut [&mut dyn LoopObserv
         fault_onset_time,
         min_cvip: world.min_cvip(),
         red_light_violations: world.red_light_violations(),
-        ticks: perf.ticks(),
-        deadline_misses: profiling.stats().misses,
+        ticks,
+        deadline_misses,
         incident,
         flight,
         trajectory: world.trajectory().to_vec(),

@@ -148,7 +148,6 @@ pub fn campaign_fingerprint(
     let source_code: u64 = match profile::source() {
         TimeSource::Modeled => 1,
         TimeSource::Wall => 2,
-        TimeSource::Off => 3,
     };
     let words = [
         plan_seed(campaign),
@@ -185,7 +184,6 @@ fn profile_source_label() -> &'static str {
     match profile::source() {
         TimeSource::Modeled => "modeled",
         TimeSource::Wall => "wall",
-        TimeSource::Off => "off",
     }
 }
 

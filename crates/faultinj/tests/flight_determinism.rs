@@ -42,6 +42,18 @@ fn sensor_campaign(class: SensorFaultKind) -> Campaign {
     }
 }
 
+/// A GPU-permanent fabric cell on a short route. Its hangs and crashes
+/// flush incidents even in shards, which run without a detector.
+fn gpu_permanent() -> (Campaign, CampaignScale) {
+    let campaign = Campaign {
+        scenario: ScenarioKind::LongRoute(0),
+        target: Profile::Gpu,
+        kind: FaultModelKind::Permanent,
+        mode: AgentMode::RoundRobin,
+    };
+    (campaign, CampaignScale { long_route_duration: 0.25, ..tiny_scale() })
+}
+
 /// Train the paper's detector on the fault-free runs — detector
 /// telemetry is what the recorder packs into every tick, so the
 /// incident-payload comparison must exercise it.
@@ -91,58 +103,69 @@ fn incident_payloads_are_bit_identical_across_thread_counts() {
 fn sharded_and_monolithic_incident_sets_agree_bit_for_bit() {
     let _guard = ENV_LOCK.lock().expect("env lock");
     std::env::remove_var("DIVERSEAV_THREADS");
-    let campaign = sensor_campaign(SensorFaultKind::OutlierBurst);
     let dir = std::env::temp_dir().join(format!("flight_determinism_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
+    // Shards run without a detector, so the sensor cell flushes no
+    // incident; the GPU-permanent cell's hangs and crashes do.
+    let cells = [(sensor_campaign(SensorFaultKind::OutlierBurst), tiny_scale()), gpu_permanent()];
 
-    // Collect the campaign's incidents from an n-shard split, for both
+    // Collect every cell's incidents from an n-shard split, for both
     // n=1 (the monolithic layout) and n=3.
     let collect = |count: usize, tag: &str| {
-        let mut artifacts = Vec::new();
-        let mut sidecars = Vec::new();
-        for index in 0..count {
-            let cfg = ShardConfig {
-                campaign,
-                scale: tiny_scale(),
-                sensor: SensorConfig::default(),
-                spec: ShardSpec { index, count },
-                batch_size: 2,
-                guided: None,
-            };
-            let path = dir.join(format!("{tag}_shard{index}.jsonl"));
-            execute_shard(&cfg, &path).expect("shard executes");
-            let text = std::fs::read_to_string(&path).expect("artifact readable");
-            artifacts.push(parse_artifact(&text).expect("artifact parses"));
-            let side = std::fs::read_to_string(incident_sidecar_path(&path))
-                .expect("every shard writes an incident sidecar");
-            sidecars.push(parse_incident_artifact(&side).expect("sidecar parses"));
+        let mut lines = Vec::new();
+        for (cell, &(campaign, scale)) in cells.iter().enumerate() {
+            lines.extend(collect_cell(campaign, scale, count, &dir, &format!("{tag}{cell}")));
         }
-        let merged = merge_artifacts(&artifacts).expect("shards merge");
-        assert_eq!(merged.len(), 1);
-        let collected = collect_incidents(&merged[0], &sidecars).expect("incident sets collect");
-        collected.iter().map(IncidentRecord::render_merged).collect::<Vec<String>>()
+        lines
     };
-
     let monolithic = collect(1, "mono");
+    assert!(!monolithic.is_empty(), "no incident collected — the comparison would be vacuous");
     let sharded = collect(3, "split");
     assert_eq!(monolithic, sharded, "shard/monolithic incident payloads diverge");
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Run one campaign cell in `count` shards and render its collected
+/// incidents.
+fn collect_cell(
+    campaign: Campaign,
+    scale: CampaignScale,
+    count: usize,
+    dir: &Path,
+    tag: &str,
+) -> Vec<String> {
+    let mut artifacts = Vec::new();
+    let mut sidecars = Vec::new();
+    for index in 0..count {
+        let cfg = ShardConfig {
+            campaign,
+            scale,
+            sensor: SensorConfig::default(),
+            spec: ShardSpec { index, count },
+            batch_size: 2,
+            guided: None,
+        };
+        let path = dir.join(format!("{tag}_shard{index}.jsonl"));
+        execute_shard(&cfg, &path).expect("shard executes");
+        let text = std::fs::read_to_string(&path).expect("artifact readable");
+        artifacts.push(parse_artifact(&text).expect("artifact parses"));
+        let side = std::fs::read_to_string(incident_sidecar_path(&path))
+            .expect("every shard writes an incident sidecar");
+        sidecars.push(parse_incident_artifact(&side).expect("sidecar parses"));
+    }
+    let merged = merge_artifacts(&artifacts).expect("shards merge");
+    assert_eq!(merged.len(), 1);
+    let collected = collect_incidents(&merged[0], &sidecars).expect("incident sets collect");
+    collected.iter().map(IncidentRecord::render_merged).collect()
+}
+
 /// Run a two-epoch guided campaign of permanent GPU faults on a short
 /// route in `count` shards, each epoch steered by the merged summary of
 /// the epochs before it, and return the merge of both epochs with every
-/// sidecar in (epoch, shard) order. Shards run without a detector, so a
-/// sensor-fault shard flushes no incident; permanent faults crash and
-/// hang in both epochs.
+/// sidecar in (epoch, shard) order. Permanent faults crash and hang in
+/// both epochs.
 fn guided_set(count: usize, dir: &Path, tag: &str) -> (MergedCampaign, Vec<IncidentArtifact>) {
-    let campaign = Campaign {
-        scenario: ScenarioKind::LongRoute(0),
-        target: Profile::Gpu,
-        kind: FaultModelKind::Permanent,
-        mode: AgentMode::RoundRobin,
-    };
-    let scale = CampaignScale { long_route_duration: 0.25, ..tiny_scale() };
+    let (campaign, scale) = gpu_permanent();
     let (mut artifacts, mut sidecars, mut prior, mut merged) = (Vec::new(), Vec::new(), None, None);
     for epoch in 0..2 {
         for index in 0..count {

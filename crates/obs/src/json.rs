@@ -297,11 +297,6 @@ impl Value {
         self.opt_with(key, |v| v.as_str().map(str::to_string).ok_or("must be a string".into()))
     }
 
-    /// A member rendered by [`opt_num`] (or [`num`]: `null` is `None`).
-    pub fn opt_num_member(&self, key: &str) -> Result<Option<f64>, String> {
-        self.req_with(key, parse_num)
-    }
-
     /// A member rendered by [`opt_f64_bits`].
     pub fn opt_f64_bits_member(&self, key: &str) -> Result<Option<f64>, String> {
         self.opt_with(key, parse_f64_bits)
@@ -574,7 +569,6 @@ mod tests {
         assert!(v.req_bool("b").unwrap());
         assert_eq!((v.req_usize("n"), v.req_u32("n"), v.req_u64("n")), (Ok(7), Ok(7), Ok(7)));
         assert_eq!(v.req_num("d"), Ok(2.5));
-        assert_eq!((v.opt_num_member("nul"), v.opt_num_member("d")), (Ok(None), Ok(Some(2.5))));
         assert_eq!(v.req_u64_str("u"), Ok(u64::MAX));
         assert_eq!(v.req_hex64("h"), Ok(0xff));
         assert_eq!(v.opt_hex64_member("nul"), Ok(None));
@@ -594,7 +588,6 @@ mod tests {
             v.req_u64("frac").unwrap_err(),
             v.req_num("inf").unwrap_err(),
             v.req_num("nul").unwrap_err(),
-            v.opt_num_member("inf").unwrap_err(),
             v.req_u64_str("plus").unwrap_err(),
             v.req_hex64("s").unwrap_err(),
             v.req_arr("o").unwrap_err(),

@@ -23,8 +23,7 @@
 //!   profiling layer in `diverseav-runtime`.
 //! * [`profile`] — the `DIVERSEAV_PROFILE` switch selecting the
 //!   profiling time source: a deterministic work-based cost model
-//!   (default, bit-identical across thread counts), host wall clock, or
-//!   off.
+//!   (default, bit-identical across thread counts) or host wall clock.
 //! * [`flight`] — flight-recorder primitives: a fixed-capacity
 //!   overwrite-oldest ring of packed per-tick records (detector score,
 //!   trend state, modeled phase latencies, actuator deltas — no

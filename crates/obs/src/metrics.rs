@@ -82,12 +82,6 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     Arc::clone(hists.entry(name.to_string()).or_default())
 }
 
-/// Record one value into the named histogram (convenience for cold
-/// paths; takes the registry lock on every call).
-pub fn hist_record(name: &str, value: u64) {
-    histogram(name).record(value);
-}
-
 /// Snapshot of the named histogram (empty snapshot if never touched).
 pub fn hist_get(name: &str) -> HistSnapshot {
     let hists = HISTS.lock().expect("metrics histograms poisoned");
@@ -245,7 +239,7 @@ mod tests {
     fn histograms_register_and_render() {
         let h = histogram("test.metrics.hist_a");
         h.record(12);
-        hist_record("test.metrics.hist_a", 12);
+        histogram("test.metrics.hist_a").record(12);
         let snap = hist_get("test.metrics.hist_a");
         assert_eq!(snap.count(), 2);
         assert_eq!(snap.max, 12);

@@ -16,9 +16,12 @@
 //!   for profiling the reproduction itself. Values vary run to run by
 //!   nature; artifacts produced in this mode are excluded from the
 //!   determinism contract.
-//! * [`TimeSource::Off`] — no per-tick profiling at all.
 //!
-//! The switch is consulted once per run (never per tick).
+//! The switch is consulted once per run, never per tick. Whatever the
+//! source, the per-run tick ledger (`diverseav_runtime::FlightRecorder`)
+//! keeps its flight ring and incident classification on the modeled
+//! cost; the source selects only what feeds the `tick.*` histograms and
+//! `deadline.*` tallies.
 
 /// Where per-phase tick latencies come from.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -28,21 +31,15 @@ pub enum TimeSource {
     Modeled,
     /// Host wall clock (`Instant`).
     Wall,
-    /// Profiling disabled.
-    Off,
 }
 
-/// The time source selected by `DIVERSEAV_PROFILE`: `off`/`0` disables
-/// profiling, `wall` selects wall-clock timing, anything else (including
-/// unset) selects the deterministic cost model.
+/// The time source selected by `DIVERSEAV_PROFILE`: `wall` selects
+/// wall-clock timing, anything else (including unset) selects the
+/// deterministic cost model.
 pub fn source() -> TimeSource {
     match std::env::var("DIVERSEAV_PROFILE") {
-        Ok(v) => match v.trim() {
-            "off" | "0" => TimeSource::Off,
-            "wall" => TimeSource::Wall,
-            _ => TimeSource::Modeled,
-        },
-        Err(_) => TimeSource::Modeled,
+        Ok(v) if v.trim() == "wall" => TimeSource::Wall,
+        _ => TimeSource::Modeled,
     }
 }
 

@@ -1,17 +1,36 @@
-//! The per-run flight recorder: an always-on, allocation-free
-//! [`LoopObserver`] feeding a [`FlightRing`] of packed
-//! [`TickRecord`]s, plus the incident classifier that decides when the
-//! ring is worth draining.
+//! The per-run tick ledger: one allocation-free [`LoopObserver`] per run
+//! that counts the run's ticks, accounts them against the 40 Hz
+//! deadline, and feeds a [`FlightRing`] of packed [`TickRecord`]s, plus
+//! the incident classifier that decides when the ring is worth
+//! draining.
 //!
-//! Every tick the recorder packs the detector's normalized score, trend
-//! slope and armed state, the threshold margin, the fault-activation
-//! flag, the **modeled** per-phase latencies and deadline margin, and
-//! the fused actuator deltas into one fixed-size record. Latencies come
-//! from [`ProfilingObserver::modeled_phases`] unconditionally — even
-//! under `DIVERSEAV_PROFILE=wall` — and records carry no timestamps, so
-//! a recording is a pure function of the run's seeds: bit-identical
-//! across `DIVERSEAV_THREADS` and sharded vs. monolithic execution
-//! (`ci/lint.sh` Gate 4 greps this module for wall-clock calls).
+//! Every tick the recorder evaluates the modeled cost model once
+//! ([`crate::profiling`]). That one result feeds the flight record, the
+//! deadline-miss streak and, under the default modeled time source, the
+//! `tick.*` latency histograms and the [`DeadlineStats`] tally. Under
+//! `DIVERSEAV_PROFILE=wall` the histograms and tally take the loop's
+//! wall-clock phase timings instead (the recorder answers
+//! [`LoopObserver::wants_phase_timing`]), and a trapped tick, which
+//! never reaches its `Step` phase, is accounted with the phases it did
+//! measure.
+//!
+//! The flight record packs the detector's normalized score, trend slope
+//! and armed state, the threshold margin, the fault-activation flag, the
+//! **modeled** per-phase latencies and deadline margin, and the fused
+//! actuator deltas. Records carry modeled latencies whatever the time
+//! source, and no timestamps, so a recording is a pure function of the
+//! run's seeds: bit-identical across `DIVERSEAV_THREADS` and sharded vs.
+//! monolithic execution (`ci/lint.sh` Gate 4 greps this module for
+//! wall-clock calls).
+//!
+//! Per-tick work is arithmetic, stores and relaxed atomic histogram
+//! increments: the ring is sized and the histogram `Arc`s resolved at
+//! construction (the `zero_alloc` integration test covers the recorded
+//! loop). The process-global `runtime.ticks` counter and the
+//! scenario-keyed `deadline.*` counters and gauges are flushed once at
+//! termination, through commutative operations only (`counter_add`,
+//! `gauge_max`), so merged campaign metrics stay independent of worker
+//! scheduling.
 //!
 //! Most runs end quietly and their ring is simply dropped. A run that
 //! ends badly — see [`IncidentKind`] — has its ring drained into a
@@ -19,13 +38,16 @@
 //! every alarm, hang, crash, deadline burst, and silent-divergence
 //! verdict a per-tick narrative.
 
-use crate::profiling::{ProfilingObserver, DEADLINE_NS};
-use crate::simloop::{LoopObserver, Termination, TickContext};
+use crate::profiling::{modeled_phases, DeadlineStats, DEADLINE_NS};
+use crate::simloop::{LoopObserver, LoopPhase, Termination, TickContext};
 use diverseav_obs::flight::{
     FlightRing, TickRecord, DEFAULT_RING_CAPACITY, FLAG_ALARM, FLAG_DEADLINE_MISS,
     FLAG_DETECTOR_OBSERVED, FLAG_FAULT_ACTIVE, FLAG_TREND_ARMED,
 };
-use diverseav_simworld::Controls;
+use diverseav_obs::hist::Histogram;
+use diverseav_obs::{metrics, TimeSource};
+use diverseav_simworld::{Controls, World};
+use std::sync::Arc;
 
 /// Consecutive modeled deadline misses that qualify a run as a
 /// [`IncidentKind::DeadlineBurst`] incident. Eight ticks ≡ 200 ms of
@@ -93,37 +115,59 @@ impl std::fmt::Display for IncidentKind {
     }
 }
 
-/// The flight-recorder [`LoopObserver`]: one per run, attached
+/// The per-run tick ledger and flight recorder: one per run, attached
 /// automatically by the faultinj runner.
-///
-/// Steady-state recording allocates zero bytes — the ring buffer is
-/// sized at construction and `on_tick` performs only arithmetic and
-/// stores (covered by the `zero_alloc` integration test).
 pub struct FlightRecorder {
+    source: TimeSource,
+    scenario: &'static str,
     ring: FlightRing,
     prev_controls: Option<Controls>,
     miss_streak: u64,
     max_miss_streak: u64,
     peak_score: f64,
     alarmed: bool,
+    hists: [Arc<Histogram>; 5], // sense, driver, detect, step, total
+    stats: DeadlineStats,
+    /// Wall source: phase durations of the in-flight tick, accounted
+    /// when its `Step` phase (always last) arrives.
+    pending: Option<[u64; 4]>,
 }
 
 impl FlightRecorder {
-    /// A recorder retaining the last [`DEFAULT_RING_CAPACITY`] ticks.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// A recorder with an explicit retention window (tests).
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// A recorder for one run of `scenario` retaining the last
+    /// [`DEFAULT_RING_CAPACITY`] ticks, its `tick.*` histograms and
+    /// deadline tally fed from `source` (the runner passes
+    /// [`diverseav_obs::profile::source`]).
+    pub fn new(scenario: &'static str, source: TimeSource) -> Self {
         FlightRecorder {
-            ring: FlightRing::new(capacity),
+            source,
+            scenario,
+            ring: FlightRing::new(DEFAULT_RING_CAPACITY),
             prev_controls: None,
             miss_streak: 0,
             max_miss_streak: 0,
             peak_score: 0.0,
             alarmed: false,
+            hists: [
+                metrics::histogram("tick.sense"),
+                metrics::histogram("tick.driver"),
+                metrics::histogram("tick.detect"),
+                metrics::histogram("tick.step"),
+                metrics::histogram("tick.total"),
+            ],
+            stats: DeadlineStats::default(),
+            pending: None,
         }
+    }
+
+    /// Ticks recorded so far: the run's share of `runtime.ticks`.
+    pub fn ticks(&self) -> u64 {
+        self.ring.pushed()
+    }
+
+    /// The deadline tally so far, under the recorder's time source.
+    pub fn stats(&self) -> DeadlineStats {
+        self.stats
     }
 
     /// The ring of retained records.
@@ -135,17 +179,6 @@ impl FlightRecorder {
     /// allocates, so call only after the run ended).
     pub fn drain(&self) -> Vec<TickRecord> {
         self.ring.drain_ordered()
-    }
-
-    /// Peak normalized divergence score seen over the whole run (not
-    /// just the retained window).
-    pub fn peak_score(&self) -> f64 {
-        self.peak_score
-    }
-
-    /// Longest run of consecutive modeled deadline misses.
-    pub fn max_miss_streak(&self) -> u64 {
-        self.max_miss_streak
     }
 
     /// Classify the finished run against the incident triggers, in
@@ -178,17 +211,28 @@ impl FlightRecorder {
         }
         None
     }
-}
 
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new()
+    /// Record one tick's phase latencies into the `tick.*` histograms
+    /// and account its total against the deadline.
+    fn account(&mut self, phases: [u64; 4]) {
+        let mut total = 0u64;
+        for (hist, ns) in self.hists.iter().zip(phases) {
+            hist.record(ns);
+            total += ns;
+        }
+        self.hists[4].record(total);
+        self.stats.ticks += 1;
+        self.stats.misses += u64::from(total > DEADLINE_NS);
+        self.stats.worst_ns = self.stats.worst_ns.max(total);
     }
 }
 
 impl LoopObserver for FlightRecorder {
     fn on_tick(&mut self, ctx: &TickContext<'_>) {
-        let phase_ns = ProfilingObserver::modeled_phases(ctx);
+        let phase_ns = modeled_phases(ctx);
+        if self.source == TimeSource::Modeled {
+            self.account(phase_ns);
+        }
         let total: u64 = phase_ns.iter().sum();
         let miss = total > DEADLINE_NS;
         if miss {
@@ -238,6 +282,47 @@ impl LoopObserver for FlightRecorder {
         });
         self.prev_controls = Some(c);
     }
+
+    fn wants_phase_timing(&self) -> bool {
+        self.source == TimeSource::Wall
+    }
+
+    fn on_phase(&mut self, phase: LoopPhase, dur_ns: u64) {
+        if self.source != TimeSource::Wall {
+            return;
+        }
+        let slot = match phase {
+            LoopPhase::Sense => 0,
+            LoopPhase::Driver => 1,
+            LoopPhase::Detect => 2,
+            LoopPhase::Step => 3,
+        };
+        self.pending.get_or_insert([0; 4])[slot] = dur_ns;
+        if phase == LoopPhase::Step {
+            if let Some(phases) = self.pending.take() {
+                self.account(phases);
+            }
+        }
+    }
+
+    fn on_termination(&mut self, _world: &World, _termination: &Termination) {
+        // A trapped tick never reaches its Step phase; account the
+        // partial wall measurement rather than dropping it.
+        if let Some(phases) = self.pending.take() {
+            self.account(phases);
+        }
+        metrics::counter_add("runtime.ticks", self.ring.pushed());
+        if self.stats.ticks == 0 {
+            return;
+        }
+        let DeadlineStats { ticks, misses, worst_ns } = self.stats;
+        metrics::counter_add("deadline.ticks", ticks);
+        metrics::counter_add("deadline.misses", misses);
+        metrics::counter_add(&format!("deadline.{}.ticks", self.scenario), ticks);
+        metrics::counter_add(&format!("deadline.{}.misses", self.scenario), misses);
+        metrics::gauge_max("deadline.worst_ns", worst_ns as f64);
+        metrics::gauge_max(&format!("deadline.{}.worst_ns", self.scenario), worst_ns as f64);
+    }
 }
 
 #[cfg(test)]
@@ -245,24 +330,51 @@ mod tests {
     use super::*;
     use crate::simloop::SimLoop;
     use diverseav::{Ads, AdsConfig, AgentMode};
-    use diverseav_simworld::{lead_slowdown, SensorConfig, World};
+    use diverseav_fabric::{FaultModel, Op, Profile};
+    use diverseav_obs::flight::render_record;
+    use diverseav_simworld::{lead_slowdown, SensorConfig};
+    use std::sync::{Mutex, PoisonError};
 
-    fn record_run(mode: AgentMode, seed: u64) -> (FlightRecorder, Termination) {
+    /// Serializes recorded runs: each flushes the process-global
+    /// `runtime.ticks` counter, whose per-run delta `record` reads.
+    static TICKS_COUNTER: Mutex<()> = Mutex::new(());
+
+    /// Record one run of a short lead-slowdown scenario; returns the
+    /// recorder, how the run ended and its `runtime.ticks` flush.
+    fn record(
+        mode: AgentMode,
+        seed: u64,
+        duration: f64,
+        source: TimeSource,
+        fault: Option<FaultModel>,
+    ) -> (FlightRecorder, Termination, u64) {
         let mut scenario = lead_slowdown();
-        scenario.duration = 1.0;
+        scenario.duration = duration;
         let world = World::new(scenario, SensorConfig::default(), seed);
-        let ads = Ads::new(AdsConfig::for_mode(mode, seed));
-        let mut rec = FlightRecorder::new();
-        let mut sim = SimLoop::new(world, ads);
-        let term = sim.run_observed(&mut [&mut rec]);
+        let mut ads = Ads::new(AdsConfig::for_mode(mode, seed));
+        if let Some(model) = fault {
+            ads.inject_fault(0, Profile::Cpu, model);
+        }
+        let mut rec = FlightRecorder::new("lead-slowdown", source);
+        let _guard = TICKS_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
+        let before = metrics::counter_get("runtime.ticks");
+        let term = SimLoop::new(world, ads).run_observed(&mut [&mut rec]);
+        let flushed = metrics::counter_get("runtime.ticks") - before;
+        (rec, term, flushed)
+    }
+
+    fn record_modeled(mode: AgentMode, seed: u64) -> (FlightRecorder, Termination) {
+        let (rec, term, _) = record(mode, seed, 1.0, TimeSource::Modeled, None);
         (rec, term)
     }
 
     #[test]
-    fn records_one_tick_per_frame_with_modeled_margins() {
-        let (rec, term) = record_run(AgentMode::RoundRobin, 51);
+    fn single_agent_ticks_hold_the_40hz_budget() {
+        let (rec, term, flushed) =
+            record(AgentMode::RoundRobin, 51, 1.0, TimeSource::Modeled, None);
         assert_eq!(term, Termination::Completed);
-        assert_eq!(rec.ring().pushed(), 40, "one record per 40 Hz frame over 1 s");
+        assert_eq!(rec.ticks(), 40, "one record per 40 Hz frame over 1 s");
+        assert_eq!(flushed, 40, "runtime.ticks counts every recorded tick");
         for (i, r) in rec.ring().iter().enumerate() {
             assert_eq!(r.tick, i as u64, "ticks are consecutive from 0");
             assert!(r.phase_ns.iter().sum::<u64>() > 0, "modeled phases populated");
@@ -270,31 +382,59 @@ mod tests {
             assert!(r.deadline_margin_ns > 0);
             assert!(!r.fault_active() && !r.alarm(), "clean run");
         }
+        let stats = rec.stats();
+        assert_eq!((stats.ticks, stats.misses), (40, 0), "worst {}", stats.worst_ns);
+        assert!(stats.worst_ns > 0 && stats.worst_ns < DEADLINE_NS);
         assert_eq!(rec.classify(&term, false), None, "clean run is no incident");
     }
 
     #[test]
-    fn duplicate_mode_is_a_deadline_burst_incident() {
-        let (rec, term) = record_run(AgentMode::Duplicate, 51);
-        assert!(rec.max_miss_streak() >= DEADLINE_BURST_TICKS, "FD misses every tick");
+    fn duplicate_mode_misses_every_tick_and_is_a_deadline_burst() {
+        let (rec, term) = record_modeled(AgentMode::Duplicate, 51);
+        let stats = rec.stats();
+        assert_eq!((stats.ticks, stats.misses), (40, 40), "worst {}", stats.worst_ns);
+        assert!(stats.worst_ns > DEADLINE_NS);
+        assert!(rec.max_miss_streak >= DEADLINE_BURST_TICKS, "FD misses every tick");
         assert!(rec.ring().iter().all(|r| r.deadline_miss() && r.deadline_margin_ns < 0));
         assert_eq!(rec.classify(&term, false), Some(IncidentKind::DeadlineBurst));
     }
 
     #[test]
-    fn recordings_are_bit_identical_for_equal_seeds() {
-        let (a, _) = record_run(AgentMode::RoundRobin, 77);
-        let (b, _) = record_run(AgentMode::RoundRobin, 77);
-        let av: Vec<String> = a.ring().iter().map(diverseav_obs::flight::render_record).collect();
-        let bv: Vec<String> = b.ring().iter().map(diverseav_obs::flight::render_record).collect();
+    fn recordings_and_tallies_are_bit_identical_for_equal_seeds() {
+        let (a, _) = record_modeled(AgentMode::RoundRobin, 77);
+        let (b, _) = record_modeled(AgentMode::RoundRobin, 77);
+        let av: Vec<String> = a.ring().iter().map(render_record).collect();
+        let bv: Vec<String> = b.ring().iter().map(render_record).collect();
         assert_eq!(av, bv, "flight recording is a pure function of the seed");
+        assert_eq!(a.stats(), b.stats(), "modeled tally is a pure function of the seed");
+    }
+
+    #[test]
+    fn wall_source_times_real_phases_and_keeps_the_modeled_recording() {
+        let (wall, _, flushed) = record(AgentMode::RoundRobin, 9, 0.5, TimeSource::Wall, None);
+        assert!(wall.wants_phase_timing());
+        let stats = wall.stats();
+        assert_eq!((stats.ticks, flushed), (20, 20), "every tick finalized on its Step phase");
+        assert!(stats.worst_ns > 0, "wall phases measured something");
+        let (modeled, _, _) = record(AgentMode::RoundRobin, 9, 0.5, TimeSource::Modeled, None);
+        let render = |r: &FlightRecorder| r.ring().iter().map(render_record).collect::<Vec<_>>();
+        assert_eq!(render(&wall), render(&modeled), "records carry modeled latencies");
+    }
+
+    #[test]
+    fn wall_source_accounts_the_partial_trapped_tick() {
+        let stuck_add = FaultModel::Permanent { op: Op::IAdd, mask: 1 };
+        let (rec, term, _) =
+            record(AgentMode::RoundRobin, 3, 1.0, TimeSource::Wall, Some(stuck_add));
+        assert!(term.is_hang_or_crash());
+        assert_eq!(rec.stats().ticks, rec.ticks() + 1, "the trapped tick's sense phase counts");
     }
 
     #[test]
     fn classification_precedence_is_stable() {
         use diverseav_agent::AgentError;
-        use diverseav_fabric::{Profile, Trap};
-        let mut rec = FlightRecorder::new();
+        use diverseav_fabric::Trap;
+        let mut rec = FlightRecorder::new("lead-slowdown", TimeSource::Modeled);
         rec.alarmed = true;
         rec.max_miss_streak = DEADLINE_BURST_TICKS + 1;
         rec.peak_score = 1.0;

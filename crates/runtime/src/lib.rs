@@ -11,8 +11,8 @@
 //! - **[`SimLoop`]** — the single loop body, generic over a
 //!   [`LoopDriver`] (the full [`Ads`](diverseav::Ads) stack, a bare
 //!   [`AgentDriver`], or a perfect-knowledge [`PolicyDriver`]), with
-//!   [`LoopObserver`] hooks (`on_tick` / `on_alarm` / `on_termination`)
-//!   for training collection, perf accounting, telemetry, and tracing.
+//!   [`LoopObserver`] hooks (`on_tick` / `on_phase` / `on_termination`)
+//!   for training collection, tick accounting, telemetry, and tracing.
 //! - **Zero-allocation steady state** — the loop owns a reusable
 //!   [`SensorFrame`](diverseav_simworld::SensorFrame) and captures via
 //!   [`World::capture_into`](diverseav_simworld::World::capture_into), so
@@ -27,14 +27,15 @@
 //!   [`FrameInjector`] installed on the loop corrupts the pooled frame
 //!   in place between the capture and the driver (the broadened,
 //!   component-agnostic fault model of ROADMAP item 5).
-//! - **[`profiling`]** — per-phase tick latency histograms and 40 Hz
-//!   (25 ms) deadline accounting via [`ProfilingObserver`], deterministic
-//!   by default (modeled time source) and wall-clock on request
-//!   (`DIVERSEAV_PROFILE=wall`).
-//! - **[`flight`]** — the per-run flight recorder: an always-on,
-//!   allocation-free [`FlightRecorder`] observer packing detector and
-//!   deadline telemetry into a fixed ring, drained into incident
-//!   artifacts when a run ends in an [`IncidentKind`].
+//! - **[`profiling`]** — the 40 Hz (25 ms) deadline, the per-run
+//!   [`DeadlineStats`] tally and the modeled tick cost model.
+//! - **[`flight`]** — the per-run tick ledger: one always-on,
+//!   allocation-free [`FlightRecorder`] observer that evaluates the cost
+//!   model once per tick and from it counts the run's ticks, records the
+//!   `tick.*` latency histograms and deadline tally (deterministic by
+//!   default, wall-clock on request with `DIVERSEAV_PROFILE=wall`), and
+//!   packs detector and deadline telemetry into a fixed ring, drained
+//!   into incident artifacts when a run ends in an [`IncidentKind`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,8 +48,8 @@ pub mod simloop;
 
 pub use flight::{FlightRecorder, IncidentKind, DEADLINE_BURST_TICKS, SILENT_SCORE_FLOOR};
 pub use inject::{FrameInjector, SensorFault, SensorFaultKind};
-pub use observers::{PerfObserver, TrainingCollector};
-pub use profiling::{DeadlineStats, ProfilingObserver, DEADLINE_NS};
+pub use observers::TrainingCollector;
+pub use profiling::{DeadlineStats, DEADLINE_NS};
 pub use simloop::{
     AgentDriver, LoopDriver, LoopObserver, LoopPhase, PolicyDriver, SimLoop, Termination,
     TickContext,

@@ -1,10 +1,11 @@
-//! Stock [`LoopObserver`] implementations: the
-//! bookkeeping that used to be copy-pasted into every hand-rolled loop.
+//! The stock training [`LoopObserver`]: the divergence-stream and
+//! actuation-trace bookkeeping that used to be copy-pasted into every
+//! hand-rolled loop. Tick counting and deadline accounting live in the
+//! per-run tick ledger, [`FlightRecorder`](crate::FlightRecorder).
 
-use crate::simloop::{LoopObserver, Termination, TickContext};
+use crate::simloop::{LoopObserver, TickContext};
 use diverseav::TrainSample;
-use diverseav_obs::metrics;
-use diverseav_simworld::{Controls, World};
+use diverseav_simworld::Controls;
 
 /// Records the divergence stream (detector training / offline sweeps)
 /// and the actuation + CVIP trace (Fig 2) — exactly what
@@ -43,45 +44,12 @@ impl LoopObserver for TrainingCollector {
     }
 }
 
-/// Counts ticks for throughput accounting.
-///
-/// Per-tick work is a local increment; the process-global
-/// `runtime.ticks` metrics counter is bumped once at termination, so the
-/// hot loop takes no locks. Campaign-level reports derive a
-/// `ticks_per_sec` figure by sampling the counter around a timed phase.
-#[derive(Default)]
-pub struct PerfObserver {
-    ticks: u64,
-}
-
-impl PerfObserver {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ticks observed so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-}
-
-impl LoopObserver for PerfObserver {
-    fn on_tick(&mut self, _ctx: &TickContext<'_>) {
-        self.ticks += 1;
-    }
-
-    fn on_termination(&mut self, _world: &World, _termination: &Termination) {
-        metrics::counter_add("runtime.ticks", self.ticks);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simloop::SimLoop;
     use diverseav::{Ads, AdsConfig, AgentMode};
-    use diverseav_simworld::{lead_slowdown, SensorConfig};
+    use diverseav_simworld::{lead_slowdown, SensorConfig, World};
 
     #[test]
     fn training_collector_matches_tick_count() {
@@ -90,14 +58,10 @@ mod tests {
         let world = World::new(scenario, SensorConfig::default(), 31);
         let ads = Ads::new(AdsConfig::for_mode(AgentMode::RoundRobin, 31));
         let mut collector = TrainingCollector::new(true, 64);
-        let mut perf = PerfObserver::new();
-        let before = metrics::counter_get("runtime.ticks");
-        SimLoop::new(world, ads).run_observed(&mut [&mut collector, &mut perf]);
+        SimLoop::new(world, ads).run_observed(&mut [&mut collector]);
         assert_eq!(collector.actuation.len(), 40, "one actuation sample per tick");
         // Round-robin produces a comparison pair from the second tick on.
         assert_eq!(collector.training.len(), 39);
-        assert_eq!(perf.ticks(), 40);
-        assert_eq!(metrics::counter_get("runtime.ticks") - before, 40);
     }
 
     #[test]

@@ -295,9 +295,6 @@ pub trait LoopObserver {
     /// Called after the driver produced `out`, before the world steps.
     fn on_tick(&mut self, _ctx: &TickContext<'_>) {}
 
-    /// Called on every tick whose [`TickOutput::alarm_raised`] is set.
-    fn on_alarm(&mut self, _t: f64) {}
-
     /// Called once when the loop ends, with the final world state.
     fn on_termination(&mut self, _world: &World, _termination: &Termination) {}
 
@@ -422,9 +419,6 @@ impl<D: LoopDriver> SimLoop<D> {
                             fault_active,
                             world: &self.world,
                         });
-                        if out.alarm_raised {
-                            obs.on_alarm(t_now);
-                        }
                     }
                     let t0 = timing.then(Instant::now);
                     let status = self.world.step(out.controls);

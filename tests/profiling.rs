@@ -25,6 +25,7 @@ struct ProfileSnapshot {
     hists: BTreeMap<String, HistSnapshot>,
     deadline_counters: BTreeMap<String, u64>,
     worst_gauges: BTreeMap<String, u64>,
+    runtime_ticks: u64,
 }
 
 fn profiled_fanout(threads: &str) -> ProfileSnapshot {
@@ -43,6 +44,7 @@ fn profiled_fanout(threads: &str) -> ProfileSnapshot {
     assert_eq!(outcomes.len(), cfgs.len());
     let snap = metrics::snapshot();
     ProfileSnapshot {
+        runtime_ticks: snap.counters.get("runtime.ticks").copied().unwrap_or(0),
         hists: snap.hists.into_iter().filter(|(k, _)| k.starts_with("tick.")).collect(),
         deadline_counters: snap
             .counters
@@ -75,6 +77,7 @@ fn modeled_profiles_are_bit_identical_across_thread_counts() {
     let ticks = seq.deadline_counters["deadline.ticks"];
     let misses = seq.deadline_counters["deadline.misses"];
     assert!(ticks > 0, "deadline accounting ran");
+    assert_eq!(seq.runtime_ticks, ticks, "the modeled tally accounts every recorded tick");
     assert!(misses > 0, "duplicate-mode runs miss the budget");
     assert!(misses < ticks, "round-robin runs hold the budget");
     assert_eq!(
