@@ -7,7 +7,11 @@ workload runs PAIRS base/change pairs; both sides of a pair use the same
 seed, and the side that runs first alternates from pair to pair. For every
 end-to-end metric it prints the base and change medians, the base runs'
 quartile spread (q3 - q1 as a share of the median) and a verdict against
-the metric's bound in BENCHMARK.json.
+the metric's bound in BENCHMARK.json: REGRESSED when the change median is
+worse than the base median by more than the bound; otherwise `unresolved`
+when the base spread alone exceeds the bound (the runs cannot tell a
+change of that size from noise) unless every change run beats every base
+run; otherwise `ok`.
 
     python3 ci/perf_gate.py BASE_CHECKOUT
 
@@ -69,15 +73,24 @@ def main():
         for metric in bench["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
             base = [r[name] for r in runs["base"]]
+            change = [r[name] for r in runs["change"]]
             was = statistics.median(base)
-            now = statistics.median(r[name] for r in runs["change"])
+            now = statistics.median(change)
             q1, _, q3 = statistics.quantiles(base, n=4)
             spread = (q3 - q1) / was if was else float("nan")
             delta = (now - was) / was if was else 0.0
             worse = -delta if metric["better"] == "higher" else delta
-            verdict = "REGRESSED" if worse > bound else "ok"
+            if metric["better"] == "higher":
+                beats_all = min(change) > max(base)
+            else:
+                beats_all = max(change) < min(base)
             if worse > bound:
+                verdict = "REGRESSED"
                 regressed.append(f"{workload} {name}")
+            elif spread > bound and not beats_all:
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
             print(f"{workload:<22} {name:<14} {was:>12.5g} {now:>12.5g} "
                   f"{delta:>+8.1%} {spread:>7.1%} {bound:>6.0%}  {verdict}", flush=True)
     if regressed:

@@ -16,12 +16,15 @@
 //!
 //! `--incidents PATH` additionally collects the per-shard flight-recorder
 //! sidecars (`SHARD.incidents.jsonl`, written next to each shard
-//! artifact) into one exactly-once merged incident document. A sidecar
-//! opens with its artifact's own manifest line, so every artifact given
-//! — every shard of every guided epoch — must present one complete
-//! sidecar with that manifest; every incident label on a run line must
-//! have exactly one payload in the artifact that owns the run, and any
-//! violation is the same exit-2 validation failure as a bad shard set.
+//! artifact) into one exactly-once merged incident document — the input
+//! of `diverseav-tracecheck --forensics`. A sidecar opens with its
+//! artifact's own manifest line, so every artifact given — every shard
+//! of every guided epoch — must present one complete sidecar with that
+//! manifest; every incident label on a run line must have exactly one
+//! payload (the run's key plus its flight ring) in the artifact that
+//! owns the run, and any violation is the same exit-2 validation failure
+//! as a bad shard set. Each document line joins a run line with its
+//! payload's ring.
 //!
 //! Guided campaigns (artifacts cut by `diverseav-shard --guided`) must
 //! be merged with a guided-aware flag: `--weighted` renders the

@@ -1,13 +1,13 @@
 //! Trace-analysis CLI over the `DIVERSEAV_TRACE` journal, the metrics
-//! snapshot, incident artifacts and guided-campaign reports.
+//! snapshot, merged incident documents and guided-campaign reports.
 //!
 //! ```text
 //! # analyze a traced run (summary + distributions, optional exports)
 //! diverseav-tracecheck --trace trace.jsonl [--metrics METRICS_campaigns.json]
 //!                      [--chrome trace_chrome.json]
 //!
-//! # flight-recorder forensics over an incident artifact (a shard
-//! # sidecar or a merged incident set); combines with --trace or alone
+//! # flight-recorder forensics over a merged incident document
+//! # (diverseav-merge --incidents); combines with --trace or alone
 //! diverseav-tracecheck --forensics INCIDENTS.jsonl
 //!
 //! # guided-campaign report: allocation table + ESS health, optional

@@ -146,7 +146,7 @@ pub fn guided_report_doc(merged: &[MergedCampaign], td: f64) -> Result<String, S
             m.manifest.fingerprint,
             g.epochs,
             g.epochs_done,
-            g.budget,
+            m.manifest.injected_runs,
             row.runs,
             row.ess,
             row.active,
@@ -280,13 +280,11 @@ mod tests {
             target: "GPU".to_string(),
             kind: "transient".to_string(),
             mode: "diverseav".to_string(),
-            profile_source: "modeled".to_string(),
             shard_index: 0,
             shard_count: 2,
             batch_size: 4,
             golden_runs: 1,
             injected_runs: 1,
-            assigned_runs: 1,
             guided: None,
         };
         let run = |kind: &'static str, index: usize, base: u64, collision: Option<f64>| ShardRun {
@@ -334,7 +332,6 @@ mod tests {
         m.manifest.guided = Some(GuidedManifest {
             epochs: 1,
             epoch: 0,
-            budget: 1,
             epoch_start: 0,
             epoch_runs: 1,
             prior_digest: 0,
@@ -344,7 +341,6 @@ mod tests {
         m.guided = Some(MergedGuided {
             epochs: 1,
             epochs_done: 1,
-            budget: 1,
             epoch_starts: vec![0],
             epoch_runs: vec![1],
         });

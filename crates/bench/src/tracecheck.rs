@@ -19,9 +19,8 @@
 //!   allocation table and effective-sample-size health, with
 //!   [`guided_expect_check`] holding its weighted Table-I cells against a
 //!   committed enumeration fixture.
-//! * [`forensics_report`] — the flight-recorder post-mortem over an
-//!   incident artifact (a shard sidecar, which opens with its shard's
-//!   `shard_manifest` line, or a merged incident set):
+//! * [`forensics_report`] — the flight-recorder post-mortem over a
+//!   merged incident document (`diverseav-merge --incidents`):
 //!   per-incident score-vs-threshold sparklines with onset and alarm
 //!   markers, a per-fault-class onset → detectable → alarm latency
 //!   decomposition, and never-alarmed incidents ranked by how close the
@@ -55,6 +54,7 @@ use diverseav_obs::json::{self, Value};
 use diverseav_obs::trace::Span;
 use diverseav_obs::FaultSite;
 use diverseav_runtime::SILENT_SCORE_FLOOR;
+use diverseav_simworld::TICK_HZ;
 use std::collections::BTreeMap;
 
 /// A parsed trace journal.
@@ -199,7 +199,10 @@ fn ascii_histogram(values: &[f64], bins: usize, unit: &str) -> String {
     out
 }
 
+/// Quantiles and a histogram of `values`; non-finite samples (a run
+/// line may carry any bit pattern, and `inf - inf` is NaN) are dropped.
 fn distribution_block(title: &str, unit: &str, mut values: Vec<f64>) -> String {
+    values.retain(|v| v.is_finite());
     values.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
     let mut out = format!("{title} ({} samples)\n", values.len());
     if values.is_empty() {
@@ -232,7 +235,6 @@ pub fn latency_report(runs: &[RunRecord]) -> String {
         .iter()
         .filter(|r| r.kind == "injected")
         .map(|r| r.div_peak.iter().copied().fold(0.0, f64::max))
-        .filter(|p| p.is_finite())
         .collect();
     let mut out = distribution_block("detection latency: alarm -> collision lead time", "s", lead);
     out.push('\n');
@@ -497,10 +499,6 @@ pub fn guided_expect_check(report: &Value, fixture: &Value) -> Result<Vec<String
 
 // -- flight-recorder forensics ----------------------------------------------
 
-/// Simulation tick rate — flight-record tick indices convert to seconds
-/// at this rate (the engine's fixed 40 Hz control loop).
-const TICK_HZ: f64 = 40.0;
-
 /// Sparkline width (ticks are bucketed into this many columns, keeping
 /// the per-bucket maximum score).
 const SPARK_WIDTH: usize = 64;
@@ -510,11 +508,12 @@ const SPARK_WIDTH: usize = 64;
 /// as `@`.
 const SPARK_RAMP: &[u8] = b" .:-=+*#%@";
 
-/// Parse an incidents JSONL document — a shard incident sidecar or a
-/// merged incident set. Header lines (a sidecar's `shard_manifest`, a
-/// merged set's `merged_incidents`) and footer lines are skipped; every
-/// `"type": "incident"` line must reconstruct. Returns per-line errors
-/// (`line N: <reason>`) like [`parse_trace`].
+/// Parse a merged incident document (`diverseav-merge --incidents`).
+/// Its `merged_incidents` header is skipped; every `"type": "incident"`
+/// line must reconstruct. A raw shard sidecar is refused: its payloads
+/// carry only a run key and a ring, so they need the merge to join them
+/// with their run lines. Returns per-line errors (`line N: <reason>`)
+/// like [`parse_trace`].
 pub fn parse_incidents(text: &str) -> Result<Vec<IncidentRecord>, Vec<String>> {
     let mut out = Vec::new();
     let mut errors = Vec::new();
@@ -530,8 +529,8 @@ pub fn parse_incidents(text: &str) -> Result<Vec<IncidentRecord>, Vec<String>> {
             }
         };
         let parsed = v.req_str("type").and_then(|ty| match ty.as_str() {
-            "incident" => IncidentRecord::parse(&v).map(|(_, rec)| out.push(rec)),
-            "shard_manifest" | "merged_incidents" | "incidents_done" => Ok(()),
+            "incident" => IncidentRecord::parse(&v).map(|rec| out.push(rec)),
+            "merged_incidents" => Ok(()),
             other => Err(format!("unknown type {other:?}")),
         });
         if let Err(e) = parsed {
@@ -901,6 +900,34 @@ mod tests {
         assert!(stub.contains("no sensor-fault runs"), "{stub}");
     }
 
+    /// Run lines carry any bit pattern: `+inf` alarm, collision and onset
+    /// times parse, and their NaN differences are dropped, not sorted.
+    #[test]
+    fn infinite_times_are_dropped_from_both_latency_reports() {
+        let trace = parse_trace(&sample()).unwrap();
+        let inf = f64::INFINITY;
+        let mut runs = trace.runs.clone();
+        for (index, r) in [(4, &trace.runs[1]), (5, &trace.runs[2])] {
+            runs.push(RunRecord {
+                index,
+                collision_time: Some(inf),
+                alarm_time: Some(inf),
+                fault_onset_time: r.fault_onset_time.map(|_| inf),
+                ..r.clone()
+            });
+            runs.push(RunRecord { index: index + 2, ..runs.last().unwrap().clone() });
+        }
+        let journal: String = runs.iter().map(|r| r.render_journal_line() + "\n").collect();
+        let runs = parse_trace(&journal).expect("infinite times parse").runs;
+        assert_eq!(runs.len(), 8);
+        let report = latency_report(&runs);
+        assert!(report.contains("lead time (1 samples)"), "{report}");
+        assert!(report.contains("p50 2.500 s"), "{report}");
+        let report = sensor_latency_report(&runs);
+        assert!(report.contains("onset -> alarm latency (1 samples)"), "{report}");
+        assert!(report.contains("p50 0.750 s"), "{report}");
+    }
+
     #[test]
     fn parse_errors_carry_line_numbers() {
         let errs = parse_trace("{\"type\": \"run\"}\nnot json\n").unwrap_err();
@@ -1052,17 +1079,23 @@ mod tests {
     fn parse_incidents_skips_framing_and_flags_garbage() {
         let rec = synthetic_incident(0, "dropout", 8, true);
         let doc = format!(
-            "{}\n{}\n{}\n",
+            "{}\n{}\n",
             "{\"type\": \"merged_incidents\", \"incidents\": 1}",
             rec.render_merged(),
-            "{\"type\": \"incidents_done\", \"incidents\": 1}",
         );
-        let parsed = parse_incidents(&doc).expect("framing lines are skipped");
+        let parsed = parse_incidents(&doc).expect("the header line is skipped");
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].render_merged(), rec.render_merged());
-        let sidecar = doc.replace("merged_incidents", "shard_manifest");
-        let parsed = parse_incidents(&sidecar).expect("a sidecar's shard manifest is skipped");
-        assert_eq!(parsed.len(), 1);
+        // A raw sidecar is not a merged document: its framing and its
+        // payload lines (a run key plus a ring) are refused.
+        let sidecar = format!(
+            "{}\n{}\n{}\n",
+            "{\"type\": \"shard_manifest\"}",
+            "{\"type\": \"incident\", \"batch\": 0, \"kind\": \"injected\", \"index\": 0, \"flight\": []}",
+            "{\"type\": \"incidents_done\"}",
+        );
+        let errs = parse_incidents(&sidecar).expect_err("a raw sidecar is refused");
+        assert_eq!(errs.len(), 3, "{errs:?}");
 
         let errs = parse_incidents("{\"type\": \"mystery\"}\nnot json\n").unwrap_err();
         assert_eq!(errs.len(), 2, "{errs:?}");

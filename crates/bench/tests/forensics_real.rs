@@ -11,8 +11,8 @@ use diverseav_bench::experiments::BEST_RW;
 use diverseav_bench::tracecheck::{forensics_report, parse_incidents};
 use diverseav_fabric::Profile;
 use diverseav_faultinj::{
-    collect_training_runs, run_campaign_cached, Campaign, CampaignScale, FaultModelKind,
-    IncidentRecord, SensorFaultKind,
+    collect_training_runs, run_campaign_cached, run_record, Campaign, CampaignScale,
+    FaultModelKind, IncidentRecord, SensorFaultKind,
 };
 use diverseav_obs::flight::FLIGHT_SCHEMA_VERSION;
 use diverseav_simworld::{ScenarioKind, SensorConfig};
@@ -59,10 +59,11 @@ fn forensics_decomposes_every_sensor_fault_class_on_a_real_campaign() {
             false,
             None,
         );
-        let before = incidents.len();
+        let (before, label) = (incidents.len(), campaign.to_string());
         for (kind, runs) in [("golden", &r.golden), ("injected", &r.injected)] {
             for (i, run) in runs.iter().enumerate() {
-                incidents.extend(IncidentRecord::from_result(kind, i, run));
+                let record = run_record(&label, kind, i, run);
+                incidents.extend(IncidentRecord::new(&record, run.flight.clone()));
             }
         }
         assert!(

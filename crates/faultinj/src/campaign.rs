@@ -16,7 +16,7 @@ use crate::shard::{unit_shard, GuidedShardSpec, ShardError, ShardSpec};
 use diverseav::{AgentMode, DetectorConfig, DetectorModel, TrainSample};
 use diverseav_fabric::Profile;
 use diverseav_obs::{journal, metrics, trace};
-use diverseav_simworld::{long_route, Scenario, ScenarioKind, SensorConfig, TrajPoint};
+use diverseav_simworld::{long_route, splitmix64, Scenario, ScenarioKind, SensorConfig, TrajPoint};
 use std::fmt;
 use std::time::Instant;
 
@@ -437,15 +437,6 @@ pub fn plan_seed(campaign: &Campaign) -> u64 {
         seed = splitmix64(seed ^ code);
     }
     seed
-}
-
-/// SplitMix64 finalizer: one bijective, well-mixing step. Shared with
-/// the shard partitioner, whose per-unit hashing reuses this mix.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Build the scenario for a campaign at the given scale.

@@ -30,12 +30,13 @@
 //! are therefore bit-identical for any `DIVERSEAV_THREADS` and any
 //! shard/kill/resume mix, exactly like uniform ones.
 
-use crate::campaign::{plan_seed, splitmix64, Campaign, CampaignScale};
+use crate::campaign::{plan_seed, Campaign, CampaignScale};
 use crate::plan::{op_class, stratum_seed, FaultModelKind, OP_CLASS_LABELS};
 use crate::runner::{FaultSpec, RunResult};
 use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_obs::json;
 use diverseav_runtime::{SensorFault, SensorFaultKind};
+use diverseav_simworld::splitmix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;

@@ -4,10 +4,10 @@
 //! extension (ROADMAP item 5) adds per-class [`SensorFaultKind`] plan
 //! dimensions alongside the register-flip campaigns.
 
-use crate::campaign::splitmix64;
 use crate::runner::{FaultSpec, RunResult};
 use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_runtime::{SensorFault, SensorFaultKind};
+use diverseav_simworld::splitmix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -19,9 +19,11 @@
 //!   to a versioned JSONL artifact and its incident sidecar. Each batch
 //!   commits atomically (runs first, then a batch marker with cumulative
 //!   metrics); an interrupted shard resumes at its last committed batch,
-//!   and the finished artifact is byte-identical to an uninterrupted run.
-//!   A checkpoint from another configuration is refused, before the
-//!   profiling run when the difference does not depend on it.
+//!   and the finished artifact is byte-identical to an uninterrupted run:
+//!   both files hold only what the seeds determine, so their bytes do not
+//!   depend on the thread count or the wall clock either. A checkpoint
+//!   from another configuration is refused, and a finished one adopted,
+//!   before the profiling run when the difference does not depend on it.
 //! * **Merger** — [`merge_artifacts`] validates a set of shard artifacts
 //!   (schema version, campaign fingerprint, exactly-once coverage, no
 //!   gaps, no overlap) and reassembles the campaign: run results in
@@ -37,23 +39,23 @@
 //! [`IncidentKind`](diverseav_runtime::IncidentKind)) additionally flush
 //! their flight recording into an **incident sidecar** next to the shard
 //! artifact ([`incident_sidecar_path`]): the artifact's own
-//! [`ShardManifest`] line, byte for byte, then one [`IncidentRecord`]
-//! line per incident, committed at the same batch cadence as the main
-//! artifact (sidecar lines land *before* the batch marker, so a kill
-//! never commits a batch whose incident payloads are missing). The run
-//! line itself carries only the incident label; [`collect_incidents`]
-//! pairs each merged artifact with the one sidecar whose manifest equals
-//! its own — exactly once over (epoch, shard) — and validates the
-//! payloads against those labels exactly once.
+//! [`ShardManifest`] line, byte for byte, then one [`IncidentPayload`]
+//! line per incident — the run's key and its drained ring, nothing the
+//! run line already says — committed at the same batch cadence as the
+//! main artifact (sidecar lines land *before* the batch marker, so a
+//! kill never commits a batch whose incident payloads are missing). The
+//! run line carries the incident label; [`collect_incidents`] pairs each
+//! merged artifact with the one sidecar whose manifest equals its own —
+//! exactly once over (epoch, shard) — and joins each labelled run with
+//! exactly one payload into an [`IncidentRecord`].
 //!
 //! [`run_campaign_cached`]: crate::campaign::run_campaign_cached
 
 use crate::cache::sensor_fingerprint;
 use crate::campaign::{
-    plan_seed, scenario_for, splitmix64, unit_config, Campaign, CampaignScale, Cut, RunUnit,
-    TableRow,
+    plan_seed, scenario_for, unit_config, Campaign, CampaignScale, Cut, RunUnit, TableRow,
 };
-use crate::exec::{par_map, thread_count};
+use crate::exec::par_map;
 use crate::guided::{ess, is_safety_critical, EpochSummary, WeightedRow};
 use crate::outcome::{mean_trajectory, Tally};
 use crate::record::{run_record, RunRecord};
@@ -62,13 +64,12 @@ use diverseav_obs::flight::{self, TickRecord};
 use diverseav_obs::json::{self, Value};
 use diverseav_obs::{metrics, profile, HistSnapshot, TimeSource};
 use diverseav_runtime::DeadlineStats;
-use diverseav_simworld::{Scenario, SensorConfig, TrajPoint};
+use diverseav_simworld::{splitmix64, Scenario, SensorConfig, TrajPoint};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Version stamped into every shard artifact; bumped whenever the line
 /// format changes incompatibly. The merger refuses other versions.
@@ -79,7 +80,11 @@ use std::time::Instant;
 /// v5 made run lines the shard framing of [`RunRecord`]: `div_peak`
 /// added, `seed` and a fault site's `cycle` written as decimal strings.
 /// v6: the incident sidecar opens with the shard manifest.
-pub const SHARD_SCHEMA_VERSION: u32 = 6;
+/// v7: only seed-determined members — `shard_batch` lost `wall_secs` and
+/// `threads`, the manifest `profile_source`, `assigned_runs` and the
+/// guided `budget`, the footers their counts — and a sidecar payload is
+/// its run's key plus its flight ring ([`IncidentPayload`]).
+pub const SHARD_SCHEMA_VERSION: u32 = 7;
 
 // Sidecar payloads are flight records, so the flight encoding is part of
 // the shard schema: a flight-codec change must bump the shard schema too.
@@ -177,14 +182,6 @@ pub fn guided_fingerprint(
     epochs: usize,
 ) -> u64 {
     splitmix64(campaign_fingerprint(campaign, scale, sensor) ^ (0x6D1D + epochs as u64))
-}
-
-/// Label of the active profiling time source, recorded in the manifest.
-fn profile_source_label() -> &'static str {
-    match profile::source() {
-        TimeSource::Modeled => "modeled",
-        TimeSource::Wall => "wall",
-    }
 }
 
 /// Which shard of how many.
@@ -435,8 +432,6 @@ pub struct ShardManifest {
     pub kind: String,
     /// Agent mode label.
     pub mode: String,
-    /// Profiling time source active when the shard ran.
-    pub profile_source: String,
     /// This shard's index.
     pub shard_index: usize,
     /// Total shard count.
@@ -448,8 +443,6 @@ pub struct ShardManifest {
     /// Injected runs in the whole campaign (the plan length; for guided
     /// campaigns the full multi-epoch budget).
     pub injected_runs: usize,
-    /// Units assigned to this shard by the partitioner.
-    pub assigned_runs: usize,
     /// Guided-campaign epoch identity (`None` for uniform enumeration).
     pub guided: Option<GuidedManifest>,
 }
@@ -465,8 +458,6 @@ pub struct GuidedManifest {
     pub epochs: usize,
     /// This artifact's epoch (`0..epochs`).
     pub epoch: usize,
-    /// Total injected-run budget over all epochs.
-    pub budget: usize,
     /// Global injected index at which this epoch starts.
     pub epoch_start: usize,
     /// Injected runs in this epoch.
@@ -479,14 +470,9 @@ pub struct GuidedManifest {
 impl GuidedManifest {
     fn render(&self) -> String {
         format!(
-            "{{\"epochs\": {}, \"epoch\": {}, \"budget\": {}, \"epoch_start\": {}, \
-             \"epoch_runs\": {}, \"prior_digest\": \"{:016x}\"}}",
-            self.epochs,
-            self.epoch,
-            self.budget,
-            self.epoch_start,
-            self.epoch_runs,
-            self.prior_digest,
+            "{{\"epochs\": {}, \"epoch\": {}, \"epoch_start\": {}, \"epoch_runs\": {}, \
+             \"prior_digest\": \"{:016x}\"}}",
+            self.epochs, self.epoch, self.epoch_start, self.epoch_runs, self.prior_digest,
         )
     }
 
@@ -494,7 +480,6 @@ impl GuidedManifest {
         Ok(GuidedManifest {
             epochs: v.req_usize("epochs")?,
             epoch: v.req_usize("epoch")?,
-            budget: v.req_usize("budget")?,
             epoch_start: v.req_usize("epoch_start")?,
             epoch_runs: v.req_usize("epoch_runs")?,
             prior_digest: v.req_hex64("prior_digest")?,
@@ -504,20 +489,18 @@ impl GuidedManifest {
 
 impl ShardManifest {
     /// The manifest with the members the profiling pass determines
-    /// zeroed: `injected_runs`, `assigned_runs` and the guided epoch plan
-    /// (`budget`, `epoch_start`, `epoch_runs`).
+    /// zeroed: `injected_runs` and the guided epoch plan (`epoch_start`,
+    /// `epoch_runs`).
     fn config_part(&self) -> ShardManifest {
-        let plan =
-            |g: GuidedManifest| GuidedManifest { budget: 0, epoch_start: 0, epoch_runs: 0, ..g };
-        let guided = self.guided.map(plan);
-        ShardManifest { injected_runs: 0, assigned_runs: 0, guided, ..self.clone() }
+        let plan = |g: GuidedManifest| GuidedManifest { epoch_start: 0, epoch_runs: 0, ..g };
+        ShardManifest { injected_runs: 0, guided: self.guided.map(plan), ..self.clone() }
     }
 
     /// The manifest with the members that tell one artifact of a
-    /// campaign from another zeroed: `shard_index`, `batch_size`,
-    /// `assigned_runs` and the guided epoch's own members (`epoch`,
-    /// `epoch_start`, `epoch_runs`, `prior_digest`). Every artifact of
-    /// one campaign has the same campaign part.
+    /// campaign from another zeroed: `shard_index`, `batch_size` and the
+    /// guided epoch's own members (`epoch`, `epoch_start`, `epoch_runs`,
+    /// `prior_digest`). Every artifact of one campaign has the same
+    /// campaign part.
     fn campaign_part(&self) -> ShardManifest {
         let epoch = |g: GuidedManifest| GuidedManifest {
             epoch: 0,
@@ -527,7 +510,7 @@ impl ShardManifest {
             ..g
         };
         let guided = self.guided.map(epoch);
-        ShardManifest { shard_index: 0, batch_size: 0, assigned_runs: 0, guided, ..self.clone() }
+        ShardManifest { shard_index: 0, batch_size: 0, guided, ..self.clone() }
     }
 
     /// Whether the artifact with this manifest may hold `unit`: the one
@@ -564,9 +547,8 @@ impl ShardManifest {
              \"fingerprint\": \"{:016x}\", \"plan_seed\": \"{:016x}\", \
              \"campaign\": \"{}\", \"scenario\": \"{}\", \"scenario_name\": \"{}\", \
              \"target\": \"{}\", \"kind\": \"{}\", \"mode\": \"{}\", \
-             \"profile_source\": \"{}\", \"shard_index\": {}, \"shard_count\": {}, \
-             \"batch_size\": {}, \"golden_runs\": {}, \"injected_runs\": {}, \
-             \"assigned_runs\": {}, \"guided\": {}}}",
+             \"shard_index\": {}, \"shard_count\": {}, \"batch_size\": {}, \
+             \"golden_runs\": {}, \"injected_runs\": {}, \"guided\": {}}}",
             self.schema_version,
             self.fingerprint,
             self.plan_seed,
@@ -576,13 +558,11 @@ impl ShardManifest {
             json::escape(&self.target),
             json::escape(&self.kind),
             json::escape(&self.mode),
-            json::escape(&self.profile_source),
             self.shard_index,
             self.shard_count,
             self.batch_size,
             self.golden_runs,
             self.injected_runs,
-            self.assigned_runs,
             self.guided.as_ref().map(GuidedManifest::render).unwrap_or_else(|| "null".to_string()),
         )
     }
@@ -610,13 +590,11 @@ impl ShardManifest {
             target: v.req_str("target")?,
             kind: v.req_str("kind")?,
             mode: v.req_str("mode")?,
-            profile_source: v.req_str("profile_source")?,
             shard_index: v.req_usize("shard_index")?,
             shard_count: v.req_usize("shard_count")?,
             batch_size: v.req_usize("batch_size")?,
             golden_runs: v.req_usize("golden_runs")?,
             injected_runs: v.req_usize("injected_runs")?,
-            assigned_runs: v.req_usize("assigned_runs")?,
             guided: v.opt_with("guided", GuidedManifest::parse)?,
         })
     }
@@ -627,11 +605,6 @@ impl ShardManifest {
 pub struct BatchMark {
     /// Batch index (sequential from 0).
     pub batch: usize,
-    /// Wall-clock seconds this batch took (informational; excluded from
-    /// all bit-exactness guarantees).
-    pub wall_secs: f64,
-    /// Worker threads used.
-    pub threads: usize,
     /// Cumulative [`MetricsSlice`] of all batches up to and including
     /// this one.
     pub metrics: MetricsSlice,
@@ -639,12 +612,7 @@ pub struct BatchMark {
 
 impl BatchMark {
     fn parse(v: &Value) -> Result<BatchMark, String> {
-        Ok(BatchMark {
-            batch: v.req_usize("batch")?,
-            wall_secs: v.req_num("wall_secs")?,
-            threads: v.req_usize("threads")?,
-            metrics: MetricsSlice::parse_fields(v)?,
-        })
+        Ok(BatchMark { batch: v.req_usize("batch")?, metrics: MetricsSlice::parse_fields(v)? })
     }
 }
 
@@ -733,16 +701,59 @@ pub fn incident_sidecar_path(artifact: &Path) -> PathBuf {
     artifact.with_extension("incidents.jsonl")
 }
 
-/// One incident's flushed flight recording, flattened for the sidecar:
-/// enough run identity to join it back to its shard-run line, the
-/// detection timeline inputs forensics needs, and the drained ring.
+/// The `"flight"` member of an incident line: a drained ring, oldest
+/// record first.
+fn render_flight(ring: &[TickRecord]) -> String {
+    ring.iter().map(flight::render_record).collect::<Vec<_>>().join(", ")
+}
+
+/// Parse the `"flight"` member [`render_flight`] wrote.
+fn parse_flight(v: &Value) -> Result<Vec<TickRecord>, String> {
+    v.req_arr("flight")?.iter().map(flight::parse_record).collect()
+}
+
+/// One incident as a sidecar line carries it: the run's key and its
+/// drained flight ring. Everything else about the run is on its run line.
+#[derive(Clone, Debug, PartialEq)]
+pub struct IncidentPayload {
+    /// The run the ring was drained from.
+    pub unit: RunUnit,
+    /// The drained flight ring, oldest record first.
+    pub flight: Vec<TickRecord>,
+}
+
+impl IncidentPayload {
+    /// Render as one sidecar line within batch `batch`.
+    pub fn render_line(&self, batch: usize) -> String {
+        format!(
+            "{{\"type\": \"incident\", \"batch\": {batch}, \"kind\": \"{}\", \"index\": {}, \
+             \"flight\": [{}]}}",
+            self.unit.kind(),
+            self.unit.index(),
+            render_flight(&self.flight),
+        )
+    }
+
+    /// Parse a line rendered by [`Self::render_line`]; returns
+    /// `(batch, payload)`.
+    pub fn parse(v: &Value) -> Result<(usize, IncidentPayload), String> {
+        let kind = v.req_str("kind")?;
+        let index = v.req_usize("index")?;
+        let unit = RunUnit::from_kind(&kind, index)
+            .ok_or_else(|| format!("unknown incident run kind {kind:?}"))?;
+        Ok((v.req_usize("batch")?, IncidentPayload { unit, flight: parse_flight(v)? }))
+    }
+}
+
+/// One incident of a merged campaign: its run's identity and detection
+/// timeline — what forensics reads — plus the drained flight ring.
 #[derive(Clone, Debug, PartialEq)]
 pub struct IncidentRecord {
     /// `"golden"` or `"injected"`.
     pub kind: String,
     /// Engine index within its kind.
     pub index: usize,
-    /// The run seed (validated against the engine's seed law on merge).
+    /// The run seed.
     pub seed: u64,
     /// [`IncidentKind`](diverseav_runtime::IncidentKind) label.
     pub incident: String,
@@ -758,30 +769,27 @@ pub struct IncidentRecord {
 }
 
 impl IncidentRecord {
-    /// Flatten a live [`RunResult`]'s incident, if it had one.
-    pub fn from_result(kind: &str, index: usize, r: &RunResult) -> Option<IncidentRecord> {
-        let incident = r.incident?;
-        // A sensor site's class is its class label (`op`), a fabric
-        // site's its register fault model.
-        let fault_class = r.fault.map(|f| f.site().class().to_string());
+    /// The incident of `run`, whose drained flight ring is `flight`;
+    /// `None` when the run names no incident.
+    pub fn new(run: &RunRecord, flight: Vec<TickRecord>) -> Option<IncidentRecord> {
         Some(IncidentRecord {
-            kind: kind.to_string(),
-            index,
-            seed: r.seed,
-            incident: incident.label().to_string(),
-            fault_class,
-            fault_onset_time: r.fault_onset_time,
-            alarm_time: r.alarm_time,
-            flight: r.flight.clone(),
+            kind: run.kind.to_string(),
+            index: run.index,
+            seed: run.seed,
+            incident: run.incident.clone()?,
+            fault_class: run.fault.as_ref().map(|f| f.class().to_string()),
+            fault_onset_time: run.fault_onset_time,
+            alarm_time: run.alarm_time,
+            flight,
         })
     }
 
-    fn render_fields(&self) -> String {
-        let records: Vec<String> = self.flight.iter().map(flight::render_record).collect();
+    /// Render as one line of a merged incident document.
+    pub fn render_merged(&self) -> String {
         format!(
-            "\"kind\": \"{}\", \"index\": {}, \"seed\": {}, \"incident\": \"{}\", \
-             \"fault_class\": {}, \"fault_onset_time\": {}, \"alarm_time\": {}, \
-             \"flight\": [{}]",
+            "{{\"type\": \"incident\", \"kind\": \"{}\", \"index\": {}, \"seed\": {}, \
+             \"incident\": \"{}\", \"fault_class\": {}, \"fault_onset_time\": {}, \
+             \"alarm_time\": {}, \"flight\": [{}]}}",
             json::escape(&self.kind),
             self.index,
             self.seed,
@@ -789,43 +797,22 @@ impl IncidentRecord {
             json::opt_str(self.fault_class.as_deref()),
             json::opt_f64_bits(self.fault_onset_time),
             json::opt_f64_bits(self.alarm_time),
-            records.join(", "),
+            render_flight(&self.flight),
         )
     }
 
-    /// Render as one sidecar line within batch `batch`.
-    pub fn render_line(&self, batch: usize) -> String {
-        format!("{{\"type\": \"incident\", \"batch\": {batch}, {}}}", self.render_fields())
-    }
-
-    /// Render without the shard-local batch tag (merged incident sets).
-    pub fn render_merged(&self) -> String {
-        format!("{{\"type\": \"incident\", {}}}", self.render_fields())
-    }
-
-    /// Parse a line rendered by [`Self::render_line`] or
-    /// [`Self::render_merged`]; returns `(batch, record)` with batch 0
-    /// for merged lines.
-    pub fn parse(v: &Value) -> Result<(usize, IncidentRecord), String> {
-        let batch = if v.get("batch").is_some() { v.req_usize("batch")? } else { 0 };
-        let arr = v.req_arr("flight")?;
-        let mut records = Vec::with_capacity(arr.len());
-        for rv in arr {
-            records.push(flight::parse_record(rv)?);
-        }
-        Ok((
-            batch,
-            IncidentRecord {
-                kind: v.req_str("kind")?,
-                index: v.req_usize("index")?,
-                seed: v.req_u64("seed")?,
-                incident: v.req_str("incident")?,
-                fault_class: v.opt_str_member("fault_class")?,
-                fault_onset_time: v.opt_f64_bits_member("fault_onset_time")?,
-                alarm_time: v.opt_f64_bits_member("alarm_time")?,
-                flight: records,
-            },
-        ))
+    /// Parse a line rendered by [`Self::render_merged`].
+    pub fn parse(v: &Value) -> Result<IncidentRecord, String> {
+        Ok(IncidentRecord {
+            kind: v.req_str("kind")?,
+            index: v.req_usize("index")?,
+            seed: v.req_u64("seed")?,
+            incident: v.req_str("incident")?,
+            fault_class: v.opt_str_member("fault_class")?,
+            fault_onset_time: v.opt_f64_bits_member("fault_onset_time")?,
+            alarm_time: v.opt_f64_bits_member("alarm_time")?,
+            flight: parse_flight(v)?,
+        })
     }
 }
 
@@ -835,8 +822,8 @@ pub struct IncidentArtifact {
     /// The manifest line: its shard artifact's own manifest, which
     /// [`collect_incidents`] and the resume path match in full.
     pub manifest: ShardManifest,
-    /// `(batch, record)` pairs in file order.
-    pub records: Vec<(usize, IncidentRecord)>,
+    /// `(batch, payload)` pairs in file order.
+    pub records: Vec<(usize, IncidentPayload)>,
     /// Whether the `incidents_done` footer was present.
     pub complete: bool,
 }
@@ -858,7 +845,7 @@ pub fn parse_incident_artifact(text: &str) -> Result<IncidentArtifact, ShardErro
         let Ok(v) = json::parse(line) else { break };
         match v.req_str("type").as_deref() {
             Ok("incident") => {
-                let Ok(pair) = IncidentRecord::parse(&v) else { break };
+                let Ok(pair) = IncidentPayload::parse(&v) else { break };
                 records.push(pair);
             }
             Ok("incidents_done") => {
@@ -892,7 +879,6 @@ fn shard_manifest(cfg: &ShardConfig, scenario: &Scenario, cut: Option<&Cut>) -> 
     let guided = cfg.guided.as_ref().map(|g| GuidedManifest {
         epochs: g.epochs.max(1),
         epoch: g.epoch,
-        budget: cut.map_or(0, |c| c.campaign_injected),
         epoch_start: cut.map_or(0, |c| c.injected_base),
         epoch_runs: cut.map_or(0, |c| c.plan.len()),
         prior_digest: g.prior.as_ref().map_or(0, EpochSummary::digest),
@@ -911,13 +897,11 @@ fn shard_manifest(cfg: &ShardConfig, scenario: &Scenario, cut: Option<&Cut>) -> 
         target: cfg.campaign.target.to_string(),
         kind: cfg.campaign.kind.label().to_string(),
         mode: cfg.campaign.mode.to_string(),
-        profile_source: profile_source_label().to_string(),
         shard_index: cfg.spec.index,
         shard_count: cfg.spec.count,
         batch_size: cfg.batch_size.max(1),
         golden_runs: cfg.scale.golden_runs.max(1),
         injected_runs: cut.map_or(0, |c| c.campaign_injected),
-        assigned_runs: cut.map_or(0, |c| c.units.len()),
         guided,
     }
 }
@@ -959,7 +943,9 @@ pub fn execute_shard(cfg: &ShardConfig, path: &Path) -> Result<ShardStatus, Shar
 /// rewritten, so a kill at any byte offset resumes to the same bytes. A
 /// torn manifest line (killed inside the very first write) restarts the
 /// shard. An artifact from a *different* configuration (any manifest
-/// field differs) is refused, never overwritten.
+/// field differs) is refused, never overwritten. A complete checkpoint
+/// of this configuration is adopted without the profiling run: the
+/// members that run determines are the merge's to validate.
 pub fn execute_shard_limited(
     cfg: &ShardConfig,
     path: &Path,
@@ -976,8 +962,8 @@ pub fn execute_shard_limited(
     };
 
     // Read the checkpoint before profiling: one whose manifest differs in
-    // a member the profiling pass does not determine is refused without
-    // paying for that simulation run.
+    // a member the profiling pass does not determine is refused, and a
+    // complete one adopted, without paying for that simulation run.
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
@@ -987,6 +973,20 @@ pub fn execute_shard_limited(
     if let Ok(art) = &checkpoint {
         if art.manifest.config_part() != shard_manifest(cfg, &scenario, None) {
             return Err(refuse());
+        }
+        if art.complete {
+            let committed = line_prefix_len(&text, art.committed_lines);
+            if committed != text.len() || !text.ends_with('\n') {
+                reopen_committed(path, &text, committed)?;
+            }
+            let batches = art.batches.len();
+            return Ok(ShardStatus {
+                total_batches: batches,
+                resumed_batches: batches,
+                executed_batches: 0,
+                assigned_runs: art.runs.len(),
+                complete: true,
+            });
         }
     }
 
@@ -1041,16 +1041,9 @@ pub fn execute_shard_limited(
         if art.manifest != manifest {
             return Err(refuse());
         }
-        let committed = line_prefix_len(&text, art.committed_lines);
-        if art.complete {
-            if committed != text.len() || !text.ends_with('\n') {
-                reopen_committed(path, &text, committed)?;
-            }
-            return Ok(status(art.batches.len(), 0, true));
-        }
         done_batches = art.batches.len();
         cumulative = art.metrics();
-        reopen_committed(path, &text, committed)?
+        reopen_committed(path, &text, line_prefix_len(&text, art.committed_lines))?
     };
 
     // The incident sidecar resumes in lockstep with the main artifact:
@@ -1062,7 +1055,6 @@ pub fn execute_shard_limited(
     // (the guided epoch and its plan included) cannot be resumed — its
     // incident payloads are gone.
     let inc_path = incident_sidecar_path(path);
-    let mut incident_count = 0usize;
     let mut inc_file = if done_batches == 0 {
         let mut inc_file = fs::File::create(&inc_path)?;
         inc_file.write_all(manifest_line.as_bytes())?;
@@ -1085,11 +1077,10 @@ pub fn execute_shard_limited(
                 inc_path.display()
             )));
         }
-        incident_count = art.records.iter().take_while(|(b, _)| *b < done_batches).count();
-        reopen_committed(&inc_path, &text, line_prefix_len(&text, 1 + incident_count))?
+        let kept = art.records.iter().take_while(|(b, _)| *b < done_batches).count();
+        reopen_committed(&inc_path, &text, line_prefix_len(&text, 1 + kept))?
     };
 
-    let threads = thread_count();
     let mut executed = 0usize;
     for (b, chunk) in units.chunks(batch_size).enumerate().skip(done_batches) {
         if let Some(cap) = max_new_batches {
@@ -1097,16 +1088,16 @@ pub fn execute_shard_limited(
                 return Ok(status(done_batches, executed, false));
             }
         }
-        let wall = Instant::now();
         let before = MetricsSlice::capture();
         let flatten = |unit: RunUnit, r: &RunResult| {
-            let (kind, i) = (unit.kind(), unit.index());
-            (run_record(&manifest.campaign, kind, i, r), IncidentRecord::from_result(kind, i, r))
+            let payload = r.incident.map(|_| IncidentPayload { unit, flight: r.flight.clone() });
+            (run_record(&manifest.campaign, unit.kind(), unit.index(), r), payload)
         };
-        let results: Vec<(ShardRun, Option<IncidentRecord>)> = par_map(chunk, |&unit| match unit {
-            RunUnit::Golden(0) => flatten(unit, &profile_run),
-            _ => flatten(unit, &run_experiment(&cut.config(unit))),
-        });
+        let results: Vec<(RunRecord, Option<IncidentPayload>)> =
+            par_map(chunk, |&unit| match unit {
+                RunUnit::Golden(0) => flatten(unit, &profile_run),
+                _ => flatten(unit, &run_experiment(&cut.config(unit))),
+            });
         let after = MetricsSlice::capture();
         let mut batch_delta = after.delta(&before);
         if chunk.contains(&RunUnit::Golden(0)) {
@@ -1118,12 +1109,9 @@ pub fn execute_shard_limited(
         // the two re-runs the batch and truncates the orphaned payloads,
         // never the reverse (a committed batch missing its payloads).
         let mut inc_out = String::new();
-        for (_, inc) in &results {
-            if let Some(rec) = inc {
-                inc_out.push_str(&rec.render_line(b));
-                inc_out.push('\n');
-                incident_count += 1;
-            }
+        for payload in results.iter().filter_map(|(_, p)| p.as_ref()) {
+            inc_out.push_str(&payload.render_line(b));
+            inc_out.push('\n');
         }
         if !inc_out.is_empty() {
             inc_file.write_all(inc_out.as_bytes())?;
@@ -1135,26 +1123,16 @@ pub fn execute_shard_limited(
             out.push('\n');
         }
         out.push_str(&format!(
-            "{{\"type\": \"shard_batch\", \"batch\": {}, \"wall_secs\": {}, \
-             \"threads\": {}, {}}}\n",
-            b,
-            json::num(wall.elapsed().as_secs_f64()),
-            threads,
+            "{{\"type\": \"shard_batch\", \"batch\": {b}, {}}}\n",
             cumulative.render_fields()
         ));
         file.write_all(out.as_bytes())?;
         file.flush()?;
         executed += 1;
     }
-    let inc_footer = format!("{{\"type\": \"incidents_done\", \"incidents\": {incident_count}}}\n");
-    inc_file.write_all(inc_footer.as_bytes())?;
+    inc_file.write_all(b"{\"type\": \"incidents_done\"}\n")?;
     inc_file.flush()?;
-    let footer = format!(
-        "{{\"type\": \"shard_done\", \"batches\": {}, \"runs\": {}}}\n",
-        total_batches,
-        units.len()
-    );
-    file.write_all(footer.as_bytes())?;
+    file.write_all(b"{\"type\": \"shard_done\"}\n")?;
     file.flush()?;
     Ok(status(done_batches, executed, true))
 }
@@ -1167,8 +1145,6 @@ pub struct MergedGuided {
     /// Contiguous epochs actually merged (`epochs` for a full merge; a
     /// prefix while the campaign is still being driven epoch by epoch).
     pub epochs_done: usize,
-    /// Total injected-run budget over all epochs.
-    pub budget: usize,
     /// Global injected index at which each merged epoch starts.
     pub epoch_starts: Vec<usize>,
     /// Injected runs of each merged epoch.
@@ -1180,7 +1156,7 @@ pub struct MergedGuided {
 pub struct MergedCampaign {
     /// Shard 0's manifest (epoch 0's for guided campaigns). Only
     /// campaign-invariant fields are meaningful here; renderers must not
-    /// consume `shard_index` / `assigned_runs` / `batch_size` from it.
+    /// consume `shard_index` / `batch_size` from it.
     pub manifest: ShardManifest,
     /// Every merged artifact's manifest, ordered by (epoch, shard): the
     /// identities [`collect_incidents`] pairs the sidecars with.
@@ -1255,9 +1231,9 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
         ));
     }
     // The planner gives every epoch at least one run.
-    let guided_shape = first.guided.as_ref().map(|g| (g.epochs, g.budget));
-    if let Some((epochs, budget)) = guided_shape.filter(|&(epochs, budget)| epochs > budget) {
-        return Err(mismatch(format!("{epochs} guided epochs exceed the {budget}-run budget")));
+    if let Some(g) = first.guided.filter(|g| g.epochs > first.injected_runs) {
+        let budget = first.injected_runs;
+        return Err(mismatch(format!("{} guided epochs exceed the {budget}-run budget", g.epochs)));
     }
     // Declared counts (`shard_count`, `epochs`, run counts) are trusted
     // only as far as the artifacts back them: coverage lives in ordered
@@ -1334,12 +1310,6 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
     if first.guided.is_some() {
         // Exactly the covered epochs `0..done`: any later one was refused.
         let pe: Vec<GuidedManifest> = per_epoch.values().copied().collect();
-        if pe[0].budget != first.injected_runs {
-            return Err(mismatch(format!(
-                "guided budget {} disagrees with the campaign's injected_runs {}",
-                pe[0].budget, first.injected_runs
-            )));
-        }
         let mut start = 0usize;
         for (e, g) in pe.iter().enumerate() {
             if g.epoch_start != start {
@@ -1361,7 +1331,6 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
         merged_guided = Some(MergedGuided {
             epochs: epochs_total,
             epochs_done: done,
-            budget: pe[0].budget,
             epoch_starts: pe.iter().map(|g| g.epoch_start).collect(),
             epoch_runs: pe.iter().map(|g| g.epoch_runs).collect(),
         });
@@ -1582,13 +1551,14 @@ pub fn guided_epoch_summary(m: &MergedCampaign) -> Result<EpochSummary, ShardErr
 /// manifest equals its own — shard, guided epoch and epoch plan
 /// included — so the sidecars of a guided campaign collect across all
 /// its epochs. The run lines are the source of truth: every merged run
-/// whose `incident` label is set must have exactly one sidecar payload
-/// with the same label, in a sidecar that owns the run (the merge's
-/// ownership rule), under the engine's seed law — and nothing else. Any
-/// violation (missing, duplicated or foreign sidecar, incomplete
-/// sidecar, missing payload, duplicate, label disagreement, payload for
-/// an unremarkable run) is a [`ShardError::Mismatch`], so a merged
-/// incident set is exactly-once by construction.
+/// whose `incident` label is set must have exactly one sidecar payload,
+/// in a sidecar that owns the run (the merge's ownership rule), and
+/// nothing else may have one. Each record is built from its merged run
+/// line plus the payload's ring ([`IncidentRecord::new`]). Any violation
+/// (missing, duplicated or foreign sidecar, incomplete sidecar, missing
+/// payload, duplicate, payload for an unremarkable run) is a
+/// [`ShardError::Mismatch`], so a merged incident set is exactly-once by
+/// construction.
 pub fn collect_incidents(
     merged: &MergedCampaign,
     sidecars: &[IncidentArtifact],
@@ -1620,51 +1590,33 @@ pub fn collect_incidents(
         ));
     }
 
-    // Expected payloads, from the merged run lines (whose kinds the merge
-    // validated). Units order golden before injected, so the BTreeMap key
-    // order is engine order.
-    let mut expected: BTreeMap<RunUnit, &str> = BTreeMap::new();
+    // The merged runs that name an incident (their kinds the merge
+    // validated). Units order golden before injected, so the BTreeMap
+    // key order is engine order.
+    let mut expected: BTreeMap<RunUnit, &RunRecord> = BTreeMap::new();
     for r in merged.golden.iter().chain(&merged.injected) {
-        if let (Some(label), Some(unit)) = (&r.incident, RunUnit::from_kind(r.kind, r.index)) {
-            expected.insert(unit, label.as_str());
+        if let (Some(_), Some(unit)) = (&r.incident, RunUnit::from_kind(r.kind, r.index)) {
+            expected.insert(unit, r);
         }
     }
     let mut out: BTreeMap<RunUnit, IncidentRecord> = BTreeMap::new();
     for a in paired {
-        for (_, rec) in &a.records {
-            let unit = RunUnit::from_kind(&rec.kind, rec.index)
-                .ok_or_else(|| mismatch(format!("unknown incident run kind {:?}", rec.kind)))?;
-            a.manifest.owns(unit).map_err(|e| mismatch(format!("incident of {e}")))?;
-            if rec.seed != unit.seed() {
-                return Err(mismatch(format!(
-                    "incident of {} run {} carries seed {} (engine law says {})",
-                    rec.kind,
-                    rec.index,
-                    rec.seed,
-                    unit.seed()
-                )));
-            }
-            match expected.remove(&unit) {
-                Some(label) if label == rec.incident => {}
-                Some(label) => {
-                    return Err(mismatch(format!(
-                        "{} run {} is a {label:?} incident on its run line but {:?} in the \
-                         sidecar",
-                        rec.kind, rec.index, rec.incident
-                    )))
-                }
-                None => {
-                    return Err(mismatch(format!(
-                        "sidecar payload for {} run {} has no matching incident on its run \
-                         line (duplicate or spurious)",
-                        rec.kind, rec.index
-                    )))
-                }
-            }
-            out.insert(unit, rec.clone());
+        for (_, p) in &a.records {
+            let (kind, i) = (p.unit.kind(), p.unit.index());
+            a.manifest.owns(p.unit).map_err(|e| mismatch(format!("incident of {e}")))?;
+            let rec =
+                expected.remove(&p.unit).and_then(|r| IncidentRecord::new(r, p.flight.clone()));
+            let rec = rec.ok_or_else(|| {
+                mismatch(format!(
+                    "sidecar payload for {kind} run {i} has no matching incident on its run \
+                     line (duplicate or spurious)"
+                ))
+            })?;
+            out.insert(p.unit, rec);
         }
     }
-    if let Some((unit, label)) = expected.into_iter().next() {
+    if let Some((unit, r)) = expected.into_iter().next() {
+        let label = r.incident.as_deref().unwrap_or_default();
         return Err(mismatch(format!(
             "{} run {} is a {label:?} incident but no sidecar carries its payload",
             unit.kind(),
@@ -1771,17 +1723,14 @@ mod tests {
             target: "GPU".to_string(),
             kind: "transient".to_string(),
             mode: "diverseav".to_string(),
-            profile_source: "modeled".to_string(),
             shard_index: 1,
             shard_count: 4,
             batch_size: 8,
             golden_runs: 6,
             injected_runs: 16,
-            assigned_runs: 5,
             guided: Some(GuidedManifest {
                 epochs: 2,
                 epoch: 1,
-                budget: 16,
                 epoch_start: 8,
                 epoch_runs: 8,
                 prior_digest: 0xdead_beef_0bad_f00d,
@@ -1842,13 +1791,8 @@ mod tests {
             text.push_str(&r.render_shard_line(0));
             text.push('\n');
         }
-        text.push_str(&format!(
-            "{{\"type\": \"shard_batch\", \"batch\": 0, \"wall_secs\": 0.5, \
-             \"threads\": 1, {metrics}}}\n{{\"type\": \"shard_done\", \"batches\": 1, \
-             \"runs\": {}}}\n",
-            art.runs.len()
-        ));
-        text
+        text.push_str(&format!("{{\"type\": \"shard_batch\", \"batch\": 0, {metrics}}}\n"));
+        text + SHARD_DONE
     }
 
     #[test]
@@ -1895,7 +1839,7 @@ mod tests {
     fn synthetic_artifacts(n: usize) -> Vec<ShardArtifact> {
         let plan_seed = 0x1234_5678;
         let (golden_runs, injected_runs) = (2, 2);
-        let manifest = |i: usize, assigned: usize| ShardManifest {
+        let manifest = |i: usize| ShardManifest {
             schema_version: SHARD_SCHEMA_VERSION,
             fingerprint: 0xFACE,
             plan_seed,
@@ -1905,13 +1849,11 @@ mod tests {
             target: "GPU".to_string(),
             kind: "transient".to_string(),
             mode: "diverseav".to_string(),
-            profile_source: "modeled".to_string(),
             shard_index: i,
             shard_count: n,
             batch_size: 4,
             golden_runs,
             injected_runs,
-            assigned_runs: assigned,
             guided: None,
         };
         let run = |unit: RunUnit| ShardRun {
@@ -1945,13 +1887,8 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(i, runs)| ShardArtifact {
-                manifest: manifest(i, runs.len()),
-                batches: vec![BatchMark {
-                    batch: 0,
-                    wall_secs: 0.0,
-                    threads: 1,
-                    metrics: MetricsSlice::default(),
-                }],
+                manifest: manifest(i),
+                batches: vec![BatchMark { batch: 0, metrics: MetricsSlice::default() }],
                 complete: true,
                 committed_lines: 2 + runs.len(),
                 runs,
@@ -1959,59 +1896,59 @@ mod tests {
             .collect()
     }
 
-    fn sample_incident(kind: &str, index: usize, seed: u64, label: &str) -> IncidentRecord {
-        IncidentRecord {
-            kind: kind.to_string(),
-            index,
-            seed,
-            incident: label.to_string(),
-            fault_class: Some("dropout".to_string()),
-            fault_onset_time: Some(0.425),
-            alarm_time: None,
-            flight: vec![TickRecord {
-                tick: 17,
-                flags: flight::FLAG_FAULT_ACTIVE | flight::FLAG_DETECTOR_OBSERVED,
-                score: 0.75,
-                slope: -0.0,
-                margin: 0.25,
-                phase_ns: [1, 2, 3, 4],
-                deadline_margin_ns: -1_024,
-                d_throttle: f64::INFINITY,
-                d_brake: 0.0,
-                d_steer: f64::from_bits(0x7FF8_0000_0000_0001),
-            }],
-        }
+    fn sample_flight() -> Vec<TickRecord> {
+        vec![TickRecord {
+            tick: 17,
+            flags: flight::FLAG_FAULT_ACTIVE | flight::FLAG_DETECTOR_OBSERVED,
+            score: 0.75,
+            slope: -0.0,
+            margin: 0.25,
+            phase_ns: [1, 2, 3, 4],
+            deadline_margin_ns: -1_024,
+            d_throttle: f64::INFINITY,
+            d_brake: 0.0,
+            d_steer: f64::from_bits(0x7FF8_0000_0000_0001),
+        }]
     }
 
     #[test]
-    fn incident_record_round_trips_bit_exactly() {
-        let rec = sample_incident("injected", 3, INJECTED_SEED_BASE + 3, "silent-divergence");
-        let v = json::parse(&rec.render_line(5)).expect("incident line parses");
-        let (batch, back) = IncidentRecord::parse(&v).expect("incident reconstructs");
+    fn incident_lines_round_trip_bit_exactly() {
+        let payload = IncidentPayload { unit: RunUnit::Injected(3), flight: sample_flight() };
+        let line = payload.render_line(5);
+        let v = json::parse(&line).expect("payload line parses");
+        let (batch, back) = IncidentPayload::parse(&v).expect("payload reconstructs");
         assert_eq!(batch, 5);
-        // NaN in d_steer: compare bit images, then the PartialEq-safe rest.
-        assert_eq!(back.flight[0].d_steer.to_bits(), rec.flight[0].d_steer.to_bits());
-        assert_eq!(back.flight[0].slope.to_bits(), (-0.0f64).to_bits());
-        assert_eq!(back.flight[0].deadline_margin_ns, -1_024);
-        assert_eq!((back.kind.as_str(), back.index, back.seed), ("injected", 3, rec.seed));
-        assert_eq!(back.incident, rec.incident);
-        assert_eq!(back.fault_class, rec.fault_class);
+        assert_eq!(back.render_line(5), line, "NaN-safe: compare rendered bytes");
+        assert!(line.contains("\"kind\": \"injected\", \"index\": 3, \"flight\""), "{line}");
+        let unknown = line.replace("\"injected\"", "\"bogus\"");
+        let err = IncidentPayload::parse(&json::parse(&unknown).expect("still JSON"));
+        assert!(err.expect_err("unknown kind").contains("unknown incident run kind"));
 
-        // Merged lines have no batch tag and parse as batch 0.
+        // The merged record takes everything else from the run line.
+        let run = sample_run();
+        let rec = IncidentRecord::new(&run, back.flight).expect("the run names an incident");
+        assert_eq!((rec.kind.as_str(), rec.index, rec.seed), ("injected", 3, run.seed));
+        assert_eq!(
+            (rec.incident.as_str(), rec.fault_class.as_deref()),
+            ("crash", Some("transient"))
+        );
+        assert_eq!((rec.fault_onset_time, rec.alarm_time), (None, Some(0.875)));
+        // NaN in d_steer: compare bit images, then the PartialEq-safe rest.
+        assert_eq!(rec.flight[0].d_steer.to_bits(), sample_flight()[0].d_steer.to_bits());
+        assert_eq!(rec.flight[0].slope.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(rec.flight[0].deadline_margin_ns, -1_024);
         let v = json::parse(&rec.render_merged()).expect("merged line parses");
-        let (batch, _) = IncidentRecord::parse(&v).expect("merged line reconstructs");
-        assert_eq!(batch, 0);
+        let back = IncidentRecord::parse(&v).expect("merged line reconstructs");
+        assert_eq!(back.render_merged(), rec.render_merged());
+        assert!(IncidentRecord::new(&ShardRun { incident: None, ..run }, Vec::new()).is_none());
     }
 
     #[test]
     fn incident_sidecar_parses_and_rejects_other_versions() {
         let m = synthetic_artifacts(2).remove(1).manifest;
-        let rec = sample_incident("golden", 0, GOLDEN_SEED_BASE, "hang");
-        let text = format!(
-            "{}\n{}\n{{\"type\": \"incidents_done\", \"incidents\": 1}}\n",
-            m.render(),
-            rec.render_line(0)
-        );
+        let rec = IncidentPayload { unit: RunUnit::Golden(0), flight: sample_flight() };
+        let text =
+            format!("{}\n{}\n{{\"type\": \"incidents_done\"}}\n", m.render(), rec.render_line(0));
         let art = parse_incident_artifact(&text).expect("sidecar parses");
         assert_eq!(art.manifest, m);
         assert_eq!(art.records.len(), 1);
@@ -2044,8 +1981,8 @@ mod tests {
             .expect("injected run 1 exists");
         victim.incident = Some("deadline-burst".to_string());
         let merged = merge_artifacts(&arts).expect("clean shards merge");
-        let payload = sample_incident("injected", 1, INJECTED_SEED_BASE + 1, "deadline-burst");
-        let sidecar = |i: usize, records: Vec<(usize, IncidentRecord)>| IncidentArtifact {
+        let payload = IncidentPayload { unit: RunUnit::Injected(1), flight: sample_flight() };
+        let sidecar = |i: usize, records: Vec<(usize, IncidentPayload)>| IncidentArtifact {
             manifest: arts[i].manifest.clone(),
             records,
             complete: true,
@@ -2058,26 +1995,30 @@ mod tests {
         let got = collect_incidents(&merged[0], &sidecars).expect("valid incident set");
         assert_eq!(got.len(), 1);
         // NaN payload: compare rendered bytes, not PartialEq.
-        assert_eq!(got[0].render_merged(), payload.render_merged());
+        let run = &merged[0].injected[1];
+        let want = IncidentRecord::new(run, sample_flight()).expect("run names an incident");
+        assert_eq!(got[0].render_merged(), want.render_merged());
+        assert_eq!(
+            (got[0].seed, got[0].incident.as_str()),
+            (INJECTED_SEED_BASE + 1, "deadline-burst")
+        );
 
         // Missing payload.
         let empty = vec![sidecar(0, Vec::new()), sidecar(1, Vec::new())];
         let err = collect_incidents(&merged[0], &empty).expect_err("missing payload");
         assert!(err.to_string().contains("no sidecar"), "{err}");
 
-        // Payload without a matching run-line label.
-        let spurious_rec = sample_incident("golden", 0, GOLDEN_SEED_BASE, "hang");
+        // Payload without a matching run-line label, and one twice.
+        let spurious_rec = IncidentPayload { unit: RunUnit::Golden(0), flight: Vec::new() };
         let g_home = unit_shard(plan_seed, RunUnit::Golden(0), 2);
         let mut spurious = sidecars.clone();
         spurious[g_home].records.push((0, spurious_rec));
         let err = collect_incidents(&merged[0], &spurious).expect_err("spurious payload");
         assert!(err.to_string().contains("no matching"), "{err}");
-
-        // Label disagreement.
-        let mut wrong = sidecars.clone();
-        wrong[home].records[0].1.incident = "hang".to_string();
-        let err = collect_incidents(&merged[0], &wrong).expect_err("label mismatch");
-        assert!(err.to_string().contains("sidecar"), "{err}");
+        let mut twice = sidecars.clone();
+        twice[home].records.push((1, payload.clone()));
+        let err = collect_incidents(&merged[0], &twice).expect_err("duplicate payload");
+        assert!(err.to_string().contains("no matching"), "{err}");
 
         // Payload in the wrong shard.
         let mut misplaced = sidecars.clone();
@@ -2130,7 +2071,6 @@ mod tests {
         m.guided = Some(MergedGuided {
             epochs: 1,
             epochs_done: 1,
-            budget: outcomes.len(),
             epoch_starts: vec![0],
             epoch_runs: vec![outcomes.len()],
         });
@@ -2191,15 +2131,12 @@ mod tests {
             text.push_str(&r.render_shard_line(0));
             text.push('\n');
         }
-        text.push_str(&format!(
-            "{{\"type\": \"shard_batch\", \"batch\": 0, \"wall_secs\": 0.000000, \
-             \"threads\": 1, {}}}\n",
-            MetricsSlice::default().render_fields()
-        ));
+        let metrics = MetricsSlice::default().render_fields();
+        text.push_str(&format!("{{\"type\": \"shard_batch\", \"batch\": 0, {metrics}}}\n"));
         text
     }
 
-    const SHARD_DONE: &str = "{\"type\": \"shard_done\", \"batches\": 1, \"runs\": 4}\n";
+    const SHARD_DONE: &str = "{\"type\": \"shard_done\"}\n";
 
     /// Replace manifest member `from` with `to` in every rendered
     /// artifact, then parse and merge the forged set.
@@ -2239,7 +2176,6 @@ mod tests {
         arts[0].manifest.guided = Some(GuidedManifest {
             epochs: 2,
             epoch: 0,
-            budget: 2,
             epoch_start: 0,
             epoch_runs: 2,
             prior_digest: 0,

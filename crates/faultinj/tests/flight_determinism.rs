@@ -3,7 +3,8 @@
 //! seeds — bit-identical across `DIVERSEAV_THREADS` settings and across
 //! shard/monolithic execution — so incident artifacts can ride the shard
 //! partitioner and the exactly-once merge unchanged, across every epoch
-//! of a guided campaign too. The recorder
+//! of a guided campaign too. Raw shard artifacts and their sidecars are
+//! byte-identical across thread counts as a whole. The recorder
 //! carries no wall-clock state (lint Gate 4 enforces the absence of time
 //! sources at the source level; this test enforces it at the bit level).
 
@@ -12,7 +13,7 @@ use diverseav_fabric::Profile;
 use diverseav_faultinj::{
     collect_incidents, collect_training_runs, execute_shard, guided_epoch_summary,
     incident_sidecar_path, merge_artifacts, parse_artifact, parse_incident_artifact,
-    run_campaign_cached, Campaign, CampaignScale, FaultModelKind, GuidedShardSpec,
+    run_campaign_cached, run_record, Campaign, CampaignScale, FaultModelKind, GuidedShardSpec,
     IncidentArtifact, IncidentRecord, MergedCampaign, SensorFaultKind, ShardConfig, ShardError,
     ShardSpec,
 };
@@ -63,8 +64,8 @@ fn detector() -> (DetectorModel, DetectorConfig) {
     (DetectorModel::train(&tr, &cfg), cfg)
 }
 
-/// Run a detector-equipped campaign and render every incident payload in
-/// the lossless bit-hex line encoding, so comparisons are bit-exact
+/// Run a detector-equipped campaign and render every incident in the
+/// lossless bit-hex line encoding, so comparisons are bit-exact
 /// (including NaN payloads, which `PartialEq` would mishandle).
 fn render_incident_lines(campaign: Campaign) -> Vec<String> {
     let r = run_campaign_cached(
@@ -75,11 +76,13 @@ fn render_incident_lines(campaign: Campaign) -> Vec<String> {
         false,
         None,
     );
+    let label = campaign.to_string();
     let mut out = Vec::new();
     for (kind, runs) in [("golden", &r.golden), ("injected", &r.injected)] {
         for (i, run) in runs.iter().enumerate() {
-            if let Some(rec) = IncidentRecord::from_result(kind, i, run) {
-                out.push(rec.render_line(0));
+            let record = run_record(&label, kind, i, run);
+            if let Some(rec) = IncidentRecord::new(&record, run.flight.clone()) {
+                out.push(rec.render_merged());
             }
         }
     }
@@ -97,6 +100,42 @@ fn incident_payloads_are_bit_identical_across_thread_counts() {
     std::env::remove_var("DIVERSEAV_THREADS");
     assert!(!single.is_empty(), "campaign produced no incidents — the comparison would be vacuous");
     assert_eq!(single, multi, "flight recordings vary with DIVERSEAV_THREADS");
+}
+
+/// A raw shard artifact and its sidecar hold only what the seeds
+/// determine: the GPU-permanent cell writes the same bytes at 1 and at 4
+/// threads.
+#[test]
+fn raw_shard_artifacts_are_byte_identical_across_thread_counts() {
+    let _guard = ENV_LOCK.lock().expect("env lock");
+    let dir = std::env::temp_dir().join(format!("flight_threads_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (campaign, scale) = gpu_permanent();
+    let cfg = ShardConfig {
+        campaign,
+        scale,
+        sensor: SensorConfig::default(),
+        spec: ShardSpec { index: 0, count: 1 },
+        batch_size: 2,
+        guided: None,
+    };
+    let run = |threads: &str| {
+        std::env::set_var("DIVERSEAV_THREADS", threads);
+        let path = dir.join(format!("threads{threads}.jsonl"));
+        execute_shard(&cfg, &path).expect("shard executes");
+        let read = |p: &Path| std::fs::read_to_string(p).expect("shard output readable");
+        (read(&path), read(&incident_sidecar_path(&path)))
+    };
+    let (artifact, sidecar) = run("1");
+    let multi = run("4");
+    std::env::remove_var("DIVERSEAV_THREADS");
+    assert!(
+        sidecar.lines().any(|l| l.starts_with("{\"type\": \"incident\"")),
+        "no incident payload — the sidecar comparison would be vacuous"
+    );
+    assert!(artifact == multi.0, "shard artifact varies with DIVERSEAV_THREADS");
+    assert!(sidecar == multi.1, "incident sidecar varies with DIVERSEAV_THREADS");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Kill-anywhere resume: a shard artifact cut at any byte offset, beside
 //! its incident sidecar cut at any batch boundary, must resume to the
-//! bytes of an uninterrupted run — except the wall-clock `wall_secs` and
-//! `threads` members of `shard_batch` lines, which describe a run and are
-//! outside the bit-exactness contract.
+//! exact bytes of an uninterrupted run. Both files hold only members the
+//! seeds determine, so the comparison strips nothing.
 //!
 //! The reference is a tiny uniform shard (short permanent-fault route,
 //! `batch_size` 2) whose sidecar carries incident payloads in several
@@ -169,22 +168,6 @@ fn reference() -> &'static Reference {
     })
 }
 
-/// `text` with the value of every `shard_batch` line's `wall_secs` and
-/// `threads` members blanked.
-fn normalized(text: &str) -> String {
-    text.split_inclusive('\n')
-        .map(|line| {
-            if !line.starts_with("{\"type\": \"shard_batch\"") {
-                return line.to_string();
-            }
-            let wall = line.find("\"wall_secs\": ").expect("wall_secs member");
-            let threads = line.find("\"threads\": ").expect("threads member");
-            let end = threads + line[threads..].find(',').expect("members after threads");
-            format!("{}{}", &line[..wall], &line[end + 2..])
-        })
-        .collect()
-}
-
 /// Leave `artifact` and `sidecar` (absent when `None`) where a kill would,
 /// resume, and require the uninterrupted bytes.
 fn resume_to_reference(r: &Reference, artifact: &str, sidecar: Option<&str>, what: &str) {
@@ -201,7 +184,7 @@ fn resume_to_reference(r: &Reference, artifact: &str, sidecar: Option<&str>, wha
     assert!(status.complete, "{what}: resume finishes the shard");
     let got = fs::read_to_string(&path).expect("resumed artifact");
     assert!(
-        normalized(&got) == normalized(&r.artifact),
+        got == r.artifact,
         "{what}: resumed artifact differs\n--- got\n{got}\n--- want\n{}",
         r.artifact
     );
@@ -313,11 +296,30 @@ fn foreign_checkpoints_are_refused_before_the_profiling_run() {
         assert_eq!(experiments(), before, "{what}: refused without a simulation run");
         assert_eq!(fs::read_to_string(&path).expect("checkpoint"), r.artifact, "{what}");
     }
-    // The matching, complete checkpoint still costs its profiling run: the
-    // full manifest comparison needs the plan that run sizes.
-    let before = experiments();
-    assert!(execute_shard(&cfg(), &path).expect("complete checkpoint").complete);
-    assert_eq!(experiments(), before + 1);
+    let _ = fs::remove_file(&path);
+    let _ = fs::remove_file(&side);
+}
+
+/// A complete checkpoint of this configuration is adopted before the
+/// profiling pass: no simulation run starts, and only a lost final
+/// newline is restored.
+#[test]
+fn complete_checkpoints_are_adopted_without_the_profiling_run() {
+    let _serial = serial();
+    let r = reference();
+    let path = scratch("complete.jsonl");
+    let side = incident_sidecar_path(&path);
+    fs::write(&side, &r.sidecar).expect("write sidecar");
+    for cut in [r.artifact.len(), r.done_nl] {
+        fs::write(&path, &r.artifact[..cut]).expect("write checkpoint");
+        let before = metrics::counter_get("runner.experiments");
+        let status = execute_shard(&cfg(), &path).expect("complete checkpoint");
+        assert!(status.complete && status.executed_batches == 0, "cut {cut}: {status:?}");
+        assert_eq!(status.resumed_batches, r.batch_nl.len(), "cut {cut}: {status:?}");
+        assert_eq!(status.assigned_runs, r.batch_runs.iter().sum::<usize>(), "cut {cut}");
+        assert_eq!(metrics::counter_get("runner.experiments"), before, "cut {cut}: a run started");
+        assert_eq!(fs::read_to_string(&path).expect("checkpoint"), r.artifact, "cut {cut}");
+    }
     let _ = fs::remove_file(&path);
     let _ = fs::remove_file(&side);
 }

@@ -24,27 +24,12 @@
 //! * **This is the only sanctioned `SensorFrame` mutation site** outside
 //!   `simworld` itself — `ci/lint.sh` greps for violations.
 
-use diverseav_simworld::SensorFrame;
-
-/// SplitMix64 — the same cheap deterministic hash the sensor models use.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use diverseav_simworld::{hash_amp, splitmix64, SensorFrame};
 
 /// Hash two words into a uniform f64 in `[0, 1)`.
 #[inline]
 fn unit(a: u64, b: u64) -> f64 {
-    (mix(a ^ mix(b)) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Hash two words into a signed amplitude in `[-1, 1]`.
-#[inline]
-fn signed(a: u64, b: u64) -> f64 {
-    unit(a, b) * 2.0 - 1.0
+    (splitmix64(a ^ splitmix64(b)) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The five sensor-fault classes of the broadened fault model.
@@ -132,7 +117,7 @@ impl SensorFault {
     /// Onset step derived from the seed: `[8, 48)`, early enough that
     /// even short scenarios leave room to observe detection.
     pub fn onset_step(&self) -> u64 {
-        8 + mix(self.seed ^ 0x0_5E7) % 40
+        8 + splitmix64(self.seed ^ 0x0_5E7) % 40
     }
 
     /// Class magnitude scale in `[0, 1)` derived from the seed.
@@ -239,7 +224,7 @@ impl FrameInjector {
                 // 8-on / 8-off bursts of extreme readings; burst content
                 // re-drawn per frame from the seed.
                 if (since / 8).is_multiple_of(2) {
-                    let h = mix(seed ^ frame.step);
+                    let h = splitmix64(seed ^ frame.step);
                     frame.speed = if h & 1 == 0 { 60.0 + (20.0 * mag) as f32 } else { -8.0 };
                     frame.imu.yaw_rate = if h & 2 == 0 { 4.0 } else { -4.0 };
                     frame.imu.accel = 30.0;
@@ -274,22 +259,22 @@ impl FrameInjector {
                 let amp_px = 30.0 + 40.0 * mag;
                 let amp_speed = 2.0 + 4.0 * mag;
                 let amp_yaw = 0.5 + 1.0 * mag;
-                let fkey = mix(seed ^ frame.step.wrapping_mul(0x9E37));
-                frame.speed += (amp_speed * signed(fkey, 1)) as f32;
-                frame.imu.yaw_rate += (amp_yaw * signed(fkey, 2)) as f32;
-                frame.imu.accel += (3.0 * signed(fkey, 3)) as f32;
-                frame.gps[0] += (4.0 * signed(fkey, 4)) as f32;
-                frame.gps[1] += (4.0 * signed(fkey, 5)) as f32;
+                let fkey = splitmix64(seed ^ frame.step.wrapping_mul(0x9E37));
+                frame.speed += (amp_speed * hash_amp(fkey, 1)) as f32;
+                frame.imu.yaw_rate += (amp_yaw * hash_amp(fkey, 2)) as f32;
+                frame.imu.accel += (3.0 * hash_amp(fkey, 3)) as f32;
+                frame.gps[0] += (4.0 * hash_amp(fkey, 4)) as f32;
+                frame.gps[1] += (4.0 * hash_amp(fkey, 5)) as f32;
                 for (c, cam) in frame.cameras.iter_mut().enumerate() {
                     let ckey = fkey ^ ((c as u64) << 48);
                     for (i, px) in cam.data_mut().iter_mut().enumerate() {
-                        let n = signed(ckey, i as u64) * amp_px;
+                        let n = hash_amp(ckey, i as u64) * amp_px;
                         *px = (*px as f64 + n).clamp(0.0, 255.0) as u8;
                     }
                 }
                 if let Some(lidar) = &mut frame.lidar {
                     for (i, r) in lidar.iter_mut().enumerate() {
-                        *r += (signed(fkey, 0x11DA ^ i as u64) * 2.0) as f32;
+                        *r += (hash_amp(fkey, 0x11DA ^ i as u64) * 2.0) as f32;
                     }
                 }
                 true

@@ -39,8 +39,8 @@ pub use scenario::{
     front_accident, ghost_cut_in, lead_slowdown, long_route, Scenario, ScenarioKind,
 };
 pub use sensors::{
-    lidar_scan, lidar_scan_into, render_camera, render_camera_into, CameraSet, Image, ImuReading,
-    RenderScene, SensorConfig, SensorFrame,
+    hash_amp, lidar_scan, lidar_scan_into, render_camera, render_camera_into, splitmix64,
+    CameraSet, Image, ImuReading, RenderScene, SensorConfig, SensorFrame,
 };
 pub use track::{
     generate_lights, generate_long_route, LightPhase, Track, TrafficLight, LANE_WIDTH,

@@ -37,11 +37,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// The frame-invariant half of the pixel-noise hash for one resolution.
 ///
-/// A pixel channel's sensor noise is `mix(noise_key ^ mix(k))` with the
-/// frame key `noise_key` and the pixel key `k = (px * 4 + ch) * 4096 + py`.
-/// The inner `mix(k)` never changes between frames, so `keys` holds it for
-/// every byte of a `w × h` image, laid out like the image bytes
-/// (`(py * w + px) * 3 + ch`): a frame costs one `mix` per channel byte.
+/// A pixel channel's sensor noise is `splitmix64(noise_key ^
+/// splitmix64(k))` with the frame key `noise_key` and the pixel key
+/// `k = (px * 4 + ch) * 4096 + py`. The inner `splitmix64(k)` never
+/// changes between frames, so `keys` holds it for every byte of a
+/// `w × h` image, laid out like the image bytes (`(py * w + px) * 3 +
+/// ch`): a frame costs one `splitmix64` per channel byte.
 /// The key's stride of 4 per pixel leaves room for a fourth channel that
 /// is never drawn, so the table has no slot for it.
 struct KeyTable {
@@ -55,7 +56,7 @@ impl KeyTable {
         for py in 0..h {
             for px in 0..w {
                 for ch in 0..3 {
-                    keys.push(mix(((px * 4 + ch) * 4096 + py) as u64));
+                    keys.push(splitmix64(((px * 4 + ch) * 4096 + py) as u64));
                 }
             }
         }
@@ -370,9 +371,11 @@ pub struct RenderScene<'a> {
     pub frame_seed: u64,
 }
 
-/// SplitMix64 — cheap deterministic hash used for texture and pixel noise.
+/// SplitMix64 — the one cheap deterministic hash of the workspace: texture
+/// and pixel noise here, sensor-fault realizations, the injection plan and
+/// the shard partition.
 #[inline]
-fn mix(mut z: u64) -> u64 {
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -387,8 +390,8 @@ fn unit(h: u64) -> f64 {
 
 /// Hash two words into a signed amplitude in `[-1, 1]`.
 #[inline]
-fn hash_amp(a: u64, b: u64) -> f64 {
-    unit(mix(a ^ mix(b)))
+pub fn hash_amp(a: u64, b: u64) -> f64 {
+    unit(splitmix64(a ^ splitmix64(b)))
 }
 
 /// Fill `out` with the sensor noise of the frame key `noise_key` at the
@@ -396,7 +399,7 @@ fn hash_amp(a: u64, b: u64) -> f64 {
 #[inline]
 fn fill_noise(out: &mut [f64], keys: &[u64], noise_key: u64, amp: f64) {
     for (n, &k) in out.iter_mut().zip(keys) {
-        *n = unit(mix(noise_key ^ k)) * amp;
+        *n = unit(splitmix64(noise_key ^ k)) * amp;
     }
 }
 
