@@ -38,6 +38,12 @@
 #         exempt). campaign::Cut decides which units a campaign cut runs
 #         for both executors; a second planner call would be a second
 #         place deciding it.
+# Gate 8: no unused dependency edges. Every key of a crates/*/Cargo.toml
+#         [dependencies] table must be named as a Rust path (`name::`,
+#         dashes as underscores) outside comments in that crate's src/
+#         or benches/. An edge nothing names still costs build time and
+#         hides the real dependency graph; a test-only one belongs in
+#         [dev-dependencies].
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -171,7 +177,36 @@ if [[ -n "$cut_hits" ]]; then
     fail=1
 fi
 
+# --- Gate 8: unused dependency edges -----------------------------------
+dep_hits=""
+for manifest in crates/*/Cargo.toml; do
+    crate="${manifest%/Cargo.toml}"
+    dirs=()
+    for d in "$crate/src" "$crate/benches"; do
+        [[ -d "$d" ]] && dirs+=("$d")
+    done
+    deps=$(awk '
+        /^\[/ { in_deps = ($0 == "[dependencies]"); next }
+        in_deps && match($0, /^[A-Za-z0-9_-]+/) { print substr($0, 1, RLENGTH) }
+    ' "$manifest")
+    for dep in $deps; do
+        name="${dep//-/_}"
+        # Collected first: `grep -q` at the end of a pipe could close it
+        # early, and pipefail would then report the writer's SIGPIPE.
+        uses=$(grep -rhE "(^|[^[:alnum:]_])${name}::" "${dirs[@]}" --include='*.rs' || true)
+        if [[ -z "$(grep -vE '^[[:space:]]*//' <<<"$uses")" ]]; then
+            dep_hits+="  $manifest: $dep"$'\n'
+        fi
+    done
+done
+if [[ -n "$dep_hits" ]]; then
+    echo "lint: [dependencies] entries their crate's src/ and benches/ never name" >&2
+    echo "(drop the edge, or move a test-only one to [dev-dependencies]):" >&2
+    printf '%s' "$dep_hits" >&2
+    fail=1
+fi
+
 if [[ $fail -ne 0 ]]; then
     exit 1
 fi
-echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no stale allowlist entry, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner, no scoring outside the one scorer, no plan drawn outside the one cut)"
+echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no stale allowlist entry, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner, no scoring outside the one scorer, no plan drawn outside the one cut, no unused dependency edge)"

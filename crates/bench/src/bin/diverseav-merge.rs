@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! # validate + merge shards into the Table-I / metrics / journal outputs
-//! diverseav-merge [--td 2.0] [--table PATH] \
-//!                 [--deterministic PATH] [--metrics PATH] \
+//! diverseav-merge [--td 2.0] [--table PATH] [--metrics PATH] \
 //!                 [--journal PATH] [--incidents PATH] \
 //!                 [--weighted] [--epoch-summary PATH] \
 //!                 [--guided-report PATH] SHARD.jsonl...
@@ -13,6 +12,9 @@
 //! duplicate or missing shard indices, incomplete shards, coverage gaps,
 //! or artifacts whose campaign fingerprints disagree all fail hard.
 //! With no output flags, the Table-I text goes to stdout.
+//! `--td` (the trajectory-violation distance in metres) must be finite
+//! and positive: at or below 0 every completed run would count as a
+//! violation, and at NaN or infinity none would.
 //!
 //! `--incidents PATH` additionally collects the per-shard flight-recorder
 //! sidecars (`SHARD.incidents.jsonl`, written next to each shard
@@ -37,9 +39,10 @@
 //! uniform counts. `--guided-report PATH` additionally writes the
 //! allocation/ESS report `diverseav-tracecheck --guided` consumes.
 //!
-//! Exit codes: 0 merged clean, 1 unreadable/unparsable inputs or I/O
-//! failure, 2 shard-set validation failure (overlap / gap / fingerprint
-//! mismatch / incomplete shard / guided-uniform flag mismatch).
+//! Exit codes: 0 merged clean, 1 bad arguments, unreadable/unparsable
+//! inputs or I/O failure, 2 shard-set validation failure (overlap / gap /
+//! fingerprint mismatch / incomplete shard / guided-uniform flag
+//! mismatch).
 
 use diverseav_bench::merge;
 use diverseav_faultinj::{
@@ -90,7 +93,6 @@ fn run() -> Result<(), Failure> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut td = 2.0f64;
     let mut table_path = None;
-    let mut det_path = None;
     let mut metrics_path = None;
     let mut journal_path = None;
     let mut incidents_path = None;
@@ -107,9 +109,11 @@ fn run() -> Result<(), Failure> {
         match args[i].as_str() {
             "--td" => {
                 td = next(&mut i, "--td")?.parse::<f64>().map_err(|e| format!("--td: {e}"))?;
+                if !(td.is_finite() && td > 0.0) {
+                    return Err(format!("--td must be finite and positive, got {td}").into());
+                }
             }
             "--table" => table_path = Some(next(&mut i, "--table")?),
-            "--deterministic" => det_path = Some(next(&mut i, "--deterministic")?),
             "--metrics" => metrics_path = Some(next(&mut i, "--metrics")?),
             "--journal" => journal_path = Some(next(&mut i, "--journal")?),
             "--incidents" => incidents_path = Some(next(&mut i, "--incidents")?),
@@ -198,9 +202,6 @@ fn run() -> Result<(), Failure> {
     }
     if let Some(path) = &guided_report_path {
         write(path, &merge::guided_report_doc(&merged, td)?)?;
-    }
-    if let Some(path) = &det_path {
-        write(path, &merge::deterministic_doc(&merged, td))?;
     }
     if let Some(path) = &metrics_path {
         write(path, &merge::metrics_doc(&merged)?)?;

@@ -182,7 +182,7 @@ fn main() {
         "\nwrote METRICS_campaigns.json (cache {} hits / {} misses; {} alarms; {} sdc outcomes)",
         metrics::counter_get("cache.hits"),
         metrics::counter_get("cache.misses"),
-        metrics::counter_get("detector.alarms"),
+        metrics::counter_get("campaign.alarms"),
         metrics::counter_get("outcome.sdc"),
     );
     if let Some(path) = journal::flush_if_enabled().expect("write trace journal") {

@@ -15,7 +15,7 @@ pub mod merge;
 pub mod sweep;
 pub mod tracecheck;
 
-pub use merge::{deterministic_doc, journal_doc, metrics_doc, table_text};
+pub use merge::{journal_doc, metrics_doc, table_text};
 pub use sweep::{evaluate_cell, sweep, CellEval, SweepResult};
 
 use diverseav_faultinj::{detected_parallelism, thread_count};

@@ -160,48 +160,6 @@ pub fn guided_report_doc(merged: &[MergedCampaign], td: f64) -> Result<String, S
     Ok(out)
 }
 
-/// Render the deterministic summary document — the artifact CI diffs
-/// bit-for-bit between a sharded and a monolithic execution. Every field
-/// is a pure function of the campaign's seeds: Table-I tallies, per-run
-/// tick totals, and the modeled deadline accounting. No wall-clocks, no
-/// thread counts, no shard shapes.
-pub fn deterministic_doc(merged: &[MergedCampaign], td: f64) -> String {
-    let mut out = String::from("{\n  \"campaigns\": [\n");
-    for (i, m) in merged.iter().enumerate() {
-        let row = summarize_merged(m, td);
-        let runs = m.golden.iter().chain(m.injected.iter());
-        let ticks: u64 = runs.clone().map(|r| r.ticks).sum();
-        let misses: u64 = runs.map(|r| r.deadline_misses).sum();
-        let sep = if i + 1 == merged.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"campaign\": \"{}\", \"fingerprint\": \"{:016x}\", \
-             \"scenario\": \"{}\", \"target\": \"{}\", \"kind\": \"{}\", \"mode\": \"{}\", \
-             \"golden_runs\": {}, \"injected_runs\": {}, \
-             \"ticks\": {}, \"deadline_misses\": {}, \"deadline_worst_ns\": {}, \
-             \"active\": {}, \"hang_crash\": {}, \"total\": {}, \"accidents\": {}, \
-             \"traj_violations\": {}}}{sep}\n",
-            json::escape(&m.manifest.campaign),
-            m.manifest.fingerprint,
-            json::escape(&m.manifest.scenario),
-            json::escape(&m.manifest.target),
-            json::escape(&m.manifest.kind),
-            json::escape(&m.manifest.mode),
-            m.golden.len(),
-            m.injected.len(),
-            json::u64_str(ticks),
-            json::u64_str(misses),
-            json::u64_str(m.deadline.worst_ns),
-            row.active,
-            row.hang_crash,
-            row.total,
-            row.accidents,
-            row.traj_violations,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Render the merged `METRICS_campaigns.json`: the per-campaign metric
 /// slices folded into one registry snapshot (phases are wall-clock and
 /// therefore per-machine — a merge has none).
@@ -265,8 +223,9 @@ mod tests {
     use super::*;
     use diverseav_faultinj::shard::{MetricsSlice, ShardManifest, ShardRun};
     use diverseav_faultinj::{GOLDEN_SEED_BASE, INJECTED_SEED_BASE, SHARD_SCHEMA_VERSION};
+    use diverseav_obs::hist::bucket_index;
     use diverseav_obs::json::Value;
-    use diverseav_runtime::DeadlineStats;
+    use diverseav_obs::HistSnapshot;
     use diverseav_simworld::{TrajPoint, Vec2};
 
     fn merged_fixture() -> MergedCampaign {
@@ -319,7 +278,6 @@ mod tests {
             golden,
             baseline,
             metrics: MetricsSlice::default(),
-            deadline: DeadlineStats { ticks: 160, misses: 2, worst_ns: 26_000_000 },
             guided: None,
         }
     }
@@ -376,14 +334,50 @@ mod tests {
         assert!(!text.contains("shard"), "table must carry no shard info: {text}");
     }
 
+    /// A metric slice holding a campaign's deadline tally and a
+    /// `tick.total` histogram of `ticks` ticks of `tick_ns` each.
+    fn deadline_slice(ticks: u64, misses: u64, worst_ns: u64, tick_ns: u64) -> MetricsSlice {
+        let mut s = MetricsSlice::default();
+        s.counters.insert("deadline.ticks".to_string(), ticks);
+        s.counters.insert("deadline.misses".to_string(), misses);
+        s.gauges.insert("deadline.worst_ns".to_string(), worst_ns as f64);
+        let total =
+            HistSnapshot::from_sparse(&[(bucket_index(tick_ns), ticks)], ticks * tick_ns, tick_ns)
+                .expect("fixture histogram");
+        s.hists.insert("tick.total".to_string(), total);
+        s
+    }
+
     #[test]
-    fn deterministic_doc_is_free_of_timing_and_lossless() {
-        let doc = deterministic_doc(&[merged_fixture()], 2.0);
-        assert!(doc.contains("\"ticks\": \"160\""), "{doc}");
-        assert!(doc.contains("\"deadline_worst_ns\": \"26000000\""), "{doc}");
-        assert!(doc.contains("\"accidents\": 1"), "{doc}");
-        assert!(!doc.contains("wall"), "no wall-clocks in the gate doc: {doc}");
-        json::parse(&doc).expect("valid JSON");
+    fn metrics_doc_renders_and_folds_deadline_facts() {
+        let num = |doc: &str, path: &[&str]| -> Option<f64> {
+            let v = json::parse(doc).expect("valid JSON");
+            path.iter().try_fold(&v, |v, k| v.get(k)).and_then(Value::as_f64)
+        };
+        let mut a = merged_fixture();
+        a.metrics = deadline_slice(160, 2, 26_000_000, 12_000_000);
+        let doc = metrics_doc(std::slice::from_ref(&a)).expect("metrics fold");
+        assert_eq!(num(&doc, &["counters", "deadline.ticks"]), Some(160.0));
+        assert_eq!(num(&doc, &["counters", "deadline.misses"]), Some(2.0));
+        assert_eq!(num(&doc, &["gauges", "deadline.worst_ns"]), Some(26e6));
+        assert_eq!(num(&doc, &["histograms", "tick.total", "count"]), Some(160.0));
+        assert_eq!(num(&doc, &["histograms", "tick.total", "sum"]), Some(160.0 * 12e6));
+        let v = json::parse(&doc).expect("valid JSON");
+        let phases = v.get("phases").and_then(Value::as_obj).expect("phases object");
+        assert!(phases.is_empty(), "a merge has no wall-clock phases: {doc}");
+
+        // Two campaigns fold to the sums of their counters and histograms
+        // and the maximum of their worst ticks.
+        let mut b = merged_fixture();
+        b.metrics = deadline_slice(40, 1, 31_000_000, 31_000_000);
+        let doc = metrics_doc(&[a, b]).expect("metrics fold");
+        assert_eq!(num(&doc, &["counters", "deadline.ticks"]), Some(200.0));
+        assert_eq!(num(&doc, &["counters", "deadline.misses"]), Some(3.0));
+        assert_eq!(num(&doc, &["gauges", "deadline.worst_ns"]), Some(31e6));
+        assert_eq!(num(&doc, &["histograms", "tick.total", "count"]), Some(200.0));
+        let sum = 160.0 * 12e6 + 40.0 * 31e6;
+        assert_eq!(num(&doc, &["histograms", "tick.total", "sum"]), Some(sum));
+        assert_eq!(num(&doc, &["histograms", "tick.total", "max"]), Some(31e6));
     }
 
     #[test]

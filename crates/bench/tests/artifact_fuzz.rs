@@ -168,7 +168,6 @@ fn read_everything(c: &Corpus, text: &str) {
         if let Ok(merged) = merge_artifacts(&[art]) {
             let _ = summarize_merged(&merged[0], TD);
             let _ = merge::table_text(&merged, TD);
-            let _ = merge::deterministic_doc(&merged, TD);
             let _ = merge::journal_doc(&merged);
             let _ = merge::metrics_doc(&merged);
             let _ = merge::weighted_table_text(&merged, TD);
@@ -307,7 +306,7 @@ fn repeated_bucket_overflow_truncates_the_artifact() {
     );
     lines[i] = forged;
     let art = parse_artifact(&(lines.join("\n") + "\n")).expect("the manifest still parses");
-    assert!(art.batches.is_empty() && art.runs.is_empty() && !art.complete, "{art:?}");
+    assert!(art.batches == 0 && art.runs.is_empty() && !art.complete, "{art:?}");
 }
 
 /// Two real shards whose metric slices each claim `u64::MAX` ticks, and

@@ -58,9 +58,9 @@ impl AdsConfig {
 /// *did* on its last tick, in units that are pure functions of the run
 /// seed (dynamic fabric instructions, detector activity). The modeled
 /// profiling time source turns these into deterministic latencies;
-/// `detect_ns` is only nonzero under `DIVERSEAV_PROFILE=wall`, where the
-/// detector check is timed in place (it runs inside [`Ads::tick`], so
-/// the loop cannot bracket it from outside).
+/// `detect_ns` is only nonzero after [`Ads::set_detect_timing`] switched
+/// timing on; the detector check is then timed in place (it runs inside
+/// [`Ads::tick`], so the loop cannot bracket it from outside).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct TickWork {
     /// Dynamic GPU-fabric instructions executed this tick (all units).
@@ -69,8 +69,8 @@ pub struct TickWork {
     pub cpu_instr: u64,
     /// Whether the error detector observed a divergence sample.
     pub detector_observed: bool,
-    /// Wall-clock nanoseconds spent in the detector check (wall time
-    /// source only; 0 otherwise).
+    /// Wall-clock nanoseconds spent in the detector check (0 unless
+    /// detector timing is on).
     pub detect_ns: u64,
 }
 
@@ -147,7 +147,7 @@ impl Ads {
             prev_selected: None,
             prev_instr: (0, 0),
             last_work: TickWork::default(),
-            time_detect: diverseav_obs::profile::source() == diverseav_obs::TimeSource::Wall,
+            time_detect: false,
         }
     }
 
@@ -159,6 +159,14 @@ impl Ads {
     /// Attach a trained error detector.
     pub fn attach_detector(&mut self, model: DetectorModel, det_cfg: DetectorConfig) {
         self.detector = Some(OnlineDetector::new(model, det_cfg));
+    }
+
+    /// Time the detector check of every following tick on the wall
+    /// clock and report it as [`TickWork::detect_ns`] (off by default).
+    /// The canonical loop switches it on exactly when some observer
+    /// wants phase timings.
+    pub fn set_detect_timing(&mut self, on: bool) {
+        self.time_detect = on;
     }
 
     /// The attached detector, if any.

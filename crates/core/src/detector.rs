@@ -327,10 +327,6 @@ impl OnlineDetector {
     /// the normalized score (see [`TrendConfig`]); the paths are
     /// OR-composed, so the trend path can only move the alarm earlier.
     ///
-    /// The first exceedance also increments the process-global
-    /// `detector.alarms` counter (at most once per run — alarm events,
-    /// not ticks), surfacing alarm totals in `METRICS_campaigns.json`.
-    ///
     /// Every observation — before *and* after the alarm latches —
     /// refreshes [`telemetry`](OnlineDetector::telemetry), so the flight
     /// recorder keeps seeing the score trajectory through the end of the
@@ -364,7 +360,6 @@ impl OnlineDetector {
         }
         if magnitude || trend {
             self.alarm_at = Some(t);
-            diverseav_obs::metrics::counter_add("detector.alarms", 1);
             return true;
         }
         false

@@ -76,7 +76,7 @@ pub use shard::{
     campaign_fingerprint, collect_incidents, execute_shard, execute_shard_limited,
     guided_epoch_summary, guided_fingerprint, incident_sidecar_path, merge_artifacts,
     parse_artifact, parse_incident_artifact, summarize_merged, summarize_weighted, unit_shard,
-    BatchMark, GuidedManifest, GuidedShardSpec, IncidentArtifact, IncidentPayload, IncidentRecord,
+    GuidedManifest, GuidedShardSpec, IncidentArtifact, IncidentPayload, IncidentRecord,
     MergedCampaign, MergedGuided, MetricsSlice, ShardArtifact, ShardConfig, ShardError,
     ShardManifest, ShardRun, ShardSpec, ShardStatus, SHARD_SCHEMA_VERSION,
 };

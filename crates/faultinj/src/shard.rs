@@ -18,8 +18,9 @@
 //!   shard: it runs the units in deterministic batches and appends them
 //!   to a versioned JSONL artifact and its incident sidecar. Each batch
 //!   commits atomically (runs first, then a batch marker with cumulative
-//!   metrics); an interrupted shard resumes at its last committed batch,
-//!   and the finished artifact is byte-identical to an uninterrupted run:
+//!   metrics, of which resume and merge read only the last); an
+//!   interrupted shard resumes at its last committed batch, and the
+//!   finished artifact is byte-identical to an uninterrupted run:
 //!   both files hold only what the seeds determine, so their bytes do not
 //!   depend on the thread count or the wall clock either. A checkpoint
 //!   from another configuration is refused, and a finished one adopted,
@@ -63,7 +64,6 @@ use crate::runner::{run_experiment, RunResult};
 use diverseav_obs::flight::{self, TickRecord};
 use diverseav_obs::json::{self, Value};
 use diverseav_obs::{metrics, profile, HistSnapshot, TimeSource};
-use diverseav_runtime::DeadlineStats;
 use diverseav_simworld::{splitmix64, Scenario, SensorConfig, TrajPoint};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -600,22 +600,6 @@ impl ShardManifest {
     }
 }
 
-/// One committed checkpoint batch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BatchMark {
-    /// Batch index (sequential from 0).
-    pub batch: usize,
-    /// Cumulative [`MetricsSlice`] of all batches up to and including
-    /// this one.
-    pub metrics: MetricsSlice,
-}
-
-impl BatchMark {
-    fn parse(v: &Value) -> Result<BatchMark, String> {
-        Ok(BatchMark { batch: v.req_usize("batch")?, metrics: MetricsSlice::parse_fields(v)? })
-    }
-}
-
 /// A parsed shard artifact: the committed prefix of the file.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardArtifact {
@@ -623,20 +607,16 @@ pub struct ShardArtifact {
     pub manifest: ShardManifest,
     /// Runs of committed batches, in file (= engine) order.
     pub runs: Vec<ShardRun>,
-    /// Committed batch markers, in order.
-    pub batches: Vec<BatchMark>,
+    /// Committed batches (each sealed by its `shard_batch` marker).
+    pub batches: usize,
+    /// Cumulative [`MetricsSlice`] of the last committed batch (empty
+    /// before the first): what resume continues and merge folds.
+    pub metrics: MetricsSlice,
     /// Whether the `shard_done` footer was present.
     pub complete: bool,
     /// Lines in the committed prefix (manifest + committed batches),
     /// used by the resume path to truncate a torn tail.
     pub committed_lines: usize,
-}
-
-impl ShardArtifact {
-    /// Cumulative metrics slice of the last committed batch.
-    pub fn metrics(&self) -> MetricsSlice {
-        self.batches.last().map(|b| b.metrics.clone()).unwrap_or_default()
-    }
 }
 
 /// Parse a shard artifact.
@@ -654,7 +634,8 @@ pub fn parse_artifact(text: &str) -> Result<ShardArtifact, ShardError> {
     let (campaign, scenario) = (&manifest.campaign, &manifest.scenario_name);
     let mut runs = Vec::new();
     let mut pending: Vec<ShardRun> = Vec::new();
-    let mut batches: Vec<BatchMark> = Vec::new();
+    let mut batches = 0usize;
+    let mut metrics = MetricsSlice::default();
     let mut complete = false;
     let mut committed_lines = 1usize;
     let mut line_no = 1usize;
@@ -666,18 +647,20 @@ pub fn parse_artifact(text: &str) -> Result<ShardArtifact, ShardError> {
             "shard_run" => {
                 let parsed = RunRecord::parse_shard_line(&v, campaign, scenario);
                 let Ok((batch, run)) = parsed else { break };
-                if batch != batches.len() {
+                if batch != batches {
                     break;
                 }
                 pending.push(run);
             }
             "shard_batch" => {
-                let Ok(mark) = BatchMark::parse(&v) else { break };
-                if mark.batch != batches.len() {
+                let Ok(batch) = v.req_usize("batch") else { break };
+                let Ok(slice) = MetricsSlice::parse_fields(&v) else { break };
+                if batch != batches {
                     break;
                 }
                 runs.append(&mut pending);
-                batches.push(mark);
+                batches += 1;
+                metrics = slice;
                 committed_lines = line_no;
             }
             "shard_done" => {
@@ -690,7 +673,7 @@ pub fn parse_artifact(text: &str) -> Result<ShardArtifact, ShardError> {
             _ => break,
         }
     }
-    Ok(ShardArtifact { manifest, runs, batches, complete, committed_lines })
+    Ok(ShardArtifact { manifest, runs, batches, metrics, complete, committed_lines })
 }
 
 // -- incident sidecar -------------------------------------------------------
@@ -979,10 +962,9 @@ pub fn execute_shard_limited(
             if committed != text.len() || !text.ends_with('\n') {
                 reopen_committed(path, &text, committed)?;
             }
-            let batches = art.batches.len();
             return Ok(ShardStatus {
-                total_batches: batches,
-                resumed_batches: batches,
+                total_batches: art.batches,
+                resumed_batches: art.batches,
                 executed_batches: 0,
                 assigned_runs: art.runs.len(),
                 complete: true,
@@ -1041,8 +1023,8 @@ pub fn execute_shard_limited(
         if art.manifest != manifest {
             return Err(refuse());
         }
-        done_batches = art.batches.len();
-        cumulative = art.metrics();
+        done_batches = art.batches;
+        cumulative = art.metrics;
         reopen_committed(path, &text, line_prefix_len(&text, art.committed_lines))?
     };
 
@@ -1171,8 +1153,6 @@ pub struct MergedCampaign {
     pub baseline: Vec<TrajPoint>,
     /// Shard metric slices folded together.
     pub metrics: MetricsSlice,
-    /// Deadline accounting folded across shards.
-    pub deadline: DeadlineStats,
     /// Guided-campaign shape (`None` for uniform enumeration).
     pub guided: Option<MergedGuided>,
 }
@@ -1457,7 +1437,7 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
     // count is a mismatch, never a wrapped sum.
     let (mut ticks, mut misses) = (0u64, 0u64);
     for a in ordered {
-        metrics.add(&a.metrics()).map_err(mismatch)?;
+        metrics.add(&a.metrics).map_err(mismatch)?;
         for r in &a.runs {
             ticks =
                 ticks.checked_add(r.ticks).ok_or_else(|| mismatch("ticks overflow u64".into()))?;
@@ -1466,12 +1446,6 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
                 .ok_or_else(|| mismatch("deadline misses overflow u64".into()))?;
         }
     }
-
-    let deadline = DeadlineStats {
-        ticks: metrics.counters.get("deadline.ticks").copied().unwrap_or(0),
-        misses: metrics.counters.get("deadline.misses").copied().unwrap_or(0),
-        worst_ns: metrics.gauges.get("deadline.worst_ns").copied().unwrap_or(0.0) as u64,
-    };
     Ok(MergedCampaign {
         // Epoch 0 is always covered, so the first manifest is (0, 0)'s.
         manifest: manifests[0].clone(),
@@ -1480,7 +1454,6 @@ fn merge_group(group: &[&ShardArtifact]) -> Result<MergedCampaign, ShardError> {
         injected,
         baseline,
         metrics,
-        deadline,
         guided: merged_guided,
     })
 }
@@ -1799,12 +1772,12 @@ mod tests {
     fn repeated_bucket_overflow_truncates_the_artifact() {
         let ok = r#""counters": {}, "gauges": {}, "hists": {"tick.total": {"sum": "0", "max": "0", "buckets": [[3, "1"]]}}"#;
         let art = parse_artifact(&artifact_text(ok, 10)).expect("artifact parses");
-        assert!(art.complete && art.batches.len() == 1);
+        assert!(art.complete && art.batches == 1);
         // The same bucket twice, summing past u64::MAX: the marker is
         // malformed, so the artifact ends before its batch.
         let forged = ok.replace(r#"[[3, "1"]]"#, r#"[[3, "18446744073709551615"], [3, "1"]]"#);
         let art = parse_artifact(&artifact_text(&forged, 10)).expect("manifest still parses");
-        assert!(art.batches.is_empty() && art.runs.is_empty() && !art.complete, "{art:?}");
+        assert!(art.batches == 0 && art.runs.is_empty() && !art.complete, "{art:?}");
     }
 
     #[test]
@@ -1819,7 +1792,7 @@ mod tests {
         let metrics = &metrics[1..metrics.len() - 1];
         let mut arts = synthetic_artifacts(2);
         for a in &mut arts {
-            a.batches[0].metrics = huge.clone();
+            a.metrics = huge.clone();
         }
         let err = merge_artifacts(&arts).expect_err("metric fold overflows");
         assert!(matches!(err, ShardError::Mismatch(_)), "{err}");
@@ -1888,7 +1861,8 @@ mod tests {
             .enumerate()
             .map(|(i, runs)| ShardArtifact {
                 manifest: manifest(i),
-                batches: vec![BatchMark { batch: 0, metrics: MetricsSlice::default() }],
+                batches: 1,
+                metrics: MetricsSlice::default(),
                 complete: true,
                 committed_lines: 2 + runs.len(),
                 runs,
@@ -2216,7 +2190,7 @@ mod tests {
         let text = render_committed(a);
         let committed = parse_artifact(&text).expect("committed prefix parses");
         assert_eq!(committed.runs.len(), a.runs.len());
-        assert_eq!(committed.batches.len(), 1);
+        assert_eq!(committed.batches, 1);
         assert!(!committed.complete, "no footer yet");
 
         // A torn tail: one uncommitted run line, then a half-written line.
@@ -2226,7 +2200,7 @@ mod tests {
         torn.push_str("{\"type\": \"shard_ru");
         let parsed = parse_artifact(&torn).expect("torn artifact still parses");
         assert_eq!(parsed.runs.len(), a.runs.len(), "uncommitted run discarded");
-        assert_eq!(parsed.batches.len(), 1);
+        assert_eq!(parsed.batches, 1);
         assert_eq!(
             torn.lines().take(parsed.committed_lines).count(),
             parsed.committed_lines,

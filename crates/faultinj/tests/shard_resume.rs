@@ -214,7 +214,7 @@ fn every_artifact_offset_commits_exactly_the_finished_batches() {
             (None, Ok(_)) => panic!("cut {x} inside the manifest line parses"),
             (Some(_), Err(e)) => panic!("cut {x} after the manifest line: {e}"),
             (Some((k, complete)), Ok(art)) => {
-                assert_eq!(art.batches.len(), k, "cut {x}: committed batches");
+                assert_eq!(art.batches, k, "cut {x}: committed batches");
                 assert_eq!(art.runs.len(), r.batch_runs[..k].iter().sum::<usize>(), "cut {x}");
                 assert_eq!(art.complete, complete, "cut {x}: footer");
             }

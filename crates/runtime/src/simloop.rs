@@ -121,6 +121,13 @@ pub trait LoopDriver {
     fn cameras(&self) -> CameraSet {
         CameraSet::ALL
     }
+
+    /// Called once at the start of every [`SimLoop::run_for`] with
+    /// whether this run reports wall-clock [`LoopPhase`] timings to its
+    /// observers. A driver that times part of its own tick (and reports
+    /// it through [`TickWork::detect_ns`]) does so only when `on`.
+    /// Defaults to a no-op.
+    fn set_phase_timing(&mut self, _on: bool) {}
 }
 
 impl<D: LoopDriver + ?Sized> LoopDriver for &mut D {
@@ -141,6 +148,10 @@ impl<D: LoopDriver + ?Sized> LoopDriver for &mut D {
 
     fn cameras(&self) -> CameraSet {
         (**self).cameras()
+    }
+
+    fn set_phase_timing(&mut self, on: bool) {
+        (**self).set_phase_timing(on);
     }
 }
 
@@ -163,6 +174,11 @@ impl LoopDriver for Ads {
     /// Every agent's perception uploads the center camera only.
     fn cameras(&self) -> CameraSet {
         CameraSet::CENTER
+    }
+
+    /// The detector check runs inside [`Ads::tick`]; it is timed there.
+    fn set_phase_timing(&mut self, on: bool) {
+        self.set_detect_timing(on);
     }
 }
 
@@ -370,6 +386,7 @@ impl<D: LoopDriver> SimLoop<D> {
     ) -> Option<Termination> {
         let mut termination = None;
         let timing = observers.iter().any(|o| o.wants_phase_timing());
+        self.driver.set_phase_timing(timing);
         let cameras = observers.iter().fold(self.driver.cameras(), |set, o| set.union(o.cameras()));
         for _ in 0..max_ticks {
             if self.world.finished() {

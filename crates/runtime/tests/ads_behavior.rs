@@ -7,7 +7,9 @@ use diverseav::{
     Ads, AdsConfig, AgentMode, DetectorConfig, DetectorModel, FusionPolicy, TickOutput,
 };
 use diverseav_fabric::{FaultModel, Op, Profile};
-use diverseav_runtime::{LoopObserver, SimLoop, Termination, TickContext};
+use diverseav_runtime::{
+    LoopObserver, LoopPhase, SimLoop, Termination, TickContext, TrainingCollector,
+};
 use diverseav_simworld::{lead_slowdown, SensorConfig, World};
 
 fn world() -> World {
@@ -92,6 +94,60 @@ fn detector_alarm_passthrough() {
     let outs = run_ticks(&mut ads, world(), 30);
     let alarmed = outs.iter().any(|o| o.alarm_raised);
     assert_eq!(alarmed, ads.alarm_time().is_some());
+}
+
+/// A round-robin ADS whose detector was trained on 40 fault-free ticks
+/// of [`world`].
+fn trained_ads(seed: u64) -> Ads {
+    let mut collector = TrainingCollector::new(true, 64);
+    let ads = Ads::new(AdsConfig::for_mode(AgentMode::RoundRobin, seed));
+    SimLoop::new(world(), ads).run_for(40, &mut [&mut collector]);
+    let cfg = DetectorConfig::default();
+    let mut ads = Ads::new(AdsConfig::for_mode(AgentMode::RoundRobin, seed));
+    ads.attach_detector(DetectorModel::train(&[collector.training], &cfg), cfg);
+    ads
+}
+
+#[test]
+fn detect_timing_follows_the_loops_phase_observers() {
+    /// Records each tick's `Detect` phase and the driver's
+    /// `last_tick_work().detect_ns` (the loop hands it over as `work`).
+    struct Phases {
+        timing: bool,
+        detect: Vec<u64>,
+        work: Vec<u64>,
+    }
+    impl LoopObserver for Phases {
+        fn wants_phase_timing(&self) -> bool {
+            self.timing
+        }
+        fn on_phase(&mut self, phase: LoopPhase, dur_ns: u64) {
+            if phase == LoopPhase::Detect {
+                self.detect.push(dur_ns);
+            }
+        }
+        fn on_tick(&mut self, ctx: &TickContext<'_>) {
+            assert!(ctx.work.detector_observed || ctx.t == 0.0, "the detector checks every pair");
+            self.work.push(ctx.work.detect_ns);
+        }
+    }
+    let run = |timing: bool| {
+        let mut ads = trained_ads(12);
+        let mut phases = Phases { timing, detect: Vec::new(), work: Vec::new() };
+        SimLoop::new(world(), &mut ads).run_for(20, &mut [&mut phases]);
+        assert_eq!(phases.work.len(), 20);
+        phases
+    };
+    // Under the default modeled source, a phase observer alone switches
+    // the in-tick detector timing on.
+    let timed = run(true);
+    assert_eq!(timed.detect.len(), 20);
+    assert!(timed.detect.iter().any(|&ns| ns > 0), "detect phases: {:?}", timed.detect);
+    assert_eq!(timed.detect, timed.work, "the Detect phase is the driver's own measurement");
+    // Without one, the detector check reads no clock.
+    let untimed = run(false);
+    assert!(untimed.detect.is_empty());
+    assert!(untimed.work.iter().all(|&ns| ns == 0), "detect_ns: {:?}", untimed.work);
 }
 
 #[test]
