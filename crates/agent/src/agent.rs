@@ -198,7 +198,6 @@ pub struct SensorimotorAgent {
     gpu_ctx: Context,
     cpu_ctx: Context,
     jitter_rng: StdRng,
-    last_controls: Controls,
     steps: u64,
 }
 
@@ -230,7 +229,6 @@ impl SensorimotorAgent {
             gpu_ctx,
             cpu_ctx,
             jitter_rng: StdRng::seed_from_u64(seed ^ 0xA6E7),
-            last_controls: Controls::default(),
             steps: 0,
         }
     }
@@ -310,11 +308,6 @@ impl SensorimotorAgent {
     /// The configuration this agent runs with.
     pub fn config(&self) -> &AgentConfig {
         &self.cfg
-    }
-
-    /// Controls produced by the most recent successful step.
-    pub fn last_controls(&self) -> Controls {
-        self.last_controls
     }
 
     /// Number of frames this agent has processed.
@@ -476,7 +469,6 @@ impl SensorimotorAgent {
             emit(self.cpu_ctx.read_f32(cpu::OUT_BRAKE)),
             emit(self.cpu_ctx.read_f32(cpu::OUT_STEER)),
         );
-        self.last_controls = controls;
         self.steps += 1;
         Ok(controls)
     }

@@ -80,21 +80,6 @@ pub fn estimate_fit(raw_fit: f64, rates: &FaultOutcomeRates, detector_recall: f6
     }
 }
 
-/// Detector recall required to push the residual SDC FIT under a target
-/// (ISO 26262 ASIL-D: 10 FIT). Returns `None` when even perfect recall
-/// cannot reach the target (i.e., the target is non-positive) and `0.0`
-/// when no detector is needed.
-pub fn required_recall(raw_fit: f64, rates: &FaultOutcomeRates, target_fit: f64) -> Option<f64> {
-    if target_fit <= 0.0 {
-        return None;
-    }
-    let unprotected = raw_fit * rates.p_safety_sdc;
-    if unprotected <= target_fit {
-        return Some(0.0);
-    }
-    Some(1.0 - target_fit / unprotected)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,18 +112,6 @@ mod tests {
     fn perfect_recall_zeroes_residual() {
         let e = estimate_fit(1000.0, &rates(), 1.0);
         assert_eq!(e.residual_sdc_fit, 0.0);
-    }
-
-    #[test]
-    fn required_recall_for_iso_target() {
-        // Unprotected SDC FIT = 10·5 = 50 with a 5000-FIT element; to get
-        // below 10 FIT we need recall ≥ 0.8.
-        let needed = required_recall(5000.0, &rates(), 10.0).expect("achievable");
-        assert!((needed - 0.8).abs() < 1e-9);
-        // Already under target → no detector needed.
-        assert_eq!(required_recall(100.0, &rates(), 10.0), Some(0.0));
-        // Nonsensical target.
-        assert_eq!(required_recall(100.0, &rates(), 0.0), None);
     }
 
     #[test]

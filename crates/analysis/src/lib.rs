@@ -27,7 +27,7 @@ pub mod report;
 pub mod stats;
 
 pub use diversity::{float_bit_diffs, matched_shifts, pixel_bit_diffs, DiversityStats};
-pub use fit::{estimate_fit, required_recall, FaultOutcomeRates, FitEstimate};
+pub use fit::{estimate_fit, FaultOutcomeRates, FitEstimate};
 pub use kitti_synth::{generate_sequence, ground_truth_controls, SynthConfig, SynthFrame};
 pub use report::{ascii_cdf, heatmap, Table};
-pub use stats::{cdf_points, histogram, mean, percentile, std_dev, Boxplot};
+pub use stats::{cdf_points, mean, percentile, Boxplot};

@@ -32,15 +32,6 @@ pub fn mean(data: &[f64]) -> f64 {
     data.iter().sum::<f64>() / data.len() as f64
 }
 
-/// Sample standard deviation (n − 1 denominator; 0 for n < 2).
-pub fn std_dev(data: &[f64]) -> f64 {
-    if data.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(data);
-    (data.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (data.len() - 1) as f64).sqrt()
-}
-
 /// Five-number summary for boxplots (Fig 6).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Boxplot {
@@ -71,26 +62,6 @@ impl Boxplot {
             max: percentile(data, 100.0),
         }
     }
-}
-
-/// Fixed-width histogram of a sample: returns `(bin_lower_edge, count)`
-/// pairs covering `[lo, hi)` with `bins` equal bins; samples outside the
-/// range are clamped into the edge bins.
-///
-/// # Panics
-///
-/// Panics if `bins == 0` or `hi <= lo`.
-pub fn histogram(data: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<(f64, usize)> {
-    assert!(bins > 0, "histogram needs at least one bin");
-    assert!(hi > lo, "empty histogram range");
-    let width = (hi - lo) / bins as f64;
-    let mut counts = vec![0usize; bins];
-    for &x in data {
-        let b = ((x - lo) / width).floor();
-        let idx = (b.max(0.0) as usize).min(bins - 1);
-        counts[idx] += 1;
-    }
-    counts.into_iter().enumerate().map(|(i, c)| (lo + i as f64 * width, c)).collect()
 }
 
 /// Empirical CDF points `(x, F(x))` of a sample, one per observation.
@@ -133,11 +104,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_a_sample() {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&data) - 5.0).abs() < 1e-12);
-        assert!((std_dev(&data) - 2.138).abs() < 0.01);
-        assert_eq!(std_dev(&[1.0]), 0.0);
     }
 
     #[test]
@@ -149,23 +118,6 @@ mod tests {
         assert_eq!(b.max, 9.0);
         assert_eq!(b.q1, 3.0);
         assert_eq!(b.q3, 7.0);
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let data = [0.1, 0.2, 0.55, 0.9, -5.0, 5.0];
-        let h = histogram(&data, 0.0, 1.0, 4);
-        assert_eq!(h.len(), 4);
-        assert_eq!(h[0], (0.0, 3), "two in-range + one clamped low");
-        assert_eq!(h[2].1, 1);
-        assert_eq!(h[3].1, 2, "one in-range + one clamped high");
-        assert_eq!(h.iter().map(|&(_, c)| c).sum::<usize>(), data.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn zero_bins_panics() {
-        let _ = histogram(&[1.0], 0.0, 1.0, 0);
     }
 
     #[test]

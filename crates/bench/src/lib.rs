@@ -26,7 +26,7 @@ use diverseav_obs::metrics;
 pub fn metrics_json() -> String {
     metrics::gauge_set("engine.detected_cores", detected_parallelism() as f64);
     metrics::gauge_set("engine.threads", thread_count() as f64);
-    metrics::render_json(&metrics::snapshot())
+    metrics::render_json(&metrics::MetricsSlice::capture())
 }
 
 /// Write [`metrics_json`] to `path` (the `METRICS_campaigns.json`

@@ -9,10 +9,10 @@
 //! wall-clocks.
 
 use diverseav_analysis::Table;
-use diverseav_faultinj::shard::{IncidentRecord, MergedCampaign, MetricsSlice, ShardError};
+use diverseav_faultinj::shard::{IncidentRecord, MergedCampaign, ShardError};
 use diverseav_faultinj::{stratum_label, summarize_merged, summarize_weighted};
 use diverseav_obs::json;
-use diverseav_obs::{metrics, MetricsSnapshot};
+use diverseav_obs::{metrics, MetricsSlice};
 use std::collections::BTreeMap;
 
 /// Render merged campaigns as the Table-I summary text.
@@ -161,8 +161,8 @@ pub fn guided_report_doc(merged: &[MergedCampaign], td: f64) -> Result<String, S
 }
 
 /// Render the merged `METRICS_campaigns.json`: the per-campaign metric
-/// slices folded into one registry snapshot (phases are wall-clock and
-/// therefore per-machine — a merge has none).
+/// slices folded into one (phases are wall-clock and therefore
+/// per-machine — a merge has none).
 ///
 /// # Errors
 ///
@@ -173,9 +173,7 @@ pub fn metrics_doc(merged: &[MergedCampaign]) -> Result<String, ShardError> {
     for m in merged {
         folded.add(&m.metrics).map_err(ShardError::Mismatch)?;
     }
-    let MetricsSlice { counters, gauges, hists } = folded;
-    let snap = MetricsSnapshot { counters, gauges, phases: BTreeMap::new(), hists };
-    Ok(metrics::render_json(&snap))
+    Ok(metrics::render_json(&folded))
 }
 
 /// Render a merged incident document for one campaign: a
@@ -221,7 +219,7 @@ pub fn journal_doc(merged: &[MergedCampaign]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diverseav_faultinj::shard::{MetricsSlice, ShardManifest, ShardRun};
+    use diverseav_faultinj::shard::{ShardManifest, ShardRun};
     use diverseav_faultinj::{GOLDEN_SEED_BASE, INJECTED_SEED_BASE, SHARD_SCHEMA_VERSION};
     use diverseav_obs::hist::bucket_index;
     use diverseav_obs::json::Value;

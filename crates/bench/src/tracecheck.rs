@@ -1178,7 +1178,7 @@ mod tests {
             journal::append_line(format!("{{\"type\": \"cap_probe\", \"i\": {i}}}"));
         }
         journal::set_capacity(1 << 20);
-        let snap = json::parse(&metrics::render_json(&metrics::snapshot()))
+        let snap = json::parse(&metrics::render_json(&metrics::MetricsSlice::capture()))
             .expect("registry snapshot renders valid JSON");
         let out = metrics_summary(&snap).expect("registry snapshot is complete");
         assert!(out.contains("WARNING"), "forced drops must surface loudly:\n{out}");

@@ -5,10 +5,6 @@
 //! (1-shard) guided path, and the weighted Table-I cells must satisfy
 //! the `guided_expected` fixture machinery that the `guided-verify` CI
 //! job runs against `tests/fixtures/guided_expected_lsd.json`.
-//!
-//! Single-test binary for the same reason as `shard_merge.rs`: shard
-//! execution reads deltas out of the process-global metrics registry,
-//! so a concurrent campaign in this process would pollute them.
 
 use diverseav::AgentMode;
 use diverseav_bench::{merge, tracecheck};

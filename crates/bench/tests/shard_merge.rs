@@ -3,12 +3,9 @@
 //! the monolithic `run_campaign_cached` path, and the traced monolithic
 //! run's journal lines must equal the merged journal.
 //!
-//! This is deliberately the ONLY test in this binary: shard execution
-//! reads deltas out of the process-global metrics registry, and a
-//! concurrently running campaign in the same process would land its
-//! counters inside those deltas. (Per-batch deltas make the *committed*
-//! payload immune, but keeping the binary single-test removes the
-//! hazard entirely.)
+//! One test, which sets `DIVERSEAV_TRACE` for the process and reads the
+//! process-wide journal buffer. Shard artifacts need no isolation: each
+//! batch's metrics are the sum of its own runs' slices.
 
 use diverseav::AgentMode;
 use diverseav_bench::merge;

@@ -73,7 +73,8 @@ fn tracecheck_consumes_a_real_traced_campaign() {
     );
 
     // Profiling summary over the metrics the same campaign recorded.
-    let snap = json::parse(&metrics::render_json(&metrics::snapshot())).expect("metrics JSON");
+    let snap = json::parse(&metrics::render_json(&metrics::MetricsSlice::capture()))
+        .expect("metrics JSON");
     let prof = metrics_summary(&snap).expect("the registry snapshot is complete");
     assert!(prof.contains("tick.total"), "per-phase histograms surfaced:\n{prof}");
     assert!(prof.contains("deadline"), "deadline tallies surfaced:\n{prof}");

@@ -210,17 +210,6 @@ impl Ads {
         })
     }
 
-    /// Dynamic-instruction totals per fabric: `(profile, unit, stats)`.
-    pub fn exec_stats(&self) -> Vec<(Profile, usize, ExecStats)> {
-        self.units
-            .iter()
-            .enumerate()
-            .flat_map(|(i, u)| {
-                [(Profile::Gpu, i, u.gpu.stats().clone()), (Profile::Cpu, i, u.cpu.stats().clone())]
-            })
-            .collect()
-    }
-
     /// Total dynamic GPU instructions across units (profiling pass for the
     /// transient fault-site space).
     pub fn dyn_instr(&self, profile: Profile) -> u64 {
@@ -364,10 +353,12 @@ mod tests {
 
     #[test]
     fn processor_provisioning_matches_mode() {
-        let rr = Ads::new(AdsConfig::for_mode(AgentMode::RoundRobin, 4));
-        assert_eq!(rr.exec_stats().len(), 2, "one GPU + one CPU");
-        let fd = Ads::new(AdsConfig::for_mode(AgentMode::Duplicate, 4));
-        assert_eq!(fd.exec_stats().len(), 4, "two GPUs + two CPUs");
+        let units = |mode| {
+            let ads = Ads::new(AdsConfig::for_mode(mode, 4));
+            (0..3).take_while(|&u| ads.unit_stats(Profile::Gpu, u).is_some()).count()
+        };
+        assert_eq!(units(AgentMode::RoundRobin), 1, "one GPU + one CPU");
+        assert_eq!(units(AgentMode::Duplicate), 2, "two GPUs + two CPUs");
     }
 
     #[test]

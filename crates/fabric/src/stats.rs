@@ -82,11 +82,6 @@ impl ExecStats {
             })
             .collect()
     }
-
-    /// Reset all counters to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 impl AddAssign<&ExecStats> for ExecStats {
@@ -143,15 +138,6 @@ mod tests {
         assert_eq!(a.total(), 3);
         assert_eq!(a.count(Op::FAdd), 2);
         assert_eq!(a.launches(), 1);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut s = ExecStats::new();
-        s.record(Op::FAdd);
-        s.reset();
-        assert_eq!(s.total(), 0);
-        assert!(s.used_ops().is_empty());
     }
 
     #[test]

@@ -1018,21 +1018,19 @@ impl Fabric {
         self.profile
     }
 
-    /// Execution statistics accumulated since the last reset.
+    /// Execution statistics accumulated since this fabric was created.
     pub fn stats(&self) -> &ExecStats {
         &self.stats
     }
 
     /// How the lockstep kernel engine ran since this fabric was created:
     /// tiles committed and aborted, threads replayed on the scalar
-    /// interpreter, transient re-runs. Not reset by
-    /// [`reset_for_run`](Self::reset_for_run), and no part of any result.
+    /// interpreter, transient re-runs. No part of any result.
     pub fn lockstep_counters(&self) -> LockstepCounters {
         self.counters
     }
-    /// Total dynamic instructions executed since the last
-    /// [`reset_for_run`](Self::reset_for_run) — the transient fault-site
-    /// space for plan generation.
+    /// Total dynamic instructions executed since this fabric was created
+    /// — the transient fault-site space for plan generation.
     pub fn dyn_instr_count(&self) -> u64 {
         self.dyn_counter
     }
@@ -1050,14 +1048,6 @@ impl Fabric {
     /// The armed fault's state, if any.
     pub fn fault_state(&self) -> Option<&FaultState> {
         self.fault.as_ref()
-    }
-
-    /// Reset the dynamic-instruction counter, statistics, and fault state
-    /// ahead of a new experimental run.
-    pub fn reset_for_run(&mut self) {
-        self.stats.reset();
-        self.dyn_counter = 0;
-        self.fault = None;
     }
 
     /// Run `prog` in scalar mode using the context's persistent register
@@ -1636,23 +1626,6 @@ mod tests {
         f.run_scalar(&prog, &mut ctx, 100).unwrap();
         assert_eq!(ctx.read_f32(0), 5.0, "stores have no destination register");
         assert_eq!(f.fault_state().unwrap().activations(), 0);
-    }
-
-    #[test]
-    fn dyn_counter_spans_runs_until_reset() {
-        let mut b = ProgramBuilder::new();
-        b.ldimm_i(r(0), 1);
-        b.halt();
-        let prog = b.build();
-        let mut f = Fabric::new(Profile::Cpu);
-        let mut ctx = f.new_context(4);
-        f.run_scalar(&prog, &mut ctx, 100).unwrap();
-        f.run_scalar(&prog, &mut ctx, 100).unwrap();
-        assert_eq!(f.dyn_instr_count(), 4);
-        f.reset_for_run();
-        assert_eq!(f.dyn_instr_count(), 0);
-        assert_eq!(f.stats().total(), 0);
-        assert!(f.fault_state().is_none());
     }
 
     #[test]

@@ -68,6 +68,8 @@ pub use plan::{
 // Sensor-fault realizations live in the runtime crate (the injector is a
 // `SimLoop` hook); re-exported here so campaign code has one import root.
 pub use diverseav_runtime::{IncidentKind, SensorFault, SensorFaultKind};
+// A run's metric contribution, which shard artifacts sum per batch.
+pub use diverseav_obs::MetricsSlice;
 pub use record::{run_record, RunRecord};
 pub use runner::{
     run_experiment, run_experiment_observed, FaultSpec, RunConfig, RunResult, Termination,
@@ -77,6 +79,6 @@ pub use shard::{
     guided_epoch_summary, guided_fingerprint, incident_sidecar_path, merge_artifacts,
     parse_artifact, parse_incident_artifact, summarize_merged, summarize_weighted, unit_shard,
     GuidedManifest, GuidedShardSpec, IncidentArtifact, IncidentPayload, IncidentRecord,
-    MergedCampaign, MergedGuided, MetricsSlice, ShardArtifact, ShardConfig, ShardError,
-    ShardManifest, ShardRun, ShardSpec, ShardStatus, SHARD_SCHEMA_VERSION,
+    MergedCampaign, MergedGuided, ShardArtifact, ShardConfig, ShardError, ShardManifest, ShardRun,
+    ShardSpec, ShardStatus, SHARD_SCHEMA_VERSION,
 };

@@ -5,7 +5,7 @@ use diverseav::{Ads, AdsConfig, AgentMode, DetectorConfig, DetectorModel, TrainS
 use diverseav_agent::AgentConfig;
 use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_obs::flight::TickRecord;
-use diverseav_obs::{profile, FaultSite};
+use diverseav_obs::{metrics, profile, FaultSite, MetricsSlice};
 use diverseav_runtime::{
     FlightRecorder, FrameInjector, IncidentKind, LoopObserver, SensorFault, SimLoop,
     TrainingCollector,
@@ -163,9 +163,7 @@ pub struct RunResult {
     pub min_cvip: f64,
     /// Red lights crossed against a stop demand.
     pub red_light_violations: u32,
-    /// Simulation ticks executed — this run's share of the
-    /// `runtime.ticks` counter, carried per run so shard artifacts can
-    /// account work without re-deriving it from the shared registry.
+    /// Simulation ticks executed — this run's `runtime.ticks`.
     pub ticks: u64,
     /// Ticks whose latency exceeded the 25 ms control budget: modeled
     /// latency by default, measured phases under
@@ -233,7 +231,17 @@ pub fn run_experiment(cfg: &RunConfig) -> RunResult {
 /// Observers see every tick but cannot change the run, so results stay
 /// bit-identical to [`run_experiment`].
 pub fn run_experiment_observed(cfg: &RunConfig, extra: &mut [&mut dyn LoopObserver]) -> RunResult {
-    diverseav_obs::metrics::counter_add("runner.experiments", 1);
+    run_metered(cfg, extra).0
+}
+
+/// [`run_experiment_observed`], also returning the run's metric
+/// contribution: the tick ledger's slice plus `runner.experiments`. The
+/// slice is folded into the registry here, once, and returned so the
+/// shard executor can sum its own runs' slices.
+pub(crate) fn run_metered(
+    cfg: &RunConfig,
+    extra: &mut [&mut dyn LoopObserver],
+) -> (RunResult, MetricsSlice) {
     let world = World::new(cfg.scenario.clone(), cfg.sensor, cfg.seed);
     let mut ads = Ads::new(AdsConfig {
         mode: cfg.mode,
@@ -282,8 +290,11 @@ pub fn run_experiment_observed(cfg: &RunConfig, extra: &mut [&mut dyn LoopObserv
     // that ended badly keep the drained window for the incident artifact.
     let incident = flight.classify(&termination, fault_activated);
     let (ticks, deadline_misses) = (flight.ticks(), flight.stats().misses);
+    let mut slice = flight.metrics();
+    slice.counters.insert("runner.experiments".to_string(), 1);
+    metrics::absorb(&slice);
     let flight = if incident.is_some() { flight.drain() } else { Vec::new() };
-    RunResult {
+    let result = RunResult {
         scenario: cfg.scenario.name,
         mode: cfg.mode,
         fault: cfg.fault,
@@ -309,7 +320,8 @@ pub fn run_experiment_observed(cfg: &RunConfig, extra: &mut [&mut dyn LoopObserv
         cpu_ops: cpu_stats.used_ops(),
         stratum: cfg.stratum,
         weight: cfg.weight,
-    }
+    };
+    (result, slice)
 }
 
 #[cfg(test)]

@@ -60,10 +60,10 @@ use crate::exec::par_map;
 use crate::guided::{ess, is_safety_critical, EpochSummary, WeightedRow};
 use crate::outcome::{mean_trajectory, Tally};
 use crate::record::{run_record, RunRecord};
-use crate::runner::{run_experiment, RunResult};
+use crate::runner::{run_metered, RunResult};
 use diverseav_obs::flight::{self, TickRecord};
 use diverseav_obs::json::{self, Value};
-use diverseav_obs::{metrics, profile, HistSnapshot, TimeSource};
+use diverseav_obs::{profile, HistSnapshot, MetricsSlice, TimeSource};
 use diverseav_simworld::{splitmix64, Scenario, SensorConfig, TrajPoint};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -246,165 +246,69 @@ pub struct ShardConfig {
 /// ([`RunRecord::render_shard_line`]) per run.
 pub type ShardRun = RunRecord;
 
-/// Prefixes of the process-global metrics a shard is accountable for:
-/// everything the simulation runs themselves produce. Campaign-level
-/// phases and cache counters belong to the orchestrator, not the shard.
-const COUNTER_PREFIXES: [&str; 3] = ["runtime.", "deadline.", "runner."];
-const GAUGE_PREFIXES: [&str; 1] = ["deadline."];
-const HIST_PREFIXES: [&str; 1] = ["tick."];
-
-/// The slice of the process-global metrics registry attributable to one
-/// shard's runs. All three maps merge with commutative, associative
-/// operations (sum / max / histogram absorb), so folding shard slices in
-/// any order reproduces the monolithic registry contents exactly.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSlice {
-    /// Counter deltas (zero deltas omitted).
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge values (all shard-scope gauges are running maxima).
-    pub gauges: BTreeMap<String, f64>,
-    /// Histogram contributions.
-    pub hists: BTreeMap<String, HistSnapshot>,
+/// Render a batch marker's metric slice as JSON object members: its
+/// counters, gauges and histograms, losslessly (u64s as decimal strings,
+/// f64s as bit patterns, histograms sparse), leaving out zero counters
+/// and empty histograms. A shard's runs record no phases.
+fn render_metrics(m: &MetricsSlice) -> String {
+    let counters: Vec<String> = m
+        .counters
+        .iter()
+        .filter(|&(_, &v)| v > 0)
+        .map(|(k, v)| format!("\"{}\": {}", json::escape(k), json::u64_str(*v)))
+        .collect();
+    let gauges: Vec<String> = m
+        .gauges
+        .iter()
+        .map(|(k, v)| format!("\"{}\": {}", json::escape(k), json::f64_bits(*v)))
+        .collect();
+    let hists: Vec<String> = m
+        .hists
+        .iter()
+        .filter(|(_, h)| h.count() > 0)
+        .map(|(k, h)| {
+            let pairs: Vec<String> =
+                h.sparse().iter().map(|(i, c)| format!("[{}, {}]", i, json::u64_str(*c))).collect();
+            format!(
+                "\"{}\": {{\"sum\": {}, \"max\": {}, \"buckets\": [{}]}}",
+                json::escape(k),
+                json::u64_str(h.sum),
+                json::u64_str(h.max),
+                pairs.join(", ")
+            )
+        })
+        .collect();
+    format!(
+        "\"counters\": {{{}}}, \"gauges\": {{{}}}, \"hists\": {{{}}}",
+        counters.join(", "),
+        gauges.join(", "),
+        hists.join(", ")
+    )
 }
 
-impl MetricsSlice {
-    /// Snapshot the shard-scope subset of the global registry.
-    pub fn capture() -> Self {
-        fn scoped<V>(all: BTreeMap<String, V>, prefixes: &[&str]) -> BTreeMap<String, V> {
-            all.into_iter().filter(|(k, _)| prefixes.iter().any(|p| k.starts_with(p))).collect()
-        }
-        let snap = metrics::snapshot();
-        MetricsSlice {
-            counters: scoped(snap.counters, &COUNTER_PREFIXES),
-            gauges: scoped(snap.gauges, &GAUGE_PREFIXES),
-            hists: scoped(snap.hists, &HIST_PREFIXES),
-        }
+/// Parse the members rendered by [`render_metrics`].
+fn parse_metrics(v: &Value) -> Result<MetricsSlice, String> {
+    let mut out = MetricsSlice::default();
+    for (k, val) in v.req_obj("counters")? {
+        out.counters.insert(k.clone(), json::parse_u64_str(val)?);
     }
-
-    /// Contribution between `base` (captured earlier) and `self`
-    /// (captured later): counters subtract (zero deltas dropped so key
-    /// sets match the monolithic render), histogram counts and sums
-    /// subtract (empty histograms dropped, the later max kept), gauges
-    /// keep the later value — every shard-scope gauge is a running max,
-    /// and maxima cannot be subtracted, only re-maxed on merge.
-    pub fn delta(&self, base: &MetricsSlice) -> MetricsSlice {
-        let mut counters = BTreeMap::new();
-        for (k, v) in &self.counters {
-            let d = v.saturating_sub(base.counters.get(k).copied().unwrap_or(0));
-            if d > 0 {
-                counters.insert(k.clone(), d);
-            }
-        }
-        let mut hists = BTreeMap::new();
-        for (k, snap) in &self.hists {
-            let mut out = snap.clone();
-            if let Some(b) = base.hists.get(k) {
-                for (i, c) in b.sparse() {
-                    if i < out.buckets.len() {
-                        out.buckets[i] = out.buckets[i].saturating_sub(c);
-                    }
-                }
-                out.sum = out.sum.saturating_sub(b.sum);
-            }
-            if out.count() > 0 {
-                hists.insert(k.clone(), out);
-            }
-        }
-        MetricsSlice { counters, gauges: self.gauges.clone(), hists }
+    for (k, val) in v.req_obj("gauges")? {
+        out.gauges.insert(k.clone(), json::parse_f64_bits(val)?);
     }
-
-    /// Fold in another slice: counters add, gauges take the max,
-    /// histograms absorb (bucket-wise add, max of maxima).
-    ///
-    /// # Errors
-    ///
-    /// A counter or histogram whose fold overflows `u64` — only forged
-    /// artifacts get there; `self` is then left partly folded.
-    pub fn add(&mut self, other: &MetricsSlice) -> Result<(), String> {
-        for (k, v) in &other.counters {
-            let slot = self.counters.entry(k.clone()).or_insert(0);
-            *slot = slot.checked_add(*v).ok_or_else(|| format!("counter {k:?} overflows u64"))?;
+    for (k, val) in v.req_obj("hists")? {
+        let mut pairs = Vec::new();
+        for p in val.req_arr("buckets")? {
+            let [i, c] = p.as_arr().unwrap_or_default() else {
+                return Err("bucket entries must be [index, count] pairs".to_string());
+            };
+            let i = usize::try_from(json::parse_uint(i)?)
+                .map_err(|_| "bucket index out of range".to_string())?;
+            pairs.push((i, json::parse_u64_str(c)?));
         }
-        for (k, v) in &other.gauges {
-            let slot = self.gauges.entry(k.clone()).or_insert(*v);
-            if *v > *slot {
-                *slot = *v;
-            }
-        }
-        for (k, h) in &other.hists {
-            match self.hists.get_mut(k) {
-                Some(mine) => mine.absorb(h).map_err(|e| format!("histogram {k:?}: {e}"))?,
-                None => {
-                    self.hists.insert(k.clone(), h.clone());
-                }
-            }
-        }
-        Ok(())
+        let (sum, max) = (val.req_u64_str("sum")?, val.req_u64_str("max")?);
+        out.hists.insert(k.clone(), HistSnapshot::from_sparse(&pairs, sum, max)?);
     }
-
-    /// Render the three maps as JSON object members (losslessly: u64s as
-    /// decimal strings, f64s as bit patterns, histograms sparse).
-    fn render_fields(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("\"{}\": {}", json::escape(k), json::u64_str(*v)))
-            .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("\"{}\": {}", json::escape(k), json::f64_bits(*v)))
-            .collect();
-        let hists: Vec<String> = self
-            .hists
-            .iter()
-            .map(|(k, h)| {
-                let pairs: Vec<String> = h
-                    .sparse()
-                    .iter()
-                    .map(|(i, c)| format!("[{}, {}]", i, json::u64_str(*c)))
-                    .collect();
-                format!(
-                    "\"{}\": {{\"sum\": {}, \"max\": {}, \"buckets\": [{}]}}",
-                    json::escape(k),
-                    json::u64_str(h.sum),
-                    json::u64_str(h.max),
-                    pairs.join(", ")
-                )
-            })
-            .collect();
-        format!(
-            "\"counters\": {{{}}}, \"gauges\": {{{}}}, \"hists\": {{{}}}",
-            counters.join(", "),
-            gauges.join(", "),
-            hists.join(", ")
-        )
-    }
-
-    /// Parse the members rendered by [`Self::render_fields`].
-    fn parse_fields(v: &Value) -> Result<MetricsSlice, String> {
-        let mut out = MetricsSlice::default();
-        for (k, val) in v.req_obj("counters")? {
-            out.counters.insert(k.clone(), json::parse_u64_str(val)?);
-        }
-        for (k, val) in v.req_obj("gauges")? {
-            out.gauges.insert(k.clone(), json::parse_f64_bits(val)?);
-        }
-        for (k, val) in v.req_obj("hists")? {
-            let mut pairs = Vec::new();
-            for p in val.req_arr("buckets")? {
-                let [i, c] = p.as_arr().unwrap_or_default() else {
-                    return Err("bucket entries must be [index, count] pairs".to_string());
-                };
-                let i = usize::try_from(json::parse_uint(i)?)
-                    .map_err(|_| "bucket index out of range".to_string())?;
-                pairs.push((i, json::parse_u64_str(c)?));
-            }
-            let (sum, max) = (val.req_u64_str("sum")?, val.req_u64_str("max")?);
-            out.hists.insert(k.clone(), HistSnapshot::from_sparse(&pairs, sum, max)?);
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 /// First line of every shard artifact: identity and shape.
@@ -654,7 +558,7 @@ pub fn parse_artifact(text: &str) -> Result<ShardArtifact, ShardError> {
             }
             "shard_batch" => {
                 let Ok(batch) = v.req_usize("batch") else { break };
-                let Ok(slice) = MetricsSlice::parse_fields(&v) else { break };
+                let Ok(slice) = parse_metrics(&v) else { break };
                 if batch != batches {
                     break;
                 }
@@ -973,14 +877,13 @@ pub fn execute_shard_limited(
     }
 
     // The profiling pass is golden run 0, re-run by every shard process
-    // because it sizes the injection plan. Its metric contribution is
-    // bracketed so it is charged exactly once — by the shard that owns
-    // Golden(0), in the batch that commits it.
-    let s0 = MetricsSlice::capture();
-    let profile_run =
-        run_experiment(&unit_config(&scenario, cfg.campaign.mode, cfg.sensor, RunUnit::Golden(0)));
-    let s1 = MetricsSlice::capture();
-    let profiling_slice = s1.delta(&s0);
+    // because it sizes the injection plan. It stands for the unit
+    // Golden(0), so its metric slice is charged only by the shard that
+    // owns that unit, in the batch that commits it.
+    let profiled = run_metered(
+        &unit_config(&scenario, cfg.campaign.mode, cfg.sensor, RunUnit::Golden(0)),
+        &mut [],
+    );
 
     let cut = Cut::new(
         &cfg.campaign,
@@ -988,7 +891,7 @@ pub fn execute_shard_limited(
         cfg.sensor,
         cfg.spec,
         cfg.guided.as_ref(),
-        &profile_run,
+        &profiled.0,
     )?;
     let units = &cut.units;
     let batch_size = cfg.batch_size.max(1);
@@ -1070,28 +973,24 @@ pub fn execute_shard_limited(
                 return Ok(status(done_batches, executed, false));
             }
         }
-        let before = MetricsSlice::capture();
-        let flatten = |unit: RunUnit, r: &RunResult| {
+        let flatten = |unit: RunUnit, (r, slice): &(RunResult, MetricsSlice)| {
             let payload = r.incident.map(|_| IncidentPayload { unit, flight: r.flight.clone() });
-            (run_record(&manifest.campaign, unit.kind(), unit.index(), r), payload)
+            (run_record(&manifest.campaign, unit.kind(), unit.index(), r), payload, slice.clone())
         };
-        let results: Vec<(RunRecord, Option<IncidentPayload>)> =
+        let results: Vec<(RunRecord, Option<IncidentPayload>, MetricsSlice)> =
             par_map(chunk, |&unit| match unit {
-                RunUnit::Golden(0) => flatten(unit, &profile_run),
-                _ => flatten(unit, &run_experiment(&cut.config(unit))),
+                RunUnit::Golden(0) => flatten(unit, &profiled),
+                _ => flatten(unit, &run_metered(&cut.config(unit), &mut [])),
             });
-        let after = MetricsSlice::capture();
-        let mut batch_delta = after.delta(&before);
-        if chunk.contains(&RunUnit::Golden(0)) {
-            batch_delta.add(&profiling_slice).map_err(ShardError::Mismatch)?;
+        for (_, _, slice) in &results {
+            cumulative.add(slice).map_err(ShardError::Mismatch)?;
         }
-        cumulative.add(&batch_delta).map_err(ShardError::Mismatch)?;
 
         // Sidecar payloads land before the batch marker: a kill between
         // the two re-runs the batch and truncates the orphaned payloads,
         // never the reverse (a committed batch missing its payloads).
         let mut inc_out = String::new();
-        for payload in results.iter().filter_map(|(_, p)| p.as_ref()) {
+        for payload in results.iter().filter_map(|(_, p, _)| p.as_ref()) {
             inc_out.push_str(&payload.render_line(b));
             inc_out.push('\n');
         }
@@ -1100,13 +999,13 @@ pub fn execute_shard_limited(
             inc_file.flush()?;
         }
         let mut out = String::new();
-        for (r, _) in &results {
+        for (r, _, _) in &results {
             out.push_str(&r.render_shard_line(b));
             out.push('\n');
         }
         out.push_str(&format!(
             "{{\"type\": \"shard_batch\", \"batch\": {b}, {}}}\n",
-            cumulative.render_fields()
+            render_metrics(&cumulative)
         ));
         file.write_all(out.as_bytes())?;
         file.flush()?;
@@ -1726,32 +1625,23 @@ mod tests {
     }
 
     #[test]
-    fn metrics_slice_delta_add_and_encoding_round_trip() {
-        let mut before = MetricsSlice::default();
-        before.counters.insert("runtime.ticks".to_string(), 100);
-        let mut after = MetricsSlice::default();
-        after.counters.insert("runtime.ticks".to_string(), 151);
-        after.counters.insert("runner.experiments".to_string(), 2);
-        after.gauges.insert("deadline.worst_ns".to_string(), 1.5e6);
+    fn metrics_slice_encoding_round_trips_and_leaves_out_zeros() {
+        let mut d = MetricsSlice::default();
+        d.counters.insert("runtime.ticks".to_string(), 51);
+        d.counters.insert("runner.experiments".to_string(), 2);
+        d.gauges.insert("deadline.worst_ns".to_string(), 1.5e6);
         let mut h =
             HistSnapshot { buckets: vec![0; diverseav_obs::hist::N_BUCKETS], sum: 40, max: 12 };
         h.buckets[3] = 4;
-        after.hists.insert("tick.total".to_string(), h);
-        let d = after.delta(&before);
-        assert_eq!(d.counters.get("runtime.ticks"), Some(&51));
-        assert_eq!(d.counters.get("runner.experiments"), Some(&2));
+        d.hists.insert("tick.total".to_string(), h);
+        let mut with_zeros = d.clone();
+        with_zeros.counters.insert("deadline.misses".to_string(), 0);
+        with_zeros.hists.insert("tick.sense".to_string(), HistSnapshot::default());
 
-        let line = format!("{{{}}}", d.render_fields());
+        let line = format!("{{{}}}", render_metrics(&with_zeros));
         let v = json::parse(&line).expect("fields parse");
-        let back = MetricsSlice::parse_fields(&v).expect("fields reconstruct");
-        assert_eq!(back, d);
-
-        let mut folded = MetricsSlice::default();
-        folded.add(&d).expect("no overflow");
-        folded.add(&d).expect("no overflow");
-        assert_eq!(folded.counters.get("runtime.ticks"), Some(&102));
-        assert_eq!(folded.gauges.get("deadline.worst_ns"), Some(&1.5e6));
-        assert_eq!(folded.hists.get("tick.total").map(|h| h.count()), Some(8));
+        let back = parse_metrics(&v).expect("fields reconstruct");
+        assert_eq!(back, d, "zero counters and empty histograms are left out");
     }
 
     /// A shard artifact whose one batch marker carries `metrics`, with
@@ -1788,7 +1678,7 @@ mod tests {
         assert!(folded.add(&huge).is_err(), "counter fold overflows");
 
         // Two shards whose metric slices each carry u64::MAX ticks.
-        let metrics = format!("{{{}}}", huge.render_fields());
+        let metrics = format!("{{{}}}", render_metrics(&huge));
         let metrics = &metrics[1..metrics.len() - 1];
         let mut arts = synthetic_artifacts(2);
         for a in &mut arts {
@@ -2105,7 +1995,7 @@ mod tests {
             text.push_str(&r.render_shard_line(0));
             text.push('\n');
         }
-        let metrics = MetricsSlice::default().render_fields();
+        let metrics = render_metrics(&MetricsSlice::default());
         text.push_str(&format!("{{\"type\": \"shard_batch\", \"batch\": 0, {metrics}}}\n"));
         text
     }

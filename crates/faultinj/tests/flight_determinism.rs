@@ -273,3 +273,38 @@ fn guided_incident_sets_collect_across_epochs() {
     assert!(msg.contains("epoch 1 shard 1/3 supplied more than once"), "{msg}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A shard artifact owes nothing to what its process ran before: the
+/// same shard written before and after a Duplicate-mode campaign (whose
+/// every tick misses the deadline, far past this shard's worst) is the
+/// same bytes.
+#[test]
+fn shard_artifacts_are_independent_of_process_history() {
+    let dir = std::env::temp_dir().join(format!("flight_history_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let campaign = Campaign {
+        scenario: ScenarioKind::LeadSlowdown,
+        target: Profile::Gpu,
+        kind: FaultModelKind::Transient,
+        mode: AgentMode::RoundRobin,
+    };
+    let cfg = ShardConfig {
+        campaign,
+        scale: tiny_scale(),
+        sensor: SensorConfig::default(),
+        spec: ShardSpec { index: 0, count: 1 },
+        batch_size: 2,
+        guided: None,
+    };
+    let run = |name: &str| {
+        let path = dir.join(name);
+        execute_shard(&cfg, &path).expect("shard executes");
+        std::fs::read_to_string(&path).expect("shard output readable")
+    };
+    let before = run("before.jsonl");
+    let duplicate = Campaign { mode: AgentMode::Duplicate, ..campaign };
+    run_campaign_cached(duplicate, &tiny_scale(), None, SensorConfig::default(), false, None);
+    let after = run("after.jsonl");
+    assert!(before == after, "shard artifact depends on what the process ran before");
+    std::fs::remove_dir_all(&dir).ok();
+}

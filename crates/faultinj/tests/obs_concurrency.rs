@@ -1,14 +1,15 @@
 //! Concurrency safety of the shared metrics registry under the engine's
-//! fan-out: counters, phase accumulators, and histograms recorded from
-//! `par_map_with` workers must merge to the same totals at any thread
-//! count — the property that lets campaign code record metrics from
-//! inside worker closures without perturbing determinism.
+//! fan-out: counters, phase accumulators, and per-item slices absorbed
+//! from `par_map_with` workers (the way each run's metrics reach the
+//! registry) must merge to the same totals at any thread count — the
+//! property that lets campaign code record metrics from inside worker
+//! closures without perturbing determinism.
 //!
 //! Uses uniquely named keys (not `metrics::clear`) so it can share a
 //! process with other metrics-touching tests.
 
 use diverseav_faultinj::{detected_parallelism, par_map_with};
-use diverseav_obs::metrics;
+use diverseav_obs::{metrics, HistSnapshot, MetricsSlice};
 
 #[test]
 fn fanout_metrics_merge_identically_at_any_thread_count() {
@@ -19,11 +20,14 @@ fn fanout_metrics_merge_identically_at_any_thread_count() {
         let counter = format!("test.obsconc.{variant}.counter");
         let phase = format!("test.obsconc.{variant}.phase");
         let hist_name = format!("test.obsconc.{variant}.hist");
-        let hist = metrics::histogram(&hist_name);
         par_map_with(threads, &items, |&i| {
             metrics::counter_add(&counter, i + 1);
             metrics::phase_add(&phase, 0.125);
+            let mut hist = HistSnapshot::default();
             hist.record(i * 37 + 5);
+            let mut slice = MetricsSlice::default();
+            slice.hists.insert(hist_name.clone(), hist);
+            metrics::absorb(&slice);
             i
         });
         (metrics::counter_get(&counter), metrics::phase_get(&phase), metrics::hist_get(&hist_name))

@@ -1,21 +1,20 @@
-//! Lock-free log-bucketed latency histograms.
+//! Log-bucketed latency histograms.
 //!
-//! A [`Histogram`] is a fixed-size array of atomic bucket counters over a
+//! A [`HistSnapshot`] is a fixed-size array of bucket counters over a
 //! log-linear value scale: values below [`LINEAR_MAX`] get exact unit
 //! buckets; above that, each power-of-two octave is split into
 //! [`SUBBUCKETS`] equal sub-buckets, bounding the relative quantile error
-//! at `1 / (2 * SUBBUCKETS)` (≈ 12.5 %). Recording is a single relaxed
-//! `fetch_add` plus a `fetch_max`, so histograms can be shared freely
-//! across `par_map` worker threads: bucket increments commute, which
-//! makes the merged contents independent of scheduling — the property
-//! the thread-count determinism gate relies on.
+//! at `1 / (2 * SUBBUCKETS)` (≈ 12.5 %). It is plain data owned by one
+//! recorder: a run records into its own histograms, and runs, batches
+//! and shards combine by [`absorb`](HistSnapshot::absorb), whose bucket
+//! additions commute — which makes the merged contents independent of
+//! worker scheduling, the property the thread-count determinism gate
+//! relies on.
 //!
 //! Values are dimensionless `u64`s; the profiling layer records
 //! nanoseconds. Rendering is deterministic: sparse buckets are emitted
 //! in ascending index order and quantiles are computed from fixed bucket
 //! representatives (clamped to the exact observed maximum).
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Values below this get exact unit buckets.
 pub const LINEAR_MAX: u64 = 16;
@@ -58,67 +57,9 @@ fn representative(index: usize) -> u64 {
     lo + (hi - lo) / 2
 }
 
-/// A fixed-size, lock-free, mergeable latency histogram.
-///
-/// All operations use relaxed atomics: the histogram carries independent
-/// monotone counters, and readers ([`Histogram::snapshot`]) are expected
-/// to run at quiescent points (end of a campaign phase, test
-/// assertions), not to observe a consistent cut mid-recording.
-pub struct Histogram {
-    buckets: [AtomicU64; N_BUCKETS],
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one value (a single `fetch_add` + `fetch_max`).
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Fold another histogram's contents into this one (bucket-wise add,
-    /// max of maxima) — e.g. per-slot histograms after a fan-out joins.
-    pub fn absorb(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// A plain (non-atomic) copy of the current contents.
-    pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data copy of a [`Histogram`], with quantile estimation and
-/// deterministic JSON rendering.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A fixed-size, mergeable latency histogram: plain data with quantile
+/// estimation and deterministic JSON rendering.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Per-bucket counts ([`N_BUCKETS`] entries).
     pub buckets: Vec<u64>,
@@ -128,7 +69,23 @@ pub struct HistSnapshot {
     pub max: u64,
 }
 
+impl Default for HistSnapshot {
+    /// An empty histogram over the full [`N_BUCKETS`] scale, so
+    /// [`record`](HistSnapshot::record) never allocates.
+    fn default() -> Self {
+        HistSnapshot { buckets: vec![0; N_BUCKETS], sum: 0, max: 0 }
+    }
+}
+
 impl HistSnapshot {
+    /// Record one value: a bucket increment, a sum and a max — plain
+    /// stores, no allocation.
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.sum += v;
+        self.max = self.max.max(v);
+    }
+
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
@@ -178,11 +135,10 @@ impl HistSnapshot {
         self.quantile(0.99)
     }
 
-    /// Fold another snapshot's contents into this one (bucket-wise add,
-    /// sum add, max of maxima) — the plain-data mirror of
-    /// [`Histogram::absorb`], for merging snapshots that were serialized
-    /// and read back (shard artifacts). Commutative and associative, so
-    /// the merged contents are independent of shard order.
+    /// Fold another histogram's contents into this one (bucket-wise add,
+    /// sum add, max of maxima) — per-run histograms into a batch, batches
+    /// into a shard, shards into a campaign. Commutative and associative,
+    /// so the merged contents are independent of run and shard order.
     ///
     /// # Errors
     ///
@@ -260,6 +216,12 @@ impl HistSnapshot {
 mod tests {
     use super::*;
 
+    fn recorded(values: impl IntoIterator<Item = u64>) -> HistSnapshot {
+        let mut h = HistSnapshot::default();
+        values.into_iter().for_each(|v| h.record(v));
+        h
+    }
+
     #[test]
     fn bucket_scale_is_monotone_and_total() {
         let mut prev = 0usize;
@@ -275,11 +237,7 @@ mod tests {
 
     #[test]
     fn small_values_are_exact() {
-        let h = Histogram::new();
-        for v in 0..LINEAR_MAX {
-            h.record(v);
-        }
-        let s = h.snapshot();
+        let s = recorded(0..LINEAR_MAX);
         assert_eq!(s.count(), LINEAR_MAX);
         for v in 0..LINEAR_MAX as usize {
             assert_eq!(s.buckets[v], 1);
@@ -292,11 +250,7 @@ mod tests {
     fn quantiles_track_a_known_uniform_distribution() {
         // 1..=100_000 uniform: quantile q should estimate q * 100_000
         // within the scale's 12.5 % relative-error bound.
-        let h = Histogram::new();
-        for v in 1..=100_000u64 {
-            h.record(v);
-        }
-        let s = h.snapshot();
+        let s = recorded(1..=100_000u64);
         assert_eq!(s.count(), 100_000);
         assert_eq!(s.max, 100_000);
         for (q, expect) in [(0.50, 50_000.0), (0.90, 90_000.0), (0.99, 99_000.0)] {
@@ -309,9 +263,7 @@ mod tests {
 
     #[test]
     fn p99_never_exceeds_exact_max() {
-        let h = Histogram::new();
-        h.record(1_000_003);
-        let s = h.snapshot();
+        let s = recorded([1_000_003]);
         assert_eq!(s.max, 1_000_003);
         let (lo, _) = bucket_bounds(bucket_index(1_000_003));
         for q in [s.p50(), s.p90(), s.p99()] {
@@ -322,54 +274,21 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_like_a_single_recorder() {
-        let all = Histogram::new();
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 0..10_000u64 {
-            all.record(v * 17 + 1);
-            if v % 2 == 0 { &a } else { &b }.record(v * 17 + 1);
-        }
-        a.absorb(&b);
-        assert_eq!(a.snapshot(), all.snapshot());
-    }
-
-    #[test]
-    fn concurrent_recording_matches_sequential() {
-        let seq = Histogram::new();
-        for v in 0..40_000u64 {
-            seq.record(v % 977);
-        }
-        let par = Histogram::new();
-        std::thread::scope(|scope| {
-            for w in 0..4u64 {
-                let par = &par;
-                scope.spawn(move || {
-                    for v in (w..40_000).step_by(4) {
-                        par.record(v % 977);
-                    }
-                });
+    fn absorb_merges_like_a_single_recorder_in_any_order() {
+        let values = |w: u64| (w..10_000u64).step_by(4).map(|v| v * 17 + 1);
+        let all = recorded((0..10_000u64).map(|v| v * 17 + 1));
+        let parts: Vec<HistSnapshot> = (0..4).map(|w| recorded(values(w))).collect();
+        for order in [[0, 1, 2, 3], [3, 1, 0, 2]] {
+            let mut folded = HistSnapshot::default();
+            for i in order {
+                folded.absorb(&parts[i]).expect("no overflow");
             }
-        });
-        assert_eq!(par.snapshot(), seq.snapshot());
-    }
-
-    #[test]
-    fn snapshot_absorb_matches_histogram_absorb() {
-        let all = Histogram::new();
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 0..5_000u64 {
-            all.record(v * 13 + 7);
-            if v % 3 == 0 { &a } else { &b }.record(v * 13 + 7);
+            assert_eq!(folded, all, "order {order:?}");
         }
-        let mut sa = a.snapshot();
-        sa.absorb(&b.snapshot()).expect("no overflow");
-        assert_eq!(sa, all.snapshot());
-        // Absorbing into a default (empty-bucket) snapshot resizes it.
-        let mut empty = HistSnapshot::default();
-        empty.absorb(&all.snapshot()).expect("no overflow");
-        assert_eq!(empty, all.snapshot());
+        // Absorbing into a bucketless histogram resizes it.
+        let mut bare = HistSnapshot { buckets: Vec::new(), sum: 0, max: 0 };
+        bare.absorb(&all).expect("no overflow");
+        assert_eq!(bare, all);
     }
 
     #[test]
@@ -389,24 +308,20 @@ mod tests {
 
     #[test]
     fn sparse_round_trips_through_from_sparse() {
-        let h = Histogram::new();
-        for v in [0u64, 3, 3, 200, 1 << 40] {
-            h.record(v);
-        }
-        let snap = h.snapshot();
+        let snap = recorded([0u64, 3, 3, 200, 1 << 40]);
         let rebuilt = HistSnapshot::from_sparse(&snap.sparse(), snap.sum, snap.max).unwrap();
         assert_eq!(rebuilt, snap);
         assert!(HistSnapshot::from_sparse(&[(N_BUCKETS, 1)], 0, 0).is_err(), "bounds checked");
         assert_eq!(
-            HistSnapshot::from_sparse(&[], 0, 0).unwrap().buckets.len(),
-            N_BUCKETS,
-            "empty sparse set still yields a full-scale snapshot"
+            HistSnapshot::from_sparse(&[], 0, 0).unwrap(),
+            HistSnapshot::default(),
+            "empty sparse set still yields a full-scale histogram"
         );
     }
 
     #[test]
     fn empty_histogram_renders_and_quantiles_safely() {
-        let s = Histogram::new().snapshot();
+        let s = HistSnapshot::default();
         assert_eq!(s.count(), 0);
         assert_eq!(s.quantile(0.99), 0);
         assert_eq!(s.mean(), 0.0);
@@ -419,11 +334,7 @@ mod tests {
 
     #[test]
     fn render_lists_sparse_buckets_in_order() {
-        let h = Histogram::new();
-        h.record(3);
-        h.record(3);
-        h.record(200);
-        let json = h.snapshot().render_json();
+        let json = recorded([3, 3, 200]).render_json();
         assert!(json.contains("\"count\": 3"));
         assert!(json.contains("[3, 2]"));
         let i3 = json.find("[3, 2]").unwrap();

@@ -10,17 +10,19 @@
 //!   process-wide clock) rides in the item's own result slot and is
 //!   journaled in index order after the join, so tracing never adds
 //!   cross-worker synchronization and never perturbs the engine.
-//! * [`metrics`] — a process-global registry of named counters, gauges,
-//!   and per-phase wall-clock accumulators, flushed as the
-//!   `METRICS_campaigns.json` artifact.
+//! * [`metrics`] — [`MetricsSlice`], a value of named counters, gauges,
+//!   per-phase wall-clock accumulators and histograms that merges by
+//!   commutative folds, and the process-global registry of one, flushed
+//!   as the `METRICS_campaigns.json` artifact. A simulation run returns
+//!   its own slice and the runner folds it in once.
 //! * [`journal`] — a buffered per-run JSONL journal (injection site,
 //!   bit mask, cycle, outcome, alarm time, divergence peaks) behind the
 //!   `DIVERSEAV_TRACE` environment switch, bounded by a line cap
 //!   (`DIVERSEAV_TRACE_CAP`) with dropped lines tallied in metrics.
-//! * [`hist`] — lock-free log-bucketed latency histograms
-//!   (p50/p90/p99/max), registered by name in [`metrics`] and rendered
-//!   into `METRICS_campaigns.json`; the substrate of the tick-level
-//!   profiling layer in `diverseav-runtime`.
+//! * [`hist`] — log-bucketed latency histograms (p50/p90/p99/max) as
+//!   plain data: each run's tick ledger in `diverseav-runtime` records
+//!   into its own, and [`metrics`] folds and renders them into
+//!   `METRICS_campaigns.json`.
 //! * [`profile`] — the `DIVERSEAV_PROFILE` switch selecting the
 //!   profiling time source: a deterministic work-based cost model
 //!   (default, bit-identical across thread counts) or host wall clock.
@@ -50,7 +52,7 @@ pub mod profile;
 pub mod trace;
 
 pub use flight::{FlightRing, TickRecord};
-pub use hist::{HistSnapshot, Histogram};
+pub use hist::HistSnapshot;
 pub use journal::FaultSite;
-pub use metrics::MetricsSnapshot;
+pub use metrics::MetricsSlice;
 pub use profile::TimeSource;

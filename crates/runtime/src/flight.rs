@@ -23,14 +23,16 @@
 //! monolithic execution (`ci/lint.sh` Gate 4 greps this module for
 //! wall-clock calls).
 //!
-//! Per-tick work is arithmetic, stores and relaxed atomic histogram
-//! increments: the ring is sized and the histogram `Arc`s resolved at
-//! construction (the `zero_alloc` integration test covers the recorded
-//! loop). The process-global `runtime.ticks` counter and the
-//! scenario-keyed `deadline.*` counters and gauges are flushed once at
-//! termination, through commutative operations only (`counter_add`,
-//! `gauge_max`), so merged campaign metrics stay independent of worker
-//! scheduling.
+//! Per-tick work is arithmetic and plain stores: the ring and the
+//! recorder's own five histograms are allocated at construction (the
+//! `zero_alloc` integration test covers the recorded loop). The recorder
+//! touches no shared state. At run end [`FlightRecorder::metrics`]
+//! yields the run's [`MetricsSlice`] — `runtime.ticks`, the global and
+//! scenario-keyed `deadline.*` counters and gauges, and the histograms —
+//! which the runner folds into the registry and the shard executor sums
+//! per batch, through commutative operations only, so merged campaign
+//! metrics stay independent of worker scheduling and of whatever else
+//! the process ran.
 //!
 //! Most runs end quietly and their ring is simply dropped. A run that
 //! ends badly — see [`IncidentKind`] — has its ring drained into a
@@ -44,10 +46,8 @@ use diverseav_obs::flight::{
     FlightRing, TickRecord, DEFAULT_RING_CAPACITY, FLAG_ALARM, FLAG_DEADLINE_MISS,
     FLAG_DETECTOR_OBSERVED, FLAG_FAULT_ACTIVE, FLAG_TREND_ARMED,
 };
-use diverseav_obs::hist::Histogram;
-use diverseav_obs::{metrics, TimeSource};
+use diverseav_obs::{HistSnapshot, MetricsSlice, TimeSource};
 use diverseav_simworld::{Controls, World};
-use std::sync::Arc;
 
 /// Consecutive modeled deadline misses that qualify a run as a
 /// [`IncidentKind::DeadlineBurst`] incident. Eight ticks ≡ 200 ms of
@@ -60,6 +60,10 @@ pub const DEADLINE_BURST_TICKS: u64 = 8;
 /// line. Below this the fault was benign at the actuation boundary, not
 /// silently dangerous.
 pub const SILENT_SCORE_FLOOR: f64 = 0.5;
+
+/// Names of the recorder's histograms, in its phase order.
+const TICK_HISTS: [&str; 5] =
+    ["tick.sense", "tick.driver", "tick.detect", "tick.step", "tick.total"];
 
 /// Why a run's flight recording was flushed into an incident artifact.
 ///
@@ -126,7 +130,7 @@ pub struct FlightRecorder {
     max_miss_streak: u64,
     peak_score: f64,
     alarmed: bool,
-    hists: [Arc<Histogram>; 5], // sense, driver, detect, step, total
+    hists: [HistSnapshot; 5], // named by `TICK_HISTS`
     stats: DeadlineStats,
     /// Wall source: phase durations of the in-flight tick, accounted
     /// when its `Step` phase (always last) arrives.
@@ -148,19 +152,13 @@ impl FlightRecorder {
             max_miss_streak: 0,
             peak_score: 0.0,
             alarmed: false,
-            hists: [
-                metrics::histogram("tick.sense"),
-                metrics::histogram("tick.driver"),
-                metrics::histogram("tick.detect"),
-                metrics::histogram("tick.step"),
-                metrics::histogram("tick.total"),
-            ],
+            hists: Default::default(),
             stats: DeadlineStats::default(),
             pending: None,
         }
     }
 
-    /// Ticks recorded so far: the run's share of `runtime.ticks`.
+    /// Ticks recorded so far: the run's `runtime.ticks`.
     pub fn ticks(&self) -> u64 {
         self.ring.pushed()
     }
@@ -173,6 +171,26 @@ impl FlightRecorder {
     /// The ring of retained records.
     pub fn ring(&self) -> &FlightRing {
         &self.ring
+    }
+
+    /// The run's metric contribution: `runtime.ticks`, the global and
+    /// per-scenario `deadline.{ticks,misses}` counters and
+    /// `deadline.worst_ns` gauges (none for a run with no accounted
+    /// tick), and the five `tick.*` histograms, zero counts included.
+    /// Allocates, so call only after the run ended.
+    pub fn metrics(&self) -> MetricsSlice {
+        let mut slice = MetricsSlice::default();
+        slice.counters.insert("runtime.ticks".to_string(), self.ring.pushed());
+        let DeadlineStats { ticks, misses, worst_ns } = self.stats;
+        if ticks > 0 {
+            for scope in ["deadline".to_string(), format!("deadline.{}", self.scenario)] {
+                slice.counters.insert(format!("{scope}.ticks"), ticks);
+                slice.counters.insert(format!("{scope}.misses"), misses);
+                slice.gauges.insert(format!("{scope}.worst_ns"), worst_ns as f64);
+            }
+        }
+        slice.hists = TICK_HISTS.iter().map(|n| n.to_string()).zip(self.hists.clone()).collect();
+        slice
     }
 
     /// Drain the retained window oldest-first (the incident-flush path;
@@ -216,7 +234,7 @@ impl FlightRecorder {
     /// and account its total against the deadline.
     fn account(&mut self, phases: [u64; 4]) {
         let mut total = 0u64;
-        for (hist, ns) in self.hists.iter().zip(phases) {
+        for (hist, ns) in self.hists.iter_mut().zip(phases) {
             hist.record(ns);
             total += ns;
         }
@@ -311,17 +329,6 @@ impl LoopObserver for FlightRecorder {
         if let Some(phases) = self.pending.take() {
             self.account(phases);
         }
-        metrics::counter_add("runtime.ticks", self.ring.pushed());
-        if self.stats.ticks == 0 {
-            return;
-        }
-        let DeadlineStats { ticks, misses, worst_ns } = self.stats;
-        metrics::counter_add("deadline.ticks", ticks);
-        metrics::counter_add("deadline.misses", misses);
-        metrics::counter_add(&format!("deadline.{}.ticks", self.scenario), ticks);
-        metrics::counter_add(&format!("deadline.{}.misses", self.scenario), misses);
-        metrics::gauge_max("deadline.worst_ns", worst_ns as f64);
-        metrics::gauge_max(&format!("deadline.{}.worst_ns", self.scenario), worst_ns as f64);
     }
 }
 
@@ -333,14 +340,9 @@ mod tests {
     use diverseav_fabric::{FaultModel, Op, Profile};
     use diverseav_obs::flight::render_record;
     use diverseav_simworld::{lead_slowdown, SensorConfig};
-    use std::sync::{Mutex, PoisonError};
-
-    /// Serializes recorded runs: each flushes the process-global
-    /// `runtime.ticks` counter, whose per-run delta `record` reads.
-    static TICKS_COUNTER: Mutex<()> = Mutex::new(());
 
     /// Record one run of a short lead-slowdown scenario; returns the
-    /// recorder, how the run ended and its `runtime.ticks` flush.
+    /// recorder, how the run ended and its slice's `runtime.ticks`.
     fn record(
         mode: AgentMode,
         seed: u64,
@@ -356,11 +358,9 @@ mod tests {
             ads.inject_fault(0, Profile::Cpu, model);
         }
         let mut rec = FlightRecorder::new("lead-slowdown", source);
-        let _guard = TICKS_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
-        let before = metrics::counter_get("runtime.ticks");
         let term = SimLoop::new(world, ads).run_observed(&mut [&mut rec]);
-        let flushed = metrics::counter_get("runtime.ticks") - before;
-        (rec, term, flushed)
+        let ticks = rec.metrics().counters.get("runtime.ticks").copied().unwrap_or(0);
+        (rec, term, ticks)
     }
 
     fn record_modeled(mode: AgentMode, seed: u64) -> (FlightRecorder, Termination) {
@@ -370,11 +370,11 @@ mod tests {
 
     #[test]
     fn single_agent_ticks_hold_the_40hz_budget() {
-        let (rec, term, flushed) =
+        let (rec, term, counted) =
             record(AgentMode::RoundRobin, 51, 1.0, TimeSource::Modeled, None);
         assert_eq!(term, Termination::Completed);
         assert_eq!(rec.ticks(), 40, "one record per 40 Hz frame over 1 s");
-        assert_eq!(flushed, 40, "runtime.ticks counts every recorded tick");
+        assert_eq!(counted, 40, "runtime.ticks counts every recorded tick");
         for (i, r) in rec.ring().iter().enumerate() {
             assert_eq!(r.tick, i as u64, "ticks are consecutive from 0");
             assert!(r.phase_ns.iter().sum::<u64>() > 0, "modeled phases populated");
@@ -386,6 +386,31 @@ mod tests {
         assert_eq!((stats.ticks, stats.misses), (40, 0), "worst {}", stats.worst_ns);
         assert!(stats.worst_ns > 0 && stats.worst_ns < DEADLINE_NS);
         assert_eq!(rec.classify(&term, false), None, "clean run is no incident");
+    }
+
+    #[test]
+    fn the_run_slice_holds_its_ticks() {
+        let (rec, _) = record_modeled(AgentMode::RoundRobin, 51);
+        let slice = rec.metrics();
+        let counters: Vec<(&str, u64)> =
+            slice.counters.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+        let expect = [
+            ("deadline.lead-slowdown.misses", 0),
+            ("deadline.lead-slowdown.ticks", 40),
+            ("deadline.misses", 0),
+            ("deadline.ticks", 40),
+            ("runtime.ticks", 40),
+        ];
+        assert_eq!(counters, expect);
+        let worst = rec.stats().worst_ns as f64;
+        assert_eq!(slice.gauges["deadline.worst_ns"], worst);
+        assert_eq!(slice.gauges["deadline.lead-slowdown.worst_ns"], worst);
+        assert_eq!(slice.hists.len(), TICK_HISTS.len());
+        assert!(slice.hists.values().all(|h| h.count() == 40));
+        assert_eq!(slice.hists["tick.total"].max, rec.stats().worst_ns);
+        let idle = FlightRecorder::new("lead-slowdown", TimeSource::Modeled).metrics();
+        assert_eq!(idle.counters.values().collect::<Vec<_>>(), [&0], "runtime.ticks only");
+        assert!(idle.gauges.is_empty() && idle.hists.values().all(|h| h.count() == 0));
     }
 
     #[test]
@@ -411,10 +436,10 @@ mod tests {
 
     #[test]
     fn wall_source_times_real_phases_and_keeps_the_modeled_recording() {
-        let (wall, _, flushed) = record(AgentMode::RoundRobin, 9, 0.5, TimeSource::Wall, None);
+        let (wall, _, counted) = record(AgentMode::RoundRobin, 9, 0.5, TimeSource::Wall, None);
         assert!(wall.wants_phase_timing());
         let stats = wall.stats();
-        assert_eq!((stats.ticks, flushed), (20, 20), "every tick finalized on its Step phase");
+        assert_eq!((stats.ticks, counted), (20, 20), "every tick finalized on its Step phase");
         assert!(stats.worst_ns > 0, "wall phases measured something");
         let (modeled, _, _) = record(AgentMode::RoundRobin, 9, 0.5, TimeSource::Modeled, None);
         let render = |r: &FlightRecorder| r.ring().iter().map(render_record).collect::<Vec<_>>();

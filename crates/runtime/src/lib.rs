@@ -31,9 +31,10 @@
 //!   [`DeadlineStats`] tally and the modeled tick cost model.
 //! - **[`flight`]** — the per-run tick ledger: one always-on,
 //!   allocation-free [`FlightRecorder`] observer that evaluates the cost
-//!   model once per tick and from it counts the run's ticks, records the
-//!   `tick.*` latency histograms and deadline tally (deterministic by
-//!   default, wall-clock on request with `DIVERSEAV_PROFILE=wall`), and
+//!   model once per tick and from it counts the run's ticks, records its
+//!   own `tick.*` latency histograms and deadline tally (deterministic by
+//!   default, wall-clock on request with `DIVERSEAV_PROFILE=wall`) for
+//!   the run's metric slice, and
 //!   packs detector and deadline telemetry into a fixed ring, drained
 //!   into incident artifacts when a run ends in an [`IncidentKind`].
 

@@ -51,7 +51,7 @@ mod cost {
     pub const STEP_BASE: u64 = 300_000;
 }
 
-/// Per-run deadline tally, flushed into metrics at termination.
+/// Per-run deadline tally, part of the run's metric slice.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeadlineStats {
     /// Ticks profiled.

@@ -3,9 +3,10 @@
 //! The modeled profiling time source (default `DIVERSEAV_PROFILE`) must
 //! produce *bit-identical* latency histograms and 25 ms deadline tallies
 //! for any `DIVERSEAV_THREADS` value: every recorded quantity is a pure
-//! function of the run seed, and every aggregation (histogram bucket
-//! adds, `counter_add`, `gauge_max`) commutes, so worker scheduling
-//! cannot leak into the merged metrics.
+//! function of the run seed, and every aggregation (each run's slice
+//! folded into the registry: counter sums, gauge maxima, histogram
+//! bucket adds) commutes, so worker scheduling cannot leak into the
+//! merged metrics.
 //!
 //! One `#[test]` in its own integration binary: it mutates the
 //! `DIVERSEAV_THREADS` environment and clears the process-global metrics
@@ -42,7 +43,7 @@ fn profiled_fanout(threads: &str) -> ProfileSnapshot {
         .collect();
     let outcomes = par_map(&cfgs, |cfg| run_experiment(cfg).termination);
     assert_eq!(outcomes.len(), cfgs.len());
-    let snap = metrics::snapshot();
+    let snap = metrics::MetricsSlice::capture();
     ProfileSnapshot {
         runtime_ticks: snap.counters.get("runtime.ticks").copied().unwrap_or(0),
         hists: snap.hists.into_iter().filter(|(k, _)| k.starts_with("tick.")).collect(),
