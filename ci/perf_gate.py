@@ -8,12 +8,23 @@ seed, and the side that runs first alternates from pair to pair. For every
 end-to-end metric it prints the base and change medians, the base runs'
 quartile spread (q3 - q1 as a share of the median) and a verdict against
 the metric's bound in BENCHMARK.json: REGRESSED when the change median is
-worse than the base median by more than the bound; otherwise `unresolved`
-when the base spread alone exceeds the bound (the runs cannot tell a
-change of that size from noise) unless every change run beats every base
-run; otherwise `ok`. A workload with a REGRESSED metric whose base spread
-also exceeds its bound runs EXTRA_PAIRS more pairs (seeds PAIRS onward)
-and is judged again, by the same rule, on all of its pairs.
+worse than the base median by more than the bound; otherwise `improved`
+when the change median is better than the base median by more than the
+base spread and every change run beats every base run (a gain the runs
+resolve); otherwise `unresolved` when the base spread alone exceeds the
+bound (the runs cannot tell a change of that size from noise) unless
+every change run beats every base run; otherwise `ok`. A workload with a
+REGRESSED metric whose base spread also exceeds its bound runs
+EXTRA_PAIRS more pairs (seeds PAIRS onward) and is judged again, by the
+same rule, on all of its pairs.
+
+`improved` is not a gain claim. Under pure noise all three change runs
+beat all three base runs up to one time in twenty, and the gate judges a
+dozen workload-metric pairs, so a stray `improved` is no surprise; a
+metric that counts work wrongly reads `improved` too. A claimed
+gain still needs at least 10 alternating pairs, the change ahead in at
+least 9 of 10, and a median gain larger than the base runs' quartile
+spread.
 
     python3 ci/perf_gate.py BASE_CHECKOUT
 
@@ -87,6 +98,8 @@ def judge(bench, runs):
             beats_all = max(change) < min(base)
         if worse > bound:
             verdict = "REGRESSED"
+        elif beats_all and -worse > spread:
+            verdict = "improved"
         elif spread > bound and not beats_all:
             verdict = "unresolved"
         else:

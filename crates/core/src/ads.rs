@@ -123,6 +123,10 @@ pub struct Ads {
     units: Vec<ProcessorUnit>,
     detector: Option<OnlineDetector>,
     step: u64,
+    /// Step of each agent's previous frame (`None` before its first).
+    last_frame: [Option<u64>; 2],
+    /// Control period each agent ran its latest frame with (seconds).
+    agent_dt: [f64; 2],
     last_output: [Option<Controls>; 2],
     prev_selected: Option<Controls>,
     prev_instr: (u64, u64),
@@ -143,6 +147,8 @@ impl Ads {
             units,
             detector: None,
             step: 0,
+            last_frame: [None, None],
+            agent_dt: [0.0; 2],
             last_output: [None, None],
             prev_selected: None,
             prev_instr: (0, 0),
@@ -256,16 +262,24 @@ impl Ads {
         t: f64,
     ) -> Result<TickOutput, AgentError> {
         let recipients = self.cfg.mode.recipients_with_overlap(self.step, self.cfg.overlap_period);
-        // Per-agent control period: round-robin agents see every other
-        // frame.
-        let dt = match self.cfg.mode {
-            AgentMode::RoundRobin => 2.0 / diverseav_simworld::TICK_HZ,
-            _ => 1.0 / diverseav_simworld::TICK_HZ,
+        // Per-agent control period: the ticks since the agent's own
+        // previous frame, the nominal period on its first. Round-robin
+        // agents nominally see every other frame; an overlap frame
+        // shortens the period of the agent it was not scheduled for.
+        let nominal = match self.cfg.mode {
+            AgentMode::RoundRobin => 2,
+            _ => 1,
         };
+        for i in (0..2).filter(|&i| recipients[i]) {
+            let ticks = self.last_frame[i].map_or(nominal, |prev| self.step - prev);
+            self.agent_dt[i] = ticks as f64 / diverseav_simworld::TICK_HZ;
+            self.last_frame[i] = Some(self.step);
+        }
+        let dt = self.agent_dt;
         let (controls, pair) = match self.cfg.mode {
             AgentMode::Single => {
                 let unit = &mut self.units[0];
-                let u = self.agents[0].step(frame, hint, dt, &mut unit.gpu, &mut unit.cpu)?;
+                let u = self.agents[0].step(frame, hint, dt[0], &mut unit.gpu, &mut unit.cpu)?;
                 let pair = self.prev_selected.map(|prev| (u, prev));
                 (u, pair)
             }
@@ -276,16 +290,23 @@ impl Ads {
                     // scheduled agent drives, the peer's same-frame output
                     // is the (stronger, FD-like) detection reference.
                     let scheduled = (self.step % 2) as usize;
-                    let u0 = self.agents[0].step(frame, hint, dt, &mut unit.gpu, &mut unit.cpu)?;
-                    let u1 = self.agents[1].step(frame, hint, dt, &mut unit.gpu, &mut unit.cpu)?;
+                    let u0 =
+                        self.agents[0].step(frame, hint, dt[0], &mut unit.gpu, &mut unit.cpu)?;
+                    let u1 =
+                        self.agents[1].step(frame, hint, dt[1], &mut unit.gpu, &mut unit.cpu)?;
                     self.last_output = [Some(u0), Some(u1)];
                     let (active_u, peer_u) = if scheduled == 0 { (u0, u1) } else { (u1, u0) };
                     let fused = self.cfg.fusion.fuse(active_u, Some(peer_u));
                     (fused, Some((active_u, peer_u)))
                 } else {
                     let active = if recipients[0] { 0 } else { 1 };
-                    let u =
-                        self.agents[active].step(frame, hint, dt, &mut unit.gpu, &mut unit.cpu)?;
+                    let u = self.agents[active].step(
+                        frame,
+                        hint,
+                        dt[active],
+                        &mut unit.gpu,
+                        &mut unit.cpu,
+                    )?;
                     self.last_output[active] = Some(u);
                     let peer = self.last_output[1 - active];
                     let fused = self.cfg.fusion.fuse(u, peer);
@@ -295,8 +316,10 @@ impl Ads {
             AgentMode::Duplicate => {
                 let (a0, a_rest) = self.agents.split_at_mut(1);
                 let (u_first, u_rest) = self.units.split_at_mut(1);
-                let u0 = a0[0].step(frame, hint, dt, &mut u_first[0].gpu, &mut u_first[0].cpu)?;
-                let u1 = a_rest[0].step(frame, hint, dt, &mut u_rest[0].gpu, &mut u_rest[0].cpu)?;
+                let u0 =
+                    a0[0].step(frame, hint, dt[0], &mut u_first[0].gpu, &mut u_first[0].cpu)?;
+                let u1 =
+                    a_rest[0].step(frame, hint, dt[1], &mut u_rest[0].gpu, &mut u_rest[0].cpu)?;
                 self.last_output = [Some(u0), Some(u1)];
                 (u0, Some((u0, u1)))
             }
@@ -359,6 +382,39 @@ mod tests {
         };
         assert_eq!(units(AgentMode::RoundRobin), 1, "one GPU + one CPU");
         assert_eq!(units(AgentMode::Duplicate), 2, "two GPUs + two CPUs");
+    }
+
+    /// At overlap period 4 every overlap frame is an even step, so agent
+    /// 1 also runs steps 0, 4, 8, … beside its odd ones: each agent's
+    /// control period must be the spacing of its own frames, not the
+    /// nominal 2 ticks.
+    #[test]
+    fn each_round_robin_agent_runs_with_its_own_frame_spacing() {
+        use diverseav_simworld::{lead_slowdown, SensorConfig, World, TICK_HZ};
+        let mut world = World::new(lead_slowdown(), SensorConfig::default(), 1);
+        let (frame, hint) = (world.sense(), world.route_hint());
+        let state = VehState::from(world.ego_state());
+        let cfg =
+            AdsConfig { overlap_period: Some(4), ..AdsConfig::for_mode(AgentMode::RoundRobin, 7) };
+        let mut ads = Ads::new(cfg);
+        let mut prev: [Option<u64>; 2] = [None, None];
+        let mut shortened = 0;
+        for step in 0..13u64 {
+            let before = ads.agent_steps();
+            ads.tick(&frame, hint, state, step as f64 / TICK_HZ).expect("fault-free tick");
+            let after = ads.agent_steps();
+            for agent in (0..2).filter(|&a| after[a] > before[a]) {
+                let spacing = prev[agent].map_or(2, |p| step - p);
+                shortened += usize::from(spacing != 2);
+                assert_eq!(
+                    ads.agent_dt[agent],
+                    spacing as f64 / TICK_HZ,
+                    "agent {agent} at step {step}: {spacing} ticks since its previous frame"
+                );
+                prev[agent] = Some(step);
+            }
+        }
+        assert!(shortened > 0, "no overlap frame shortened a period — the check would be vacuous");
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! equality is exactly run-input equality). Detector-attached runs are
 //! *not* cached — the detector annotates alarm times into the results,
 //! and models differ per campaign — callers bypass the cache whenever a
-//! detector is present.
+//! detector is present. The shard executor's profiling memo keys golden
+//! run 0 on the same [`GoldenKey`], so it relies on that completeness too.
 
 use crate::runner::RunResult;
 use diverseav::AgentMode;

@@ -31,7 +31,10 @@ pub const INJECTED_SEED_BASE: u64 = 2_000;
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RunUnit {
     /// Golden (fault-free) run `i`. Golden run 0 doubles as the
-    /// profiling pass that sizes the injection plan.
+    /// profiling pass that sizes the injection plan; every shard of a
+    /// campaign needs that pass, and a process simulates it once per
+    /// configuration, but only the shard that owns `Golden(0)` writes it
+    /// and charges its metric slice.
     Golden(usize),
     /// Injected run `i` (plan entry `i`; guided epochs own contiguous
     /// ranges of the global index).

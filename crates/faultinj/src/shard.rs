@@ -25,6 +25,10 @@
 //!   depend on the thread count or the wall clock either. A checkpoint
 //!   from another configuration is refused, and a finished one adopted,
 //!   before the profiling run when the difference does not depend on it.
+//!   The profiling run — golden run 0, which sizes the plan — is
+//!   simulated once per configuration per process: shard calls of the
+//!   same campaign configuration (every shard, every guided epoch) share
+//!   its result through a one-entry memo.
 //! * **Merger** — [`merge_artifacts`] validates a set of shard artifacts
 //!   (schema version, campaign fingerprint, exactly-once coverage, no
 //!   gaps, no overlap) and reassembles the campaign: run results in
@@ -52,7 +56,7 @@
 //!
 //! [`run_campaign_cached`]: crate::campaign::run_campaign_cached
 
-use crate::cache::sensor_fingerprint;
+use crate::cache::{sensor_fingerprint, GoldenKey};
 use crate::campaign::{
     plan_seed, scenario_for, unit_config, Campaign, CampaignScale, Cut, RunUnit, TableRow,
 };
@@ -63,13 +67,14 @@ use crate::record::{run_record, RunRecord};
 use crate::runner::{run_metered, RunResult};
 use diverseav_obs::flight::{self, TickRecord};
 use diverseav_obs::json::{self, Value};
-use diverseav_obs::{profile, HistSnapshot, MetricsSlice, TimeSource};
+use diverseav_obs::{metrics, profile, HistSnapshot, MetricsSlice, TimeSource};
 use diverseav_simworld::{splitmix64, Scenario, SensorConfig, TrajPoint};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 /// Version stamped into every shard artifact; bumped whenever the line
 /// format changes incompatibly. The merger refuses other versions.
@@ -813,6 +818,45 @@ fn reopen_committed(path: &Path, text: &str, keep: usize) -> Result<fs::File, Sh
     Ok(file)
 }
 
+/// Golden run 0 and its metric slice, as the profiling pass produced it.
+type Profiled = Arc<(RunResult, MetricsSlice)>;
+
+/// The last profiling pass of this process, under its key: the golden-run
+/// key of the profiling config plus the profiling time source, which
+/// selects what the slice holds (a modeled slice must never be charged
+/// into a wall-clock artifact, or the reverse). One entry keeps memory
+/// bounded whatever a process runs; callers with different keys evict
+/// each other, which costs a re-run, never a wrong result.
+static PROFILED: Mutex<Option<((GoldenKey, TimeSource), Profiled)>> = Mutex::new(None);
+
+/// Golden run 0 of the shard's campaign: from the memo when the last
+/// pass had the same key, else simulated (outside the lock, so callers
+/// with other keys never wait on it) and memoized.
+fn profiling_pass(cfg: &ShardConfig, scenario: &Scenario) -> Profiled {
+    // The profiling config is one golden run without divergence traces.
+    let key = (
+        GoldenKey::new(
+            cfg.campaign.scenario,
+            scenario.duration,
+            cfg.campaign.mode,
+            &cfg.sensor,
+            1,
+            false,
+        ),
+        profile::source(),
+    );
+    let memo = || PROFILED.lock().expect("profiling memo poisoned");
+    if let Some((_, profiled)) = memo().as_ref().filter(|(k, _)| *k == key) {
+        metrics::counter_add("shard.profile_hits", 1);
+        return Arc::clone(profiled);
+    }
+    metrics::counter_add("shard.profile_misses", 1);
+    let unit = unit_config(scenario, cfg.campaign.mode, cfg.sensor, RunUnit::Golden(0));
+    let profiled = Arc::new(run_metered(&unit, &mut []));
+    *memo() = Some((key, Arc::clone(&profiled)));
+    profiled
+}
+
 /// Execute one shard of a campaign, writing (or resuming) the artifact
 /// at `path`. See [`execute_shard_limited`] for the mechanics.
 pub fn execute_shard(cfg: &ShardConfig, path: &Path) -> Result<ShardStatus, ShardError> {
@@ -833,6 +877,14 @@ pub fn execute_shard(cfg: &ShardConfig, path: &Path) -> Result<ShardStatus, Shar
 /// field differs) is refused, never overwritten. A complete checkpoint
 /// of this configuration is adopted without the profiling run: the
 /// members that run determines are the merge's to validate.
+///
+/// The profiling run is golden run 0. A process simulates it once per
+/// configuration: consecutive calls for the same scenario, duration,
+/// agent mode, sensor config and profiling time source — any shard, any
+/// guided epoch — reuse its result and metric slice from a one-entry
+/// memo, so only the call that simulates it folds it into the registry
+/// (`shard.profile_misses`; a reuse counts `shard.profile_hits`). The
+/// artifact bytes are the same either way.
 pub fn execute_shard_limited(
     cfg: &ShardConfig,
     path: &Path,
@@ -876,14 +928,12 @@ pub fn execute_shard_limited(
         }
     }
 
-    // The profiling pass is golden run 0, re-run by every shard process
-    // because it sizes the injection plan. It stands for the unit
+    // The profiling pass is golden run 0: every shard needs it to size
+    // the injection plan, and a process simulates it once per
+    // configuration (see `profiling_pass`). It stands for the unit
     // Golden(0), so its metric slice is charged only by the shard that
     // owns that unit, in the batch that commits it.
-    let profiled = run_metered(
-        &unit_config(&scenario, cfg.campaign.mode, cfg.sensor, RunUnit::Golden(0)),
-        &mut [],
-    );
+    let profiled = profiling_pass(cfg, &scenario);
 
     let cut = Cut::new(
         &cfg.campaign,

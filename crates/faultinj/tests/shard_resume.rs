@@ -265,6 +265,14 @@ fn kills_at_every_class_and_line_boundary_resume_to_the_same_bytes() {
     }
 }
 
+/// How often the shard executor has asked for the profiling pass. The
+/// reference shard leaves that pass memoized under `cfg()`'s key, which
+/// the foreign configurations below share, so `runner.experiments` alone
+/// cannot show whether a checkpoint was refused or adopted before it.
+fn profile_memo_asks() -> u64 {
+    metrics::counter_get("shard.profile_hits") + metrics::counter_get("shard.profile_misses")
+}
+
 /// A checkpoint from another configuration whose manifest differs in a
 /// member the profiling pass does not determine is refused before that
 /// pass: no simulation run starts, and the checkpoint is left untouched.
@@ -289,11 +297,13 @@ fn foreign_checkpoints_are_refused_before_the_profiling_run() {
     foreign.push(("guided epochs", ShardConfig { guided: Some(guided), ..cfg() }));
     for (what, foreign) in foreign {
         let before = experiments();
+        let asked = profile_memo_asks();
         match execute_shard(&foreign, &path) {
             Err(ShardError::Mismatch(msg)) => assert!(msg.contains("refusing"), "{what}: {msg}"),
             other => panic!("{what}: expected a refusal, got {other:?}"),
         }
         assert_eq!(experiments(), before, "{what}: refused without a simulation run");
+        assert_eq!(profile_memo_asks(), asked, "{what}: refused before the profiling pass");
         assert_eq!(fs::read_to_string(&path).expect("checkpoint"), r.artifact, "{what}");
     }
     let _ = fs::remove_file(&path);
@@ -313,11 +323,13 @@ fn complete_checkpoints_are_adopted_without_the_profiling_run() {
     for cut in [r.artifact.len(), r.done_nl] {
         fs::write(&path, &r.artifact[..cut]).expect("write checkpoint");
         let before = metrics::counter_get("runner.experiments");
+        let asked = profile_memo_asks();
         let status = execute_shard(&cfg(), &path).expect("complete checkpoint");
         assert!(status.complete && status.executed_batches == 0, "cut {cut}: {status:?}");
         assert_eq!(status.resumed_batches, r.batch_nl.len(), "cut {cut}: {status:?}");
         assert_eq!(status.assigned_runs, r.batch_runs.iter().sum::<usize>(), "cut {cut}");
         assert_eq!(metrics::counter_get("runner.experiments"), before, "cut {cut}: a run started");
+        assert_eq!(profile_memo_asks(), asked, "cut {cut}: adopted after the profiling pass");
         assert_eq!(fs::read_to_string(&path).expect("checkpoint"), r.artifact, "cut {cut}");
     }
     let _ = fs::remove_file(&path);
