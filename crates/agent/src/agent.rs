@@ -305,11 +305,6 @@ impl SensorimotorAgent {
         cpu_ctx.write_f32(cpu::PARAMS + 6, cfg.steer_beta);
     }
 
-    /// The configuration this agent runs with.
-    pub fn config(&self) -> &AgentConfig {
-        &self.cfg
-    }
-
     /// Number of frames this agent has processed.
     pub fn steps(&self) -> u64 {
         self.steps

@@ -3,18 +3,11 @@
 //! the safety margin — and the footnote-5 partial-overlap distribution
 //! (detection quality vs compute cost).
 
-use diverseav::TrainSample;
 use diverseav::{AgentMode, DetectorConfig, DetectorModel};
 use diverseav_bench::evaluate_cell;
-use diverseav_bench::experiments::{BEST_RW, BEST_TD};
-use diverseav_fabric::Profile;
-use diverseav_faultinj::{
-    collect_training_runs, generate_plan, mean_trajectory, run_experiment, scenario_for,
-    CampaignScale, FaultModelKind, PlanConfig, RunConfig,
-};
-use diverseav_faultinj::{Campaign, CampaignResult};
-use diverseav_simworld::long_route;
-use diverseav_simworld::{ScenarioKind, SensorConfig, TrajPoint};
+use diverseav_bench::experiments::{gpu_campaigns, training, BEST_RW, BEST_TD};
+use diverseav_faultinj::{CampaignResult, CampaignScale};
+use std::num::NonZeroU32;
 
 fn ablation_scale() -> CampaignScale {
     CampaignScale {
@@ -26,89 +19,21 @@ fn ablation_scale() -> CampaignScale {
     }
 }
 
-/// Run the GPU campaigns for one overlap setting, recording streams.
-fn campaigns_with_overlap(
-    overlap: Option<u32>,
-    scale: &CampaignScale,
-) -> (Vec<CampaignResult>, f64) {
-    let mut out = Vec::new();
-    let mut gpu_instr_per_run = Vec::new();
-    for kind in [FaultModelKind::Transient, FaultModelKind::Permanent] {
-        for scenario_kind in [ScenarioKind::LeadSlowdown, ScenarioKind::GhostCutIn] {
-            let scenario = scenario_for(scenario_kind, scale);
-            let golden: Vec<_> = (0..scale.golden_runs)
-                .map(|i| {
-                    let mut cfg =
-                        RunConfig::new(scenario.clone(), AgentMode::RoundRobin, 1_000 + i as u64);
-                    cfg.collect_training = true;
-                    cfg.overlap_period = overlap;
-                    run_experiment(&cfg)
-                })
-                .collect();
-            gpu_instr_per_run.extend(golden.iter().map(|g| g.gpu_dyn_instr as f64));
-            let trajs: Vec<&[TrajPoint]> = golden.iter().map(|g| g.trajectory.as_slice()).collect();
-            let baseline = mean_trajectory(&trajs);
-            let plan = generate_plan(
-                &golden[0],
-                &PlanConfig {
-                    kind,
-                    target: Profile::Gpu,
-                    n_transient: scale.n_transient,
-                    repeats: scale.permanent_repeats,
-                    seed: 0xAB1,
-                },
-            );
-            let injected: Vec<_> = plan
-                .iter()
-                .enumerate()
-                .map(|(i, &spec)| {
-                    let mut cfg =
-                        RunConfig::new(scenario.clone(), AgentMode::RoundRobin, 2_000 + i as u64);
-                    cfg.fault = Some(spec);
-                    cfg.collect_training = true;
-                    cfg.overlap_period = overlap;
-                    run_experiment(&cfg)
-                })
-                .collect();
-            out.push(CampaignResult {
-                campaign: Campaign {
-                    scenario: scenario_kind,
-                    target: Profile::Gpu,
-                    kind,
-                    mode: AgentMode::RoundRobin,
-                },
-                golden,
-                injected,
-                baseline,
-            });
-        }
-    }
-    let mean_instr = gpu_instr_per_run.iter().sum::<f64>() / gpu_instr_per_run.len() as f64;
-    (out, mean_instr)
-}
-
-/// Fault-free training streams collected *with* the same overlap setting
-/// the campaigns use — detector training and deployment must match.
-fn training_with_overlap(overlap: Option<u32>, scale: &CampaignScale) -> Vec<Vec<TrainSample>> {
-    let mut runs = Vec::new();
-    for route in 0..3u8 {
-        let scenario = long_route(route, scale.long_route_duration);
-        let mut cfg = RunConfig::new(scenario, AgentMode::RoundRobin, 7_100 + route as u64);
-        cfg.collect_training = true;
-        cfg.overlap_period = overlap;
-        runs.push(run_experiment(&cfg).training);
-    }
-    runs
+/// Mean GPU instructions per golden run: the compute a mode costs.
+fn golden_gpu_instr(campaigns: &[CampaignResult]) -> f64 {
+    let instr: Vec<f64> =
+        campaigns.iter().flat_map(|c| &c.golden).map(|g| g.gpu_dyn_instr as f64).collect();
+    instr.iter().sum::<f64>() / instr.len() as f64
 }
 
 fn main() {
     let scale = ablation_scale();
-    eprintln!("collecting training runs ...");
-    let training = collect_training_runs(AgentMode::RoundRobin, &scale, SensorConfig::default());
+    let training_rr = training(AgentMode::RoundRobin, &scale);
+    eprintln!("running baseline campaigns ...");
+    let campaigns = gpu_campaigns(AgentMode::RoundRobin, &scale);
+    let base_instr = golden_gpu_instr(&campaigns);
 
     // ---------------- detector design ablations ----------------
-    eprintln!("running baseline campaigns ...");
-    let (campaigns, base_instr) = campaigns_with_overlap(None, &scale);
     println!("== Ablation A: error-detector design choices (td = {BEST_TD} m) ==\n");
     println!(
         "{:<34} {:>9} {:>7} {:>7} {:>14}",
@@ -138,7 +63,7 @@ fn main() {
         }),
     ];
     for (name, cfg) in variants {
-        let model = DetectorModel::train(&training, &cfg);
+        let model = DetectorModel::train(&training_rr, &cfg);
         let cell = evaluate_cell(&model, cfg, &campaigns, BEST_TD);
         println!(
             "{:<34} {:>9.2} {:>7.2} {:>7.2} {:>14}",
@@ -156,29 +81,33 @@ fn main() {
         "{:<22} {:>9} {:>7} {:>14} {:>16}",
         "overlap", "precision", "recall", "golden alarms", "GPU compute"
     );
-    for (label, overlap) in
-        [("none (pure RR)", None), ("every 4th frame", Some(4u32)), ("every 2nd frame", Some(2))]
-    {
-        let (c, instr) = if overlap.is_none() {
-            (campaigns.clone(), base_instr)
+    let overlap = |p| AgentMode::Overlap(NonZeroU32::new(p).expect("nonzero period"));
+    for (label, mode) in [
+        ("none (pure RR)", AgentMode::RoundRobin),
+        ("every 4th frame", overlap(4)),
+        ("every 2nd frame", overlap(2)),
+    ] {
+        // Train in the SAME mode the deployment uses: overlap frames
+        // contribute same-frame (near-zero) divergence samples that the
+        // thresholds must reflect.
+        let owned;
+        let (c, t) = if mode == AgentMode::RoundRobin {
+            (&campaigns, &training_rr)
         } else {
-            eprintln!("running overlap={overlap:?} campaigns ...");
-            campaigns_with_overlap(overlap, &scale)
+            eprintln!("running {mode} campaigns ...");
+            owned = (gpu_campaigns(mode, &scale), training(mode, &scale));
+            (&owned.0, &owned.1)
         };
-        // Train with the SAME overlap setting the deployment uses: overlap
-        // frames contribute same-frame (near-zero) divergence samples that
-        // the thresholds must reflect.
         let cfg = DetectorConfig::default().with_rw(BEST_RW);
-        let otraining = training_with_overlap(overlap, &scale);
-        let model = DetectorModel::train(&otraining, &cfg);
-        let cell = evaluate_cell(&model, cfg, &c, BEST_TD);
+        let model = DetectorModel::train(t, &cfg);
+        let cell = evaluate_cell(&model, cfg, c, BEST_TD);
         println!(
             "{:<22} {:>9.2} {:>7.2} {:>14} {:>15.0}%",
             label,
             cell.eval.precision(),
             cell.eval.recall(),
             cell.golden_alarms,
-            instr / base_instr * 100.0
+            golden_gpu_instr(c) / base_instr * 100.0
         );
     }
     println!(

@@ -13,6 +13,10 @@
 //! `sensor-outlier-burst`, `sensor-noise-inflation`,
 //! `sensor-oscillation`).
 //!
+//! `--mode` accepts `single`, `diverseav` (the default), `fd`, or
+//! `diverseav-overlap<P>` (round-robin with every P-th frame sent to both
+//! agents, paper footnote 5; `P ≥ 1`).
+//!
 //! `--guided EPOCHS` switches the shard to the adaptive
 //! importance-sampled planner (see `diverseav_faultinj::guided`): the
 //! campaign budget is split across `EPOCHS` epochs and this invocation
@@ -90,14 +94,10 @@ fn run() -> Result<ExitCode, String> {
                 })?);
             }
             "--mode" => {
-                mode = match next(&mut i, "--mode")?.as_str() {
-                    "single" => AgentMode::Single,
-                    "diverseav" => AgentMode::RoundRobin,
-                    "fd" => AgentMode::Duplicate,
-                    other => {
-                        return Err(format!("--mode: want single|diverseav|fd, got {other:?}"))
-                    }
-                };
+                let raw = next(&mut i, "--mode")?;
+                mode = AgentMode::from_label(&raw).ok_or_else(|| {
+                    format!("--mode: want single|diverseav|fd|diverseav-overlap<P>, got {raw:?}")
+                })?;
             }
             "--shard" => spec = Some(parse_shard(&next(&mut i, "--shard")?)?),
             "--out" => out = Some(next(&mut i, "--out")?),

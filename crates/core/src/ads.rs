@@ -28,29 +28,19 @@ impl ProcessorUnit {
 /// Configuration of an ADS instance.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct AdsConfig {
-    /// Deployment mode (single / DiverseAV round-robin / FD duplicate).
+    /// Deployment mode (single / DiverseAV round-robin, optionally with
+    /// footnote-5 overlap / FD duplicate).
     pub mode: AgentMode,
-    /// Agent parameters (shared by both agent instances).
-    pub agent: AgentConfig,
     /// Control fusion policy.
     pub fusion: FusionPolicy,
     /// Seed for the agents' private jitter RNGs.
     pub seed: u64,
-    /// Round-robin partial overlap: every Nth frame goes to both agents
-    /// (paper footnote 5). `None` = pure round-robin.
-    pub overlap_period: Option<u32>,
 }
 
 impl AdsConfig {
     /// Default configuration for a mode.
     pub fn for_mode(mode: AgentMode, seed: u64) -> Self {
-        AdsConfig {
-            mode,
-            agent: AgentConfig::default(),
-            fusion: FusionPolicy::ActiveAgent,
-            seed,
-            overlap_period: None,
-        }
+        AdsConfig { mode, fusion: FusionPolicy::ActiveAgent, seed }
     }
 }
 
@@ -137,8 +127,9 @@ pub struct Ads {
 impl Ads {
     /// Build an ADS in the configured mode.
     pub fn new(cfg: AdsConfig) -> Self {
+        let agent = AgentConfig::default();
         let agents = (0..cfg.mode.n_agents())
-            .map(|i| SensorimotorAgent::new(cfg.agent, cfg.seed.wrapping_add(i as u64 * 101)))
+            .map(|i| SensorimotorAgent::new(agent, cfg.seed.wrapping_add(i as u64 * 101)))
             .collect();
         let units = (0..cfg.mode.n_units()).map(|_| ProcessorUnit::new()).collect();
         Ads {
@@ -155,11 +146,6 @@ impl Ads {
             last_work: TickWork::default(),
             time_detect: false,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &AdsConfig {
-        &self.cfg
     }
 
     /// Attach a trained error detector.
@@ -261,14 +247,14 @@ impl Ads {
         state: VehState,
         t: f64,
     ) -> Result<TickOutput, AgentError> {
-        let recipients = self.cfg.mode.recipients_with_overlap(self.step, self.cfg.overlap_period);
+        let recipients = self.cfg.mode.recipients(self.step);
         // Per-agent control period: the ticks since the agent's own
         // previous frame, the nominal period on its first. Round-robin
         // agents nominally see every other frame; an overlap frame
         // shortens the period of the agent it was not scheduled for.
         let nominal = match self.cfg.mode {
-            AgentMode::RoundRobin => 2,
-            _ => 1,
+            AgentMode::RoundRobin | AgentMode::Overlap(_) => 2,
+            AgentMode::Single | AgentMode::Duplicate => 1,
         };
         for i in (0..2).filter(|&i| recipients[i]) {
             let ticks = self.last_frame[i].map_or(nominal, |prev| self.step - prev);
@@ -283,7 +269,7 @@ impl Ads {
                 let pair = self.prev_selected.map(|prev| (u, prev));
                 (u, pair)
             }
-            AgentMode::RoundRobin => {
+            AgentMode::RoundRobin | AgentMode::Overlap(_) => {
                 let unit = &mut self.units[0];
                 if recipients[0] && recipients[1] {
                     // Overlap frame: both agents process it; the regularly
@@ -384,8 +370,8 @@ mod tests {
         assert_eq!(units(AgentMode::Duplicate), 2, "two GPUs + two CPUs");
     }
 
-    /// At overlap period 4 every overlap frame is an even step, so agent
-    /// 1 also runs steps 0, 4, 8, … beside its odd ones: each agent's
+    /// In `Overlap(4)` every overlap frame is an even step, so agent 1
+    /// also runs steps 0, 4, 8, … beside its odd ones: each agent's
     /// control period must be the spacing of its own frames, not the
     /// nominal 2 ticks.
     #[test]
@@ -394,9 +380,8 @@ mod tests {
         let mut world = World::new(lead_slowdown(), SensorConfig::default(), 1);
         let (frame, hint) = (world.sense(), world.route_hint());
         let state = VehState::from(world.ego_state());
-        let cfg =
-            AdsConfig { overlap_period: Some(4), ..AdsConfig::for_mode(AgentMode::RoundRobin, 7) };
-        let mut ads = Ads::new(cfg);
+        let mode = AgentMode::Overlap(std::num::NonZeroU32::new(4).expect("nonzero"));
+        let mut ads = Ads::new(AdsConfig::for_mode(mode, 7));
         let mut prev: [Option<u64>; 2] = [None, None];
         let mut shortened = 0;
         for step in 0..13u64 {

@@ -376,11 +376,6 @@ impl OnlineDetector {
         self.alarm_at
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
-    }
-
     /// The underlying model.
     pub fn model(&self) -> &DetectorModel {
         &self.model

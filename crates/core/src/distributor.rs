@@ -2,6 +2,7 @@
 //! each sensor frame.
 
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// Agent deployment mode of the ADS.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -15,6 +16,11 @@ pub enum AgentMode {
     /// Fully-duplicated ADS (FD-ADS, §VI-B): two agents on dedicated
     /// processors, both receiving every frame.
     Duplicate,
+    /// DiverseAV with partial overlap (paper footnote 5): round-robin,
+    /// but every p-th frame goes to *both* agents — the adjustment for
+    /// ADSes with lower engineering margins (input-rate reduction below
+    /// 50 % at extra compute cost on the shared processor).
+    Overlap(NonZeroU32),
 }
 
 impl AgentMode {
@@ -22,7 +28,7 @@ impl AgentMode {
     pub fn n_agents(self) -> usize {
         match self {
             AgentMode::Single => 1,
-            AgentMode::RoundRobin | AgentMode::Duplicate => 2,
+            AgentMode::RoundRobin | AgentMode::Duplicate | AgentMode::Overlap(_) => 2,
         }
     }
 
@@ -33,58 +39,67 @@ impl AgentMode {
     /// keeps the compute provisioning equal to the single-agent system.
     pub fn n_units(self) -> usize {
         match self {
-            AgentMode::Single | AgentMode::RoundRobin => 1,
+            AgentMode::Single | AgentMode::RoundRobin | AgentMode::Overlap(_) => 1,
             AgentMode::Duplicate => 2,
         }
     }
 
     /// Which agents receive the frame at `step` (index = agent id).
     pub fn recipients(self, step: u64) -> [bool; 2] {
-        self.recipients_with_overlap(step, None)
-    }
-
-    /// Like [`recipients`](Self::recipients), but in round-robin mode every
-    /// `overlap_period`-th frame is sent to *both* agents — the paper's
-    /// footnote-5 adjustment for ADSes with lower engineering margins
-    /// (input-rate reduction below 50% at extra compute cost).
-    pub fn recipients_with_overlap(self, step: u64, overlap_period: Option<u32>) -> [bool; 2] {
         match self {
             AgentMode::Single => [true, false],
-            AgentMode::RoundRobin => {
-                if let Some(p) = overlap_period {
-                    if p > 0 && step.is_multiple_of(p as u64) {
-                        return [true, true];
-                    }
-                }
+            AgentMode::Duplicate => [true, true],
+            AgentMode::Overlap(p) if step.is_multiple_of(u64::from(p.get())) => [true, true],
+            AgentMode::RoundRobin | AgentMode::Overlap(_) => {
                 if step.is_multiple_of(2) {
                     [true, false]
                 } else {
                     [false, true]
                 }
             }
-            AgentMode::Duplicate => [true, true],
         }
     }
 
-    /// The paper's name for this mode.
-    pub fn label(self) -> &'static str {
-        match self {
-            AgentMode::Single => "single",
-            AgentMode::RoundRobin => "diverseav",
-            AgentMode::Duplicate => "fd",
+    /// Parse a label produced by `Display` (the shard CLI's `--mode`
+    /// axis): `single`, `diverseav`, `fd` or `diverseav-overlap<p>` with
+    /// `p ≥ 1`.
+    pub fn from_label(s: &str) -> Option<Self> {
+        match s {
+            "single" => Some(AgentMode::Single),
+            "diverseav" => Some(AgentMode::RoundRobin),
+            "fd" => Some(AgentMode::Duplicate),
+            _ => {
+                let p = s.strip_prefix("diverseav-overlap")?;
+                // `parse` alone would accept a leading `+` or `0`; the
+                // codec admits only what `Display` writes.
+                if !p.starts_with(|c: char| matches!(c, '1'..='9')) {
+                    return None;
+                }
+                p.parse().ok().map(AgentMode::Overlap)
+            }
         }
     }
 }
 
+/// The paper's name for the mode; the overlap mode appends its period.
 impl fmt::Display for AgentMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+        match self {
+            AgentMode::Single => f.write_str("single"),
+            AgentMode::RoundRobin => f.write_str("diverseav"),
+            AgentMode::Duplicate => f.write_str("fd"),
+            AgentMode::Overlap(p) => write!(f, "diverseav-overlap{p}"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn overlap(p: u32) -> AgentMode {
+        AgentMode::Overlap(NonZeroU32::new(p).expect("nonzero period"))
+    }
 
     #[test]
     fn round_robin_alternates() {
@@ -94,15 +109,15 @@ mod tests {
     }
 
     #[test]
-    fn overlap_period_sends_to_both_periodically() {
-        let m = AgentMode::RoundRobin;
-        assert_eq!(m.recipients_with_overlap(0, Some(4)), [true, true]);
-        assert_eq!(m.recipients_with_overlap(1, Some(4)), [false, true]);
-        assert_eq!(m.recipients_with_overlap(2, Some(4)), [true, false]);
-        assert_eq!(m.recipients_with_overlap(4, Some(4)), [true, true]);
-        // Overlap is a no-op for the other modes.
-        assert_eq!(AgentMode::Single.recipients_with_overlap(0, Some(2)), [true, false]);
-        assert_eq!(AgentMode::Duplicate.recipients_with_overlap(1, Some(2)), [true, true]);
+    fn overlap_sends_every_pth_frame_to_both() {
+        let m = overlap(4);
+        assert_eq!(m.recipients(0), [true, true]);
+        assert_eq!(m.recipients(1), [false, true]);
+        assert_eq!(m.recipients(2), [true, false]);
+        assert_eq!(m.recipients(3), [false, true]);
+        assert_eq!(m.recipients(4), [true, true]);
+        // Period 1 sends every frame to both agents.
+        assert!((0..4).all(|step| overlap(1).recipients(step) == [true, true]));
     }
 
     #[test]
@@ -125,6 +140,8 @@ mod tests {
         assert_eq!(AgentMode::RoundRobin.n_agents(), 2);
         assert_eq!(AgentMode::RoundRobin.n_units(), 1, "shared processor");
         assert_eq!(AgentMode::Duplicate.n_units(), 2, "dedicated processors");
+        assert_eq!(overlap(4).n_agents(), 2);
+        assert_eq!(overlap(4).n_units(), 1, "overlap shares the one processor");
     }
 
     #[test]
@@ -132,5 +149,35 @@ mod tests {
         assert_eq!(AgentMode::RoundRobin.to_string(), "diverseav");
         assert_eq!(AgentMode::Duplicate.to_string(), "fd");
         assert_eq!(AgentMode::Single.to_string(), "single");
+        assert_eq!(overlap(4).to_string(), "diverseav-overlap4");
+    }
+
+    #[test]
+    fn labels_round_trip_through_from_label() {
+        let modes = [
+            AgentMode::Single,
+            AgentMode::RoundRobin,
+            AgentMode::Duplicate,
+            overlap(1),
+            overlap(4),
+            overlap(u32::MAX),
+        ];
+        for mode in modes {
+            assert_eq!(AgentMode::from_label(&mode.to_string()), Some(mode));
+        }
+        for bad in [
+            "diverseav-overlap0",
+            "diverseav-overlap",
+            "diverseav-overlap+4",
+            "diverseav-overlap04",
+            "diverseav-overlap-4",
+            "diverseav-overlap4x",
+            "diverseav-overlap4294967296",
+            "DiverseAV",
+            "rr",
+            "",
+        ] {
+            assert_eq!(AgentMode::from_label(bad), None, "{bad:?} must be refused");
+        }
     }
 }

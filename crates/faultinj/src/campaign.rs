@@ -434,6 +434,9 @@ pub fn plan_seed(campaign: &Campaign) -> u64 {
         AgentMode::Single => 1,
         AgentMode::RoundRobin => 2,
         AgentMode::Duplicate => 3,
+        // Overlap periods occupy a disjoint code block above the fixed
+        // modes (the period is ≥ 1, so the block starts at 0x101).
+        AgentMode::Overlap(p) => 0x100 + u64::from(p.get()),
     };
     let mut seed = 0xC0FE;
     for code in [scenario_code, target_code, kind_code, mode_code] {

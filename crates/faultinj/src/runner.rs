@@ -2,7 +2,6 @@
 //! optional fault — and records everything the evaluation needs.
 
 use diverseav::{Ads, AdsConfig, AgentMode, DetectorConfig, DetectorModel, TrainSample};
-use diverseav_agent::AgentConfig;
 use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_obs::flight::TickRecord;
 use diverseav_obs::{metrics, profile, FaultSite, MetricsSlice};
@@ -95,16 +94,11 @@ pub struct RunConfig {
     pub seed: u64,
     /// Sensor configuration (must match the agent's camera geometry).
     pub sensor: SensorConfig,
-    /// Agent parameters.
-    pub agent: AgentConfig,
     /// Trained detector to run online, if any.
     pub detector: Option<(DetectorModel, DetectorConfig)>,
     /// Whether to record the divergence stream (for detector training and
     /// offline parameter sweeps) and the actuation/CVIP trace (Fig 2).
     pub collect_training: bool,
-    /// Round-robin partial-overlap period (paper footnote 5); `None` =
-    /// pure round-robin.
-    pub overlap_period: Option<u32>,
     /// Guided-campaign stratum code this run was drawn from (`None` for
     /// uniform enumeration and golden runs; see [`crate::guided`]).
     pub stratum: Option<u64>,
@@ -114,7 +108,7 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A run with default sensor/agent parameters.
+    /// A run with default sensor parameters.
     pub fn new(scenario: Scenario, mode: AgentMode, seed: u64) -> Self {
         RunConfig {
             scenario,
@@ -122,10 +116,8 @@ impl RunConfig {
             fault: None,
             seed,
             sensor: SensorConfig::default(),
-            agent: AgentConfig::default(),
             detector: None,
             collect_training: false,
-            overlap_period: None,
             stratum: None,
             weight: None,
         }
@@ -243,13 +235,7 @@ pub(crate) fn run_metered(
     extra: &mut [&mut dyn LoopObserver],
 ) -> (RunResult, MetricsSlice) {
     let world = World::new(cfg.scenario.clone(), cfg.sensor, cfg.seed);
-    let mut ads = Ads::new(AdsConfig {
-        mode: cfg.mode,
-        agent: cfg.agent,
-        fusion: Default::default(),
-        seed: cfg.seed ^ 0x5EED,
-        overlap_period: cfg.overlap_period,
-    });
+    let mut ads = Ads::new(AdsConfig::for_mode(cfg.mode, cfg.seed ^ 0x5EED));
     if let Some((model, det_cfg)) = &cfg.detector {
         ads.attach_detector(model.clone(), *det_cfg);
     }

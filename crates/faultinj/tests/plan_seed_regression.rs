@@ -11,8 +11,15 @@ use diverseav_fabric::Profile;
 use diverseav_faultinj::{plan_seed, Campaign, FaultModelKind};
 use diverseav_simworld::ScenarioKind;
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 
-const MODES: [AgentMode; 3] = [AgentMode::Single, AgentMode::RoundRobin, AgentMode::Duplicate];
+const MODES: [AgentMode; 5] = [
+    AgentMode::Single,
+    AgentMode::RoundRobin,
+    AgentMode::Duplicate,
+    AgentMode::Overlap(NonZeroU32::new(2).unwrap()),
+    AgentMode::Overlap(NonZeroU32::new(4).unwrap()),
+];
 const TARGETS: [Profile; 2] = [Profile::Gpu, Profile::Cpu];
 /// Every campaign kind: register flips plus the five sensor-boundary
 /// classes added with the sensor-fault extension.
@@ -42,8 +49,9 @@ fn ghost_cut_in_never_shares_a_seed_with_front_accident() {
 #[test]
 fn every_campaign_cell_has_a_distinct_seed() {
     // 3 scenarios × 2 targets × 7 kinds (transient, permanent, and the
-    // five sensor classes) × 3 modes = 126 cells; every one must draw
-    // from its own fault-site distribution.
+    // five sensor classes) × 5 modes (single, round-robin, FD, and two
+    // footnote-5 overlap periods) = 210 cells; every one must draw from
+    // its own fault-site distribution.
     let mut seen: HashMap<u64, Campaign> = HashMap::new();
     for scenario in ScenarioKind::safety_critical() {
         for target in TARGETS {
@@ -57,5 +65,5 @@ fn every_campaign_cell_has_a_distinct_seed() {
             }
         }
     }
-    assert_eq!(seen.len(), 126);
+    assert_eq!(seen.len(), 210);
 }

@@ -15,6 +15,7 @@ use diverseav_faultinj::{
 use diverseav_obs::metrics;
 use diverseav_simworld::{ScenarioKind, SensorConfig};
 use std::fs;
+use std::num::NonZeroU32;
 use std::path::{Path, PathBuf};
 
 /// Epoch 0 of a guided GPU-permanent campaign on a short route, cut in
@@ -113,10 +114,12 @@ fn a_memo_hit_writes_the_bytes_of_a_miss_and_only_equal_configs_hit() {
     let noisy =
         SensorConfig { pixel_noise: SensorConfig::default().pixel_noise + 0.5, ..cfg(0).sensor };
     let single = Campaign { mode: AgentMode::Single, ..cfg(0).campaign };
+    let overlap = Campaign { mode: AgentMode::Overlap(NonZeroU32::new(4).unwrap()), ..single };
     let longer = CampaignScale { long_route_duration: 0.5, ..cfg(0).scale };
     let variants = [
         ("a sensor float", ShardConfig { sensor: noisy, ..cfg(0) }, false),
         ("the agent mode", ShardConfig { campaign: single, ..cfg(0) }, false),
+        ("a footnote-5 overlap period", ShardConfig { campaign: overlap, ..cfg(0) }, false),
         ("the long-route duration", ShardConfig { scale: longer, ..cfg(0) }, false),
         ("the profiling time source", cfg(0), true),
     ];

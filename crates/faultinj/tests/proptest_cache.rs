@@ -13,6 +13,7 @@ use diverseav_faultinj::{GoldenCache, GoldenKey, GoldenSet};
 use diverseav_simworld::{ScenarioKind, SensorConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::num::NonZeroU32;
 
 fn scenario(code: u8) -> ScenarioKind {
     match code % 4 {
@@ -20,6 +21,17 @@ fn scenario(code: u8) -> ScenarioKind {
         1 => ScenarioKind::GhostCutIn,
         2 => ScenarioKind::FrontAccident,
         _ => ScenarioKind::LongRoute(code / 4),
+    }
+}
+
+/// An injective map from codes to agent modes: the three fixed modes,
+/// then footnote-5 overlap with period `code - 2`.
+fn mode(code: u32) -> AgentMode {
+    match code {
+        0 => AgentMode::Single,
+        1 => AgentMode::RoundRobin,
+        2 => AgentMode::Duplicate,
+        p => AgentMode::Overlap(NonZeroU32::new(p - 2).expect("code ≥ 3")),
     }
 }
 
@@ -31,14 +43,13 @@ fn empty_set() -> GoldenSet {
 fn build_key(
     code: u8,
     duration: f64,
-    single: bool,
+    mode_code: u32,
     pixel_noise: f64,
     golden_runs: usize,
     traces: bool,
 ) -> GoldenKey {
-    let mode = if single { AgentMode::Single } else { AgentMode::RoundRobin };
     let sensor = SensorConfig { pixel_noise, ..SensorConfig::default() };
-    GoldenKey::new(scenario(code), duration, mode, &sensor, golden_runs, traces)
+    GoldenKey::new(scenario(code), duration, mode(mode_code), &sensor, golden_runs, traces)
 }
 
 proptest! {
@@ -47,21 +58,23 @@ proptest! {
     fn single_discriminant_mutations_never_collide(
         code in 0u8..16,
         duration in 5.0f64..120.0,
-        single in any::<bool>(),
+        mode_code in 0u32..8,
         noise in 0.0f64..1.0,
         golden_runs in 1usize..8,
         traces in any::<bool>(),
     ) {
-        let base = build_key(code, duration, single, noise, golden_runs, traces);
-        // `code + 1` always lands in a different `scenario` match arm, so
-        // every variant differs from the base in exactly one discriminant.
+        let base = build_key(code, duration, mode_code, noise, golden_runs, traces);
+        // `code + 1` always lands in a different `scenario` match arm and
+        // `mode_code + 1` on a different mode (overlap periods included),
+        // so every variant differs from the base in exactly one
+        // discriminant.
         let variants = [
-            build_key((code + 1) % 16, duration, single, noise, golden_runs, traces),
-            build_key(code, duration + 0.5, single, noise, golden_runs, traces),
-            build_key(code, duration, !single, noise, golden_runs, traces),
-            build_key(code, duration, single, noise + 0.25, golden_runs, traces),
-            build_key(code, duration, single, noise, golden_runs + 1, traces),
-            build_key(code, duration, single, noise, golden_runs, !traces),
+            build_key((code + 1) % 16, duration, mode_code, noise, golden_runs, traces),
+            build_key(code, duration + 0.5, mode_code, noise, golden_runs, traces),
+            build_key(code, duration, mode_code + 1, noise, golden_runs, traces),
+            build_key(code, duration, mode_code, noise + 0.25, golden_runs, traces),
+            build_key(code, duration, mode_code, noise, golden_runs + 1, traces),
+            build_key(code, duration, mode_code, noise, golden_runs, !traces),
         ];
         for (i, v) in variants.iter().enumerate() {
             prop_assert!(&base != v, "variant {i} aliased the base key: {v:?}");
@@ -78,7 +91,7 @@ proptest! {
         // Six pairwise-distinct keys (golden_runs separates them even
         // where the scenario arm repeats).
         let keys: Vec<GoldenKey> = (0u8..6)
-            .map(|i| build_key(i % 4, 30.0, false, 0.02, 2 + i as usize, true))
+            .map(|i| build_key(i % 4, 30.0, 1, 0.02, 2 + i as usize, true))
             .collect();
         let cache = GoldenCache::new();
         let mut seen = HashSet::new();

@@ -57,8 +57,10 @@ pub const DEADLINE_BURST_TICKS: u64 = 8;
 
 /// Peak normalized score an un-alarmed faulty run must have reached for
 /// a [`IncidentKind::SilentDivergence`] verdict: halfway to the alarm
-/// line. Below this the fault was benign at the actuation boundary, not
-/// silently dangerous.
+/// line. The floor selects on the score alone; the run's safety outcome
+/// is not consulted, so a hazardous run whose score peaked lower is not
+/// flushed (at paper scale most hazardous un-alarmed GPU-permanent runs
+/// peak below it).
 pub const SILENT_SCORE_FLOOR: f64 = 0.5;
 
 /// Names of the recorder's histograms, in its phase order.
@@ -80,9 +82,9 @@ pub enum IncidentKind {
     Alarm,
     /// ≥ [`DEADLINE_BURST_TICKS`] consecutive modeled deadline misses.
     DeadlineBurst,
-    /// A fault activated, no alarm fired, and the normalized score still
-    /// reached [`SILENT_SCORE_FLOOR`] — the near-miss the
-    /// `no_silent_divergence` gate exists to catch.
+    /// A fault activated, no alarm fired, and the peak normalized score
+    /// reached [`SILENT_SCORE_FLOOR`], whatever the run's safety outcome
+    /// — the near-miss the `no_silent_divergence` gate exists to catch.
     SilentDivergence,
 }
 

@@ -11,6 +11,7 @@ use diverseav_runtime::{
     LoopObserver, LoopPhase, SimLoop, Termination, TickContext, TrainingCollector,
 };
 use diverseav_simworld::{lead_slowdown, SensorConfig, World};
+use std::num::NonZeroU32;
 
 fn world() -> World {
     World::new(lead_slowdown(), SensorConfig::default(), 5)
@@ -152,18 +153,15 @@ fn detect_timing_follows_the_loops_phase_observers() {
 
 #[test]
 fn overlap_frames_run_both_agents() {
-    let mut cfg = AdsConfig::for_mode(AgentMode::RoundRobin, 10);
-    cfg.overlap_period = Some(4);
-    let mut ads = Ads::new(cfg);
+    let overlap = |p| AgentMode::Overlap(NonZeroU32::new(p).expect("nonzero period"));
+    let mut ads = Ads::new(AdsConfig::for_mode(overlap(4), 10));
     run_ticks(&mut ads, world(), 8);
     // Steps 0 and 4 are overlap frames (both agents), so each agent
     // processes its half plus the overlap extras.
     let total: u64 = ads.agent_steps().iter().sum();
     assert_eq!(total, 8 + 2, "two overlap frames add two extra inferences");
     // Overlap frames produce same-frame pairs immediately.
-    let mut cfg2 = AdsConfig::for_mode(AgentMode::RoundRobin, 10);
-    cfg2.overlap_period = Some(1);
-    let mut ads2 = Ads::new(cfg2);
+    let mut ads2 = Ads::new(AdsConfig::for_mode(overlap(1), 10));
     let outs = run_ticks(&mut ads2, world(), 2);
     assert!(outs[0].pair.is_some(), "overlap gives a reference on the first tick");
 }
