@@ -10,7 +10,7 @@
 //! opcode the kernel executes.
 
 use diverseav_agent::{kernels, layout::param, AgentConfig, GpuLayout};
-use diverseav_fabric::{Context, Fabric, FaultModel, Profile, Program};
+use diverseav_fabric::{Context, Fabric, FaultModel, Profile, Program, KERNEL_TILE};
 
 /// One kernel launch of the agent's pipeline, with the memory image it
 /// starts from.
@@ -155,5 +155,26 @@ fn permanent_faults_match_reference_on_every_executed_opcode() {
                 assert_engines_agree(&launch, FaultModel::Permanent { op, mask });
             }
         }
+    }
+}
+
+#[test]
+fn mask_and_conv_zero_fill_only_rows_read_before_written() {
+    // A lockstep tile zero-fills only the rows of registers a lane may
+    // read before writing them: one row each here. Mask reads only the
+    // zero register r63 that way, conv only its accumulator r20, which
+    // starts from the zeroed register file.
+    for launch in launches() {
+        if !matches!(launch.name, "mask" | "conv") {
+            continue;
+        }
+        let mut f = Fabric::new(Profile::Gpu);
+        let mut ctx = launch.pre.clone();
+        f.run_kernel(&launch.prog, &mut ctx, launch.n_threads, &[], launch.budget)
+            .expect("fault-free launch");
+        let c = f.lockstep_counters();
+        let tiles = (launch.n_threads as usize).div_ceil(KERNEL_TILE) as u64;
+        assert_eq!(c.tiles_committed, tiles, "{} commits every tile", launch.name);
+        assert_eq!(c.rows_zeroed, tiles, "{} zero-fills one row per tile", launch.name);
     }
 }

@@ -189,6 +189,32 @@ impl Op {
             Op::Halt => 33,
         }
     }
+
+    /// How many of the source fields `a`, `b`, `c` this opcode reads; the
+    /// fields it reads are always the first ones.
+    pub(crate) fn sources(self) -> usize {
+        match self {
+            Op::LdImm | Op::Tid | Op::Jmp | Op::Halt => 0,
+            Op::FAbs | Op::FNeg | Op::FSqrt | Op::Mov | Op::F2I | Op::I2F => 1,
+            Op::Ld | Op::Jz | Op::Jnz => 1,
+            Op::FAdd | Op::FSub | Op::FMul | Op::FDiv | Op::FMin | Op::FMax => 2,
+            Op::IAdd
+            | Op::ISub
+            | Op::IMul
+            | Op::IAnd
+            | Op::IOr
+            | Op::IXor
+            | Op::IShl
+            | Op::IShr => 2,
+            Op::FLt | Op::FLe | Op::ILt | Op::IEq | Op::St => 2,
+            Op::FFma | Op::Sel => 3,
+        }
+    }
+
+    /// Whether this opcode writes its destination register.
+    pub(crate) fn writes(self) -> bool {
+        !matches!(self, Op::St | Op::Jmp | Op::Jz | Op::Jnz | Op::Halt)
+    }
 }
 
 impl fmt::Display for Op {

@@ -2,6 +2,9 @@
 
 use crate::isa::{f32_to_bits, Instr, Op, Reg, NUM_REGS};
 
+// Register sets are `u64` bitmasks below.
+const _: () = assert!(NUM_REGS <= 64);
+
 /// A forward-referenceable branch target created by
 /// [`ProgramBuilder::new_label`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -12,9 +15,16 @@ pub struct Label(usize);
 /// Programs are built with [`ProgramBuilder`] which resolves labels and
 /// validates register indices and branch targets, so executing a `Program`
 /// can never fault on malformed encodings (only on data-dependent traps).
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Program {
     instrs: Vec<Instr>,
+    rows: RowLayout,
+}
+
+impl Default for Program {
+    fn default() -> Self {
+        ProgramBuilder::new().build()
+    }
 }
 
 impl Program {
@@ -22,6 +32,12 @@ impl Program {
     #[inline]
     pub fn instrs(&self) -> &[Instr] {
         &self.instrs
+    }
+
+    /// The lockstep engine's register-row layout of this program.
+    #[inline]
+    pub(crate) fn rows(&self) -> &RowLayout {
+        &self.rows
     }
 
     /// Number of static instructions.
@@ -34,6 +50,77 @@ impl Program {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
+    }
+}
+
+/// Slot marker for a register a program never names.
+pub(crate) const UNNAMED: u8 = u8::MAX;
+
+/// How the lockstep engine lays out a program's registers, fixed when the
+/// program is built so that no launch re-scans it.
+///
+/// Every register the program names (in any operand field, used or not)
+/// gets a dense row slot. Most rows need no zero-fill at tile entry: a
+/// register whose first appearance on the program's *branch-free prefix*
+/// is as a destination is written on every lane before any lane can read
+/// it. The prefix is the instructions before the first branch and before
+/// the lowest branch target, so every lane of a tile runs it converged
+/// and exactly once, and the write is a full-width one. Every other
+/// register — one read first on the prefix, one first touched after it,
+/// and one never written, such as a zero register — keeps the zeroed row
+/// the thread-major engine's fresh register file gives it.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct RowLayout {
+    /// Dense row slot of each register the program names (`UNNAMED`
+    /// otherwise).
+    pub(crate) slot: [u8; NUM_REGS],
+    /// Number of named registers.
+    pub(crate) named: usize,
+    /// Slots `0..zeroed` are the registers a lane may read before it
+    /// writes them: the only rows a tile zero-fills.
+    pub(crate) zeroed: usize,
+}
+
+impl RowLayout {
+    fn of(instrs: &[Instr]) -> Self {
+        let bit = |r: Reg| 1u64 << r.idx();
+        let is_branch = |ins: &Instr| matches!(ins.op, Op::Jmp | Op::Jz | Op::Jnz);
+        let first_branch = instrs.iter().position(is_branch).unwrap_or(instrs.len());
+        let lowest_target = instrs
+            .iter()
+            .filter(|ins| is_branch(ins))
+            .map(|ins| ins.imm as usize)
+            .min()
+            .unwrap_or(usize::MAX);
+        let (mut named, mut written, mut read_first) = (0u64, 0u64, 0u64);
+        for ins in instrs {
+            for r in [ins.dst, ins.a, ins.b, ins.c] {
+                named |= bit(r);
+            }
+        }
+        for ins in &instrs[..first_branch.min(lowest_target)] {
+            for &r in &[ins.a, ins.b, ins.c][..ins.op.sources()] {
+                if written & bit(r) == 0 {
+                    read_first |= bit(r);
+                }
+            }
+            if ins.op.writes() {
+                written |= bit(ins.dst);
+            }
+        }
+        let defined = written & !read_first;
+        let zeroed = named & !defined;
+        let mut slot = [UNNAMED; NUM_REGS];
+        let mut n = 0u8;
+        for set in [zeroed, defined] {
+            for (r, s) in slot.iter_mut().enumerate() {
+                if set >> r & 1 == 1 {
+                    *s = n;
+                    n += 1;
+                }
+            }
+        }
+        RowLayout { slot, named: n as usize, zeroed: zeroed.count_ones() as usize }
     }
 }
 
@@ -122,7 +209,8 @@ impl ProgramBuilder {
             let target = self.labels[label.0].expect("jump to unbound label");
             self.instrs[at].imm = target as u32;
         }
-        Program { instrs: self.instrs }
+        let rows = RowLayout::of(&self.instrs);
+        Program { instrs: self.instrs, rows }
     }
 
     // --- float ALU ---
@@ -329,6 +417,30 @@ mod tests {
         let p = ProgramBuilder::new().build();
         assert!(p.is_empty());
         assert_eq!(p.len(), 0);
+    }
+
+    #[test]
+    fn row_layout_zero_fills_only_registers_read_before_written() {
+        // r1 is written first on the prefix; r2 and r63 are read there
+        // first. The loop head at 3 ends the prefix before the first
+        // branch, so r3 and r4, first touched at or after it, keep zeroed
+        // rows too.
+        let mut b = ProgramBuilder::new();
+        let top = b.new_label();
+        b.ldimm_i(Reg(1), 1);
+        b.iadd(Reg(2), Reg(2), Reg(1));
+        b.ld(Reg(63), Reg(63), 0);
+        b.bind(top);
+        b.ldimm_i(Reg(3), 7);
+        b.iadd(Reg(4), Reg(3), Reg(1));
+        b.jnz(Reg(4), top);
+        let rows = b.build().rows;
+        let zeroed: Vec<usize> =
+            (0..NUM_REGS).filter(|&r| (rows.slot[r] as usize) < rows.zeroed).collect();
+        // r0 is named only as an unused operand field and never written.
+        assert_eq!(zeroed, [0, 2, 3, 4, 63]);
+        assert_eq!(rows.named, 6);
+        assert_eq!(rows.slot[5], UNNAMED);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::fault::{FaultModel, FaultState};
 use crate::isa::{bits_to_f32, f32_to_bits, Instr, Op, Reg, ALL_OPS, NUM_REGS};
-use crate::program::Program;
+use crate::program::{Program, UNNAMED};
 use crate::stats::ExecStats;
 use std::error::Error;
 use std::fmt;
@@ -194,8 +194,8 @@ pub struct Fabric {
 /// rows (named registers × tile width words) stay well inside L2.
 pub const KERNEL_TILE: usize = 256;
 
-/// Silent-fallback counters of the lockstep kernel engine, accumulated
-/// since the fabric was created.
+/// Silent-fallback counters of the lockstep kernel engine, and the
+/// register rows it zero-filled, accumulated since the fabric was created.
 ///
 /// They describe how the engine ran, never what it computed: every tile
 /// the engine gives up on is replayed bit-identically on the scalar
@@ -214,6 +214,10 @@ pub struct LockstepCounters {
     pub threads_replayed: u64,
     /// Tiles re-run to realize a transient fault on its exact lane.
     pub transient_reruns: u64,
+    /// Register rows zero-filled at tile entry, over every tile run
+    /// (aborted tiles and re-runs included): one per register the program
+    /// may read before it writes it.
+    pub rows_zeroed: u64,
 }
 
 /// Memory-ordering state of one lockstep tile: an epoch-tagged store-owner
@@ -397,24 +401,17 @@ impl TileLog {
     }
 }
 
-/// Slot marker for a register the bound program never names.
-const UNNAMED: u8 = u8::MAX;
-
 /// Per-fabric scratch of the lockstep tile engine: the memory-ordering log,
-/// a dense register file holding one row per register the program names,
-/// per-lane divergence state, and the tile's deferred instruction
-/// accounting. Every buffer keeps its capacity across tiles and launches.
+/// a dense register file holding one row per register the program names
+/// (laid out by the program's `RowLayout`), per-lane divergence state, and
+/// the tile's deferred instruction accounting. Every buffer keeps its
+/// capacity across tiles and launches.
 #[derive(Clone, Debug)]
 struct LockstepScratch {
     log: TileLog,
     /// Lane-executions per opcode in the current tile; folded into
     /// [`ExecStats`] and the dynamic-instruction counter only on commit.
     op_counts: [u64; ALL_OPS.len()],
-    /// Dense slot of each register the bound program names (`UNNAMED`
-    /// otherwise).
-    slot: [u8; NUM_REGS],
-    /// Number of named registers of the bound program.
-    nslots: usize,
     /// Register rows, `rows[slot][lane]`; every row (and `spare`) has the
     /// same length, the widest tile bound so far, so that swapping rows
     /// never leaves a short one behind.
@@ -428,8 +425,6 @@ struct LockstepScratch {
     executed: Vec<u64>,
     live: Vec<bool>,
     active: Vec<bool>,
-    /// Per-lane addresses of a scattered load.
-    addrs: Vec<u32>,
 }
 
 impl Default for LockstepScratch {
@@ -437,15 +432,12 @@ impl Default for LockstepScratch {
         LockstepScratch {
             log: TileLog::default(),
             op_counts: [0; ALL_OPS.len()],
-            slot: [UNNAMED; NUM_REGS],
-            nslots: 0,
             rows: Vec::new(),
             spare: Vec::new(),
             pc: Vec::new(),
             executed: Vec::new(),
             live: Vec::new(),
             active: Vec::new(),
-            addrs: Vec::new(),
         }
     }
 }
@@ -651,24 +643,13 @@ fn row_slots(slot: &[u8; NUM_REGS], ins: &Instr) -> [usize; 4] {
 }
 
 impl LockstepScratch {
-    /// Give every register `prog` names a dense row, sized for tiles of up
-    /// to `width` lanes.
+    /// Give every register `prog` names a row, sized for tiles of up to
+    /// `width` lanes.
     fn bind(&mut self, prog: &Program, width: usize) {
-        self.slot = [UNNAMED; NUM_REGS];
-        let mut n = 0u8;
-        for ins in prog.instrs() {
-            for r in [ins.dst, ins.a, ins.b, ins.c] {
-                let s = &mut self.slot[r.idx()];
-                if *s == UNNAMED {
-                    *s = n;
-                    n += 1;
-                }
-            }
-        }
-        self.nslots = n as usize;
         let row_len = self.spare.len().max(width);
-        if self.rows.len() < self.nslots {
-            self.rows.resize_with(self.nslots, Vec::new);
+        let named = prog.rows().named;
+        if self.rows.len() < named {
+            self.rows.resize_with(named, Vec::new);
         }
         for row in self.rows.iter_mut().chain(std::iter::once(&mut self.spare)) {
             row.resize(row_len, 0);
@@ -677,7 +658,6 @@ impl LockstepScratch {
         self.executed.resize(row_len, 0);
         self.live.resize(row_len, false);
         self.active.resize(row_len, false);
-        self.addrs.resize(row_len, 0);
     }
 
     /// Execute threads `t0..t0 + w` (`2 ≤ w ≤` the bound width) of the
@@ -706,11 +686,14 @@ impl LockstepScratch {
     ) -> Result<TileDone, Abort> {
         self.log.begin(mem.len());
         self.op_counts = [0; ALL_OPS.len()];
-        for row in &mut self.rows[..self.nslots] {
+        // Only rows a lane may read before writing start zeroed; every
+        // other row is written across the tile before any lane reads it.
+        let layout = prog.rows();
+        for row in &mut self.rows[..layout.zeroed] {
             row[..w].fill(0);
         }
         for &(r, v) in args {
-            let s = self.slot[r.idx()];
+            let s = layout.slot[r.idx()];
             if s != UNNAMED {
                 self.rows[s as usize][..w].fill(v);
             }
@@ -737,7 +720,7 @@ impl LockstepScratch {
             self.op_counts[ins.op.index()] += nw;
             dyn_add += nw;
 
-            let [sd, sa, sb, sc] = row_slots(&self.slot, &ins);
+            let [sd, sa, sb, sc] = row_slots(&layout.slot, &ins);
             let a = &self.rows[sa][..w];
             let val = &mut self.spare[..w];
             match ins.op {
@@ -771,28 +754,35 @@ impl LockstepScratch {
                         // addresses replaces a branch per lane. An abort
                         // on any out-of-range lane replays scalar, which
                         // raises the exact per-lane OutOfBounds trap.
-                        let addrs = &mut self.addrs[..w];
                         let (mut lo, mut hi) = (u32::MAX, 0u32);
-                        for (ad, &x) in addrs.iter_mut().zip(a) {
-                            *ad = x.wrapping_add(ins.imm);
-                            lo = lo.min(*ad);
-                            hi = hi.max(*ad);
+                        for &x in a {
+                            let ad = x.wrapping_add(ins.imm);
+                            lo = lo.min(ad);
+                            hi = hi.max(ad);
                         }
                         if hi as usize >= mem.len() {
                             return Err(Abort::Trap);
                         }
                         self.log.note_load_range(lo as usize, hi as usize);
+                        // Every lane address is at most `hi`, now in
+                        // bounds, so clamping to `hi` changes none of
+                        // them: it only proves each index inside the
+                        // window, which drops the per-lane bounds check
+                        // and lets the gather vectorize.
+                        let window = &mem[..=hi as usize];
+                        let lane_addr = |x: u32| x.wrapping_add(ins.imm).min(hi) as usize;
                         if self.log.stored() {
-                            for (l, (v, &ad)) in val.iter_mut().zip(addrs.iter()).enumerate() {
-                                let idx = ad as usize;
-                                if self.log.foreign(self.log.owner[idx], l) {
+                            let owner = &self.log.owner[..=hi as usize];
+                            for (l, (v, &x)) in val.iter_mut().zip(a).enumerate() {
+                                let idx = lane_addr(x);
+                                if self.log.foreign(owner[idx], l) {
                                     return Err(Abort::Conflict);
                                 }
-                                *v = mem[idx];
+                                *v = window[idx];
                             }
                         } else {
-                            for (v, &ad) in val.iter_mut().zip(addrs.iter()) {
-                                *v = mem[ad as usize];
+                            for (v, &x) in val.iter_mut().zip(a) {
+                                *v = window[lane_addr(x)];
                             }
                         }
                     }
@@ -903,7 +893,7 @@ impl LockstepScratch {
             self.op_counts[ins.op.index()] += n_active;
             dyn_add += n_active;
 
-            let [sd, sa, sb, sc] = row_slots(&self.slot, &ins);
+            let [sd, sa, sb, sc] = row_slots(&layout.slot, &ins);
             let a = &self.rows[sa][..w];
             let val = &mut self.spare[..w];
             let next = pc_cur + 1;
@@ -1196,7 +1186,9 @@ impl Fabric {
             }
         };
         let scratch = &mut self.scratch;
+        let zeroed = prog.rows().zeroed as u64;
         let mut exit = scratch.exec_tile(&mut self.fault, prog, mem, t0, w, args, budget, mode);
+        self.counters.rows_zeroed += zeroed;
         if let (Ok(done), Some(index)) = (exit, probe) {
             if index < base + done.dyn_add {
                 scratch.log.rollback(mem);
@@ -1204,6 +1196,7 @@ impl Fabric {
                 let mode = LaneFault::Transient { lane, local_index, fire_index: index };
                 self.counters.transient_reruns += 1;
                 exit = scratch.exec_tile(&mut self.fault, prog, mem, t0, w, args, budget, mode);
+                self.counters.rows_zeroed += zeroed;
             }
         }
         match exit {
@@ -1249,8 +1242,39 @@ impl Fabric {
         Ok(total)
     }
 
+    /// Run `prog` for one thread on the scalar interpreter.
+    ///
+    /// The armed fault is polled on register writes only if it can fire in
+    /// this call: a permanent fault always can, and a transient one only if
+    /// its index lies in `dyn_counter..dyn_counter + budget`, the indices of
+    /// the at most `budget` instructions this call executes.
     #[inline(always)]
     fn exec(
+        &mut self,
+        prog: &Program,
+        regs: &mut [u32; NUM_REGS],
+        mem: &mut [u32],
+        tid: u32,
+        budget: u64,
+    ) -> Result<u64, Trap> {
+        let can_fire = match self.fault.map(|f| f.model()) {
+            None => false,
+            Some(FaultModel::Permanent { .. }) => true,
+            Some(FaultModel::Transient { instr_index, .. }) => {
+                instr_index.checked_sub(self.dyn_counter).is_some_and(|d| d < budget)
+            }
+        };
+        if can_fire {
+            self.exec_polling::<true>(prog, regs, mem, tid, budget)
+        } else {
+            self.exec_polling::<false>(prog, regs, mem, tid, budget)
+        }
+    }
+
+    /// The scalar interpreter loop, polling the armed fault on every
+    /// register write iff `POLL`.
+    #[inline(never)]
+    fn exec_polling<const POLL: bool>(
         &mut self,
         prog: &Program,
         regs: &mut [u32; NUM_REGS],
@@ -1349,9 +1373,11 @@ impl Fabric {
             };
 
             if let Some(mut val) = wrote {
-                if let Some(fault) = &mut self.fault {
-                    if let Some(mask) = fault.poll(dyn_index, ins.op) {
-                        val ^= mask;
+                if POLL {
+                    if let Some(fault) = &mut self.fault {
+                        if let Some(mask) = fault.poll(dyn_index, ins.op) {
+                            val ^= mask;
+                        }
                     }
                 }
                 regs[ins.dst.idx()] = val;
@@ -1898,6 +1924,7 @@ mod tests {
             trap_aborts: 1,
             threads_replayed: 16,
             transient_reruns: 1,
+            ..LockstepCounters::default()
         };
         assert_eq!(f.lockstep_counters(), expected);
     }
@@ -1915,5 +1942,134 @@ mod tests {
             assert_eq!(ctx, ctx_ref, "width {width} diverged");
             assert_eq!(f.stats(), f_ref.stats(), "width {width} stats diverged");
         }
+    }
+
+    #[test]
+    fn stale_rows_of_an_earlier_launch_never_leak() {
+        // Program A leaves a nonzero word in every register row on every
+        // lane. Program B then reads r1 before writing it on its
+        // branch-free prefix, and r4 before any write only after a branch:
+        // both must read the zeroed register file of the reference engine.
+        let mut a = ProgramBuilder::new();
+        for i in 0..NUM_REGS as u8 {
+            a.ldimm_i(r(i), 0xA5A5_0000 | i as u32);
+        }
+        let a = a.build();
+
+        let mut b = ProgramBuilder::new();
+        let skip = b.new_label();
+        b.tid(r(0));
+        b.iadd(r(1), r(1), r(0));
+        b.ldimm_i(r(2), 1);
+        b.iand(r(3), r(0), r(2));
+        b.jz(r(3), skip);
+        b.iadd(r(4), r(4), r(0));
+        b.bind(skip);
+        b.st(r(0), r(1), 0);
+        b.st(r(0), r(4), 1024);
+        b.halt();
+        let b = b.build();
+
+        let n = 3 * KERNEL_TILE as u32 + 24;
+        let mut f_ref = Fabric::new(Profile::Gpu);
+        let mut f_ls = Fabric::new(Profile::Gpu);
+        let mut ctx_ref = f_ref.new_context(2048);
+        let mut ctx_ls = f_ls.new_context(2048);
+        f_ref.run_kernel_reference(&a, &mut ctx_ref, n, &[], 1000).unwrap();
+        f_ls.run_kernel(&a, &mut ctx_ls, n, &[], 1000).unwrap();
+        let r_ref = f_ref.run_kernel_reference(&b, &mut ctx_ref, n, &[], 1000);
+        let r_ls = f_ls.run_kernel(&b, &mut ctx_ls, n, &[], 1000);
+        assert_eq!(r_ref, r_ls);
+        assert_eq!(ctx_ref, ctx_ls, "a stale row leaked into program B");
+        assert_eq!(f_ref.stats(), f_ls.stats());
+        assert_eq!(f_ref.dyn_instr_count(), f_ls.dyn_instr_count());
+        assert_eq!(f_ls.lockstep_counters().tiles_committed, 8, "every tile ran in lockstep");
+        for t in 0..n as usize {
+            assert_eq!(ctx_ls.mem[t], t as u32);
+            assert_eq!(ctx_ls.mem[1024 + t], if t % 2 == 1 { t as u32 } else { 0 });
+        }
+    }
+
+    /// `mem[tid] = mem[2 * tid + offset]`: a scattered load whose highest
+    /// lane address is `offset + 2 * (n - 1)`.
+    fn strided_gather_program(offset: u32) -> Program {
+        let mut b = ProgramBuilder::new();
+        b.tid(r(0));
+        b.ldimm_i(r(1), 2);
+        b.imul(r(2), r(0), r(1));
+        b.ld(r(3), r(2), offset);
+        b.st(r(0), r(3), 0);
+        b.halt();
+        b.build()
+    }
+
+    #[test]
+    fn scattered_load_at_the_last_word_commits_and_one_past_it_traps() {
+        let words = 64;
+        let mut f = Fabric::new(Profile::Gpu);
+        let mut ctx = f.new_context(words);
+        for (i, w) in ctx.mem.iter_mut().enumerate() {
+            *w = 1000 + i as u32;
+        }
+        let ctx0 = ctx.clone();
+
+        // Lane 7 reads word 63, the last one: the tile commits.
+        let last = strided_gather_program(words as u32 - 15);
+        assert_lockstep_matches(&last, words, 8, 100, None);
+        f.run_kernel(&last, &mut ctx, 8, &[], 100).unwrap();
+        assert_eq!(ctx.mem[7], 1063);
+        let expected = LockstepCounters { tiles_committed: 1, ..LockstepCounters::default() };
+        assert_eq!(f.lockstep_counters(), expected);
+
+        // Lane 7 reads word 64: the tile aborts and its replay raises the
+        // reference's trap after threads 0..7 stored.
+        let past = strided_gather_program(words as u32 - 14);
+        let mut f_ref = Fabric::new(Profile::Gpu);
+        let mut ctx_ref = ctx0.clone();
+        let mut ctx = ctx0;
+        let trap_ref = f_ref.run_kernel_reference(&past, &mut ctx_ref, 8, &[], 100);
+        let trap = f.run_kernel(&past, &mut ctx, 8, &[], 100);
+        assert_eq!(trap_ref, Err(Trap::OutOfBounds { addr: words as u32 }));
+        assert_eq!(trap, trap_ref);
+        assert_eq!(ctx, ctx_ref);
+        let expected = LockstepCounters { trap_aborts: 1, threads_replayed: 8, ..expected };
+        assert_eq!(f.lockstep_counters(), expected);
+    }
+
+    #[test]
+    fn scalar_fault_poll_window_is_exact() {
+        // Four writes and no halt: each call executes exactly its budget.
+        let budget = 4;
+        let mut b = ProgramBuilder::new();
+        for i in 0..budget as u8 {
+            b.ldimm_i(r(i), 0x10);
+        }
+        let prog = b.build();
+        let mask = 0x0100;
+        let warmed = || {
+            let mut f = Fabric::new(Profile::Cpu);
+            let mut ctx = f.new_context(0);
+            f.run_scalar(&prog, &mut ctx, budget).unwrap();
+            (f, ctx)
+        };
+
+        // The call's last index fires in that call, on its last write.
+        let (mut f, mut ctx) = warmed();
+        let last = f.dyn_instr_count() + budget - 1;
+        f.inject(FaultModel::Transient { instr_index: last, mask });
+        f.run_scalar(&prog, &mut ctx, budget).unwrap();
+        assert_eq!(f.fault_state().unwrap().activations(), 1);
+        assert_eq!(ctx.regs[..4], [0x10, 0x10, 0x10, 0x10 ^ mask]);
+
+        // One past it fires at the first instruction of the next call.
+        let (mut f, mut ctx) = warmed();
+        let past = f.dyn_instr_count() + budget;
+        f.inject(FaultModel::Transient { instr_index: past, mask });
+        f.run_scalar(&prog, &mut ctx, budget).unwrap();
+        assert_eq!(f.fault_state().unwrap().activations(), 0);
+        assert_eq!(ctx.regs[..4], [0x10; 4]);
+        f.run_scalar(&prog, &mut ctx, budget).unwrap();
+        assert_eq!(f.fault_state().unwrap().activations(), 1);
+        assert_eq!(ctx.regs[..4], [0x10 ^ mask, 0x10, 0x10, 0x10]);
     }
 }
