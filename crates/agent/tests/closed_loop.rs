@@ -127,9 +127,9 @@ fn golden_step_commits_every_lockstep_tile() {
     let l = GpuLayout::new(cfg.img_w, cfg.img_h);
     let tiles = |n: usize| n.div_ceil(KERNEL_TILE) as u64;
     let expected = tiles(l.w * l.h) + tiles(l.w2 * l.h2) + tiles(l.h2) + tiles(l.w);
-    // Which rows a tile zero-fills is pinned per kernel by
-    // kernel_fault_differential.rs.
-    let c = LockstepCounters { rows_zeroed: 0, ..gpu.lockstep_counters() };
+    // Which rows a tile zero-fills, and which lane rows it scans, are
+    // pinned per kernel by kernel_fault_differential.rs.
+    let c = LockstepCounters { rows_zeroed: 0, lane_scans: 0, ..gpu.lockstep_counters() };
     assert_eq!(
         c,
         LockstepCounters { tiles_committed: expected, ..LockstepCounters::default() },

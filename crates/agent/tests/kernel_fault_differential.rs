@@ -10,7 +10,7 @@
 //! opcode the kernel executes.
 
 use diverseav_agent::{kernels, layout::param, AgentConfig, GpuLayout};
-use diverseav_fabric::{Context, Fabric, FaultModel, Profile, Program, KERNEL_TILE};
+use diverseav_fabric::{Context, Fabric, FaultModel, Op, Profile, Program, KERNEL_TILE};
 
 /// One kernel launch of the agent's pipeline, with the memory image it
 /// starts from.
@@ -176,5 +176,48 @@ fn mask_and_conv_zero_fill_only_rows_read_before_written() {
         let tiles = (launch.n_threads as usize).div_ceil(KERNEL_TILE) as u64;
         assert_eq!(c.tiles_committed, tiles, "{} commits every tile", launch.name);
         assert_eq!(c.rows_zeroed, tiles, "{} zero-fills one row per tile", launch.name);
+    }
+}
+
+#[test]
+fn lane_facts_leave_only_unproven_rows_to_scan() {
+    // A converged tile scans a lane row only where the program's lane
+    // facts leave an address or branch condition unproven. Mask and lane
+    // address every access by `tid` plus uniform terms and branch on
+    // uniform conditions, so they scan nothing. Conv's nine taps share a
+    // base built by `imul` (one scan per tap per tile), and rowmax's load
+    // address adds an `imul` row start to its counter (one scan per loop
+    // iteration of its one tile). A permanent `FMul` fault keeps every
+    // fact. A permanent `IAdd` fault drops the consecutive ones: mask's
+    // four loads and its store, and conv's store, scan again, although
+    // mask executes no `IAdd` and computes exactly what it did.
+    let cfg = AgentConfig::default();
+    let l = GpuLayout::new(cfg.img_w, cfg.img_h);
+    let fmul = FaultModel::Permanent { op: Op::FMul, mask: MASKS[0] };
+    let iadd = FaultModel::Permanent { op: Op::IAdd, mask: MASKS[0] };
+    for launch in launches() {
+        let tiles = (launch.n_threads as usize).div_ceil(KERNEL_TILE) as u64;
+        let scans = |fault: Option<FaultModel>| {
+            let mut f = Fabric::new(Profile::Gpu);
+            if let Some(m) = fault {
+                f.inject(m);
+            }
+            let mut ctx = launch.pre.clone();
+            let r = f.run_kernel(&launch.prog, &mut ctx, launch.n_threads, &[], launch.budget);
+            (r.is_ok(), f.lockstep_counters().lane_scans)
+        };
+        let (fault_free, under_iadd) = match launch.name {
+            "mask" => (0, Some(5 * tiles)),
+            "conv" => (9 * tiles, Some(10 * tiles)),
+            "rowmax" => (tiles * l.w2 as u64, None),
+            // Lane, and decide, whose one thread takes the scalar path.
+            _ => (0, None),
+        };
+        let name = launch.name;
+        assert_eq!(scans(None), (true, fault_free), "{name} fault-free");
+        assert_eq!(scans(Some(fmul)), (true, fault_free), "{name} under {fmul}");
+        if let Some(n) = under_iadd {
+            assert_eq!(scans(Some(iadd)), (true, n), "{name} under {iadd}");
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::fault::{FaultModel, FaultState};
 use crate::isa::{bits_to_f32, f32_to_bits, Instr, Op, Reg, ALL_OPS, NUM_REGS};
-use crate::program::{Program, UNNAMED};
+use crate::program::{Program, Shape, UNNAMED};
 use crate::stats::ExecStats;
 use std::error::Error;
 use std::fmt;
@@ -218,6 +218,11 @@ pub struct LockstepCounters {
     /// (aborted tiles and re-runs included): one per register the program
     /// may read before it writes it.
     pub rows_zeroed: u64,
+    /// Converged steps, over every tile run, that scanned a lane row to
+    /// classify a load or store address or a branch condition: the
+    /// fallback for a row the program's lane facts leave unproven, or
+    /// that the tile's fault mode may break.
+    pub lane_scans: u64,
 }
 
 /// Memory-ordering state of one lockstep tile: an epoch-tagged store-owner
@@ -363,17 +368,42 @@ impl TileLog {
 
     /// Store lane `l`'s `vals[l]` to `mem[start + l]` for every lane: one
     /// interval test, one owner-map pass, one undo extend, one slice copy.
-    /// The caller guarantees the run is in bounds.
+    /// The caller guarantees the run is in bounds. A `lone` store (no store
+    /// before it in the tile, no load or store after it) skips the
+    /// owner-map pass: no entry is live for it to find, and none it would
+    /// write is ever read.
     ///
     /// # Errors
     ///
     /// [`Abort::Conflict`] exactly when a per-lane [`store`](Self::store)
     /// of any lane would conflict.
-    fn store_run(&mut self, mem: &mut [u32], start: usize, vals: &[u32]) -> Result<(), Abort> {
+    fn store_run(
+        &mut self,
+        mem: &mut [u32],
+        start: usize,
+        vals: &[u32],
+        lone: bool,
+    ) -> Result<(), Abort> {
         let end = start + vals.len();
         if self.overlaps_loads(start, end - 1) {
             return Err(Abort::Conflict);
         }
+        if !lone {
+            self.claim_run(start, end)?;
+        }
+        self.undo.push((start as u32, vals.len() as u32));
+        self.undo_words.extend_from_slice(&mem[start..end]);
+        mem[start..end].copy_from_slice(vals);
+        Ok(())
+    }
+
+    /// Make lane `l` the owner of word `start + l` for every lane of a run
+    /// store ending at `end`.
+    ///
+    /// # Errors
+    ///
+    /// [`Abort::Conflict`] if another lane stored to any of the words.
+    fn claim_run(&mut self, start: usize, end: usize) -> Result<(), Abort> {
         let live = self.epoch as u32;
         let tag = live << 16;
         let mut conflict = false;
@@ -384,9 +414,6 @@ impl TileLog {
         if conflict {
             return Err(Abort::Conflict);
         }
-        self.undo.push((start as u32, vals.len() as u32));
-        self.undo_words.extend_from_slice(&mem[start..end]);
-        mem[start..end].copy_from_slice(vals);
         Ok(())
     }
 
@@ -425,6 +452,9 @@ struct LockstepScratch {
     executed: Vec<u64>,
     live: Vec<bool>,
     active: Vec<bool>,
+    /// Lane scans of the current tile run (see
+    /// [`LockstepCounters::lane_scans`]).
+    lane_scans: u64,
 }
 
 impl Default for LockstepScratch {
@@ -438,6 +468,7 @@ impl Default for LockstepScratch {
             executed: Vec::new(),
             live: Vec::new(),
             active: Vec::new(),
+            lane_scans: 0,
         }
     }
 }
@@ -460,6 +491,42 @@ enum LaneFault {
     /// dynamic index `fire_index` — so the XOR lands on exactly the write
     /// the scalar interpreter would have corrupted.
     Transient { lane: usize, local_index: u64, fire_index: u64 },
+}
+
+impl LaneFault {
+    /// Which of the program's lane facts hold in a tile run in this mode.
+    /// An inert tile computes every write as the opcode says. A permanent
+    /// fault XORs one mask into every lane's write of its opcode: a
+    /// uniform row stays uniform, and a consecutive row stays consecutive
+    /// unless the faulted opcode is one that writes such rows. A transient
+    /// pass corrupts one lane, which breaks both shapes.
+    fn trust(self) -> Trust {
+        match self {
+            LaneFault::Inert => Trust::All,
+            LaneFault::Permanent { op: Op::Tid | Op::IAdd | Op::ISub | Op::Mov } => Trust::Uniform,
+            LaneFault::Permanent { .. } => Trust::All,
+            LaneFault::Transient { .. } => Trust::Nothing,
+        }
+    }
+}
+
+/// The lane facts a tile may use (see [`LaneFault::trust`]).
+#[derive(Copy, Clone, Debug)]
+enum Trust {
+    All,
+    Uniform,
+    Nothing,
+}
+
+impl Trust {
+    /// The shape a tile may assume for a row the program proves `shape`.
+    #[inline(always)]
+    fn shape(self, shape: Shape) -> Shape {
+        match (self, shape) {
+            (Trust::All, s) | (Trust::Uniform, s @ Shape::Uniform) => s,
+            _ => Shape::Unknown,
+        }
+    }
 }
 
 /// Why a lockstep tile gave up. Either way the caller rolls the tile back
@@ -500,30 +567,60 @@ enum Pattern {
     Uniform(u32),
     /// Lane `l` addresses `start + l`, every lane in bounds.
     Run(usize),
-    /// Anything else, including runs that leave memory.
-    Scattered,
+    /// Anything else, including runs that leave memory: the lowest and
+    /// highest lane address.
+    Scattered { lo: u32, hi: u32 },
 }
 
 impl Pattern {
-    /// Classify a tile's address row against `words` words of memory.
-    #[inline]
-    fn of(a: &[u32], imm: u32, words: usize) -> Self {
+    /// Classify a tile's address row against `words` words of memory,
+    /// given the row's proven `shape`, counting a scan of the row in
+    /// `scans`. A `Uniform` row needs no scan, and a `Consecutive` one only
+    /// when its run leaves memory; either way the pattern is the one the
+    /// scan returns, since a tile has at least two lanes.
+    #[inline(always)]
+    fn of(a: &[u32], imm: u32, words: usize, shape: Shape, scans: &mut u64) -> Self {
+        let start = a[0].wrapping_add(imm);
+        match shape {
+            Shape::Uniform => return Pattern::Uniform(start),
+            Shape::Consecutive => {
+                if let Some(start) = Self::run(start, a.len(), words) {
+                    return Pattern::Run(start);
+                }
+            }
+            Shape::Unknown => {}
+        }
+        *scans += 1;
+        Self::scan(a, imm, words)
+    }
+
+    /// `start` as a run of `len` lanes, if every lane's word is in bounds.
+    /// A run must not wrap the 32-bit address space: lane `l` addresses
+    /// `start + l` only while that sum fits.
+    #[inline(always)]
+    fn run(start: u32, len: usize, words: usize) -> Option<usize> {
+        let fits = start.checked_add(len as u32 - 1).is_some();
+        (fits && start as usize + len <= words).then_some(start as usize)
+    }
+
+    /// Classify an address row in one pass over its lanes.
+    #[inline(always)]
+    fn scan(a: &[u32], imm: u32, words: usize) -> Self {
         let a0 = a[0];
         let (mut uniform, mut run) = (true, true);
+        let (mut lo, mut hi) = (u32::MAX, 0u32);
         for (l, &x) in a.iter().enumerate() {
             uniform &= x == a0;
             run &= x == a0.wrapping_add(l as u32);
+            let addr = x.wrapping_add(imm);
+            lo = lo.min(addr);
+            hi = hi.max(addr);
         }
         let start = a0.wrapping_add(imm);
-        // A run must not wrap the 32-bit address space: lane `l` addresses
-        // `start + l` only while that sum fits.
-        let fits = start.checked_add(a.len() as u32 - 1).is_some();
-        if uniform {
-            Pattern::Uniform(start)
-        } else if run && fits && start as usize + a.len() <= words {
-            Pattern::Run(start as usize)
-        } else {
-            Pattern::Scattered
+        match Self::run(start, a.len(), words) {
+            _ if uniform => Pattern::Uniform(start),
+            Some(start) if run => Pattern::Run(start),
+            _ => Pattern::Scattered { lo, hi },
         }
     }
 }
@@ -667,11 +764,13 @@ impl LockstepScratch {
     /// the tile's lanes. While no conditional branch has split them, the
     /// lanes share one program counter (the converged fast path: one fetch,
     /// one budget compare, one accounting add per step, unmasked value
-    /// rows, and contiguous loads and stores as slice copies). After a
-    /// split, each step executes the smallest program counter among live
-    /// lanes under an active mask, so lanes that branched apart rejoin at
-    /// the earliest common point. Cross-lane memory conflicts, traps, and
-    /// watchdog exhaustion abort the tile.
+    /// rows, contiguous loads and stores as slice copies, and no lane scan
+    /// for an address or branch condition the program's lane facts prove
+    /// under the tile's fault `mode`). After a split, each step executes
+    /// the smallest program counter among live lanes under an active mask,
+    /// so lanes that branched apart rejoin at the earliest common point.
+    /// Cross-lane memory conflicts, traps, and watchdog exhaustion abort
+    /// the tile.
     #[allow(clippy::too_many_arguments)]
     fn exec_tile(
         &mut self,
@@ -699,7 +798,10 @@ impl LockstepScratch {
             }
         }
         let instrs = prog.instrs();
+        let facts = prog.facts();
+        let trust = mode.trust();
         let plen = instrs.len();
+        let words = mem.len();
         let nw = w as u64;
         let mut dyn_add = 0u64;
 
@@ -723,8 +825,11 @@ impl LockstepScratch {
             let [sd, sa, sb, sc] = row_slots(&layout.slot, &ins);
             let a = &self.rows[sa][..w];
             let val = &mut self.spare[..w];
+            // The shape of `a` this tile may assume, at a step that reads it
+            // as an address or a branch condition.
+            let shape = || trust.shape(facts[cpc].a);
             match ins.op {
-                Op::Ld => match Pattern::of(a, ins.imm, mem.len()) {
+                Op::Ld => match Pattern::of(a, ins.imm, words, shape(), &mut self.lane_scans) {
                     Pattern::Uniform(addr) => {
                         // Every lane reads the same word (shared weights,
                         // uniform tables): one bounds check, one conflict
@@ -749,17 +854,11 @@ impl LockstepScratch {
                         self.log.note_load_range(start, start + w - 1);
                         val.copy_from_slice(&mem[start..start + w]);
                     }
-                    Pattern::Scattered => {
-                        // Hoisted bounds check: one max over the lane
-                        // addresses replaces a branch per lane. An abort
-                        // on any out-of-range lane replays scalar, which
+                    Pattern::Scattered { lo, hi } => {
+                        // Hoisted bounds check: the scan's highest lane
+                        // address replaces a branch per lane. An abort on
+                        // any out-of-range lane replays scalar, which
                         // raises the exact per-lane OutOfBounds trap.
-                        let (mut lo, mut hi) = (u32::MAX, 0u32);
-                        for &x in a {
-                            let ad = x.wrapping_add(ins.imm);
-                            lo = lo.min(ad);
-                            hi = hi.max(ad);
-                        }
                         if hi as usize >= mem.len() {
                             return Err(Abort::Trap);
                         }
@@ -789,9 +888,11 @@ impl LockstepScratch {
                 },
                 Op::St => {
                     let b = &self.rows[sb][..w];
-                    match Pattern::of(a, ins.imm, mem.len()) {
-                        Pattern::Run(start) => self.log.store_run(mem, start, b)?,
-                        Pattern::Uniform(_) | Pattern::Scattered => {
+                    match Pattern::of(a, ins.imm, words, shape(), &mut self.lane_scans) {
+                        Pattern::Run(start) => {
+                            self.log.store_run(mem, start, b, facts[cpc].lone_store)?
+                        }
+                        Pattern::Uniform(_) | Pattern::Scattered { .. } => {
                             for (l, (&x, &v)) in a.iter().zip(b).enumerate() {
                                 self.log.store(mem, x.wrapping_add(ins.imm) as usize, l, v)?;
                             }
@@ -812,8 +913,12 @@ impl LockstepScratch {
                     let want_zero = ins.op == Op::Jz;
                     let first = (a[0] == 0) == want_zero;
                     let mut split = false;
-                    for &x in &a[1..] {
-                        split |= ((x == 0) == want_zero) != first;
+                    // A uniform condition cannot split the tile.
+                    if shape() != Shape::Uniform {
+                        self.lane_scans += 1;
+                        for &x in &a[1..] {
+                            split |= ((x == 0) == want_zero) != first;
+                        }
                     }
                     if !split {
                         if first {
@@ -1189,6 +1294,7 @@ impl Fabric {
         let zeroed = prog.rows().zeroed as u64;
         let mut exit = scratch.exec_tile(&mut self.fault, prog, mem, t0, w, args, budget, mode);
         self.counters.rows_zeroed += zeroed;
+        self.counters.lane_scans += std::mem::take(&mut scratch.lane_scans);
         if let (Ok(done), Some(index)) = (exit, probe) {
             if index < base + done.dyn_add {
                 scratch.log.rollback(mem);
@@ -1197,6 +1303,7 @@ impl Fabric {
                 self.counters.transient_reruns += 1;
                 exit = scratch.exec_tile(&mut self.fault, prog, mem, t0, w, args, budget, mode);
                 self.counters.rows_zeroed += zeroed;
+                self.counters.lane_scans += std::mem::take(&mut scratch.lane_scans);
             }
         }
         match exit {
@@ -1890,10 +1997,13 @@ mod tests {
         let mut ctx = f.new_context(64);
         f.run_kernel_tiled(&prog, &mut ctx, 12, &[], 100, 4).unwrap();
         assert_eq!(ctx, ctx_ref);
+        // The store's address comes from a `sel`, which no lane fact
+        // proves: every tile run scans it once.
         let expected = LockstepCounters {
             tiles_committed: 2,
             conflict_aborts: 1,
             threads_replayed: 4,
+            lane_scans: 3,
             ..LockstepCounters::default()
         };
         assert_eq!(f.lockstep_counters(), expected);
@@ -1909,6 +2019,7 @@ mod tests {
             conflict_aborts: 2,
             threads_replayed: 8,
             transient_reruns: 1,
+            lane_scans: 7,
             ..LockstepCounters::default()
         };
         assert_eq!(f.lockstep_counters(), expected);
@@ -1924,6 +2035,7 @@ mod tests {
             trap_aborts: 1,
             threads_replayed: 16,
             transient_reruns: 1,
+            lane_scans: 10,
             ..LockstepCounters::default()
         };
         assert_eq!(f.lockstep_counters(), expected);
@@ -2018,7 +2130,9 @@ mod tests {
         assert_lockstep_matches(&last, words, 8, 100, None);
         f.run_kernel(&last, &mut ctx, 8, &[], 100).unwrap();
         assert_eq!(ctx.mem[7], 1063);
-        let expected = LockstepCounters { tiles_committed: 1, ..LockstepCounters::default() };
+        // The `imul` address is unproven, so the gather scans its row once.
+        let expected =
+            LockstepCounters { tiles_committed: 1, lane_scans: 1, ..LockstepCounters::default() };
         assert_eq!(f.lockstep_counters(), expected);
 
         // Lane 7 reads word 64: the tile aborts and its replay raises the
@@ -2032,7 +2146,8 @@ mod tests {
         assert_eq!(trap_ref, Err(Trap::OutOfBounds { addr: words as u32 }));
         assert_eq!(trap, trap_ref);
         assert_eq!(ctx, ctx_ref);
-        let expected = LockstepCounters { trap_aborts: 1, threads_replayed: 8, ..expected };
+        let expected =
+            LockstepCounters { trap_aborts: 1, threads_replayed: 8, lane_scans: 2, ..expected };
         assert_eq!(f.lockstep_counters(), expected);
     }
 

@@ -339,3 +339,208 @@ fn affine_program(
     b.halt();
     b.build()
 }
+
+/// Words of memory for the shaped generator. Its stores land below
+/// [`SHAPED_LOADS`], its loads from there to word 2047, and its edge
+/// access at the top of memory, so only the edge access can leave it and
+/// no store of a committed tile falls inside the tile's load intervals.
+const SHAPED_WORDS: usize = 16 * KERNEL_TILE;
+
+/// First word of the shaped generator's load region.
+const SHAPED_LOADS: u32 = 1024;
+
+/// The register-writing opcodes whose permanent faults the shaped
+/// property sweeps: the four that write consecutive rows, whose faults
+/// void those facts, and the two writers of uniform rows, whose faults
+/// keep every fact.
+const SHAPED_FAULT_OPS: [Op; 6] = [Op::Tid, Op::IAdd, Op::ISub, Op::Mov, Op::LdImm, Op::Ld];
+
+/// Where a shaped program's edge access lands, for thread `t` of `n`.
+#[derive(Copy, Clone, Debug)]
+enum Edge {
+    /// `t + SHAPED_WORDS − n − 8`: inside memory.
+    Inside,
+    /// `t + SHAPED_WORDS − n`: the last thread reads or writes the last word.
+    AtEnd,
+    /// `t + SHAPED_WORDS − n + 1`: the last thread is one word past the end.
+    PastEnd,
+    /// As `AtEnd`, but the address register holds `t + 2³² − wrap` (so its
+    /// row wraps past `u32::MAX` at thread `wrap`) and the offset wraps it
+    /// back.
+    RegisterWraps,
+    /// `t − wrap`, wrapping: the threads before `wrap` address the top of
+    /// the 32-bit space, and a tile holding thread `wrap` wraps mid-run.
+    AddressWraps,
+}
+
+/// A program whose address and condition registers the build proves
+/// uniform or consecutive on the converged path, except where noted.
+///
+/// With `b` the base (a parameter, or fixed by `edge`), `L` =
+/// [`SHAPED_LOADS`] and `u` a uniform load masked to `[0, 64)`, thread
+/// `t` computes `x = t + b + u` through a `Tid → IAdd → Mov → ISub →
+/// IAdd` chain and:
+/// - loads `x + L + 64 − b`, the zero register's word `L + zoff`, and
+///   `L + u`;
+/// - runs a loop of `trips` iterations on a uniform counter that loads at
+///   `x + L + 64 − b + counter`, and at a register that enters the loop
+///   holding the uniform `L + ubase` and holds `t + u + L + 128` on every
+///   later iteration (a join of a uniform and a consecutive definition);
+/// - takes one side of a branch on the uniform `sel`, defining one
+///   register as `x` or as a uniform word, and loads at it plus an offset
+///   (the same join, outside a loop);
+/// - loads at `L + 1023 − t`, a row that descends and is not consecutive;
+/// - stores a value mixing every load at `x − b` (if `main_store`), then,
+///   per `extra`, nothing, the same value `shift` words further on (onto a
+///   neighbour's word of the first store when `shift > 0`), or at the
+///   uniform address `u + 512`;
+/// - loads or stores at the `edge` address (stores if `edge_store` or
+///   without a main store, which makes it the program's only store).
+#[allow(clippy::too_many_arguments)]
+fn shaped_program(
+    n_threads: u32,
+    base: u32,
+    edge: (Edge, u32),
+    edge_store: bool,
+    (trips, ubase, zoff): (u32, u32, u32),
+    (sel, u_target): (u32, u32),
+    main_store: bool,
+    (extra, shift): (u8, u32),
+) -> Program {
+    const L: u32 = SHAPED_LOADS;
+    let words = SHAPED_WORDS as u32;
+    let (kind, wrap) = edge;
+    let wrap = wrap % n_threads;
+    let b = if let Edge::RegisterWraps = kind { wrap.wrapping_neg() } else { base };
+    let edge_target = match kind {
+        Edge::Inside => words - n_threads - 8,
+        Edge::AtEnd | Edge::RegisterWraps => words - n_threads,
+        Edge::PastEnd => words - n_threads + 1,
+        Edge::AddressWraps => wrap.wrapping_neg(),
+    };
+    let edge_store = edge_store || !main_store;
+    let mut p = ProgramBuilder::new();
+    let r = Reg;
+    p.tid(r(0));
+    p.ldimm_i(r(1), 0x1357_9BDF);
+    p.iadd(r(2), r(1), r(0)); // U + C
+    p.mov(r(3), r(2));
+    p.ldimm_i(r(4), 0x1357_9BDFu32.wrapping_sub(b));
+    p.isub(r(5), r(3), r(4)); // C − U: t + b
+    p.ldimm_i(r(6), L + zoff);
+    p.ld(r(7), r(6), 0); // uniform load
+    p.ldimm_i(r(8), 63);
+    p.iand(r(8), r(7), r(8)); // u
+    p.iadd(r(9), r(5), r(8)); // C + U: x
+    p.ld(r(10), r(9), (L + 64).wrapping_sub(b));
+    p.ld(r(11), Reg(63), L + zoff);
+
+    // Uniform-counter loop; r20 joins a uniform and a consecutive row.
+    p.ldimm_i(r(12), trips);
+    p.ldimm_i(r(13), 1);
+    p.ldimm_i(r(20), L + ubase);
+    p.ldimm_i(r(24), b.wrapping_sub(L + 128));
+    let top = p.new_label();
+    p.bind(top);
+    p.ld(r(21), r(20), 0);
+    p.ld(r(14), r(8), L);
+    p.iadd(r(15), r(12), r(9)); // U + C
+    p.ld(r(16), r(15), (L + 64).wrapping_sub(b));
+    p.ixor(r(17), r(17), r(16));
+    p.ixor(r(17), r(17), r(21));
+    p.iadd(r(17), r(17), r(14));
+    p.isub(r(20), r(9), r(24)); // t + u + L + 128
+    p.isub(r(12), r(12), r(13));
+    p.jnz(r(12), top);
+
+    // A branch on a uniform condition; r19 joins a uniform and a
+    // consecutive definition.
+    let (upath, join) = (p.new_label(), p.new_label());
+    let imm_j = (L + 256).wrapping_sub(b);
+    p.ldimm_i(r(18), sel);
+    p.jz(r(18), upath);
+    p.mov(r(19), r(9));
+    p.jmp(join);
+    p.bind(upath);
+    p.ldimm_i(r(19), (L + u_target).wrapping_sub(imm_j));
+    p.bind(join);
+    p.ld(r(22), r(19), imm_j);
+
+    // U − C: a descending row.
+    p.ldimm_i(r(23), 1023);
+    p.isub(r(23), r(23), r(0));
+    p.ld(r(25), r(23), L);
+
+    p.ixor(r(26), r(10), r(11));
+    p.iadd(r(26), r(26), r(17));
+    p.ixor(r(26), r(26), r(22));
+    p.iadd(r(26), r(26), r(25));
+    let imm_e = edge_target.wrapping_sub(b);
+    if !edge_store {
+        p.ld(r(27), r(5), imm_e);
+        p.ixor(r(26), r(26), r(27));
+    }
+    if main_store {
+        let imm_st = b.wrapping_neg();
+        p.st(r(9), r(26), imm_st);
+        match extra % 3 {
+            0 => {}
+            1 => p.st(r(9), r(10), imm_st.wrapping_add(shift)),
+            _ => p.st(r(8), r(26), 512),
+        }
+    }
+    if edge_store {
+        p.st(r(5), r(26), imm_e);
+    }
+    p.halt();
+    p.build()
+}
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: ProptestConfig::default().cases.max(256),
+        ..ProptestConfig::default()
+    })]
+
+    /// Kernels whose addresses and branch conditions the lane facts prove
+    /// uniform or consecutive (see [`shaped_program`]): chains of the
+    /// shape-preserving opcodes, a loop on a uniform counter, uniform
+    /// loads, joins of a uniform and a consecutive definition, and runs
+    /// that end at the last word, cross it by one, or wrap past
+    /// `u32::MAX` — each run fault-free, with a transient fault anywhere
+    /// in the launch, and with a permanent fault on each opcode that
+    /// writes a proven row.
+    #[test]
+    fn lockstep_matches_reference_for_proven_shapes(
+        threads_sel in (1u32..24, 1..WIDE, any::<bool>()),
+        base in any::<u32>(),
+        edge in (0u8..5, any::<u32>()),
+        edge_store in any::<bool>(),
+        loop_sel in (1u32..5, 0u32..256, 0u32..64),
+        join_sel in (0u32..2, 0u32..512),
+        main_store in 0u8..5,
+        extra in (0u8..=255, 0u32..4),
+        fault_idx in any::<u64>(),
+        mask in (any::<bool>(), 1u32..64, 1u32..=u32::MAX),
+    ) {
+        // Small masks keep faulted addresses inside memory, where a
+        // wrongly trusted run would read or write the wrong words.
+        let mask = if mask.0 { mask.1 } else { mask.2 };
+        let n_threads = threads(threads_sel);
+        let kind = [Edge::Inside, Edge::AtEnd, Edge::PastEnd, Edge::RegisterWraps, Edge::AddressWraps]
+            [edge.0 as usize];
+        let prog = shaped_program(
+            n_threads, base, (kind, edge.1), edge_store, loop_sel, join_sel, main_store != 0, extra,
+        );
+        let mut probe = Fabric::new(Profile::Gpu);
+        let mut ctx = probe.new_context(SHAPED_WORDS);
+        prefill(&mut ctx.mem);
+        let _ = probe.run_kernel_reference(&prog, &mut ctx, n_threads, &[], 400);
+        let instr_index = fault_idx % (probe.dyn_instr_count() + 1);
+        let faults = SHAPED_FAULT_OPS.map(|op| Some(FaultModel::Permanent { op, mask }));
+        for fault in [None, Some(FaultModel::Transient { instr_index, mask })].into_iter().chain(faults) {
+            for w in WIDTHS {
+                assert_equivalent(w, &prog, SHAPED_WORDS, n_threads, 400, fault)?;
+            }
+        }
+    }
+}

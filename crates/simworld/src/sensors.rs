@@ -23,11 +23,16 @@
 //!
 //! Each ground row is drawn in stride-1 passes over row buffers (see
 //! `GroundRow`) rather than one branchy loop per pixel: the flat-ground
-//! projection, an exact float→cell-index conversion, the shading, and one
-//! fused noise-add-and-quantize pass shared with the sky rows and the
-//! vehicle boxes. Every pass performs the same IEEE-754 operations in the
-//! same order as a per-pixel loop would, so the bytes do not depend on
-//! how LLVM vectorizes them.
+//! projection, an exact float→cell-index conversion, the texture hash of
+//! every pixel's cell, the shading, and one fused noise-add-and-quantize
+//! pass shared with the sky rows and the vehicle boxes. The hash passes
+//! keep no branch, so they vectorize; the shading, which branches on the
+//! surface, only adds the texture row. Every pass performs the same
+//! IEEE-754 operations in the same order as a per-pixel loop would, so the
+//! bytes do not depend on how LLVM vectorizes them.
+//!
+//! A hash becomes an amplitude in `[-1, 1]` through its top 53 bits
+//! scaled by one exact power of two (see `unit`).
 
 use crate::geometry::{Pose, Vec2};
 use crate::npc::Npc;
@@ -101,7 +106,8 @@ impl RenderScratch {
 
 /// The per-pixel quantities of one ground row, one buffer each: track
 /// coordinates (`lat`, `along`), the floored doubled world coordinates
-/// (the 0.5 m texture cell, as f64), and the cells as hash words.
+/// (the 0.5 m texture cell, as f64), the cells as hash words, and the
+/// cells' texture amplitudes.
 struct GroundRow {
     lat: Vec<f64>,
     along: Vec<f64>,
@@ -109,6 +115,7 @@ struct GroundRow {
     floor_y: Vec<f64>,
     cell_x: Vec<u64>,
     cell_y: Vec<u64>,
+    tex: Vec<f64>,
 }
 
 impl GroundRow {
@@ -120,11 +127,13 @@ impl GroundRow {
             floor_y: Vec::new(),
             cell_x: Vec::new(),
             cell_y: Vec::new(),
+            tex: Vec::new(),
         }
     }
 
     fn resize(&mut self, w: usize) {
-        for buf in [&mut self.lat, &mut self.along, &mut self.floor_x, &mut self.floor_y] {
+        let GroundRow { lat, along, floor_x, floor_y, tex, .. } = self;
+        for buf in [lat, along, floor_x, floor_y, tex] {
             buf.resize(w, 0.0);
         }
         self.cell_x.resize(w, 0);
@@ -382,10 +391,17 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// 2⁻⁵², exactly.
+const TWO_POW_MINUS_52: f64 = 1.0 / (1u64 << 52) as f64;
+
 /// Map a hash to a signed amplitude in `[-1, 1]` (its top 53 bits, exact).
+///
+/// The top 53 bits convert to `f64` exactly, and scaling by a power of two
+/// is exact, so `x · 2⁻⁵²` is the same double as `x / 2⁵³ · 2`: one
+/// multiply instead of a divide and a multiply.
 #[inline]
 fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    (h >> 11) as f64 * TWO_POW_MINUS_52 - 1.0
 }
 
 /// Hash two words into a signed amplitude in `[-1, 1]`.
@@ -515,10 +531,10 @@ pub fn render_camera_into(
     RENDER_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
         let (keys, noise_row, vals_row, ground) = scratch.prepare(w, h);
-        let GroundRow { lat, along, floor_x, floor_y, cell_x, cell_y } = ground;
+        let GroundRow { lat, along, floor_x, floor_y, cell_x, cell_y, tex } = ground;
         let (lat, along) = (&mut lat[..w], &mut along[..w]);
         let (floor_x, floor_y) = (&mut floor_x[..w], &mut floor_y[..w]);
-        let (cell_x, cell_y) = (&mut cell_x[..w], &mut cell_y[..w]);
+        let (cell_x, cell_y, tex) = (&mut cell_x[..w], &mut cell_y[..w], &mut tex[..w]);
 
         // --- ground & sky ---
         for py in 0..h {
@@ -567,12 +583,15 @@ pub fn render_camera_into(
             // Pass 2: the cells as hash words.
             cell_words(floor_x, cell_x);
             cell_words(floor_y, cell_y);
-            // Pass 3, shade: surface colour plus world-anchored texture.
+            // Pass 3: the world-anchored texture of every pixel's cell.
             // Hashing every pixel's cell costs less than caching runs of
             // one cell: the cache's data-dependent branch mispredicts.
-            let cells = cell_x.iter().zip(cell_y.iter());
-            let track = lat.iter().zip(along.iter()).zip(cells);
-            for (v3, ((&lat, &along), (&ix, &iy))) in vals_row.chunks_exact_mut(3).zip(track) {
+            for ((t, &ix), &iy) in tex.iter_mut().zip(cell_x.iter()).zip(cell_y.iter()) {
+                *t = hash_amp(ix, iy) * cfg.texture_amp;
+            }
+            // Pass 4, shade: surface colour plus texture.
+            let track = lat.iter().zip(along.iter()).zip(tex.iter());
+            for (v3, ((&lat, &along), &tex)) in vals_row.chunks_exact_mut(3).zip(track) {
                 let on_road = (-LANE_WIDTH / 2.0 - 0.3..=1.5 * LANE_WIDTH + 0.3).contains(&lat);
                 let base: [f64; 3] = if marking_at(lat, along, mark_halfwidth) {
                     [205.0, 205.0, 198.0]
@@ -581,12 +600,11 @@ pub fn render_camera_into(
                 } else {
                     [76.0, 94.0, 52.0]
                 };
-                let tex = hash_amp(ix, iy) * cfg.texture_amp;
                 v3[0] = base[0] + tex;
                 v3[1] = base[1] + tex;
                 v3[2] = base[2] + tex;
             }
-            // Pass 4: `(base + tex) + noise`, quantized.
+            // Pass 5: `(base + tex) + noise`, quantized.
             add_noise_quantize(row, vals_row, noise_row);
         }
 
@@ -1002,7 +1020,32 @@ mod tests {
         }
     }
 
+    /// `unit` as its definition reads: the top 53 bits as a fraction of
+    /// 2⁵³, doubled, less one.
+    fn unit_by_division(h: u64) -> f64 {
+        (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    }
+
+    #[test]
+    fn unit_matches_the_division_at_the_edges() {
+        let mut edges = vec![0, (1 << 11) - 1, 1 << 11, u64::MAX, u64::MAX - 1, u64::MAX >> 1];
+        for e in 0..64 {
+            edges.extend([1u64 << e, (1u64 << e) - 1, (1u64 << e).wrapping_add(1)]);
+        }
+        for h in edges {
+            assert_eq!(unit(h).to_bits(), unit_by_division(h).to_bits(), "hash {h:#x}");
+        }
+        assert_eq!(unit(0), -1.0);
+        assert_eq!(unit(u64::MAX), 1.0 - TWO_POW_MINUS_52);
+    }
+
     proptest! {
+        /// `unit` is bit-identical to its definition on any hash.
+        #[test]
+        fn unit_matches_the_division_on_any_hash(h in any::<u64>()) {
+            prop_assert_eq!(unit(h).to_bits(), unit_by_division(h).to_bits());
+        }
+
         /// Rows of arbitrary f64 bit patterns, NaN payloads and infinities
         /// included.
         #[test]
