@@ -7,6 +7,11 @@
 //! themselves and carry the pinned values (see [`pinned_view`]), for any
 //! `DIVERSEAV_THREADS`.
 //!
+//! A per-mode section follows: every other deployment mode (single agent,
+//! FD, and footnote-5 overlap at three periods) runs golden and under
+//! three fabric faults, each without and with an online detector, so the
+//! ADS tick of every mode is pinned too (see [`render_modes`]).
+//!
 //! The fixture was generated *before* the `SimLoop` runtime migration
 //! (`crates/runtime`), so this test proves the refactor changed no
 //! observable output. Regenerate deliberately with:
@@ -15,14 +20,16 @@
 //! cargo test --test refactor_equivalence -- --ignored
 //! ```
 
-use diverseav::AgentMode;
-use diverseav_fabric::Profile;
+use diverseav::{AgentMode, DetectorConfig, DetectorModel};
+use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_faultinj::{
-    run_campaign_cached, summarize, Campaign, CampaignScale, FaultModelKind, GoldenCache, RunRecord,
+    run_campaign_cached, run_experiment, summarize, Campaign, CampaignScale, FaultModelKind,
+    FaultSpec, GoldenCache, RunConfig, RunRecord,
 };
 use diverseav_obs::{journal, json};
-use diverseav_simworld::{ScenarioKind, SensorConfig};
+use diverseav_simworld::{lead_slowdown, ScenarioKind, SensorConfig};
 use std::fmt::Write as _;
+use std::num::NonZeroU32;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/table1_cell_lsd.txt");
 
@@ -99,7 +106,59 @@ fn render_cell() -> String {
     {
         writeln!(out, "journal {}", pinned_view(&line)).unwrap();
     }
+    render_modes(&mut out);
     out
+}
+
+/// Append one line per run of every deployment mode the Table-I cell
+/// above leaves out: golden, GPU permanent, GPU transient and CPU
+/// permanent on a short LeadSlowdown, each without a detector and with
+/// an untrained one. The untrained model's floor thresholds make the run
+/// alarm (or, where two agent steps a tick already miss the deadline, a
+/// deadline burst is its incident), so its flight ring stays in the
+/// hashed `RunResult`; the divergence stream and actuation trace are
+/// recorded too.
+fn render_modes(out: &mut String) {
+    let overlap = |p| AgentMode::Overlap(NonZeroU32::new(p).expect("nonzero period"));
+    let modes = [AgentMode::Single, AgentMode::Duplicate, overlap(4), overlap(1), overlap(3)];
+    let fabric = |profile, model| Some(FaultSpec::Fabric { unit: 0, profile, model });
+    let faults = [
+        ("golden", None),
+        (
+            "gpu-permanent",
+            fabric(Profile::Gpu, FaultModel::Permanent { op: Op::FMax, mask: 1 << 23 }),
+        ),
+        (
+            "gpu-transient",
+            fabric(Profile::Gpu, FaultModel::Transient { instr_index: 40_000, mask: 1 << 22 }),
+        ),
+        (
+            "cpu-permanent",
+            fabric(Profile::Cpu, FaultModel::Permanent { op: Op::FMul, mask: 1 << 3 }),
+        ),
+    ];
+    let det_cfg = DetectorConfig::default();
+    let untrained = DetectorModel::train(&[], &det_cfg);
+    let mut scenario = lead_slowdown();
+    scenario.duration = 2.0;
+    for mode in modes {
+        for (label, fault) in faults {
+            for detector in [None, Some((untrained.clone(), det_cfg))] {
+                let attached = detector.is_some();
+                let mut cfg = RunConfig::new(scenario.clone(), mode, 17);
+                cfg.fault = fault;
+                cfg.detector = detector;
+                cfg.collect_training = true;
+                let r = run_experiment(&cfg);
+                writeln!(
+                    out,
+                    "mode {mode} {label} detector={attached} {:016x}",
+                    fnv1a(format!("{r:?}").as_bytes())
+                )
+                .unwrap();
+            }
+        }
+    }
 }
 
 /// A run-journal line as the fixture pins it. The fixture predates the
