@@ -44,6 +44,12 @@
 #         or benches/. An edge nothing names still costs build time and
 #         hides the real dependency graph; a test-only one belongs in
 #         [dev-dependencies].
+# Gate 9: one distributor. In non-test code under crates/core/src and
+#         crates/runtime/src, only crates/core/src/distributor.rs may
+#         name an `AgentMode::` variant (comment lines are skipped: doc
+#         examples build modes). The ADS tick asks the distributor who
+#         receives, who drives and at what period; a per-mode branch
+#         elsewhere would be a second place deciding it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -206,7 +212,24 @@ if [[ -n "$dep_hits" ]]; then
     fail=1
 fi
 
+# --- Gate 9: one distributor --------------------------------------------
+# Scoped like Gates 1, 6 and 7: awk stops at each file's first
+# #[cfg(test)], so tests may build any mode.
+mode_hits=$(find crates/core/src crates/runtime/src -name '*.rs' \
+    ! -path crates/core/src/distributor.rs -print0 \
+    | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// && /AgentMode::[A-Z]/ { print FILENAME ":" FNR ": " $0 }
+')
+if [[ -n "$mode_hits" ]]; then
+    echo "lint: deployment mode named outside core::distributor (ask AgentMode" >&2
+    echo "for recipients/driver/frame_period instead of matching its variants):" >&2
+    echo "$mode_hits" >&2
+    fail=1
+fi
+
 if [[ $fail -ne 0 ]]; then
     exit 1
 fi
-echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no stale allowlist entry, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner, no scoring outside the one scorer, no plan drawn outside the one cut, no unused dependency edge)"
+echo "lint: ok (no stray unwrap(), no unlisted Instant::now, no stale allowlist entry, no rogue SensorFrame mutation, no clock in the flight recorder, no hash maps in the guided planner, no scoring outside the one scorer, no plan drawn outside the one cut, no unused dependency edge, no mode named outside the one distributor)"

@@ -8,7 +8,7 @@
 //! (via [`AgentDriver`] or a purpose-built [`LoopDriver`]) rather than
 //! hand-rolling the `sense → step` loop.
 
-use diverseav::{TickOutput, VehState};
+use diverseav::{TickOutput, TickWork, VehState};
 use diverseav_agent::{AgentConfig, AgentError, GpuLayout, SensorimotorAgent};
 use diverseav_fabric::{Fabric, FaultModel, LockstepCounters, Op, Profile, KERNEL_TILE};
 use diverseav_runtime::{AgentDriver, LoopDriver, LoopObserver, SimLoop, Termination, TickContext};
@@ -240,11 +240,11 @@ impl LoopDriver for SharedFabricPair {
         let _ = cb;
         Ok(TickOutput {
             controls: ca,
-            pair: None,
             divergence: None,
             alarm_raised: false,
             detector: None,
             fault_active: false,
+            work: TickWork::default(),
         })
     }
 }

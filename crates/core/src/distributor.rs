@@ -1,5 +1,10 @@
 //! The sensor data distributor (§III-D): decides which agent(s) receive
-//! each sensor frame.
+//! each sensor frame, and which agent's output drives the vehicle.
+//!
+//! It is the only place that names a deployment mode: the ADS tick
+//! (`crate::ads`) asks it who receives a frame ([`AgentMode::recipients`]),
+//! who drives ([`AgentMode::driver`]; the fusion engine's lockstep
+//! selection) and at what nominal period ([`AgentMode::frame_period`]).
 
 use std::fmt;
 use std::num::NonZeroU32;
@@ -58,6 +63,37 @@ impl AgentMode {
                 }
             }
         }
+    }
+
+    /// The agent whose output actuates the vehicle at `step`: the fusion
+    /// engine's lockstep selection, which the paper chooses for the
+    /// Sensorimotor agent. In the round-robin modes it is the agent the
+    /// frame is scheduled for (`step % 2`), also on an overlap frame that
+    /// both agents process; otherwise it is agent 0. The driver always
+    /// receives the frame.
+    pub fn driver(self, step: u64) -> usize {
+        if self.is_round_robin() {
+            (step % 2) as usize
+        } else {
+            0
+        }
+    }
+
+    /// Nominal ticks between an agent's frames, its control period on
+    /// its first frame: 2 in the round-robin modes (each agent nominally
+    /// sees every other frame), 1 when agent 0 receives every frame.
+    pub fn frame_period(self) -> u64 {
+        if self.is_round_robin() {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// Whether frames are scheduled round-robin between two agents on one
+    /// processor (DiverseAV, with or without footnote-5 overlap).
+    fn is_round_robin(self) -> bool {
+        matches!(self, AgentMode::RoundRobin | AgentMode::Overlap(_))
     }
 
     /// Parse a label produced by `Display` (the shard CLI's `--mode`
@@ -131,6 +167,34 @@ mod tests {
     fn single_sends_to_agent_zero() {
         for step in 0..4 {
             assert_eq!(AgentMode::Single.recipients(step), [true, false]);
+        }
+    }
+
+    /// Every mode over 64 steps: the driver received the frame, the
+    /// round-robin modes drive the scheduled agent, and each agent's
+    /// driving steps are `frame_period()` apart.
+    #[test]
+    fn the_driver_receives_its_frame_at_the_nominal_period() {
+        let modes = [AgentMode::Single, AgentMode::RoundRobin, AgentMode::Duplicate]
+            .into_iter()
+            .chain((1..=5).map(overlap));
+        for mode in modes {
+            let mut last_drove: [Option<u64>; 2] = [None, None];
+            for step in 0..64u64 {
+                let d = mode.driver(step);
+                assert!(mode.recipients(step)[d], "{mode} step {step}: driver {d} got no frame");
+                if matches!(mode, AgentMode::RoundRobin | AgentMode::Overlap(_)) {
+                    assert_eq!(
+                        d as u64,
+                        step % 2,
+                        "{mode} step {step}: the scheduled agent drives"
+                    );
+                }
+                if let Some(prev) = last_drove[d] {
+                    assert_eq!(step - prev, mode.frame_period(), "{mode} agent {d} at step {step}");
+                }
+                last_drove[d] = Some(step);
+            }
         }
     }
 

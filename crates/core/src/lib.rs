@@ -13,8 +13,9 @@
 //!   frame round-robin between two agent instances that time-multiplex one
 //!   processor, keeping per-agent inputs semantically consistent but
 //!   bit-diverse.
-//! * **Control fusion engine** ([`FusionPolicy`]) — selects/combines the
-//!   agents' actuation outputs.
+//! * **Control fusion engine** ([`AgentMode::driver`]) — lockstep
+//!   selection: the output of the agent that received the frame actuates
+//!   the vehicle (the paper's choice for the Sensorimotor agent).
 //! * **Error detection engine** ([`DetectorModel`], [`OnlineDetector`]) —
 //!   a rolling-window, vehicle-state-binned LUT detector trained on
 //!   fault-free long-route executions.
@@ -46,12 +47,10 @@ pub mod actuation;
 pub mod ads;
 pub mod detector;
 pub mod distributor;
-pub mod fusion;
 
 pub use actuation::{Divergence, VehState, CHANNELS};
-pub use ads::{Ads, AdsConfig, ProcessorUnit, TickOutput, TickWork};
+pub use ads::{Ads, AdsConfig, TickOutput, TickWork};
 pub use detector::{
     DetectorConfig, DetectorModel, DetectorTelemetry, OnlineDetector, TrainSample, TrendConfig,
 };
 pub use distributor::AgentMode;
-pub use fusion::FusionPolicy;

@@ -10,7 +10,8 @@
 //! The modeled per-phase latency (`modeled_phases`) is a linear cost
 //! model over the tick's work: pixels of the configured three-camera
 //! suite, lidar rays cast, dynamic fabric instructions executed
-//! ([`TickWork`]), NPCs stepped. Every input is a pure function of the
+//! ([`TickOutput::work`](diverseav::TickOutput::work)), detector
+//! checks, NPCs stepped. Every input is a pure function of the
 //! run seed, so the histograms and deadline tallies are bit-identical
 //! for any `DIVERSEAV_THREADS`. The constants are calibrated against the
 //! interpreted fabric's per-tick instruction counts such that a
@@ -73,10 +74,10 @@ pub(crate) fn modeled_phases(ctx: &TickContext<'_>) -> [u64; 4] {
     let cfg = ctx.world.sensor_config();
     let pixels = cfg.cam_yaws.len() * cfg.width * cfg.height;
     let rays = ctx.frame.lidar.as_ref().map_or(0, |r| r.len());
-    let TickWork { gpu_instr, cpu_instr, detector_observed, .. } = ctx.work;
+    let TickWork { gpu_instr, cpu_instr, .. } = ctx.out.work;
     let sense = cost::SENSE_BASE + pixels as u64 * cost::PIXEL + rays as u64 * cost::RAY;
     let driver = cost::DRIVER_BASE + gpu_instr * cost::GPU_INSTR + cpu_instr * cost::CPU_INSTR;
-    let detect = if detector_observed { cost::DETECT } else { 0 };
+    let detect = if ctx.out.detector.is_some() { cost::DETECT } else { 0 };
     let step = cost::STEP_BASE + ctx.world.npcs().len() as u64 * cost::NPC;
     [sense, driver, detect, step]
 }

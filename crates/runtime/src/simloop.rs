@@ -87,13 +87,16 @@ impl Termination {
 }
 
 /// The control-side half of one tick: consume a sensor frame (plus route
-/// hint and vehicle state) and produce actuation.
+/// hint and vehicle state) and produce actuation, with the tick's work
+/// accounting beside it in the one [`TickOutput`].
 ///
 /// `world` grants read access to ground truth for perfect-knowledge
 /// policies ([`PolicyDriver`]); sensor-driven systems ([`Ads`],
 /// [`AgentDriver`]) must ignore it.
 pub trait LoopDriver {
-    /// Process one sensor frame into a [`TickOutput`].
+    /// Process one sensor frame into a [`TickOutput`]. Its
+    /// [`work`](TickOutput::work) feeds the modeled profiling time
+    /// source; a driver that doesn't meter itself leaves it zero.
     ///
     /// # Errors
     ///
@@ -107,13 +110,6 @@ pub trait LoopDriver {
         t: f64,
         world: &World,
     ) -> Result<TickOutput, AgentError>;
-
-    /// Work accounting for the most recent tick (fabric instructions,
-    /// detector activity), feeding the modeled profiling time source.
-    /// Defaults to zero work for drivers that don't meter themselves.
-    fn last_tick_work(&self) -> TickWork {
-        TickWork::default()
-    }
 
     /// The cameras [`LoopDriver::tick`] reads from the frame; the loop
     /// leaves every other camera slot empty. Defaults to all three, which
@@ -142,10 +138,6 @@ impl<D: LoopDriver + ?Sized> LoopDriver for &mut D {
         (**self).tick(frame, hint, state, t, world)
     }
 
-    fn last_tick_work(&self) -> TickWork {
-        (**self).last_tick_work()
-    }
-
     fn cameras(&self) -> CameraSet {
         (**self).cameras()
     }
@@ -165,10 +157,6 @@ impl LoopDriver for Ads {
         _world: &World,
     ) -> Result<TickOutput, AgentError> {
         Ads::tick(self, frame, hint, state, t)
-    }
-
-    fn last_tick_work(&self) -> TickWork {
-        Ads::last_tick_work(self)
     }
 
     /// Every agent's perception uploads the center camera only.
@@ -197,11 +185,11 @@ impl<F: FnMut(&World) -> Controls> LoopDriver for PolicyDriver<F> {
     ) -> Result<TickOutput, AgentError> {
         Ok(TickOutput {
             controls: (self.0)(world),
-            pair: None,
             divergence: None,
             alarm_raised: false,
             detector: None,
             fault_active: false,
+            work: TickWork::default(),
         })
     }
 
@@ -223,7 +211,6 @@ pub struct AgentDriver {
     /// Control period handed to the agent (s).
     pub dt: f64,
     prev_instr: (u64, u64),
-    last_work: TickWork,
 }
 
 impl AgentDriver {
@@ -235,7 +222,6 @@ impl AgentDriver {
             cpu: Fabric::new(Profile::Cpu),
             dt: 1.0 / TICK_HZ,
             prev_instr: (0, 0),
-            last_work: TickWork::default(),
         }
     }
 }
@@ -251,25 +237,20 @@ impl LoopDriver for AgentDriver {
     ) -> Result<TickOutput, AgentError> {
         let controls = self.agent.step(frame, hint, self.dt, &mut self.gpu, &mut self.cpu)?;
         let totals = (self.gpu.dyn_instr_count(), self.cpu.dyn_instr_count());
-        self.last_work = TickWork {
+        let work = TickWork {
             gpu_instr: totals.0 - self.prev_instr.0,
             cpu_instr: totals.1 - self.prev_instr.1,
-            detector_observed: false,
             detect_ns: 0,
         };
         self.prev_instr = totals;
         Ok(TickOutput {
             controls,
-            pair: None,
             divergence: None,
             alarm_raised: false,
             detector: None,
             fault_active: false,
+            work,
         })
-    }
-
-    fn last_tick_work(&self) -> TickWork {
-        self.last_work
     }
 
     fn cameras(&self) -> CameraSet {
@@ -290,11 +271,9 @@ pub struct TickContext<'a> {
     pub frame: &'a SensorFrame,
     /// The route hint fed to the driver.
     pub hint: RouteHint,
-    /// The driver's output for this frame.
+    /// The driver's output for this frame, its work accounting
+    /// ([`TickOutput::work`]) included.
     pub out: &'a TickOutput,
-    /// The driver's work accounting for this frame (zero for unmetered
-    /// drivers).
-    pub work: TickWork,
     /// Whether *any* injected fault — fabric-level
     /// ([`TickOutput::fault_active`]) or sensor-boundary (the loop's
     /// [`FrameInjector`](crate::FrameInjector)) — had corrupted state by
@@ -412,15 +391,14 @@ impl<D: LoopDriver> SimLoop<D> {
             let t0 = timing.then(Instant::now);
             match self.driver.tick(&self.frame, hint, state, t_now, &self.world) {
                 Ok(out) => {
-                    let work = self.driver.last_tick_work();
                     if let Some(t0) = t0 {
                         // The detector check runs inside the driver tick;
                         // the driver reports its share so the two phases
                         // partition the measured interval.
                         let ns = t0.elapsed().as_nanos() as u64;
                         for obs in observers.iter_mut() {
-                            obs.on_phase(LoopPhase::Driver, ns.saturating_sub(work.detect_ns));
-                            obs.on_phase(LoopPhase::Detect, work.detect_ns);
+                            obs.on_phase(LoopPhase::Driver, ns.saturating_sub(out.work.detect_ns));
+                            obs.on_phase(LoopPhase::Detect, out.work.detect_ns);
                         }
                     }
                     let fault_active =
@@ -432,7 +410,6 @@ impl<D: LoopDriver> SimLoop<D> {
                             frame: &self.frame,
                             hint,
                             out: &out,
-                            work,
                             fault_active,
                             world: &self.world,
                         });

@@ -1,11 +1,9 @@
-//! Closed-loop behavior of the ADS plumbing — frame distribution, pair
-//! production, fusion, overlap, detector alarms, fault activation —
+//! Closed-loop behavior of the ADS plumbing — frame distribution,
+//! reference outputs, overlap, detector alarms, fault activation —
 //! driven on the canonical [`SimLoop`] (these checks used to hand-roll
 //! the `sense → tick → step` loop inside `diverseav`'s unit tests).
 
-use diverseav::{
-    Ads, AdsConfig, AgentMode, DetectorConfig, DetectorModel, FusionPolicy, TickOutput,
-};
+use diverseav::{Ads, AdsConfig, AgentMode, DetectorConfig, DetectorModel, TickOutput};
 use diverseav_fabric::{FaultModel, Op, Profile};
 use diverseav_runtime::{
     LoopObserver, LoopPhase, SimLoop, Termination, TickContext, TrainingCollector,
@@ -39,8 +37,8 @@ fn run_ticks(ads: &mut Ads, world: World, n: usize) -> Vec<TickOutput> {
 fn round_robin_produces_pairs_from_second_tick() {
     let mut ads = Ads::new(AdsConfig::for_mode(AgentMode::RoundRobin, 1));
     let outs = run_ticks(&mut ads, world(), 4);
-    assert!(outs[0].pair.is_none(), "no reference before the peer ran");
-    assert!(outs[1].pair.is_some());
+    assert!(outs[0].divergence.is_none(), "no reference before the peer ran");
+    assert!(outs[1].divergence.is_some());
     assert!(outs[2].divergence.is_some());
 }
 
@@ -48,7 +46,7 @@ fn round_robin_produces_pairs_from_second_tick() {
 fn duplicate_mode_pairs_every_tick() {
     let mut ads = Ads::new(AdsConfig::for_mode(AgentMode::Duplicate, 2));
     let outs = run_ticks(&mut ads, world(), 3);
-    assert!(outs.iter().all(|o| o.pair.is_some()));
+    assert!(outs.iter().all(|o| o.divergence.is_some()));
     // Compute jitter keeps the two agents from being bit-identical
     // forever; divergence is nonetheless small in fault-free runs.
     let max_div = outs
@@ -63,8 +61,8 @@ fn duplicate_mode_pairs_every_tick() {
 fn single_mode_compares_with_previous_output() {
     let mut ads = Ads::new(AdsConfig::for_mode(AgentMode::Single, 3));
     let outs = run_ticks(&mut ads, world(), 3);
-    assert!(outs[0].pair.is_none());
-    assert!(outs[1].pair.is_some());
+    assert!(outs[0].divergence.is_none());
+    assert!(outs[1].divergence.is_some());
 }
 
 #[test]
@@ -111,8 +109,8 @@ fn trained_ads(seed: u64) -> Ads {
 
 #[test]
 fn detect_timing_follows_the_loops_phase_observers() {
-    /// Records each tick's `Detect` phase and the driver's
-    /// `last_tick_work().detect_ns` (the loop hands it over as `work`).
+    /// Records each tick's `Detect` phase and the driver's own
+    /// `out.work.detect_ns`.
     struct Phases {
         timing: bool,
         detect: Vec<u64>,
@@ -128,8 +126,8 @@ fn detect_timing_follows_the_loops_phase_observers() {
             }
         }
         fn on_tick(&mut self, ctx: &TickContext<'_>) {
-            assert!(ctx.work.detector_observed || ctx.t == 0.0, "the detector checks every pair");
-            self.work.push(ctx.work.detect_ns);
+            assert!(ctx.out.detector.is_some() || ctx.t == 0.0, "the detector checks every tick");
+            self.work.push(ctx.out.work.detect_ns);
         }
     }
     let run = |timing: bool| {
@@ -160,24 +158,10 @@ fn overlap_frames_run_both_agents() {
     // processes its half plus the overlap extras.
     let total: u64 = ads.agent_steps().iter().sum();
     assert_eq!(total, 8 + 2, "two overlap frames add two extra inferences");
-    // Overlap frames produce same-frame pairs immediately.
+    // Overlap frames produce same-frame references immediately.
     let mut ads2 = Ads::new(AdsConfig::for_mode(overlap(1), 10));
     let outs = run_ticks(&mut ads2, world(), 2);
-    assert!(outs[0].pair.is_some(), "overlap gives a reference on the first tick");
-}
-
-#[test]
-fn average_fusion_blends_agent_outputs() {
-    let mut cfg = AdsConfig::for_mode(AgentMode::RoundRobin, 11);
-    cfg.fusion = FusionPolicy::Average;
-    let mut ads = Ads::new(cfg);
-    let outs = run_ticks(&mut ads, world(), 4);
-    // Once a peer reference exists, the driven controls are the mean
-    // of the fresh output and the peer's last output.
-    let out = outs[2];
-    let (fresh, peer) = out.pair.expect("reference exists by tick 3");
-    let expected = FusionPolicy::Average.fuse(fresh, Some(peer));
-    assert_eq!(out.controls, expected);
+    assert!(outs[0].divergence.is_some(), "overlap gives a reference on the first tick");
 }
 
 #[test]
